@@ -9,7 +9,7 @@
 // Usage:
 //
 //	wcanon -i access.log[.gz] -o anon.log[.gz] [-salt secret]
-//	       [-keep-host] [-format auto|squid|binary|clf|wct3]
+//	       [-keep-host] [-format auto|squid|interned|clf|wct3]
 //
 // With -format wct3 the output is a WCT3 columnar workload (.wci3): the
 // trace is preprocessed into its final simulation form (cacheability
@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 		outPath  = fs.String("o", "", "output trace path")
 		salt     = fs.String("salt", "", "hash salt (vary it so mappings cannot be joined across traces)")
 		keepHost = fs.Bool("keep-host", false, "preserve the URL host, hashing only the path")
-		formatN  = fs.String("format", "auto", "output format: auto, squid, binary, clf, wct3 (columnar workload)")
+		formatN  = fs.String("format", "auto", "output format: auto, squid, interned, clf, wct3 (columnar workload)")
 		passthru = fs.Bool("passthrough", false, "skip the anonymizing rewrite (input is already sanitized); format conversion only")
 	)
 	if err := fs.Parse(args); err != nil {

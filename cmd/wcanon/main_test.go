@@ -14,7 +14,7 @@ import (
 func writeTestTrace(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "in.wct")
-	w, err := trace.CreateFile(path, trace.FormatBinary)
+	w, err := trace.CreateFile(path, trace.FormatInterned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 // Command wcgen synthesizes a proxy trace calibrated to one of the
-// paper's workload profiles and writes it to a file in Squid, compact
-// binary, or interned binary format (gzip by path suffix).
+// paper's workload profiles and writes it to a file in Squid or interned
+// binary format (gzip by path suffix).
 //
 // Usage:
 //
 //	wcgen -profile dfn|rtp -o trace.wct.gz [-scale 1.0] [-requests N]
-//	      [-seed 1] [-format auto|squid|binary|interned]
+//	      [-seed 1] [-format auto|squid|interned]
 package main
 
 import (
@@ -35,7 +35,7 @@ func run(args []string) error {
 		seed     = fs.Int64("seed", 1, "generation seed")
 		clients  = fs.Int("clients", 0, "client population (0 = single client)")
 		diurnal  = fs.Float64("diurnal", 0, "diurnal load amplitude in [0,1) (0 = flat rate)")
-		format   = fs.String("format", "auto", "trace format: auto, squid, binary, interned")
+		format   = fs.String("format", "auto", "trace format: auto, squid, interned")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

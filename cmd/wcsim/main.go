@@ -8,9 +8,9 @@
 //	      [-admissions none,tinylfu,arc-ghost]
 //	      [-sizes 64MB,256MB,1GB | -size-pcts 0.5,1,2,4] [-warmup 0.1]
 //	      [-by-class] [-csv] [-occupancy N] [-check] [-journal run.jsonl]
-//	      [-sample-rate 0.125] [-partitions 4]
+//	      [-sample-rate 0.125]
 //
-// The trace may be a record stream (squid, CLF, .wci binary) or a WCT3
+// The trace may be a record stream (squid, CLF, .wci interned) or a WCT3
 // columnar workload (.wci3, produced by wcanon -format wct3), which is
 // memory-mapped and replayed without any parse or build step.
 package main
@@ -59,7 +59,6 @@ func run(args []string, out io.Writer) error {
 		check    = fs.Bool("check", false, "run policies under the runtime contract checker (slower; aborts on the first violation)")
 		journal  = fs.String("journal", "", "write a JSONL run journal (progress, throughput, wall-clock per cell) to this path; summarize with wcreport -journal")
 		sample   = fs.Float64("sample-rate", 0, "simulate only this fraction of documents (spatial hash sampling, 0<R<1) with capacities scaled to match; results are approximate (docs/MRC.md)")
-		parts    = fs.Int("partitions", 0, "split the document space across this many parallel simulators per cell when provably exact (docs/ARCHITECTURE.md); 0/1 disables")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,9 +88,6 @@ func run(args []string, out io.Writer) error {
 	if *sample < 0 || *sample > 1 {
 		return fmt.Errorf("-sample-rate %v must be within [0, 1] (0 disables, 1 is a full replay)", *sample)
 	}
-	if *parts < 0 || *parts > core.MaxPartitions {
-		return fmt.Errorf("-partitions %d must be within [0, %d]", *parts, core.MaxPartitions)
-	}
 	sweepCfg := core.SweepConfig{
 		Policies:       factories,
 		Admissions:     admitters,
@@ -100,7 +96,6 @@ func run(args []string, out io.Writer) error {
 		Parallelism:    *par,
 		SelfCheck:      *check,
 		SampleRate:     *sample,
-		Partitions:     *parts,
 	}
 	var journalFile *os.File
 	if *journal != "" {

@@ -11,11 +11,11 @@ import (
 	"webcachesim/internal/trace"
 )
 
-// writeTestTrace generates a small binary trace for CLI tests.
+// writeTestTrace generates a small interned trace for CLI tests.
 func writeTestTrace(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.wct")
-	w, err := trace.CreateFile(path, trace.FormatBinary)
+	w, err := trace.CreateFile(path, trace.FormatInterned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func writeTestTrace(t *testing.T, format trace.Format) string {
 	t.Helper()
 	name := "trace.log"
-	if format == trace.FormatBinary {
+	if format == trace.FormatInterned {
 		name = "trace.wct"
 	}
 	path := filepath.Join(t.TempDir(), name)
@@ -30,7 +30,7 @@ func writeTestTrace(t *testing.T, format trace.Format) string {
 }
 
 func TestRunText(t *testing.T) {
-	path := writeTestTrace(t, trace.FormatBinary)
+	path := writeTestTrace(t, trace.FormatInterned)
 	var sb strings.Builder
 	if err := run([]string{path}, &sb); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestRunRawSkipsFilter(t *testing.T) {
 }
 
 func TestRunCSVMode(t *testing.T) {
-	path := writeTestTrace(t, trace.FormatBinary)
+	path := writeTestTrace(t, trace.FormatInterned)
 	var sb strings.Builder
 	if err := run([]string{"-csv", path}, &sb); err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestRunCSVMode(t *testing.T) {
 }
 
 func TestRunApprox(t *testing.T) {
-	path := writeTestTrace(t, trace.FormatBinary)
+	path := writeTestTrace(t, trace.FormatInterned)
 	var sb strings.Builder
 	if err := run([]string{"-approx", path}, &sb); err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func run() error {
 	path := filepath.Join(dir, "big.wct.gz")
 
 	// 1. Write the trace (stand-in for a multi-GB access log).
-	w, err := trace.CreateFile(path, trace.FormatBinary)
+	w, err := trace.CreateFile(path, trace.FormatInterned)
 	if err != nil {
 		return err
 	}

@@ -42,8 +42,7 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	}
 }
 
-// benchRequests generates the raw request stream behind benchWorkload, for
-// benchmarks that replay requests without the columnar preprocessing.
+// benchRequests generates the raw request stream behind benchWorkload.
 func benchRequests(requests int) []*trace.Request {
 	rng := rand.New(rand.NewSource(1))
 	exts := []string{"gif", "html", "mp3", "pdf"}
@@ -62,84 +61,8 @@ func benchRequests(requests int) []*trace.Request {
 	return reqs
 }
 
-// stringKeyedSim reconstructs the pre-interning replay path for baseline
-// benchmarking: documents keyed by URL strings in maps, the class derived
-// per request, the modification rule applied inline, and a fresh Doc
-// allocated on every insert. It exists only as the "before" side of
-// BenchmarkReplay; the real simulator replays the interned columnar
-// workload.
-type stringKeyedSim struct {
-	capacity int64
-	pol      policy.Policy
-	docs     map[string]*policy.Doc
-	last     map[string]int64
-	used     int64
-}
-
-func newStringKeyedSim(capacity int64, f policy.Factory) *stringKeyedSim {
-	return &stringKeyedSim{
-		capacity: capacity,
-		pol:      f.New(),
-		docs:     make(map[string]*policy.Doc),
-		last:     make(map[string]int64),
-	}
-}
-
-func (s *stringKeyedSim) process(r *trace.Request) {
-	class := r.Classify()
-	size := r.DocSize
-	if size <= 0 {
-		size = r.TransferSize
-	}
-	if size <= 0 {
-		size = 1
-	}
-	modified, size := decideModification(DefaultModifyThreshold, s.last[r.URL], size, r.DocSize > 0)
-	s.last[r.URL] = size
-	doc := s.docs[r.URL]
-	switch {
-	case doc != nil && !modified:
-		doc.Size = size
-		s.pol.Hit(doc)
-		return
-	case doc != nil:
-		s.pol.Remove(doc)
-		s.used -= doc.Size
-		delete(s.docs, r.URL)
-	}
-	if size > s.capacity {
-		return
-	}
-	for s.used+size > s.capacity {
-		victim, ok := s.pol.Evict()
-		if !ok {
-			return
-		}
-		s.used -= victim.Size
-		delete(s.docs, victim.Key)
-	}
-	doc = &policy.Doc{Key: r.URL, Size: size, Class: class}
-	s.docs[r.URL] = doc
-	s.used += size
-	s.pol.Insert(doc)
-}
-
-// BenchmarkReplayStringKeyed is the baseline side of the interning
-// comparison: replaying the raw request stream with URL-keyed maps.
-func BenchmarkReplayStringKeyed(b *testing.B) {
-	reqs := benchRequests(50_000)
-	sim := newStringKeyedSim(4<<20, policy.MustFactory(policy.Spec{Scheme: "lru"}))
-	n := len(reqs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.process(reqs[i%n])
-	}
-}
-
-// BenchmarkReplayInterned replays the same request stream through the
-// interned columnar workload and the production simulator — the pair of
-// numbers recorded in BENCH_ingest.json (see make bench).
+// BenchmarkReplayInterned replays the benchmark request stream through
+// the interned columnar workload and the production simulator under LRU.
 func BenchmarkReplayInterned(b *testing.B) {
 	w := benchWorkload(b, 50_000)
 	sim, err := NewSimulator(w, Config{
@@ -253,29 +176,10 @@ func benchGridCapacities() []int64 {
 	return caps
 }
 
-// BenchmarkSweepGridPerCell is the baseline side of BENCH_mrc.json: a
-// 6-policy × 8-capacity sweep where every cell — LRU included — is a full
-// per-cell replay of the whole trace.
-func BenchmarkSweepGridPerCell(b *testing.B) {
-	w := benchCleanWorkload(b)
-	cfg := SweepConfig{
-		Policies:   policy.StudyFactories(),
-		Capacities: benchGridCapacities(),
-		PerCellLRU: true,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Sweep(w, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepGridFast runs the same grid in the sweep's fast
+// BenchmarkSweepGridFast runs a 6-policy × 8-capacity sweep in its fast
 // configuration: LRU cells collapse into one exact stack-distance scan,
 // and the heap policies replay a 1/8 spatial document sample against
-// scaled capacities. The BENCH_mrc.json speedup is this benchmark against
-// BenchmarkSweepGridPerCell; exact-mode fidelity is pinned separately by
+// scaled capacities. Exact-mode fidelity is pinned by
 // TestSweepMRCFastPathMatchesPerCell and sampling error by
 // TestSweepSampledApproximatesExact.
 func BenchmarkSweepGridFast(b *testing.B) {
@@ -290,41 +194,5 @@ func BenchmarkSweepGridFast(b *testing.B) {
 		if _, err := Sweep(w, cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPartitionedReplay is the partition scaling curve recorded in
-// BENCH_ingest.json: one GDS replay of the clean workload at a capacity
-// the exactness gate clears, split over p hash partitions. p1 is the
-// single-stream baseline the speedups are measured against; higher
-// partition counts only pay off with idle cores to run them on, so the
-// curve is flat on a single-core runner by design.
-func BenchmarkPartitionedReplay(b *testing.B) {
-	w := benchCleanWorkload(b)
-	gds := policy.StudyFactories()[2] // gds:1 — a heap policy, no MRC shortcut
-	capacity := 8 * w.DistinctBytes() // gate-clearing at every p below
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			cfg := Config{Capacity: capacity, Policy: gds, WarmupFraction: 0.1}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if p == 1 {
-					sim, err := NewSimulator(w, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sim.Run(w)
-					continue
-				}
-				r, ok, err := ReplayPartitioned(w, cfg, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok || r == nil {
-					b.Fatal("exactness gate declined during benchmark")
-				}
-			}
-		})
 	}
 }

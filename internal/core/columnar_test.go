@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -9,12 +11,27 @@ import (
 	"webcachesim/internal/trace"
 )
 
+// mixedWorkload builds a random workload of n requests over ~300 documents
+// of every class, with sizes that vary between requests for one document.
+func mixedWorkload(t *testing.T, seed int64, n int) *Workload {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	exts := []string{"gif", "html", "mp3", "pdf", "cgi?q=1"}
+	reqs := make([]*trace.Request, 0, n)
+	for i := 0; i < n; i++ {
+		id := int(float64(300) * rng.Float64() * rng.Float64())
+		ext := exts[id%len(exts)]
+		reqs = append(reqs, req(fmt.Sprintf("http://part.test/d%d.%s", id, ext), int64(100+rng.Intn(30_000))))
+	}
+	return build(t, 0, reqs...)
+}
+
 // TestColumnarWorkloadRoundTrip writes a workload as WCT3, loads it back
 // through the mmap path, and requires every policy's simulation result to
 // be bit-identical to a run over the original workload — the property
 // that makes .wci3 a drop-in replay input.
 func TestColumnarWorkloadRoundTrip(t *testing.T) {
-	w := partitionWorkload(t, 17, 3000)
+	w := mixedWorkload(t, 17, 3000)
 	path := filepath.Join(t.TempDir(), "trace.wci3")
 	if err := w.WriteColumnar(path); err != nil {
 		t.Fatal(err)
@@ -90,7 +107,7 @@ func TestColumnarThresholdSurvives(t *testing.T) {
 // uses to fall back to the record formats.
 func TestOpenColumnarWorkloadRejectsRecordStream(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wci")
-	fw, err := trace.CreateFile(path, trace.FormatBinary)
+	fw, err := trace.CreateFile(path, trace.FormatInterned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,9 @@ const (
 	// (possibly sample-scaled) capacities covered and the cost of the
 	// scan.
 	JournalMRCPass = "mrc_pass"
-	// JournalPartitionedPass records that one cell was replayed by
-	// hash-partitioned parallel simulators (exactness gate engaged), with
-	// the partition count and the cost of the fan-out.
+	// JournalPartitionedPass is a legacy record: Sweep does not write it,
+	// ReadJournal accepts it so journals holding it stay readable. It
+	// names one cell replayed by hash-partitioned simulators.
 	JournalPartitionedPass = "partitioned_pass"
 	// JournalRunStart marks one policy × capacity cell starting.
 	JournalRunStart = "run_start"

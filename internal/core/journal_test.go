@@ -191,10 +191,24 @@ func TestReadJournalRejectsMalformed(t *testing.T) {
 		"missing cell":       `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" + `{"event":"run_end","unixMs":2}` + "\n",
 		"wrong first record": `{"event":"run_start","unixMs":1,"policy":"lru","capacity":5}` + "\n",
 		"bare sweep_start":   `{"event":"sweep_start","unixMs":1}` + "\n",
+		"legacy pass, no fan-out": `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" +
+			`{"event":"partitioned_pass","unixMs":2,"policy":"lru","capacity":1}` + "\n",
 	} {
 		if _, err := ReadJournal(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadJournal accepted malformed input", name)
 		}
+	}
+	// Sweep no longer writes partitioned_pass, but journals that hold the
+	// record must stay readable.
+	legacy := `{"event":"sweep_start","unixMs":1,"policies":["gds:1"],"capacities":[4096]}` + "\n" +
+		`{"event":"partitioned_pass","unixMs":2,"policy":"gds:1","capacity":4096,"partitions":4,"requests":10,"hits":3}` + "\n" +
+		`{"event":"sweep_end","unixMs":3,"cells":1}` + "\n"
+	recs, err := ReadJournal(strings.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("legacy partitioned_pass journal rejected: %v", err)
+	}
+	if len(recs) != 3 || recs[1].Event != JournalPartitionedPass || recs[1].Partitions != 4 {
+		t.Errorf("legacy journal decoded as %+v", recs)
 	}
 }
 

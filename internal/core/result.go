@@ -118,10 +118,4 @@ type Result struct {
 	// configured full-trace size.
 	SampleRate      float64 `json:"sampleRate,omitempty"`
 	SampledCapacity int64   `json:"sampledCapacity,omitempty"`
-	// Partitions, when > 1, marks a result produced by hash-partitioned
-	// parallel replay. Unlike SampleRate this is not an approximation
-	// marker: the exactness gate proved the counters bit-identical to a
-	// single-stream replay before partitioning was allowed (see
-	// ReplayPartitioned).
-	Partitions int `json:"partitions,omitempty"`
 }

@@ -85,15 +85,6 @@ func NewSimulator(w *Workload, cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSimulatorWarmup(w, cfg, warmup)
-}
-
-// newSimulatorWarmup is NewSimulator with the warmup request count imposed
-// directly instead of derived from Config.WarmupFraction. Partitioned
-// replay needs the override: each partition warms for its own share of the
-// global warmup prefix, a count no fraction of the partition's stream
-// expresses exactly.
-func newSimulatorWarmup(w *Workload, cfg Config, warmup int64) (*Simulator, error) {
 	if cfg.Capacity <= 0 {
 		return nil, errBadConfig("capacity %d must be positive", cfg.Capacity)
 	}

@@ -47,19 +47,8 @@ type SweepConfig struct {
 	SampleRate float64
 	// PerCellLRU forces LRU cells through per-cell simulation even when
 	// the one-pass MRC engine would produce identical results. Meant for
-	// benchmarks and cross-checks; leave false otherwise.
+	// cross-checks of the fast path; leave false otherwise.
 	PerCellLRU bool
-	// Partitions, when > 1, replays eligible cells as that many
-	// hash-partitioned simulators running concurrently, each owning the
-	// documents trace.Hash64 assigns it and a byte budget of
-	// Capacity/Partitions. A cell is eligible only when the result is
-	// provably bit-identical to single-stream replay: the exactness gate
-	// (see ReplayPartitioned) must hold for its capacity, the cell must run
-	// without an admission filter, and occupancy sampling must be off.
-	// Ineligible cells silently fall back to single-stream replay; cells
-	// the MRC engine serves keep that (cheaper) path. Values above
-	// MaxPartitions are rejected.
-	Partitions int
 	// Journal, when set, receives the sweep's run journal: one JSON
 	// object per line recording grid shape, per-run progress ticks,
 	// throughput and wall-clock cost (see JournalRecord and
@@ -207,40 +196,12 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 		}
 	}
 
-	// Partitioned replay: one shared plan covers every eligible cell (the
-	// document split and demand bound depend only on the workload and P).
-	// MRC-served cells keep the scan — it answers all capacities in one
-	// pass, which partitioning cannot beat.
-	var (
-		plan       *partitionPlan
-		planWarmup []int64
-	)
-	if cfg.Partitions > MaxPartitions {
-		return nil, errBadConfig("partitions %d exceeds %d", cfg.Partitions, MaxPartitions)
-	}
-	if cfg.Partitions > 1 && cfg.SampleEvery == 0 {
-		plan = newPartitionPlan(runW, cfg.Partitions)
-		planWarmup = plan.warmupCounts(runW, warmup)
-	}
-	cellPartitioned := func(c cell) bool {
-		return plan != nil && admissions[c.admIdx].New == nil &&
-			!cellViaMRC(c) && plan.exact(runCaps[c.capIdx])
-	}
-
 	// Validate the per-cell configurations up front so the fan-out cannot
-	// fail. MRC-served cells have no simulator (sims[i] stays nil);
-	// partitioned cells build their simulators lazily in the worker, one
-	// fan-out at a time.
+	// fail. MRC-served cells have no simulator (sims[i] stays nil).
 	sims := make([]*Simulator, len(cells))
-	parted := make([]bool, len(cells))
 	perCellRuns := 0
 	for i, c := range cells {
 		if cellViaMRC(c) {
-			continue
-		}
-		if cellPartitioned(c) {
-			parted[i] = true
-			perCellRuns++ // replays the full stream, split across partitions
 			continue
 		}
 		sim, err := NewSimulator(runW, Config{
@@ -345,7 +306,6 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 	}
 
 	results := make([]*Result, len(cells))
-	partErrs := make([]error, len(cells))
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for g := 0; g < parallelism; g++ {
@@ -353,48 +313,16 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				switch {
-				case parted[i]:
-					c := cells[i]
-					ccfg := Config{
-						Capacity:       runCaps[c.capIdx],
-						Policy:         cfg.Policies[c.policyIdx],
-						WarmupFraction: cfg.WarmupFraction,
-						SelfCheck:      cfg.SelfCheck,
-					}
-					start := now()
-					r, err := replayPartitioned(runW, ccfg, plan, planWarmup, warmup)
-					if err != nil {
-						partErrs[i] = err
-						continue
-					}
-					results[i] = r
-					if jw != nil {
-						elapsedMs, rps := throughput(int64(runW.NumRequests()), now().Sub(start))
-						jw.emit(JournalRecord{
-							Event:          JournalPartitionedPass,
-							Policy:         r.Policy,
-							Capacity:       r.Capacity,
-							Partitions:     plan.p,
-							Requests:       int64(runW.NumRequests()),
-							ElapsedMs:      elapsedMs,
-							RequestsPerSec: rps,
-							Evictions:      r.Evictions,
-							Hits:           r.Overall.Hits,
-							HitRate:        r.Overall.HitRate(),
-							ByteHitRate:    r.Overall.ByteHitRate(),
-						})
-					}
-				case jw != nil:
+				if jw != nil {
 					results[i] = runJournaled(sims[i], runW, jw, tickEvery, now)
-				default:
+				} else {
 					results[i] = sims[i].Run(runW)
 				}
 			}
 		}()
 	}
 	for i := range cells {
-		if sims[i] != nil || parted[i] {
+		if sims[i] != nil {
 			work <- i
 		}
 	}
@@ -403,12 +331,6 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 	mrcWG.Wait()
 	if mrcErr != nil {
 		return nil, fmt.Errorf("core: sweep mrc pass: %w", mrcErr)
-	}
-	for i, err := range partErrs {
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep cell %s/%d: %w",
-				cfg.Policies[cells[i].policyIdx].Name, cfg.Capacities[cells[i].capIdx], err)
-		}
 	}
 
 	for i, c := range cells {

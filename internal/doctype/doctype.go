@@ -79,25 +79,6 @@ func (c Class) Short() string {
 	}
 }
 
-// ParseClass resolves a class from its Short or String form,
-// case-insensitively. It returns Unknown and false for unrecognized names.
-func ParseClass(s string) (Class, bool) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "image", "images", "img":
-		return Image, true
-	case "html", "text":
-		return HTML, true
-	case "media", "multimedia", "multi media", "multi-media", "mm":
-		return MultiMedia, true
-	case "app", "application", "applications":
-		return Application, true
-	case "other":
-		return Other, true
-	default:
-		return Unknown, false
-	}
-}
-
 // Classify determines the document class from the response content type and
 // the request URL. The content type wins when present; otherwise the class
 // is guessed from the URL's file extension, as in Section 2 of the paper.

@@ -124,22 +124,6 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestParseClassRoundTrip(t *testing.T) {
-	for _, c := range Classes {
-		got, ok := ParseClass(c.Short())
-		if !ok || got != c {
-			t.Errorf("ParseClass(%q) = %v, %v; want %v, true", c.Short(), got, ok, c)
-		}
-		got, ok = ParseClass(c.String())
-		if !ok || got != c {
-			t.Errorf("ParseClass(%q) = %v, %v; want %v, true", c.String(), got, ok, c)
-		}
-	}
-	if _, ok := ParseClass("bogus"); ok {
-		t.Error("ParseClass(bogus) succeeded, want failure")
-	}
-}
-
 func TestClassStrings(t *testing.T) {
 	seen := make(map[string]bool, NumClasses)
 	for _, c := range Classes {

@@ -26,24 +26,13 @@ type Cluster struct {
 	nodes       []*core.StreamSimulator
 	parentNames []string
 	parents     []*core.StreamSimulator
-	tap         func(*trace.Request)
-}
-
-// ClusterOption customizes a cluster simulator.
-type ClusterOption func(*Cluster)
-
-// WithClusterMissTap registers fn to receive every request that misses
-// the whole topology — the origin's view. The callback borrows the
-// request; it must not retain it.
-func WithClusterMissTap(fn func(*trace.Request)) ClusterOption {
-	return func(c *Cluster) { c.tap = fn }
 }
 
 // NewCluster builds the offline twin of a live fleet from its topology
 // file. Every node needs an explicit capacity — the simulator has no
 // flag defaults to fall back on. modifyThreshold follows
 // core.BuildWorkload semantics.
-func NewCluster(topo *cluster.Topology, modifyThreshold float64, opts ...ClusterOption) (*Cluster, error) {
+func NewCluster(topo *cluster.Topology, modifyThreshold float64) (*Cluster, error) {
 	if topo == nil {
 		return nil, errors.New("hierarchy: nil topology")
 	}
@@ -92,9 +81,6 @@ func NewCluster(topo *cluster.Topology, modifyThreshold float64, opts ...Cluster
 		c.parentNames = append(c.parentNames, n.Name)
 		c.parents = append(c.parents, sim)
 	}
-	for _, opt := range opts {
-		opt(c)
-	}
 	return c, nil
 }
 
@@ -116,9 +102,6 @@ func (c *Cluster) Process(req *trace.Request) int {
 		if parent.Process(req).Hit() {
 			return 1 + i
 		}
-	}
-	if c.tap != nil {
-		c.tap(req)
 	}
 	return -1
 }

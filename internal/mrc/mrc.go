@@ -22,10 +22,7 @@
 // would resurrect documents a demand-eviction cache has already dropped).
 // All three are detectable from the trace alone, so callers can decide
 // when the scan is bit-exact. See docs/MRC.md for the argument and
-// core.Workload.MRCExact for the gate. The same prove-exactness-or-
-// decline philosophy gates core.ReplayPartitioned, which splits a
-// workload across per-partition simulators only when a conservation
-// argument shows the merged counters must equal the single-stream run.
+// core.Workload.MRCExact for the gate.
 //
 // The scan keeps two Fenwick trees indexed by last-access position: one
 // accumulating distinct-document counts, one accumulating resident bytes.

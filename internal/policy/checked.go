@@ -50,12 +50,6 @@ func Checked(p Policy) Policy {
 	return &checked{inner: p, tracked: map[*Doc]bool{}}
 }
 
-// CheckedFactory wraps a factory so every instance it creates is checked.
-func CheckedFactory(f Factory) Factory {
-	inner := f.New
-	return Factory{Name: f.Name, New: func() Policy { return Checked(inner()) }}
-}
-
 func (c *checked) fail(op, format string, args ...any) {
 	panic(&ContractError{Policy: c.inner.Name(), Op: op, Detail: fmt.Sprintf(format, args...)})
 }

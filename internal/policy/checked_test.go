@@ -124,22 +124,6 @@ func TestCheckedIdempotentWrap(t *testing.T) {
 	}
 }
 
-func TestCheckedFactoryWraps(t *testing.T) {
-	f := CheckedFactory(Factory{Name: "fake", New: func() Policy { return &fakePolicy{} }})
-	if f.Name != "fake" {
-		t.Errorf("factory name = %q, want fake", f.Name)
-	}
-	p := f.New()
-	if _, ok := p.(interface{ Unwrap() Policy }); !ok {
-		t.Fatalf("factory product %T is not a checked wrapper", p)
-	}
-	wantViolation(t, "Insert", "double insert", func() {
-		d := &Doc{Key: "x"}
-		p.Insert(d)
-		p.Insert(d)
-	})
-}
-
 func TestCheckedCatchesDoubleInsert(t *testing.T) {
 	p := Checked(&fakePolicy{})
 	d := &Doc{Key: "dup"}

@@ -25,10 +25,6 @@ type slruMeta struct {
 
 var _ Policy = (*SLRU)(nil)
 
-// DefaultProtectedFraction is the protected segment's share of tracked
-// documents used when none is configured.
-const DefaultProtectedFraction = 0.8
-
 // NewSLRU returns an empty SLRU whose protected segment holds up to
 // maxProtected documents (a size-based bound would need byte accounting
 // the Policy interface deliberately leaves to the simulator; the document

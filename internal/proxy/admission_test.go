@@ -106,16 +106,29 @@ func TestProxyAdmissionRejectHeaderAndCounters(t *testing.T) {
 	}
 }
 
-// TestProxyWithoutAdmissionExposesNoAdmissionMetrics keeps the default
-// /metrics surface stable for existing scrapers.
-func TestProxyWithoutAdmissionExposesNoAdmissionMetrics(t *testing.T) {
+// TestProxyWithoutFeaturesExportsZeroedSeries: the admission and peer
+// series are part of every proxy's /metrics surface, reading zero (and
+// the peers gauge not dereferencing a missing cluster) when the proxy
+// runs without a filter and without a fleet.
+func TestProxyWithoutFeaturesExportsZeroedSeries(t *testing.T) {
 	srv, reg, _ := newInstrumented(t, 1<<20)
 	get(t, srv, "/a.gif")
 	if rr := get(t, srv, "/a.gif"); rr.Header().Get("X-Admission") != "" {
 		t.Errorf("X-Admission must never be set without a filter")
 	}
-	if text := exposition(t, reg); strings.Contains(text, "wcproxy_admission") {
-		t.Errorf("admission metrics registered without a filter:\n%s", text)
+	text := exposition(t, reg)
+	for _, want := range []string{
+		"wcproxy_admission_admitted_total 0",
+		"wcproxy_admission_rejected_total 0",
+		"wcproxy_admission_ghost_hits 0",
+		"wcproxy_peer_hits_total 0",
+		"wcproxy_peer_fetches_total 0",
+		"wcproxy_peer_errors_total 0",
+		"wcproxy_cluster_peers 0",
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("metrics exposition missing %q:\n%s", want, text)
+		}
 	}
 	if got := srv.Stats().AdmissionRejects; got != 0 {
 		t.Errorf("Stats().AdmissionRejects = %d without a filter, want 0", got)

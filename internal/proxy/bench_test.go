@@ -6,18 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// The scaling benchmark: the sharded, miss-coalescing server against a
-// compact reimplementation of the pre-sharding design (one global mutex,
-// no singleflight), at 1, 4 and 8 closed-loop clients. `make bench`
-// records the comparison in BENCH_proxy.json.
+// The scaling benchmark: the sharded, miss-coalescing server at 1, 4 and
+// 8 closed-loop clients.
 //
 // The workload is a miss storm: clients walk a shared URL sequence in
 // lockstep (url = n/conc), so at any moment all of them want the same
@@ -25,12 +21,10 @@ import (
 // The fake origin charges real CPU work synthesizing each body, spread
 // over several scheduler yield points the way a real round trip is spread
 // over network reads; during those yields other clients run, see the
-// still-absent entry, and — in the single-lock design — start their own
-// duplicate fetch. Coalescing pays the origin price once per OBJECT
-// instead of once per REQUEST, and since the price is CPU, the gap
-// survives on a single-core host (time.Sleep cannot stand in for origin
-// cost here: this container's timer granularity is ~1ms, so sleeps would
-// swamp the work being measured).
+// still-absent entry, and join the miss leader's fetch. The origin price
+// is CPU because time.Sleep cannot stand in for origin cost here: this
+// container's timer granularity is ~1ms, so sleeps would swamp the work
+// being measured.
 
 const (
 	benchBodySize = 64 << 10
@@ -66,45 +60,6 @@ func (benchOrigin) RoundTrip(req *http.Request) (*http.Response, error) {
 	}, nil
 }
 
-// singleLockProxy is the old serving path, reduced to its concurrency
-// structure: one mutex around one map, and every miss does its own origin
-// fetch. It skips replacement bookkeeping entirely, which only flatters
-// it.
-type singleLockProxy struct {
-	mu        sync.Mutex
-	entries   map[string][]byte
-	transport http.RoundTripper
-}
-
-func (p *singleLockProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.String()
-	p.mu.Lock()
-	body, ok := p.entries[key]
-	p.mu.Unlock()
-	if !ok {
-		req, err := http.NewRequest(http.MethodGet, key, nil)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		resp, err := p.transport.RoundTrip(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		body, err = io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		p.mu.Lock()
-		p.entries[key] = body
-		p.mu.Unlock()
-	}
-	_, _ = w.Write(body)
-}
-
 // benchServe drives b.N requests through the handler with conc
 // closed-loop clients sharing one URL sequence.
 func benchServe(b *testing.B, h http.Handler, conc int) {
@@ -134,15 +89,6 @@ func benchServe(b *testing.B, h http.Handler, conc int) {
 	wg.Wait()
 }
 
-func BenchmarkProxySingleLock(b *testing.B) {
-	for _, conc := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("c%d", conc), func(b *testing.B) {
-			p := &singleLockProxy{entries: map[string][]byte{}, transport: benchOrigin{}}
-			benchServe(b, p, conc)
-		})
-	}
-}
-
 func BenchmarkProxySharded(b *testing.B) {
 	for _, conc := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("c%d", conc), func(b *testing.B) {
@@ -155,15 +101,10 @@ func BenchmarkProxySharded(b *testing.B) {
 	}
 }
 
-// The steady-state hit benchmark pair: the pooled, pre-resolved serving
-// path against a compact reimplementation of the pre-pool hit path (URL
-// struct copy + String() for the key, Header().Set with a freshly
-// formatted Content-Length, per-call []string header values). Both serve
-// the same resident object through a no-op ResponseWriter, so the
-// measured ns/op and allocs/op are the serve path itself, not net/http's
-// response plumbing. `make bench` derives the allocation reduction in
-// BENCH_proxy.json, and `make alloc-smoke` asserts ProxyHit stays at
-// exactly 0 allocs/op.
+// The steady-state hit benchmark: one resident object served through a
+// no-op ResponseWriter, so the measured ns/op and allocs/op are the serve
+// path itself, not net/http's response plumbing. TestHitPathZeroAlloc
+// pins the 0 allocs/op this reports.
 
 const hitBenchBody = 16 << 10
 
@@ -180,60 +121,5 @@ func BenchmarkProxyHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ServeHTTP(w, req)
-	}
-}
-
-// legacyHitServer reproduces the pre-pool hit path's allocation profile:
-// the request key is built by copying the origin URL and calling
-// String(), and every response header value is allocated per request.
-type legacyHitServer struct {
-	origin  *url.URL
-	mu      sync.Mutex
-	entries map[string]*legacyEntry
-}
-
-type legacyEntry struct {
-	body        []byte
-	contentType string
-	status      int
-}
-
-func (p *legacyHitServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	u := *p.origin
-	u.Path = r.URL.Path
-	u.RawQuery = r.URL.RawQuery
-	key := u.String()
-	p.mu.Lock()
-	e, ok := p.entries[key]
-	p.mu.Unlock()
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", e.contentType)
-	w.Header().Set("Content-Length", strconv.FormatInt(int64(len(e.body)), 10))
-	w.Header().Set("X-Cache", "HIT")
-	w.WriteHeader(e.status)
-	_, _ = w.Write(e.body)
-}
-
-func BenchmarkProxyHitLegacy(b *testing.B) {
-	origin, err := url.Parse("http://origin.example")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := &legacyHitServer{origin: origin, entries: map[string]*legacyEntry{
-		"http://origin.example/hot.gif": {
-			body:        patternBody("/hot.gif", hitBenchBody),
-			contentType: "image/gif",
-			status:      http.StatusOK,
-		},
-	}}
-	req := httptest.NewRequest(http.MethodGet, "/hot.gif", nil)
-	w := &nopWriter{h: make(http.Header)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ServeHTTP(w, req)
 	}
 }

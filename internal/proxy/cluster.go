@@ -94,9 +94,8 @@ func buildClusterState(cc ClusterConfig) (*clusterState, error) {
 // they started with; the singleflight group is keyed by URL, not by
 // owner, so a fetch that began under the old ring still absorbs
 // followers routed under the new one. Only membership changes here: the
-// peer transport and timeout are fixed at New, and a proxy not built
-// with a ClusterConfig cannot become clustered later (its peer counters
-// were never registered).
+// peer transport and timeout are fixed at New, so a proxy not built with
+// a ClusterConfig cannot become clustered later.
 func (s *Server) UpdateCluster(cc ClusterConfig) error {
 	if s.cluster.Load() == nil {
 		return fmt.Errorf("proxy: UpdateCluster on a proxy built without a cluster")

@@ -34,14 +34,14 @@ type serverMetrics struct {
 	cacheRejects  *metrics.Counter
 
 	// admissionAdmitted/admissionRejected count the admission filter's
-	// decisions on cacheable responses. They stay nil — unregistered, so
-	// /metrics is unchanged — when the proxy runs without admission.
+	// decisions on cacheable responses; both stay zero when the proxy runs
+	// without admission.
 	admissionAdmitted *metrics.Counter
 	admissionRejected *metrics.Counter
 
-	// The cluster trio, nil — unregistered — on an unclustered proxy.
-	// peerHits counts requests answered from a sibling's cache (disjoint
-	// from hits and misses: requests = hits + peerHits + misses);
+	// The cluster trio, zero on an unclustered proxy. peerHits counts
+	// requests answered from a sibling's cache (disjoint from hits and
+	// misses: requests = hits + peerHits + misses);
 	// peerFetches counts fetch attempts sent to siblings (fetch-centric,
 	// so coalesced followers of one peer fetch do not add to it);
 	// peerErrors counts peer fetches that failed — down, timed out, or a
@@ -66,10 +66,8 @@ type serverMetrics struct {
 }
 
 // newServerMetrics registers the proxy's metrics. The server's occupancy
-// gauges are registered by the caller once the Server exists; the
-// admission counters are only registered when an admission filter is
-// configured.
-func newServerMetrics(reg *metrics.Registry, admission, clustered bool) *serverMetrics {
+// gauges are registered by the caller once the Server exists.
+func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	m := &serverMetrics{
 		requests: reg.NewCounter("wcproxy_requests_total",
 			"GET requests handled (hits + misses)."),
@@ -99,20 +97,16 @@ func newServerMetrics(reg *metrics.Registry, admission, clustered bool) *serverM
 		objectBytes: reg.NewHistogram("wcproxy_object_bytes",
 			"Size of bodies fetched from the origin.",
 			metrics.DefaultSizeBuckets()),
-	}
-	if admission {
-		m.admissionAdmitted = reg.NewCounter("wcproxy_admission_admitted_total",
-			"Cacheable responses the admission filter let into the cache.")
-		m.admissionRejected = reg.NewCounter("wcproxy_admission_rejected_total",
-			"Cacheable responses the admission filter refused.")
-	}
-	if clustered {
-		m.peerHits = reg.NewCounter("wcproxy_peer_hits_total",
-			"Requests answered from a sibling node's cache (disjoint from hits and misses).")
-		m.peerFetches = reg.NewCounter("wcproxy_peer_fetches_total",
-			"Fetch attempts sent to the owning sibling (one per miss group, not per request).")
-		m.peerErrors = reg.NewCounter("wcproxy_peer_errors_total",
-			"Peer fetches that failed (down, timeout, non-authoritative answer) and fell back to the origin.")
+		admissionAdmitted: reg.NewCounter("wcproxy_admission_admitted_total",
+			"Cacheable responses the admission filter let into the cache."),
+		admissionRejected: reg.NewCounter("wcproxy_admission_rejected_total",
+			"Cacheable responses the admission filter refused."),
+		peerHits: reg.NewCounter("wcproxy_peer_hits_total",
+			"Requests answered from a sibling node's cache (disjoint from hits and misses)."),
+		peerFetches: reg.NewCounter("wcproxy_peer_fetches_total",
+			"Fetch attempts sent to the owning sibling (one per miss group, not per request)."),
+		peerErrors: reg.NewCounter("wcproxy_peer_errors_total",
+			"Peer fetches that failed (down, timeout, non-authoritative answer) and fell back to the origin."),
 	}
 	uncacheableVec := reg.NewCounterVec("wcproxy_uncacheable_total",
 		"Fetched responses not stored, by reason: rules (status, URL heuristics, size or Cache-Control) or oversize (body exceeded the object limit and was streamed through uncached).",
@@ -146,16 +140,18 @@ func (s *Server) registerGauges(reg *metrics.Registry) {
 	reg.NewGaugeFunc("wcproxy_cache_shards",
 		"Cache shard count (per-shard locks and policy instances).",
 		func() float64 { return float64(s.store.Shards()) })
-	if s.cfg.Cluster != nil {
-		reg.NewGaugeFunc("wcproxy_cluster_peers",
-			"Fleet size this node currently routes across (self included).",
-			func() float64 { return float64(s.cluster.Load().ring.Len()) })
-	}
-	if s.cfg.Admission.New != nil {
-		reg.NewGaugeFunc("wcproxy_admission_ghost_hits",
-			"Admissions granted because the candidate was in a ghost directory of recent evictions.",
-			func() float64 { return float64(s.store.AdmissionCounts().GhostHits) })
-	}
+	reg.NewGaugeFunc("wcproxy_cluster_peers",
+		"Fleet size this node currently routes across (self included); 0 on an unclustered proxy.",
+		func() float64 {
+			cs := s.cluster.Load()
+			if cs == nil {
+				return 0
+			}
+			return float64(cs.ring.Len())
+		})
+	reg.NewGaugeFunc("wcproxy_admission_ghost_hits",
+		"Admissions granted because the candidate was in a ghost directory of recent evictions.",
+		func() float64 { return float64(s.store.AdmissionCounts().GhostHits) })
 	reg.NewGaugeFunc("wcproxy_pool_buffers_outstanding",
 		"Pooled buffers currently held (cached bodies, in-flight reads and scratch).",
 		func() float64 { return float64(s.buffers.Stats().Outstanding()) })

@@ -259,7 +259,7 @@ func New(cfg Config) (*Server, error) {
 		now:       cfg.Now,
 		sleep:     time.Sleep,
 		buffers:   cfg.Buffers,
-		metrics:   newServerMetrics(reg, cfg.Admission.New != nil, cfg.Cluster != nil),
+		metrics:   newServerMetrics(reg),
 	}
 	if cfg.Cluster != nil {
 		cs, err := buildClusterState(*cfg.Cluster)
@@ -740,14 +740,13 @@ func (s *Server) fetchOnce(target *url.URL, hdr http.Header) (*fetchResult, erro
 	if s.cacheable(key, resp, int64(n)) {
 		switch s.store.Insert(key, e) {
 		case cache.SetStored:
-			if s.metrics.admissionAdmitted != nil {
+			// Without a filter nothing was decided, so nothing is counted.
+			if s.cfg.Admission.New != nil {
 				s.metrics.admissionAdmitted.Inc()
 			}
 		case cache.SetRejectedAdmission:
 			fr.admissionRejected = true
-			if s.metrics.admissionRejected != nil {
-				s.metrics.admissionRejected.Inc()
-			}
+			s.metrics.admissionRejected.Inc()
 		case cache.SetRejectedBudget:
 			s.metrics.cacheRejects.Inc()
 		}
@@ -997,14 +996,16 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, e *ca
 // bytes actually streamed. The miss leader consumes the open body carried
 // in the fetchResult; a coalesced waiter cannot (a stream is consumed
 // exactly once), so it performs its own uncoalesced fetch and streams
-// that instead.
+// that instead — and is logged with the status its own fetch produced,
+// which need not be the leader's.
 func (s *Server) serveOversize(w http.ResponseWriter, r *http.Request, key string, target *url.URL, fr *fetchResult, res serveResult) {
 	cls := doctype.Classify(fr.contentType, key)
+	status := fr.status
 	var streamed int64
 	if res == resultMiss {
 		streamed = s.streamOversizeBody(w, fr)
 	} else {
-		streamed = s.streamOversizeRefetch(w, target, r.Header)
+		streamed, status = s.streamOversizeRefetch(w, target, r.Header)
 	}
 
 	s.metrics.requests.Inc()
@@ -1027,7 +1028,7 @@ func (s *Server) serveOversize(w http.ResponseWriter, r *http.Request, key strin
 		_ = s.logw.Write(&trace.Request{
 			UnixMillis:   s.now().UnixMilli(),
 			URL:          key,
-			Status:       fr.status,
+			Status:       status,
 			TransferSize: streamed,
 			ContentType:  fr.contentType,
 			Client:       clientAddr(r),
@@ -1079,21 +1080,21 @@ func (s *Server) streamOversizeBody(w http.ResponseWriter, fr *fetchResult) int6
 // result: the shared body belongs to the miss leader, so the waiter
 // fetches the URL again — without singleflight, straight to the client,
 // nothing buffered beyond the transport — and returns the bytes
-// delivered.
-func (s *Server) streamOversizeRefetch(w http.ResponseWriter, target *url.URL, hdr http.Header) int64 {
+// delivered and the status written to the client.
+func (s *Server) streamOversizeRefetch(w http.ResponseWriter, target *url.URL, hdr http.Header) (int64, int) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.FetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target.String(), nil)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("upstream: %v", err), http.StatusBadGateway)
-		return 0
+		return 0, http.StatusBadGateway
 	}
 	req.Header = hdr.Clone()
 	resp, err := s.transport.RoundTrip(req)
 	if err != nil {
 		s.metrics.originErrors.Inc()
 		http.Error(w, fmt.Sprintf("upstream: %v", err), http.StatusBadGateway)
-		return 0
+		return 0, http.StatusBadGateway
 	}
 	defer func() {
 		// The copy below drains the body; a close failure afterwards has
@@ -1114,7 +1115,7 @@ func (s *Server) streamOversizeRefetch(w http.ResponseWriter, target *url.URL, h
 	if err != nil {
 		s.metrics.originErrors.Inc()
 	}
-	return n
+	return n, resp.StatusCode
 }
 
 func clientAddr(r *http.Request) string {

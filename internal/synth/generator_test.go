@@ -206,7 +206,7 @@ func TestGenerateScaleAndOverride(t *testing.T) {
 
 func TestGenerateToWriter(t *testing.T) {
 	var sb strings.Builder
-	w := trace.NewBinaryWriter(&sb)
+	w := trace.NewInternedWriter(&sb)
 	p := DFNProfile()
 	n, err := GenerateTo(w, p, Options{Seed: 1, Requests: 500})
 	if err != nil {
@@ -218,7 +218,7 @@ func TestGenerateToWriter(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	reqs, err := trace.ReadAll(trace.NewBinaryReader(strings.NewReader(sb.String())))
+	reqs, err := trace.ReadAll(trace.NewInternedReader(strings.NewReader(sb.String())))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,46 +72,3 @@ func BenchmarkSquidRead(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkBinaryWrite(b *testing.B) {
-	reqs := benchRequests(1000)
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Write(reqs[i%len(reqs)]); err != nil {
-			b.Fatal(err)
-		}
-		if buf.Len() > 1<<24 {
-			buf.Reset()
-		}
-	}
-}
-
-func BenchmarkBinaryRead(b *testing.B) {
-	reqs := benchRequests(1000)
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	for _, r := range reqs {
-		if err := w.Write(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.String()
-	b.ReportAllocs()
-	b.ResetTimer()
-	r := NewBinaryReader(strings.NewReader(data))
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Next(); err != nil {
-			if err == io.EOF {
-				r = NewBinaryReader(strings.NewReader(data))
-				continue
-			}
-			b.Fatal(err)
-		}
-	}
-}

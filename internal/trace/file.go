@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,8 +17,6 @@ type Format string
 const (
 	// FormatSquid is the Squid native access-log format.
 	FormatSquid Format = "squid"
-	// FormatBinary is the compact binary format (WCT1).
-	FormatBinary Format = "binary"
 	// FormatInterned is the interned binary format (WCT2): string tables
 	// carried inline, documents classified eagerly at write time.
 	FormatInterned Format = "interned"
@@ -39,10 +38,10 @@ func ParseFormat(s string) (Format, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "squid", "log":
 		return FormatSquid, nil
-	case "binary", "bin", "wct", "wct1":
-		return FormatBinary, nil
-	case "interned", "wct2", "wci":
+	case "interned", "wct2", "wci", "wct", "bin":
 		return FormatInterned, nil
+	case "binary", "wct1":
+		return "", fmt.Errorf("trace: format %q (WCT1) was removed; use interned (WCT2)", s)
 	case "clf", "common", "combined", "apache":
 		return FormatCLF, nil
 	case "columnar", "wct3", "wci3":
@@ -82,18 +81,12 @@ func OpenFile(path string, format Format) (*FileReader, error) {
 		return nil, fmt.Errorf("trace: open %s: %w", path, err)
 	}
 	fr := &FileReader{closers: []io.Closer{f}}
-	// Read ahead of the decoder on a background goroutine (prefetch.go).
-	// The prefetcher is appended after the file so Close (which walks
-	// closers in reverse) stops it before the descriptor goes away.
-	pf := newPrefetchReader(f)
-	fr.closers = append(fr.closers, pf)
-	var src io.Reader = pf
 
-	br := bufio.NewReaderSize(src, 256*1024)
+	br := bufio.NewReaderSize(f, 256*1024)
 	if head, err := br.Peek(2); err == nil && head[0] == 0x1f && head[1] == 0x8b {
 		gz, err := gzip.NewReader(br)
 		if err != nil {
-			_ = fr.Close() // stops the prefetcher before the descriptor
+			_ = fr.Close() // nothing was read; the gzip error is the story
 			return nil, fmt.Errorf("trace: open gzip %s: %w", path, err)
 		}
 		fr.closers = append(fr.closers, gz)
@@ -101,11 +94,12 @@ func OpenFile(path string, format Format) (*FileReader, error) {
 	}
 
 	if format == FormatAuto {
-		format = sniffFormat(br)
+		if format, err = sniffFormat(br); err != nil {
+			_ = fr.Close() // same: only the format error matters
+			return nil, fmt.Errorf("trace: open %s: %w", path, err)
+		}
 	}
 	switch format {
-	case FormatBinary:
-		fr.Reader = NewBinaryReader(br)
 	case FormatInterned:
 		fr.Reader = NewInternedReader(br)
 	case FormatSquid:
@@ -124,18 +118,26 @@ func OpenFile(path string, format Format) (*FileReader, error) {
 	return fr, nil
 }
 
-// sniffFormat inspects the head of a stream: the binary magic selects the
-// compact format; a first line shaped like `... [date] "request" ...`
-// selects CLF; anything else is treated as a Squid native log.
-func sniffFormat(br *bufio.Reader) Format {
+// removedMagic is the header of the WCT1 record format, which no code
+// reads or writes; it is recognized so that such a file is refused by name
+// and not parsed as a text log.
+var (
+	removedMagic = [4]byte{'W', 'C', 'T', '1'}
+	errRemoved   = errors.New("WCT1 format removed; regenerate the trace as interned (WCT2)")
+)
+
+// sniffFormat inspects the head of a stream: a binary magic selects its
+// format; a first line shaped like `... [date] "request" ...` selects CLF;
+// anything else is treated as a Squid native log.
+func sniffFormat(br *bufio.Reader) (Format, error) {
 	if head, err := br.Peek(4); err == nil && len(head) == 4 {
 		switch [4]byte(head) {
-		case binaryMagic:
-			return FormatBinary
 		case internedMagic:
-			return FormatInterned
+			return FormatInterned, nil
 		case columnarMagic:
-			return FormatColumnar
+			return FormatColumnar, nil
+		case removedMagic:
+			return "", errRemoved
 		}
 	}
 	// Peek errors (short stream) still return whatever prefix exists,
@@ -148,11 +150,11 @@ func sniffFormat(br *bufio.Reader) Format {
 	if open := strings.IndexByte(line, '['); open >= 0 {
 		if closing := strings.IndexByte(line[open:], ']'); closing >= 0 {
 			if strings.Contains(line[open+closing:], `"`) {
-				return FormatCLF
+				return FormatCLF, nil
 			}
 		}
 	}
-	return FormatSquid
+	return FormatSquid, nil
 }
 
 // FileWriter is a Writer bound to an open file; Close flushes and releases
@@ -183,18 +185,16 @@ func (fw *FileWriter) Close() error {
 }
 
 // CreateFile creates a trace file for writing. A ".gz" path suffix enables
-// gzip compression; FormatAuto picks interned for ".wci", binary for
-// ".wct"/".bin", and squid otherwise.
+// gzip compression; FormatAuto picks interned for ".wci"/".wct"/".bin" and
+// squid otherwise.
 func CreateFile(path string, format Format) (*FileWriter, error) {
 	if format == FormatAuto {
 		base := strings.TrimSuffix(path, ".gz")
 		switch {
 		case strings.HasSuffix(base, ".wci3"):
 			format = FormatColumnar
-		case strings.HasSuffix(base, ".wci"):
+		case strings.HasSuffix(base, ".wci") || strings.HasSuffix(base, ".wct") || strings.HasSuffix(base, ".bin"):
 			format = FormatInterned
-		case strings.HasSuffix(base, ".wct") || strings.HasSuffix(base, ".bin"):
-			format = FormatBinary
 		default:
 			format = FormatSquid
 		}
@@ -216,9 +216,6 @@ func CreateFile(path string, format Format) (*FileWriter, error) {
 		dst = gz
 	}
 	switch format {
-	case FormatBinary:
-		w := NewBinaryWriter(dst)
-		fw.Writer, fw.flush = w, w.Flush
 	case FormatInterned:
 		w := NewInternedWriter(dst)
 		fw.Writer, fw.flush = w, w.Flush

@@ -1,8 +1,10 @@
 package trace
 
 import (
-	"errors"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -43,23 +45,39 @@ func readTraceFile(t *testing.T, path string, format Format) []*Request {
 func TestFileRoundTrips(t *testing.T) {
 	dir := t.TempDir()
 	tests := []struct {
-		name   string
-		file   string
-		format Format
+		name     string
+		file     string
+		format   Format
+		interned bool // the file must read back through the WCT2 decoder
 	}{
-		{"squid plain", "trace.log", FormatSquid},
-		{"squid gzip", "trace.log.gz", FormatSquid},
-		{"binary plain", "trace.wct", FormatBinary},
-		{"binary gzip", "trace.wct.gz", FormatBinary},
-		{"auto by extension wct", "auto.wct", FormatAuto},
-		{"auto by extension log", "auto.log", FormatAuto},
+		{"squid plain", "trace.log", FormatSquid, false},
+		{"squid gzip", "trace.log.gz", FormatSquid, false},
+		{"binary plain", "trace.wct", FormatInterned, true},
+		{"binary gzip", "trace.wct.gz", FormatInterned, true},
+		{"auto by extension wct", "auto.wct", FormatAuto, true},
+		{"auto by extension wct gzip", "auto.wct.gz", FormatAuto, true},
+		{"auto by extension bin", "auto.bin", FormatAuto, true},
+		{"auto by extension log", "auto.log", FormatAuto, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			path := filepath.Join(dir, tt.file)
 			writeTraceFile(t, path, tt.format)
 			// Read back with auto-detection regardless of write format.
-			reqs := readTraceFile(t, path, FormatAuto)
+			r, err := OpenFile(path, FormatAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := r.Reader.(*InternedReader); ok != tt.interned {
+				t.Errorf("decoder is %T, want interned = %v", r.Reader, tt.interned)
+			}
+			reqs, err := ReadAll(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
 			if len(reqs) != 3 {
 				t.Fatalf("read %d records, want 3", len(reqs))
 			}
@@ -108,17 +126,38 @@ func TestCreateFileBadFormat(t *testing.T) {
 
 func TestOpenFileBadFormat(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "t.log")
-	writeTraceFile(t, path, FormatSquid)
-	if _, err := OpenFile(path, Format("weird")); err == nil {
-		t.Error("unknown format should fail")
+	squid := filepath.Join(dir, "t.log")
+	writeTraceFile(t, squid, FormatSquid)
+	// A WCT1 header followed by bytes the Squid parser would skip as one
+	// malformed line: the file must be refused by name, not read as text.
+	wct1 := filepath.Join(dir, "old.wct")
+	if err := os.WriteFile(wct1, []byte("WCT1\x00\x12http://e.com/a.gif\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name, path string
+		format     Format
+		wantErr    string
+	}{
+		{"unknown format", squid, Format("weird"), "unsupported read format"},
+		{"removed WCT1 magic", wct1, FormatAuto, "WCT1 format removed"},
+	} {
+		r, err := OpenFile(tt.path, tt.format)
+		if err == nil {
+			_ = r.Close()
+			t.Errorf("%s: OpenFile succeeded, want error", tt.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tt.wantErr) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: err = %q, want one line containing %q", tt.name, err, tt.wantErr)
+		}
 	}
 }
 
 func TestBinaryFileDetectedDespiteLogExtension(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "mislabeled.log")
-	writeTraceFile(t, path, FormatBinary)
+	writeTraceFile(t, path, FormatInterned)
 	reqs := readTraceFile(t, path, FormatAuto)
 	if len(reqs) != 3 {
 		t.Fatalf("read %d records, want 3 (magic sniffing failed)", len(reqs))
@@ -129,10 +168,23 @@ func TestBinaryFileDetectedDespiteLogExtension(t *testing.T) {
 	}
 }
 
-func TestParseErrorUnwrap(t *testing.T) {
-	inner := errors.New("inner")
-	pe := &ParseError{Line: 3, Text: "x", Err: inner}
-	if !errors.Is(pe, inner) {
-		t.Error("ParseError should unwrap to its cause")
+// TestFileReaderCloseBeforeEOF: abandoning a gzip trace mid-stream must
+// return from Close and leave no goroutine behind.
+func TestFileReaderCloseBeforeEOF(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.wci.gz")
+	writeTraceFile(t, path, FormatAuto)
+	before := runtime.NumGoroutine()
+	r, err := OpenFile(path, FormatAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before open, %d after close", before, after)
 	}
 }

@@ -119,22 +119,3 @@ func ReadAll(r Reader) ([]*Request, error) {
 		out = append(out, req)
 	}
 }
-
-// CopyStream pipes every request from r to w and returns the number
-// copied.
-func CopyStream(w Writer, r Reader) (int64, error) {
-	var n int64
-	for {
-		req, err := r.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return n, nil
-			}
-			return n, fmt.Errorf("trace: copy stream: %w", err)
-		}
-		if err := w.Write(req); err != nil {
-			return n, err
-		}
-		n++
-	}
-}

@@ -113,29 +113,6 @@ func FuzzInternedReader(f *testing.F) {
 	})
 }
 
-func FuzzBinaryReader(f *testing.F) {
-	// Seed with a valid single-record stream.
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	if err := w.Write(&Request{UnixMillis: 1, URL: "http://e.com/x", Status: 200, TransferSize: 5}); err != nil {
-		f.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("WCT1"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewBinaryReader(bytes.NewReader(data))
-		for i := 0; i < 100; i++ {
-			if _, err := r.Next(); err != nil {
-				return
-			}
-		}
-	})
-}
-
 func FuzzColumnar(f *testing.F) {
 	// Seed with a valid WCT3 image plus targeted damage; the decoder
 	// validates every offset and value, so arbitrary input must yield a

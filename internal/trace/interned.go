@@ -10,14 +10,15 @@ import (
 	"webcachesim/internal/doctype"
 )
 
-// Interned binary trace format ("WCT2"). Where WCT1 re-encodes the URL,
-// client, and method strings on every record, WCT2 interns each string
-// domain into a dense table carried inline: the first occurrence of a
-// document spells out its URL, class, and content type; every revisit is a
-// single uvarint table reference. The decoded stream therefore arrives
-// pre-interned — the reader exposes the document table it rebuilt — and the
-// document class is resolved eagerly at *write* time, matching the
-// immutable columnar workload model (no lazy classification on replay).
+// Interned binary trace format ("WCT2"). It preserves every Request field
+// — in particular DocSize and Class, which the textual Squid format cannot
+// carry — and interns each string domain (URL, client, method) into a
+// dense table carried inline: the first occurrence of a document spells out
+// its URL, class, and content type; every revisit is a single uvarint table
+// reference. The decoded stream therefore arrives pre-interned — the reader
+// exposes the document table it rebuilt — and the document class is
+// resolved eagerly at *write* time, matching the immutable columnar
+// workload model (no lazy classification on replay).
 //
 // Layout: a 4-byte magic, then one record per request:
 //
@@ -48,6 +49,10 @@ var ErrBadInternedMagic = errors.New("trace: not a WCT2 interned trace")
 // maxInternedTable bounds the string tables so a corrupt stream cannot
 // force unbounded growth before a reference check fires.
 const maxInternedTable = 1 << 28
+
+// maxFieldLen bounds string fields to keep a corrupt stream from causing
+// huge allocations.
+const maxFieldLen = 1 << 20
 
 // InternedWriter encodes requests into the interned binary format.
 type InternedWriter struct {
@@ -101,8 +106,8 @@ func (iw *InternedWriter) Write(r *Request) error {
 		b = appendString(b, r.ContentType)
 	}
 	b = binary.AppendUvarint(b, uint64(r.Status))
-	b = binary.AppendUvarint(b, uint64(max64(0, r.TransferSize)))
-	b = binary.AppendUvarint(b, uint64(max64(0, r.DocSize)))
+	b = binary.AppendUvarint(b, uint64(max(0, r.TransferSize)))
+	b = binary.AppendUvarint(b, uint64(max(0, r.DocSize)))
 	b = appendInternedRef(b, iw.clients, r.Client)
 	b = appendInternedRef(b, iw.methods, r.Method)
 	iw.buf = b
@@ -122,6 +127,11 @@ func appendInternedRef(b []byte, table *Interner, s string) []byte {
 		b = appendString(b, s)
 	}
 	return b
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // Flush writes buffered output to the underlying writer.
@@ -318,4 +328,13 @@ func (ir *InternedReader) readString() (string, error) {
 	}
 	ir.strbuf = buf
 	return string(buf), nil
+}
+
+// truncated maps mid-record EOFs to io.ErrUnexpectedEOF so callers can
+// distinguish a clean end of stream from a cut-off record.
+func truncated(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -2,75 +2,10 @@ package trace
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"webcachesim/internal/doctype"
 )
-
-// genBinaryRequest draws an arbitrary request for the binary codec, which
-// must round-trip any field values (including exotic strings).
-func genBinaryRequest(rng *rand.Rand) *Request {
-	randString := func(max int) string {
-		n := rng.Intn(max)
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(rng.Intn(256))
-		}
-		return string(b)
-	}
-	return &Request{
-		UnixMillis:   rng.Int63n(2_000_000_000_000),
-		URL:          randString(200),
-		Status:       rng.Intn(1000),
-		TransferSize: rng.Int63n(1 << 40),
-		DocSize:      rng.Int63n(1 << 40),
-		ContentType:  randString(60),
-		Class:        doctype.Class(rng.Intn(int(doctype.NumClasses) + 1)),
-		Client:       randString(40),
-		Method:       randString(10),
-	}
-}
-
-// TestBinaryRoundTripProperty: any sequence of requests with
-// non-decreasing timestamps survives the binary codec bit-exactly.
-func TestBinaryRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(20)
-		src := make([]*Request, n)
-		var clock int64
-		for i := range src {
-			src[i] = genBinaryRequest(rng)
-			clock += rng.Int63n(10_000)
-			src[i].UnixMillis = clock
-		}
-		var sb strings.Builder
-		w := NewBinaryWriter(&sb)
-		for _, r := range src {
-			if err := w.Write(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadAll(NewBinaryReader(strings.NewReader(sb.String())))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if len(got) != n {
-			t.Fatalf("trial %d: %d records, want %d", trial, len(got), n)
-		}
-		for i := range src {
-			if !reflect.DeepEqual(*got[i], *src[i]) {
-				t.Fatalf("trial %d record %d:\n got %+v\nwant %+v", trial, i, *got[i], *src[i])
-			}
-		}
-	}
-}
 
 // genSquidRequest draws a request within the Squid text format's value
 // space: single-token strings, non-negative sizes.
@@ -132,24 +67,6 @@ func TestSquidReaderNeverPanicsOnGarbage(t *testing.T) {
 			_, err := r.Next()
 			if err != nil {
 				return true // parse error or EOF both fine
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestBinaryReaderNeverPanicsOnGarbage: corrupt binary streams must fail
-// cleanly.
-func TestBinaryReaderNeverPanicsOnGarbage(t *testing.T) {
-	f := func(input []byte) bool {
-		r := NewBinaryReader(strings.NewReader(string(input)))
-		for i := 0; i < 1000; i++ {
-			_, err := r.Next()
-			if err != nil {
-				return true
 			}
 		}
 		return true

@@ -1,12 +1,12 @@
 // Package trace defines the proxy request-stream model used throughout the
 // study and implements the trace formats and the preprocessing rules of
 // Section 2 of the paper: parsing of Squid native access logs (the format
-// both the DFN and NLANR RTP traces were recorded in), compact binary
-// formats for fast repeated simulation (WCT1, and the interned WCT2 whose
-// string tables match the simulator's dense document IDs), the URL
-// interner itself, a timestamp-ordered merge with a stable tie-break, and
-// the cacheability filter (CGI/query heuristics plus the HTTP status-code
-// whitelist).
+// both the DFN and NLANR RTP traces were recorded in), binary formats for
+// fast repeated simulation (the interned WCT2 record stream, whose string
+// tables match the simulator's dense document IDs, and the mmap-able WCT3
+// workload image), the URL interner itself, a timestamp-ordered merge with
+// a stable tie-break, and the cacheability filter (CGI/query heuristics
+// plus the HTTP status-code whitelist).
 package trace
 
 import (
@@ -124,9 +124,6 @@ func (e *ParseError) Error() string {
 	}
 	return fmt.Sprintf("trace: line %d: %v (%q)", e.Line, e.Err, text)
 }
-
-// Unwrap returns the underlying cause.
-func (e *ParseError) Unwrap() error { return e.Err }
 
 var errFieldCount = errors.New("wrong field count")
 

@@ -199,64 +199,6 @@ func TestSquidRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	var sb strings.Builder
-	w := NewBinaryWriter(&sb)
-	src := sampleRequests()
-	for _, r := range src {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(NewBinaryReader(strings.NewReader(sb.String())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(src) {
-		t.Fatalf("round-tripped %d records, want %d", len(got), len(src))
-	}
-	for i := range src {
-		want := *src[i]
-		if *got[i] != want {
-			t.Errorf("record %d mismatch:\n got %+v\nwant %+v", i, *got[i], want)
-		}
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	_, err := NewBinaryReader(strings.NewReader("NOPE....")).Next()
-	if !errors.Is(err, ErrBadMagic) {
-		t.Errorf("got %v, want ErrBadMagic", err)
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	var sb strings.Builder
-	w := NewBinaryWriter(&sb)
-	if err := w.Write(sampleRequests()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	full := sb.String()
-	r := NewBinaryReader(strings.NewReader(full[:len(full)-3]))
-	_, err := r.Next()
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated record: got %v, want ErrUnexpectedEOF", err)
-	}
-}
-
-func TestBinaryEmptyStream(t *testing.T) {
-	_, err := NewBinaryReader(strings.NewReader("")).Next()
-	if !errors.Is(err, io.EOF) {
-		t.Errorf("empty stream: got %v, want EOF", err)
-	}
-}
-
 func TestFilterReader(t *testing.T) {
 	reqs := []*Request{
 		{URL: "http://e.com/a.gif", Status: 200, Method: "GET"},
@@ -315,28 +257,6 @@ func TestSliceReaderReset(t *testing.T) {
 	}
 }
 
-func TestCopyStream(t *testing.T) {
-	var sb strings.Builder
-	w := NewBinaryWriter(&sb)
-	n, err := CopyStream(w, NewSliceReader(sampleRequests()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Errorf("copied %d, want 3", n)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(NewBinaryReader(strings.NewReader(sb.String())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("re-read %d records, want 3", len(got))
-	}
-}
-
 func TestParseFormat(t *testing.T) {
 	tests := []struct {
 		in      string
@@ -345,8 +265,10 @@ func TestParseFormat(t *testing.T) {
 	}{
 		{"squid", FormatSquid, false},
 		{"LOG", FormatSquid, false},
-		{"binary", FormatBinary, false},
-		{"wct1", FormatBinary, false},
+		{"interned", FormatInterned, false},
+		{"wct", FormatInterned, false},
+		{"binary", "", true},
+		{"wct1", "", true},
 		{"", FormatAuto, false},
 		{"auto", FormatAuto, false},
 		{"xml", "", true},

@@ -13,7 +13,7 @@ import (
 	"webcachesim/internal/trace/mm"
 )
 
-// Columnar trace format ("WCT3"). WCT1/WCT2 are record streams: compact on
+// Columnar trace format ("WCT3"). WCT2 is a record stream: compact on
 // disk, but replay has to decode every uvarint and re-intern every string
 // before the first simulated request. WCT3 instead stores the *preprocessed
 // workload* — the same parallel columns internal/core builds from a record
@@ -21,7 +21,7 @@ import (
 // string table. A WCT3 file is therefore not parsed at all: after a
 // 224-byte header walk, every column is a typed view straight into the
 // mapped bytes (internal/trace/mm), the kernel pages the trace in on
-// demand, and partitioned replay goroutines share one physical copy.
+// demand, and a sweep's goroutines share one physical copy.
 //
 // Layout (all integers little-endian, every section 8-byte aligned):
 //

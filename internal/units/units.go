@@ -1,5 +1,5 @@
-// Package units parses and formats byte quantities for command-line
-// flags and reports ("64MB", "1.5GiB", bare byte counts).
+// Package units parses byte quantities for command-line flags and
+// topology files ("64MB", "1.5GiB", bare byte counts).
 package units
 
 import (
@@ -48,22 +48,4 @@ func ParseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("units: size %q must be positive", s)
 	}
 	return n, nil
-}
-
-// FormatBytes renders a byte count with a binary suffix, one decimal.
-func FormatBytes(n int64) string {
-	switch {
-	case n >= GB:
-		return trimZero(fmt.Sprintf("%.1f", float64(n)/GB)) + "GB"
-	case n >= MB:
-		return trimZero(fmt.Sprintf("%.1f", float64(n)/MB)) + "MB"
-	case n >= KB:
-		return trimZero(fmt.Sprintf("%.1f", float64(n)/KB)) + "KB"
-	default:
-		return strconv.FormatInt(n, 10) + "B"
-	}
-}
-
-func trimZero(s string) string {
-	return strings.TrimSuffix(s, ".0")
 }

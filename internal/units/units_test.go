@@ -35,40 +35,3 @@ func TestParseBytes(t *testing.T) {
 		}
 	}
 }
-
-func TestFormatBytes(t *testing.T) {
-	tests := []struct {
-		in   int64
-		want string
-	}{
-		{512, "512B"},
-		{1 << 10, "1KB"},
-		{1536, "1.5KB"},
-		{64 << 20, "64MB"},
-		{3 << 29, "1.5GB"},
-		{1 << 30, "1GB"},
-	}
-	for _, tt := range tests {
-		if got := FormatBytes(tt.in); got != tt.want {
-			t.Errorf("FormatBytes(%d) = %q, want %q", tt.in, got, tt.want)
-		}
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	for _, n := range []int64{1, 1023, 1 << 10, 5 << 20, 7 << 30} {
-		s := FormatBytes(n)
-		got, err := ParseBytes(s)
-		if err != nil {
-			t.Fatalf("ParseBytes(FormatBytes(%d)=%q): %v", n, s, err)
-		}
-		// One-decimal formatting loses precision; require 1% agreement.
-		diff := got - n
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff*100 > n {
-			t.Errorf("round trip %d -> %q -> %d drifts more than 1%%", n, s, got)
-		}
-	}
-}

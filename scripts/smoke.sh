@@ -1,0 +1,90 @@
+#!/usr/bin/env bash
+# End-to-end smoke checks, one row each. Run from the repository root:
+#
+#	scripts/smoke.sh <name>   one row
+#	scripts/smoke.sh all      every row, in table order
+#
+# CI runs the same rows as a matrix (.github/workflows/ci.yml) and
+# `make smoke` runs them all.
+set -euo pipefail
+
+# tiny_trace writes the 20 000-request DFN trace every sweep row replays.
+tiny_trace() {
+	go run ./cmd/wcgen -profile dfn -requests 20000 -seed 7 -o "$1"
+}
+
+# journal: sweep with a run journal, then summarize it. wcreport -journal
+# parses the file with core.ReadJournal and exits non-zero on a malformed
+# line, so the JSONL schema stays writable and readable (docs/METRICS.md).
+smoke_journal() {
+	tiny_trace "$tmp/tiny.wct.gz"
+	go run ./cmd/wcsim -trace "$tmp/tiny.wct.gz" -policies lru,gdstar:p \
+		-size-pcts 1,4 -journal "$tmp/run.jsonl"
+	go run ./cmd/wcreport -journal "$tmp/run.jsonl"
+}
+
+# admission: sweep a policy x admission grid and require that the axis
+# ran — sweep_start lists the three filters and the filtered run_end
+# records carry admission counters (docs/ADMISSION.md).
+smoke_admission() {
+	tiny_trace "$tmp/tiny.wct.gz"
+	go run ./cmd/wcsim -trace "$tmp/tiny.wct.gz" -policies lru,gdsf \
+		-admissions none,tinylfu,arc-ghost -size-pcts 1 -journal "$tmp/run.jsonl"
+	go run ./cmd/wcreport -journal "$tmp/run.jsonl"
+	local want
+	for want in '"admissions":\["none","tinylfu","arc-ghost"\]' \
+		'"admission":"tinylfu"' '"admission":"arc-ghost"' \
+		'"admissionRejects"' '"admitted"'; do
+		grep -q "$want" "$tmp/run.jsonl" || { echo "journal lacks $want" >&2; return 1; }
+	done
+}
+
+# columnar: convert a record trace to the WCT3 columnar image, replay it
+# memory-mapped, and require results byte-identical to the in-RAM
+# record-stream replay; only the header line naming the trace file
+# differs (docs/TRACES.md, docs/ARCHITECTURE.md).
+smoke_columnar() {
+	tiny_trace "$tmp/tiny.wci"
+	go run ./cmd/wcanon -passthrough -format wct3 -i "$tmp/tiny.wci" -o "$tmp/tiny.wci3"
+	go run ./cmd/wcsim -trace "$tmp/tiny.wci" -size-pcts 1,4 -csv | tail -n +2 > "$tmp/ram.csv"
+	go run ./cmd/wcsim -trace "$tmp/tiny.wci3" -size-pcts 1,4 -csv | tail -n +2 > "$tmp/mmap.csv"
+	diff -u "$tmp/ram.csv" "$tmp/mmap.csv"
+}
+
+# cluster: the 3-node in-process fleet under the race detector — one
+# origin fetch per unique document fleet-wide, counters reconciled, the
+# peer fault paths, and the sim/live parity replay (docs/CLUSTER.md).
+smoke_cluster() {
+	go test -race -run '^TestCluster' -v ./internal/proxy ./internal/load ./internal/hierarchy
+}
+
+# fuzz: a short budget per trace-decoder target, one at a time (-fuzz
+# refuses a pattern matching several); -run pins the seed-corpus phase to
+# the target being fuzzed.
+smoke_fuzz() {
+	local target
+	for target in FuzzParseSquidLine FuzzParseCLFLine FuzzInternedReader FuzzColumnar; do
+		go test -run="^$target\$" -fuzz="^$target\$" -fuzztime=30s ./internal/trace
+	done
+}
+
+rows="journal admission columnar cluster fuzz"
+
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
+run_row() {
+	echo "== smoke: $1"
+	tmp="$scratch/$1"
+	mkdir "$tmp"
+	"smoke_$1"
+}
+
+if [ "${1:-}" = all ]; then
+	for row in $rows; do run_row "$row"; done
+elif declare -F "smoke_${1:-}" > /dev/null; then
+	run_row "$1"
+else
+	echo "usage: scripts/smoke.sh <${rows// /|}|all>" >&2
+	exit 2
+fi
