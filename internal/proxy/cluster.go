@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -108,123 +107,41 @@ func (s *Server) UpdateCluster(cc ClusterConfig) error {
 	return nil
 }
 
-// fetchRouted is the cluster-aware miss path: consult the ring, and when
-// another node owns the document, fetch it from that sibling — falling
-// back to the origin if the peer is down, slow, or answers with anything
-// but an authoritative proxy response. Unclustered proxies, peer-issued
-// requests (loop guard), and self-owned documents all take the plain
-// origin path.
-func (s *Server) fetchRouted(target *url.URL, r *http.Request) (*fetchResult, serveResult, error) {
-	cs := s.cluster.Load()
-	if cs == nil || r.Header.Get(PeerHeader) != "" {
-		return s.fetchShared(target, r.Header)
-	}
-	owner := cs.ring.Owner(cluster.RouteKeyURL(target))
-	if owner == cs.self {
-		return s.fetchShared(target, r.Header)
-	}
-	peer := cs.peers[owner]
-	fr, res, err := s.fetchSharedPeer(target, peer, cs.self, r.Header)
-	if err == nil {
-		return fr, res, nil
-	}
-	// Peer path failed for this whole miss group; every member falls
-	// back to a (re-coalesced) origin fetch on the same key.
-	return s.fetchShared(target, r.Header)
-}
-
-// fetchSharedPeer funnels a peer fetch through the same singleflight
-// group as origin fetches — same key, so concurrent misses on one URL
-// collapse to a single upstream round trip whether it targets the
-// sibling or the origin. A follower of a peer fetch that produced a peer
-// hit is itself a peer hit (the bytes came from the sibling's cache
-// either way); followers of a peer miss stay coalesced misses, keeping
-// Coalesced a subset of Misses.
-func (s *Server) fetchSharedPeer(target *url.URL, peer *url.URL, self string, hdr http.Header) (*fetchResult, serveResult, error) {
-	fr, shared, err := s.doShared(target.String(), func() (*fetchResult, error) {
-		return s.peerFetch(target, peer, self, hdr)
-	})
-	if err != nil {
-		return nil, resultMiss, err
-	}
-	res := resultMiss
-	switch {
-	case fr.peerHit:
-		res = resultPeerHit
-	case shared:
-		res = resultCoalesced
-	}
-	return fr, res, nil
-}
-
-// peerFetch performs one fetch from the owning sibling. The peer's
+// fetchPeer performs one fetch from the owning sibling. The peer's
 // response is authoritative only when it carries an X-Cache header —
-// every response the peer's serving path produces does, while its error
-// paths (bad gateway, method rejections) do not — so any response
+// every response the peer's write stage produces does, while its error
+// answers (bad gateway, method rejections) do not — so any response
 // without one counts as a peer error and sends the caller to the origin.
 // The body is materialized exactly like an origin response but is never
 // inserted into the local store: the owner caches, the requester serves —
 // that owner-only storage rule is what makes the fleet behave as one
 // partitioned cache (and what the sim/live parity harness relies on).
-func (s *Server) peerFetch(target *url.URL, peer *url.URL, self string, hdr http.Header) (*fetchResult, error) {
+func (s *Server) fetchPeer(key string, target, peer *url.URL, self string, hdr http.Header) (*fetchResult, error) {
 	s.metrics.peerFetches.Inc()
 	u := *peer
 	u.Path = target.Path
 	u.RawPath = target.RawPath
 	u.RawQuery = target.RawQuery
-	ctx, cancel := context.WithTimeout(context.Background(), s.peerTimeout)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	if err != nil {
-		cancel()
-		s.metrics.peerErrors.Inc()
-		return nil, err
-	}
-	req.Header = hdr.Clone()
-	req.Header.Set(PeerHeader, self)
-	resp, err := s.peerTransport.RoundTrip(req)
-	if err != nil {
-		cancel()
-		s.metrics.peerErrors.Inc()
-		return nil, err
-	}
-	xc := resp.Header.Get("X-Cache")
-	if xc == "" {
+	resp, cancel, err := s.roundTrip(s.peerTransport, s.peerTimeout, u.String(), hdr, self)
+	if err == nil && resp.Header.Get("X-Cache") == "" {
 		// Not a proxy-served answer: the peer is up but failing (its own
 		// upstream is down, or the request died inside it). Drain a little
 		// so the connection can be reused, then fall back to the origin.
 		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
 		_ = resp.Body.Close() // best-effort: the fetch already failed
 		cancel()
+		err = fmt.Errorf("proxy: peer answered %d without X-Cache", resp.StatusCode)
+	}
+	var fr *fetchResult
+	if err == nil {
+		fr, err = s.readResponse(key, resp, cancel)
+	}
+	if err != nil {
 		s.metrics.peerErrors.Inc()
-		return nil, fmt.Errorf("proxy: peer answered %d without X-Cache", resp.StatusCode)
+		return nil, err
 	}
-	buf, n, readErr := s.readBody(resp)
-	if readErr != nil {
-		buf.Release()
-		_ = resp.Body.Close() // best-effort: the read already failed
-		cancel()
-		s.metrics.peerErrors.Inc()
-		return nil, readErr
-	}
-	now := s.now()
-	key := target.String()
-	if int64(n) > s.cfg.MaxObjectBytes {
-		// Oversize documents stream through uncached exactly as from the
-		// origin; the open remainder is handed to the miss leader.
-		s.metrics.uncacheableOversize.Inc()
-		return &fetchResult{
-			oversize:    true,
-			prefix:      buf.B[:n],
-			prefixBuf:   buf,
-			body:        resp.Body,
-			release:     cancel,
-			status:      resp.StatusCode,
-			contentType: resp.Header.Get("Content-Type"),
-			contentLen:  resp.ContentLength,
-		}, nil
-	}
-	_ = resp.Body.Close() // body read to EOF; nothing left to corrupt
-	cancel()
-	e := newBodyEntry(s, key, buf, n, resp, now)
-	return &fetchResult{entry: e, peerHit: xc == "HIT"}, nil
+	// An oversize body streams through uncached exactly as from the
+	// origin, and is never a peer hit: the owner does not cache it either.
+	fr.peerHit = !fr.oversize && resp.Header.Get("X-Cache") == "HIT"
+	return fr, nil
 }

@@ -116,6 +116,17 @@ func (f *fleet) idx(t *testing.T, name string) int {
 	return -1
 }
 
+// peerHeaderSpy is an origin-bound transport that counts requests still
+// carrying the fleet-internal loop guard.
+type peerHeaderSpy struct{ leaked atomic.Int32 }
+
+func (s *peerHeaderSpy) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Header.Get(PeerHeader) != "" {
+		s.leaked.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 func TestClusterPeerHitAndOwnerOnlyStorage(t *testing.T) {
 	var mu sync.Mutex
 	originFetches := map[string]int{}
@@ -124,7 +135,8 @@ func TestClusterPeerHitAndOwnerOnlyStorage(t *testing.T) {
 		originFetches[path]++
 		mu.Unlock()
 	})
-	f := startFleet(t, origin, 2, nil)
+	var spy peerHeaderSpy
+	f := startFleet(t, origin, 2, func(_ int, cfg *Config) { cfg.Transport = &spy })
 
 	path := f.pathOwnedBy(t, "n0", ".html")
 	owner, other := f.idx(t, "n0"), f.idx(t, "n1")
@@ -161,6 +173,11 @@ func TestClusterPeerHitAndOwnerOnlyStorage(t *testing.T) {
 	mu.Unlock()
 	if fetches != 1 {
 		t.Errorf("origin fetched %d times, want 1", fetches)
+	}
+	// That one fetch was the owner's, on behalf of a peer-issued request:
+	// the loop guard it arrived with is fleet-internal and stops there.
+	if n := spy.leaked.Load(); n != 0 {
+		t.Errorf("origin was sent %s on %d request(s); the owner must strip it", PeerHeader, n)
 	}
 
 	st := f.servers[other].Stats()

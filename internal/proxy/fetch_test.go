@@ -1,15 +1,18 @@
 package proxy
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"webcachesim/internal/cache"
 	"webcachesim/internal/metrics"
+	"webcachesim/internal/policy"
 )
 
 // fakeClock is an injectable, advanceable time source for expiry tests.
@@ -43,28 +46,58 @@ func metricsText(t *testing.T, reg *metrics.Registry) string {
 	return sb.String()
 }
 
+// countingPolicy counts Hit calls on the policy it wraps; embedding the
+// Peeker keeps the wrapped policy usable under an admission filter.
+type countingPolicy struct {
+	policy.Policy
+	policy.Peeker
+	hits *atomic.Int64
+}
+
+func (c countingPolicy) Hit(d *policy.Doc) {
+	c.hits.Add(1)
+	c.Policy.Hit(d)
+}
+
+// countingAdmitter admits everything and counts Touch calls.
+type countingAdmitter struct{ touches *atomic.Int64 }
+
+func (countingAdmitter) Name() string                   { return "counting" }
+func (a countingAdmitter) Touch(*policy.Doc)            { a.touches.Add(1) }
+func (countingAdmitter) Admit(_, _ *policy.Doc) bool    { return true }
+func (countingAdmitter) Inserted(*policy.Doc)           {}
+func (countingAdmitter) Evicted(*policy.Doc)            {}
+func (countingAdmitter) Counts() policy.AdmissionCounts { return policy.AdmissionCounts{} }
+
 // TestStaleOnError walks the full stale-on-error lifecycle: a response
 // cached under max-age goes stale, the origin dies, and the proxy serves
 // the expired copy (X-Cache: STALE) instead of failing; once the origin
-// recovers, a refetch makes the entry fresh again.
+// recovers, a refetch makes the entry fresh again. The URL is
+// fast-keyable (reverse mode), and the stale revalidation must reach the
+// replacement policy and the admission filter exactly once: the request
+// has one lookup, whatever happens after it.
 func TestStaleOnError(t *testing.T) {
 	origin := newFakeOrigin()
 	origin.respHeader = http.Header{"Cache-Control": []string{"max-age=60"}}
 	clock := newFakeClock()
 	reg := metrics.NewRegistry()
-	p, err := New(Config{
-		Capacity:     1 << 20,
-		Transport:    origin,
+	var policyHits, admissionTouches atomic.Int64
+	lru := policy.MustFactory(policy.Spec{Scheme: "lru"})
+	p, _ := reverseProxy(t, Config{
 		Now:          clock.Now,
 		Metrics:      reg,
 		FetchRetries: -1, // keep the dead-origin phase fast
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		Policy: policy.Factory{Name: "counting-lru", New: func() policy.Policy {
+			inner := lru.New()
+			return countingPolicy{inner, inner.(policy.Peeker), &policyHits}
+		}},
+		Admission: policy.AdmitterFactory{Name: "counting", New: func(int64) policy.Admitter {
+			return countingAdmitter{&admissionTouches}
+		}},
+	}, origin)
 	get := func() *httptest.ResponseRecorder {
 		rr := httptest.NewRecorder()
-		p.ServeHTTP(rr, absReq("/a.gif"))
+		p.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/a.gif", nil))
 		return rr
 	}
 
@@ -78,6 +111,7 @@ func TestStaleOnError(t *testing.T) {
 
 	clock.Advance(31 * time.Second) // past max-age
 	origin.setFailing(true)
+	hitsBefore, touchesBefore := policyHits.Load(), admissionTouches.Load()
 	rr := get()
 	if rr.Code != http.StatusOK {
 		t.Fatalf("stale: status = %d, want 200", rr.Code)
@@ -87,6 +121,12 @@ func TestStaleOnError(t *testing.T) {
 	}
 	if want := "origin-body-of-/a.gif"; rr.Body.String() != want {
 		t.Fatalf("stale body = %q, want %q", rr.Body.String(), want)
+	}
+	if got := policyHits.Load() - hitsBefore; got != 1 {
+		t.Errorf("stale revalidation registered %d policy hits, want 1", got)
+	}
+	if got := admissionTouches.Load() - touchesBefore; got != 1 {
+		t.Errorf("stale revalidation registered %d admission touches, want 1", got)
 	}
 	if st := p.Stats(); st.StaleServed != 1 {
 		t.Errorf("StaleServed = %d, want 1", st.StaleServed)
@@ -101,6 +141,138 @@ func TestStaleOnError(t *testing.T) {
 	}
 	if rr := get(); rr.Header().Get("X-Cache") != "HIT" {
 		t.Fatalf("refreshed: X-Cache = %q, want HIT", rr.Header().Get("X-Cache"))
+	}
+}
+
+// contentOrigin answers like a static-file origin — http.ServeContent
+// honours Range and the conditional request headers — and records the
+// headers of every request it was sent. gate, when set, holds each
+// response until it is closed.
+type contentOrigin struct {
+	body []byte
+	gate chan struct{}
+
+	mu   sync.Mutex
+	seen []http.Header
+}
+
+var contentOriginModTime = time.Unix(1_600_000_000, 0).UTC()
+
+func (o *contentOrigin) RoundTrip(req *http.Request) (*http.Response, error) {
+	o.mu.Lock()
+	o.seen = append(o.seen, req.Header.Clone())
+	o.mu.Unlock()
+	if o.gate != nil {
+		select {
+		case <-o.gate:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+	}
+	rec := httptest.NewRecorder()
+	rec.Header().Set("Content-Type", "image/gif")
+	rec.Header().Set("ETag", `"v1"`)
+	http.ServeContent(rec, req, "", contentOriginModTime, bytes.NewReader(o.body))
+	return rec.Result(), nil
+}
+
+// coalescedPair sends leader, waits until its fetch is at the gated
+// origin (atOrigin reports true), sends waiter so that it joins the
+// leader's flight, then opens the gate. It returns both responses; the
+// caller asserts, from the waiter's X-Coalesced header, that the join
+// happened.
+func coalescedPair(t *testing.T, p *Server, atOrigin func() bool, gate chan struct{}, leader, waiter *http.Request) (lead, wait *httptest.ResponseRecorder) {
+	t.Helper()
+	lead, wait = httptest.NewRecorder(), httptest.NewRecorder()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); p.ServeHTTP(lead, leader) }()
+	for deadline := time.Now().Add(5 * time.Second); !atOrigin(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("leader fetch never reached the origin")
+		}
+	}
+	go func() { defer wg.Done(); p.ServeHTTP(wait, waiter) }()
+	// The waiter has nowhere to go but the leader's flight; the flight
+	// group exposes no join event, so give it a moment to park there.
+	time.Sleep(50 * time.Millisecond)
+	close(gate)
+	wg.Wait()
+	return lead, wait
+}
+
+// TestUpstreamRequestIsUnconditional pins that a shared upstream fetch is
+// whole and unconditional whatever the client sent: its result is stored
+// under the full-document key and handed to every coalesced waiter. With
+// the client's Range or validators forwarded, the origin's 206 (10 bytes)
+// or empty 304 was cached and then served to plain clients as a HIT.
+func TestUpstreamRequestIsUnconditional(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789"), 100)
+	plain := func() *http.Request { return httptest.NewRequest(http.MethodGet, "/doc.gif", nil) }
+	with := func(name, value string) *http.Request {
+		r := plain()
+		r.Header.Set(name, value)
+		return r
+	}
+	check := func(t *testing.T, what string, rr *httptest.ResponseRecorder, xcache string) {
+		t.Helper()
+		if rr.Code != http.StatusOK || !bytes.Equal(rr.Body.Bytes(), body) {
+			t.Errorf("%s: status %d with %d bytes, want 200 with all %d", what, rr.Code, rr.Body.Len(), len(body))
+		}
+		if got := rr.Header().Get("X-Cache"); got != xcache {
+			t.Errorf("%s: X-Cache = %q, want %q", what, got, xcache)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		first     *http.Request
+		coalesced *http.Request // when set, joins first's fetch as a waiter
+	}{
+		{name: "Range", first: with("Range", "bytes=0-9")},
+		{name: "If-Modified-Since", first: with("If-Modified-Since", contentOriginModTime.Format(http.TimeFormat))},
+		{name: "If-None-Match", first: with("If-None-Match", `"v1"`)},
+		{name: "coalesced waiter with Range", first: plain(), coalesced: with("Range", "bytes=0-9")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			origin := &contentOrigin{body: body}
+			if tc.coalesced != nil {
+				origin.gate = make(chan struct{})
+			}
+			p, _ := reverseProxy(t, Config{}, origin)
+			if tc.coalesced == nil {
+				rr := httptest.NewRecorder()
+				p.ServeHTTP(rr, tc.first)
+				check(t, "first", rr, "MISS")
+			} else {
+				atOrigin := func() bool {
+					origin.mu.Lock()
+					defer origin.mu.Unlock()
+					return len(origin.seen) > 0
+				}
+				lead, wait := coalescedPair(t, p, atOrigin, origin.gate, tc.first, tc.coalesced)
+				check(t, "leader", lead, "MISS")
+				check(t, "waiter", wait, "MISS")
+				if wait.Header().Get("X-Coalesced") != "1" {
+					t.Fatal("waiter did not coalesce onto the leader's fetch")
+				}
+			}
+			rr := httptest.NewRecorder()
+			p.ServeHTTP(rr, plain())
+			check(t, "second, plain", rr, "HIT")
+
+			origin.mu.Lock()
+			defer origin.mu.Unlock()
+			if len(origin.seen) != 1 {
+				t.Errorf("origin saw %d requests, want 1", len(origin.seen))
+			}
+			for _, h := range origin.seen {
+				for _, name := range perClientHeaders {
+					if v := h.Get(name); v != "" {
+						t.Errorf("origin was sent %s: %s", name, v)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -50,10 +50,13 @@ type serverMetrics struct {
 	peerFetches *metrics.Counter
 	peerErrors  *metrics.Counter
 
-	// hitBytes is the traffic served from cache — the bytes the origin
-	// did not have to send; originBytes is what was fetched upstream.
-	hitBytes    *metrics.Counter
-	originBytes *metrics.Counter
+	// requestBytes is every body byte delivered to a client, whatever the
+	// outcome; hitBytes is the part served from the local cache — the
+	// bytes the origin did not have to send — so hitBytes/requestBytes is
+	// the byte hit rate; originBytes is what was fetched upstream.
+	requestBytes *metrics.Counter
+	hitBytes     *metrics.Counter
+	originBytes  *metrics.Counter
 
 	originSeconds *metrics.Histogram
 	objectBytes   *metrics.Histogram
@@ -87,6 +90,8 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 			"Origin fetch re-attempts after a transport failure (backoff-spaced)."),
 		cacheRejects: reg.NewCounter("wcproxy_cache_rejects_total",
 			"Cacheable responses the store refused for want of byte budget."),
+		requestBytes: reg.NewCounter("wcproxy_request_bytes_total",
+			"Body bytes delivered to clients (the byte-hit-rate denominator)."),
 		hitBytes: reg.NewCounter("wcproxy_hit_bytes_total",
 			"Body bytes served from cache (origin traffic saved)."),
 		originBytes: reg.NewCounter("wcproxy_origin_bytes_total",
@@ -126,7 +131,7 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 
 // registerGauges exposes the store's live occupancy. The byte gauge is a
 // single atomic load; the object count briefly takes each shard lock in
-// turn, exactly like the Stats endpoint.
+// turn.
 func (s *Server) registerGauges(reg *metrics.Registry) {
 	reg.NewGaugeFunc("wcproxy_cache_used_bytes",
 		"Bytes of cached response bodies currently resident.",

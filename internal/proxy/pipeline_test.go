@@ -1,0 +1,384 @@
+package proxy
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"webcachesim/internal/doctype"
+	"webcachesim/internal/metrics"
+	"webcachesim/internal/pool"
+	"webcachesim/internal/trace"
+)
+
+// syncBuffer is an access-log sink safe to read while handlers write.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// scrape parses a registry's text exposition into series → value.
+func scrape(t *testing.T, reg *metrics.Registry) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for _, line := range strings.Split(metricsText(t, reg), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		name, val, _ := strings.Cut(line, " ")
+		f, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		out[name] = int64(f)
+	}
+	return out
+}
+
+// served is one response as its client received it; complete reports
+// that the body was the origin's, byte for byte.
+type served struct {
+	status   int
+	header   http.Header
+	bytes    int64
+	complete bool
+}
+
+func recorded(rr *httptest.ResponseRecorder, path string) served {
+	return served{rr.Code, rr.Header(), int64(rr.Body.Len()), rr.Body.String() == "origin-body-of-"+path}
+}
+
+// settleEnv is the server a TestEveryOutcomeSettlesOnce row measures,
+// with its own registry, access log and (via reverseProxy or the fleet
+// mutator) private buffer pool.
+type settleEnv struct {
+	srv *Server
+	reg *metrics.Registry
+	log *syncBuffer
+}
+
+func newSettleEnv(t *testing.T, cfg Config, rt http.RoundTripper) *settleEnv {
+	env := &settleEnv{reg: metrics.NewRegistry(), log: &syncBuffer{}}
+	cfg.Metrics, cfg.AccessLog = env.reg, env.log
+	env.srv, _ = reverseProxy(t, cfg, rt)
+	return env
+}
+
+func (env *settleEnv) get(path string) served {
+	rr := httptest.NewRecorder()
+	env.srv.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+	return recorded(rr, path)
+}
+
+// pair drives a leader and a coalesced waiter at path, whose origin
+// response is held until both are on the flight.
+func (env *settleEnv) pair(t *testing.T, origin *fakeOrigin, path string) []served {
+	gate := make(chan struct{})
+	origin.mu.Lock()
+	origin.block[path] = gate
+	origin.mu.Unlock()
+	req := func() *http.Request { return httptest.NewRequest(http.MethodGet, path, nil) }
+	lead, wait := coalescedPair(t, env.srv, func() bool { return origin.fetches(path) > 0 }, gate, req(), req())
+	return []served{recorded(lead, path), recorded(wait, path)}
+}
+
+func (env *settleEnv) logLines(t *testing.T) []*trace.Request {
+	t.Helper()
+	reqs, err := trace.ReadAll(trace.NewSquidReader(strings.NewReader(env.log.String())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
+// TestEveryOutcomeSettlesOnce drives every way a request can end through
+// the pipeline and checks that each settles exactly once: the response
+// headers name the outcome, the /metrics delta partitions (requests =
+// hits + peer hits + misses) with exactly the expected sub-counter,
+// Stats() reads the same counters back, the access log gained one line
+// per written response with the status and byte count its client
+// received, and every pooled buffer not backing a resident object went
+// back to the pool.
+func TestEveryOutcomeSettlesOnce(t *testing.T) {
+	const (
+		small    = "/a.gif"                                  // 21-byte body
+		big      = "/oversize-document-with-a-long-name.gif" // 54-byte body
+		maxSmall = 32                                        // MaxObjectBytes between the two
+	)
+	type counts struct{ requests, hits, peerHits, misses, coalesced, stale int64 }
+	for _, row := range []struct {
+		name string
+		// setup builds the server, brings it to the state the outcome
+		// needs, and returns the requests to measure; the row's header
+		// expectations apply to the last response they return.
+		setup      func(t *testing.T) (*settleEnv, func() []served)
+		status     int
+		xcache     string
+		xcoalesced string
+		delta      counts
+	}{
+		{
+			name: "hit",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				env := newSettleEnv(t, Config{}, newFakeOrigin())
+				env.get(small)
+				return env, func() []served { return []served{env.get(small)} }
+			},
+			status: 200, xcache: "HIT", delta: counts{requests: 1, hits: 1},
+		},
+		{
+			name: "miss",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				env := newSettleEnv(t, Config{}, newFakeOrigin())
+				return env, func() []served { return []served{env.get(small)} }
+			},
+			status: 200, xcache: "MISS", delta: counts{requests: 1, misses: 1},
+		},
+		{
+			name: "coalesced",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				origin := newFakeOrigin()
+				env := newSettleEnv(t, Config{}, origin)
+				return env, func() []served { return env.pair(t, origin, small) }
+			},
+			status: 200, xcache: "MISS", xcoalesced: "1", delta: counts{requests: 2, misses: 2, coalesced: 1},
+		},
+		{
+			name: "stale-on-error",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				origin, clock := newFakeOrigin(), newFakeClock()
+				origin.respHeader = http.Header{"Cache-Control": []string{"max-age=60"}}
+				env := newSettleEnv(t, Config{Now: clock.Now, FetchRetries: -1}, origin)
+				env.get(small)
+				clock.Advance(61 * time.Second)
+				origin.setFailing(true)
+				return env, func() []served { return []served{env.get(small)} }
+			},
+			status: 200, xcache: "STALE", delta: counts{requests: 1, misses: 1, stale: 1},
+		},
+		{
+			name: "peer hit",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				env := &settleEnv{reg: metrics.NewRegistry(), log: &syncBuffer{}}
+				f := startFleet(t, newOrigin(t, nil), 2, func(i int, cfg *Config) {
+					cfg.Buffers = pool.New()
+					if i == 0 {
+						cfg.Metrics, cfg.AccessLog = env.reg, env.log
+					}
+				})
+				env.srv = f.servers[0]
+				path := f.pathOwnedBy(t, "n1", ".gif")
+				get(t, f.fronts[1].URL, path) // the owner now holds it
+				return env, func() []served {
+					resp, body := get(t, f.fronts[0].URL, path)
+					return []served{{resp.StatusCode, resp.Header, int64(len(body)), body == "body-of-"+path}}
+				}
+			},
+			status: 200, xcache: "PEER-HIT", delta: counts{requests: 1, peerHits: 1},
+		},
+		{
+			name: "oversize leader",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				env := newSettleEnv(t, Config{MaxObjectBytes: maxSmall}, newFakeOrigin())
+				return env, func() []served { return []served{env.get(big)} }
+			},
+			status: 200, xcache: "MISS", delta: counts{requests: 1, misses: 1},
+		},
+		{
+			name: "oversize waiter",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				origin := newFakeOrigin()
+				env := newSettleEnv(t, Config{MaxObjectBytes: maxSmall}, origin)
+				return env, func() []served { return env.pair(t, origin, big) }
+			},
+			status: 200, xcache: "MISS", xcoalesced: "1", delta: counts{requests: 2, misses: 2, coalesced: 1},
+		},
+		{
+			name: "upstream failure",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				origin := newFakeOrigin()
+				origin.setFailing(true)
+				env := newSettleEnv(t, Config{FetchRetries: -1}, origin)
+				return env, func() []served { return []served{env.get(small)} }
+			},
+			status: 502, // no X-Cache: the one outcome that bypasses write and account
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			env, measure := row.setup(t)
+			before, loggedBefore := scrape(t, env.reg), len(env.logLines(t))
+			responses := measure()
+
+			last := responses[len(responses)-1]
+			if last.status != row.status {
+				t.Errorf("status = %d, want %d", last.status, row.status)
+			}
+			for name, want := range map[string]string{"X-Cache": row.xcache, "X-Coalesced": row.xcoalesced, "X-Admission": ""} {
+				if got := last.header.Get(name); got != want {
+					t.Errorf("%s = %q, want %q", name, got, want)
+				}
+			}
+			var wantLog []string // "status bytes" per written response
+			var wantBytes int64
+			for _, r := range responses {
+				if r.status == http.StatusOK && !r.complete {
+					t.Errorf("client received a wrong or truncated body (%d bytes)", r.bytes)
+				}
+				if r.header.Get("X-Cache") != "" {
+					wantLog = append(wantLog, strconv.Itoa(r.status)+" "+strconv.FormatInt(r.bytes, 10))
+					wantBytes += r.bytes
+				}
+			}
+
+			after := scrape(t, env.reg)
+			d := func(series string) int64 { return after[series] - before[series] }
+			got := counts{
+				requests:  d("wcproxy_requests_total"),
+				hits:      d("wcproxy_hits_total"),
+				peerHits:  d("wcproxy_peer_hits_total"),
+				misses:    d("wcproxy_misses_total"),
+				coalesced: d("wcproxy_coalesced_total"),
+				stale:     d("wcproxy_stale_served_total"),
+			}
+			if got != row.delta {
+				t.Errorf("counter delta = %+v, want %+v", got, row.delta)
+			}
+			if got.requests != got.hits+got.peerHits+got.misses {
+				t.Errorf("requests %d != hits %d + peer hits %d + misses %d", got.requests, got.hits, got.peerHits, got.misses)
+			}
+			if got := d("wcproxy_request_bytes_total"); got != wantBytes {
+				t.Errorf("request bytes delta = %d, clients received %d", got, wantBytes)
+			}
+
+			// Stats is a view over the same counters, field by field.
+			st := env.srv.Stats()
+			for series, field := range map[string]int64{
+				"wcproxy_requests_total":           st.Requests,
+				"wcproxy_hits_total":               st.Hits,
+				"wcproxy_request_bytes_total":      st.ReqBytes,
+				"wcproxy_hit_bytes_total":          st.HitBytes,
+				"wcproxy_evictions_total":          st.Evictions,
+				"wcproxy_coalesced_total":          st.Coalesced,
+				"wcproxy_stale_served_total":       st.StaleServed,
+				"wcproxy_admission_rejected_total": st.AdmissionRejects,
+				"wcproxy_peer_hits_total":          st.PeerHits,
+			} {
+				if field != after[series] {
+					t.Errorf("Stats disagrees with %s: %d vs %d", series, field, after[series])
+				}
+			}
+			for c, bc := range st.ByClass {
+				label := `{class="` + doctype.Class(c).Short() + `"}`
+				if bc.Requests != after["wcproxy_class_requests_total"+label] || bc.Hits != after["wcproxy_class_hits_total"+label] {
+					t.Errorf("Stats.ByClass%s = %+v disagrees with the class vectors", label, bc)
+				}
+			}
+			if rb := after["wcproxy_request_bytes_total"]; rb > 0 {
+				if want := float64(after["wcproxy_hit_bytes_total"]) / float64(rb); st.ByteHitRate() != want {
+					t.Errorf("ByteHitRate = %v, want hit_bytes/request_bytes = %v", st.ByteHitRate(), want)
+				}
+			}
+
+			// One access-log line per written response, carrying the status
+			// and byte count that client received.
+			var gotLog []string
+			for _, l := range env.logLines(t)[loggedBefore:] {
+				gotLog = append(gotLog, strconv.Itoa(l.Status)+" "+strconv.FormatInt(l.TransferSize, 10))
+			}
+			sort.Strings(gotLog)
+			sort.Strings(wantLog)
+			if strings.Join(gotLog, ",") != strings.Join(wantLog, ",") {
+				t.Errorf("access log gained %q, want %q", gotLog, wantLog)
+			}
+
+			// Over a socket the client can finish reading before the handler
+			// drops its last reference, so allow the gauge a moment.
+			var outstanding, resident int64
+			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+				m := scrape(t, env.reg)
+				outstanding, resident = m["wcproxy_pool_buffers_outstanding"], m["wcproxy_cache_objects"]
+				if outstanding == resident || time.Now().After(deadline) {
+					break
+				}
+			}
+			if outstanding != resident {
+				t.Errorf("%d pooled buffers outstanding with %d resident objects", outstanding, resident)
+			}
+		})
+	}
+}
+
+// FuzzRequestKey is the differential check of the key stage: whichever
+// form it takes for a request — prefix+path, or the general
+// targetURL(r).String() — the key bytes must equal the general form, for
+// every request URI net/http would hand the proxy and every origin shape.
+// (The startup probe checks one path against the configured origin, not
+// the input space.)
+func FuzzRequestKey(f *testing.F) {
+	var servers []*Server
+	for _, origin := range []string{
+		"http://origin.example",             // plain
+		"http://origin.example/base/dir",    // path prefix
+		"http://user:pw@origin.example",     // userinfo
+		"http://origin.example/esc%2Faped",  // a RawPath of its own
+		"http://origin.example:8080/?force", // query on the origin
+	} {
+		u, err := url.Parse(origin)
+		if err != nil {
+			f.Fatal(err)
+		}
+		s, err := New(Config{Capacity: 1 << 10, Origin: u, Buffers: pool.New()})
+		if err != nil {
+			f.Fatal(err)
+		}
+		servers = append(servers, s)
+	}
+	for _, uri := range []string{
+		"/steady.gif", "/a%20b.gif", "/a b.gif", "/a.gif?x=1&y=2", "/", "//double", "/a?", "/a?b?c",
+		"/esc/aped", "/esc%2Faped", "/café", "/~user/$&+,:;=@", "*", "http://other.example/abs?q",
+	} {
+		for i := range servers {
+			f.Add(uri, uint8(i))
+		}
+	}
+	f.Fuzz(func(t *testing.T, uri string, which uint8) {
+		u, err := url.ParseRequestURI(uri)
+		if err != nil {
+			t.Skip()
+		}
+		s := servers[int(which)%len(servers)]
+		r := &http.Request{Method: http.MethodGet, URL: u, Host: "origin.example", Header: http.Header{}, Body: io.NopCloser(strings.NewReader(""))}
+		target, err := s.targetURL(r)
+		if err != nil {
+			t.Fatalf("reverse-mode targetURL failed: %v", err)
+		}
+		k, err := s.requestKey(r)
+		if err != nil {
+			t.Fatalf("requestKey failed where targetURL did not: %v", err)
+		}
+		defer k.scratch.Release()
+		if want := target.String(); string(k.bytes) != want || k.String() != want {
+			t.Errorf("origin %s, request %q: key %q, general form %q", s.cfg.Origin, uri, k.bytes, want)
+		}
+	})
+}

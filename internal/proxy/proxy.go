@@ -4,22 +4,26 @@
 // proxy emits Squid-native access logs that feed straight back into the
 // trace parser, characterization, and simulator.
 //
-// The serving path is built for concurrency: objects live in a sharded
-// store (internal/cache) whose per-shard locks keep lookups on distinct
-// URLs from contending, concurrent misses on one URL collapse into a
-// single origin fetch (internal/flight), and the origin fetch itself is
-// hardened — per-attempt timeout, bounded retries with jittered
+// Every request runs one pipeline (ServeHTTP): key → lookup → route →
+// fetch → admit+store → write → account; a fresh hit is that pipeline
+// with route, fetch and store skipped, and allocates nothing. Objects
+// live in a sharded store (internal/cache) whose per-shard locks keep
+// lookups on distinct URLs from contending, concurrent misses on one URL
+// collapse into a single upstream fetch (internal/flight), and the origin
+// fetch is hardened — per-attempt timeout, bounded retries with jittered
 // exponential backoff, and a stale-on-error fallback that serves an
-// expired cached copy when the origin is unreachable. No lock is ever
-// held across an origin round trip, so a slow origin on one URL cannot
-// delay cache hits on any other. See docs/PROXY.md for the design.
+// expired cached copy when the origin is unreachable. No lock is held
+// across an upstream round trip, and the one process-wide lock, around
+// the access-log writer, is taken only when an access log is configured.
+// See docs/PROXY.md for the stages and the design.
 //
 // The proxy applies the same cacheability rules the paper's preprocessing
 // assumes (GET only, the Section 2 status-code whitelist, the CGI/query
 // heuristics) plus Cache-Control: no-store. Expiration is honored only as
 // far as stale-on-error needs it: an entry past its max-age/Expires is
-// revalidated by refetching, and served anyway if the origin is down.
-// Full consistency protocols remain out of scope, as in the paper.
+// revalidated by refetching — always whole and unconditional, whatever
+// the client sent — and served anyway if the origin is down. Full
+// consistency protocols remain out of scope, as in the paper.
 package proxy
 
 import (
@@ -37,6 +41,7 @@ import (
 	"time"
 
 	"webcachesim/internal/cache"
+	"webcachesim/internal/cluster"
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/flight"
 	"webcachesim/internal/metrics"
@@ -124,7 +129,9 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Stats is a snapshot of the proxy's accounting, overall and per class.
+// Stats is the proxy's accounting, overall and per class, in the shape
+// /stats serves as JSON. Server.Stats reads it off the /metrics counters,
+// so the two ledgers cannot disagree.
 type Stats struct {
 	// Requests and Hits count all handled GET requests and cache hits.
 	Requests int64 `json:"requests"`
@@ -179,11 +186,28 @@ type serveResult int
 
 const (
 	resultHit       serveResult = iota // fresh copy served from cache
-	resultMiss                         // fetched from the origin by this request
-	resultCoalesced                    // shared another request's origin fetch
+	resultMiss                         // fetched upstream by this request
+	resultCoalesced                    // shared another request's upstream fetch
 	resultStale                        // origin down; expired copy served
 	resultPeerHit                      // served from the owning sibling's cache
 )
+
+// outcome is what one served response amounted to. The write stage fills
+// it in and hands it by value to account, the pipeline's one exit: every
+// response that reaches a client with an X-Cache header passes through it
+// exactly once.
+type outcome struct {
+	result      serveResult
+	status      int
+	bytes       int64 // body bytes delivered to the client
+	class       doctype.Class
+	contentType string
+	// admRejected marks a miss leader whose own fetch produced a cacheable
+	// response the admission filter refused; surfaced as X-Admission so
+	// load generators can reconcile header counts with
+	// wcproxy_admission_rejected_total.
+	admRejected bool
+}
 
 // Server is the caching proxy; it implements http.Handler.
 type Server struct {
@@ -205,17 +229,17 @@ type Server struct {
 	peerTimeout   time.Duration
 
 	// originPrefix, when non-nil, is the byte-exact "scheme://host" prefix
-	// every reverse-proxy cache key starts with — the zero-allocation hit
-	// path appends the request's path and query to it in a pooled scratch
-	// buffer instead of building a url.URL and calling String(). nil when
-	// the fast path cannot guarantee byte-identity with targetURL (forward
-	// mode, or an origin URL whose String() is not prefix-shaped).
+	// every reverse-proxy cache key starts with — the key stage appends
+	// the request's path and query to it in a pooled scratch buffer
+	// instead of building a url.URL and calling String(). nil when that
+	// cannot guarantee byte-identity with targetURL (forward mode, or an
+	// origin URL whose String() is not prefix-shaped).
 	originPrefix []byte
 
-	// mu guards only the cold accounting below — never any part of the
-	// serving or fetching path.
-	mu    sync.Mutex
-	stats Stats
+	// logw is the access-log writer, nil without Config.AccessLog; logMu
+	// serializes its Write+Flush pairs and guards nothing else, so a proxy
+	// run without an access log takes no process-wide lock per request.
+	logMu sync.Mutex
 	logw  *trace.SquidWriter
 
 	metrics *serverMetrics
@@ -282,11 +306,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Origin != nil {
 		// Probe whether reverse-proxy keys are prefix-shaped: build a key
 		// exactly the way targetURL does and check it ends with the probe
-		// path and query. If it does, the hit path can assemble keys as
-		// prefix+path[+?query] without allocating; if not (userinfo,
-		// ForceQuery, an opaque origin, ...), every request takes the
-		// general path. Byte-identity with targetURL is what makes the
-		// fast key safe: both paths address the same cache namespace.
+		// path and query. If it does, the key stage can assemble keys as
+		// prefix+path[+?query] without allocating; if not (ForceQuery, a
+		// fragment, an opaque origin, ...), every key is the general
+		// targetURL(r).String(). Byte-identity between the two forms is
+		// what makes the fast one safe: both address one cache namespace.
 		const probePath, probeQuery = "/fastkey-probe", "fastkey=1"
 		u := *cfg.Origin
 		u.Path = probePath
@@ -325,13 +349,26 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Stats returns a snapshot of the proxy's counters.
+// Stats returns the proxy's counters: a view over the same atomics
+// /metrics exports, read one by one — like a scrape, not an atomic
+// snapshot while traffic is flowing.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	st := s.stats
-	s.mu.Unlock()
-	st.Evictions = s.store.Evictions()
-	st.AdmissionRejects = s.store.AdmissionRejects()
+	m := s.metrics
+	st := Stats{
+		Requests:         m.requests.Value(),
+		Hits:             m.hits.Value(),
+		ReqBytes:         m.requestBytes.Value(),
+		HitBytes:         m.hitBytes.Value(),
+		Evictions:        s.store.Evictions(),
+		Coalesced:        m.coalesced.Value(),
+		StaleServed:      m.staleServed.Value(),
+		AdmissionRejects: s.store.AdmissionRejects(),
+		PeerHits:         m.peerHits.Value(),
+	}
+	for c := range st.ByClass {
+		st.ByClass[c].Requests = m.requestsByClass[c].Value()
+		st.ByClass[c].Hits = m.hitsByClass[c].Value()
+	}
 	return st
 }
 
@@ -344,55 +381,95 @@ func (s *Server) Len() int { return s.store.Len() }
 // Shards returns the cache shard count.
 func (s *Server) Shards() int { return s.store.Shards() }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. It is the request pipeline —
+//
+//	key → lookup → route → fetch → admit+store → write → account
+//
+// — which a fresh hit leaves after lookup for the write stage. The only
+// responses that bypass write and account are the error answers without
+// an X-Cache header: 405, 400, and the 502 of a failed upstream fetch
+// with no stale copy to fall back on.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "proxy caches GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.originPrefix != nil && s.tryFastHit(w, r) {
-		return
-	}
-	target, err := s.targetURL(r)
+	k, err := s.requestKey(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	key := target.String()
+	defer k.scratch.Release()
 
-	if e, ok := s.store.Get(key); ok {
-		if fresh(e, s.now()) {
-			s.serve(w, r, key, e, resultHit, false)
+	// The request's one lookup, hence one policy hit and admission touch
+	// per resident document. Its reference is this function's until handed
+	// to serveEntry or, superseded by a refetch, released below.
+	e, cached := s.store.GetBytes(k.bytes)
+	if cached && fresh(e, s.now()) {
+		s.serveEntry(w, r, &k, e, resultHit, false)
+		return
+	}
+
+	// A miss, or an expired entry revalidated by refetching (coalesced
+	// like any miss); if the origin is down the expired copy still serves.
+	fr, res, err := s.fetch(k.String(), r)
+	if cached {
+		if err != nil {
+			s.serveEntry(w, r, &k, e, resultStale, false)
 			return
 		}
-		// Expired: revalidate by refetching (coalesced like any miss);
-		// if the origin is down, fall back to the stale copy.
-		fetched, res, ferr := s.fetchRouted(target, r)
-		if ferr != nil {
-			s.serve(w, r, key, e, resultStale, false)
-			return
-		}
-		// The refetch superseded the stale copy; drop the reference Get
-		// took on it before serving the fresh result.
 		e.Release()
-		if fetched.oversize {
-			s.serveOversize(w, r, key, target, fetched, res)
-			return
-		}
-		s.serve(w, r, key, fetched.entry, res, fetched.admissionRejected)
-		return
 	}
-
-	fr, res, err := s.fetchRouted(target, r)
-	if err != nil {
+	switch {
+	case err != nil:
 		http.Error(w, fmt.Sprintf("upstream: %v", err), http.StatusBadGateway)
-		return
+	case fr.oversize:
+		s.serveOversize(w, r, &k, fr, res)
+	default:
+		s.serveEntry(w, r, &k, fr.entry, res, fr.admissionRejected)
 	}
-	if fr.oversize {
-		s.serveOversize(w, r, key, target, fr, res)
-		return
+}
+
+// requestKey is the key stage's product: the cache key in a pooled scratch
+// buffer, which the lookup hashes without a string conversion. The string
+// form is built at most once, by the first stage that needs it — a fetch
+// or the access log.
+type requestKey struct {
+	scratch *pool.Buf
+	bytes   []byte // the key, backed by scratch
+	str     string // the same key as a string; "" until String is called
+}
+
+func (k *requestKey) String() string {
+	if k.str == "" {
+		k.str = string(k.bytes)
 	}
-	s.serve(w, r, key, fr.entry, res, fr.admissionRejected)
+	return k.str
+}
+
+// requestKey is the key stage. A reverse proxy with prefix-shaped keys
+// (originPrefix) appends a fastKeyable request's path and query to the
+// prefix, allocating nothing; any other request uses its upstream URL's
+// String(). The two forms are byte-identical for the same request
+// (FuzzRequestKey), so they address one cache namespace.
+func (s *Server) requestKey(r *http.Request) (requestKey, error) {
+	if u := r.URL; s.originPrefix != nil && fastKeyable(u) {
+		kb := s.buffers.Get(len(s.originPrefix) + len(u.Path) + 1 + len(u.RawQuery))
+		b := append(kb.B[:0], s.originPrefix...)
+		b = append(b, u.Path...)
+		if u.RawQuery != "" {
+			b = append(b, '?')
+			b = append(b, u.RawQuery...)
+		}
+		return requestKey{scratch: kb, bytes: b}, nil
+	}
+	target, err := s.targetURL(r)
+	if err != nil {
+		return requestKey{}, err
+	}
+	str := target.String()
+	kb := s.buffers.Get(len(str))
+	return requestKey{scratch: kb, bytes: append(kb.B[:0], str...), str: str}, nil
 }
 
 // keySafe marks the bytes that survive url.URL.String() verbatim in a
@@ -432,121 +509,13 @@ func fastKeyable(u *url.URL) bool {
 	return true
 }
 
-// tryFastHit is the zero-allocation serving path: assemble the cache key
-// into a pooled scratch buffer, look it up without a string conversion,
-// and serve a fresh hit with pre-resolved header values. It reports false
-// — having served nothing and counted nothing — when the request needs
-// the general path: key not fast-assemblable, cache miss, or stale entry
-// (the general path repeats the lookup; the only cost is a duplicate
-// policy touch on those rare requests).
-func (s *Server) tryFastHit(w http.ResponseWriter, r *http.Request) bool {
-	if !fastKeyable(r.URL) {
-		return false
-	}
-	kb := s.buffers.Get(len(s.originPrefix) + len(r.URL.Path) + 1 + len(r.URL.RawQuery))
-	n := copy(kb.B, s.originPrefix)
-	n += copy(kb.B[n:], r.URL.Path)
-	if r.URL.RawQuery != "" {
-		kb.B[n] = '?'
-		n++
-		n += copy(kb.B[n:], r.URL.RawQuery)
-	}
-	e, ok := s.store.GetBytes(kb.B[:n])
-	if !ok {
-		kb.Release()
-		return false
-	}
-	if !fresh(e, s.now()) {
-		e.Release()
-		kb.Release()
-		return false
-	}
-	s.serveHit(w, r, kb.B[:n], e)
-	kb.Release()
-	return true
-}
-
-// Pre-resolved response-header value slices: assigning a shared slice
-// into the header map skips the per-request []string{v} allocation that
-// Header().Set performs. They are shared across requests and must never
-// be mutated.
-var (
-	hdrHit       = []string{"HIT"}
-	hdrMiss      = []string{"MISS"}
-	hdrStale     = []string{"STALE"}
-	hdrPeerHit   = []string{"PEER-HIT"}
-	hdrCoalesced = []string{"1"}
-	hdrAdmReject = []string{"reject"}
-)
-
-// serveHit writes a fresh cache hit and settles accounting — the fast
-// path's tail. keyBytes is the request key in the caller's scratch
-// buffer; it is only materialized to a string when access logging needs
-// it. Consumes the caller's reference on e.
-func (s *Server) serveHit(w http.ResponseWriter, r *http.Request, keyBytes []byte, e *cache.Entry) {
-	size := int64(len(e.Body))
-	cls := e.Doc.Class
-
-	s.metrics.requests.Inc()
-	s.metrics.requestsByClass[cls].Inc()
-	s.metrics.hits.Inc()
-	s.metrics.hitBytes.Add(size)
-	s.metrics.hitsByClass[cls].Inc()
-
-	s.mu.Lock()
-	s.stats.Requests++
-	s.stats.ReqBytes += size
-	s.stats.ByClass[cls].Requests++
-	s.stats.Hits++
-	s.stats.HitBytes += size
-	s.stats.ByClass[cls].Hits++
-	if s.logw != nil {
-		// Access logging is best-effort; a write error must not fail the
-		// request being served.
-		_ = s.logw.Write(&trace.Request{
-			UnixMillis:   s.now().UnixMilli(),
-			URL:          string(keyBytes),
-			Status:       e.Status,
-			TransferSize: size,
-			ContentType:  e.ContentType,
-			Client:       clientAddr(r),
-			Method:       http.MethodGet,
-		})
-		// Access logging is best-effort; a flush error must not fail the
-		// request that was already served.
-		_ = s.logw.Flush()
-	}
-	s.mu.Unlock()
-
-	h := w.Header()
-	ct, cl := e.HeaderSlices()
-	if ct != nil {
-		h["Content-Type"] = ct
-	}
-	if cl != nil {
-		h["Content-Length"] = cl
-	} else {
-		// Entry built without the constructors (no pre-resolved values).
-		h.Set("Content-Length", strconv.FormatInt(size, 10))
-	}
-	h["X-Cache"] = hdrHit
-	w.WriteHeader(e.Status)
-	_, _ = w.Write(e.Body) // client disconnects surface here; nothing to do for them
-	e.Release()
-}
-
-// fresh reports whether the entry is within its freshness lifetime (an
-// entry without expiry metadata never goes stale — replacement, not
-// consistency, retires it, as in the paper).
-func fresh(e *cache.Entry, now time.Time) bool {
-	return e.Expires.IsZero() || now.Before(e.Expires)
-}
-
 // targetURL resolves the upstream URL for a request.
 func (s *Server) targetURL(r *http.Request) (*url.URL, error) {
 	if s.cfg.Origin != nil {
 		u := *s.cfg.Origin
-		u.Path = r.URL.Path
+		// The origin's own RawPath must go with its Path, or String()
+		// would prefer it for the one request whose path it decodes to.
+		u.Path, u.RawPath = r.URL.Path, ""
 		u.RawQuery = r.URL.RawQuery
 		return &u, nil
 	}
@@ -562,13 +531,20 @@ func (s *Server) targetURL(r *http.Request) (*url.URL, error) {
 	return nil, errors.New("proxy: relative request without Host")
 }
 
+// fresh reports whether the entry is within its freshness lifetime (an
+// entry without expiry metadata never goes stale — replacement, not
+// consistency, retires it, as in the paper).
+func fresh(e *cache.Entry, now time.Time) bool {
+	return e.Expires.IsZero() || now.Before(e.Expires)
+}
+
 // fetchResult is the singleflight payload: the fetched entry plus
 // whether the admission filter refused to store it. The flag rides along
 // so the miss leader can report the decision in its response headers.
 //
 // An oversize result (body larger than MaxObjectBytes) carries no entry:
-// prefix holds the MaxObjectBytes+1 bytes already read and body the
-// still-open remainder of the origin response. The open body can be
+// prefix holds the MaxObjectBytes+1 bytes already read and resp the
+// upstream response with its body still open. The open body can be
 // consumed exactly once, so only the miss leader — the caller whose
 // singleflight execution produced this result — may stream it (and must
 // close it and call release, which cancels the fetch's timeout context).
@@ -583,24 +559,47 @@ type fetchResult struct {
 	peerHit bool
 
 	oversize bool
-	prefix   []byte
-	// prefixBuf is the pooled buffer backing prefix; owned by the miss
-	// leader, who releases it after streaming (coalesced waiters never
-	// touch the prefix — they refetch).
-	prefixBuf   *pool.Buf
-	body        io.ReadCloser
-	release     context.CancelFunc
-	status      int
-	contentType string
-	contentLen  int64 // origin Content-Length; -1 when unknown
+	prefix   *pool.Buf // B trimmed to the bytes read; the streamer releases it
+	resp     *http.Response
+	release  context.CancelFunc
 }
 
-// doShared funnels one fetch function through the singleflight group:
-// concurrent misses on the same key share a single upstream round trip
-// — whether it targets the origin or a cluster sibling, since both use
-// the URL as the key — and only the caller that actually executed it is
-// the miss leader (shared == false).
-func (s *Server) doShared(key string, fn func() (*fetchResult, error)) (*fetchResult, bool, error) {
+// fetch is the route and fetch stages: on a clustered proxy a document
+// another node owns is asked of that sibling first, falling back to the
+// origin if the peer is down, slow, or answers with anything but an
+// authoritative proxy response; unclustered proxies, peer-issued requests
+// (the loop guard) and self-owned documents go straight to the origin.
+func (s *Server) fetch(key string, r *http.Request) (*fetchResult, serveResult, error) {
+	if cs := s.cluster.Load(); cs != nil && r.Header.Get(PeerHeader) == "" {
+		target, err := s.targetURL(r)
+		if err != nil {
+			return nil, resultMiss, err
+		}
+		if owner := cs.ring.Owner(cluster.RouteKeyURL(target)); owner != cs.self {
+			fr, res, err := s.fetchShared(key, func() (*fetchResult, error) {
+				return s.fetchPeer(key, target, cs.peers[owner], cs.self, r.Header)
+			})
+			if err == nil {
+				return fr, res, nil
+			}
+			// The peer path failed for this whole miss group; every member
+			// falls back to a (re-coalesced) origin fetch on the same key.
+		}
+	}
+	return s.fetchShared(key, func() (*fetchResult, error) {
+		return s.fetchOrigin(key, r.Header)
+	})
+}
+
+// fetchShared funnels one fetch through the singleflight group and labels
+// the caller's share of it. Origin and peer fetches use the same key — the
+// document's URL — so concurrent misses on one URL collapse into a single
+// upstream round trip however each was routed (a membership change can
+// re-route a document mid-flight). The label therefore comes from the
+// result, not the route: a body out of a sibling's cache is a peer hit
+// for every consumer; otherwise the caller that ran the fetch is the miss
+// leader and the rest are coalesced, keeping Coalesced a subset of Misses.
+func (s *Server) fetchShared(key string, fn func() (*fetchResult, error)) (*fetchResult, serveResult, error) {
 	v, err, shared := s.fetches.DoShared(key, func() (any, error) {
 		return fn()
 	}, func(v any, err error, consumers int) {
@@ -617,48 +616,30 @@ func (s *Server) doShared(key string, fn func() (*fetchResult, error)) (*fetchRe
 		}
 	})
 	if err != nil {
-		return nil, shared, err
+		return nil, resultMiss, err
 	}
-	return v.(*fetchResult), shared, nil
-}
-
-// fetchShared is the plain origin-fetch path through the singleflight
-// group. A follower can find itself sharing a *peer* fetch that was
-// already in flight on the same key (a membership change re-routed the
-// document mid-run); the result's peerHit flag keeps its label truthful.
-func (s *Server) fetchShared(target *url.URL, hdr http.Header) (*fetchResult, serveResult, error) {
-	fr, shared, err := s.doShared(target.String(), func() (*fetchResult, error) {
-		return s.fetchWithRetry(target, hdr)
-	})
-	if err != nil {
-		res := resultMiss
-		if shared {
-			res = resultCoalesced
-		}
-		return nil, res, err
-	}
-	res := resultMiss
+	fr := v.(*fetchResult)
 	switch {
 	case fr.peerHit:
-		res = resultPeerHit
+		return fr, resultPeerHit, nil
 	case shared:
-		res = resultCoalesced
+		return fr, resultCoalesced, nil
 	}
-	return fr, res, nil
+	return fr, resultMiss, nil
 }
 
-// fetchWithRetry performs the origin fetch with bounded retries and
-// jittered exponential backoff, storing the result when cacheable. Only
-// transport-level failures are retried; any HTTP response — whatever its
-// status — is the origin's answer and is returned as-is.
-func (s *Server) fetchWithRetry(target *url.URL, hdr http.Header) (*fetchResult, error) {
+// fetchOrigin performs the origin fetch with bounded retries and jittered
+// exponential backoff. Only transport-level failures are retried; any
+// HTTP response — whatever its status — is the origin's answer and is
+// returned as-is.
+func (s *Server) fetchOrigin(key string, hdr http.Header) (*fetchResult, error) {
 	var lastErr error
 	for attempt := 0; attempt <= s.cfg.FetchRetries; attempt++ {
 		if attempt > 0 {
 			s.metrics.originRetries.Inc()
 			s.sleep(backoff(s.cfg.RetryBackoff, attempt))
 		}
-		fr, err := s.fetchOnce(target, hdr)
+		fr, err := s.fetchOnce(key, hdr)
 		if err == nil {
 			return fr, nil
 		}
@@ -675,103 +656,103 @@ func backoff(base time.Duration, attempt int) time.Duration {
 	return time.Duration((0.5 + rand.Float64()) * float64(d))
 }
 
-// fetchOnce performs one origin fetch attempt under the per-attempt
-// timeout and caches the response when it is cacheable under the paper's
-// rules. The context is detached from any client request: the result is
-// shared by every coalesced waiter.
-func (s *Server) fetchOnce(target *url.URL, hdr http.Header) (*fetchResult, error) {
-	// The timeout context cannot be cancelled with a blanket defer: an
-	// oversize response leaves fetchOnce with the body still open, and
-	// cancelling here would abort the remainder the miss leader is about
-	// to stream. Each exit settles the context (and body) explicitly;
-	// the oversize path hands both off inside the fetchResult.
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.FetchTimeout)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target.String(), nil)
-	if err != nil {
-		cancel()
-		return nil, err
+// fetchOnce performs one origin fetch attempt and runs the admit+store
+// stage on what it brings back.
+func (s *Server) fetchOnce(key string, hdr http.Header) (*fetchResult, error) {
+	start := s.now()
+	resp, cancel, err := s.roundTrip(s.transport, s.cfg.FetchTimeout, key, hdr, "")
+	var fr *fetchResult
+	if err == nil {
+		fr, err = s.readResponse(key, resp, cancel)
 	}
-	req.Header = hdr.Clone()
-	fetchStart := s.now()
-	resp, err := s.transport.RoundTrip(req)
 	if err != nil {
-		cancel()
 		s.metrics.originErrors.Inc()
 		return nil, err
 	}
-	buf, n, readErr := s.readBody(resp)
-	if readErr != nil {
+	s.metrics.originSeconds.Observe(s.now().Sub(start).Seconds())
+	if fr.oversize {
+		// The remainder is counted as it streams.
+		s.metrics.originBytes.Add(int64(len(fr.prefix.B)))
+		return fr, nil
+	}
+	size := fr.entry.Doc.Size
+	s.metrics.originBytes.Add(size)
+	s.metrics.objectBytes.Observe(float64(size))
+	s.admitAndStore(key, fr, resp)
+	return fr, nil
+}
+
+// perClientHeaders make a response partial or conditional on what one
+// client holds. No upstream fetch may carry them: its result is stored
+// under the full-document key and handed to every coalesced waiter, so it
+// must be the whole document. A client that sent Range gets the complete
+// 200, which a server may always answer.
+var perClientHeaders = [...]string{
+	"Range", "If-Range", "If-Match", "If-None-Match", "If-Modified-Since", "If-Unmodified-Since",
+}
+
+// roundTrip builds and sends every upstream request — to the origin, to a
+// sibling (peerSelf names this node), for an oversize waiter's refetch —
+// under its own timeout, on a context detached from the client request:
+// the result is shared by every coalesced waiter, so it must not die with
+// the first client that disconnects. The client's headers are forwarded
+// minus perClientHeaders, and the fleet-internal loop guard is set on
+// sibling traffic and never reaches the origin. On success the caller owns
+// the response body and the returned cancel; readResponse settles both.
+func (s *Server) roundTrip(rt http.RoundTripper, timeout time.Duration, rawURL string, client http.Header, peerSelf string) (*http.Response, context.CancelFunc, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawURL, nil)
+	if err != nil {
+		cancel()
+		return nil, nil, err
+	}
+	req.Header = client.Clone()
+	for _, name := range perClientHeaders {
+		req.Header.Del(name)
+	}
+	req.Header.Del(PeerHeader)
+	if peerSelf != "" {
+		req.Header.Set(PeerHeader, peerSelf)
+	}
+	resp, err := rt.RoundTrip(req)
+	if err != nil {
+		cancel()
+		return nil, nil, err
+	}
+	return resp, cancel, nil
+}
+
+// readResponse materialises an upstream body, whoever sent it. One within
+// MaxObjectBytes becomes a pooled, refcounted entry holding the creator's
+// reference, and the response and its timeout context are settled here;
+// storing it (or not: peer-fetched bodies are served, never stored) is
+// the caller's decision. A larger one does not fit the cache, but the
+// client must still get every byte: the prefix, the open response and the
+// cancel — which must not fire before the stream ends — are handed off to
+// whoever streams them (serveOversize).
+func (s *Server) readResponse(key string, resp *http.Response, cancel context.CancelFunc) (*fetchResult, error) {
+	buf, n, err := s.readBody(resp)
+	if err != nil {
 		buf.Release()
 		// The read already failed; a close failure has nothing to add.
 		_ = resp.Body.Close()
 		cancel()
-		s.metrics.originErrors.Inc()
-		return nil, readErr
+		return nil, err
 	}
-	now := s.now()
-	s.metrics.originSeconds.Observe(now.Sub(fetchStart).Seconds())
-	s.metrics.originBytes.Add(int64(n))
-	key := target.String()
 	if int64(n) > s.cfg.MaxObjectBytes {
-		// The limited read ran one byte past the cacheable bound: the
-		// document does not fit the cache, but the client must still get
-		// every byte. Ship the prefix plus the open remainder to the miss
-		// leader; serving a truncated body here was the bug this path
-		// replaces.
 		s.metrics.uncacheableOversize.Inc()
-		return &fetchResult{
-			oversize:    true,
-			prefix:      buf.B[:n],
-			prefixBuf:   buf,
-			body:        resp.Body,
-			release:     cancel,
-			status:      resp.StatusCode,
-			contentType: resp.Header.Get("Content-Type"),
-			contentLen:  resp.ContentLength,
-		}, nil
+		buf.B = buf.B[:n]
+		return &fetchResult{oversize: true, prefix: buf, resp: resp, release: cancel}, nil
 	}
+	contentType := resp.Header.Get("Content-Type")
 	// The body was read to EOF; a close failure has nothing left to
 	// corrupt.
 	_ = resp.Body.Close()
 	cancel()
-	s.metrics.objectBytes.Observe(float64(n))
-	e := newBodyEntry(s, key, buf, n, resp, now)
-	fr := &fetchResult{entry: e}
-	if s.cacheable(key, resp, int64(n)) {
-		switch s.store.Insert(key, e) {
-		case cache.SetStored:
-			// Without a filter nothing was decided, so nothing is counted.
-			if s.cfg.Admission.New != nil {
-				s.metrics.admissionAdmitted.Inc()
-			}
-		case cache.SetRejectedAdmission:
-			fr.admissionRejected = true
-			s.metrics.admissionRejected.Inc()
-		case cache.SetRejectedBudget:
-			s.metrics.cacheRejects.Inc()
-		}
-	} else {
-		s.metrics.uncacheableRules.Inc()
-	}
-	return fr, nil
-}
-
-// newBodyEntry materializes an upstream response body as a pooled,
-// refcounted cache entry — the shared tail of the origin and peer fetch
-// paths. Inserting it into the store (or not: peer-fetched bodies are
-// served but never stored) is the caller's decision.
-func newBodyEntry(s *Server, key string, buf *pool.Buf, n int, resp *http.Response, now time.Time) *cache.Entry {
-	return cache.NewPooledEntry(
-		&policy.Doc{
-			Key:   key,
-			Size:  int64(n),
-			Class: doctype.Classify(resp.Header.Get("Content-Type"), key),
-		},
-		buf, n,
-		resp.Header.Get("Content-Type"),
-		resp.StatusCode,
-		expiry(resp.Header, now),
-	)
+	return &fetchResult{entry: cache.NewPooledEntry(
+		&policy.Doc{Key: key, Size: int64(n), Class: doctype.Classify(contentType, key)},
+		buf, n, contentType, resp.StatusCode, expiry(resp.Header, s.now()),
+	)}, nil
 }
 
 // readBody reads the origin response body into a pooled buffer, up to
@@ -859,6 +840,29 @@ func cutPrefixFold(s, prefix string) (string, bool) {
 	return s[len(prefix):], true
 }
 
+// admitAndStore is the admit+store stage: a fetched origin body enters the
+// cache when the paper's rules allow it, the admission filter (if any)
+// lets it displace a resident object, and the byte budget can take it.
+// Whatever is decided, the body is still served.
+func (s *Server) admitAndStore(key string, fr *fetchResult, resp *http.Response) {
+	if !s.cacheable(key, resp, fr.entry.Doc.Size) {
+		s.metrics.uncacheableRules.Inc()
+		return
+	}
+	switch s.store.Insert(key, fr.entry) {
+	case cache.SetStored:
+		// Without a filter nothing was decided, so nothing is counted.
+		if s.cfg.Admission.New != nil {
+			s.metrics.admissionAdmitted.Inc()
+		}
+	case cache.SetRejectedAdmission:
+		fr.admissionRejected = true
+		s.metrics.admissionRejected.Inc()
+	case cache.SetRejectedBudget:
+		s.metrics.cacheRejects.Inc()
+	}
+}
+
 // cacheable applies the Section 2 preprocessing rules plus no-store.
 func (s *Server) cacheable(urlStr string, resp *http.Response, size int64) bool {
 	if !trace.CacheableStatus(resp.StatusCode) {
@@ -886,26 +890,141 @@ func containsToken(header, token string) bool {
 	return false
 }
 
-// serve writes the response and settles accounting and logging.
-// admRejected reports that this request's own origin fetch produced a
-// cacheable response the admission filter refused; it is surfaced as an
-// X-Admission header on miss-leader responses only, so load generators
-// can reconcile header counts with wcproxy_admission_rejected_total.
-// serve consumes the caller's reference on e: every path that reaches it
-// holds exactly one (Get/GetBytes acquired it, or the singleflight
-// prepare hook granted it), and serve releases it after the body is
-// written.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, e *cache.Entry, res serveResult, admRejected bool) {
-	size := int64(len(e.Body))
-	cls := e.Doc.Class
+// Pre-resolved response-header value slices: assigning a shared slice
+// into the header map skips the per-request []string{v} allocation that
+// Header().Set performs. They are shared across requests and must never
+// be mutated.
+var (
+	hdrHit       = []string{"HIT"}
+	hdrMiss      = []string{"MISS"}
+	hdrStale     = []string{"STALE"}
+	hdrPeerHit   = []string{"PEER-HIT"}
+	hdrCoalesced = []string{"1"}
+	hdrAdmReject = []string{"reject"}
+)
 
+// serveEntry is the write stage for a buffered body: a hit, a stale copy,
+// or an entry a fetch just produced. It consumes the caller's reference on
+// e — the lookup acquired it, or the singleflight prepare hook granted it
+// — releasing it after the body is written.
+func (s *Server) serveEntry(w http.ResponseWriter, r *http.Request, k *requestKey, e *cache.Entry, res serveResult, admRejected bool) {
+	out := outcome{
+		result:      res,
+		status:      e.Status,
+		bytes:       int64(len(e.Body)),
+		class:       e.Doc.Class,
+		contentType: e.ContentType,
+		// The flag is the fetch's, shared with every coalesced waiter; only
+		// the leader reports it, once per counted rejection.
+		admRejected: admRejected && res == resultMiss,
+	}
+	// Account before writing: a client holding its complete response must
+	// find it counted — reconciliation scrapes right after its last read.
+	s.account(r, k, out)
+	h := w.Header()
+	// The entry's pre-resolved value slices go straight into the header
+	// map, skipping the []string{v} allocation of Header().Set.
+	ct, cl := e.HeaderSlices()
+	if ct != nil {
+		h["Content-Type"] = ct
+	}
+	h["Content-Length"] = cl
+	setCacheHeaders(h, out)
+	w.WriteHeader(e.Status)
+	_, _ = w.Write(e.Body) // client disconnects surface here; nothing to do for them
+	e.Release()
+}
+
+// setCacheHeaders labels a response with how it was served — what wcload
+// tallies client-side and reconciles against /metrics.
+func setCacheHeaders(h http.Header, out outcome) {
+	switch out.result {
+	case resultHit:
+		h["X-Cache"] = hdrHit
+	case resultPeerHit:
+		h["X-Cache"] = hdrPeerHit
+	case resultStale:
+		h["X-Cache"] = hdrStale
+	case resultCoalesced:
+		h["X-Cache"] = hdrMiss
+		h["X-Coalesced"] = hdrCoalesced
+	default:
+		h["X-Cache"] = hdrMiss
+	}
+	if out.admRejected {
+		h["X-Admission"] = hdrAdmReject
+	}
+}
+
+// serveOversize is the write stage for a body that exceeded
+// MaxObjectBytes: it is streamed through complete, nothing is cached, and
+// the request is accounted a miss with the bytes actually delivered —
+// known only when the stream ends, so here account follows the write. The
+// miss leader streams the open body its fetch handed over. A coalesced
+// waiter cannot (a stream is consumed exactly once), so it first fetches
+// again for itself, unshared, and is answered and logged with what its
+// own fetch produced, which need not be what the leader's did.
+func (s *Server) serveOversize(w http.ResponseWriter, r *http.Request, k *requestKey, fr *fetchResult, res serveResult) {
+	if res != resultMiss {
+		own, err := s.fetchOnce(k.String(), r.Header)
+		if err != nil {
+			// Unlike a failed shared fetch this 502 is accounted and logged:
+			// the request already belongs to an answered miss group.
+			http.Error(w, fmt.Sprintf("upstream: %v", err), http.StatusBadGateway)
+			s.account(r, k, outcome{result: res, status: http.StatusBadGateway, class: doctype.Classify("", k.String())})
+			return
+		}
+		if !own.oversize {
+			// The origin changed its answer between the two fetches.
+			s.serveEntry(w, r, k, own.entry, res, false)
+			return
+		}
+		fr = own
+	}
+	ct := fr.resp.Header.Get("Content-Type")
+	out := outcome{result: res, status: fr.resp.StatusCode, contentType: ct, class: doctype.Classify(ct, k.String())}
+	defer func() {
+		// However far the copy below gets, the hand-off readResponse began
+		// ends here: close the upstream body, release its timeout context,
+		// return the prefix's pooled buffer.
+		_ = fr.resp.Body.Close()
+		fr.release()
+		fr.prefix.Release()
+	}()
+	h := w.Header()
+	if out.contentType != "" {
+		h.Set("Content-Type", out.contentType)
+	}
+	if cl := fr.resp.ContentLength; cl >= 0 {
+		h.Set("Content-Length", strconv.FormatInt(cl, 10))
+	}
+	setCacheHeaders(h, out)
+	w.WriteHeader(out.status)
+	n, err := w.Write(fr.prefix.B)
+	out.bytes = int64(n)
+	if err == nil { // else the client went away mid-stream; nothing more to send
+		var m int64
+		m, err = io.Copy(w, fr.resp.Body)
+		out.bytes += m
+		s.metrics.originBytes.Add(m) // the prefix was counted at fetch time
+		if err != nil {
+			s.metrics.originErrors.Inc()
+		}
+	}
+	s.account(r, k, out)
+}
+
+// account is the pipeline's one exit: the counters /metrics exports (and
+// Stats reads back) plus the access-log line, once per written response.
+func (s *Server) account(r *http.Request, k *requestKey, out outcome) {
 	s.metrics.requests.Inc()
-	s.metrics.requestsByClass[cls].Inc()
-	switch res {
+	s.metrics.requestBytes.Add(out.bytes)
+	s.metrics.requestsByClass[out.class].Inc()
+	switch out.result {
 	case resultHit:
 		s.metrics.hits.Inc()
-		s.metrics.hitBytes.Add(size)
-		s.metrics.hitsByClass[cls].Inc()
+		s.metrics.hitBytes.Add(out.bytes)
+		s.metrics.hitsByClass[out.class].Inc()
 	case resultPeerHit:
 		// Neither a local hit (the bytes are a sibling's) nor a miss (no
 		// origin traffic): requests = hits + peer hits + misses. Class
@@ -921,201 +1040,24 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, e *ca
 	default:
 		s.metrics.misses.Inc()
 	}
-
-	s.mu.Lock()
-	s.stats.Requests++
-	s.stats.ReqBytes += size
-	s.stats.ByClass[cls].Requests++
-	switch res {
-	case resultHit:
-		s.stats.Hits++
-		s.stats.HitBytes += size
-		s.stats.ByClass[cls].Hits++
-	case resultPeerHit:
-		s.stats.PeerHits++
-	case resultCoalesced:
-		s.stats.Coalesced++
-	case resultStale:
-		s.stats.StaleServed++
-	}
 	if s.logw != nil {
+		s.logMu.Lock()
 		// The access log records what the trace pipeline consumes; the
-		// simulator ignores Squid's action field, so TCP_MISS (the
-		// writer's fixed action) is sufficient.
+		// simulator ignores Squid's action field, so TCP_MISS (the writer's
+		// fixed action) is sufficient. Logging is best-effort: a write
+		// error must not fail a request that was already answered.
 		_ = s.logw.Write(&trace.Request{
 			UnixMillis:   s.now().UnixMilli(),
-			URL:          key,
-			Status:       e.Status,
-			TransferSize: size,
-			ContentType:  e.ContentType,
+			URL:          k.String(),
+			Status:       out.status,
+			TransferSize: out.bytes,
+			ContentType:  out.contentType,
 			Client:       clientAddr(r),
 			Method:       http.MethodGet,
 		})
-		// Access logging is best-effort; a flush error must not fail the
-		// request that was already served.
-		_ = s.logw.Flush()
+		_ = s.logw.Flush() // best-effort, like the write
+		s.logMu.Unlock()
 	}
-	s.mu.Unlock()
-
-	h := w.Header()
-	ct, cl := e.HeaderSlices()
-	if ct != nil {
-		h["Content-Type"] = ct
-	} else if e.ContentType != "" {
-		h.Set("Content-Type", e.ContentType)
-	}
-	if cl != nil {
-		h["Content-Length"] = cl
-	} else {
-		h.Set("Content-Length", strconv.FormatInt(size, 10))
-	}
-	switch res {
-	case resultHit:
-		h["X-Cache"] = hdrHit
-	case resultPeerHit:
-		h["X-Cache"] = hdrPeerHit
-	case resultStale:
-		h["X-Cache"] = hdrStale
-	case resultCoalesced:
-		h["X-Cache"] = hdrMiss
-		h["X-Coalesced"] = hdrCoalesced
-	default:
-		h["X-Cache"] = hdrMiss
-	}
-	if admRejected && res == resultMiss {
-		h["X-Admission"] = hdrAdmReject
-	}
-	w.WriteHeader(e.Status)
-	_, _ = w.Write(e.Body) // client disconnects surface here; nothing to do for them
-	e.Release()
-}
-
-// serveOversize answers a request whose origin body exceeded
-// MaxObjectBytes: the full body is streamed through to the client,
-// nothing is cached, and the request is accounted as a miss with the
-// bytes actually streamed. The miss leader consumes the open body carried
-// in the fetchResult; a coalesced waiter cannot (a stream is consumed
-// exactly once), so it performs its own uncoalesced fetch and streams
-// that instead — and is logged with the status its own fetch produced,
-// which need not be the leader's.
-func (s *Server) serveOversize(w http.ResponseWriter, r *http.Request, key string, target *url.URL, fr *fetchResult, res serveResult) {
-	cls := doctype.Classify(fr.contentType, key)
-	status := fr.status
-	var streamed int64
-	if res == resultMiss {
-		streamed = s.streamOversizeBody(w, fr)
-	} else {
-		streamed, status = s.streamOversizeRefetch(w, target, r.Header)
-	}
-
-	s.metrics.requests.Inc()
-	s.metrics.requestsByClass[cls].Inc()
-	s.metrics.misses.Inc()
-	if res == resultCoalesced {
-		s.metrics.coalesced.Inc()
-	}
-
-	s.mu.Lock()
-	s.stats.Requests++
-	s.stats.ReqBytes += streamed
-	s.stats.ByClass[cls].Requests++
-	if res == resultCoalesced {
-		s.stats.Coalesced++
-	}
-	if s.logw != nil {
-		// Same trace record the cached path logs, with the streamed byte
-		// count as the transfer size.
-		_ = s.logw.Write(&trace.Request{
-			UnixMillis:   s.now().UnixMilli(),
-			URL:          key,
-			Status:       status,
-			TransferSize: streamed,
-			ContentType:  fr.contentType,
-			Client:       clientAddr(r),
-			Method:       http.MethodGet,
-		})
-		// Access logging is best-effort; a flush error must not fail the
-		// request that was already served.
-		_ = s.logw.Flush()
-	}
-	s.mu.Unlock()
-}
-
-// streamOversizeBody writes the buffered prefix and pipes the rest of the
-// still-open origin body through to the client, returning the bytes
-// delivered. It settles the body and the fetch's timeout context.
-func (s *Server) streamOversizeBody(w http.ResponseWriter, fr *fetchResult) int64 {
-	defer func() {
-		// Whatever the copy below managed, the remainder's ownership ends
-		// here: close the origin stream, release its timeout context, and
-		// return the prefix's pooled buffer.
-		_ = fr.body.Close()
-		fr.release()
-		fr.prefix = nil
-		fr.prefixBuf.Release()
-	}()
-	if fr.contentType != "" {
-		w.Header().Set("Content-Type", fr.contentType)
-	}
-	if fr.contentLen >= 0 {
-		w.Header().Set("Content-Length", strconv.FormatInt(fr.contentLen, 10))
-	}
-	w.Header().Set("X-Cache", "MISS")
-	w.WriteHeader(fr.status)
-	n, err := w.Write(fr.prefix)
-	total := int64(n)
-	if err != nil {
-		return total // client went away mid-stream; nothing more to do
-	}
-	m, err := io.Copy(w, fr.body)
-	total += m
-	s.metrics.originBytes.Add(m) // the prefix was counted at fetch time
-	if err != nil {
-		s.metrics.originErrors.Inc()
-	}
-	return total
-}
-
-// streamOversizeRefetch is the coalesced waiter's path for an oversize
-// result: the shared body belongs to the miss leader, so the waiter
-// fetches the URL again — without singleflight, straight to the client,
-// nothing buffered beyond the transport — and returns the bytes
-// delivered and the status written to the client.
-func (s *Server) streamOversizeRefetch(w http.ResponseWriter, target *url.URL, hdr http.Header) (int64, int) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target.String(), nil)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("upstream: %v", err), http.StatusBadGateway)
-		return 0, http.StatusBadGateway
-	}
-	req.Header = hdr.Clone()
-	resp, err := s.transport.RoundTrip(req)
-	if err != nil {
-		s.metrics.originErrors.Inc()
-		http.Error(w, fmt.Sprintf("upstream: %v", err), http.StatusBadGateway)
-		return 0, http.StatusBadGateway
-	}
-	defer func() {
-		// The copy below drains the body; a close failure afterwards has
-		// nothing left to corrupt.
-		_ = resp.Body.Close()
-	}()
-	s.metrics.uncacheableOversize.Inc()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if resp.ContentLength >= 0 {
-		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
-	}
-	w.Header().Set("X-Cache", "MISS")
-	w.WriteHeader(resp.StatusCode)
-	n, err := io.Copy(w, resp.Body)
-	s.metrics.originBytes.Add(n)
-	if err != nil {
-		s.metrics.originErrors.Inc()
-	}
-	return n, resp.StatusCode
 }
 
 func clientAddr(r *http.Request) string {

@@ -58,13 +58,14 @@ smoke_cluster() {
 	go test -race -run '^TestCluster' -v ./internal/proxy ./internal/load ./internal/hierarchy
 }
 
-# fuzz: a short budget per trace-decoder target, one at a time (-fuzz
-# refuses a pattern matching several); -run pins the seed-corpus phase to
-# the target being fuzzed.
+# fuzz: a short budget per package/target — the trace decoders and the
+# proxy's key stage — one at a time (-fuzz refuses a pattern matching
+# several); -run pins the seed-corpus phase to the target being fuzzed.
 smoke_fuzz() {
-	local target
-	for target in FuzzParseSquidLine FuzzParseCLFLine FuzzInternedReader FuzzColumnar; do
-		go test -run="^$target\$" -fuzz="^$target\$" -fuzztime=30s ./internal/trace
+	local row
+	for row in trace/FuzzParseSquidLine trace/FuzzParseCLFLine trace/FuzzInternedReader \
+		trace/FuzzColumnar proxy/FuzzRequestKey; do
+		go test -run="^${row#*/}\$" -fuzz="^${row#*/}\$" -fuzztime=30s "./internal/${row%/*}"
 	done
 }
 
