@@ -32,10 +32,14 @@ test:
 # scan runs concurrently with the per-cell fan-out, so it rides along.
 # The serving stack (cache, flight, proxy, load) is concurrent by design
 # and carries its own regression tests that only bite under -race.
+# container, sketch and admission ride along: the heap and the list link
+# memory their callers own (policy.Doc, the space-saving entries), one set
+# per sweep goroutine or cache shard.
 race:
 	$(GO) test -race ./internal/core/... ./internal/policy/... ./internal/mrc/... \
 		./internal/cache/... ./internal/flight/... ./internal/proxy/... ./internal/load/... \
-		./internal/trace/... ./internal/cluster/... ./internal/hierarchy/...
+		./internal/trace/... ./internal/cluster/... ./internal/hierarchy/... \
+		./internal/container/... ./internal/sketch/... ./internal/admission/...
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): the
 # end-to-end metrics of all four workloads, appended to a record file that

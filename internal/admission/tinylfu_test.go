@@ -103,3 +103,31 @@ func TestTinyLFUAgingWindow(t *testing.T) {
 		t.Errorf("estimate=%d after aging, want 1", got)
 	}
 }
+
+// TestTinyLFUTouchZeroAlloc pins Touch at a full frequency table: a key
+// that passed the doorkeeper and is not tracked replaces the table's
+// minimum, and the replacement reuses the victim's entry and heap handle
+// rather than allocating new ones. (Touch is on the proxy's hit path.)
+func TestTinyLFUTouchZeroAlloc(t *testing.T) {
+	f := NewTinyLFU(1<<20, 1<<40) // a window no test reaches: no aging
+	docs := make([]*policy.Doc, 2000)
+	for i := range docs {
+		docs[i] = doc(int32(i), 100)
+		touchN(f, docs[i], 2) // the second touch passes the doorkeeper
+	}
+	tracked := f.freq.Len()
+	if tracked >= len(docs) {
+		t.Fatalf("frequency table tracks %d of %d keys: it never filled", tracked, len(docs))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(5000, func() {
+		f.Touch(docs[next%len(docs)])
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Touch allocates %.1f allocs/op at a full table, want 0", allocs)
+	}
+	if f.freq.Len() != tracked {
+		t.Fatalf("frequency table went from %d to %d entries", tracked, f.freq.Len())
+	}
+}

@@ -3,14 +3,16 @@
 // stack-distance machinery in the synthetic workload generator: elements
 // carry their payload and can be moved to the front, removed, or walked
 // from either end without allocation per operation beyond the element
-// itself.
+// itself — and not even that when the caller embeds the Element in the
+// object it lists and links it with LinkFront.
 //
 // Compared to container/list, this implementation is generic (no interface
 // boxing on the hot path) and exposes MoveToFront/MoveToBack directly.
 package intlist
 
 // Element is a list node carrying a value of type T. Elements are created
-// by the List methods and remain valid until removed.
+// by the List methods, or supplied by the caller to LinkFront, and remain
+// valid until removed. The zero value is an element in no list.
 type Element[T any] struct {
 	next, prev *Element[T]
 	list       *List[T]
@@ -76,6 +78,19 @@ func (l *List[T]) Back() *Element[T] {
 func (l *List[T]) PushFront(value T) *Element[T] {
 	l.lazyInit()
 	return l.insertAfter(&Element[T]{Value: value}, &l.root)
+}
+
+// LinkFront inserts the caller's own element — typically a field of the
+// listed object, with Value already set — at the front, so that listing
+// allocates nothing. The element must stay at a stable address while
+// linked; once removed it may be linked again. Linking an element that is
+// already in a list is a no-op.
+func (l *List[T]) LinkFront(e *Element[T]) {
+	if e.list != nil {
+		return
+	}
+	l.lazyInit()
+	l.insertAfter(e, &l.root)
 }
 
 // PushBack inserts value at the back and returns its element.

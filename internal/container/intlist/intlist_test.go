@@ -194,3 +194,51 @@ func TestPushBackOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLinkFront links caller-owned elements: they behave like elements the
+// list made, can be relinked after removal, cannot be linked twice, and
+// linking allocates nothing.
+func TestLinkFront(t *testing.T) {
+	type node struct {
+		id   int
+		elem Element[*node]
+	}
+	nodes := make([]node, 4)
+	var l, other List[*node]
+	link := func(to *List[*node], n *node) {
+		n.elem.Value = n
+		to.LinkFront(&n.elem)
+	}
+	for i := range nodes {
+		nodes[i].id = i
+		link(&l, &nodes[i])
+	}
+	ids := func() []int {
+		var out []int
+		l.Do(func(n *node) { out = append(out, n.id) })
+		return out
+	}
+	if got := ids(); !equal(got, []int{3, 2, 1, 0}) {
+		t.Fatalf("after linking: %v, want [3 2 1 0]", got)
+	}
+	link(&other, &nodes[1]) // already in l: no-op
+	link(&l, &nodes[1])     // likewise
+	if l.Len() != 4 || other.Len() != 0 {
+		t.Fatalf("linking a linked element changed lengths: %d, %d", l.Len(), other.Len())
+	}
+	l.MoveToFront(&nodes[0].elem)
+	if got := l.Remove(l.Back()); got != &nodes[1] {
+		t.Fatalf("Back = node %d, want 1", got.id)
+	}
+	link(&other, &nodes[1])
+	if got := ids(); !equal(got, []int{0, 3, 2}) || other.Front().Value != &nodes[1] {
+		t.Fatalf("after move+remove+relink: %v, other front %v", got, other.Front().Value.id)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		n := l.Remove(l.Back())
+		link(&l, n)
+	})
+	if allocs != 0 {
+		t.Fatalf("Remove+LinkFront allocate %.1f allocs per run, want 0", allocs)
+	}
+}

@@ -9,6 +9,13 @@ import (
 	"testing/quick"
 )
 
+// push queues a fresh caller-owned item and returns it.
+func push[T any](q *Queue[T], value T, priority float64) *Item[T] {
+	it := &Item[T]{Value: value}
+	q.Push(it, priority)
+	return it
+}
+
 func TestEmptyQueue(t *testing.T) {
 	var q Queue[string]
 	if q.Len() != 0 {
@@ -26,7 +33,7 @@ func TestPushPopOrder(t *testing.T) {
 	var q Queue[int]
 	prios := []float64{5, 1, 4, 2, 3, 0.5, 10}
 	for i, p := range prios {
-		q.Push(i, p)
+		push(&q, i, p)
 	}
 	want := append([]float64(nil), prios...)
 	sort.Float64s(want)
@@ -46,9 +53,9 @@ func TestPushPopOrder(t *testing.T) {
 
 func TestFIFOTieBreak(t *testing.T) {
 	var q Queue[string]
-	q.Push("first", 1)
-	q.Push("second", 1)
-	q.Push("third", 1)
+	push(&q, "first", 1)
+	push(&q, "second", 1)
+	push(&q, "third", 1)
 	for _, want := range []string{"first", "second", "third"} {
 		it, err := q.PopMin()
 		if err != nil {
@@ -62,9 +69,9 @@ func TestFIFOTieBreak(t *testing.T) {
 
 func TestUpdateReordersAndRefreshesTie(t *testing.T) {
 	var q Queue[string]
-	a := q.Push("a", 1)
-	q.Push("b", 2)
-	c := q.Push("c", 3)
+	a := push(&q, "a", 1)
+	push(&q, "b", 2)
+	c := push(&q, "c", 3)
 
 	q.Update(c, 0.5)
 	it, _ := q.Min()
@@ -89,7 +96,7 @@ func TestRemove(t *testing.T) {
 	var q Queue[int]
 	items := make([]*Item[int], 10)
 	for i := range items {
-		items[i] = q.Push(i, float64(i))
+		items[i] = push(&q, i, float64(i))
 	}
 	q.Remove(items[0]) // remove min
 	q.Remove(items[5]) // remove middle
@@ -113,8 +120,8 @@ func TestRemove(t *testing.T) {
 
 func TestUpdateForeignItemIgnored(t *testing.T) {
 	var q1, q2 Queue[int]
-	it := q1.Push(1, 1)
-	q2.Push(2, 2)
+	it := push(&q1, 1, 1)
+	push(&q2, 2, 2)
 	q2.Update(it, 0) // must not corrupt q2
 	got, _ := q2.Min()
 	if got.Value != 2 || got.Priority() != 2 {
@@ -130,7 +137,7 @@ func TestUpdateForeignItemIgnored(t *testing.T) {
 func TestItemsSnapshot(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 5; i++ {
-		q.Push(i, float64(i))
+		push(&q, i, float64(i))
 	}
 	items := q.Items()
 	if len(items) != 5 {
@@ -170,7 +177,7 @@ func TestHeapInvariantRandomOps(t *testing.T) {
 		case r < 5 || len(model) == 0: // push
 			p := float64(rng.Intn(100))
 			seq++
-			model = append(model, entry{item: q.Push(op, p), prio: p, seq: seq})
+			model = append(model, entry{item: push(&q, op, p), prio: p, seq: seq})
 		case r < 7: // update
 			i := rng.Intn(len(model))
 			p := float64(rng.Intn(100))
@@ -211,7 +218,7 @@ func TestDrainSortedProperty(t *testing.T) {
 			}
 		}
 		for i, p := range valid {
-			q.Push(i, p)
+			push(&q, i, p)
 		}
 		prev := 0.0
 		for i := 0; q.Len() > 0; i++ {
@@ -236,10 +243,10 @@ func TestDrainSortedProperty(t *testing.T) {
 func TestNaNPriorityOrdersFirstDeterministically(t *testing.T) {
 	nan := math.NaN()
 	var q Queue[string]
-	q.Push("real-low", 1)
-	q.Push("nan-a", nan)
-	q.Push("real-high", 100)
-	q.Push("nan-b", nan)
+	push(&q, "real-low", 1)
+	push(&q, "nan-a", nan)
+	push(&q, "real-high", 100)
+	push(&q, "nan-b", nan)
 	want := []string{"nan-a", "nan-b", "real-low", "real-high"}
 	for _, w := range want {
 		it, err := q.PopMin()
@@ -257,7 +264,7 @@ func TestNaNUpdateKeepsHeapConsistent(t *testing.T) {
 	var q Queue[int]
 	items := make([]*Item[int], 6)
 	for i := range items {
-		items[i] = q.Push(i, float64(i))
+		items[i] = push(&q, i, float64(i))
 	}
 	q.Update(items[3], math.NaN())
 	it, err := q.PopMin()
@@ -275,5 +282,149 @@ func TestNaNUpdateKeepsHeapConsistent(t *testing.T) {
 			t.Fatalf("heap order violated: %v after %v", it.Priority(), prev)
 		}
 		prev = it.Priority()
+	}
+}
+
+// refLess is the reference order the heap must reproduce: NaN priorities
+// first, then ascending priority, ties by ascending sequence.
+func refLess(ap float64, aseq int, bp float64, bseq int) bool {
+	an, bn := math.IsNaN(ap), math.IsNaN(bp)
+	switch {
+	case an != bn:
+		return an
+	case !an && ap != bp:
+		return ap < bp
+	}
+	return aseq < bseq
+}
+
+// TestDifferentialAgainstSortedModel drives random push/update/remove/pop
+// sequences over priorities full of duplicates, NaN, ±Inf and ±0, and
+// holds every pop — the item, not just its priority — to a model that
+// sorts by (NaN first, priority, sequence). The order is total, so the
+// heap's arity and layout must not show.
+func TestDifferentialAgainstSortedModel(t *testing.T) {
+	prios := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0,
+		-1, 1, 1, 2, 2.5, 1e300, -1e300, math.SmallestNonzeroFloat64}
+	type entry struct {
+		item *Item[int]
+		prio float64
+		seq  int
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var (
+			q     Queue[int]
+			model []entry
+			seq   int
+			spare []*Item[int] // popped and removed handles, pushed again later
+		)
+		drop := func(i int) {
+			spare = append(spare, model[i].item)
+			model = append(model[:i], model[i+1:]...)
+		}
+		popBoth := func(op int) {
+			best := 0
+			for i := range model {
+				if refLess(model[i].prio, model[i].seq, model[best].prio, model[best].seq) {
+					best = i
+				}
+			}
+			min, _ := q.Min()
+			it, err := q.PopMin()
+			if err != nil {
+				t.Fatalf("seed %d op %d: PopMin: %v", seed, op, err)
+			}
+			if it != model[best].item || min != it {
+				t.Fatalf("seed %d op %d: popped item %d (Min %d), model wants %d (priority %v seq %d)",
+					seed, op, it.Value, min.Value, model[best].item.Value, model[best].prio, model[best].seq)
+			}
+			if p := it.Priority(); p != model[best].prio && !(math.IsNaN(p) && math.IsNaN(model[best].prio)) {
+				t.Fatalf("seed %d op %d: popped priority %v, model %v", seed, op, p, model[best].prio)
+			}
+			drop(best)
+		}
+		for op := 0; op < 4000; op++ {
+			p := prios[rng.Intn(len(prios))]
+			switch r := rng.Intn(10); {
+			case r < 4 || len(model) == 0: // push, reusing a retired handle half the time
+				it := &Item[int]{Value: op}
+				if n := len(spare); n > 0 && rng.Intn(2) == 0 {
+					it, spare = spare[n-1], spare[:n-1]
+				}
+				seq++
+				q.Push(it, p)
+				model = append(model, entry{item: it, prio: p, seq: seq})
+			case r < 7: // update
+				i := rng.Intn(len(model))
+				seq++
+				q.Update(model[i].item, p)
+				model[i].prio, model[i].seq = p, seq
+			case r < 8: // remove
+				i := rng.Intn(len(model))
+				q.Remove(model[i].item)
+				drop(i)
+			default:
+				popBoth(op)
+			}
+			if q.Len() != len(model) {
+				t.Fatalf("seed %d op %d: Len %d, model %d", seed, op, q.Len(), len(model))
+			}
+		}
+		for op := 0; len(model) > 0; op++ {
+			popBoth(-op)
+		}
+	}
+}
+
+// TestPushQueuedItemUpdates pins the one misuse Push tolerates: pushing a
+// handle that is already in the queue re-prioritises it, it does not
+// enter twice.
+func TestPushQueuedItemUpdates(t *testing.T) {
+	var q Queue[string]
+	a := push(&q, "a", 1)
+	push(&q, "b", 2)
+	q.Push(a, 3)
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d after re-push, want 2", q.Len())
+	}
+	if it, _ := q.PopMin(); it.Value != "b" {
+		t.Errorf("popped %q, want b", it.Value)
+	}
+	if it, _ := q.PopMin(); it != a || it.Priority() != 3 {
+		t.Errorf("popped %q at %v, want a at 3", it.Value, it.Priority())
+	}
+}
+
+// TestQueueZeroAlloc pins the point of caller-owned handles: once the heap
+// array has grown, push, update, remove and pop allocate nothing.
+func TestQueueZeroAlloc(t *testing.T) {
+	const n = 512
+	rng := rand.New(rand.NewSource(7))
+	var q Queue[int]
+	items := make([]Item[int], n)
+	for i := range items {
+		items[i].Value = i
+		q.Push(&items[i], rng.Float64())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < n/2; i++ {
+			it, err := q.PopMin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Push(it, it.Priority()+rng.Float64())
+			u := &items[rng.Intn(n)]
+			q.Update(u, u.Priority()+rng.Float64())
+			r := &items[rng.Intn(n)]
+			q.Remove(r)
+			q.Push(r, rng.Float64())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("push/update/remove/pop allocate %.1f allocs per run, want 0", allocs)
+	}
+	if q.Len() != n {
+		t.Fatalf("Len = %d, want %d", q.Len(), n)
 	}
 }

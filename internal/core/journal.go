@@ -159,7 +159,7 @@ func runJournaled(sim *Simulator, w *Workload, jw *journalWriter, every int64, n
 	n := w.NumRequests()
 	total := int64(n)
 	for i := 0; i < n; i++ {
-		ev := w.Event(i)
+		ev := w.replayEvent(i)
 		sim.Process(&ev)
 		done := int64(i) + 1
 		if done%every == 0 && done < total {

@@ -57,15 +57,53 @@ func resolveWarmup(frac float64, n int) (int64, error) {
 	return int64(frac * float64(n)), nil
 }
 
+// docChunk is the number of Docs per slab chunk of a docTable: a power of
+// two, so that indexing is a shift and a mask.
+const (
+	docChunkBits = 12
+	docChunk     = 1 << docChunkBits
+)
+
+// docTable maps a DocID to the document's Doc: one Doc per document, used
+// across every evict/re-insert cycle, so replay allocates nothing per
+// event. The Docs live in fixed-size chunks rather than one slice because
+// policies keep pointers into them (the heap handle and list node are
+// embedded in the Doc): a table that grows — StreamSimulator's does, a
+// document at a time — may add chunks but must never move a Doc.
+type docTable struct {
+	chunks []*[docChunk]policy.Doc
+	n      int
+}
+
+// at returns the Doc of a known document.
+func (t *docTable) at(id int32) *policy.Doc {
+	return &t.chunks[uint32(id)>>docChunkBits][uint32(id)%docChunk]
+}
+
+// add appends the Doc of the next document ID.
+func (t *docTable) add(key string, class doctype.Class) {
+	if t.n == len(t.chunks)*docChunk {
+		t.chunks = append(t.chunks, new([docChunk]policy.Doc))
+	}
+	id := int32(t.n)
+	t.n++
+	*t.at(id) = policy.Doc{Key: key, ID: id, Class: class}
+}
+
 // Simulator replays a Workload against one policy at one cache size.
 type Simulator struct {
-	cfg    Config
-	pol    policy.Policy
-	adm    policy.Admitter // nil when admission is disabled
-	peek   policy.Peeker   // set iff adm is set
-	keys   []string
-	docs   []*policy.Doc // DocID -> the document's Doc, allocated once and reused
-	in     []bool        // DocID -> currently resident
+	cfg  Config
+	pol  policy.Policy
+	adm  policy.Admitter // nil when admission is disabled
+	peek policy.Peeker   // set iff adm is set
+	// w is the workload whose documents the tables below cover. They are
+	// allocated by the first Process rather than by NewSimulator, so the
+	// simulators of a sweep's waiting cells hold no per-document memory.
+	// Nil for a StreamSimulator's inner simulator, which grows its tables
+	// itself.
+	w      *Workload
+	docs   docTable // DocID -> the document's Doc
+	in     []bool   // DocID -> currently resident
 	used   int64
 	result Result
 
@@ -79,7 +117,7 @@ type Simulator struct {
 
 // NewSimulator prepares a simulator for the given workload. The workload
 // is shared and never mutated; each simulator allocates only its own
-// per-document residency table.
+// per-document tables, when it processes its first event.
 func NewSimulator(w *Workload, cfg Config) (*Simulator, error) {
 	warmup, err := resolveWarmup(cfg.WarmupFraction, w.NumRequests())
 	if err != nil {
@@ -100,9 +138,7 @@ func NewSimulator(w *Workload, cfg Config) (*Simulator, error) {
 		pol:    pol,
 		adm:    adm,
 		peek:   peek,
-		keys:   w.Keys(),
-		docs:   make([]*policy.Doc, w.NumDocs()),
-		in:     make([]bool, w.NumDocs()),
+		w:      w,
 		warmup: warmup,
 		sample: cfg.SampleEvery,
 		result: Result{
@@ -161,22 +197,36 @@ func (o Outcome) Hit() bool { return o == OutcomeHit }
 func (s *Simulator) Run(w *Workload) *Result {
 	n := w.NumRequests()
 	for i := 0; i < n; i++ {
-		ev := w.Event(i)
+		ev := w.replayEvent(i)
 		s.Process(&ev)
 	}
 	return s.Result()
 }
 
+// allocTables builds the per-document tables over the workload's
+// documents.
+func (s *Simulator) allocTables() {
+	n := s.w.NumDocs()
+	s.in = make([]bool, n)
+	s.docs.chunks = make([]*[docChunk]policy.Doc, 0, (n+docChunk-1)/docChunk)
+	for id, key := range s.w.Keys() {
+		s.docs.add(key, s.w.classOf[id])
+	}
+}
+
 // Process replays a single event and reports its disposition (the miss
 // stream is what a parent cache in a hierarchy sees).
 func (s *Simulator) Process(ev *Event) Outcome {
+	if s.in == nil && s.w != nil {
+		s.allocTables()
+	}
 	s.processed++
 	measured := s.processed > s.warmup
 
 	if s.adm != nil {
 		// Every reference — hit or miss — feeds the admitter's frequency
 		// estimate, before the request's own outcome is decided.
-		s.adm.Touch(s.ensureDoc(ev))
+		s.adm.Touch(s.docs.at(ev.DocID))
 	}
 
 	resident := s.in[ev.DocID]
@@ -190,7 +240,7 @@ func (s *Simulator) Process(ev *Event) Outcome {
 	switch {
 	case hit:
 		outcome = OutcomeHit
-		doc := s.docs[ev.DocID]
+		doc := s.docs.at(ev.DocID)
 		// A resident document may have grown through a completed transfer
 		// after an earlier interruption; recharge the difference. Making
 		// room for the growth can evict the document itself, in which case
@@ -207,7 +257,7 @@ func (s *Simulator) Process(ev *Event) Outcome {
 		if measured {
 			s.result.Modifications++
 		}
-		s.remove(s.docs[ev.DocID], ev.DocID)
+		s.remove(s.docs.at(ev.DocID), ev.DocID)
 		s.insert(ev, measured)
 	default:
 		s.insert(ev, measured)
@@ -256,7 +306,7 @@ func (s *Simulator) insert(ev *Event, measured bool) {
 		}
 		return
 	}
-	doc := s.ensureDoc(ev)
+	doc := s.docs.at(ev.DocID)
 	doc.Size = size
 	for s.used+size > s.cfg.Capacity {
 		if s.adm != nil {
@@ -283,19 +333,6 @@ func (s *Simulator) insert(ev *Event, measured bool) {
 	}
 }
 
-// ensureDoc returns the document's reused Doc, allocating it on first
-// reference. One Doc per document, allocated once and reused across
-// re-insertions: the hot replay loop allocates nothing for documents
-// cycling in and out of the cache.
-func (s *Simulator) ensureDoc(ev *Event) *policy.Doc {
-	doc := s.docs[ev.DocID]
-	if doc == nil {
-		doc = &policy.Doc{Key: s.keys[ev.DocID], ID: ev.DocID, Class: ev.Class}
-		s.docs[ev.DocID] = doc
-	}
-	return doc
-}
-
 // evicted settles accounting after the policy returned a victim. The
 // pointer-identity check guards against a broken policy fabricating a Doc
 // that merely shares an ID with a tracked document.
@@ -304,7 +341,7 @@ func (s *Simulator) evicted(victim *policy.Doc) {
 	s.used -= victim.Size
 	s.residentDocs[victim.Class]--
 	s.residentBytes[victim.Class] -= victim.Size
-	if id := victim.ID; s.docs[id] == victim {
+	if id := victim.ID; s.docs.at(id) == victim {
 		s.in[id] = false
 	}
 	if s.adm != nil {

@@ -77,8 +77,7 @@ func (s *StreamSimulator) Process(req *trace.Request) Outcome {
 	ev, newDoc := s.ing.step(req)
 	if newDoc {
 		// Grow the inner simulator's tables in lock step with the interner.
-		s.sim.keys = s.ing.docs.Keys()
-		s.sim.docs = append(s.sim.docs, nil)
+		s.sim.docs.add(req.URL, ev.Class)
 		s.sim.in = append(s.sim.in, false)
 	}
 	return s.sim.Process(&ev)

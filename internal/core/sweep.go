@@ -313,10 +313,15 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
+				// A simulator's per-document tables exist from its first
+				// event until it is dropped here, so the sweep holds one
+				// set per running cell, not one per cell.
+				sim := sims[i]
+				sims[i] = nil
 				if jw != nil {
-					results[i] = runJournaled(sims[i], runW, jw, tickEvery, now)
+					results[i] = runJournaled(sim, runW, jw, tickEvery, now)
 				} else {
-					results[i] = sims[i].Run(runW)
+					results[i] = sim.Run(runW)
 				}
 			}
 		}()

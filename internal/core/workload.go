@@ -97,13 +97,20 @@ func (w *Workload) NumRequests() int { return len(w.docID) }
 // handful of words; the returned value is the caller's own (Workload
 // columns are never exposed mutably).
 func (w *Workload) Event(i int) Event {
+	ev := w.replayEvent(i)
+	ev.UnixMillis = w.millis[i]
+	return ev
+}
+
+// replayEvent is Event without the timestamp, a column replay never reads
+// and so need not load.
+func (w *Workload) replayEvent(i int) Event {
 	return Event{
 		DocID:        w.docID[i],
 		Class:        w.class[i],
 		Modified:     w.modified[i],
 		DocSize:      w.docSize[i],
 		TransferSize: w.transfer[i],
-		UnixMillis:   w.millis[i],
 	}
 }
 

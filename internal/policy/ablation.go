@@ -40,10 +40,7 @@ func (p *GDSRenorm) value(doc *Doc) float64 {
 
 // Insert implements Policy.
 func (p *GDSRenorm) Insert(doc *Doc) {
-	m := &doc.hm
-	*m = heapMeta{refs: 1}
-	m.item = p.queue.Push(doc, p.value(doc))
-	doc.meta = m
+	track(&p.queue, doc, p.value(doc))
 }
 
 // Hit implements Policy: H is restored to c/s (relative to the current,
@@ -54,7 +51,7 @@ func (p *GDSRenorm) Hit(doc *Doc) {
 		return
 	}
 	m.refs++
-	p.queue.Update(m.item, p.value(doc))
+	p.queue.Update(&m.item, p.value(doc))
 }
 
 // Evict implements Policy: the minimum H is removed and every remaining
@@ -85,7 +82,7 @@ func (p *GDSRenorm) Peek() (*Doc, bool) { return peekMin(&p.queue) }
 // Remove implements Policy.
 func (p *GDSRenorm) Remove(doc *Doc) {
 	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(m.item)
+		p.queue.Remove(&m.item)
 		doc.meta = nil
 	}
 }

@@ -25,17 +25,23 @@ const (
 // n^-β, and β is re-fitted periodically from a log-bucketed histogram of
 // observed inter-reference distances.
 //
-// The estimator is O(1) per observation and bounds its memory by pruning
-// documents not referenced within pruneDistance requests. Successive
-// window fits are blended by an exponentially weighted moving average so
-// that β adapts without jitter.
+// The estimator is O(1) per observation and forgets documents not
+// referenced within pruneDistance requests of a refit. Successive window
+// fits are blended by an exponentially weighted moving average so that β
+// adapts without jitter.
 type BetaEstimator struct {
-	lastSeen   map[int32]int64
+	// lastSeen is the last-seen table, dense over Doc.ID and grown on
+	// demand: the clock of each document's latest reference. An entry
+	// below horizon is absent — never referenced (0; the clock starts at
+	// 1) or pruned — so a refit prunes the whole table by raising horizon.
+	lastSeen   []int64
+	horizon    int64
 	hist       *stats.LogHistogram
 	clock      int64
 	nextRefit  int64
 	refitEvery int64
 	beta       float64
+	invBeta    float64 // 1/beta, refreshed with beta: GD* needs it per reference
 	fitted     bool
 }
 
@@ -49,10 +55,11 @@ func NewBetaEstimator() *BetaEstimator {
 		panic(err)
 	}
 	return &BetaEstimator{
-		lastSeen:   make(map[int32]int64, 1024),
+		horizon:    1,
 		hist:       hist,
 		refitEvery: defaultRefitEvery,
 		beta:       1,
+		invBeta:    1,
 	}
 }
 
@@ -65,12 +72,17 @@ func (e *BetaEstimator) SetWindow(n int64) {
 	}
 }
 
-// Observe records a reference to the document identified by its dense doc
-// ID (see Doc.ID for the keying contract). Integer keys hash as a machine
-// word, which matters: Observe sits on GD*'s per-request hot path.
+// Observe records a reference to the document identified by its dense,
+// non-negative doc ID (see Doc.ID for the keying contract). The ID indexes
+// the last-seen table directly, which matters: Observe sits on GD*'s
+// per-request hot path.
 func (e *BetaEstimator) Observe(id int32) {
 	e.clock++
-	if last, ok := e.lastSeen[id]; ok {
+	if int(id) >= len(e.lastSeen) {
+		e.lastSeen = append(e.lastSeen, make([]int64, int(id)+1-len(e.lastSeen))...)
+		e.lastSeen = e.lastSeen[:cap(e.lastSeen)] // zeroes: absent
+	}
+	if last := e.lastSeen[id]; last >= e.horizon {
 		e.hist.Add(float64(e.clock - last))
 	}
 	e.lastSeen[id] = e.clock
@@ -93,8 +105,17 @@ func (e *BetaEstimator) Fitted() bool { return e.fitted }
 func (e *BetaEstimator) Observed() int64 { return e.clock }
 
 // Tracked returns the number of documents currently in the last-seen
-// table (exported for instrumentation and tests of the pruning bound).
-func (e *BetaEstimator) Tracked() int { return len(e.lastSeen) }
+// table (exported for instrumentation and tests of the pruning bound). It
+// scans the table.
+func (e *BetaEstimator) Tracked() int {
+	n := 0
+	for _, last := range e.lastSeen {
+		if last >= e.horizon {
+			n++
+		}
+	}
+	return n
+}
 
 func (e *BetaEstimator) refit() {
 	if e.hist.Total() >= defaultMinSamples {
@@ -102,24 +123,19 @@ func (e *BetaEstimator) refit() {
 		if fit, err := stats.FitPowerLaw(centers, densities); err == nil {
 			b := clamp(-fit.Slope, betaFloor, betaCeil)
 			if e.fitted {
-				e.beta = (1-betaSmoothing)*e.beta + betaSmoothing*b
-			} else {
-				e.beta = b
-				e.fitted = true
+				b = (1-betaSmoothing)*e.beta + betaSmoothing*b
 			}
+			e.beta, e.invBeta = b, 1/b
+			e.fitted = true
 		}
 	}
 	e.hist.Reset()
 	// Prune documents whose next reference would land beyond the histogram
-	// range we care about; this bounds the table to the active working set.
-	horizon := e.clock - pruneDistance
-	if horizon <= 0 {
-		return
-	}
-	for k, last := range e.lastSeen {
-		if last < horizon {
-			delete(e.lastSeen, k)
-		}
+	// range we care about: distances past pruneDistance are too rare to
+	// move the fit. The clock only grows, so the newest horizon subsumes
+	// every earlier one.
+	if horizon := e.clock - pruneDistance; horizon > 0 {
+		e.horizon = horizon
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"webcachesim/internal/stats"
 )
 
 func TestBetaEstimatorDefaults(t *testing.T) {
@@ -133,5 +135,111 @@ func TestClamp(t *testing.T) {
 		if got := clamp(tt.x, tt.lo, tt.hi); got != tt.want {
 			t.Errorf("clamp(%v) = %v, want %v", tt.x, got, tt.want)
 		}
+	}
+}
+
+// mapBetaEstimator is the estimator as it was before the dense last-seen
+// table: a map keyed by doc ID, pruned by walking it at every refit. It is
+// the reference the dense table's O(1) prune is held to.
+type mapBetaEstimator struct {
+	lastSeen   map[int32]int64
+	hist       *stats.LogHistogram
+	clock      int64
+	nextRefit  int64
+	refitEvery int64
+	beta       float64
+	fitted     bool
+}
+
+func (e *mapBetaEstimator) observe(id int32) {
+	e.clock++
+	if last, ok := e.lastSeen[id]; ok {
+		e.hist.Add(float64(e.clock - last))
+	}
+	e.lastSeen[id] = e.clock
+	if e.clock < e.nextRefit {
+		return
+	}
+	e.nextRefit = e.clock + e.refitEvery
+	if e.hist.Total() >= defaultMinSamples {
+		centers, densities := e.hist.Buckets()
+		if fit, err := stats.FitPowerLaw(centers, densities); err == nil {
+			b := clamp(-fit.Slope, betaFloor, betaCeil)
+			if e.fitted {
+				e.beta = (1-betaSmoothing)*e.beta + betaSmoothing*b
+			} else {
+				e.beta = b
+				e.fitted = true
+			}
+		}
+	}
+	e.hist.Reset()
+	horizon := e.clock - pruneDistance
+	if horizon <= 0 {
+		return
+	}
+	for k, last := range e.lastSeen {
+		if last < horizon {
+			delete(e.lastSeen, k)
+		}
+	}
+}
+
+// TestBetaEstimatorMatchesMapReference runs the dense table against the
+// map over a stream that crosses pruneDistance: hot documents that are
+// never pruned, a cold pool whose re-reference distances straddle the
+// prune horizon (pruned-then-seen-again must count as a first sighting),
+// and the ID space growing as it goes. β must agree after every
+// observation and the tracked count at every refit.
+func TestBetaEstimatorMatchesMapReference(t *testing.T) {
+	const window = 100_000
+	hist, err := stats.NewLogHistogram(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &mapBetaEstimator{
+		lastSeen: make(map[int32]int64), hist: hist,
+		refitEvery: window, nextRefit: window, beta: 1,
+	}
+	e := NewBetaEstimator()
+	e.SetWindow(window)
+
+	rng := rand.New(rand.NewSource(11))
+	const coldPool = 400_000 // mean re-reference distance ≈ pruneDistance
+	total := int(pruneDistance*2 + pruneDistance/2)
+	refits, tracked, pruned := 0, 0, false
+	for i := 1; i <= total; i++ {
+		var id int32
+		switch r := rng.Intn(10); {
+		case r < 5:
+			id = int32(rng.Intn(64))
+		case r < 8:
+			id = 64 + int32(rng.Intn(50_000))
+		default:
+			id = 64 + 50_000 + int32(rng.Intn(min(coldPool, i)))
+		}
+		ref.observe(id)
+		e.Observe(id)
+		if e.Beta() != ref.beta {
+			t.Fatalf("observation %d: beta %v, reference %v", i, e.Beta(), ref.beta)
+		}
+		if i%window == 0 {
+			refits++
+			got, want := e.Tracked(), len(ref.lastSeen)
+			if got != want {
+				t.Fatalf("refit %d: Tracked %d, reference %d", refits, got, want)
+			}
+			pruned = pruned || got < tracked // only pruning shrinks the table
+			tracked = got
+		}
+	}
+	if !e.Fitted() || e.Fitted() != ref.fitted {
+		t.Errorf("Fitted = %v, reference %v, want both true", e.Fitted(), ref.fitted)
+	}
+	if !pruned {
+		t.Error("the stream never pruned a document; the test does not cover the horizon")
+	}
+	if e.invBeta != 1/e.beta {
+		t.Errorf("cached 1/beta = %v, want %v", e.invBeta, 1/e.beta)
 	}
 }

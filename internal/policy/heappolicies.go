@@ -8,12 +8,21 @@ import (
 
 // heapMeta is the bookkeeping that the value-based schemes hang off a Doc:
 // the heap handle plus the document's reference count. It lives embedded
-// in the Doc (Doc.hm) rather than heap-allocated per insert — documents
-// cycle in and out of a cache constantly, and the embedded slot makes
-// re-insertion allocation-free.
+// in the Doc (Doc.hm), handle included, rather than heap-allocated per
+// insert — documents cycle in and out of a cache constantly.
 type heapMeta struct {
-	item *pqueue.Item[*Doc]
+	item pqueue.Item[*Doc]
 	refs int64
+}
+
+// track starts a value-based scheme's bookkeeping for a document entering
+// the cache: reference count one, queued at the given priority.
+func track(q *pqueue.Queue[*Doc], doc *Doc, priority float64) {
+	m := &doc.hm
+	m.refs = 1
+	m.item.Value = doc
+	q.Push(&m.item, priority)
+	doc.meta = m
 }
 
 // finiteH guards a computed H value against IEEE edge cases before it
@@ -68,10 +77,7 @@ func (*LFUDA) Name() string { return "LFU-DA" }
 
 // Insert implements Policy: key = 1 + L.
 func (p *LFUDA) Insert(doc *Doc) {
-	m := &doc.hm
-	*m = heapMeta{refs: 1}
-	m.item = p.queue.Push(doc, 1+p.age)
-	doc.meta = m
+	track(&p.queue, doc, 1+p.age)
 }
 
 // Hit implements Policy: key = f + L with the incremented count.
@@ -81,7 +87,7 @@ func (p *LFUDA) Hit(doc *Doc) {
 		return
 	}
 	m.refs++
-	p.queue.Update(m.item, float64(m.refs)+p.age)
+	p.queue.Update(&m.item, float64(m.refs)+p.age)
 }
 
 // Evict implements Policy: the minimum key is removed and becomes the new
@@ -103,7 +109,7 @@ func (p *LFUDA) Peek() (*Doc, bool) { return peekMin(&p.queue) }
 // Remove implements Policy.
 func (p *LFUDA) Remove(doc *Doc) {
 	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(m.item)
+		p.queue.Remove(&m.item)
 		doc.meta = nil
 	}
 }
@@ -151,10 +157,7 @@ func (p *GDS) value(doc *Doc) float64 {
 
 // Insert implements Policy.
 func (p *GDS) Insert(doc *Doc) {
-	m := &doc.hm
-	*m = heapMeta{refs: 1}
-	m.item = p.queue.Push(doc, p.value(doc))
-	doc.meta = m
+	track(&p.queue, doc, p.value(doc))
 }
 
 // Hit implements Policy: the document's H is restored to L + c/s.
@@ -164,7 +167,7 @@ func (p *GDS) Hit(doc *Doc) {
 		return
 	}
 	m.refs++
-	p.queue.Update(m.item, p.value(doc))
+	p.queue.Update(&m.item, p.value(doc))
 }
 
 // Evict implements Policy: the minimum H is removed and inflates L.
@@ -185,7 +188,7 @@ func (p *GDS) Peek() (*Doc, bool) { return peekMin(&p.queue) }
 // Remove implements Policy.
 func (p *GDS) Remove(doc *Doc) {
 	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(m.item)
+		p.queue.Remove(&m.item)
 		doc.meta = nil
 	}
 }
@@ -210,8 +213,10 @@ type GDStar struct {
 	cost  CostModel
 	age   float64
 
-	fixedBeta float64
-	estimator *BetaEstimator
+	// fixedBeta and its reciprocal are used when estimator is nil.
+	fixedBeta    float64
+	fixedInvBeta float64
+	estimator    *BetaEstimator
 }
 
 var _ Policy = (*GDStar)(nil)
@@ -224,12 +229,10 @@ func NewGDStar(cost CostModel, beta float64) *GDStar {
 	if cost == nil {
 		cost = ConstantCost{}
 	}
-	p := &GDStar{cost: cost, fixedBeta: beta}
 	if !(beta > 0) || math.IsInf(beta, 1) {
-		p.fixedBeta = 0
-		p.estimator = NewBetaEstimator()
+		return &GDStar{cost: cost, estimator: NewBetaEstimator()}
 	}
-	return p
+	return &GDStar{cost: cost, fixedBeta: beta, fixedInvBeta: 1 / beta}
 }
 
 // Name implements Policy.
@@ -248,8 +251,12 @@ func (p *GDStar) value(doc *Doc, refs int64) float64 {
 	if size < 1 {
 		size = 1
 	}
+	invBeta := p.fixedInvBeta
+	if p.estimator != nil {
+		invBeta = p.estimator.invBeta
+	}
 	base := float64(refs) * p.cost.Cost(doc.Size) / float64(size)
-	return finiteH(p.age+math.Pow(base, 1/p.Beta()), p.age)
+	return finiteH(p.age+math.Pow(base, invBeta), p.age)
 }
 
 // Insert implements Policy.
@@ -257,10 +264,7 @@ func (p *GDStar) Insert(doc *Doc) {
 	if p.estimator != nil {
 		p.estimator.Observe(doc.ID)
 	}
-	m := &doc.hm
-	*m = heapMeta{refs: 1}
-	m.item = p.queue.Push(doc, p.value(doc, 1))
-	doc.meta = m
+	track(&p.queue, doc, p.value(doc, 1))
 }
 
 // Hit implements Policy.
@@ -273,7 +277,7 @@ func (p *GDStar) Hit(doc *Doc) {
 		return
 	}
 	m.refs++
-	p.queue.Update(m.item, p.value(doc, m.refs))
+	p.queue.Update(&m.item, p.value(doc, m.refs))
 }
 
 // Evict implements Policy.
@@ -294,7 +298,7 @@ func (p *GDStar) Peek() (*Doc, bool) { return peekMin(&p.queue) }
 // Remove implements Policy.
 func (p *GDStar) Remove(doc *Doc) {
 	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(m.item)
+		p.queue.Remove(&m.item)
 		doc.meta = nil
 	}
 }
@@ -321,10 +325,7 @@ func (*LFU) Name() string { return "LFU" }
 
 // Insert implements Policy.
 func (p *LFU) Insert(doc *Doc) {
-	m := &doc.hm
-	*m = heapMeta{refs: 1}
-	m.item = p.queue.Push(doc, 1)
-	doc.meta = m
+	track(&p.queue, doc, 1)
 }
 
 // Hit implements Policy.
@@ -334,7 +335,7 @@ func (p *LFU) Hit(doc *Doc) {
 		return
 	}
 	m.refs++
-	p.queue.Update(m.item, float64(m.refs))
+	p.queue.Update(&m.item, float64(m.refs))
 }
 
 // Evict implements Policy.
@@ -354,7 +355,7 @@ func (p *LFU) Peek() (*Doc, bool) { return peekMin(&p.queue) }
 // Remove implements Policy.
 func (p *LFU) Remove(doc *Doc) {
 	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(m.item)
+		p.queue.Remove(&m.item)
 		doc.meta = nil
 	}
 }
@@ -380,10 +381,7 @@ func (*Size) Name() string { return "SIZE" }
 // Insert implements Policy: priority is the negated size, so the largest
 // document is the heap minimum.
 func (p *Size) Insert(doc *Doc) {
-	m := &doc.hm
-	*m = heapMeta{refs: 1}
-	m.item = p.queue.Push(doc, -float64(doc.Size))
-	doc.meta = m
+	track(&p.queue, doc, -float64(doc.Size))
 }
 
 // Hit implements Policy: SIZE ignores references.
@@ -406,7 +404,7 @@ func (p *Size) Peek() (*Doc, bool) { return peekMin(&p.queue) }
 // Remove implements Policy.
 func (p *Size) Remove(doc *Doc) {
 	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(m.item)
+		p.queue.Remove(&m.item)
 		doc.meta = nil
 	}
 }

@@ -19,9 +19,17 @@ func NewLRU() *LRU { return &LRU{} }
 // Name implements Policy.
 func (*LRU) Name() string { return "LRU" }
 
+// linkFront puts a document entering the cache at the front of a list,
+// using the list node embedded in the Doc.
+func linkFront(l *intlist.List[*Doc], doc *Doc) {
+	doc.elem.Value = doc
+	l.LinkFront(&doc.elem)
+}
+
 // Insert implements Policy: new documents enter at the most-recent end.
 func (p *LRU) Insert(doc *Doc) {
-	doc.meta = p.list.PushFront(doc)
+	linkFront(&p.list, doc)
+	doc.meta = &doc.elem
 }
 
 // Hit implements Policy: a referenced document moves to the most-recent
@@ -80,7 +88,8 @@ func (*FIFO) Name() string { return "FIFO" }
 
 // Insert implements Policy.
 func (p *FIFO) Insert(doc *Doc) {
-	doc.meta = p.list.PushFront(doc)
+	linkFront(&p.list, doc)
+	doc.meta = &doc.elem
 }
 
 // Hit implements Policy: FIFO ignores references.

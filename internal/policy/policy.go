@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"webcachesim/internal/container/intlist"
 	"webcachesim/internal/doctype"
 )
 
@@ -23,31 +24,40 @@ import (
 // same document; policies hang their private bookkeeping off the meta
 // field and must reset it on Insert.
 type Doc struct {
-	// Key is the document's URL, kept for reporting and debugging. Policies
-	// must not use it as an identity key — use ID, which is dense and hashes
-	// as a machine word.
-	Key string
 	// ID is the document's dense identity: callers assign each distinct
 	// document a unique small integer (the simulator uses the workload's
 	// interned doc ID; the proxy interns URLs the same way). This is the
 	// keying contract for policy state that outlives residency, such as
 	// GD*'s inter-reference tracking.
 	ID int32
-	// Size is the document size in bytes charged against cache capacity.
-	Size int64
 	// Class is the document's content class, used only for per-type
 	// accounting by the simulator.
 	Class doctype.Class
+	// Size is the document size in bytes charged against cache capacity.
+	Size int64
 
-	// meta holds policy-private state (heap handle, list element, counts).
+	// meta identifies the policy-private state in use while a policy
+	// tracks the document: it points at hm, at elem, or (SLRU) at the
+	// segment list holding elem.
 	meta any
 
-	// hm is the heap-based schemes' bookkeeping, embedded by value so
-	// Insert allocates nothing; meta points at it while such a scheme
-	// tracks the document. A Doc is tracked by at most one policy at a
-	// time (the simulator runs one policy per replay), so one slot
-	// suffices.
-	hm heapMeta
+	// hm is the heap-based schemes' bookkeeping (heap handle, reference
+	// count) and elem the list-based schemes' list node, both embedded by
+	// value so that tracking a document allocates nothing. A Doc is
+	// tracked by at most one policy at a time (the simulator runs one
+	// policy per replay), so one slot of each suffices — and a tracked Doc
+	// must not be copied or moved: the heap and the list point into it.
+	//
+	// Field order is by use: everything a value-based scheme touches on a
+	// hit or when the heap moves the document ends here, within the Doc's
+	// first 64 bytes.
+	hm   heapMeta
+	elem intlist.Element[*Doc]
+
+	// Key is the document's URL, kept for reporting and debugging. Policies
+	// must not use it as an identity key — use ID, which is dense and hashes
+	// as a machine word.
+	Key string
 }
 
 // Policy decides the eviction order of cached documents.

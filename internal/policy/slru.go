@@ -10,17 +10,14 @@ import "webcachesim/internal/container/intlist"
 // so documents referenced only once cannot displace re-referenced ones —
 // a recency-based answer to the one-hit-wonder problem that LFU-DA solves
 // with counts. Included as a related-work baseline.
+//
+// While SLRU tracks a document, Doc.meta points at the segment list that
+// holds the document's embedded list node.
 type SLRU struct {
 	probation intlist.List[*Doc]
 	protected intlist.List[*Doc]
 	// maxProtected bounds the protected segment (in documents).
 	maxProtected int
-}
-
-// slruMeta records which segment a document is in.
-type slruMeta struct {
-	elem      *intlist.Element[*Doc]
-	protected bool
 }
 
 var _ Policy = (*SLRU)(nil)
@@ -41,30 +38,36 @@ func (*SLRU) Name() string { return "SLRU" }
 
 // Insert implements Policy: new documents enter probation.
 func (p *SLRU) Insert(doc *Doc) {
-	doc.meta = &slruMeta{elem: p.probation.PushFront(doc)}
+	p.enter(&p.probation, doc)
+}
+
+// enter links the document at the front of a segment and records which.
+func (p *SLRU) enter(segment *intlist.List[*Doc], doc *Doc) {
+	linkFront(segment, doc)
+	doc.meta = segment
+}
+
+// segmentOf returns the segment tracking the document, or nil when this
+// policy does not track it.
+func (p *SLRU) segmentOf(doc *Doc) *intlist.List[*Doc] {
+	if l, ok := doc.meta.(*intlist.List[*Doc]); ok && (l == &p.probation || l == &p.protected) {
+		return l
+	}
+	return nil
 }
 
 // Hit implements Policy: probationary documents are promoted; protected
 // documents refresh their recency.
 func (p *SLRU) Hit(doc *Doc) {
-	m, ok := doc.meta.(*slruMeta)
-	if !ok {
-		return
-	}
-	if m.protected {
-		p.protected.MoveToFront(m.elem)
-		return
-	}
-	p.probation.Remove(m.elem)
-	m.elem = p.protected.PushFront(doc)
-	m.protected = true
-	// Overflowing protected documents fall back to the top of probation.
-	for p.protected.Len() > p.maxProtected {
-		tail := p.protected.Back()
-		demoted := p.protected.Remove(tail)
-		if dm, ok := demoted.meta.(*slruMeta); ok {
-			dm.elem = p.probation.PushFront(demoted)
-			dm.protected = false
+	switch p.segmentOf(doc) {
+	case &p.protected:
+		p.protected.MoveToFront(&doc.elem)
+	case &p.probation:
+		p.probation.Remove(&doc.elem)
+		p.enter(&p.protected, doc)
+		// Overflowing protected documents fall back to the top of probation.
+		for p.protected.Len() > p.maxProtected {
+			p.enter(&p.probation, p.protected.Remove(p.protected.Back()))
 		}
 	}
 }
@@ -99,16 +102,10 @@ func (p *SLRU) Peek() (*Doc, bool) {
 
 // Remove implements Policy.
 func (p *SLRU) Remove(doc *Doc) {
-	m, ok := doc.meta.(*slruMeta)
-	if !ok {
-		return
+	if segment := p.segmentOf(doc); segment != nil {
+		segment.Remove(&doc.elem)
+		doc.meta = nil
 	}
-	if m.protected {
-		p.protected.Remove(m.elem)
-	} else {
-		p.probation.Remove(m.elem)
-	}
-	doc.meta = nil
 }
 
 // Len implements Policy.

@@ -15,9 +15,11 @@ import (
 // admission filter uses it as the frequency table behind its
 // admit-if-more-popular-than-the-victim test, aged with Halve.
 //
-// Entries are kept in an indexed min-heap, so Add is O(log k).
+// Entries are kept in an indexed min-heap, so Add is O(log k). Each entry
+// embeds its heap handle and a replacement reuses the victim's entry, so
+// a full table allocates nothing per Add.
 type SpaceSaving struct {
-	entries map[string]*pqueue.Item[*ssEntry]
+	entries map[string]*ssEntry
 	queue   pqueue.Queue[*ssEntry]
 	cap     int
 }
@@ -26,6 +28,7 @@ type ssEntry struct {
 	key   string
 	count int64
 	err   int64
+	item  pqueue.Item[*ssEntry] // Value points back at the entry
 }
 
 // Counter is one reported heavy hitter.
@@ -44,39 +47,43 @@ func NewSpaceSaving(capacity int) (*SpaceSaving, error) {
 		return nil, fmt.Errorf("sketch: space-saving capacity %d must be positive", capacity)
 	}
 	return &SpaceSaving{
-		entries: make(map[string]*pqueue.Item[*ssEntry], capacity),
+		entries: make(map[string]*ssEntry, capacity),
 		cap:     capacity,
 	}, nil
 }
 
 // Add counts one occurrence of key.
 func (s *SpaceSaving) Add(key string) {
-	if item, ok := s.entries[key]; ok {
-		item.Value.count++
-		s.queue.Update(item, float64(item.Value.count))
+	if e, ok := s.entries[key]; ok {
+		e.count++
+		s.queue.Update(&e.item, float64(e.count))
 		return
 	}
+	var e *ssEntry
 	if len(s.entries) < s.cap {
-		e := &ssEntry{key: key, count: 1}
-		s.entries[key] = s.queue.Push(e, 1)
-		return
+		e = &ssEntry{count: 1}
+		e.item.Value = e
+	} else {
+		victim, err := s.queue.PopMin()
+		if err != nil {
+			// Unreachable: cap > 0 implies a non-empty queue here.
+			return
+		}
+		// The newcomer takes over the victim's entry and heap handle.
+		e = victim.Value
+		delete(s.entries, e.key)
+		e.count, e.err = e.count+1, e.count
 	}
-	victim, err := s.queue.PopMin()
-	if err != nil {
-		// Unreachable: cap > 0 implies a non-empty queue here.
-		return
-	}
-	delete(s.entries, victim.Value.key)
-	e := &ssEntry{key: key, count: victim.Value.count + 1, err: victim.Value.count}
-	s.entries[key] = s.queue.Push(e, float64(e.count))
+	e.key = key
+	s.entries[key] = e
+	s.queue.Push(&e.item, float64(e.count))
 }
 
 // Top returns up to n heavy hitters ordered by descending estimated
 // count.
 func (s *SpaceSaving) Top(n int) []Counter {
 	out := make([]Counter, 0, len(s.entries))
-	for _, item := range s.entries {
-		e := item.Value
+	for _, e := range s.entries {
 		out = append(out, Counter{Key: e.key, Count: e.count, Err: e.err})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -95,11 +102,11 @@ func (s *SpaceSaving) Top(n int) []Counter {
 // currently tracked. Untracked keys report (0, false); their true count
 // is at most the current minimum in the table.
 func (s *SpaceSaving) Count(key string) (int64, bool) {
-	item, ok := s.entries[key]
+	e, ok := s.entries[key]
 	if !ok {
 		return 0, false
 	}
-	return item.Value.count, true
+	return e.count, true
 }
 
 // Halve ages the table by halving every count and error bound, dropping
@@ -120,16 +127,15 @@ func (s *SpaceSaving) Halve() {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		item := s.entries[key]
-		e := item.Value
+		e := s.entries[key]
 		e.count /= 2
 		e.err /= 2
 		if e.count == 0 {
-			s.queue.Remove(item)
+			s.queue.Remove(&e.item)
 			delete(s.entries, key)
 			continue
 		}
-		s.queue.Update(item, float64(e.count))
+		s.queue.Update(&e.item, float64(e.count))
 	}
 }
 

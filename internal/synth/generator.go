@@ -255,9 +255,12 @@ func (g *Generator) pickTarget() (*classState, int32, int32) {
 		doc    int32
 		client int32
 	)
+	// ref is the heap handle of the follow-up: the one just popped, when
+	// there is one, so a correlation chain reuses a single handle.
+	var ref *pqueue.Item[pendingRef]
 	if it, err := g.pending.Min(); err == nil && it.Priority() <= float64(g.emitted) {
-		popped, _ := g.pending.PopMin()
-		ci, doc, client = popped.Value.class, popped.Value.doc, popped.Value.client
+		ref, _ = g.pending.PopMin()
+		ci, doc, client = ref.Value.class, ref.Value.doc, ref.Value.client
 	} else {
 		u := g.rng.Float64() * g.classCum[len(g.classCum)-1]
 		ci = sort.SearchFloat64s(g.classCum, u)
@@ -272,7 +275,11 @@ func (g *Generator) pickTarget() (*classState, int32, int32) {
 	st := g.classes[ci]
 	if g.rng.Float64() < st.prof.CorrProb {
 		d := SampleStackDistance(g.rng, st.prof.Beta, g.maxDelay)
-		g.pending.Push(pendingRef{class: ci, doc: doc, client: client}, float64(g.emitted+d))
+		if ref == nil {
+			ref = new(pqueue.Item[pendingRef])
+		}
+		ref.Value = pendingRef{class: ci, doc: doc, client: client}
+		g.pending.Push(ref, float64(g.emitted+d))
 	}
 	return st, doc, client
 }

@@ -15,7 +15,11 @@ func FuzzParseSquidLine(f *testing.F) {
 	f.Add(`982347195.744 110 10.0.0.1 TCP_HIT/200 4512 GET http://e.com/a.gif - NONE/- image/gif`)
 	f.Add(`0.0 0 - TCP_MISS/000 - GET / - -/- -`)
 	f.Add("")
+	for _, line := range squidFieldLines {
+		f.Add(line)
+	}
 	f.Fuzz(func(t *testing.T, line string) {
+		checkSquidFields(t, line)
 		req, err := ParseSquidLine(line)
 		if err != nil {
 			return
@@ -29,6 +33,47 @@ func FuzzParseSquidLine(f *testing.F) {
 			t.Fatalf("parsed request failed to re-encode: %v", err)
 		}
 	})
+}
+
+// squidFieldLines are splitting edge cases: every ASCII space, leading and
+// trailing runs, fewer and more than ten fields, and the non-ASCII white
+// space (U+0085, U+00A0, U+2003, U+3000) only strings.Fields knows.
+var squidFieldLines = []string{
+	" \t a\vb\fc\rd\ne  ",
+	"1 2 3 4 5 6 7 8 9",
+	"1 2 3 4 5 6 7 8 9 10",
+	"1 2 3 4 5 6 7 8 9 10 ",
+	"1 2 3 4 5 6 7 8 9 10 11 12",
+	"1 2 3 4 5 6 7 8 9 10\u00a011",
+	"1\u00852\u00a03\u20034\u30005 6 7 8 9 10 11",
+	"1 2 3 4 5 6 http://e.com/\xff\xfe 8 9 10",
+	"\x00 \x1f \x7f",
+}
+
+// checkSquidFields holds the in-place splitter to strings.Fields: the same
+// fields up to the tenth, and the same count below ten.
+func checkSquidFields(t *testing.T, line string) {
+	t.Helper()
+	var got [squidFields]string
+	n := splitSquidFields(line, &got)
+	want := strings.Fields(line)
+	if len(want) > squidFields {
+		want = want[:squidFields]
+	}
+	if n != len(want) {
+		t.Fatalf("splitSquidFields(%q) found %d fields, strings.Fields %d", line, n, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("splitSquidFields(%q) field %d = %q, want %q", line, i, got[i], want[i])
+		}
+	}
+}
+
+func TestSplitSquidFieldsMatchesStringsFields(t *testing.T) {
+	for _, line := range squidFieldLines {
+		checkSquidFields(t, line)
+	}
 }
 
 func FuzzParseCLFLine(f *testing.F) {

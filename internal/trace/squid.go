@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Squid native access-log format, the format both traces of the paper were
@@ -55,11 +56,45 @@ func (sr *SquidReader) Next() (*Request, error) {
 	return nil, io.EOF
 }
 
+// squidFields is the number of fields of a native log line; anything after
+// the tenth is ignored.
+const squidFields = 10
+
+// splitSquidFields splits line around runs of white space, as
+// strings.Fields does, into fields — substrings of line, no slice
+// allocated — and returns how many it found, stopping at squidFields.
+func splitSquidFields(line string, fields *[squidFields]string) int {
+	n, start := 0, -1
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case c >= utf8.RuneSelf:
+			// Unicode has more white space than ASCII; real logs get here
+			// only through the odd unescaped URL.
+			return copy(fields[:], strings.Fields(line))
+		case c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
+			if start >= 0 {
+				fields[n] = line[start:i]
+				start = -1
+				if n++; n == squidFields {
+					return n
+				}
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		fields[n] = line[start:]
+		n++
+	}
+	return n
+}
+
 // ParseSquidLine decodes one Squid native access-log line.
 func ParseSquidLine(line string) (*Request, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 10 {
-		return nil, fmt.Errorf("%w: got %d, want >= 10", errFieldCount, len(fields))
+	var fields [squidFields]string
+	if n := splitSquidFields(line, &fields); n < squidFields {
+		return nil, fmt.Errorf("%w: got %d, want >= %d", errFieldCount, n, squidFields)
 	}
 	ts, err := parseSquidTimestamp(fields[0])
 	if err != nil {
