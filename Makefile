@@ -3,18 +3,22 @@
 
 GO ?= go
 
-.PHONY: build vet wcvet vet-json test race bench bench-check smoke check
+.PHONY: build fmt vet wcvet vet-json test race bench bench-check smoke lines check
 
 build:
 	$(GO) build ./...
+
+# Fails when any file is not gofmt-clean; `gofmt -l .` names them.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers — the simulator-contract checks (policymeta,
-# evictloop, floatcmp, clockmono, pkgdoc) and the concurrency-contract
-# checks (lockorder, atomicfield, ctxcancel, goroexit, errdrop) — plus
-# selected stock vet passes. See docs/ANALYZERS.md.
+# evictloop, floatcmp, clockmono) and the concurrency-contract checks
+# (lockorder, atomicfield, goroexit, errdrop) — plus selected stock vet
+# passes (lostcancel among them). See docs/ANALYZERS.md.
 wcvet:
 	$(GO) run ./cmd/wcvet ./...
 
@@ -59,4 +63,8 @@ bench-check:
 smoke:
 	bash scripts/smoke.sh all
 
-check: build vet wcvet vet-json test bench-check race
+# The figure ROADMAP item 1 tracks: non-test Go lines outside bench/.
+lines:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+check: build fmt vet wcvet vet-json test bench-check race

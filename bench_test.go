@@ -233,33 +233,6 @@ func BenchmarkSection44(b *testing.B) {
 	b.ReportMetric(rateAt(results, "GD*(P)", 1, htmlBHR), "gdstarP-html-bhr")
 }
 
-// BenchmarkAblationInflation compares GDS's O(1) inflation offset with the
-// paper's literal O(n) re-normalization (same eviction sequence, very
-// different cost).
-func BenchmarkAblationInflation(b *testing.B) {
-	f := getFixture(b, "dfn")
-	capacity := capacitiesFor(f.workload, 1)[0]
-	run := func(b *testing.B, factory policy.Factory) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			sim, err := core.NewSimulator(f.workload, core.Config{Capacity: capacity, Policy: factory})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim.Run(f.workload)
-		}
-	}
-	b.Run("inflation", func(b *testing.B) {
-		run(b, policy.MustFactory(policy.Spec{Scheme: "gds"}))
-	})
-	b.Run("renormalize", func(b *testing.B) {
-		run(b, policy.Factory{
-			Name: "GDS-renorm(1)",
-			New:  func() policy.Policy { return policy.NewGDSRenorm(policy.ConstantCost{}) },
-		})
-	})
-}
-
 // BenchmarkAblationBeta compares GD*'s online β estimation with fixed
 // exponents.
 func BenchmarkAblationBeta(b *testing.B) {

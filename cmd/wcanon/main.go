@@ -9,7 +9,7 @@
 // Usage:
 //
 //	wcanon -i access.log[.gz] -o anon.log[.gz] [-salt secret]
-//	       [-keep-host] [-format auto|squid|interned|clf|wct3]
+//	       [-keep-host] [-format auto|squid|interned|wct3]
 //
 // With -format wct3 the output is a WCT3 columnar workload (.wci3): the
 // trace is preprocessed into its final simulation form (cacheability
@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 		outPath  = fs.String("o", "", "output trace path")
 		salt     = fs.String("salt", "", "hash salt (vary it so mappings cannot be joined across traces)")
 		keepHost = fs.Bool("keep-host", false, "preserve the URL host, hashing only the path")
-		formatN  = fs.String("format", "auto", "output format: auto, squid, interned, clf, wct3 (columnar workload)")
+		formatN  = fs.String("format", "auto", "output format: auto, squid, interned, wct3 (columnar workload)")
 		passthru = fs.Bool("passthrough", false, "skip the anonymizing rewrite (input is already sanitized); format conversion only")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -73,13 +73,13 @@ func run(args []string, out io.Writer) error {
 
 	anon := newAnonymizer(*salt, *keepHost)
 	if format == trace.FormatColumnar {
-		return writeColumnar(out, r, anon, *passthru, *outPath)
+		return writeColumnar(out, r, anon, *passthru, *inPath, *outPath)
 	}
 	w, err := trace.CreateFile(*outPath, format)
 	if err != nil {
 		return err
 	}
-	var n int64
+	var n, malformed int64
 	for {
 		req, err := r.Next()
 		if err != nil {
@@ -88,7 +88,8 @@ func run(args []string, out io.Writer) error {
 			}
 			var pe *trace.ParseError
 			if errors.As(err, &pe) {
-				continue // skip malformed lines, like the preprocessing does
+				malformed++ // skip malformed lines, like the preprocessing does
+				continue
 			}
 			_ = w.Close()
 			return err
@@ -105,6 +106,9 @@ func run(args []string, out io.Writer) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
+	if n == 0 {
+		return fmt.Errorf("%s: no requests parsed (%d malformed lines)", *inPath, malformed)
+	}
 	fmt.Fprintf(out, "anonymized %d requests (%d distinct URLs) into %s\n",
 		n, len(anon.urls), *outPath)
 	return nil
@@ -115,12 +119,14 @@ func run(args []string, out io.Writer) error {
 // path) and writes it as a WCT3 columnar file. Malformed lines are
 // skipped and, unless passthrough is set, each request is scrubbed first
 // so the emitted string table carries only anonymized URLs.
-func writeColumnar(out io.Writer, r trace.Reader, anon *anonymizer, passthrough bool, outPath string) error {
-	var src trace.Reader = &scrubReader{r: r, anon: anon, passthrough: passthrough}
-	src = trace.NewFilterReader(src)
-	w, err := core.BuildWorkload(src, 0)
+func writeColumnar(out io.Writer, r trace.Reader, anon *anonymizer, passthrough bool, inPath, outPath string) error {
+	filter := trace.NewFilterReader(&scrubReader{r: r, anon: anon, passthrough: passthrough})
+	w, err := core.BuildWorkload(filter, 0)
 	if err != nil {
 		return err
+	}
+	if filter.Stats().Parsed() == 0 {
+		return fmt.Errorf("%s: no requests parsed (%d malformed lines)", inPath, filter.Stats().Malformed)
 	}
 	if err := w.WriteColumnar(outPath); err != nil {
 		return err
@@ -130,9 +136,9 @@ func writeColumnar(out io.Writer, r trace.Reader, anon *anonymizer, passthrough 
 	return nil
 }
 
-// scrubReader adapts the record stream for workload building: malformed
-// lines are dropped (as the preprocessing step does) and requests are
-// anonymized in flight unless passthrough is set.
+// scrubReader adapts the record stream for workload building: requests
+// are anonymized in flight unless passthrough is set. Parse errors pass
+// through for the filter above to skip and count.
 type scrubReader struct {
 	r           trace.Reader
 	anon        *anonymizer
@@ -140,20 +146,14 @@ type scrubReader struct {
 }
 
 func (s *scrubReader) Next() (*trace.Request, error) {
-	for {
-		req, err := s.r.Next()
-		if err != nil {
-			var pe *trace.ParseError
-			if errors.As(err, &pe) {
-				continue
-			}
-			return nil, err
-		}
-		if !s.passthrough {
-			s.anon.scrub(req)
-		}
-		return req, nil
+	req, err := s.r.Next()
+	if err != nil {
+		return nil, err
 	}
+	if !s.passthrough {
+		s.anon.scrub(req)
+	}
+	return req, nil
 }
 
 // anonymizer rewrites identifying fields with stable tokens.

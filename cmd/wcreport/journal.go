@@ -58,10 +58,6 @@ func summarizeJournal(path string, out io.Writer, markdown bool) error {
 				path, len(start.Policies), len(start.Capacities),
 				start.Requests, start.Documents, start.Parallelism)
 		}
-		if start.SampleRate > 0 {
-			fmt.Fprintf(out, "note: approximate sweep — spatial document sampling at R=%.4g, capacities scaled to match\n",
-				start.SampleRate)
-		}
 		fmt.Fprintln(out)
 	}
 	for _, m := range mrcPasses {

@@ -6,23 +6,30 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the e2e golden file")
 
-// goRun executes one of the sibling commands through `go run`, from the
-// module root.
-func goRun(t *testing.T, pkg string, args ...string) string {
-	t.Helper()
+// goRunErr executes one of the sibling commands through `go run`, from
+// the module root, and returns its combined output and exit error.
+func goRunErr(pkg string, args ...string) (string, error) {
 	cmd := exec.Command("go", append([]string{"run", "webcachesim/cmd/" + pkg}, args...)...)
 	cmd.Dir = filepath.Join("..", "..")
 	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// goRun is goRunErr for a command that must succeed.
+func goRun(t *testing.T, pkg string, args ...string) string {
+	t.Helper()
+	out, err := goRunErr(pkg, args...)
 	if err != nil {
 		t.Fatalf("go run %s %v: %v\n%s", pkg, args, err, out)
 	}
-	return string(out)
+	return out
 }
 
 // TestEndToEndInternedRoundTrip drives the full toolchain over the interned
@@ -90,6 +97,49 @@ func TestEndToEndInternedRoundTrip(t *testing.T) {
 	for _, want := range []string{"2 policies × 2 capacities", "sweep total: 4 cells"} {
 		if !strings.Contains(reportOut, want) {
 			t.Errorf("wcreport journal summary missing %q:\n%s", want, reportOut)
+		}
+	}
+}
+
+// TestUnparseableTraceIsAnError: a file none of whose lines decode — an
+// origin-server CLF log, or plain garbage — must make every trace-reading
+// command exit non-zero naming the file, not report an empty workload.
+func TestUnparseableTraceIsAnError(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool not in PATH")
+	}
+	dir := t.TempDir()
+	fixtures := map[string]string{
+		"clf.log": `10.0.0.1 - - [10/Oct/2000:13:55:36 -0700] "GET /a.gif HTTP/1.0" 200 2326
+10.0.0.2 - - [10/Oct/2000:13:55:37 -0700] "GET /b.html HTTP/1.0" 200 512
+`,
+		"garbage.log": "not a trace\nat all\nreally\n",
+	}
+	for name, body := range fixtures {
+		path, err := filepath.Abs(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := path + ": no requests parsed (" + strconv.Itoa(strings.Count(body, "\n")) + " malformed lines)"
+		for _, tc := range []struct {
+			pkg  string
+			args []string
+		}{
+			{"wcsim", []string{"-trace", path}},
+			{"wcstat", []string{path}},
+			{"wcanon", []string{"-i", path, "-o", filepath.Join(dir, "out.log")}},
+			{"wcanon", []string{"-i", path, "-o", filepath.Join(dir, "out.wci3")}},
+		} {
+			out, err := goRunErr(tc.pkg, tc.args...)
+			if err == nil {
+				t.Errorf("%s %s: exit 0, want a failure\n%s", tc.pkg, name, out)
+			}
+			if !strings.Contains(out, want) {
+				t.Errorf("%s %s: output lacks %q:\n%s", tc.pkg, name, want, out)
+			}
 		}
 	}
 }

@@ -8,9 +8,8 @@
 //	      [-admissions none,tinylfu,arc-ghost]
 //	      [-sizes 64MB,256MB,1GB | -size-pcts 0.5,1,2,4] [-warmup 0.1]
 //	      [-by-class] [-csv] [-occupancy N] [-check] [-journal run.jsonl]
-//	      [-sample-rate 0.125]
 //
-// The trace may be a record stream (squid, CLF, .wci interned) or a WCT3
+// The trace may be a record stream (squid, .wci interned) or a WCT3
 // columnar workload (.wci3, produced by wcanon -format wct3), which is
 // memory-mapped and replayed without any parse or build step.
 package main
@@ -58,7 +57,6 @@ func run(args []string, out io.Writer) error {
 		par      = fs.Int("parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		check    = fs.Bool("check", false, "run policies under the runtime contract checker (slower; aborts on the first violation)")
 		journal  = fs.String("journal", "", "write a JSONL run journal (progress, throughput, wall-clock per cell) to this path; summarize with wcreport -journal")
-		sample   = fs.Float64("sample-rate", 0, "simulate only this fraction of documents (spatial hash sampling, 0<R<1) with capacities scaled to match; results are approximate (docs/MRC.md)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,9 +83,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if *sample < 0 || *sample > 1 {
-		return fmt.Errorf("-sample-rate %v must be within [0, 1] (0 disables, 1 is a full replay)", *sample)
-	}
 	sweepCfg := core.SweepConfig{
 		Policies:       factories,
 		Admissions:     admitters,
@@ -95,7 +90,6 @@ func run(args []string, out io.Writer) error {
 		WarmupFraction: *warmup,
 		Parallelism:    *par,
 		SelfCheck:      *check,
-		SampleRate:     *sample,
 	}
 	var journalFile *os.File
 	if *journal != "" {
@@ -117,10 +111,6 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "trace: %s — %d requests, %d distinct documents, %.2f GB\n\n",
 		*tracePath, w.NumRequests(), w.NumDocs(), float64(w.DistinctBytes())/(1<<30))
-	if len(results) > 0 && results[0].SampleRate > 0 {
-		fmt.Fprintf(out, "note: approximate results — spatial document sampling at R=%.4g, capacities scaled to match\n\n",
-			results[0].SampleRate)
-	}
 
 	// The Admission column only appears when a filter was actually
 	// configured, so existing -csv consumers (and the golden e2e output)
@@ -314,10 +304,15 @@ func loadWorkload(paths string, raw bool) (*core.Workload, func(), error) {
 	} else {
 		src = trace.NewMergeReader(readers...)
 	}
+	var filter *trace.FilterReader
 	if !raw {
-		src = trace.NewFilterReader(src)
+		filter = trace.NewFilterReader(src)
+		src = filter
 	}
 	w, err := core.BuildWorkload(src, 0)
+	if err == nil && filter != nil && filter.Stats().Parsed() == 0 {
+		err = fmt.Errorf("%s: no requests parsed (%d malformed lines)", paths, filter.Stats().Malformed)
+	}
 	return w, noop, err
 }
 

@@ -32,10 +32,9 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("wcstat", flag.ContinueOnError)
 	var (
-		raw    = fs.Bool("raw", false, "skip the cacheability preprocessing filter")
-		csv    = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		approx = fs.Bool("approx", false, "bounded-memory sketch-based characterization (no β; for traces larger than memory)")
-		hist   = fs.Bool("hist", false, "render per-class transfer-size histograms")
+		raw  = fs.Bool("raw", false, "skip the cacheability preprocessing filter")
+		csv  = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		hist = fs.Bool("hist", false, "render per-class transfer-size histograms")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -44,14 +43,14 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("usage: wcstat [-raw] [-csv] trace...")
 	}
 	for _, path := range fs.Args() {
-		if err := statOne(path, *raw, *csv, *approx, *hist, out); err != nil {
+		if err := statOne(path, *raw, *csv, *hist, out); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return nil
 }
 
-func statOne(path string, raw, csv, approx, hist bool, out io.Writer) error {
+func statOne(path string, raw, csv, hist bool, out io.Writer) error {
 	fr, err := trace.OpenFile(path, trace.FormatAuto)
 	if err != nil {
 		return err
@@ -70,14 +69,12 @@ func statOne(path string, raw, csv, approx, hist bool, out io.Writer) error {
 		tee = &sizeTee{src: src}
 		src = tee
 	}
-	var c *analyze.Characterization
-	if approx {
-		c, err = analyze.CharacterizeApprox(src, path, analyze.ApproxOptions{})
-	} else {
-		c, err = analyze.Characterize(src, path)
-	}
+	c, err := analyze.Characterize(src, path)
 	if err != nil {
 		return err
+	}
+	if filter != nil && filter.Stats().Parsed() == 0 {
+		return fmt.Errorf("no requests parsed (%d malformed lines)", filter.Stats().Malformed)
 	}
 
 	render := func(t *report.Table) {

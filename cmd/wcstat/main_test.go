@@ -79,22 +79,6 @@ func TestRunCSVMode(t *testing.T) {
 	}
 }
 
-func TestRunApprox(t *testing.T) {
-	path := writeTestTrace(t, trace.FormatInterned)
-	var sb strings.Builder
-	if err := run([]string{"-approx", path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "Distinct Documents") {
-		t.Error("approx output missing totals")
-	}
-	// β is not estimable in the bounded-memory pass.
-	if !strings.Contains(out, "n/a") {
-		t.Error("approx output should mark β as n/a")
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{}, &sb); err == nil {

@@ -1,10 +1,11 @@
 // Command wcvet is the project's static-analysis multichecker: it runs
 // the webcachesim-specific analyzers — the simulator-contract checks
-// (policymeta, evictloop, floatcmp, clockmono, pkgdoc) and the
+// (policymeta, evictloop, floatcmp, clockmono) and the
 // concurrency-contract checks for the sharded serving path (lockorder,
-// atomicfield, ctxcancel, goroexit, errdrop) — plus a selection of stock
-// go vet passes over the given packages. See internal/lint and
-// docs/ANALYZERS.md.
+// atomicfield, goroexit, errdrop) — plus a selection of stock go vet
+// passes over the given packages (lostcancel among them: the all-paths
+// check that every context cancel function is used). See internal/lint
+// and docs/ANALYZERS.md.
 //
 // Usage:
 //
@@ -51,7 +52,7 @@ func main() {
 // project-specific ones.
 var govetPasses = []string{
 	"-printf", "-copylocks", "-atomic", "-bools",
-	"-nilfunc", "-stdmethods", "-unreachable", "-unusedresult",
+	"-nilfunc", "-stdmethods", "-unreachable", "-unusedresult", "-lostcancel",
 }
 
 // jsonDiagnostic is one unsuppressed finding in -json output.

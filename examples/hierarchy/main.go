@@ -39,27 +39,26 @@ func run() error {
 	lru := policy.MustFactory(policy.Spec{Scheme: "lru"})
 	gdsp := policy.MustFactory(policy.Spec{Scheme: "gdstar", Cost: policy.PacketCost{}})
 
-	var upstream []*trace.Request
 	h, err := hierarchy.New(
 		[]hierarchy.LevelConfig{
 			{Name: "institutional (LRU, 16 MB)", Capacity: 16 << 20, Policy: lru},
 			{Name: "backbone (GD*(P), 64 MB)", Capacity: 64 << 20, Policy: gdsp},
 		},
 		0,
-		hierarchy.WithMissTap(func(r *trace.Request) {
-			cp := *r
-			upstream = append(upstream, &cp)
-		}),
 	)
 	if err != nil {
 		return err
 	}
-	if err := h.Run(trace.NewSliceReader(reqs)); err != nil {
-		return err
+	// What misses every level is the stream an origin would see.
+	var upstream []*trace.Request
+	for _, r := range reqs {
+		if h.Process(r) < 0 {
+			upstream = append(upstream, r)
+		}
 	}
 
 	fmt.Printf("%-28s %10s %8s %8s\n", "level", "requests", "HR", "BHR")
-	for _, lr := range h.Results() {
+	for _, lr := range h.Results().Levels() {
 		o := lr.Result.Overall
 		fmt.Printf("%-28s %10d %8.4f %8.4f\n", lr.Name, o.Requests, o.HitRate(), o.ByteHitRate())
 	}

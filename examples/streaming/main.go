@@ -1,8 +1,7 @@
 // Streaming shows the large-trace path: a trace is written to disk, then
 // simulated straight from the file — one pass, constant memory apart from
-// the document table — using core.StreamSimulator, and characterized with
-// the sketch-based bounded-memory pass. This is the pipeline a user with a
-// multi-gigabyte Squid log would run.
+// the document table — using core.StreamSimulator. This is the pipeline a
+// user with a multi-gigabyte Squid log would run.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -13,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"webcachesim/internal/analyze"
 	"webcachesim/internal/core"
 	"webcachesim/internal/policy"
 	"webcachesim/internal/synth"
@@ -83,20 +81,5 @@ func run() error {
 		fmt.Printf("%-8s hr=%.4f bhr=%.4f evictions=%d\n",
 			r.Policy, r.Overall.HitRate(), r.Overall.ByteHitRate(), r.Evictions)
 	}
-
-	// 3. Characterize the same file with bounded memory.
-	fr, err := trace.OpenFile(path, trace.FormatAuto)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_ = fr.Close()
-	}()
-	c, err := analyze.CharacterizeApprox(fr, "big", analyze.ApproxOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nsketch characterization: ≈%d distinct documents, %.2f GB requested\n",
-		c.DistinctDocs, float64(c.ReqBytes)/(1<<30))
 	return nil
 }

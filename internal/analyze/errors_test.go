@@ -19,10 +19,3 @@ func TestCharacterizePropagatesReaderError(t *testing.T) {
 		t.Errorf("got %v, want wrapped errBoom", err)
 	}
 }
-
-func TestCharacterizeApproxPropagatesReaderError(t *testing.T) {
-	_, err := analyze.CharacterizeApprox(&failingReader{err: errBoom}, "x", analyze.ApproxOptions{})
-	if !errors.Is(err, errBoom) {
-		t.Errorf("got %v, want wrapped errBoom", err)
-	}
-}

@@ -176,18 +176,15 @@ func benchGridCapacities() []int64 {
 	return caps
 }
 
-// BenchmarkSweepGridFast runs a 6-policy × 8-capacity sweep in its fast
-// configuration: LRU cells collapse into one exact stack-distance scan,
-// and the heap policies replay a 1/8 spatial document sample against
-// scaled capacities. Exact-mode fidelity is pinned by
-// TestSweepMRCFastPathMatchesPerCell and sampling error by
-// TestSweepSampledApproximatesExact.
+// BenchmarkSweepGridFast runs a 6-policy × 8-capacity sweep: LRU cells
+// collapse into one exact stack-distance scan (fidelity pinned by
+// TestSweepMRCFastPathMatchesPerCell) and the heap policies replay per
+// cell.
 func BenchmarkSweepGridFast(b *testing.B) {
 	w := benchCleanWorkload(b)
 	cfg := SweepConfig{
 		Policies:   policy.StudyFactories(),
 		Capacities: benchGridCapacities(),
-		SampleRate: 0.125,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -68,9 +68,6 @@ type JournalRecord struct {
 	Cells       int      `json:"cells,omitempty"`
 	// Documents is the workload's distinct-document count (sweep_start).
 	Documents int64 `json:"documents,omitempty"`
-	// SampleRate is the document sampling rate of an approximate sweep
-	// (sweep_start; zero for exact sweeps).
-	SampleRate float64 `json:"sampleRate,omitempty"`
 
 	// Policy, Admission and Capacity identify the cell (run_start,
 	// progress, run_end); Admission is empty when the cell ran without a

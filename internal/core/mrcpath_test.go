@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -64,10 +63,11 @@ func TestSweepMRCFastPathMatchesPerCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// SelfCheck forces every cell, LRU included, through per-cell replay.
 	slow, err := Sweep(w, SweepConfig{
 		Policies:   cfg.Policies,
 		Capacities: caps,
-		PerCellLRU: true,
+		SelfCheck:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestSweepMRCFastPathMatchesPerCell(t *testing.T) {
 func TestSweepMRCPropertyRandomTraces(t *testing.T) {
 	lru := policy.StudyFactories()[:1]
 	for trial := 0; trial < 8; trial++ {
-		spread := float64(trial%2) // alternate uniform / heavy-tailed sizes
+		spread := float64(trial % 2) // alternate uniform / heavy-tailed sizes
 		w := cleanWorkload(t, 4000, 60+40*trial, int64(100+trial), spread)
 		caps := []int64{
 			w.MaxDocSize() + 1 + int64(trial)*10_000,
@@ -128,7 +128,7 @@ func TestSweepMRCPropertyRandomTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := Sweep(w, SweepConfig{Policies: lru, Capacities: caps, PerCellLRU: true})
+		slow, err := Sweep(w, SweepConfig{Policies: lru, Capacities: caps, SelfCheck: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,84 +140,6 @@ func TestSweepMRCPropertyRandomTraces(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSweepSampleRateOnePassthrough pins the regression contract: a rate
-// of 1 (or 0, or anything outside (0,1)) must reproduce the unsampled
-// sweep bit for bit — no annotation, no capacity scaling, no resampled
-// workload.
-func TestSweepSampleRateOnePassthrough(t *testing.T) {
-	w := cleanWorkload(t, 6000, 200, 9, 1)
-	cfg := SweepConfig{
-		Policies:   policy.StudyFactories()[:3],
-		Capacities: []int64{100_000, 500_000},
-	}
-	exact, err := Sweep(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rate := range []float64{1, 0, 2, -0.5} {
-		cfg.SampleRate = rate
-		got, err := Sweep(w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, exact) {
-			t.Errorf("SampleRate=%v diverges from the unsampled sweep", rate)
-		}
-	}
-}
-
-// TestSweepSampledApproximatesExact measures sampled-mode error on a
-// synthetic trace: hit rates at rate 0.25 must land near the exact ones,
-// and every result must carry the approximation annotation.
-func TestSweepSampledApproximatesExact(t *testing.T) {
-	w := cleanWorkload(t, 60_000, 2500, 17, 1)
-	caps := []int64{1_000_000, 4_000_000, 16_000_000}
-	cfg := SweepConfig{Policies: policy.StudyFactories(), Capacities: caps}
-	exact, err := Sweep(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.SampleRate = 0.25
-	sampled, err := Sweep(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sampled) != len(exact) {
-		t.Fatalf("result counts differ: %d vs %d", len(sampled), len(exact))
-	}
-	var worst float64
-	for i := range sampled {
-		s, e := sampled[i], exact[i]
-		if s.Policy != e.Policy || s.Capacity != e.Capacity {
-			t.Fatalf("result %d: grid mismatch (%s@%d vs %s@%d)",
-				i, s.Policy, s.Capacity, e.Policy, e.Capacity)
-		}
-		if s.SampleRate != 0.25 {
-			t.Errorf("%s @%d: SampleRate %v, want 0.25", s.Policy, s.Capacity, s.SampleRate)
-		}
-		if want := int64(0.25 * float64(s.Capacity)); s.SampledCapacity != want {
-			t.Errorf("%s @%d: SampledCapacity %d, want %d", s.Policy, s.Capacity, s.SampledCapacity, want)
-		}
-		for _, d := range []float64{
-			s.Overall.HitRate() - e.Overall.HitRate(),
-			s.Overall.ByteHitRate() - e.Overall.ByteHitRate(),
-		} {
-			if a := math.Abs(d); a > worst {
-				worst = a
-			}
-		}
-	}
-	// Sampling error shrinks with the document population (SHARDS reports
-	// well under a point at realistic trace sizes); ~2500 documents at
-	// R=0.25 keeps this deterministic fixture within a few points. The
-	// logged figure is the measured exact-vs-sampled error on this
-	// synthetic trace.
-	t.Logf("worst |sampled-exact| rate delta: %.4f", worst)
-	if worst > 0.05 {
-		t.Errorf("sampled sweep error %.4f exceeds 0.05", worst)
 	}
 }
 
@@ -237,44 +159,5 @@ func TestSweepRejectsBadPolicySets(t *testing.T) {
 	}
 	if _, err := Sweep(w, nilNew); err == nil {
 		t.Error("nil policy constructor accepted")
-	}
-}
-
-func TestWorkloadSampleDeterministicSubset(t *testing.T) {
-	w := cleanWorkload(t, 5000, 300, 5, 1)
-	s1, s2 := w.Sample(0.5), w.Sample(0.5)
-	if s1 == w || s1.NumDocs() == 0 || s1.NumDocs() >= w.NumDocs() {
-		t.Fatalf("sample kept %d of %d docs", s1.NumDocs(), w.NumDocs())
-	}
-	if !reflect.DeepEqual(s1, s2) {
-		t.Error("sampling is not deterministic")
-	}
-	if w.Sample(1) != w || w.Sample(0) != w {
-		t.Error("rates outside (0,1) must return the receiver")
-	}
-	// Every sampled document must exist in the parent with the same class
-	// and final size, and the request totals must be internally
-	// consistent.
-	var distinct int64
-	for id := int32(0); id < int32(s1.NumDocs()); id++ {
-		url := s1.Key(id)
-		pid, ok := w.DocID(url)
-		if !ok {
-			t.Fatalf("sampled doc %q missing from parent", url)
-		}
-		if s1.DocClass(id) != w.DocClass(pid) || s1.FinalSize(id) != w.FinalSize(pid) {
-			t.Errorf("doc %q: class/size diverge from parent", url)
-		}
-		distinct += s1.FinalSize(id)
-	}
-	if distinct != s1.DistinctBytes() {
-		t.Errorf("DistinctBytes %d, want %d", s1.DistinctBytes(), distinct)
-	}
-	var transfer int64
-	for i := 0; i < s1.NumRequests(); i++ {
-		transfer += s1.Event(i).TransferSize
-	}
-	if transfer != s1.TotalBytes() {
-		t.Errorf("TotalBytes %d, want %d", s1.TotalBytes(), transfer)
 	}
 }

@@ -111,11 +111,4 @@ type Result struct {
 	// GhostHits counts admissions granted because the candidate was found
 	// in a ghost directory of recently evicted documents.
 	GhostHits int64 `json:"ghostHits,omitempty"`
-	// SampleRate, when nonzero, marks an approximate result computed from
-	// a spatially hash-sampled fraction of the workload's documents (see
-	// SweepConfig.SampleRate); SampledCapacity is the scaled-down
-	// capacity actually simulated, while Capacity always names the
-	// configured full-trace size.
-	SampleRate      float64 `json:"sampleRate,omitempty"`
-	SampledCapacity int64   `json:"sampledCapacity,omitempty"`
 }

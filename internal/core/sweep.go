@@ -38,17 +38,6 @@ type SweepConfig struct {
 	Parallelism int
 	// SelfCheck is passed through to each run (see Config).
 	SelfCheck bool
-	// SampleRate, when in (0, 1), replays only a spatially hash-sampled
-	// fraction of the documents against capacities scaled by the rate
-	// (see Workload.Sample). Results are approximate — each carries the
-	// rate and the scaled capacity actually simulated — but cost shrinks
-	// roughly in proportion to the rate. Values outside (0, 1) replay the
-	// full trace exactly.
-	SampleRate float64
-	// PerCellLRU forces LRU cells through per-cell simulation even when
-	// the one-pass MRC engine would produce identical results. Meant for
-	// cross-checks of the fast path; leave false otherwise.
-	PerCellLRU bool
 	// Journal, when set, receives the sweep's run journal: one JSON
 	// object per line recording grid shape, per-run progress ticks,
 	// throughput and wall-clock cost (see JournalRecord and
@@ -75,8 +64,8 @@ type SweepConfig struct {
 // a policy's capacities are then computed from a single scan instead of
 // one full replay per cell. The fast path requires more than one
 // capacity, no occupancy sampling, no self-checking, and a stream passing
-// Workload.MRCExact; PerCellLRU disables it. The journal records an
-// mrc_pass event for each policy served this way.
+// Workload.MRCExact. The journal records an mrc_pass event for each
+// policy served this way.
 func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 	if len(cfg.Policies) == 0 {
 		return nil, errBadConfig("no policies")
@@ -128,23 +117,7 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 		}
 	}
 
-	// Sampled mode: replay the hash-selected documents against
-	// proportionally scaled capacities.
-	rate := cfg.SampleRate
-	sampled := rate > 0 && rate < 1
-	runW, runCaps := w, cfg.Capacities
-	if sampled {
-		runW = w.Sample(rate)
-		runCaps = make([]int64, len(cfg.Capacities))
-		for i, c := range cfg.Capacities {
-			sc := int64(rate * float64(c))
-			if sc < 1 {
-				sc = 1
-			}
-			runCaps[i] = sc
-		}
-	}
-	warmup, err := resolveWarmup(cfg.WarmupFraction, runW.NumRequests())
+	warmup, err := resolveWarmup(cfg.WarmupFraction, w.NumRequests())
 	if err != nil {
 		return nil, err
 	}
@@ -152,16 +125,16 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 	// Decide which policies the MRC engine serves. The type probe (rather
 	// than a name match) keeps renamed LRU factories on the fast path and
 	// wrapped ones — TypeAware(LRU), Checked(LRU) — off it.
-	minCap := runCaps[0]
-	for _, c := range runCaps[1:] {
+	minCap := cfg.Capacities[0]
+	for _, c := range cfg.Capacities[1:] {
 		if c < minCap {
 			minCap = c
 		}
 	}
 	viaMRC := make([]bool, len(cfg.Policies))
 	anyMRC := false
-	if !cfg.PerCellLRU && cfg.SampleEvery == 0 && !cfg.SelfCheck &&
-		len(cfg.Capacities) > 1 && runW.MRCExact(minCap) {
+	if cfg.SampleEvery == 0 && !cfg.SelfCheck &&
+		len(cfg.Capacities) > 1 && w.MRCExact(minCap) {
 		for i, f := range cfg.Policies {
 			if _, ok := f.New().(*policy.LRU); ok {
 				viaMRC[i] = true
@@ -204,8 +177,8 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 		if cellViaMRC(c) {
 			continue
 		}
-		sim, err := NewSimulator(runW, Config{
-			Capacity:       runCaps[c.capIdx],
+		sim, err := NewSimulator(w, Config{
+			Capacity:       cfg.Capacities[c.capIdx],
 			Policy:         cfg.Policies[c.policyIdx],
 			WarmupFraction: cfg.WarmupFraction,
 			SampleEvery:    cfg.SampleEvery,
@@ -236,7 +209,7 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 	if now == nil {
 		now = time.Now
 	}
-	tickEvery := journalTickEvery(cfg, int64(runW.NumRequests()))
+	tickEvery := journalTickEvery(cfg, int64(w.NumRequests()))
 	if cfg.Journal != nil {
 		jw = newJournalWriter(cfg.Journal, now)
 		names := make([]string, len(cfg.Policies))
@@ -255,11 +228,10 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 			Policies:    names,
 			Admissions:  admNames,
 			Capacities:  cfg.Capacities,
-			SampleRate:  cfg.SampleRate,
 			Parallelism: parallelism,
 			Cells:       len(cells),
-			Requests:    int64(runW.NumRequests()),
-			Documents:   int64(runW.NumDocs()),
+			Requests:    int64(w.NumRequests()),
+			Documents:   int64(w.NumDocs()),
 		})
 	}
 	sweepStart := now()
@@ -275,8 +247,8 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 		go func() {
 			defer mrcWG.Done()
 			start := now()
-			curves, err := mrc.ComputeLRU(mrcSource{runW}, mrc.Config{
-				Capacities:     runCaps,
+			curves, err := mrc.ComputeLRU(mrcSource{w}, mrc.Config{
+				Capacities:     cfg.Capacities,
 				WarmupRequests: warmup,
 			})
 			if err != nil {
@@ -288,14 +260,14 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 				mrcCurves[cv.Capacity] = cv
 			}
 			if jw != nil {
-				elapsedMs, rps := throughput(int64(runW.NumRequests()), now().Sub(start))
+				elapsedMs, rps := throughput(int64(w.NumRequests()), now().Sub(start))
 				for i, f := range cfg.Policies {
 					if viaMRC[i] {
 						jw.emit(JournalRecord{
 							Event:          JournalMRCPass,
 							Policy:         f.Name,
-							Capacities:     runCaps,
-							Requests:       int64(runW.NumRequests()),
+							Capacities:     cfg.Capacities,
+							Requests:       int64(w.NumRequests()),
 							ElapsedMs:      elapsedMs,
 							RequestsPerSec: rps,
 						})
@@ -319,9 +291,9 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 				sim := sims[i]
 				sims[i] = nil
 				if jw != nil {
-					results[i] = runJournaled(sim, runW, jw, tickEvery, now)
+					results[i] = runJournaled(sim, w, jw, tickEvery, now)
 				} else {
-					results[i] = sim.Run(runW)
+					results[i] = sim.Run(w)
 				}
 			}
 		}()
@@ -340,24 +312,15 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 
 	for i, c := range cells {
 		if cellViaMRC(c) {
-			results[i] = mrcResult(mrcCurves[runCaps[c.capIdx]],
+			results[i] = mrcResult(mrcCurves[cfg.Capacities[c.capIdx]],
 				cfg.Policies[c.policyIdx].Name, warmup)
-		}
-	}
-	if sampled {
-		// Results report the configured full-trace capacity; the scaled
-		// capacity actually simulated and the rate mark them approximate.
-		for i, c := range cells {
-			results[i].SampleRate = rate
-			results[i].SampledCapacity = runCaps[c.capIdx]
-			results[i].Capacity = cfg.Capacities[c.capIdx]
 		}
 	}
 
 	if jw != nil {
-		replayed := int64(perCellRuns) * int64(runW.NumRequests())
+		replayed := int64(perCellRuns) * int64(w.NumRequests())
 		if anyMRC {
-			replayed += int64(runW.NumRequests()) // the one MRC scan
+			replayed += int64(w.NumRequests()) // the one MRC scan
 		}
 		elapsedMs, rps := throughput(replayed, now().Sub(sweepStart))
 		jw.emit(JournalRecord{

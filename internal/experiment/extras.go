@@ -59,7 +59,6 @@ func (e *Env) runFiltering() (*Output, error) {
 		if childCap < 1<<20 {
 			childCap = 1 << 20
 		}
-		var missStream []*trace.Request
 		h, err := hierarchy.New(
 			[]hierarchy.LevelConfig{{
 				Name:     "institutional",
@@ -67,16 +66,15 @@ func (e *Env) runFiltering() (*Output, error) {
 				Policy:   policy.MustFactory(policy.Spec{Scheme: "lru"}),
 			}},
 			0,
-			hierarchy.WithMissTap(func(r *trace.Request) {
-				cp := *r
-				missStream = append(missStream, &cp)
-			}),
 		)
 		if err != nil {
 			return nil, err
 		}
-		if err := h.Run(trace.NewSliceReader(reqs)); err != nil {
-			return nil, err
+		var missStream []*trace.Request
+		for _, r := range reqs {
+			if h.Process(r) < 0 {
+				missStream = append(missStream, r)
+			}
 		}
 		after, err := analyze.Characterize(trace.NewSliceReader(missStream), profile+"-filtered")
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"webcachesim/internal/cluster"
 	"webcachesim/internal/core"
+	"webcachesim/internal/policy"
 	"webcachesim/internal/trace"
 )
 
@@ -20,7 +21,7 @@ import (
 // concurrency pinned down (sequential replay, one shard, no admission),
 // its per-node hit counts must match this simulation exactly.
 type Cluster struct {
-	ring        *cluster.Ring
+	ring        *cluster.Ring  // nil for a chain: the single leaf owns everything
 	index       map[string]int // leaf name → nodes slice position
 	names       []string
 	nodes       []*core.StreamSimulator
@@ -41,53 +42,60 @@ func NewCluster(topo *cluster.Topology, modifyThreshold float64) (*Cluster, erro
 		return nil, fmt.Errorf("hierarchy: %w", err)
 	}
 	c := &Cluster{ring: ring, index: make(map[string]int, len(topo.Nodes))}
-	build := func(kind string, n *cluster.Node) (*core.StreamSimulator, error) {
+	build := func(parent bool, n *cluster.Node) error {
 		capBytes, err := n.CapacityBytes(0)
 		if err != nil {
-			return nil, fmt.Errorf("hierarchy: %s %q: %w", kind, n.Name, err)
+			return fmt.Errorf("hierarchy: %q: %w", n.Name, err)
 		}
 		if capBytes <= 0 {
-			return nil, fmt.Errorf("hierarchy: %s %q needs an explicit capacity to simulate", kind, n.Name)
+			return fmt.Errorf("hierarchy: %q needs an explicit capacity to simulate", n.Name)
 		}
 		factory, err := n.PolicyFactory()
 		if err != nil {
-			return nil, fmt.Errorf("hierarchy: %s %q: %w", kind, n.Name, err)
+			return fmt.Errorf("hierarchy: %q: %w", n.Name, err)
 		}
-		sim, err := core.NewStreamSimulator(core.Config{
-			Capacity: capBytes,
-			Policy:   factory,
-		}, modifyThreshold)
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy: %s %q: %w", kind, n.Name, err)
-		}
-		return sim, nil
+		return c.add(parent, n.Name, capBytes, factory, modifyThreshold)
 	}
 	for i := range topo.Nodes {
-		n := &topo.Nodes[i]
-		sim, err := build("node", n)
-		if err != nil {
+		c.index[topo.Nodes[i].Name] = len(c.nodes)
+		if err := build(false, &topo.Nodes[i]); err != nil {
 			return nil, err
 		}
-		c.index[n.Name] = len(c.nodes)
-		c.names = append(c.names, n.Name)
-		c.nodes = append(c.nodes, sim)
 	}
 	for i := range topo.Parents {
-		n := &topo.Parents[i]
-		sim, err := build("parent", n)
-		if err != nil {
+		if err := build(true, &topo.Parents[i]); err != nil {
 			return nil, err
 		}
-		c.parentNames = append(c.parentNames, n.Name)
-		c.parents = append(c.parents, sim)
 	}
 	return c, nil
+}
+
+// add appends one cache — a leaf, or the next parent level up.
+func (c *Cluster) add(parent bool, name string, capacity int64, factory policy.Factory, modifyThreshold float64) error {
+	sim, err := core.NewStreamSimulator(core.Config{
+		Capacity: capacity,
+		Policy:   factory,
+	}, modifyThreshold)
+	if err != nil {
+		return fmt.Errorf("hierarchy: %q: %w", name, err)
+	}
+	if parent {
+		c.parentNames = append(c.parentNames, name)
+		c.parents = append(c.parents, sim)
+	} else {
+		c.names = append(c.names, name)
+		c.nodes = append(c.nodes, sim)
+	}
+	return nil
 }
 
 // Owner returns the leaf node the ring routes the request URL to — the
 // same answer a live fleet member computes, since both hash the same
 // canonical route key through the same ring code.
 func (c *Cluster) Owner(rawURL string) string {
+	if c.ring == nil {
+		return c.names[0]
+	}
 	return c.ring.Owner(cluster.RouteKey(rawURL))
 }
 
@@ -95,7 +103,11 @@ func (c *Cluster) Owner(rawURL string) string {
 // up the parent chain. It reports 0 for a fleet (leaf) hit, 1+i for a
 // hit at parent level i, and -1 when everything missed.
 func (c *Cluster) Process(req *trace.Request) int {
-	if c.nodes[c.index[c.Owner(req.URL)]].Process(req).Hit() {
+	leaf := c.nodes[0]
+	if c.ring != nil {
+		leaf = c.nodes[c.index[c.Owner(req.URL)]]
+	}
+	if leaf.Process(req).Hit() {
 		return 0
 	}
 	for i, parent := range c.parents {
@@ -141,6 +153,12 @@ func (r ClusterResult) Fleet() (requests, hits int64) {
 		hits += n.Result.Overall.Hits
 	}
 	return requests, hits
+}
+
+// Levels lists every cache bottom first: the leaves, then the parents —
+// for a chain built by New, one entry per level.
+func (r ClusterResult) Levels() []LevelResult {
+	return append(append([]LevelResult(nil), r.Nodes...), r.Parents...)
 }
 
 // Results returns the per-node and per-parent results.

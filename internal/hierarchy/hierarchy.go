@@ -1,6 +1,7 @@
-// Package hierarchy simulates a chain of caching proxies: requests enter
-// the lowest (institutional) level, and each level's misses form the
-// request stream of the level above — exactly how the paper's traces came
+// Package hierarchy simulates a tree of caching proxies — a chain, or a
+// consistent-hash fleet under a chain of parents: requests enter the
+// lowest (institutional) level, and each level's misses form the request
+// stream of the level above — exactly how the paper's traces came
 // to be: both DFN and RTP were recorded at *upper-level* proxies in core
 // networks, so their streams had already been filtered by lower-level
 // caches. Filtering removes short-distance re-references and flattens the
@@ -13,11 +14,9 @@ package hierarchy
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"webcachesim/internal/core"
 	"webcachesim/internal/policy"
-	"webcachesim/internal/trace"
 )
 
 // LevelConfig configures one cache level.
@@ -40,87 +39,23 @@ type LevelResult struct {
 	Result *core.Result `json:"result"`
 }
 
-// Simulator drives a linear hierarchy of caches.
-type Simulator struct {
-	levels []*core.StreamSimulator
-	names  []string
-	// tap, when set, receives every request that misses the top level —
-	// the stream an upstream origin (or trace recorder above the
-	// hierarchy) would see.
-	tap func(*trace.Request)
-}
-
-// Option customizes a hierarchy simulator.
-type Option func(*Simulator)
-
-// WithMissTap registers fn to receive every request that misses all
-// levels. The callback borrows the request; it must not retain it.
-func WithMissTap(fn func(*trace.Request)) Option {
-	return func(s *Simulator) { s.tap = fn }
-}
-
-// New builds a hierarchy from the bottom level up. At least one level is
-// required. modifyThreshold follows core.BuildWorkload semantics.
-func New(levels []LevelConfig, modifyThreshold float64, opts ...Option) (*Simulator, error) {
+// New builds a linear chain of caches from the bottom level up — a
+// Cluster whose single leaf owns every document and whose remaining
+// levels are its parents. At least one level is required.
+// modifyThreshold follows core.BuildWorkload semantics.
+func New(levels []LevelConfig, modifyThreshold float64) (*Cluster, error) {
 	if len(levels) == 0 {
 		return nil, errors.New("hierarchy: at least one level required")
 	}
-	s := &Simulator{}
+	c := &Cluster{}
 	for i, lc := range levels {
-		sim, err := core.NewStreamSimulator(core.Config{
-			Capacity: lc.Capacity,
-			Policy:   lc.Policy,
-		}, modifyThreshold)
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy: level %d (%s): %w", i, lc.Name, err)
-		}
 		name := lc.Name
 		if name == "" {
 			name = fmt.Sprintf("L%d", i+1)
 		}
-		s.levels = append(s.levels, sim)
-		s.names = append(s.names, name)
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s, nil
-}
-
-// Process pushes one request into the bottom level, forwarding misses
-// upward. It reports the index of the level that hit, or -1 when every
-// level missed.
-func (s *Simulator) Process(req *trace.Request) int {
-	for i, level := range s.levels {
-		if level.Process(req).Hit() {
-			return i
+		if err := c.add(i > 0, name, lc.Capacity, lc.Policy, modifyThreshold); err != nil {
+			return nil, err
 		}
 	}
-	if s.tap != nil {
-		s.tap(req)
-	}
-	return -1
-}
-
-// Run consumes a request stream to EOF.
-func (s *Simulator) Run(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("hierarchy: run: %w", err)
-		}
-		s.Process(req)
-	}
-}
-
-// Results returns the per-level results, bottom first.
-func (s *Simulator) Results() []LevelResult {
-	out := make([]LevelResult, len(s.levels))
-	for i, level := range s.levels {
-		out[i] = LevelResult{Name: s.names[i], Result: level.Result()}
-	}
-	return out
+	return c, nil
 }

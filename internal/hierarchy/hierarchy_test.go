@@ -1,9 +1,11 @@
 package hierarchy
 
 import (
+	"reflect"
 	"testing"
 
 	"webcachesim/internal/analyze"
+	"webcachesim/internal/cluster"
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/policy"
 	"webcachesim/internal/synth"
@@ -40,7 +42,7 @@ func TestTwoLevelForwarding(t *testing.T) {
 	if got := h.Process(req("http://e.com/a.gif", 100)); got != 0 {
 		t.Errorf("second reference hit level %d, want 0", got)
 	}
-	rs := h.Results()
+	rs := h.Results().Levels()
 	if len(rs) != 2 || rs[0].Name != "child" || rs[1].Name != "parent" {
 		t.Fatalf("results: %+v", rs)
 	}
@@ -70,21 +72,23 @@ func TestParentHitAfterChildEviction(t *testing.T) {
 	}
 }
 
-func TestMissTapSeesOnlyGlobalMisses(t *testing.T) {
-	var tapped []string
-	h, err := New(
-		[]LevelConfig{{Capacity: 1 << 20, Policy: lru()}},
-		0,
-		WithMissTap(func(r *trace.Request) { tapped = append(tapped, r.URL) }),
-	)
+func TestMissStreamHoldsOnlyGlobalMisses(t *testing.T) {
+	h, err := New([]LevelConfig{{Capacity: 1 << 20, Policy: lru()}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Process(req("http://e.com/a.gif", 10))
-	h.Process(req("http://e.com/a.gif", 10))
-	h.Process(req("http://e.com/b.gif", 10))
-	if len(tapped) != 2 {
-		t.Fatalf("tap saw %d requests, want 2 (misses only): %v", len(tapped), tapped)
+	var missed []string
+	for _, r := range []*trace.Request{
+		req("http://e.com/a.gif", 10),
+		req("http://e.com/a.gif", 10),
+		req("http://e.com/b.gif", 10),
+	} {
+		if h.Process(r) < 0 {
+			missed = append(missed, r.URL)
+		}
+	}
+	if len(missed) != 2 {
+		t.Fatalf("miss stream holds %d requests, want 2 (misses only): %v", len(missed), missed)
 	}
 }
 
@@ -100,8 +104,49 @@ func TestRunFromReader(t *testing.T) {
 	if err := h.Run(trace.NewSliceReader(reqs)); err != nil {
 		t.Fatal(err)
 	}
-	if hr := h.Results()[0].Result.Overall.HitRate(); hr != 0.5 {
+	if hr := h.Results().Nodes[0].Result.Overall.HitRate(); hr != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", hr)
+	}
+}
+
+// TestChainEqualsOneNodeTopology pins the fold of the chain replay into
+// Cluster: the same two-level LRU chain built through New and through
+// NewCluster on a one-node-plus-one-parent topology yields identical
+// results on the same stream.
+func TestChainEqualsOneNodeTopology(t *testing.T) {
+	reqs, err := synth.Generate(synth.DFNProfile(), synth.Options{Seed: 5, Requests: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := New([]LevelConfig{
+		{Name: "child", Capacity: 4 << 20, Policy: lru()},
+		{Name: "parent", Capacity: 16 << 20, Policy: lru()},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := cluster.ParseTopology([]byte(`{
+	  "nodes":   [{"name": "child", "url": "http://127.0.0.1:1", "capacity": "4MB", "policy": "lru"}],
+	  "parents": [{"name": "parent", "url": "http://127.0.0.1:2", "capacity": "16MB", "policy": "lru"}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := NewCluster(topo, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Cluster{chain, fleet} {
+		if err := c.Run(trace.NewSliceReader(reqs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := chain.Results(), fleet.Results()
+	if want.Parents[0].Result.Overall.Hits == 0 {
+		t.Fatal("parent level never hit; fixture exercises one level only")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("chain and one-node topology diverge:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -124,20 +169,15 @@ func TestFilteringFlattensPopularity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var missStream []*trace.Request
-	h, err := New(
-		[]LevelConfig{{Name: "institutional", Capacity: 32 << 20, Policy: lru()}},
-		0,
-		WithMissTap(func(r *trace.Request) {
-			cp := *r
-			missStream = append(missStream, &cp)
-		}),
-	)
+	h, err := New([]LevelConfig{{Name: "institutional", Capacity: 32 << 20, Policy: lru()}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Run(trace.NewSliceReader(reqs)); err != nil {
-		t.Fatal(err)
+	var missStream []*trace.Request
+	for _, r := range reqs {
+		if h.Process(r) < 0 {
+			missStream = append(missStream, r)
+		}
 	}
 	filtered, err := analyze.Characterize(trace.NewSliceReader(missStream), "upper-level")
 	if err != nil {

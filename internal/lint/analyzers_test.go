@@ -26,23 +26,12 @@ func TestClockMono(t *testing.T) {
 		"clockmono/core", "clockmono/web")
 }
 
-func TestPkgDoc(t *testing.T) {
-	linttest.Run(t, "testdata/src", lint.PkgDoc,
-		"pkgdoc/internal/good", "pkgdoc/internal/bad",
-		"pkgdoc/internal/wrongprefix", "pkgdoc/outside",
-		"pkgdoc/cmd/goodcmd", "pkgdoc/cmd/badcmd", "pkgdoc/cmd/nodoc")
-}
-
 func TestLockOrder(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.LockOrder, "lockorder/cache")
 }
 
 func TestAtomicField(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.AtomicField, "atomicfield/a")
-}
-
-func TestCtxCancel(t *testing.T) {
-	linttest.Run(t, "testdata/src", lint.CtxCancel, "ctxcancel/a")
 }
 
 func TestGoroExit(t *testing.T) {

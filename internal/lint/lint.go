@@ -20,17 +20,11 @@
 //   - clockmono: simulation hot paths must be deterministic — no wall
 //     clock, no globally seeded randomness, no order-dependent map
 //     iteration.
-//   - pkgdoc: every internal/ package must carry a package comment
-//     starting "Package <name>" (and every cmd/ main a "Command <name>"
-//     comment), keeping docs/ARCHITECTURE.md's package-by-package map
-//     backed by godoc at the source.
 //   - lockorder: inside the sharded cache, at most one shard mutex is
 //     held at a time, and no mutex is held across a channel operation or
 //     an origin fetch.
 //   - atomicfield: a struct field managed through sync/atomic is never
 //     read or written plainly anywhere in its package.
-//   - ctxcancel: every context.WithCancel/WithTimeout/WithDeadline result
-//     has its cancel function used — called, deferred, or handed off.
 //   - goroexit: goroutines in the concurrent serving/simulation packages
 //     have a bounded exit: joined by a WaitGroup or looping on a
 //     close/ctx.Done signal.
@@ -121,8 +115,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the project analyzers in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		PolicyMeta, EvictLoop, FloatCmp, ClockMono, PkgDoc,
-		LockOrder, AtomicField, CtxCancel, GoroExit, ErrDrop,
+		PolicyMeta, EvictLoop, FloatCmp, ClockMono,
+		LockOrder, AtomicField, GoroExit, ErrDrop,
 	}
 }
 

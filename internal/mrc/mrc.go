@@ -177,12 +177,12 @@ func ComputeLRU(src Source, cfg Config) ([]*Curve, error) {
 		hits, hitBytes int64
 	}
 	var (
-		base    [doctype.NumClasses + 1]Counts // capacity-independent counts
+		base    [doctype.NumClasses + 1]Counts                 // capacity-independent counts
 		hitSfx  = make([][doctype.NumClasses + 1]classDiff, k) // suffix adds at index
-		modSfx  = make([]int64, k) // measured modifications
-		remSfx  = make([]int64, k) // all invalidating removals (warmup too)
-		insDiff = make([]int64, k+1) // inserts, range form
-		uncDiff = make([]int64, k+1) // measured uncachable, range form
+		modSfx  = make([]int64, k)                             // measured modifications
+		remSfx  = make([]int64, k)                             // all invalidating removals (warmup too)
+		insDiff = make([]int64, k+1)                           // inserts, range form
+		uncDiff = make([]int64, k+1)                           // measured uncachable, range form
 		warmup  = cfg.WarmupRequests
 
 		// Track per-document last access for the end-of-run residency

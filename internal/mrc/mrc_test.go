@@ -40,7 +40,7 @@ func TestScanDistancesHandComputed(t *testing.T) {
 	want := []Distance{
 		{Cold: true},
 		{Cold: true},
-		{Docs: 2, Bytes: 8},  // A: above = B(3), plus self 5
+		{Docs: 2, Bytes: 8}, // A: above = B(3), plus self 5
 		{Cold: true},
 		{Docs: 3, Bytes: 12}, // B: above = C(4) + A(5), plus self 3
 	}

@@ -63,7 +63,6 @@ func TestZeroByteDocPriorityStaysFinite(t *testing.T) {
 		"gds-poison":    NewGDS(poisonCost{}),
 		"gdstar-poison": NewGDStar(poisonCost{}, 0.8),
 		"gdstar-nan":    NewGDStar(nanCost{}, 0.8),
-		"gdsrenorm-nan": NewGDSRenorm(nanCost{}),
 	}
 	for name, p := range policies {
 		t.Run(name, func(t *testing.T) {

@@ -27,7 +27,7 @@ func allPolicies() []Policy {
 		NewLRU(), NewFIFO(), NewLFUDA(), NewLFU(), NewSize(),
 		NewGDS(ConstantCost{}), NewGDS(PacketCost{}),
 		NewGDStar(ConstantCost{}, 0.8), NewGDStar(PacketCost{}, 0),
-		NewGDSF(ConstantCost{}), NewGDSRenorm(ConstantCost{}),
+		NewGDSF(ConstantCost{}),
 		NewSLRU(16),
 		NewTypeAware(MustFactory(Spec{Scheme: "lru"})),
 	}

@@ -1,3 +1,7 @@
+// Package sketch provides the probabilistic data structures of the
+// admission layer: a Bloom filter (the TinyLFU doorkeeper) and
+// space-saving heavy-hitter counting (the TinyLFU frequency table), which
+// give admission.TinyLFU O(1)-memory frequency estimates.
 package sketch
 
 import (
@@ -5,12 +9,11 @@ import (
 	"math"
 )
 
-// Bloom is a Bloom filter over string keys. The bounded-memory
-// characterizer uses it to detect first occurrences of documents, and the
-// TinyLFU admission filter uses it as the "doorkeeper" that absorbs
-// one-hit wonders before they reach the heavy-hitter table. False
-// positives make a repeated key look new with probability ≈ the
-// configured rate; there are no false negatives.
+// Bloom is a Bloom filter over string keys. The TinyLFU admission filter
+// uses it as the "doorkeeper" that absorbs one-hit wonders before they
+// reach the heavy-hitter table. False positives make a repeated key look
+// new with probability ≈ the configured rate; there are no false
+// negatives.
 type Bloom struct {
 	bits   []uint64
 	mask   uint64
@@ -99,4 +102,29 @@ func (b *Bloom) twoHashes(key string) (uint64, uint64) {
 	h2 := mix64(h ^ 0x9e3779b97f4a7c15)
 	h2 |= 1 // h2 must be odd so the probe sequence covers the table
 	return h1, h2
+}
+
+// hash64str is the 64-bit FNV-1a hash, finalized with a strong mixer so
+// sequential keys spread across the filter.
+func hash64str(s string) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	var h uint64 = offset
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime
+	}
+	return mix64(h)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

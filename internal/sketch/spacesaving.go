@@ -10,9 +10,7 @@ import (
 // SpaceSaving tracks the k most frequent items of a stream with bounded
 // error (Metwally et al.): when a new item arrives at a full table, it
 // replaces the current minimum and inherits its count as the error bound.
-// The characterizer uses it to recover the head of the document-popularity
-// distribution, from which the Zipf index α is fitted; the TinyLFU
-// admission filter uses it as the frequency table behind its
+// The TinyLFU admission filter uses it as the frequency table behind its
 // admit-if-more-popular-than-the-victim test, aged with Halve.
 //
 // Entries are kept in an indexed min-heap, so Add is O(log k). Each entry

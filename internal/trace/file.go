@@ -20,9 +20,6 @@ const (
 	// FormatInterned is the interned binary format (WCT2): string tables
 	// carried inline, documents classified eagerly at write time.
 	FormatInterned Format = "interned"
-	// FormatCLF is the Common Log Format of origin servers (Apache), with
-	// combined-format suffix fields tolerated.
-	FormatCLF Format = "clf"
 	// FormatColumnar is the columnar workload image (WCT3): not a record
 	// stream but a preprocessed, mmap-able workload. It is produced by
 	// wcanon -format wct3 and consumed via OpenColumnar; the record-stream
@@ -42,8 +39,6 @@ func ParseFormat(s string) (Format, error) {
 		return FormatInterned, nil
 	case "binary", "wct1":
 		return "", fmt.Errorf("trace: format %q (WCT1) was removed; use interned (WCT2)", s)
-	case "clf", "common", "combined", "apache":
-		return FormatCLF, nil
 	case "columnar", "wct3", "wci3":
 		return FormatColumnar, nil
 	case "", "auto":
@@ -104,8 +99,6 @@ func OpenFile(path string, format Format) (*FileReader, error) {
 		fr.Reader = NewInternedReader(br)
 	case FormatSquid:
 		fr.Reader = NewSquidReader(br)
-	case FormatCLF:
-		fr.Reader = NewCLFReader(br)
 	case FormatColumnar:
 		// Nothing was read yet; the format error below is the story.
 		_ = fr.Close()
@@ -127,8 +120,7 @@ var (
 )
 
 // sniffFormat inspects the head of a stream: a binary magic selects its
-// format; a first line shaped like `... [date] "request" ...` selects CLF;
-// anything else is treated as a Squid native log.
+// format; anything else is treated as a Squid native log.
 func sniffFormat(br *bufio.Reader) (Format, error) {
 	if head, err := br.Peek(4); err == nil && len(head) == 4 {
 		switch [4]byte(head) {
@@ -138,20 +130,6 @@ func sniffFormat(br *bufio.Reader) (Format, error) {
 			return FormatColumnar, nil
 		case removedMagic:
 			return "", errRemoved
-		}
-	}
-	// Peek errors (short stream) still return whatever prefix exists,
-	// which is all the sniffer needs.
-	head, _ := br.Peek(4096)
-	line := string(head)
-	if i := strings.IndexByte(line, '\n'); i >= 0 {
-		line = line[:i]
-	}
-	if open := strings.IndexByte(line, '['); open >= 0 {
-		if closing := strings.IndexByte(line[open:], ']'); closing >= 0 {
-			if strings.Contains(line[open+closing:], `"`) {
-				return FormatCLF, nil
-			}
 		}
 	}
 	return FormatSquid, nil
@@ -221,9 +199,6 @@ func CreateFile(path string, format Format) (*FileWriter, error) {
 		fw.Writer, fw.flush = w, w.Flush
 	case FormatSquid:
 		w := NewSquidWriter(dst)
-		fw.Writer, fw.flush = w, w.Flush
-	case FormatCLF:
-		w := NewCLFWriter(dst)
 		fw.Writer, fw.flush = w, w.Flush
 	default:
 		// Nothing was written; surfacing the format error outranks any

@@ -88,30 +88,6 @@ func TestFileRoundTrips(t *testing.T) {
 	}
 }
 
-func TestCLFFileAutoDetected(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "access.log")
-	w, err := CreateFile(path, FormatCLF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range sampleRequests() {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reqs := readTraceFile(t, path, FormatAuto)
-	if len(reqs) != 3 {
-		t.Fatalf("read %d records, want 3 (CLF sniffing failed)", len(reqs))
-	}
-	if reqs[0].URL != "http://e.com/a.gif" {
-		t.Errorf("first URL = %q", reqs[0].URL)
-	}
-}
-
 func TestOpenFileMissing(t *testing.T) {
 	if _, err := OpenFile(filepath.Join(t.TempDir(), "nope.log"), FormatAuto); err == nil {
 		t.Error("opening missing file should fail")

@@ -26,6 +26,12 @@ func (s FilterStats) Dropped() int64 {
 	return s.DroppedURL + s.DroppedStatus + s.DroppedMethod + s.Malformed
 }
 
+// Parsed returns the number of lines that decoded into a request, kept or
+// dropped. Zero at end of stream means the input was not a trace at all.
+func (s FilterStats) Parsed() int64 {
+	return s.Passed + s.DroppedURL + s.DroppedStatus + s.DroppedMethod
+}
+
 // FilterReader applies the paper's preprocessing (Section 2) to an
 // underlying stream: it drops uncacheable requests and optionally skips
 // malformed lines instead of propagating the parse error.

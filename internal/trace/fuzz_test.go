@@ -76,21 +76,6 @@ func TestSplitSquidFieldsMatchesStringsFields(t *testing.T) {
 	}
 }
 
-func FuzzParseCLFLine(f *testing.F) {
-	f.Add(`10.0.0.1 - - [10/Oct/2000:13:55:36 -0700] "GET /a.gif HTTP/1.0" 200 2326`)
-	f.Add(`h - - [01/Jan/1999:00:00:00 +0000] "GET x HTTP/1.1" 304 -`)
-	f.Add("")
-	f.Fuzz(func(t *testing.T, line string) {
-		req, err := ParseCLFLine(line)
-		if err != nil {
-			return
-		}
-		if req == nil {
-			t.Fatal("nil request without error")
-		}
-	})
-}
-
 func FuzzInternedReader(f *testing.F) {
 	// Seed with a valid multi-record WCT2 stream exercising both the
 	// first-mention (inline string) and back-reference encodings.

@@ -1,22 +1,12 @@
 package trace
 
-import "math"
-
-// Spatial (hash-based) sampling of documents: a document is kept in a
-// sampled trace iff its URL hashes below a rate-proportional threshold, so
-// every request to a kept document survives and the sampled trace is a
-// coherent sub-workload — the SHARDS construction (Waldspurger et al.).
-// Hashing the URL rather than tossing a coin makes the decision a pure
-// function of the document, reproducible across runs, formats, and merged
-// trace files.
-
 // Hash64 returns a 64-bit hash of s with strong mixing in the high bits,
-// suitable for spatial sampling thresholds. The function is FNV-1a
-// followed by a splitmix64 finalizer (FNV-1a alone mixes its low bits
-// well but its high bits poorly, and sampling compares against the full
-// 64-bit range). The hash is deterministic and stable across processes —
-// sampled runs are reproducible — and must not be changed without
-// re-recording any committed sampled results.
+// which ring and shard placement compare against the full 64-bit range.
+// The function is FNV-1a followed by a splitmix64 finalizer (FNV-1a alone
+// mixes its low bits well but its high bits poorly). The hash is
+// deterministic and stable across processes — a document lands on the
+// same shard and fleet node in every run — and must not be changed
+// without re-recording the placement-dependent results.
 func Hash64(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -57,20 +47,4 @@ func Hash64Bytes(b []byte) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-// SampledIn reports whether key belongs to the spatial sample at the given
-// rate. Rates at or above 1 keep everything; rates at or below 0 keep
-// nothing.
-func SampledIn(key string, rate float64) bool {
-	if rate >= 1 {
-		return true
-	}
-	if rate <= 0 {
-		return false
-	}
-	// The threshold is computed against MaxUint64 as a float; the float64
-	// rounding (1 part in 2^53) is far below any sampling-error bound that
-	// matters at realistic rates.
-	return Hash64(key) < uint64(rate*float64(math.MaxUint64))
 }

@@ -15,15 +15,15 @@ func TestHash64Deterministic(t *testing.T) {
 	}
 }
 
-// TestHash64Uniformity checks that the sampling comparison Hash64 < R·2^64
-// keeps close to a fraction R of a large key population — the property the
-// sampled sweep mode relies on.
+// TestHash64Uniformity checks that the comparison Hash64 < R·2^64 keeps
+// close to a fraction R of a large key population — the high-bit mixing
+// ring and shard placement rely on.
 func TestHash64Uniformity(t *testing.T) {
 	const n = 200_000
 	for _, rate := range []float64{0.1, 0.25, 0.5} {
 		kept := 0
 		for i := 0; i < n; i++ {
-			if SampledIn(fmt.Sprintf("http://host%d/path/%d.html", i%97, i), rate) {
+			if Hash64(fmt.Sprintf("http://host%d/path/%d.html", i%97, i)) < uint64(rate*float64(math.MaxUint64)) {
 				kept++
 			}
 		}
@@ -33,15 +33,6 @@ func TestHash64Uniformity(t *testing.T) {
 		if math.Abs(got-rate) > tol {
 			t.Errorf("rate %.2f: kept fraction %.4f outside ±%.4f", rate, got, tol)
 		}
-	}
-}
-
-func TestSampledInEdges(t *testing.T) {
-	if !SampledIn("anything", 1) || !SampledIn("anything", 2) {
-		t.Error("rate >= 1 must keep everything")
-	}
-	if SampledIn("anything", 0) || SampledIn("anything", -0.5) {
-		t.Error("rate <= 0 must keep nothing")
 	}
 }
 

@@ -174,8 +174,8 @@ func TestInternedTruncatedStream(t *testing.T) {
 func TestInternedCorruptRefRejected(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(internedMagic[:])
-	b := binary.AppendUvarint(nil, 0)  // time delta
-	b = binary.AppendUvarint(b, 7)     // docRef 7 with an empty table
+	b := binary.AppendUvarint(nil, 0) // time delta
+	b = binary.AppendUvarint(b, 7)    // docRef 7 with an empty table
 	buf.Write(b)
 	r := NewInternedReader(&buf)
 	_, err := r.Next()

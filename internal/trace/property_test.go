@@ -75,20 +75,3 @@ func TestSquidReaderNeverPanicsOnGarbage(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestCLFReaderNeverPanicsOnGarbage mirrors the same robustness property
-// for the CLF parser.
-func TestCLFReaderNeverPanicsOnGarbage(t *testing.T) {
-	f := func(input string) bool {
-		r := NewCLFReader(strings.NewReader(input))
-		for i := 0; i < 1000; i++ {
-			if _, err := r.Next(); err != nil {
-				return true
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
