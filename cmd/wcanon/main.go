@@ -197,7 +197,7 @@ func (a *anonymizer) anonURL(url string) string {
 	if ext := doctype.ExtensionOf(url); ext != "" {
 		tok += "." + ext
 	}
-	a.urls[url] = tok
+	a.urls[strings.Clone(url)] = tok // url aliases the reader's block
 	return tok
 }
 
@@ -206,7 +206,7 @@ func (a *anonymizer) anonClient(client string) string {
 		return tok
 	}
 	tok := "c" + hashToken(a.salt+"|client|"+client)
-	a.clients[client] = tok
+	a.clients[strings.Clone(client)] = tok
 	return tok
 }
 

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/stats"
@@ -103,6 +104,7 @@ func pct(part, whole int64) float64 {
 
 // docInfo tracks one distinct document during the scan.
 type docInfo struct {
+	key   string // the scan's own copy of the URL
 	class doctype.Class
 	size  int64
 	count int64
@@ -121,7 +123,7 @@ func Characterize(r trace.Reader, name string) (*Characterization, error) {
 	}
 
 	out := &Characterization{Name: name}
-	clients := make(map[string]struct{}, 64)
+	clients := make(map[string]bool, 64)
 	var clock int64
 	for {
 		req, err := r.Next()
@@ -133,11 +135,12 @@ func Characterize(r trace.Reader, name string) (*Characterization, error) {
 		}
 		clock++
 		cl := req.Classify()
-		key := req.Key()
+		key := req.URL
 		info, ok := docs[key]
 		if !ok {
-			info = &docInfo{class: cl}
-			docs[key] = info
+			// The request's strings alias the reader's block: keep a copy.
+			info = &docInfo{key: strings.Clone(key), class: cl}
+			docs[info.key] = info
 		}
 		size := req.DocSize
 		if size <= 0 {
@@ -156,10 +159,10 @@ func Characterize(r trace.Reader, name string) (*Characterization, error) {
 		transfers[cl] = append(transfers[cl], float64(req.TransferSize))
 		// Distances are measured on the global stream clock, as the paper
 		// defines temporal correlation.
-		correl[cl].ObserveAt(key, clock)
+		correl[cl].ObserveAt(info.key, clock)
 
-		if req.Client != "" && req.Client != "-" {
-			clients[req.Client] = struct{}{}
+		if c := req.Client; c != "" && c != "-" && !clients[c] {
+			clients[strings.Clone(c)] = true
 		}
 		if out.StartMillis == 0 || req.UnixMillis < out.StartMillis {
 			out.StartMillis = req.UnixMillis

@@ -2,12 +2,12 @@
 // splice operations. It is the recency substrate for LRU and for the
 // stack-distance machinery in the synthetic workload generator: elements
 // carry their payload and can be moved to the front, removed, or walked
-// from either end without allocation per operation beyond the element
+// from the front without allocation per operation beyond the element
 // itself — and not even that when the caller embeds the Element in the
 // object it lists and links it with LinkFront.
 //
 // Compared to container/list, this implementation is generic (no interface
-// boxing on the hot path) and exposes MoveToFront/MoveToBack directly.
+// boxing on the hot path) and links elements the caller owns.
 package intlist
 
 // Element is a list node carrying a value of type T. Elements are created
@@ -29,24 +29,12 @@ func (e *Element[T]) Next() *Element[T] {
 	return nil
 }
 
-// Prev returns the preceding element, or nil at the front of the list.
-func (e *Element[T]) Prev() *Element[T] {
-	if p := e.prev; e.list != nil && p != &e.list.root {
-		return p
-	}
-	return nil
-}
-
 // List is a doubly-linked list with a sentinel root. The zero value is an
 // empty list ready to use. List is not safe for concurrent use.
 type List[T any] struct {
 	root Element[T]
 	len  int
 }
-
-// New returns an initialized empty list. The zero value works equally; New
-// exists for symmetry with container/list.
-func New[T any]() *List[T] { return new(List[T]) }
 
 func (l *List[T]) lazyInit() {
 	if l.root.next == nil {
@@ -93,21 +81,6 @@ func (l *List[T]) LinkFront(e *Element[T]) {
 	l.insertAfter(e, &l.root)
 }
 
-// PushBack inserts value at the back and returns its element.
-func (l *List[T]) PushBack(value T) *Element[T] {
-	l.lazyInit()
-	return l.insertAfter(&Element[T]{Value: value}, l.root.prev)
-}
-
-// InsertBefore inserts value immediately before mark, which must belong to
-// this list; it returns nil if mark is foreign.
-func (l *List[T]) InsertBefore(value T, mark *Element[T]) *Element[T] {
-	if mark.list != l {
-		return nil
-	}
-	return l.insertAfter(&Element[T]{Value: value}, mark.prev)
-}
-
 // Remove unlinks e from the list and returns its value. Removing an
 // element that is not in this list is a no-op.
 func (l *List[T]) Remove(e *Element[T]) T {
@@ -125,16 +98,6 @@ func (l *List[T]) MoveToFront(e *Element[T]) {
 	}
 	l.unlink(e)
 	l.insertAfter(e, &l.root)
-}
-
-// MoveToBack moves e to the back. It is a no-op when e is foreign or
-// already last.
-func (l *List[T]) MoveToBack(e *Element[T]) {
-	if e.list != l || l.root.prev == e {
-		return
-	}
-	l.unlink(e)
-	l.insertAfter(e, l.root.prev)
 }
 
 // Do calls fn for each element value from front to back. fn must not

@@ -33,9 +33,9 @@ func TestEmptyList(t *testing.T) {
 
 func TestPushFrontBack(t *testing.T) {
 	var l List[int]
-	l.PushBack(2)
+	l.PushFront(3)
+	l.PushFront(2)
 	l.PushFront(1)
-	l.PushBack(3)
 	if got := contents(&l); !equal(got, []int{1, 2, 3}) {
 		t.Errorf("contents = %v, want [1 2 3]", got)
 	}
@@ -46,9 +46,9 @@ func TestPushFrontBack(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	var l List[int]
-	a := l.PushBack(1)
-	b := l.PushBack(2)
-	c := l.PushBack(3)
+	c := l.PushFront(3)
+	b := l.PushFront(2)
+	a := l.PushFront(1)
 	if got := l.Remove(b); got != 2 {
 		t.Errorf("Remove returned %d, want 2", got)
 	}
@@ -67,68 +67,48 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// TestMoveToFrontBack moves the back element to the front, then the front
+// element, which is a no-op.
 func TestMoveToFrontBack(t *testing.T) {
 	var l List[string]
-	a := l.PushBack("a")
-	l.PushBack("b")
-	c := l.PushBack("c")
+	c := l.PushFront("c")
+	l.PushFront("b")
+	a := l.PushFront("a")
 
 	l.MoveToFront(c)
-	if got := contents(&l); got[0] != "c" || got[2] != "b" {
+	if got := contents(&l); got[0] != "c" || got[2] != "b" || l.Back().Value != "b" {
 		t.Errorf("after MoveToFront: %v", got)
 	}
-	l.MoveToBack(c)
-	if got := contents(&l); got[2] != "c" {
-		t.Errorf("after MoveToBack: %v", got)
-	}
-	// Moving the element already in place is a no-op.
 	l.MoveToFront(a)
 	l.MoveToFront(a)
-	if got := contents(&l); got[0] != "a" {
+	if got := contents(&l); got[0] != "a" || got[1] != "c" {
 		t.Errorf("after double MoveToFront: %v", got)
 	}
 }
 
 func TestForeignElementOps(t *testing.T) {
 	var l1, l2 List[int]
-	e := l1.PushBack(1)
-	l2.PushBack(2)
+	e := l1.PushFront(1)
+	l2.PushFront(2)
 	l2.MoveToFront(e) // no-op
-	l2.MoveToBack(e)  // no-op
 	l2.Remove(e)      // no-op
 	if l2.Len() != 1 || l1.Len() != 1 {
 		t.Error("foreign element operations corrupted lists")
 	}
-	if got := l2.InsertBefore(9, e); got != nil {
-		t.Error("InsertBefore with foreign mark should return nil")
-	}
 }
 
-func TestInsertBefore(t *testing.T) {
-	var l List[int]
-	l.PushBack(1)
-	three := l.PushBack(3)
-	l.InsertBefore(2, three)
-	if got := contents(&l); !equal(got, []int{1, 2, 3}) {
-		t.Errorf("contents = %v, want [1 2 3]", got)
-	}
-}
-
+// TestIterationBothWays walks the list by Next and by Do.
 func TestIterationBothWays(t *testing.T) {
 	var l List[int]
-	for i := 1; i <= 5; i++ {
-		l.PushBack(i)
+	for i := 5; i >= 1; i-- {
+		l.PushFront(i)
 	}
-	var fwd []int
+	var next []int
 	for e := l.Front(); e != nil; e = e.Next() {
-		fwd = append(fwd, e.Value)
+		next = append(next, e.Value)
 	}
-	var bwd []int
-	for e := l.Back(); e != nil; e = e.Prev() {
-		bwd = append(bwd, e.Value)
-	}
-	if !equal(fwd, []int{1, 2, 3, 4, 5}) || !equal(bwd, []int{5, 4, 3, 2, 1}) {
-		t.Errorf("fwd %v bwd %v", fwd, bwd)
+	if do := contents(&l); !equal(next, []int{1, 2, 3, 4, 5}) || !equal(do, next) || l.Back().Next() != nil {
+		t.Errorf("by Next %v, by Do %v", next, do)
 	}
 }
 
@@ -141,21 +121,15 @@ func TestRandomOpsAgainstSlice(t *testing.T) {
 	var model []int
 	for op := 0; op < 4000; op++ {
 		switch r := rng.Intn(10); {
-		case r < 4 || len(model) == 0: // push front/back
-			v := op
-			if rng.Intn(2) == 0 {
-				elems = append([]*Element[int]{l.PushFront(v)}, elems...)
-				model = append([]int{v}, model...)
-			} else {
-				elems = append(elems, l.PushBack(v))
-				model = append(model, v)
-			}
+		case r < 4 || len(model) == 0: // push front
+			elems = append([]*Element[int]{l.PushFront(op)}, elems...)
+			model = append([]int{op}, model...)
 		case r < 6: // remove random
 			i := rng.Intn(len(model))
 			l.Remove(elems[i])
 			elems = append(elems[:i], elems[i+1:]...)
 			model = append(model[:i], model[i+1:]...)
-		case r < 8: // move to front
+		default: // move to front
 			i := rng.Intn(len(model))
 			l.MoveToFront(elems[i])
 			e, v := elems[i], model[i]
@@ -163,14 +137,6 @@ func TestRandomOpsAgainstSlice(t *testing.T) {
 			model = append(model[:i], model[i+1:]...)
 			elems = append([]*Element[int]{e}, elems...)
 			model = append([]int{v}, model...)
-		default: // move to back
-			i := rng.Intn(len(model))
-			l.MoveToBack(elems[i])
-			e, v := elems[i], model[i]
-			elems = append(elems[:i], elems[i+1:]...)
-			model = append(model[:i], model[i+1:]...)
-			elems = append(elems, e)
-			model = append(model, v)
 		}
 		if l.Len() != len(model) {
 			t.Fatalf("op %d: Len %d, model %d", op, l.Len(), len(model))
@@ -181,12 +147,13 @@ func TestRandomOpsAgainstSlice(t *testing.T) {
 	}
 }
 
-// Property: pushing values back and iterating returns them in order.
-func TestPushBackOrderProperty(t *testing.T) {
+// Property: pushing values to the front and iterating returns them in
+// reverse order.
+func TestPushFrontOrderProperty(t *testing.T) {
 	f := func(vals []int) bool {
 		var l List[int]
-		for _, v := range vals {
-			l.PushBack(v)
+		for i := len(vals) - 1; i >= 0; i-- {
+			l.PushFront(vals[i])
 		}
 		return equal(contents(&l), vals) && l.Len() == len(vals)
 	}

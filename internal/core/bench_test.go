@@ -1,12 +1,16 @@
 package core
 
 import (
+	"compress/gzip"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"webcachesim/internal/policy"
+	"webcachesim/internal/synth"
 	"webcachesim/internal/trace"
 )
 
@@ -100,6 +104,67 @@ func BenchmarkBuildWorkload(b *testing.B) {
 		if _, err := BuildWorkload(trace.NewSliceReader(reqs), 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIngest measures the ingest layer the way wcsim and the
+// benchmark's sweep_offline run it: a gzip Squid log of the DFN profile
+// through the cacheability filter into BuildWorkload. "ahead" opens the
+// file with trace.OpenFile, which inflates and decodes on other
+// goroutines; "inline" runs the same decoder on the caller's.
+func BenchmarkIngest(b *testing.B) {
+	reqs, err := synth.Generate(synth.DFNProfile(), synth.Options{Seed: 1, Requests: 300_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "trace.log.gz")
+	fw, err := trace.CreateFile(path, trace.FormatSquid)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range reqs {
+		if err := fw.Write(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		b.Fatal(err)
+	}
+	ahead := func() (trace.Reader, io.Closer, error) {
+		fr, err := trace.OpenFile(path, trace.FormatAuto)
+		return fr, fr, err
+	}
+	inline := func() (trace.Reader, io.Closer, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		zr, err := gzip.NewReader(f)
+		return trace.NewSquidReader(zr), f, err
+	}
+	for _, mode := range []struct {
+		name string
+		open func() (trace.Reader, io.Closer, error)
+	}{{"ahead", ahead}, {"inline", inline}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			events := 0
+			for i := 0; i < b.N; i++ {
+				r, c, err := mode.open()
+				if err != nil {
+					b.Fatal(err)
+				}
+				w, err := BuildWorkload(trace.NewFilterReader(r), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Close(); err != nil {
+					b.Fatal(err)
+				}
+				events += w.NumRequests()
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
 }
 

@@ -77,7 +77,8 @@ func (s *StreamSimulator) Process(req *trace.Request) Outcome {
 	ev, newDoc := s.ing.step(req)
 	if newDoc {
 		// Grow the inner simulator's tables in lock step with the interner.
-		s.sim.docs.add(req.URL, ev.Class)
+		// The interner's copy: the request's URL aliases the reader's block.
+		s.sim.docs.add(s.ing.docs.Key(ev.DocID), ev.Class)
 		s.sim.in = append(s.sim.in, false)
 	}
 	return s.sim.Process(&ev)

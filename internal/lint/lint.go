@@ -370,18 +370,6 @@ func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// enclosingFunc returns the innermost function declaration or literal on
-// the stack, or nil when the node is not inside a function.
-func enclosingFunc(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return stack[i]
-		}
-	}
-	return nil
-}
-
 // isFloat reports whether t's underlying type is a floating-point basic
 // type.
 func isFloat(t types.Type) bool {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -152,30 +153,6 @@ func (m *Moments) CoV() float64 {
 	return m.StdDev() / m.mean
 }
 
-// Merge folds the observations accumulated in other into m, as if every
-// observation had been Added to m directly (Chan et al. parallel variance).
-func (m *Moments) Merge(other *Moments) {
-	if other.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *other
-		return
-	}
-	n := m.n + other.n
-	delta := other.mean - m.mean
-	mean := m.mean + delta*float64(other.n)/float64(n)
-	m2 := m.m2 + other.m2 + delta*delta*float64(m.n)*float64(other.n)/float64(n)
-	if other.min < m.min {
-		m.min = other.min
-	}
-	if other.max > m.max {
-		m.max = other.max
-	}
-	m.sum += other.sum
-	m.n, m.mean, m.m2 = n, mean, m2
-}
-
 // LinearFit holds the result of an ordinary least-squares straight-line
 // fit y = Intercept + Slope·x, along with the coefficient of determination.
 type LinearFit struct {
@@ -251,6 +228,7 @@ type LogHistogram struct {
 	logBase float64
 	counts  []int64
 	total   int64
+	pow2    [32]int8 // pow2[k] = int(math.Log(2^k) / logBase)
 }
 
 // NewLogHistogram creates a histogram with the given geometric base
@@ -259,7 +237,27 @@ func NewLogHistogram(base float64) (*LogHistogram, error) {
 	if base <= 1 {
 		return nil, fmt.Errorf("stats: log histogram base %v must be > 1", base)
 	}
-	return &LogHistogram{base: base, logBase: math.Log(base)}, nil
+	h := &LogHistogram{base: base, logBase: math.Log(base)}
+	for k := range h.pow2 {
+		h.pow2[k] = int8(math.Log(float64(uint64(1)<<k)) / h.logBase)
+	}
+	return h, nil
+}
+
+// bucket returns int(math.Log(x) / h.logBase) for x > 0, without the
+// logarithm for an integer below 2^32 at base 2 (the β estimator's request
+// distances): strictly between 2^k and 2^(k+1) the base-2 logarithm is
+// 3e-10 or more from both, a million times the quotient's rounding error,
+// so it truncates to k; at 2^k, where rounding decides, pow2 holds it.
+func (h *LogHistogram) bucket(x float64) int {
+	if u := uint64(x); h.base == 2 && x < 1<<32 && float64(u) == x {
+		k := bits.Len64(u) - 1
+		if u&(u-1) == 0 {
+			return int(h.pow2[k])
+		}
+		return k
+	}
+	return int(math.Log(x) / h.logBase)
 }
 
 // Add counts one observation; non-positive values are ignored.
@@ -267,7 +265,7 @@ func (h *LogHistogram) Add(x float64) {
 	if x <= 0 {
 		return
 	}
-	i := int(math.Log(x) / h.logBase)
+	i := h.bucket(x)
 	if i < 0 {
 		i = 0
 	}

@@ -80,47 +80,6 @@ func TestMomentsMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestMomentsMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var all, a, b Moments
-	for i := 0; i < 500; i++ {
-		x := rng.ExpFloat64()
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if !almostEqual(a.Mean(), all.Mean(), 1e-9) {
-		t.Errorf("merged mean %v, want %v", a.Mean(), all.Mean())
-	}
-	if !almostEqual(a.Variance(), all.Variance(), 1e-7) {
-		t.Errorf("merged variance %v, want %v", a.Variance(), all.Variance())
-	}
-	if a.Count() != all.Count() {
-		t.Errorf("merged count %d, want %d", a.Count(), all.Count())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Errorf("merged min/max %v/%v, want %v/%v", a.Min(), a.Max(), all.Min(), all.Max())
-	}
-
-	// Merging into an empty accumulator copies.
-	var empty Moments
-	empty.Merge(&all)
-	if empty.Count() != all.Count() || !almostEqual(empty.Mean(), all.Mean(), 1e-12) {
-		t.Error("merge into empty accumulator did not copy")
-	}
-	// Merging an empty accumulator is a no-op.
-	before := all
-	var e2 Moments
-	all.Merge(&e2)
-	if all != before {
-		t.Error("merging empty accumulator changed state")
-	}
-}
-
 func TestFitLine(t *testing.T) {
 	// Exact line y = 2x + 1.
 	xs := []float64{0, 1, 2, 3, 4}
@@ -196,6 +155,50 @@ func TestLogHistogram(t *testing.T) {
 	h.Reset()
 	if h.Total() != 0 {
 		t.Error("Reset did not clear totals")
+	}
+}
+
+// TestLogHistogramBucketMatchesLogarithm pins the bucket Add picks without
+// a logarithm to the one the logarithm picks: for every integer below
+// 2^24, around every power of two a float64 holds exactly (where the two
+// rounded logarithms decide, and where past 2^47 the quotient for 2^k-1
+// rounds up to k, which is why the short cut stops at 2^32), and on
+// fractions and other bases, which never take the short cut.
+func TestLogHistogramBucketMatchesLogarithm(t *testing.T) {
+	h2, err := NewLogHistogram(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln2 := math.Log(2)
+	check := func(x float64) {
+		if got, want := h2.bucket(x), int(math.Log(x)/ln2); got != want {
+			t.Fatalf("bucket(%v) = %d, the logarithm gives %d", x, got, want)
+		}
+	}
+	limit := uint64(1) << 24
+	if testing.Short() {
+		limit = 1 << 18
+	}
+	for u := uint64(1); u < limit; u++ {
+		check(float64(u))
+	}
+	for k := 1; k <= 52; k++ {
+		p := float64(uint64(1) << k)
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	for _, x := range []float64{0.25, 0.5, 1.5, 2.5, 1023.5, 1<<32 - 0.5, 1e300} {
+		check(x)
+	}
+	h10, err := NewLogHistogram(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{1, 9, 10, 1000, 1024} {
+		if got, want := h10.bucket(x), int(math.Log(x)/math.Log(10)); got != want {
+			t.Errorf("base 10: bucket(%v) = %d, want %d", x, got, want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 )
 
@@ -52,24 +53,36 @@ func ParseFormat(s string) (Format, error) {
 type FileReader struct {
 	Reader
 	closers []io.Closer
+	stop    func() // ends the goroutines decoding ahead of Next, if any
 }
 
-// Close closes the underlying file and any decompressor.
+// Close stops any decoding ahead and closes the underlying file and any
+// decompressor.
 func (fr *FileReader) Close() error {
+	if fr.stop != nil {
+		fr.stop()
+		fr.stop = nil
+	}
+	return closeAll(fr.closers, "reader")
+}
+
+// closeAll closes the last opened first and reports the first failure.
+func closeAll(closers []io.Closer, what string) error {
 	var first error
-	for i := len(fr.closers) - 1; i >= 0; i-- {
-		if err := fr.closers[i].Close(); err != nil && first == nil {
+	for i := len(closers) - 1; i >= 0; i-- {
+		if err := closers[i].Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	if first != nil {
-		return fmt.Errorf("trace: close reader: %w", first)
+		return fmt.Errorf("trace: close %s: %w", what, first)
 	}
 	return nil
 }
 
 // OpenFile opens a trace file for reading, transparently decompressing
 // gzip and, for FormatAuto, sniffing the binary magic to pick the decoder.
+// A Squid log is decoded ahead of Next on other goroutines, until Close.
 func OpenFile(path string, format Format) (*FileReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -98,7 +111,9 @@ func OpenFile(path string, format Format) (*FileReader, error) {
 	case FormatInterned:
 		fr.Reader = NewInternedReader(br)
 	case FormatSquid:
-		fr.Reader = NewSquidReader(br)
+		sr := NewSquidReader(br)
+		sr.runAhead(2 * runtime.GOMAXPROCS(0))
+		fr.Reader, fr.stop = sr, sr.stopAhead
 	case FormatColumnar:
 		// Nothing was read yet; the format error below is the story.
 		_ = fr.Close()
@@ -150,16 +165,7 @@ func (fw *FileWriter) Close() error {
 			return err
 		}
 	}
-	var first error
-	for i := len(fw.closers) - 1; i >= 0; i-- {
-		if err := fw.closers[i].Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		return fmt.Errorf("trace: close writer: %w", first)
-	}
-	return nil
+	return closeAll(fw.closers, "writer")
 }
 
 // CreateFile creates a trace file for writing. A ".gz" path suffix enables

@@ -33,15 +33,11 @@ func (s FilterStats) Parsed() int64 {
 }
 
 // FilterReader applies the paper's preprocessing (Section 2) to an
-// underlying stream: it drops uncacheable requests and optionally skips
+// underlying stream: it drops uncacheable requests, and counts and skips
 // malformed lines instead of propagating the parse error.
 type FilterReader struct {
 	src   Reader
 	stats FilterStats
-
-	// SkipMalformed makes Next tolerate *ParseError from the source by
-	// counting and skipping the offending line.
-	SkipMalformed bool
 }
 
 var _ Reader = (*FilterReader)(nil)
@@ -49,7 +45,7 @@ var _ Reader = (*FilterReader)(nil)
 // NewFilterReader wraps src with the preprocessing filter. Malformed lines
 // are skipped (and counted) rather than surfaced.
 func NewFilterReader(src Reader) *FilterReader {
-	return &FilterReader{src: src, SkipMalformed: true}
+	return &FilterReader{src: src}
 }
 
 // Next returns the next cacheable request, or io.EOF.
@@ -58,7 +54,7 @@ func (f *FilterReader) Next() (*Request, error) {
 		req, err := f.src.Next()
 		if err != nil {
 			var pe *ParseError
-			if f.SkipMalformed && errors.As(err, &pe) {
+			if errors.As(err, &pe) {
 				f.stats.Malformed++
 				continue
 			}

@@ -1,6 +1,11 @@
 package trace
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"unsafe"
+)
 
 func TestInternerAssignsDenseFirstSeenIDs(t *testing.T) {
 	in := NewInterner()
@@ -53,5 +58,42 @@ func TestInternerLookupDoesNotAssign(t *testing.T) {
 	}
 	if in.Len() != 1 {
 		t.Errorf("Lookup grew the table: Len = %d, want 1", in.Len())
+	}
+}
+
+// TestInternerCopiesItsKeys: a key is usually a field of a decoded log
+// block, and the table must not keep that block alive — nor be changed
+// through it. Keys longer than an arena chunk and a table that outgrows
+// one chunk round-trip too.
+func TestInternerCopiesItsKeys(t *testing.T) {
+	in := NewInterner()
+	block := "982347195.744 110 10.0.0.1 TCP_HIT/200 4512 GET http://e.com/a.gif - NONE/- image/gif"
+	url := block[strings.Index(block, "http"):][:18]
+	kept := in.Key(in.Intern(url))
+	if kept != url {
+		t.Fatalf("Key = %q, want %q", kept, url)
+	}
+	if unsafe.StringData(kept) == unsafe.StringData(url) {
+		t.Error("the interner kept the caller's string, and with it the block it is cut from")
+	}
+	long := strings.Repeat("x", internChunk+1)
+	if got := in.Key(in.Intern(long)); got != long {
+		t.Error("a key longer than an arena chunk did not round-trip")
+	}
+	var want []string
+	for i := 0; i*40 < 3*internChunk; i++ {
+		want = append(want, fmt.Sprintf("http://e.com/%040d", i))
+		in.Intern(want[i])
+	}
+	for i, k := range want {
+		if got := in.Key(int32(2 + i)); got != k {
+			t.Fatalf("key %d = %q, want %q", i, got, k)
+		}
+		if id, ok := in.Lookup(k); !ok || id != int32(2+i) {
+			t.Fatalf("Lookup(key %d) = %d, %v", i, id, ok)
+		}
+	}
+	if kept != url {
+		t.Error("later keys overwrote an earlier one")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"webcachesim/internal/doctype"
 )
@@ -63,9 +64,6 @@ func (r *Request) Classify() doctype.Class {
 	return doctype.Classify(r.ContentType, r.URL)
 }
 
-// Key returns the document identity used by caches and characterization.
-func (r *Request) Key() string { return r.URL }
-
 // CacheableStatus reports whether an HTTP status code marks a response as
 // cacheable. The whitelist follows Section 2 of the paper: 200 (OK), 203
 // (Non-Authoritative Information), 206 (Partial Content), 300 (Multiple
@@ -83,7 +81,16 @@ func CacheableStatus(status int) bool {
 // dynamic-content heuristics the paper applies: the substring "cgi" or a
 // "?" anywhere in the URL.
 func UncacheableURL(url string) bool {
-	return strings.Contains(url, "?") || strings.Contains(strings.ToLower(url), "cgi")
+	for i := 0; i < len(url); i++ {
+		switch c := url[i]; {
+		case c == '?', c|0x20 == 'c' && i+2 < len(url) && url[i+1]|0x20 == 'g' && url[i+2]|0x20 == 'i':
+			return true
+		case c >= utf8.RuneSelf:
+			// Only Unicode case mapping answers: "CGİ" lower-cased contains "cgi".
+			return strings.Contains(url, "?") || strings.Contains(strings.ToLower(url), "cgi")
+		}
+	}
+	return false
 }
 
 // Cacheable reports whether the request survives preprocessing: a GET (or
@@ -99,7 +106,9 @@ func Cacheable(r *Request) bool {
 }
 
 // Reader yields a request stream. Next returns the next request, or an
-// error; io.EOF marks the clean end of the stream.
+// error; io.EOF marks the clean end of the stream. A returned Request stays
+// valid, but its strings may alias a block of input that many requests
+// share: strings.Clone the ones you keep, or each pins its whole block.
 type Reader interface {
 	Next() (*Request, error)
 }

@@ -32,10 +32,38 @@ func TestUncacheableURL(t *testing.T) {
 		{"http://e.com/cgi-bin/prog", true},
 		{"http://e.com/CGI-BIN/prog", true},
 		{"http://e.com/magic/page.html", false},
+		{"http://e.com/a/cGi", true},
+		{"http://e.com/CgI/x", true},
+		{"cgi", true},
+		{"cg", false},
+		{"http://e.com/c/g/i", false},
+		{"http://e.com/cg", false},
+		{"http://e.com/a.gif?", true},
+		{"?", true},
+		{"", false},
+		// Non-ASCII URLs go through Unicode lower-casing, whose answer a
+		// byte scan cannot give: İ (U+0130) lower-cases to "i" plus a
+		// combining dot, K (U+212A, the Kelvin sign) to "k".
+		{"http://e.com/CGİ", true},
+		{"http://e.com/cgİ/x", true},
+		{"http://e.com/é/cgi-bin", true},
+		{"http://e.com/é/CGI?x", true},
+		{"http://e.com/é/page.html", false},
+		{"http://e.com/é?x", true},
+		{"http://e.com/cg\xffi", false},
 	}
 	for _, tt := range tests {
 		if got := UncacheableURL(tt.url); got != tt.want {
 			t.Errorf("UncacheableURL(%q) = %v, want %v", tt.url, got, tt.want)
+		}
+		old := strings.Contains(tt.url, "?") || strings.Contains(strings.ToLower(tt.url), "cgi")
+		if old != tt.want {
+			t.Errorf("%q: the table says %v, lower-casing says %v", tt.url, tt.want, old)
+		}
+	}
+	for _, url := range []string{"http://e.com/images/a.gif", "http://e.com/CGI-bin/x", "http://e.com/a?b"} {
+		if allocs := testing.AllocsPerRun(100, func() { UncacheableURL(url) }); allocs != 0 {
+			t.Errorf("UncacheableURL(%q) allocates %v times, want 0", url, allocs)
 		}
 	}
 }

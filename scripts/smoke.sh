@@ -63,7 +63,7 @@ smoke_cluster() {
 # several); -run pins the seed-corpus phase to the target being fuzzed.
 smoke_fuzz() {
 	local row
-	for row in trace/FuzzParseSquidLine trace/FuzzInternedReader \
+	for row in trace/FuzzParseSquidLine trace/FuzzSquidBlocks trace/FuzzInternedReader \
 		trace/FuzzColumnar proxy/FuzzRequestKey; do
 		go test -run="^${row#*/}\$" -fuzz="^${row#*/}\$" -fuzztime=30s "./internal/${row%/*}"
 	done
