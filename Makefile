@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet wcvet vet-json test race bench bench-check smoke lines check
+.PHONY: build fmt vet wcvet vet-json test race bench bench-check smoke lines lines-check check
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,8 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Project-specific analyzers — the simulator-contract checks (policymeta,
-# evictloop, floatcmp, clockmono) and the concurrency-contract checks
+# Project-specific analyzers — the simulator-contract checks (evictloop,
+# floatcmp, clockmono) and the concurrency-contract checks
 # (lockorder, atomicfield, goroexit, errdrop) — plus selected stock vet
 # passes (lostcancel among them). See docs/ANALYZERS.md.
 wcvet:
@@ -67,4 +67,12 @@ smoke:
 lines:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-check: build fmt vet wcvet vet-json test bench-check race
+# The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
+# adds net code has to raise the number in its own diff (and one that
+# removes code should lower it to the new `make lines`).
+LINES_MAX = 19959
+lines-check:
+	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
+		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }
+
+check: build fmt lines-check vet wcvet vet-json test bench-check race

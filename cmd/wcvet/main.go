@@ -1,6 +1,6 @@
 // Command wcvet is the project's static-analysis multichecker: it runs
 // the webcachesim-specific analyzers — the simulator-contract checks
-// (policymeta, evictloop, floatcmp, clockmono) and the
+// (evictloop, floatcmp, clockmono) and the
 // concurrency-contract checks for the sharded serving path (lockorder,
 // atomicfield, goroexit, errdrop) — plus a selection of stock go vet
 // passes over the given packages (lostcancel among them: the all-paths

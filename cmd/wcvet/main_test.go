@@ -44,7 +44,7 @@ func TestJSONReport(t *testing.T) {
 	if len(rep.Diagnostics) != 0 {
 		t.Errorf("diagnostics = %v, want none", rep.Diagnostics)
 	}
-	if got, want := len(rep.Analyzers), 8; got != want {
+	if got, want := len(rep.Analyzers), 7; got != want {
 		t.Errorf("analyzers = %d (%v), want %d", got, rep.Analyzers, want)
 	}
 }
@@ -92,7 +92,7 @@ func TestAnalyzerDisableFlag(t *testing.T) {
 	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
 	}
-	if got, want := len(rep.Analyzers), 7; got != want {
+	if got, want := len(rep.Analyzers), 6; got != want {
 		t.Errorf("analyzers = %d (%v), want %d", got, rep.Analyzers, want)
 	}
 	for _, name := range rep.Analyzers {

@@ -59,7 +59,7 @@ type Config struct {
 	// Admission configures an admission filter (see internal/admission):
 	// one admitter per shard, each sized for the shard's share of the
 	// byte budget and keyed by that shard's interned IDs. The zero value
-	// admits everything. Requires the policy to implement policy.Peeker.
+	// admits everything.
 	Admission policy.AdmitterFactory
 	// InternRetain bounds each shard's URL interner: the number of
 	// non-resident URL→ID mappings retained before the oldest are
@@ -87,7 +87,6 @@ type shard struct {
 	mu      sync.Mutex
 	pol     policy.Policy
 	adm     policy.Admitter // nil when admission is disabled
-	peek    policy.Peeker   // set iff adm is set
 	entries map[string]*Entry
 	ids     *idTable
 	used    int64
@@ -130,16 +129,10 @@ func New(cfg Config) (*Cache, error) {
 			index:   i,
 		}
 		if cfg.Admission.New != nil {
-			sh := &c.shards[i]
-			peek, ok := sh.pol.(policy.Peeker)
-			if !ok {
-				return nil, fmt.Errorf("cache: policy %s does not support admission (no Peek)", cfg.Policy.Name)
-			}
 			// Each shard judges admission against its own share of the
 			// budget; ghost directories keyed by the shard's interner stay
 			// coherent because a key always maps to the same shard.
-			sh.adm = cfg.Admission.New(cfg.Capacity / int64(n))
-			sh.peek = peek
+			c.shards[i].adm = cfg.Admission.New(cfg.Capacity / int64(n))
 		}
 	}
 	return c, nil
@@ -305,7 +298,7 @@ func (c *Cache) admit(home *shard, key string, e *Entry) bool {
 	home.adm.Touch(e.Doc)
 	admitted := true
 	if c.used.Load()+e.Doc.Size > c.capacity {
-		if victim, ok := home.peek.Peek(); ok {
+		if victim, ok := home.pol.Peek(); ok {
 			admitted = home.adm.Admit(e.Doc, victim)
 		}
 		// else: the home shard has nothing to evict; the bytes will come

@@ -21,6 +21,9 @@ type Element[T any] struct {
 	Value T
 }
 
+// List returns the list that holds e, or nil when e is in no list.
+func (e *Element[T]) List() *List[T] { return e.list }
+
 // Next returns the following element, or nil at the back of the list.
 func (e *Element[T]) Next() *Element[T] {
 	if n := e.next; e.list != nil && n != &e.list.root {

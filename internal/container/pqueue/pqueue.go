@@ -86,8 +86,8 @@ type Queue[T any] struct {
 // Len returns the number of items in the queue.
 func (q *Queue[T]) Len() int { return len(q.heap) }
 
-// holds reports whether it is currently in this queue.
-func (q *Queue[T]) holds(it *Item[T]) bool {
+// Holds reports whether it is currently in this queue.
+func (q *Queue[T]) Holds(it *Item[T]) bool {
 	i := it.index
 	return i >= 0 && i < len(q.heap) && q.heap[i].item == it
 }
@@ -95,7 +95,7 @@ func (q *Queue[T]) holds(it *Item[T]) bool {
 // Push inserts the caller's item with the given priority. Pushing an item
 // that is already in this queue updates it instead.
 func (q *Queue[T]) Push(it *Item[T], priority float64) {
-	if q.holds(it) {
+	if q.Holds(it) {
 		q.Update(it, priority)
 		return
 	}
@@ -129,7 +129,7 @@ func (q *Queue[T]) PopMin() (*Item[T], error) {
 // Update changes the priority of an item in place, restoring heap order.
 // Updating an item that is not in the queue is a no-op.
 func (q *Queue[T]) Update(it *Item[T], priority float64) {
-	if !q.holds(it) {
+	if !q.Holds(it) {
 		return // Item is not in this queue; ignore rather than corrupt.
 	}
 	// Refresh the sequence number so that, among equal priorities, a
@@ -151,7 +151,7 @@ func (q *Queue[T]) Update(it *Item[T], priority float64) {
 // Remove deletes an item from the queue. Removing an item that is not in
 // the queue is a no-op.
 func (q *Queue[T]) Remove(it *Item[T]) {
-	if q.holds(it) {
+	if q.Holds(it) {
 		q.removeAt(it.index)
 	}
 }

@@ -26,10 +26,7 @@ type Config struct {
 	// policy call; meant for debugging and CI, not timed runs.
 	SelfCheck bool
 	// Admission configures an admission filter in front of the policy
-	// (see internal/admission). The zero value admits everything. A
-	// non-nil Admission.New requires the policy to implement
-	// policy.Peeker, since the filter compares candidates against the
-	// prospective eviction victim.
+	// (see internal/admission). The zero value admits everything.
 	Admission policy.AdmitterFactory
 }
 
@@ -92,10 +89,9 @@ func (t *docTable) add(key string, class doctype.Class) {
 
 // Simulator replays a Workload against one policy at one cache size.
 type Simulator struct {
-	cfg  Config
-	pol  policy.Policy
-	adm  policy.Admitter // nil when admission is disabled
-	peek policy.Peeker   // set iff adm is set
+	cfg Config
+	pol policy.Policy
+	adm policy.Admitter // nil when admission is disabled
 	// w is the workload whose documents the tables below cover. They are
 	// allocated by the first Process rather than by NewSimulator, so the
 	// simulators of a sweep's waiting cells hold no per-document memory.
@@ -123,21 +119,22 @@ func NewSimulator(w *Workload, cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSimulator(w, cfg, warmup)
+}
+
+// newSimulator checks what every simulator's configuration must satisfy
+// and builds the policy instance with, when configured, the admission
+// filter in front of it. w is nil for a StreamSimulator's inner simulator.
+func newSimulator(w *Workload, cfg Config, warmup int64) (*Simulator, error) {
 	if cfg.Capacity <= 0 {
 		return nil, errBadConfig("capacity %d must be positive", cfg.Capacity)
 	}
 	if cfg.Policy.New == nil {
 		return nil, errBadConfig("policy factory is nil")
 	}
-	pol, adm, peek, err := buildPolicy(cfg)
-	if err != nil {
-		return nil, err
-	}
 	s := &Simulator{
 		cfg:    cfg,
-		pol:    pol,
-		adm:    adm,
-		peek:   peek,
+		pol:    cfg.Policy.New(),
 		w:      w,
 		warmup: warmup,
 		sample: cfg.SampleEvery,
@@ -147,33 +144,14 @@ func NewSimulator(w *Workload, cfg Config) (*Simulator, error) {
 			WarmupRequests: warmup,
 		},
 	}
-	if adm != nil {
+	if cfg.SelfCheck {
+		s.pol = policy.Checked(s.pol)
+	}
+	if cfg.Admission.New != nil {
+		s.adm = cfg.Admission.New(cfg.Capacity)
 		s.result.Admission = cfg.Admission.Name
 	}
 	return s, nil
-}
-
-// buildPolicy constructs the policy instance and, when configured, the
-// admission filter in front of it. Peeker support is validated on the
-// raw policy before any Checked wrapping, since the wrapper always has a
-// Peek method that merely forwards.
-func buildPolicy(cfg Config) (policy.Policy, policy.Admitter, policy.Peeker, error) {
-	pol := cfg.Policy.New()
-	var adm policy.Admitter
-	if cfg.Admission.New != nil {
-		if _, ok := pol.(policy.Peeker); !ok {
-			return nil, nil, nil, errBadConfig("policy %s does not support admission (no Peek)", cfg.Policy.Name)
-		}
-		adm = cfg.Admission.New(cfg.Capacity)
-	}
-	if cfg.SelfCheck {
-		pol = policy.Checked(pol)
-	}
-	var peek policy.Peeker
-	if adm != nil {
-		peek = pol.(policy.Peeker)
-	}
-	return pol, adm, peek, nil
 }
 
 // Outcome reports how the cache disposed of one request.
@@ -313,7 +291,7 @@ func (s *Simulator) insert(ev *Event, measured bool) {
 			// Judge the candidate against the prospective victim before
 			// anything is evicted, so a rejected insert leaves the cache
 			// untouched.
-			if victim, ok := s.peek.Peek(); ok && !s.adm.Admit(doc, victim) {
+			if victim, ok := s.pol.Peek(); ok && !s.adm.Admit(doc, victim) {
 				return
 			}
 		}

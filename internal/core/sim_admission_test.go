@@ -36,42 +36,6 @@ func rejectAllFactory() policy.AdmitterFactory {
 	}
 }
 
-// noPeek is a minimal valid policy without a Peek method.
-type noPeek struct{ docs []*policy.Doc }
-
-func (p *noPeek) Name() string           { return "no-peek" }
-func (p *noPeek) Insert(doc *policy.Doc) { p.docs = append(p.docs, doc) }
-func (p *noPeek) Hit(*policy.Doc)        {}
-func (p *noPeek) Evict() (*policy.Doc, bool) {
-	if len(p.docs) == 0 {
-		return nil, false
-	}
-	d := p.docs[0]
-	p.docs = p.docs[1:]
-	return d, true
-}
-func (p *noPeek) Remove(doc *policy.Doc) {
-	for i, d := range p.docs {
-		if d == doc {
-			p.docs = append(p.docs[:i], p.docs[i+1:]...)
-			return
-		}
-	}
-}
-func (p *noPeek) Len() int { return len(p.docs) }
-
-func TestAdmissionRequiresPeeker(t *testing.T) {
-	w := build(t, 0, req("http://e.com/a.gif", 100))
-	_, err := NewSimulator(w, Config{
-		Capacity:  1000,
-		Policy:    policy.Factory{Name: "no-peek", New: func() policy.Policy { return &noPeek{} }},
-		Admission: rejectAllFactory(),
-	})
-	if err == nil {
-		t.Fatal("admission with a non-Peeker policy must be rejected at construction")
-	}
-}
-
 // TestAdmissionRejectedInsertLeavesCacheUntouched: when the filter says
 // no, nothing may be evicted and the resident set keeps producing hits.
 func TestAdmissionRejectedInsertLeavesCacheUntouched(t *testing.T) {

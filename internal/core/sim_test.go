@@ -274,6 +274,7 @@ func (b *brokenPolicy) Name() string               { return "broken" }
 func (b *brokenPolicy) Insert(*policy.Doc)         { b.n++ }
 func (b *brokenPolicy) Hit(*policy.Doc)            {}
 func (b *brokenPolicy) Evict() (*policy.Doc, bool) { return nil, false }
+func (b *brokenPolicy) Peek() (*policy.Doc, bool)  { return nil, false }
 func (b *brokenPolicy) Remove(*policy.Doc)         { b.n-- }
 func (b *brokenPolicy) Len() int                   { return b.n }
 

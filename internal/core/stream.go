@@ -27,32 +27,14 @@ type StreamSimulator struct {
 // any-change rule). The Config's WarmupFraction must be zero: the stream
 // length is unknown, so warm-up is given to Run as an absolute count.
 func NewStreamSimulator(cfg Config, modifyThreshold float64) (*StreamSimulator, error) {
-	if cfg.Capacity <= 0 {
-		return nil, errBadConfig("capacity %d must be positive", cfg.Capacity)
-	}
-	if cfg.Policy.New == nil {
-		return nil, errBadConfig("policy factory is nil")
+	sim, err := newSimulator(nil, cfg, 0)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.WarmupFraction != 0 {
 		return nil, errBadConfig("streaming simulation takes warm-up as a request count via Run, not a fraction")
 	}
-	pol, adm, peek, err := buildPolicy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := &StreamSimulator{ing: newIngest(modifyThreshold)}
-	s.sim = &Simulator{
-		cfg:    cfg,
-		pol:    pol,
-		adm:    adm,
-		peek:   peek,
-		sample: cfg.SampleEvery,
-		result: Result{Policy: cfg.Policy.Name, Capacity: cfg.Capacity},
-	}
-	if adm != nil {
-		s.sim.result.Admission = cfg.Admission.Name
-	}
-	return s, nil
+	return &StreamSimulator{sim: sim, ing: newIngest(modifyThreshold)}, nil
 }
 
 // Run consumes the reader to EOF and returns the result. warmupRequests

@@ -7,11 +7,6 @@ import (
 	"webcachesim/internal/lint/linttest"
 )
 
-func TestPolicyMeta(t *testing.T) {
-	linttest.Run(t, "testdata/src", lint.PolicyMeta,
-		"policymeta/policy", "policymeta/outside")
-}
-
 func TestEvictLoop(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.EvictLoop, "evictloop/a")
 }

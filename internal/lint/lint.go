@@ -9,9 +9,6 @@
 // the determinism requirements of the simulator core, and the concurrency
 // invariants of the sharded serving path:
 //
-//   - policymeta: Doc.meta is policy-private state; no package outside the
-//     policy package may touch it, and type assertions on it must use the
-//     ", ok" form.
 //   - evictloop: Evict reports false when the policy is empty; an eviction
 //     loop that ignores that signal can spin forever.
 //   - floatcmp: priority/cost float math in the heap-based schemes must
@@ -115,7 +112,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the project analyzers in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		PolicyMeta, EvictLoop, FloatCmp, ClockMono,
+		EvictLoop, FloatCmp, ClockMono,
 		LockOrder, AtomicField, GoroExit, ErrDrop,
 	}
 }

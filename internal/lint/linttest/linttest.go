@@ -3,7 +3,7 @@
 // a GOPATH-like tree (root/<import path>/*.go) and annotate the lines an
 // analyzer must flag with trailing comments of the form
 //
-//	x := d.meta // want "policy-private"
+//	c.Evict() // want "result of Evict is discarded"
 //
 // where the quoted text is a regular expression matched against the
 // diagnostic message. A fixture line without a matching diagnostic, or a

@@ -1,19 +1,5 @@
 package policy
 
-// Peeker is implemented by policies that can report their current
-// eviction victim without removing it. Admission filters need it: they
-// compare a missed document against the document that would be evicted
-// to make room, and the comparison must happen before anything is
-// removed so a rejected insert leaves the policy untouched.
-//
-// Every policy in this package implements Peeker; the interface is
-// optional only so external implementations of Policy keep compiling.
-type Peeker interface {
-	// Peek returns the document Evict would remove next, without
-	// removing it. It reports false when the policy tracks no documents.
-	Peek() (*Doc, bool)
-}
-
 // Admitter decides whether a missed document may enter the cache at all.
 // It sits in front of a replacement Policy: the cache calls Touch on
 // every reference (hit or miss) so the admitter can learn frequencies,

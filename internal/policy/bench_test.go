@@ -23,6 +23,7 @@ func benchPolicy(b *testing.B, newPolicy func() Policy) {
 	docs := benchDocs(4096)
 	p := newPolicy()
 	resident := make([]*Doc, 0, len(docs))
+	live := make([]bool, len(docs)) // by Doc.ID
 	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -30,8 +31,9 @@ func benchPolicy(b *testing.B, newPolicy func() Policy) {
 		switch {
 		case len(resident) < 1024 || rng.Intn(3) == 0:
 			d := docs[rng.Intn(len(docs))]
-			if d.meta == nil {
+			if !live[d.ID] {
 				p.Insert(d)
+				live[d.ID] = true
 				resident = append(resident, d)
 			} else {
 				p.Hit(d)
@@ -40,6 +42,7 @@ func benchPolicy(b *testing.B, newPolicy func() Policy) {
 			p.Hit(resident[rng.Intn(len(resident))])
 		default:
 			if v, ok := p.Evict(); ok {
+				live[v.ID] = false
 				for j, d := range resident {
 					if d == v {
 						resident[j] = resident[len(resident)-1]

@@ -111,17 +111,11 @@ func (c *checked) Evict() (*Doc, bool) {
 	return victim, true
 }
 
-// Peek implements Peeker when the inner policy does: the prospective
-// victim must be tracked, and peeking must not change Len. A non-Peeker
-// inner policy reports no victim — callers that require Peek support
-// must validate before wrapping.
+// Peek implements Policy: the prospective victim must be tracked, and
+// peeking must not change Len.
 func (c *checked) Peek() (*Doc, bool) {
-	peek, ok := c.inner.(Peeker)
-	if !ok {
-		return nil, false
-	}
 	c.sync("Peek")
-	victim, ok := peek.Peek()
+	victim, ok := c.inner.Peek()
 	if !ok {
 		if len(c.tracked) != 0 {
 			c.fail("Peek", "reported empty while %d documents are tracked", len(c.tracked))

@@ -26,6 +26,13 @@ func (f *fakePolicy) Evict() (*Doc, bool) {
 	return victim, true
 }
 
+func (f *fakePolicy) Peek() (*Doc, bool) {
+	if len(f.docs) == 0 {
+		return nil, false
+	}
+	return f.docs[0], true
+}
+
 func (f *fakePolicy) Remove(doc *Doc) {
 	for i, d := range f.docs {
 		if d == doc {

@@ -29,11 +29,7 @@ func (nanCost) Name() string       { return "nan" }
 
 func priorityOf(t *testing.T, d *Doc) float64 {
 	t.Helper()
-	m, ok := d.meta.(*heapMeta)
-	if !ok {
-		t.Fatalf("doc %q has no heap meta", d.Key)
-	}
-	return m.item.Priority()
+	return d.hm.item.Priority()
 }
 
 func TestFiniteH(t *testing.T) {

@@ -15,15 +15,66 @@ type heapMeta struct {
 	refs int64
 }
 
-// track starts a value-based scheme's bookkeeping for a document entering
-// the cache: reference count one, queued at the given priority.
-func track(q *pqueue.Queue[*Doc], doc *Doc, priority float64) {
+// evictHeap is the core every value-based scheme embeds: documents queued
+// by their value H, the minimum evicted, and the victim's H kept as the
+// cache age L that the aging schemes add to new values. A scheme on top of
+// it is a name plus the H it computes in Insert and Hit. Whether a
+// document is tracked is the queue's knowledge alone — its handle points
+// back from the heap array — so a Hit or Remove for a document this heap
+// does not hold changes nothing.
+type evictHeap struct {
+	queue pqueue.Queue[*Doc]
+	age   float64
+}
+
+// track starts the bookkeeping for a document entering the cache:
+// reference count one, queued at the given value.
+func (h *evictHeap) track(doc *Doc, value float64) {
 	m := &doc.hm
 	m.refs = 1
 	m.item.Value = doc
-	q.Push(&m.item, priority)
-	doc.meta = m
+	h.queue.Push(&m.item, value)
 }
+
+// touch counts a reference to a tracked document and returns the new
+// count; it reports false, counting nothing, for any other document.
+func (h *evictHeap) touch(doc *Doc) (int64, bool) {
+	if !h.queue.Holds(&doc.hm.item) {
+		return 0, false
+	}
+	doc.hm.refs++
+	return doc.hm.refs, true
+}
+
+// Evict implements Policy: the minimum value is removed and becomes the
+// new cache age.
+func (h *evictHeap) Evict() (*Doc, bool) {
+	it, err := h.queue.PopMin()
+	if err != nil {
+		return nil, false
+	}
+	h.age = it.Priority()
+	return it.Value, true
+}
+
+// Peek implements Policy: the minimum-value document, untouched.
+func (h *evictHeap) Peek() (*Doc, bool) {
+	it, err := h.queue.Min()
+	if err != nil {
+		return nil, false
+	}
+	return it.Value, true
+}
+
+// Remove implements Policy.
+func (h *evictHeap) Remove(doc *Doc) { h.queue.Remove(&doc.hm.item) }
+
+// Len implements Policy.
+func (h *evictHeap) Len() int { return h.queue.Len() }
+
+// Age returns the cache age L: the value of the last eviction victim
+// (exported for tests and instrumentation).
+func (h *evictHeap) Age() float64 { return h.age }
 
 // finiteH guards a computed H value against IEEE edge cases before it
 // enters the eviction heap. Degenerate inputs can poison the arithmetic:
@@ -45,16 +96,6 @@ func finiteH(h, floor float64) float64 {
 	return h
 }
 
-// peekMin reports the heap minimum without removing it — the shared Peek
-// implementation for the value-based schemes.
-func peekMin(q *pqueue.Queue[*Doc]) (*Doc, bool) {
-	it, err := q.Min()
-	if err != nil {
-		return nil, false
-	}
-	return it.Value, true
-}
-
 // LFUDA is Least Frequently Used with Dynamic Aging: a frequency-based
 // policy under fixed cost and size assumptions. Each document carries its
 // reference count; the document with the smallest count is evicted. The
@@ -62,10 +103,7 @@ func peekMin(q *pqueue.Queue[*Doc]) (*Doc, bool) {
 // the policy keeps a cache age L, set to the key value of the last evicted
 // document, and adds L to a document's reference count whenever the
 // document is inserted or referenced.
-type LFUDA struct {
-	queue pqueue.Queue[*Doc]
-	age   float64
-}
+type LFUDA struct{ evictHeap }
 
 var _ Policy = (*LFUDA)(nil)
 
@@ -76,50 +114,14 @@ func NewLFUDA() *LFUDA { return &LFUDA{} }
 func (*LFUDA) Name() string { return "LFU-DA" }
 
 // Insert implements Policy: key = 1 + L.
-func (p *LFUDA) Insert(doc *Doc) {
-	track(&p.queue, doc, 1+p.age)
-}
+func (p *LFUDA) Insert(doc *Doc) { p.track(doc, 1+p.age) }
 
 // Hit implements Policy: key = f + L with the incremented count.
 func (p *LFUDA) Hit(doc *Doc) {
-	m, ok := doc.meta.(*heapMeta)
-	if !ok {
-		return
-	}
-	m.refs++
-	p.queue.Update(&m.item, float64(m.refs)+p.age)
-}
-
-// Evict implements Policy: the minimum key is removed and becomes the new
-// cache age.
-func (p *LFUDA) Evict() (*Doc, bool) {
-	it, err := p.queue.PopMin()
-	if err != nil {
-		return nil, false
-	}
-	p.age = it.Priority()
-	doc := it.Value
-	doc.meta = nil
-	return doc, true
-}
-
-// Peek implements Peeker: the minimum-key document, untouched.
-func (p *LFUDA) Peek() (*Doc, bool) { return peekMin(&p.queue) }
-
-// Remove implements Policy.
-func (p *LFUDA) Remove(doc *Doc) {
-	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(&m.item)
-		doc.meta = nil
+	if refs, ok := p.touch(doc); ok {
+		p.queue.Update(&doc.hm.item, float64(refs)+p.age)
 	}
 }
-
-// Len implements Policy.
-func (p *LFUDA) Len() int { return p.queue.Len() }
-
-// Age returns the current dynamic-aging offset L (exported for tests and
-// instrumentation).
-func (p *LFUDA) Age() float64 { return p.age }
 
 // GDS is Greedy Dual Size (Cao & Irani): it values each document at
 // H(p) = L + c(p)/s(p) and evicts the minimum H. The inflation offset L —
@@ -128,9 +130,8 @@ func (p *LFUDA) Age() float64 { return p.age }
 // every resident value, new and re-referenced values are inflated. GDS is
 // size- and cost-aware but, like LRU, ignores reference frequency.
 type GDS struct {
-	queue pqueue.Queue[*Doc]
-	cost  CostModel
-	age   float64
+	evictHeap
+	cost CostModel
 }
 
 var _ Policy = (*GDS)(nil)
@@ -156,48 +157,14 @@ func (p *GDS) value(doc *Doc) float64 {
 }
 
 // Insert implements Policy.
-func (p *GDS) Insert(doc *Doc) {
-	track(&p.queue, doc, p.value(doc))
-}
+func (p *GDS) Insert(doc *Doc) { p.track(doc, p.value(doc)) }
 
 // Hit implements Policy: the document's H is restored to L + c/s.
 func (p *GDS) Hit(doc *Doc) {
-	m, ok := doc.meta.(*heapMeta)
-	if !ok {
-		return
-	}
-	m.refs++
-	p.queue.Update(&m.item, p.value(doc))
-}
-
-// Evict implements Policy: the minimum H is removed and inflates L.
-func (p *GDS) Evict() (*Doc, bool) {
-	it, err := p.queue.PopMin()
-	if err != nil {
-		return nil, false
-	}
-	p.age = it.Priority()
-	doc := it.Value
-	doc.meta = nil
-	return doc, true
-}
-
-// Peek implements Peeker: the minimum-key document, untouched.
-func (p *GDS) Peek() (*Doc, bool) { return peekMin(&p.queue) }
-
-// Remove implements Policy.
-func (p *GDS) Remove(doc *Doc) {
-	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(&m.item)
-		doc.meta = nil
+	if _, ok := p.touch(doc); ok {
+		p.queue.Update(&doc.hm.item, p.value(doc))
 	}
 }
-
-// Len implements Policy.
-func (p *GDS) Len() int { return p.queue.Len() }
-
-// Age returns the current inflation offset L.
-func (p *GDS) Age() float64 { return p.age }
 
 // GDStar is Greedy Dual* (Jin & Bestavros): it captures both sources of
 // temporal locality by valuing documents at
@@ -209,9 +176,9 @@ func (p *GDS) Age() float64 { return p.age }
 // novel feature of GD* — estimated online from the reference stream, which
 // makes the policy adaptive to changing workload characteristics.
 type GDStar struct {
-	queue pqueue.Queue[*Doc]
-	cost  CostModel
-	age   float64
+	evictHeap
+	family string // display name without the cost tag: "GD*" or "GDSF"
+	cost   CostModel
 
 	// fixedBeta and its reciprocal are used when estimator is nil.
 	fixedBeta    float64
@@ -230,13 +197,26 @@ func NewGDStar(cost CostModel, beta float64) *GDStar {
 		cost = ConstantCost{}
 	}
 	if !(beta > 0) || math.IsInf(beta, 1) {
-		return &GDStar{cost: cost, estimator: NewBetaEstimator()}
+		return &GDStar{family: "GD*", cost: cost, estimator: NewBetaEstimator()}
 	}
-	return &GDStar{cost: cost, fixedBeta: beta, fixedInvBeta: 1 / beta}
+	return &GDStar{family: "GD*", cost: cost, fixedBeta: beta, fixedInvBeta: 1 / beta}
+}
+
+// NewGDSF returns an empty GDSF policy — GreedyDual-Size with Frequency
+// (Cherkasova), H(p) = L + f(p)·c(p)/s(p) — under the given cost model
+// (ConstantCost when nil). It is the β = 1 point of the GD* family:
+// frequency-aware and size-aware, but blind to temporal correlation, and
+// the variant deployed in Squid. It is included for the related-work
+// comparisons (Arlitt et al. [1]); the gap between GDSF and GD* isolates
+// the value of the 1/β aging exponent.
+func NewGDSF(cost CostModel) *GDStar {
+	p := NewGDStar(cost, 1)
+	p.family = "GDSF"
+	return p
 }
 
 // Name implements Policy.
-func (p *GDStar) Name() string { return "GD*(" + p.cost.Tag() + ")" }
+func (p *GDStar) Name() string { return p.family + "(" + p.cost.Tag() + ")" }
 
 // Beta returns the exponent currently in effect.
 func (p *GDStar) Beta() float64 {
@@ -264,7 +244,7 @@ func (p *GDStar) Insert(doc *Doc) {
 	if p.estimator != nil {
 		p.estimator.Observe(doc.ID)
 	}
-	track(&p.queue, doc, p.value(doc, 1))
+	p.track(doc, p.value(doc, 1))
 }
 
 // Hit implements Policy.
@@ -272,48 +252,14 @@ func (p *GDStar) Hit(doc *Doc) {
 	if p.estimator != nil {
 		p.estimator.Observe(doc.ID)
 	}
-	m, ok := doc.meta.(*heapMeta)
-	if !ok {
-		return
-	}
-	m.refs++
-	p.queue.Update(&m.item, p.value(doc, m.refs))
-}
-
-// Evict implements Policy.
-func (p *GDStar) Evict() (*Doc, bool) {
-	it, err := p.queue.PopMin()
-	if err != nil {
-		return nil, false
-	}
-	p.age = it.Priority()
-	doc := it.Value
-	doc.meta = nil
-	return doc, true
-}
-
-// Peek implements Peeker: the minimum-key document, untouched.
-func (p *GDStar) Peek() (*Doc, bool) { return peekMin(&p.queue) }
-
-// Remove implements Policy.
-func (p *GDStar) Remove(doc *Doc) {
-	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(&m.item)
-		doc.meta = nil
+	if refs, ok := p.touch(doc); ok {
+		p.queue.Update(&doc.hm.item, p.value(doc, refs))
 	}
 }
-
-// Len implements Policy.
-func (p *GDStar) Len() int { return p.queue.Len() }
-
-// Age returns the current inflation offset L.
-func (p *GDStar) Age() float64 { return p.age }
 
 // LFU is plain Least Frequently Used without aging; the gap between LFU
 // and LFU-DA isolates the value of dynamic aging against cache pollution.
-type LFU struct {
-	queue pqueue.Queue[*Doc]
-}
+type LFU struct{ evictHeap }
 
 var _ Policy = (*LFU)(nil)
 
@@ -324,51 +270,19 @@ func NewLFU() *LFU { return &LFU{} }
 func (*LFU) Name() string { return "LFU" }
 
 // Insert implements Policy.
-func (p *LFU) Insert(doc *Doc) {
-	track(&p.queue, doc, 1)
-}
+func (p *LFU) Insert(doc *Doc) { p.track(doc, 1) }
 
 // Hit implements Policy.
 func (p *LFU) Hit(doc *Doc) {
-	m, ok := doc.meta.(*heapMeta)
-	if !ok {
-		return
-	}
-	m.refs++
-	p.queue.Update(&m.item, float64(m.refs))
-}
-
-// Evict implements Policy.
-func (p *LFU) Evict() (*Doc, bool) {
-	it, err := p.queue.PopMin()
-	if err != nil {
-		return nil, false
-	}
-	doc := it.Value
-	doc.meta = nil
-	return doc, true
-}
-
-// Peek implements Peeker: the minimum-key document, untouched.
-func (p *LFU) Peek() (*Doc, bool) { return peekMin(&p.queue) }
-
-// Remove implements Policy.
-func (p *LFU) Remove(doc *Doc) {
-	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(&m.item)
-		doc.meta = nil
+	if refs, ok := p.touch(doc); ok {
+		p.queue.Update(&doc.hm.item, float64(refs))
 	}
 }
-
-// Len implements Policy.
-func (p *LFU) Len() int { return p.queue.Len() }
 
 // Size evicts the largest resident document first, the SIZE policy of
 // Williams et al.; it maximizes document hit rate at the expense of byte
 // hit rate and serves as the size-only extreme in comparisons.
-type Size struct {
-	queue pqueue.Queue[*Doc]
-}
+type Size struct{ evictHeap }
 
 var _ Policy = (*Size)(nil)
 
@@ -380,34 +294,7 @@ func (*Size) Name() string { return "SIZE" }
 
 // Insert implements Policy: priority is the negated size, so the largest
 // document is the heap minimum.
-func (p *Size) Insert(doc *Doc) {
-	track(&p.queue, doc, -float64(doc.Size))
-}
+func (p *Size) Insert(doc *Doc) { p.track(doc, -float64(doc.Size)) }
 
 // Hit implements Policy: SIZE ignores references.
 func (*Size) Hit(*Doc) {}
-
-// Evict implements Policy.
-func (p *Size) Evict() (*Doc, bool) {
-	it, err := p.queue.PopMin()
-	if err != nil {
-		return nil, false
-	}
-	doc := it.Value
-	doc.meta = nil
-	return doc, true
-}
-
-// Peek implements Peeker: the minimum-key document, untouched.
-func (p *Size) Peek() (*Doc, bool) { return peekMin(&p.queue) }
-
-// Remove implements Policy.
-func (p *Size) Remove(doc *Doc) {
-	if m, ok := doc.meta.(*heapMeta); ok {
-		p.queue.Remove(&m.item)
-		doc.meta = nil
-	}
-}
-
-// Len implements Policy.
-func (p *Size) Len() int { return p.queue.Len() }

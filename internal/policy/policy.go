@@ -21,8 +21,9 @@ import (
 // Doc is a cached document as seen by a replacement policy. The simulator
 // allocates one Doc per distinct document and passes the same pointer to
 // every policy call — including across an evict/re-insert cycle of the
-// same document; policies hang their private bookkeeping off the meta
-// field and must reset it on Insert.
+// same document. Policies keep their per-document bookkeeping in the
+// unexported fields; whether a policy tracks the document is recorded once,
+// by the heap or list that holds it.
 type Doc struct {
 	// ID is the document's dense identity: callers assign each distinct
 	// document a unique small integer (the simulator uses the workload's
@@ -35,11 +36,6 @@ type Doc struct {
 	Class doctype.Class
 	// Size is the document size in bytes charged against cache capacity.
 	Size int64
-
-	// meta identifies the policy-private state in use while a policy
-	// tracks the document: it points at hm, at elem, or (SLRU) at the
-	// segment list holding elem.
-	meta any
 
 	// hm is the heap-based schemes' bookkeeping (heap handle, reference
 	// count) and elem the list-based schemes' list node, both embedded by
@@ -76,11 +72,17 @@ type Policy interface {
 	Name() string
 	// Insert adds a document that just entered the cache.
 	Insert(doc *Doc)
-	// Hit records a reference to a resident document.
+	// Hit records a reference to a resident document. A Hit for a document
+	// the policy does not track is a no-op.
 	Hit(doc *Doc)
 	// Evict removes and returns the replacement victim. It reports false
 	// when the policy tracks no documents.
 	Evict() (*Doc, bool)
+	// Peek returns the document Evict would remove next, without removing
+	// it or changing any state. Admission filters compare a missed document
+	// against it before anything is evicted, so that a rejected insert
+	// leaves the policy untouched.
+	Peek() (*Doc, bool)
 	// Remove deletes a resident document from the policy's bookkeeping.
 	// Removing an untracked document is a no-op.
 	Remove(doc *Doc)
@@ -100,8 +102,8 @@ type Factory struct {
 // Spec describes a configured replacement scheme. The zero value selects
 // LRU.
 type Spec struct {
-	// Scheme is one of "lru", "lfuda", "gds", "gdstar", "fifo", "size",
-	// "lfu".
+	// Scheme is one of "lru", "lfuda", "gds", "gdstar", "gdsf", "fifo",
+	// "size", "lfu", "slru", "typeaware"; empty selects "lru".
 	Scheme string
 	// Cost selects the cost model for GDS and GD*: ConstantCost or
 	// PacketCost. Ignored by the cost-oblivious schemes.
@@ -117,7 +119,9 @@ type Spec struct {
 // ParseSpec parses a scheme specification string of the form
 // "scheme[:cost]" — e.g. "lru", "gds:const", "gdstar:packet",
 // "gdstar:packet:beta=0.8". Recognized cost names are "const"/"1" and
-// "packet"/"p". The type-aware meta-policy wraps an inner spec:
+// "packet"/"p". An option the scheme would ignore is an error: a cost
+// model on anything but gds, gdstar and gdsf, beta= on anything but
+// gdstar. The type-aware meta-policy wraps an inner spec:
 // "typeaware+gdstar:packet".
 func ParseSpec(s string) (Spec, error) {
 	lower := strings.ToLower(strings.TrimSpace(s))
@@ -139,13 +143,15 @@ func ParseSpec(s string) (Spec, error) {
 	default:
 		return Spec{}, fmt.Errorf("policy: unknown scheme %q", parts[0])
 	}
+	costAware := spec.Scheme == "gds" || spec.Scheme == "gdstar" || spec.Scheme == "gdsf"
 	for _, p := range parts[1:] {
+		isBeta := strings.HasPrefix(p, "beta=")
 		switch {
 		case p == "const" || p == "constant" || p == "1":
 			spec.Cost = ConstantCost{}
 		case p == "packet" || p == "p":
 			spec.Cost = PacketCost{}
-		case strings.HasPrefix(p, "beta="):
+		case isBeta:
 			var beta float64
 			if _, err := fmt.Sscanf(p, "beta=%g", &beta); err != nil {
 				return Spec{}, fmt.Errorf("policy: bad beta in %q: %w", s, err)
@@ -156,6 +162,10 @@ func ParseSpec(s string) (Spec, error) {
 			spec.Beta = beta
 		default:
 			return Spec{}, fmt.Errorf("policy: unknown option %q in %q", p, s)
+		}
+		// An option the scheme would ignore is a mistake, not a variant.
+		if isBeta && spec.Scheme != "gdstar" || !isBeta && !costAware {
+			return Spec{}, fmt.Errorf("policy: scheme %q takes no option %q (in %q)", spec.Scheme, p, s)
 		}
 	}
 	return spec, nil

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"webcachesim/internal/doctype"
@@ -263,11 +265,7 @@ func TestGDStarBetaExponent(t *testing.T) {
 		p := NewGDStar(ConstantCost{}, tt.beta)
 		d := doc("d", 1000)
 		p.Insert(d)
-		m, ok := d.meta.(*heapMeta)
-		if !ok {
-			t.Fatal("missing heap meta")
-		}
-		if got := m.item.Priority(); math.Abs(got-tt.want) > tt.want*1e-9 {
+		if got := d.hm.item.Priority(); math.Abs(got-tt.want) > tt.want*1e-9 {
 			t.Errorf("beta=%v: priority %v, want %v", tt.beta, got, tt.want)
 		}
 	}
@@ -345,6 +343,16 @@ func TestParseSpec(t *testing.T) {
 		{"mystery", "", true},
 		{"gds:warp", "", true},
 		{"gdstar:beta=x", "", true},
+		{"gdsf:p", "GDSF(P)", false},
+		{"slru", "SLRU", false},
+		// A cost model on a cost-oblivious scheme would be ignored.
+		{"lru:p", "", true},
+		{"lfuda:1", "", true},
+		{"lfu:const", "", true},
+		{"fifo:packet", "", true},
+		{"size:p", "", true},
+		{"slru:p", "", true},
+		{"typeaware+lru:p", "", true},
 	}
 	for _, tt := range tests {
 		spec, err := ParseSpec(tt.in)
@@ -388,6 +396,24 @@ func TestParseSpecBeta(t *testing.T) {
 	}
 	if g.Beta() != 0.75 {
 		t.Errorf("policy beta = %v, want 0.75", g.Beta())
+	}
+	// Only GD* has the exponent, and only gds, gdstar and gdsf a cost
+	// model; elsewhere the option would be ignored, so it is refused in an
+	// error naming scheme and option.
+	for _, tt := range []struct{ in, scheme, option string }{
+		{"gds:beta=2", "gds", "beta=2"},
+		{"lfuda:beta=0.5", "lfuda", "beta=0.5"},
+		{"gdsf:beta=2", "gdsf", "beta=2"},
+		{"gdsf:p:beta=1", "gdsf", "beta=1"},
+		{"slru:p:beta=3", "slru", "p"},
+		{"lru:beta=1", "lru", "beta=1"},
+		{"lru:p", "lru", "p"},
+		{"fifo:packet", "fifo", "packet"},
+	} {
+		_, err := ParseSpec(tt.in)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(tt.scheme)) || !strings.Contains(err.Error(), strconv.Quote(tt.option)) {
+			t.Errorf("ParseSpec(%q) err = %v, want an error naming scheme %q and option %q", tt.in, err, tt.scheme, tt.option)
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package policy
 
-import "webcachesim/internal/container/intlist"
-
 // SLRU is Segmented LRU (Karedla, Love & Wherry): the cache is split into
 // a probationary and a protected segment, both LRU-ordered by document
 // count. New documents enter probation; a hit promotes a document to the
@@ -11,11 +9,11 @@ import "webcachesim/internal/container/intlist"
 // a recency-based answer to the one-hit-wonder problem that LFU-DA solves
 // with counts. Included as a related-work baseline.
 //
-// While SLRU tracks a document, Doc.meta points at the segment list that
-// holds the document's embedded list node.
+// Which segment tracks a document is read off the document's embedded
+// list node, so a Hit or Remove for a document held elsewhere is a no-op.
 type SLRU struct {
-	probation intlist.List[*Doc]
-	protected intlist.List[*Doc]
+	probation recencyList
+	protected recencyList
 	// maxProtected bounds the protected segment (in documents).
 	maxProtected int
 }
@@ -37,37 +35,21 @@ func NewSLRU(maxProtected int) *SLRU {
 func (*SLRU) Name() string { return "SLRU" }
 
 // Insert implements Policy: new documents enter probation.
-func (p *SLRU) Insert(doc *Doc) {
-	p.enter(&p.probation, doc)
-}
-
-// enter links the document at the front of a segment and records which.
-func (p *SLRU) enter(segment *intlist.List[*Doc], doc *Doc) {
-	linkFront(segment, doc)
-	doc.meta = segment
-}
-
-// segmentOf returns the segment tracking the document, or nil when this
-// policy does not track it.
-func (p *SLRU) segmentOf(doc *Doc) *intlist.List[*Doc] {
-	if l, ok := doc.meta.(*intlist.List[*Doc]); ok && (l == &p.probation || l == &p.protected) {
-		return l
-	}
-	return nil
-}
+func (p *SLRU) Insert(doc *Doc) { p.probation.Insert(doc) }
 
 // Hit implements Policy: probationary documents are promoted; protected
 // documents refresh their recency.
 func (p *SLRU) Hit(doc *Doc) {
-	switch p.segmentOf(doc) {
-	case &p.protected:
-		p.protected.MoveToFront(&doc.elem)
-	case &p.probation:
-		p.probation.Remove(&doc.elem)
-		p.enter(&p.protected, doc)
+	switch doc.elem.List() {
+	case &p.protected.list:
+		p.protected.list.MoveToFront(&doc.elem)
+	case &p.probation.list:
+		p.probation.Remove(doc)
+		p.protected.Insert(doc)
 		// Overflowing protected documents fall back to the top of probation.
 		for p.protected.Len() > p.maxProtected {
-			p.enter(&p.probation, p.protected.Remove(p.protected.Back()))
+			tail := &p.protected.list
+			p.probation.Insert(tail.Remove(tail.Back()))
 		}
 	}
 }
@@ -75,37 +57,25 @@ func (p *SLRU) Hit(doc *Doc) {
 // Evict implements Policy: the probationary LRU tail goes first; a fully
 // protected cache falls back to the protected tail.
 func (p *SLRU) Evict() (*Doc, bool) {
-	if e := p.probation.Back(); e != nil {
-		doc := p.probation.Remove(e)
-		doc.meta = nil
+	if doc, ok := p.probation.Evict(); ok {
 		return doc, true
 	}
-	if e := p.protected.Back(); e != nil {
-		doc := p.protected.Remove(e)
-		doc.meta = nil
-		return doc, true
-	}
-	return nil, false
+	return p.protected.Evict()
 }
 
-// Peek implements Peeker: the probationary tail (or, when probation is
+// Peek implements Policy: the probationary tail (or, when probation is
 // empty, the protected tail), untouched.
 func (p *SLRU) Peek() (*Doc, bool) {
-	if e := p.probation.Back(); e != nil {
-		return e.Value, true
+	if doc, ok := p.probation.Peek(); ok {
+		return doc, true
 	}
-	if e := p.protected.Back(); e != nil {
-		return e.Value, true
-	}
-	return nil, false
+	return p.protected.Peek()
 }
 
-// Remove implements Policy.
+// Remove implements Policy: a segment ignores a node it does not hold.
 func (p *SLRU) Remove(doc *Doc) {
-	if segment := p.segmentOf(doc); segment != nil {
-		segment.Remove(&doc.elem)
-		doc.meta = nil
-	}
+	p.probation.Remove(doc)
+	p.protected.Remove(doc)
 }
 
 // Len implements Policy.

@@ -130,20 +130,14 @@ func (t *TypeAware) Evict() (*Doc, bool) {
 	return victim, true
 }
 
-// Peek implements Peeker: the most-over-budget class's own victim,
-// untouched. The chosen sub-policy always implements Peeker — every
-// scheme in this package does, and NewTypeAware only wraps package
-// factories.
+// Peek implements Policy: the most-over-budget class's own victim,
+// untouched.
 func (t *TypeAware) Peek() (*Doc, bool) {
 	bestClass := t.victimClass()
 	if bestClass == doctype.Unknown {
 		return nil, false
 	}
-	peek, ok := t.subs[bestClass].(Peeker)
-	if !ok {
-		return nil, false
-	}
-	return peek.Peek()
+	return t.subs[bestClass].Peek()
 }
 
 // Remove implements Policy.

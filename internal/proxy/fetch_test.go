@@ -46,11 +46,9 @@ func metricsText(t *testing.T, reg *metrics.Registry) string {
 	return sb.String()
 }
 
-// countingPolicy counts Hit calls on the policy it wraps; embedding the
-// Peeker keeps the wrapped policy usable under an admission filter.
+// countingPolicy counts Hit calls on the policy it wraps.
 type countingPolicy struct {
 	policy.Policy
-	policy.Peeker
 	hits *atomic.Int64
 }
 
@@ -88,8 +86,7 @@ func TestStaleOnError(t *testing.T) {
 		Metrics:      reg,
 		FetchRetries: -1, // keep the dead-origin phase fast
 		Policy: policy.Factory{Name: "counting-lru", New: func() policy.Policy {
-			inner := lru.New()
-			return countingPolicy{inner, inner.(policy.Peeker), &policyHits}
+			return countingPolicy{lru.New(), &policyHits}
 		}},
 		Admission: policy.AdmitterFactory{Name: "counting", New: func(int64) policy.Admitter {
 			return countingAdmitter{&admissionTouches}
