@@ -5,8 +5,11 @@ GO ?= go
 
 .PHONY: build fmt vet wcvet vet-json test race bench bench-check smoke lines lines-check check
 
+# The second build compiles the !unix side of the build-tagged file pairs
+# (trace/mm, the pool's arena), which nothing else does.
 build:
 	$(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 # Fails when any file is not gofmt-clean; `gofmt -l .` names them.
 fmt:
@@ -38,9 +41,11 @@ test:
 # and carries its own regression tests that only bite under -race.
 # container, sketch and admission ride along: the heap and the list link
 # memory their callers own (policy.Doc, the space-saving entries), one set
-# per sweep goroutine or cache shard.
+# per sweep goroutine or cache shard. pool hands memory between goroutines;
+# under -race its chunks are Go heap, so the detector sees every body byte.
 race:
 	$(GO) test -race ./internal/core/... ./internal/policy/... ./internal/mrc/... \
+		./internal/pool/... \
 		./internal/cache/... ./internal/flight/... ./internal/proxy/... ./internal/load/... \
 		./internal/trace/... ./internal/cluster/... ./internal/hierarchy/... \
 		./internal/container/... ./internal/sketch/... ./internal/admission/...
@@ -70,7 +75,7 @@ lines:
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 19959
+LINES_MAX = 20079
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

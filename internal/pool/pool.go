@@ -1,30 +1,38 @@
 // Package pool implements the size-classed buffer pool the serving path
-// runs on: power-of-two byte-slice classes recycled through sync.Pool, so
-// the proxy's steady state performs no allocator work at all — origin
-// bodies are read into pooled buffers, cached entries hand those buffers
-// back on their last release, and per-request scratch (key assembly, body
-// drains) cycles through the same classes.
+// runs on. Bodies live outside the Go heap: a Pool takes anonymous memory
+// mappings in 32 MiB chunks, bump-carves them into size-class slots and
+// recycles the slots LIFO through a per-class free list, so the garbage
+// collector never sees, scans or — with its 2× heap goal — doubles a
+// cached byte, and the proxy's steady state performs no allocator work at
+// all: origin bodies are read into pooled buffers, cached entries hand
+// them back on their last release, and per-request scratch (key assembly,
+// body drains) cycles through the same classes.
 //
-// A Pool hands out *Buf handles rather than raw slices: the handle pins
-// the buffer's class so Release can return it to the right sync.Pool
-// without recomputing anything, and the handle itself is recycled along
-// with its buffer, so a Get/Release pair allocates nothing once the class
-// is warm. Requests larger than the biggest class are served by a plain
+// A Pool hands out *Buf handles rather than raw slices. The handle pins
+// the slot's class, is recycled along with its slot (a warm Get/Release
+// pair allocates nothing), and is what keeps the memory mapped: the arena
+// is unmapped when the Pool and every handle it issued have become
+// unreachable — there is no Close — so B must never be kept without its
+// handle. Requests larger than the biggest class are served by a plain
 // heap allocation ("bypass" buffers) whose Release is a no-op — the
 // garbage collector owns them, and Stats counts them separately.
 //
-// Accounting is exact and monotonic: every Get increments the class's
-// acquire counter, every Release of a pooled buffer its release counter,
-// and every fresh allocation its news counter. Outstanding() — acquires
-// minus releases — therefore counts live pooled buffers, which is the
-// invariant the proxy's pool-balance test pins: after the server drains,
-// outstanding equals exactly the buffers still held by resident cache
-// entries. sync.Pool may drop idle buffers under GC pressure; that shows
-// up as extra news, never as an accounting imbalance.
+// Slots are never handed back to the OS while the pool lives: the arena
+// is the peak of concurrent use per class, read off Stats.ArenaBytes.
+// Where no mapping call exists (!unix), and under the race detector —
+// which does not watch memory outside the Go heap — chunks come from make
+// instead (arena_heap.go); everything above chunk acquisition is shared.
+//
+// Accounting is exact and monotonic: every Get counts an acquire, every
+// Release of a pooled buffer a release, every freshly carved slot a new.
+// Outstanding() — acquires minus releases — therefore counts live pooled
+// buffers, the invariant the proxy's pool-balance test pins: after the
+// server drains, exactly the buffers resident cache entries still hold.
 package pool
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -35,23 +43,34 @@ const (
 	// and the oversize probe reads one byte past it).
 	minShift = 9
 	maxShift = 24
-	// NumClasses is the number of power-of-two size classes.
+	// NumClasses is the number of power-of-two size classes (a finer grid
+	// was measured and not kept: docs/PROXY.md, "The buffer pool").
 	NumClasses = maxShift - minShift + 1
 
 	// MinClassBytes and MaxClassBytes are the smallest and largest pooled
 	// buffer sizes; requests above MaxClassBytes bypass the pool.
 	MinClassBytes = 1 << minShift
 	MaxClassBytes = 1 << maxShift
+
+	// chunkBytes is how much address space the arena takes at a time. Only
+	// pages a body has been written to are resident, so a chunk's uncarved
+	// rest — and the tail abandoned when the next slot does not fit — costs
+	// nothing.
+	chunkBytes = 32 << 20
 )
 
 // Buf is a pooled buffer handle. B is the usable slice, sized exactly to
 // the class (or to the requested length for a bypass buffer); callers may
-// reslice B freely but must keep the handle to Release it. A Buf must be
-// released exactly once and not used afterwards.
+// reslice B freely but must keep the handle — to Release it, and because
+// the handle is what keeps B's memory mapped. A Buf must be released
+// exactly once and not used afterwards. The zero Buf is an empty bypass
+// buffer.
 type Buf struct {
 	B     []byte
 	pool  *Pool
+	next  *Buf // the class's free list, while idle
 	class int8 // -1 for bypass buffers the GC owns
+	idle  bool // on the free list; guarded by the class lock
 }
 
 // Release returns the buffer to its pool. Releasing a bypass buffer is a
@@ -63,41 +82,63 @@ func (b *Buf) Release() {
 		return
 	}
 	b.B = b.B[:cap(b.B)]
-	p.stats[b.class].releases.Add(1)
-	p.classes[b.class].Put(b)
+	cl := &p.classes[b.class]
+	cl.mu.Lock()
+	if b.idle {
+		cl.mu.Unlock()
+		// A second Release would put the slot on the free list twice and
+		// hand it to two owners: corruption no later check could trace.
+		panic("pool: Buf released twice")
+	}
+	b.idle = true
+	b.next, cl.free = cl.free, b
+	cl.releases++
+	cl.mu.Unlock()
 }
 
 // Len returns the buffer's class size in bytes (or the bypass buffer's
 // allocated length).
 func (b *Buf) Len() int { return cap(b.B) }
 
-// classStats is one class's acquire/release/new accounting.
-type classStats struct {
-	acquires atomic.Int64
-	releases atomic.Int64
-	news     atomic.Int64
+// class is one size class: its idle slots, most recently released first,
+// and its accounting, all under one lock — the counters would be
+// contended cache lines of their own otherwise.
+type class struct {
+	mu       sync.Mutex
+	free     *Buf
+	acquires int64
+	releases int64
+	news     int64
 }
 
-// Pool is a set of power-of-two buffer classes. The zero value is not
-// usable; call New. All methods are safe for concurrent use.
+// Pool is a set of buffer size classes over one off-heap arena. The zero
+// value is not usable; call New. All methods are safe for concurrent use.
 type Pool struct {
-	classes [NumClasses]sync.Pool
-	stats   [NumClasses]classStats
+	classes [NumClasses]class
 	bypass  atomic.Int64 // Get calls larger than MaxClassBytes
+
+	// carveMu guards rest, the uncarved remainder of the newest chunk.
+	carveMu sync.Mutex
+	rest    []byte
+	chunks  *chunkList
 }
 
-// New creates an empty pool.
-func New() *Pool {
-	p := &Pool{}
-	for c := range p.classes {
-		size := 1 << (minShift + c)
-		cls := int8(c)
-		st := &p.stats[c]
-		p.classes[c].New = func() any {
-			st.news.Add(1)
-			return &Buf{B: make([]byte, size), pool: p, class: cls}
-		}
+// chunkList is the arena's mappings, and what unmaps them: a heap object
+// the Pool alone points to and that points at nothing in the Pool ↔ Buf
+// cycle, so its finalizer runs — a finalizer on an object inside a cycle
+// never would — exactly when the Pool and every handle are unreachable.
+type chunkList struct{ mapped [][]byte }
+
+func (cl *chunkList) unmap() {
+	for _, c := range cl.mapped {
+		unmapChunk(c)
 	}
+}
+
+// New creates an empty pool; it maps nothing until the first Get.
+func New() *Pool {
+	p := &Pool{chunks: &chunkList{}}
+	runtime.SetFinalizer(p.chunks, (*chunkList).unmap)
 	return p
 }
 
@@ -117,18 +158,50 @@ func classFor(n int) int {
 	return bits.Len(uint(n-1)) - minShift
 }
 
+// classSize returns class c's slot size in bytes.
+func classSize(c int) int { return 1 << (minShift + c) }
+
 // Get returns a buffer with at least n usable bytes: the smallest class
-// that fits, with B sliced to the full class size. Requests larger than
-// MaxClassBytes bypass the pool entirely and come straight from the heap
-// (their Release is a no-op).
+// that fits, with B sliced to the full class size. The bytes are not
+// zeroed. Requests larger than MaxClassBytes bypass the pool entirely and
+// come straight from the heap (their Release is a no-op).
 func (p *Pool) Get(n int) *Buf {
 	c := classFor(n)
 	if c < 0 {
 		p.bypass.Add(1)
 		return &Buf{B: make([]byte, n), class: -1}
 	}
-	p.stats[c].acquires.Add(1)
-	return p.classes[c].Get().(*Buf)
+	cl := &p.classes[c]
+	cl.mu.Lock()
+	cl.acquires++
+	if b := cl.free; b != nil {
+		cl.free, b.next = b.next, nil
+		b.idle = false
+		cl.mu.Unlock()
+		return b
+	}
+	cl.news++
+	cl.mu.Unlock()
+	return &Buf{B: p.carve(classSize(c)), pool: p, class: int8(c)}
+}
+
+// carve cuts a fresh slot off the arena, taking a new chunk when the
+// current one cannot hold it.
+func (p *Pool) carve(size int) []byte {
+	p.carveMu.Lock()
+	defer p.carveMu.Unlock()
+	if len(p.rest) < size {
+		chunk, err := mapChunk(chunkBytes)
+		if err != nil { // arena_heap.go, or the OS refused: heap memory its slots keep alive
+			chunk = make([]byte, chunkBytes)
+		} else {
+			p.chunks.mapped = append(p.chunks.mapped, chunk)
+		}
+		p.rest = chunk
+	}
+	slot := p.rest[:size:size]
+	p.rest = p.rest[size:]
+	return slot
 }
 
 // Grow returns a buffer of at least n bytes carrying b's first len bytes,
@@ -149,12 +222,16 @@ func (p *Pool) Grow(b *Buf, used, n int) *Buf {
 // Stats is a point-in-time aggregate of the pool's accounting.
 type Stats struct {
 	// Acquires and Releases count Get and Release calls on pooled
-	// classes; News counts buffers allocated because the class was empty.
+	// classes; News counts slots carved because the class had none idle.
 	Acquires int64
 	Releases int64
 	News     int64
 	// Bypass counts Get calls too large for any class, served unpooled.
 	Bypass int64
+	// ArenaBytes is the memory carved into slots so far, idle or held —
+	// what the pool keeps from the OS at most (a slot's pages become
+	// resident only as bodies are written to them).
+	ArenaBytes int64
 }
 
 // Outstanding returns the number of pooled buffers currently held by
@@ -163,36 +240,15 @@ func (s Stats) Outstanding() int64 { return s.Acquires - s.Releases }
 
 // Stats aggregates the per-class counters.
 func (p *Pool) Stats() Stats {
-	var s Stats
-	for c := range p.stats {
-		st := &p.stats[c]
-		s.Acquires += st.acquires.Load()
-		s.Releases += st.releases.Load()
-		s.News += st.news.Load()
+	s := Stats{Bypass: p.bypass.Load()}
+	for c := range p.classes {
+		cl := &p.classes[c]
+		cl.mu.Lock()
+		s.Acquires += cl.acquires
+		s.Releases += cl.releases
+		s.News += cl.news
+		s.ArenaBytes += cl.news * int64(classSize(c))
+		cl.mu.Unlock()
 	}
-	s.Bypass = p.bypass.Load()
 	return s
-}
-
-// ClassStat is one size class's accounting, for introspection and gauges.
-type ClassStat struct {
-	Size     int
-	Acquires int64
-	Releases int64
-	News     int64
-}
-
-// ClassStats returns every class's counters in size order.
-func (p *Pool) ClassStats() []ClassStat {
-	out := make([]ClassStat, NumClasses)
-	for c := range p.stats {
-		st := &p.stats[c]
-		out[c] = ClassStat{
-			Size:     1 << (minShift + c),
-			Acquires: st.acquires.Load(),
-			Releases: st.releases.Load(),
-			News:     st.news.Load(),
-		}
-	}
-	return out
 }

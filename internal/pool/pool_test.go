@@ -1,40 +1,53 @@
 package pool
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
 
+// The class grid, whatever its spacing: every request gets the smallest
+// class that holds it, classes grow strictly, and the ends are where the
+// exported bounds say.
 func TestClassFor(t *testing.T) {
-	cases := []struct {
-		n    int
-		want int
-	}{
-		{0, 0},
-		{1, 0},
-		{MinClassBytes, 0},
-		{MinClassBytes + 1, 1},
-		{1024, 1},
-		{1025, 2},
-		{MaxClassBytes, NumClasses - 1},
-		{MaxClassBytes + 1, -1},
+	if got := classSize(0); got != MinClassBytes {
+		t.Errorf("classSize(0) = %d, want %d", got, MinClassBytes)
 	}
-	for _, c := range cases {
-		if got := classFor(c.n); got != c.want {
-			t.Errorf("classFor(%d) = %d, want %d", c.n, got, c.want)
+	if got := classSize(NumClasses - 1); got != MaxClassBytes {
+		t.Errorf("classSize(%d) = %d, want %d", NumClasses-1, got, MaxClassBytes)
+	}
+	if got := classFor(MaxClassBytes + 1); got != -1 {
+		t.Errorf("classFor(MaxClassBytes+1) = %d, want -1", got)
+	}
+	for _, n := range []int{0, 1, MinClassBytes} {
+		if got := classFor(n); got != 0 {
+			t.Errorf("classFor(%d) = %d, want 0", n, got)
+		}
+	}
+	for c := 1; c < NumClasses; c++ {
+		size, below := classSize(c), classSize(c-1)
+		if size <= below {
+			t.Fatalf("classSize(%d) = %d does not exceed classSize(%d) = %d", c, size, c-1, below)
+		}
+		// Both edges of the class and one request inside it: size fits
+		// class c exactly, and one byte past the class below is already c.
+		for _, n := range []int{below + 1, (below + size + 1) / 2, size} {
+			if got := classFor(n); got != c {
+				t.Errorf("classFor(%d) = %d, want %d (classes %d and %d bytes)", n, got, c, below, size)
+			}
 		}
 	}
 }
 
 func TestGetSizes(t *testing.T) {
 	p := New()
-	for _, n := range []int{0, 1, 100, 512, 513, 4096, 1 << 20} {
+	for _, n := range []int{0, 1, 100, 512, 513, 4096, 5000, 1 << 20} {
 		b := p.Get(n)
 		if len(b.B) < n {
 			t.Errorf("Get(%d): len %d < requested", n, len(b.B))
 		}
-		if len(b.B)&(len(b.B)-1) != 0 {
-			t.Errorf("Get(%d): class size %d not a power of two", n, len(b.B))
+		if want := classSize(classFor(n)); len(b.B) != want || cap(b.B) != want || b.Len() != want {
+			t.Errorf("Get(%d): len %d cap %d Len %d, want the class size %d", n, len(b.B), cap(b.B), b.Len(), want)
 		}
 		b.Release()
 	}
@@ -81,8 +94,8 @@ func TestReleaseRestoresFullClass(t *testing.T) {
 	b.B = b.B[:10] // caller resliced
 	b.Release()
 	b2 := p.Get(600)
-	if len(b2.B) != 1024 {
-		t.Errorf("reacquired buffer len %d, want full class 1024", len(b2.B))
+	if want := classSize(classFor(600)); len(b2.B) != want {
+		t.Errorf("reacquired buffer len %d, want full class %d", len(b2.B), want)
 	}
 	b2.Release()
 }
@@ -112,40 +125,86 @@ func TestGrow(t *testing.T) {
 	}
 }
 
+// Eight goroutines share four classes, so slots change hands constantly:
+// each stamps the whole buffer it got, yields, and must read its stamp
+// back — a slot out twice at once shows as a foreign stamp (and, under
+// -race, as a report on the bytes) — and the ledger balances afterwards.
 func TestStatsBalance(t *testing.T) {
 	p := New()
+	const workers, rounds = 8, 500
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
-		go func(seed int) {
+		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				b := p.Get((seed+1)*700 + i)
-				b.B[0] = byte(i)
+			for i := 0; i < rounds; i++ {
+				b := p.Get(600 << ((g + i) % 4))
+				stamp := byte(g<<5 | i&31)
+				for j := range b.B {
+					b.B[j] = stamp
+				}
+				runtime.Gosched()
+				for j, v := range b.B {
+					if v != stamp {
+						t.Errorf("worker %d round %d: byte %d of %d is %#x, want %#x: the slot was handed out twice",
+							g, i, j, len(b.B), v, stamp)
+						return
+					}
+				}
 				b.Release()
 			}
 		}(g)
 	}
 	wg.Wait()
 	st := p.Stats()
-	if st.Acquires != 8*500 {
-		t.Errorf("Acquires = %d, want %d", st.Acquires, 8*500)
+	if st.Acquires != workers*rounds {
+		t.Errorf("Acquires = %d, want %d", st.Acquires, workers*rounds)
 	}
 	if st.Outstanding() != 0 {
 		t.Errorf("Outstanding = %d after drain, want 0", st.Outstanding())
 	}
+	if st.News > 4*workers {
+		t.Errorf("News = %d: more slots carved than %d workers can hold across 4 classes", st.News, workers)
+	}
 }
 
-func TestClassStats(t *testing.T) {
+// ArenaBytes is the carved slots' sizes summed, and reuse carves nothing.
+func TestArenaBytes(t *testing.T) {
 	p := New()
-	b := p.Get(300) // class 0 (512 B)
-	cs := p.ClassStats()
-	if len(cs) != NumClasses {
-		t.Fatalf("ClassStats len %d, want %d", len(cs), NumClasses)
+	if got := p.Stats().ArenaBytes; got != 0 {
+		t.Fatalf("ArenaBytes = %d before the first Get, want 0", got)
 	}
-	if cs[0].Size != MinClassBytes || cs[0].Acquires != 1 || cs[0].News != 1 {
-		t.Errorf("class 0 stats = %+v", cs[0])
+	var want int64
+	for _, n := range []int{300, 5000, 5000, 70000} {
+		defer p.Get(n).Release()
+		want += int64(classSize(classFor(n)))
 	}
+	p.Get(300).Release() // a third small slot, then reused
+	p.Get(300).Release()
+	want += MinClassBytes
+	if got := p.Stats().ArenaBytes; got != want {
+		t.Errorf("ArenaBytes = %d, want %d", got, want)
+	}
+	p.Get(MaxClassBytes + 1) // bypass: heap, not arena
+	if got := p.Stats().ArenaBytes; got != want {
+		t.Errorf("ArenaBytes = %d after a bypass Get, want %d", got, want)
+	}
+}
+
+// A slot on the free list twice would be handed to two owners; Release
+// refuses instead.
+func TestDoubleReleasePanics(t *testing.T) {
+	p := New()
+	b := p.Get(100)
+	b.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("second Release did not panic")
+		}
+		if out := p.Stats().Outstanding(); out != 0 {
+			t.Errorf("Outstanding = %d after the refused Release, want 0", out)
+		}
+	}()
 	b.Release()
 }
 

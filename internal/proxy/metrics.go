@@ -62,10 +62,14 @@ type serverMetrics struct {
 	objectBytes   *metrics.Histogram
 
 	// requestsByClass/hitsByClass break traffic down by document class,
-	// the study's central axis. Children are pre-created for every class
-	// so the hot path never takes the vec's creation lock.
-	requestsByClass [doctype.NumClasses + 1]*metrics.Counter
-	hitsByClass     [doctype.NumClasses + 1]*metrics.Counter
+	// the study's central axis, and requestBytesByClass/hitBytesByClass do
+	// the same for requestBytes/hitBytes — their quotient per class is the
+	// paper's per-type byte hit rate. Children are pre-created for every
+	// class so the hot path never takes the vec's creation lock.
+	requestsByClass     [doctype.NumClasses + 1]*metrics.Counter
+	hitsByClass         [doctype.NumClasses + 1]*metrics.Counter
+	requestBytesByClass [doctype.NumClasses + 1]*metrics.Counter
+	hitBytesByClass     [doctype.NumClasses + 1]*metrics.Counter
 }
 
 // newServerMetrics registers the proxy's metrics. The server's occupancy
@@ -122,9 +126,15 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		"GET requests per document class.", "class")
 	hitVec := reg.NewCounterVec("wcproxy_class_hits_total",
 		"Cache hits per document class.", "class")
+	reqBytesVec := reg.NewCounterVec("wcproxy_class_request_bytes_total",
+		"Body bytes delivered to clients per document class (sums to wcproxy_request_bytes_total).", "class")
+	hitBytesVec := reg.NewCounterVec("wcproxy_class_hit_bytes_total",
+		"Body bytes served from cache per document class (sums to wcproxy_hit_bytes_total).", "class")
 	for c := doctype.Class(0); c <= doctype.NumClasses; c++ {
 		m.requestsByClass[c] = reqVec.With(c.Short())
 		m.hitsByClass[c] = hitVec.With(c.Short())
+		m.requestBytesByClass[c] = reqBytesVec.With(c.Short())
+		m.hitBytesByClass[c] = hitBytesVec.With(c.Short())
 	}
 	return m
 }
@@ -161,8 +171,11 @@ func (s *Server) registerGauges(reg *metrics.Registry) {
 		"Pooled buffers currently held (cached bodies, in-flight reads and scratch).",
 		func() float64 { return float64(s.buffers.Stats().Outstanding()) })
 	reg.NewGaugeFunc("wcproxy_pool_buffer_allocs",
-		"Buffers allocated because a size class was empty (monotonic except for GC-dropped idle buffers being re-allocated).",
+		"Slots carved from the arena because a size class had none idle; never given back, so it plateaus at peak concurrent use.",
 		func() float64 { return float64(s.buffers.Stats().News) })
+	reg.NewGaugeFunc("wcproxy_pool_arena_bytes",
+		"Off-heap memory carved into buffer slots so far, idle or held (cache_used_bytes over this is the pool's memory efficiency).",
+		func() float64 { return float64(s.buffers.Stats().ArenaBytes) })
 	reg.NewGaugeFunc("wcproxy_pool_bypass",
 		"Buffer requests larger than the biggest pool class, served straight from the heap.",
 		func() float64 { return float64(s.buffers.Stats().Bypass) })

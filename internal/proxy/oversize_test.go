@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"webcachesim/internal/metrics"
+	"webcachesim/internal/pool"
 	"webcachesim/internal/proxy"
 	"webcachesim/internal/trace"
 )
@@ -258,5 +260,133 @@ func TestOversizeConcurrentClientsAllComplete(t *testing.T) {
 				t.Errorf("access log recorded statuses %v, want %v (each client's own)", logged, tt.wantStatuses)
 			}
 		})
+	}
+}
+
+// A response whose Content-Length already says it cannot be cached has
+// nothing to probe for: it must reach the client as it arrives, not after
+// MaxObjectBytes+1 bytes have been copied into the pool's largest buffers.
+// The origin stalls after its first MiB, short of the 2 MiB limit, so a
+// proxy that still buffered the probe would have nothing to send yet.
+func TestOversizeDeclaredStreamsAtOnce(t *testing.T) {
+	const maxObj = 2 << 20
+	payload := oversizePayload(3 << 20)
+
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
+		_, _ = w.Write(payload[:1<<20])
+		w.(http.Flusher).Flush()
+		<-gate
+		_, _ = w.Write(payload[1<<20:])
+	}))
+	t.Cleanup(origin.Close)
+	t.Cleanup(release) // first, or origin.Close waits on the handler forever
+	u, err := url.Parse(origin.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, buffers := metrics.NewRegistry(), pool.New()
+	srv, err := proxy.New(proxy.Config{Capacity: 8 << 20, MaxObjectBytes: maxObj, Origin: u, Metrics: reg, Buffers: buffers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(srv)
+	t.Cleanup(front.Close)
+
+	type firstByte struct {
+		resp *http.Response
+		b    byte
+		err  error
+	}
+	arrived := make(chan firstByte, 1)
+	go func() {
+		resp, err := http.Get(front.URL + "/big.bin")
+		if err != nil {
+			arrived <- firstByte{err: err}
+			return
+		}
+		var one [1]byte
+		_, err = io.ReadFull(resp.Body, one[:])
+		arrived <- firstByte{resp, one[0], err}
+	}()
+	var got firstByte
+	select {
+	case got = <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no byte reached the client while the origin was blocked before its second MiB")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	release()
+	rest, err := io.ReadAll(got.resp.Body)
+	_ = got.resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.b != payload[0] || !bytes.Equal(rest, payload[1:]) {
+		t.Fatalf("client received %d bytes, want the %d-byte payload intact", 1+len(rest), len(payload))
+	}
+
+	// Key scratch and nothing else came out of the pool.
+	if st := buffers.Stats(); st.ArenaBytes > 32<<10 || st.Bypass != 0 || st.Outstanding() != 0 {
+		t.Errorf("pool after a declared-oversize response: %+v; want ≤ 32 KiB carved, no bypass, none outstanding", st)
+	}
+	out := exposition(t, reg)
+	for _, want := range []string{
+		`wcproxy_uncacheable_total{reason="oversize"} 1`,
+		fmt.Sprintf("wcproxy_origin_bytes_total %d", len(payload)),
+		fmt.Sprintf("wcproxy_request_bytes_total %d", len(payload)),
+		"wcproxy_cache_objects 0",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// An origin that declares an oversize body and then hangs up early has
+// not sent a document: the client's read must fail, and nothing — least of
+// all the short body — may be in the cache for the next request.
+func TestOversizeDeclaredShortBodyIsError(t *testing.T) {
+	const maxObj = 32 << 10
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(2*maxObj))
+		_, _ = w.Write(oversizePayload(maxObj / 2)) // and return: net/http drops the connection
+	}))
+	t.Cleanup(origin.Close)
+	u, err := url.Parse(origin.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	srv, err := proxy.New(proxy.Config{Capacity: 1 << 20, MaxObjectBytes: maxObj, Origin: u, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(srv)
+	t.Cleanup(front.Close)
+
+	for round := 1; round <= 2; round++ {
+		resp, err := http.Get(front.URL + "/liar.bin")
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err == nil {
+			t.Fatalf("round %d: client read %d bytes of a %d-byte declaration without an error", round, len(body), 2*maxObj)
+		}
+		if xc := resp.Header.Get("X-Cache"); xc != "MISS" {
+			t.Fatalf("round %d: X-Cache = %q, want MISS", round, xc)
+		}
+	}
+	if n := srv.Len(); n != 0 {
+		t.Fatalf("cache holds %d objects, want 0", n)
+	}
+	if out := exposition(t, reg); !strings.Contains(out, "wcproxy_origin_errors_total 2") {
+		t.Errorf("exposition missing the two failed streams:\n%s", out)
 	}
 }

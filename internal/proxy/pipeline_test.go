@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,6 +327,90 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 				t.Errorf("%d pooled buffers outstanding with %d resident objects", outstanding, resident)
 			}
 		})
+	}
+}
+
+// downable is an origin-bound transport a test can switch off.
+type downable struct{ down atomic.Bool }
+
+func (d *downable) RoundTrip(r *http.Request) (*http.Response, error) {
+	if d.down.Load() {
+		return nil, errors.New("origin unreachable")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClassBytesSumToTotals pins the per-class byte counters to the
+// totals they break down — the paper's per-type byte hit rate is
+// class_hit_bytes / class_request_bytes on a scrape, so a response
+// counted in one ledger and not the other would skew it silently. One
+// fleet node answers every way a body can be delivered (miss, hit, peer
+// hit, streamed oversize, stale) across three document classes.
+func TestClassBytesSumToTotals(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Cache-Control", "max-age=60")
+		switch {
+		case strings.HasSuffix(r.URL.Path, ".gif"):
+			w.Header().Set("Content-Type", "image/gif")
+		case strings.HasSuffix(r.URL.Path, ".html"):
+			w.Header().Set("Content-Type", "text/html")
+		case strings.HasSuffix(r.URL.Path, ".mp3"):
+			w.Header().Set("Content-Type", "audio/mpeg")
+		}
+		_, _ = io.WriteString(w, "body-of-"+r.URL.Path)
+	}))
+	t.Cleanup(origin.Close)
+	reg, clock, transport := metrics.NewRegistry(), newFakeClock(), &downable{}
+	f := startFleet(t, origin, 2, func(i int, cfg *Config) {
+		cfg.Buffers = pool.New()
+		if i == 0 {
+			cfg.Metrics, cfg.Now, cfg.Transport = reg, clock.Now, transport
+			cfg.MaxObjectBytes, cfg.FetchRetries = 40, -1
+		}
+	})
+	image, page := f.pathOwnedBy(t, "n0", ".gif"), f.pathOwnedBy(t, "n0", ".html")
+	song := f.pathOwnedBy(t, "n0", "-with-a-name-that-makes-its-body-oversize.mp3")
+	theirs := f.pathOwnedBy(t, "n1", ".gif")
+	get(t, f.fronts[1].URL, theirs) // its owner now holds it
+
+	for _, step := range []struct{ path, xcache string }{
+		{image, "MISS"}, {image, "HIT"}, {page, "MISS"}, {page, "HIT"}, {page, "HIT"},
+		{theirs, "PEER-HIT"}, {song, "MISS"}, {song, "MISS"},
+	} {
+		resp, body := get(t, f.fronts[0].URL, step.path)
+		if got := resp.Header.Get("X-Cache"); got != step.xcache || body != "body-of-"+step.path {
+			t.Fatalf("%s: X-Cache %q body %q, want %s and the origin's body", step.path, got, body, step.xcache)
+		}
+	}
+	clock.Advance(61 * time.Second)
+	transport.down.Store(true)
+	if resp, _ := get(t, f.fronts[0].URL, image); resp.Header.Get("X-Cache") != "STALE" {
+		t.Fatalf("expired entry with the origin down: X-Cache %q, want STALE", resp.Header.Get("X-Cache"))
+	}
+
+	m := scrape(t, reg)
+	if m[`wcproxy_uncacheable_total{reason="oversize"}`] != 2 || m["wcproxy_peer_hits_total"] != 1 || m["wcproxy_stale_served_total"] != 1 {
+		t.Fatalf("the traffic did not take the paths it was built for:\n%s", metricsText(t, reg))
+	}
+	for _, total := range []string{"request_bytes", "hit_bytes"} {
+		var sum int64
+		classes := 0
+		for c := doctype.Class(0); c <= doctype.NumClasses; c++ {
+			v := m["wcproxy_class_"+total+`_total{class="`+c.Short()+`"}`]
+			sum += v
+			if v > 0 {
+				classes++
+			}
+		}
+		if want := m["wcproxy_"+total+"_total"]; sum != want || want == 0 {
+			t.Errorf("wcproxy_class_%s_total sums to %d over classes, wcproxy_%s_total is %d", total, sum, total, want)
+		}
+		if want := map[string]int{"request_bytes": 3, "hit_bytes": 2}[total]; classes != want {
+			t.Errorf("wcproxy_class_%s_total is non-zero for %d classes, want %d", total, classes, want)
+		}
+	}
+	if got, want := m[`wcproxy_class_hit_bytes_total{class="html"}`], int64(2*len("body-of-"+page)); got != want {
+		t.Errorf("html hit bytes = %d, want two hits of %d bytes", got, want/2)
 	}
 }
 

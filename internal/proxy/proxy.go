@@ -543,8 +543,9 @@ func fresh(e *cache.Entry, now time.Time) bool {
 // so the miss leader can report the decision in its response headers.
 //
 // An oversize result (body larger than MaxObjectBytes) carries no entry:
-// prefix holds the MaxObjectBytes+1 bytes already read and resp the
-// upstream response with its body still open. The open body can be
+// prefix holds what was already read (the MaxObjectBytes+1 bytes that
+// found an undeclared length out; nothing when Content-Length said so)
+// and resp the upstream response, body still open. The open body can be
 // consumed exactly once, so only the miss leader — the caller whose
 // singleflight execution produced this result — may stream it (and must
 // close it and call release, which cancels the fetch's timeout context).
@@ -731,6 +732,12 @@ func (s *Server) roundTrip(rt http.RoundTripper, timeout time.Duration, rawURL s
 // cancel — which must not fire before the stream ends — are handed off to
 // whoever streams them (serveOversize).
 func (s *Server) readResponse(key string, resp *http.Response, cancel context.CancelFunc) (*fetchResult, error) {
+	if resp.ContentLength > s.cfg.MaxObjectBytes {
+		// Declared oversize: nothing to probe for and nothing to hold back
+		// from the client — the hand-off's prefix is empty.
+		s.metrics.uncacheableOversize.Inc()
+		return &fetchResult{oversize: true, prefix: new(pool.Buf), resp: resp, release: cancel}, nil
+	}
 	buf, n, err := s.readBody(resp)
 	if err != nil {
 		buf.Release()
@@ -757,12 +764,12 @@ func (s *Server) readResponse(key string, resp *http.Response, cancel context.Ca
 
 // readBody reads the origin response body into a pooled buffer, up to
 // MaxObjectBytes+1 bytes — one past the cacheable bound, so the caller
-// can distinguish "fits" from "oversize" exactly as the old
-// io.ReadAll(io.LimitReader(...)) did, but without its grow-by-copy
-// garbage: the buffer steps through pool classes (each step recycling
-// its predecessor) and is sized up front when the origin declares a
-// Content-Length. The returned buffer is always non-nil; on a read error
-// the caller releases it.
+// can tell "fits" from an oversize body of undeclared length (a declared
+// one never gets here) — without io.ReadAll's grow-by-copy garbage: the
+// buffer steps through pool classes (each step recycling its
+// predecessor) and starts at the declared Content-Length when that is
+// small. The returned buffer is always non-nil; on a read error the
+// caller releases it.
 func (s *Server) readBody(resp *http.Response) (*pool.Buf, int, error) {
 	limit := int(s.cfg.MaxObjectBytes) + 1
 	want := 32 << 10
@@ -1020,11 +1027,13 @@ func (s *Server) account(r *http.Request, k *requestKey, out outcome) {
 	s.metrics.requests.Inc()
 	s.metrics.requestBytes.Add(out.bytes)
 	s.metrics.requestsByClass[out.class].Inc()
+	s.metrics.requestBytesByClass[out.class].Add(out.bytes)
 	switch out.result {
 	case resultHit:
 		s.metrics.hits.Inc()
 		s.metrics.hitBytes.Add(out.bytes)
 		s.metrics.hitsByClass[out.class].Inc()
+		s.metrics.hitBytesByClass[out.class].Add(out.bytes)
 	case resultPeerHit:
 		// Neither a local hit (the bytes are a sibling's) nor a miss (no
 		// origin traffic): requests = hits + peer hits + misses. Class
