@@ -63,7 +63,7 @@ bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench ./...
 
-# End-to-end smoke rows (journal, admission, columnar, cluster, fuzz); CI
+# End-to-end smoke rows (journal, admission, columnar, cluster, report, fuzz); CI
 # runs the same script one row per matrix job.
 smoke:
 	bash scripts/smoke.sh all
@@ -75,7 +75,7 @@ lines:
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 20079
+LINES_MAX = 19801
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

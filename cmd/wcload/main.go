@@ -14,30 +14,34 @@
 //	wcload -target http://127.0.0.1:8080 -profile dfn -requests 10000 \
 //	       [-concurrency 8] [-mode reverse|forward] [-seed 1] [-o report.json]
 //	wcload -target http://127.0.0.1:8080 -trace access.wct.gz
+//	wcload -topology fleet.json -profile dfn -requests 100000 -reconcile
+//	wcload -topology fleet.json -profile dfn -requests 100000 -offline
 //
 // In reverse mode (default) each trace URL's path and query are sent to
 // the target host, matching a wcproxy started with -origin. In forward
 // mode the absolute trace URL is sent with the target as an HTTP proxy.
 //
-// With -topology the replay drives a whole consistent-hash fleet instead
-// of one proxy: requests are sprayed round-robin across every node in
-// the file, per-node tallies are reported, and -reconcile scrapes each
-// node's admin /metrics to verify the counters account for every request
-// fleet-wide. -sequential pins the replay to one request in flight in
-// strict source order, and -offline replays the identical topology
-// through the hierarchy simulator instead of live HTTP — together they
-// form the sim/live parity harness described in docs/CLUSTER.md:
-//
-//	wcload -topology fleet.json -profile dfn -requests 100000 -reconcile
-//	wcload -topology fleet.json -profile dfn -requests 100000 -offline
+// One proxy is a fleet of one: -target URL is shorthand for the topology
+// {"nodes":[{"name":"target","url":URL}]}, and exactly one of -target and
+// -topology must be given. Requests are sprayed round-robin across every
+// node in the topology (-concurrency clients per node) and the report
+// carries a tally per node. Every other flag means the same whichever way
+// the fleet was named: -reconcile scrapes each node's admin /metrics
+// before and after the run and verifies the counters account for every
+// request fleet-wide (every node needs an "admin" URL, so it takes a
+// topology file); -sequential pins the replay to one request in flight in
+// strict source order; and -offline replays the identical topology
+// through the hierarchy simulator instead of live HTTP (every node needs
+// a "capacity") — together they form the sim/live parity harness
+// described in docs/CLUSTER.md.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/url"
 	"os"
 	"time"
 
@@ -58,26 +62,34 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("wcload", flag.ContinueOnError)
 	var (
-		target      = fs.String("target", "", "proxy base URL to load (required)")
+		target      = fs.String("target", "", "proxy base URL to load: the one-node topology (this or -topology is required)")
+		topoPath    = fs.String("topology", "", "cluster topology file: drive every node of the fleet (this or -target is required)")
 		tracePath   = fs.String("trace", "", "trace file to replay (overrides -profile)")
 		profile     = fs.String("profile", "dfn", "synthetic workload profile (dfn or rtp)")
 		requests    = fs.Int("requests", 10000, "request count (synthetic source; caps a trace too)")
 		seed        = fs.Int64("seed", 1, "synthetic generation seed")
 		clients     = fs.Int("clients", 0, "synthetic client population (0 = single client)")
-		concurrency = fs.Int("concurrency", 1, "closed-loop client goroutines")
+		concurrency = fs.Int("concurrency", 1, "closed-loop client goroutines per node")
 		mode        = fs.String("mode", "reverse", "addressing mode: reverse or forward")
 		timeout     = fs.Duration("timeout", 15*time.Second, "per-request timeout")
 		out         = fs.String("o", "", "report output path (default stdout)")
-		topoPath    = fs.String("topology", "", "cluster topology file: drive every node of the fleet (replaces -target)")
-		sequential  = fs.Bool("sequential", false, "cluster mode: one request in flight fleet-wide, in strict source order")
-		offline     = fs.Bool("offline", false, "replay the -topology through the hierarchy simulator instead of live HTTP")
-		reconcile   = fs.Bool("reconcile", false, "cluster mode: scrape each node's admin /metrics and verify the counters reconcile")
+		sequential  = fs.Bool("sequential", false, "one request in flight fleet-wide, in strict source order")
+		offline     = fs.Bool("offline", false, "replay through the hierarchy simulator instead of live HTTP")
+		reconcile   = fs.Bool("reconcile", false, "scrape each node's admin /metrics and verify the counters reconcile")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *topoPath == "" && *target == "" {
-		return fmt.Errorf("-target (or -topology) is required")
+	topo, err := fleet(*target, *topoPath)
+	if err != nil {
+		return err
+	}
+	m, err := load.ParseMode(*mode)
+	if err != nil {
+		return err
+	}
+	if *offline && *reconcile {
+		return errors.New("-reconcile checks a live run; it cannot be combined with -offline")
 	}
 
 	var source trace.Reader
@@ -105,76 +117,50 @@ func run(args []string) error {
 	}
 
 	var report any
-	if *topoPath != "" {
-		topo, err := cluster.LoadTopology(*topoPath)
+	if *offline {
+		// The sim half of the parity harness: identical topology,
+		// identical stream, the simulator core instead of sockets.
+		sim, err := hierarchy.NewCluster(topo, 0)
 		if err != nil {
 			return err
 		}
-		if *offline {
-			// The sim half of the parity harness: identical topology,
-			// identical stream, the simulator core instead of sockets.
-			sim, err := hierarchy.NewCluster(topo, 0)
-			if err != nil {
-				return err
-			}
-			if err := sim.Run(capSource(source, *requests)); err != nil {
-				return err
-			}
-			report = sim.Results()
-		} else {
-			// Scrape before the run so reconciliation sees only this run's
-			// traffic — a warm fleet's counters carry whatever it served
-			// before (probes, earlier replays).
-			var before map[string]map[string]float64
-			if *reconcile {
-				var err error
-				if before, err = load.ScrapeTopology(topo); err != nil {
-					return err
-				}
-			}
-			rep, err := load.RunCluster(load.ClusterConfig{
-				Topology:    topo,
-				Source:      source,
-				Concurrency: *concurrency,
-				Requests:    *requests,
-				Timeout:     *timeout,
-				Sequential:  *sequential,
-			})
-			if err != nil {
-				return err
-			}
-			if *reconcile {
-				after, err := load.ScrapeTopology(topo)
-				if err != nil {
-					return err
-				}
-				if err := load.ReconcileCluster(rep, load.DiffMetrics(after, before)); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wcload: %d nodes reconcile: %d requests = %d hits + %d peer hits + %d misses\n",
-					len(rep.Nodes), rep.Tally.Requests, rep.Tally.Hits, rep.Tally.PeerHits, rep.Tally.Misses)
-			}
-			report = rep
+		if err := sim.Run(capSource(source, *requests)); err != nil {
+			return err
 		}
+		report = sim.Results()
 	} else {
-		targetURL, err := url.Parse(*target)
-		if err != nil {
-			return fmt.Errorf("bad -target: %w", err)
-		}
-		m, err := load.ParseMode(*mode)
-		if err != nil {
-			return err
+		// Scrape before the run so reconciliation sees only this run's
+		// traffic — a warm fleet's counters carry whatever it served
+		// before (probes, earlier replays) — and so a node that cannot be
+		// scraped fails the run before any traffic is sent.
+		var before map[string]map[string]float64
+		if *reconcile {
+			if before, err = load.ScrapeTopology(topo); err != nil {
+				return err
+			}
 		}
 		rep, err := load.Run(load.Config{
-			Target:      targetURL,
+			Topology:    topo,
 			Source:      source,
 			Mode:        m,
 			Concurrency: *concurrency,
 			Requests:    *requests,
 			Timeout:     *timeout,
+			Sequential:  *sequential,
 		})
 		if err != nil {
 			return err
+		}
+		if *reconcile {
+			after, err := load.ScrapeTopology(topo)
+			if err != nil {
+				return err
+			}
+			if err := load.Reconcile(rep, load.DiffMetrics(after, before)); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "wcload: %d nodes reconcile: %d requests = %d hits + %d peer hits + %d misses\n",
+				len(rep.Nodes), rep.Tally.Requests, rep.Tally.Hits, rep.Tally.PeerHits, rep.Tally.Misses)
 		}
 		report = rep
 	}
@@ -191,6 +177,23 @@ func run(args []string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)
+}
+
+// fleet resolves the two ways of naming the nodes under load to one
+// topology. -target goes through the topology parser, so it is held to
+// the rules of a node entry (an absolute http(s) URL).
+func fleet(target, topoPath string) (*cluster.Topology, error) {
+	if (target == "") == (topoPath == "") {
+		return nil, errors.New("exactly one of -target and -topology is required")
+	}
+	if topoPath != "" {
+		return cluster.LoadTopology(topoPath)
+	}
+	doc, err := json.Marshal(cluster.Topology{Nodes: []cluster.Node{{Name: "target", URL: target}}})
+	if err != nil {
+		return nil, err
+	}
+	return cluster.ParseTopology(doc)
 }
 
 // capSource bounds a reader to n requests (unbounded when n <= 0) — the

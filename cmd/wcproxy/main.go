@@ -4,17 +4,18 @@
 // wcstat/wcsim.
 //
 // With -admin it also serves an operational endpoint exposing Prometheus
-// metrics (/metrics), a JSON statistics snapshot (/stats), Go profiling
-// (/debug/pprof/) and expvar (/debug/vars) on a separate listener — see
-// docs/METRICS.md. On SIGINT/SIGTERM the proxy drains in-flight requests,
-// prints a final statistics line and closes the access log cleanly.
+// metrics (/metrics), a JSON statistics snapshot (/stats) and Go profiling
+// (/debug/pprof/) on a separate listener — see docs/METRICS.md. On
+// SIGINT/SIGTERM the proxy drains in-flight requests, prints a final
+// statistics line and closes the access log cleanly.
 //
-// With -topology (plus -self) or -peers the proxy joins a consistent-hash
-// fleet: documents another node owns are fetched from that sibling before
-// the origin and answered with X-Cache: PEER-HIT — see docs/CLUSTER.md. A
-// topology file also supplies per-node listen address, capacity and
-// policy, so one file configures the whole fleet; explicit flags still
-// win.
+// With -topology (plus -self) the proxy joins a consistent-hash fleet:
+// documents another node owns are fetched from that sibling before the
+// origin and answered with X-Cache: PEER-HIT — see docs/CLUSTER.md. The
+// topology file is the one description of a fleet — members, ring
+// replicas, and per-node listen address, capacity and policy — so every
+// process and tool reads the same layout; explicit -listen, -admin,
+// -capacity and -policy flags still win.
 //
 // Usage:
 //
@@ -22,9 +23,7 @@
 //	        [-policy gdstar:p] [-admission tinylfu] [-shards 16]
 //	        [-log access.log] [-stats-every 30s] [-admin :9090]
 //	        [-fetch-timeout 15s] [-fetch-retries 2] [-retry-backoff 50ms]
-//	wcproxy -topology fleet.json -self n1 -origin http://upstream
-//	wcproxy -self n1 -peers n2=http://h2:3128,n3=http://h3:3128 \
-//	        -origin http://upstream [-replicas 128] [-peer-timeout 5s]
+//	wcproxy -topology fleet.json -self n1 -origin http://upstream [-peer-timeout 5s]
 package main
 
 import (
@@ -70,9 +69,7 @@ func run(args []string) error {
 		retries    = fs.Int("fetch-retries", proxy.DefaultFetchRetries, "origin fetch retries after a transport failure (-1 disables)")
 		backoff    = fs.Duration("retry-backoff", proxy.DefaultRetryBackoff, "base retry backoff (doubled per retry, jittered ±50%)")
 		topoPath   = fs.String("topology", "", "cluster topology file; joins the fleet as -self and fills listen/admin/capacity/policy from the node entry unless flagged explicitly")
-		self       = fs.String("self", "", "this node's name on the cluster ring (required with -topology or -peers)")
-		peerList   = fs.String("peers", "", "sibling nodes as name=url,name=url (alternative to -topology)")
-		replicas   = fs.Int("replicas", 0, "virtual nodes per ring member (0 = topology's value, else the library default; all members must agree)")
+		self       = fs.String("self", "", "this node's name on the cluster ring (required with -topology)")
 		peerTO     = fs.Duration("peer-timeout", proxy.DefaultPeerTimeout, "per peer-fetch timeout (round trip plus body read)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -84,8 +81,7 @@ func run(args []string) error {
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	var clusterCfg *proxy.ClusterConfig
-	switch {
-	case *topoPath != "":
+	if *topoPath != "" {
 		if *self == "" {
 			return fmt.Errorf("-topology requires -self")
 		}
@@ -114,22 +110,9 @@ func run(args []string) error {
 				*admin = addr
 			}
 		}
-		rep := *replicas
-		if rep == 0 {
-			rep = topo.Replicas
-		}
 		if len(peers) > 0 {
-			clusterCfg = &proxy.ClusterConfig{Self: *self, Peers: peers, Replicas: rep, PeerTimeout: *peerTO}
+			clusterCfg = &proxy.ClusterConfig{Self: *self, Peers: peers, Replicas: topo.Replicas, PeerTimeout: *peerTO}
 		}
-	case *peerList != "":
-		if *self == "" {
-			return fmt.Errorf("-peers requires -self")
-		}
-		peers, err := cluster.FromPeerList(*peerList)
-		if err != nil {
-			return err
-		}
-		clusterCfg = &proxy.ClusterConfig{Self: *self, Peers: peers, Replicas: *replicas, PeerTimeout: *peerTO}
 	}
 
 	spec, err := policy.ParseSpec(*policySpec)
@@ -201,7 +184,6 @@ func run(args []string) error {
 
 	var adminServer *http.Server
 	if *admin != "" {
-		reg.PublishExpvar("wcproxy")
 		adminServer = &http.Server{
 			Addr:              *admin,
 			Handler:           proxy.AdminHandler(srv, reg),

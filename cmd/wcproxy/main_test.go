@@ -88,6 +88,10 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad policy", []string{"-policy", "nope"}},
 		{"bad capacity", []string{"-capacity", "xyz"}},
 		{"bad log path", []string{"-log", "/nonexistent-dir/x.log"}},
+		{"topology without self", []string{"-topology", "fleet.json"}},
+		// A fleet is described by its topology file and nothing else.
+		{"no -peers flag", []string{"-self", "n1", "-peers", "n2=http://127.0.0.1:1"}},
+		{"no -replicas flag", []string{"-replicas", "1"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

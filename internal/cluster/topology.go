@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/url"
 	"os"
-	"strings"
 
 	"webcachesim/internal/policy"
 	"webcachesim/internal/units"
@@ -95,8 +94,13 @@ func (t *Topology) validate() error {
 			if n.URL == "" {
 				return fmt.Errorf("cluster: node %q has no url", n.Name)
 			}
-			if _, err := url.Parse(n.URL); err != nil {
+			if err := absoluteURL(n.URL); err != nil {
 				return fmt.Errorf("cluster: node %q url: %w", n.Name, err)
+			}
+			if n.Admin != "" {
+				if err := absoluteURL(n.Admin); err != nil {
+					return fmt.Errorf("cluster: node %q admin: %w", n.Name, err)
+				}
 			}
 			if n.Capacity != "" {
 				if _, err := units.ParseBytes(n.Capacity); err != nil {
@@ -115,6 +119,21 @@ func (t *Topology) validate() error {
 		return err
 	}
 	return check("parents", t.Parents)
+}
+
+// absoluteURL requires scheme://host of an address every consumer dials:
+// "localhost:8080" parses (as scheme "localhost") and "n1" parses (as a
+// path), and either would otherwise surface per request as "unsupported
+// protocol scheme" and leave wcproxy listening on its default port.
+func absoluteURL(raw string) error {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return err
+	}
+	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return fmt.Errorf("%q is not an absolute http(s) URL", raw)
+	}
+	return nil
 }
 
 // Ring builds the topology's consistent-hash ring over the leaf nodes.
@@ -183,36 +202,4 @@ func (n *Node) PolicyFactory() (policy.Factory, error) {
 		return policy.Factory{}, err
 	}
 	return policy.NewFactory(spec)
-}
-
-// FromPeerList builds a name→URL peer map from "name=url,name=url" flag
-// syntax — the -peers alternative to a topology file. Unlike PeerURLs,
-// the list names only the *other* nodes, so self does not appear in it.
-func FromPeerList(list string) (map[string]*url.URL, error) {
-	peers := make(map[string]*url.URL)
-	for _, part := range strings.Split(list, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, rawURL, ok := strings.Cut(part, "=")
-		if !ok || name == "" || rawURL == "" {
-			return nil, fmt.Errorf("cluster: bad peer %q (want name=url)", part)
-		}
-		if _, dup := peers[name]; dup {
-			return nil, fmt.Errorf("cluster: duplicate peer name %q", name)
-		}
-		u, err := url.Parse(rawURL)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: peer %q url: %w", name, err)
-		}
-		if u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("cluster: peer %q url %q is not absolute", name, rawURL)
-		}
-		peers[name] = u
-	}
-	if len(peers) == 0 {
-		return nil, fmt.Errorf("cluster: empty peer list")
-	}
-	return peers, nil
 }

@@ -86,6 +86,14 @@ func TestTopologyValidation(t *testing.T) {
 		`{"nodes":[{"name":"a","url":"http://x","policy":"magic"}]}`,
 		`{"nodes":[{"name":"a","url":"http://x"}],"parents":[{"name":"a","url":"http://y"}]}`,
 		`{"replicas":-1,"nodes":[{"name":"a","url":"http://x"}]}`,
+		// URLs every consumer dials must be absolute http(s).
+		`{"nodes":[{"name":"a","url":"n1"}]}`,
+		`{"nodes":[{"name":"a","url":"localhost:8080"}]}`,
+		`{"nodes":[{"name":"a","url":"/just/a/path"}]}`,
+		`{"nodes":[{"name":"a","url":"http://"}]}`,
+		`{"nodes":[{"name":"a","url":"ftp://x"}]}`,
+		`{"nodes":[{"name":"a","url":"http://x","admin":"localhost:9090"}]}`,
+		`{"nodes":[{"name":"a","url":"http://x"}],"parents":[{"name":"p","url":"x:3128"}]}`,
 		`not json`,
 	}
 	for _, doc := range bad {
@@ -106,20 +114,5 @@ func TestLoadTopology(t *testing.T) {
 	}
 	if _, err := LoadTopology(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file: want error")
-	}
-}
-
-func TestFromPeerList(t *testing.T) {
-	peers, err := FromPeerList("n1=http://127.0.0.1:8081, n2=http://127.0.0.1:8082")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(peers) != 2 || peers["n2"].Host != "127.0.0.1:8082" {
-		t.Fatalf("peers = %v", peers)
-	}
-	for _, bad := range []string{"", "justaname", "a=", "=http://x", "a=http://x,a=http://y", "a=notaurl"} {
-		if _, err := FromPeerList(bad); err == nil {
-			t.Errorf("FromPeerList(%q): want error", bad)
-		}
 	}
 }

@@ -112,6 +112,23 @@ func (r *reqSlice) Next() (*trace.Request, error) {
 	return req, nil
 }
 
+// checkRotation pins the arrival order both engine branches promise —
+// request k goes to node k mod N — by its visible consequence: the first
+// requests mod N nodes were sent one request more than the rest.
+func checkRotation(t *testing.T, rep *load.Report, requests int) {
+	t.Helper()
+	n := len(rep.Nodes)
+	for i, nr := range rep.Nodes {
+		want := int64(requests / n)
+		if i < requests%n {
+			want++
+		}
+		if got := nr.Tally.Requests + nr.Tally.Errors; got != want {
+			t.Errorf("node %s was sent %d requests, want %d (request k to node k mod %d)", nr.Name, got, want, n)
+		}
+	}
+}
+
 // TestClusterEndToEnd drives a 3-node fleet over real sockets with a
 // seeded workload and pins the headline clustering guarantee: every
 // unique cacheable document is fetched from the origin exactly once
@@ -176,7 +193,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := load.RunCluster(load.ClusterConfig{
+	rep, err := load.Run(load.Config{
 		Topology:    fl.topo,
 		Source:      &staticReader{urls: urls},
 		Concurrency: 4,
@@ -195,6 +212,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	if rep.Tally.Hits+rep.Tally.PeerHits+rep.Tally.Misses != rep.Tally.Requests {
 		t.Errorf("fleet tally does not partition: %+v", rep.Tally)
 	}
+	checkRotation(t, rep, requests)
 	// A round-robin spray over a 3-node ring sends ~2/3 of the traffic to
 	// a non-owner, so a run with re-references must surface peer hits —
 	// and owners still see their own docs, so local hits too.
@@ -225,7 +243,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	perNode := load.DiffMetrics(after, before)
-	if err := load.ReconcileCluster(rep, perNode); err != nil {
+	if err := load.Reconcile(rep, perNode); err != nil {
 		t.Error(err)
 	}
 	for name, m := range perNode {
@@ -356,7 +374,7 @@ func TestClusterSimLiveParity(t *testing.T) {
 		}
 	}
 
-	rep, err := load.RunCluster(load.ClusterConfig{
+	rep, err := load.Run(load.Config{
 		Topology:   fl.topo,
 		Source:     &staticReader{urls: urls},
 		Sequential: true,
@@ -367,6 +385,7 @@ func TestClusterSimLiveParity(t *testing.T) {
 	if rep.Tally.Errors != 0 || rep.Tally.Requests != requests {
 		t.Fatalf("live replay incomplete: %+v", rep.Tally)
 	}
+	checkRotation(t, rep, requests)
 
 	sim, err := hierarchy.NewCluster(fl.topo, 0)
 	if err != nil {
@@ -381,7 +400,7 @@ func TestClusterSimLiveParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := load.ReconcileCluster(rep, perNode); err != nil {
+	if err := load.Reconcile(rep, perNode); err != nil {
 		t.Error(err)
 	}
 

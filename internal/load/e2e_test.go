@@ -1,18 +1,17 @@
 package load_test
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"webcachesim/internal/admission"
+	"webcachesim/internal/cluster"
 	"webcachesim/internal/load"
 	"webcachesim/internal/metrics"
 	"webcachesim/internal/proxy"
@@ -35,36 +34,23 @@ func (r *staticReader) Next() (*trace.Request, error) {
 	return &trace.Request{URL: u}, nil
 }
 
-// scrape fetches a /metrics exposition over HTTP and returns the
-// unlabeled samples as name → value.
-func scrape(t *testing.T, adminURL string) map[string]float64 {
+// oneNode is a single proxy as the load engine sees it: a fleet of one.
+func oneNode(frontURL, adminURL string) *cluster.Topology {
+	return &cluster.Topology{Nodes: []cluster.Node{{Name: "target", URL: frontURL, Admin: adminURL}}}
+}
+
+// reconciled scrapes the topology and runs load.Reconcile on the report,
+// returning the one node's series for the test's own rows.
+func reconciled(t *testing.T, topo *cluster.Topology, rep *load.Report) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(adminURL + "/metrics")
+	perNode, err := load.ScrapeTopology(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	out := map[string]float64{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 || strings.Contains(fields[0], "{") {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			continue
-		}
-		out[fields[0]] = v
+	if err := load.Reconcile(rep, perNode); err != nil {
+		t.Error(err)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return perNode[topo.Nodes[0].Name]
 }
 
 // TestEndToEndLoadAgainstProxy is the full loopback stack: a real origin,
@@ -105,10 +91,7 @@ func TestEndToEndLoadAgainstProxy(t *testing.T) {
 	defer front.Close()
 	admin := httptest.NewServer(proxy.AdminHandler(srv, reg))
 	defer admin.Close()
-	frontURL, err := url.Parse(front.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := oneNode(front.URL, admin.URL)
 
 	prof, err := synth.ProfileByName("dfn")
 	if err != nil {
@@ -121,7 +104,7 @@ func TestEndToEndLoadAgainstProxy(t *testing.T) {
 	}
 
 	rep, err := load.Run(load.Config{
-		Target:      frontURL,
+		Topology:    topo,
 		Source:      gen.Reader(),
 		Mode:        load.Reverse,
 		Concurrency: 8,
@@ -154,7 +137,7 @@ func TestEndToEndLoadAgainstProxy(t *testing.T) {
 	// Reconcile against the proxy's /metrics exposition, counter by
 	// counter. The server counted every request the clients made, agreed
 	// on every cache outcome, and the invariants hold on its side too.
-	m := scrape(t, admin.URL)
+	m := reconciled(t, topo, rep)
 	for name, want := range map[string]float64{
 		"wcproxy_requests_total":     float64(rep.Tally.Requests),
 		"wcproxy_hits_total":         float64(rep.Tally.Hits),
@@ -219,10 +202,7 @@ func TestEndToEndAdmissionReconciles(t *testing.T) {
 	defer front.Close()
 	admin := httptest.NewServer(proxy.AdminHandler(srv, reg))
 	defer admin.Close()
-	frontURL, err := url.Parse(front.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := oneNode(front.URL, admin.URL)
 
 	prof, err := synth.ProfileByName("dfn")
 	if err != nil {
@@ -234,7 +214,7 @@ func TestEndToEndAdmissionReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := load.Run(load.Config{
-		Target:      frontURL,
+		Topology:    topo,
 		Source:      gen.Reader(),
 		Mode:        load.Reverse,
 		Concurrency: 8,
@@ -250,7 +230,7 @@ func TestEndToEndAdmissionReconciles(t *testing.T) {
 		t.Error("a 4KB TinyLFU cache under a 2000-request replay should reject some inserts")
 	}
 
-	m := scrape(t, admin.URL)
+	m := reconciled(t, topo, rep)
 	if got, want := m["wcproxy_admission_rejected_total"], float64(rep.Tally.AdmissionRejects); got != want {
 		t.Errorf("wcproxy_admission_rejected_total = %v, client counted %v X-Admission rejects", got, want)
 	}
@@ -283,7 +263,6 @@ func TestEndToEndForwardMode(t *testing.T) {
 	}
 	front := httptest.NewServer(srv)
 	defer front.Close()
-	frontURL, _ := url.Parse(front.URL)
 
 	reqs := staticReader{urls: []string{
 		originURL.String() + "/one.html",
@@ -291,7 +270,7 @@ func TestEndToEndForwardMode(t *testing.T) {
 		originURL.String() + "/two.html",
 	}}
 	rep, err := load.Run(load.Config{
-		Target:      frontURL,
+		Topology:    oneNode(front.URL, ""),
 		Source:      &reqs,
 		Mode:        load.Forward,
 		Concurrency: 1,

@@ -11,9 +11,14 @@
 // that makes miss coalescing observable — clients pile onto the same URL
 // only when the origin is the bottleneck, exactly as in production.
 //
+// A single proxy is a fleet of one: the target is always a
+// cluster.Topology, the stream is sprayed round-robin across its nodes
+// the way a load balancer would (so an N-node fleet's peer-fetch path
+// carries ~(N-1)/N of the traffic), and Reconcile checks the client-side
+// tallies against every node's /metrics counters.
+//
 // The package is the engine behind cmd/wcload and is driven directly by
-// the end-to-end tests, which reconcile its client-side tallies against
-// the proxy's /metrics counters.
+// the end-to-end tests.
 package load
 
 import (
@@ -27,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"webcachesim/internal/cluster"
 	"webcachesim/internal/pool"
 	"webcachesim/internal/trace"
 )
@@ -56,14 +62,17 @@ func ParseMode(s string) (Mode, error) {
 
 // Config parameterizes a load run.
 type Config struct {
-	// Target is the proxy under load; required.
-	Target *url.URL
+	// Topology names the nodes under load; required. Node URLs are the
+	// targets (one proxy is the one-node topology); Admin URLs, when
+	// present, let ScrapeTopology and Reconcile check the run.
+	Topology *cluster.Topology
 	// Source supplies the requests to replay; required. Only the URL
-	// field is consulted.
+	// field is consulted. Request k goes to node k mod N.
 	Source trace.Reader
-	// Mode addresses requests to the target (Reverse by default).
+	// Mode addresses requests to the nodes (Reverse by default).
 	Mode Mode
-	// Concurrency is the number of closed-loop clients (1 when 0).
+	// Concurrency is the number of closed-loop clients per node (1 when
+	// 0). Ignored in Sequential mode.
 	Concurrency int
 	// Requests caps the replay when positive; otherwise the source is
 	// drained.
@@ -71,8 +80,14 @@ type Config struct {
 	// Timeout bounds each request (15s when 0).
 	Timeout time.Duration
 	// Transport overrides the HTTP transport, for tests. In Forward mode
-	// the default transport routes through Target as an HTTP proxy.
+	// the default transport routes through each node as an HTTP proxy.
 	Transport http.RoundTripper
+	// Sequential, when set, replays the stream with exactly one request
+	// in flight fleet-wide, in strict source order. That pins down every
+	// source of reordering — no coalescing, no cross-node races — which
+	// is what makes the live fleet byte-comparable to the offline
+	// hierarchy.Cluster replay (see docs/CLUSTER.md, Parity).
+	Sequential bool
 }
 
 // Tally is the client-side view of cache outcomes, derived from response
@@ -102,6 +117,19 @@ type Tally struct {
 	Bytes int64 `json:"bytes"`
 }
 
+// add sums another tally into t, field by field.
+func (t *Tally) add(o Tally) {
+	t.Requests += o.Requests
+	t.Hits += o.Hits
+	t.Misses += o.Misses
+	t.PeerHits += o.PeerHits
+	t.Stale += o.Stale
+	t.Coalesced += o.Coalesced
+	t.AdmissionRejects += o.AdmissionRejects
+	t.Errors += o.Errors
+	t.Bytes += o.Bytes
+}
+
 // Latency summarizes the per-request latency distribution in
 // milliseconds. Percentiles are exact (computed from every sample), not
 // estimated.
@@ -113,15 +141,30 @@ type Latency struct {
 	Max  float64 `json:"maxMs"`
 }
 
+// NodeReport is one node's slice of a run.
+type NodeReport struct {
+	// Name is the topology node name.
+	Name string `json:"name"`
+	// Tally is the client-side outcome count for requests this run sent
+	// to that node (not requests the node served for its siblings).
+	Tally Tally `json:"tally"`
+}
+
 // Report is the result of a load run.
 type Report struct {
-	Tally       Tally   `json:"tally"`
+	// Nodes holds the per-node tallies, in topology order.
+	Nodes []NodeReport `json:"nodes"`
+	// Tally sums the per-node tallies.
+	Tally Tally `json:"tally"`
+	// Concurrency is the per-node client count (1 in sequential mode).
 	Concurrency int     `json:"concurrency"`
 	Seconds     float64 `json:"seconds"`
 	// Throughput is completed requests per second of wall time.
 	Throughput float64 `json:"throughputRps"`
-	HitRate    float64 `json:"hitRate"`
-	Latency    Latency `json:"latency"`
+	// HitRate is the service rate from cache: (local hits + peer hits) /
+	// requests — a request served by any node's cache counts.
+	HitRate float64 `json:"hitRate"`
+	Latency Latency `json:"latency"`
 }
 
 // worker accumulates results privately; tallies merge after the run, so
@@ -147,101 +190,136 @@ type worker struct {
 	drainBuf *pool.Buf
 }
 
-// Run replays the configured source against the target and blocks until
-// the replay completes. It fails fast on configuration errors; transport
-// errors during the run are tallied, not fatal.
+// newWorker builds one closed-loop client aimed at target, with room for
+// samples latencies up front.
+func newWorker(client *http.Client, mode Mode, target *url.URL, samples int) *worker {
+	return &worker{
+		latencies: make([]time.Duration, 0, samples),
+		client:    client,
+		mode:      mode,
+		reqURL:    *target,
+		req: &http.Request{
+			Method:     http.MethodGet,
+			Proto:      "HTTP/1.1",
+			ProtoMajor: 1,
+			ProtoMinor: 1,
+			Header:     make(http.Header),
+		},
+		drainBuf: pool.Default.Get(32 << 10),
+	}
+}
+
+// Run replays the configured source against every node of the topology
+// and blocks until the replay completes. It fails fast on configuration
+// errors; transport errors during the run are tallied, not fatal.
 func Run(cfg Config) (*Report, error) {
-	if cfg.Target == nil {
-		return nil, errors.New("load: Target is required")
+	if cfg.Topology == nil || len(cfg.Topology.Nodes) == 0 {
+		return nil, errors.New("load: a Topology with at least one node is required")
 	}
 	if cfg.Source == nil {
 		return nil, errors.New("load: Source is required")
 	}
 	conc := cfg.Concurrency
-	if conc <= 0 {
+	if conc <= 0 || cfg.Sequential {
 		conc = 1
 	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = 15 * time.Second
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		if cfg.Mode == Forward {
-			transport = &http.Transport{Proxy: http.ProxyURL(cfg.Target)}
-		} else {
-			transport = http.DefaultTransport
+	targets := make([]*url.URL, len(cfg.Topology.Nodes))
+	for i, n := range cfg.Topology.Nodes {
+		u, err := url.Parse(n.URL)
+		if err != nil {
+			return nil, fmt.Errorf("load: node %q url: %w", n.Name, err)
 		}
+		targets[i] = u
 	}
-	client := &http.Client{Transport: transport, Timeout: timeout}
-
-	// The feeder drains the source into a channel the clients pull from;
-	// a closed-loop client issues its next request only when the previous
-	// one finished.
-	urls := make(chan string, conc)
-	feedErr := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(urls)
-		sent := 0
-		for cfg.Requests <= 0 || sent < cfg.Requests {
-			req, err := cfg.Source.Next()
-			if err == io.EOF {
-				feedErr <- nil
-				return
-			}
-			if err != nil {
-				feedErr <- fmt.Errorf("load: reading source: %w", err)
-				return
-			}
-			urls <- req.URL
-			sent++
-		}
-		feedErr <- nil
-	}()
-
-	workers := make([]*worker, conc)
-	perWorker := 0
+	samples := 0
 	if cfg.Requests > 0 {
-		perWorker = cfg.Requests/conc + 1
+		samples = cfg.Requests/(conc*len(targets)) + 1
 	}
-	start := time.Now()
-	for i := range workers {
-		w := &worker{
-			client: client,
-			mode:   cfg.Mode,
-			reqURL: *cfg.Target,
-			req: &http.Request{
-				Method:     http.MethodGet,
-				Proto:      "HTTP/1.1",
-				ProtoMajor: 1,
-				ProtoMinor: 1,
-				Header:     make(http.Header),
-			},
-			drainBuf: pool.Default.Get(32 << 10),
-		}
-		if perWorker > 0 {
-			w.latencies = make([]time.Duration, 0, perWorker)
-		}
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer w.drainBuf.Release()
-			for raw := range urls {
-				w.do(raw)
+	nodes := make([][]*worker, len(targets))
+	for i, target := range targets {
+		transport := cfg.Transport
+		if transport == nil {
+			transport = http.DefaultTransport
+			if cfg.Mode == Forward {
+				transport = &http.Transport{Proxy: http.ProxyURL(target)}
 			}
-		}()
+		}
+		client := &http.Client{Transport: transport, Timeout: timeout}
+		for c := 0; c < conc; c++ {
+			nodes[i] = append(nodes[i], newWorker(client, cfg.Mode, target, samples))
+		}
+	}
+
+	// Sequential: the loop below issues each request itself, so exactly
+	// one is in flight fleet-wide. Otherwise it only feeds: each node has
+	// its own queue and closed-loop client pool, and a client issues its
+	// next request when its previous one finished.
+	dispatch := func(node int, raw string) { nodes[node][0].do(raw) }
+	var queues []chan string
+	var wg sync.WaitGroup
+	if !cfg.Sequential {
+		queues = make([]chan string, len(nodes))
+		for i, ws := range nodes {
+			queue := make(chan string, conc)
+			queues[i] = queue
+			for _, w := range ws {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for raw := range queue {
+						w.do(raw)
+					}
+				}()
+			}
+		}
+		dispatch = func(node int, raw string) { queues[node] <- raw }
+	}
+
+	// The one source-draining loop, with the request cap: request k goes
+	// to node k mod N.
+	var srcErr error
+	start := time.Now()
+	for sent := 0; cfg.Requests <= 0 || sent < cfg.Requests; sent++ {
+		req, err := cfg.Source.Next()
+		if err != nil {
+			srcErr = err
+			break
+		}
+		dispatch(sent%len(nodes), req.URL)
+	}
+	for _, queue := range queues {
+		close(queue)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if err := <-feedErr; err != nil {
-		return nil, err
-	}
 
-	return assemble(workers, conc, elapsed), nil
+	rep := &Report{Concurrency: conc, Seconds: elapsed.Seconds()}
+	var all []time.Duration
+	for i, ws := range nodes {
+		nr := NodeReport{Name: cfg.Topology.Nodes[i].Name}
+		for _, w := range ws {
+			w.drainBuf.Release()
+			nr.Tally.add(w.tally)
+			all = append(all, w.latencies...)
+		}
+		rep.Nodes = append(rep.Nodes, nr)
+		rep.Tally.add(nr.Tally)
+	}
+	if srcErr != nil && srcErr != io.EOF {
+		return nil, fmt.Errorf("load: reading source: %w", srcErr)
+	}
+	if elapsed > 0 {
+		rep.Throughput = float64(rep.Tally.Requests) / elapsed.Seconds()
+	}
+	if rep.Tally.Requests > 0 {
+		rep.HitRate = float64(rep.Tally.Hits+rep.Tally.PeerHits) / float64(rep.Tally.Requests)
+	}
+	rep.Latency = summarize(all)
+	return rep, nil
 }
 
 // do issues one request and tallies its outcome.
@@ -311,32 +389,6 @@ func (w *worker) drain(body io.Reader) int64 {
 			return n
 		}
 	}
-}
-
-// assemble merges the workers' private tallies into the final report.
-func assemble(workers []*worker, conc int, elapsed time.Duration) *Report {
-	var all []time.Duration
-	rep := &Report{Concurrency: conc, Seconds: elapsed.Seconds()}
-	for _, w := range workers {
-		rep.Tally.Requests += w.tally.Requests
-		rep.Tally.Hits += w.tally.Hits
-		rep.Tally.Misses += w.tally.Misses
-		rep.Tally.PeerHits += w.tally.PeerHits
-		rep.Tally.Stale += w.tally.Stale
-		rep.Tally.Coalesced += w.tally.Coalesced
-		rep.Tally.AdmissionRejects += w.tally.AdmissionRejects
-		rep.Tally.Errors += w.tally.Errors
-		rep.Tally.Bytes += w.tally.Bytes
-		all = append(all, w.latencies...)
-	}
-	if elapsed > 0 {
-		rep.Throughput = float64(rep.Tally.Requests) / elapsed.Seconds()
-	}
-	if rep.Tally.Requests > 0 {
-		rep.HitRate = float64(rep.Tally.Hits) / float64(rep.Tally.Requests)
-	}
-	rep.Latency = summarize(all)
-	return rep
 }
 
 // summarize computes exact percentiles over every recorded latency.

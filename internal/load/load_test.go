@@ -5,6 +5,8 @@ import (
 	"net/url"
 	"testing"
 	"time"
+
+	"webcachesim/internal/cluster"
 )
 
 func TestParseMode(t *testing.T) {
@@ -76,10 +78,10 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestRunValidatesConfig(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
-		t.Error("Run without Target should fail")
+		t.Error("Run without Topology should fail")
 	}
-	target, _ := url.Parse("http://127.0.0.1:1")
-	if _, err := Run(Config{Target: target}); err == nil {
+	topo := &cluster.Topology{Nodes: []cluster.Node{{Name: "target", URL: "http://127.0.0.1:1"}}}
+	if _, err := Run(Config{Topology: topo}); err == nil {
 		t.Error("Run without Source should fail")
 	}
 }

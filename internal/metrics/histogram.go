@@ -94,18 +94,6 @@ func (h *Histogram) writeText(w io.Writer) error {
 	return err
 }
 
-func (h *Histogram) snapshot() any {
-	buckets := make(map[string]int64, len(h.upper)+1)
-	var cum int64
-	for i, ub := range h.upper {
-		cum += h.counts[i].Load()
-		buckets[formatFloat(ub)] = cum
-	}
-	cum += h.counts[len(h.upper)].Load()
-	buckets["+Inf"] = cum
-	return map[string]any{"count": h.Count(), "sum": h.Sum(), "buckets": buckets}
-}
-
 // ExponentialBuckets returns n upper bounds starting at start (> 0), each
 // factor (> 1) times the previous — the usual shape for latencies and
 // object sizes.

@@ -1,8 +1,9 @@
 // Package metrics is a small, dependency-free instrumentation layer for
 // the proxy and the simulation tooling: atomic counters, gauges and
 // fixed-bucket histograms collected in a Registry that exposes them in
-// the Prometheus text format (exposition format version 0.0.4) over HTTP
-// and, optionally, through the standard expvar namespace.
+// the Prometheus text format (exposition format version 0.0.4) over HTTP.
+// ParseText reads that format back, for the tools and tests that check a
+// run against a scrape.
 //
 // The package trades generality for predictability. Metric and label
 // names are validated at registration time and duplicate registration
@@ -16,7 +17,7 @@
 package metrics
 
 import (
-	"expvar"
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -29,20 +30,18 @@ import (
 )
 
 // collector is one registered metric family: it renders its full
-// exposition block (HELP, TYPE, series) and snapshots itself for expvar.
+// exposition block (HELP, TYPE, series).
 type collector interface {
 	metricName() string
 	writeText(w io.Writer) error
-	snapshot() any
 }
 
 // Registry holds a set of uniquely named metrics and renders them in a
 // stable (name-sorted) order. The zero value is not usable; call
 // NewRegistry.
 type Registry struct {
-	mu         sync.Mutex
-	byName     map[string]collector
-	expvarOnce sync.Once
+	mu     sync.Mutex
+	byName map[string]collector
 }
 
 // NewRegistry creates an empty registry.
@@ -107,21 +106,36 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// PublishExpvar publishes the registry under the given name in the
-// process-wide expvar namespace (served at /debug/vars), as a JSON object
-// mapping metric names to their current values. expvar names are global
-// and publishing twice panics, so repeated calls on the same registry are
-// no-ops; distinct registries must use distinct names.
-func (r *Registry) PublishExpvar(name string) {
-	r.expvarOnce.Do(func() {
-		expvar.Publish(name, expvar.Func(func() any {
-			out := make(map[string]any)
-			for _, c := range r.sorted() {
-				out[c.metricName()] = c.snapshot()
-			}
-			return out
-		}))
-	})
+// ParseText reads a text exposition back into series → value, the
+// inverse of WriteText. Labeled series are keyed by their full text form,
+// e.g. `wcproxy_class_hits_total{class="html"}`, and histograms parse like
+// any other series under their suffixed names. Comments and blank lines
+// are skipped; any other line that is not `series value` is an error
+// naming the line — a reader that skipped it would reconcile against a
+// ledger with a row missing.
+func ParseText(r io.Reader) (map[string]float64, error) {
+	out := map[string]float64{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		// A label value may contain spaces; the sample value never does.
+		i := strings.LastIndexByte(line, ' ')
+		if i <= 0 {
+			return nil, fmt.Errorf("metrics: malformed exposition line %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("metrics: exposition line %q: %w", line, err)
+		}
+		out[line[:i]] = v
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("metrics: reading exposition: %w", err)
+	}
+	return out, nil
 }
 
 // validName reports whether s is a legal Prometheus metric or label name:
@@ -207,8 +221,6 @@ func (c *Counter) writeText(w io.Writer) error {
 	return err
 }
 
-func (c *Counter) snapshot() any { return c.Value() }
-
 // Gauge is an integer metric that can go up and down (occupancy, object
 // counts). For computed or floating-point values use NewGaugeFunc.
 type Gauge struct {
@@ -240,8 +252,6 @@ func (g *Gauge) writeText(w io.Writer) error {
 	return err
 }
 
-func (g *Gauge) snapshot() any { return g.Value() }
-
 // gaugeFunc exposes a value computed at scrape time.
 type gaugeFunc struct {
 	desc
@@ -262,8 +272,6 @@ func (g *gaugeFunc) writeText(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.fn()))
 	return err
 }
-
-func (g *gaugeFunc) snapshot() any { return g.fn() }
 
 // CounterVec is a family of counters distinguished by the value of one
 // label (e.g. requests by document class). Children are created on first
@@ -344,15 +352,6 @@ func (v *CounterVec) writeText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func (v *CounterVec) snapshot() any {
-	cur := *v.children.Load()
-	out := make(map[string]int64, len(cur))
-	for val, c := range cur {
-		out[val] = c.Value()
-	}
-	return out
 }
 
 // formatFloat renders a float the way the exposition format expects,

@@ -1,12 +1,11 @@
 package metrics_test
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -205,27 +204,82 @@ func TestHandler(t *testing.T) {
 	}
 }
 
-func TestPublishExpvar(t *testing.T) {
+// TestParseTextRoundTrip registers one collector of every kind and reads
+// the exposition back: every series WriteText renders must come out of
+// ParseText with its value, comments and blank lines skipped, and a line
+// that is not `series value` must be an error naming it, not a skipped row.
+func TestParseTextRoundTrip(t *testing.T) {
 	r := metrics.NewRegistry()
-	r.NewCounter("test_expvar_total", "x").Add(7)
-	h := r.NewHistogram("test_expvar_seconds", "x", []float64{1})
-	h.Observe(0.5)
-	r.PublishExpvar("test_metrics_registry")
-	r.PublishExpvar("test_metrics_registry") // second call is a no-op, no panic
-	v := expvar.Get("test_metrics_registry")
-	if v == nil {
-		t.Fatal("registry not published")
+	r.NewCounter("test_rt_total", "a counter").Add(42)
+	r.NewGauge("test_rt_used_bytes", "a gauge").Set(-7)
+	r.NewGaugeFunc("test_rt_ratio", "a computed gauge", func() float64 { return 0.25 })
+	v := r.NewCounterVec("test_rt_by_class_total", "a vec", "class")
+	v.With("html").Add(3)
+	v.With("a \"b\\c\nd").Inc()
+	h := r.NewHistogram("test_rt_seconds", "a histogram", []float64{0.1, 1})
+	for _, obs := range []float64{0.05, 0.5, 5} {
+		h.Observe(obs)
 	}
-	var snap map[string]any
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar snapshot not JSON: %v", err)
+	text := expose(t, r)
+	if !strings.Contains(text, "# HELP") || !strings.Contains(text, "# TYPE") {
+		t.Fatalf("exposition carries no comment lines to skip:\n%s", text)
 	}
-	if got := snap["test_expvar_total"]; got != float64(7) {
-		t.Errorf("counter snapshot = %v, want 7", got)
+	got, err := metrics.ParseText(strings.NewReader("\n" + text + "\n"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := snap["test_expvar_seconds"].(map[string]any); !ok {
-		t.Errorf("histogram snapshot = %v, want object", snap["test_expvar_seconds"])
+	want := map[string]float64{
+		"test_rt_total":                               42,
+		"test_rt_used_bytes":                          -7,
+		"test_rt_ratio":                               0.25,
+		`test_rt_by_class_total{class="html"}`:        3,
+		`test_rt_by_class_total{class="a \"b\\c\nd"}`: 1,
+		`test_rt_seconds_bucket{le="0.1"}`:            1,
+		`test_rt_seconds_bucket{le="1"}`:              2,
+		`test_rt_seconds_bucket{le="+Inf"}`:           3,
+		"test_rt_seconds_sum":                         5.55,
+		"test_rt_seconds_count":                       3,
 	}
+	for series, w := range want {
+		if g, ok := got[series]; !ok || g != w {
+			t.Errorf("%s = %v (present=%v), want %v", series, g, ok, w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("parsed %d series, want %d: %v", len(got), len(want), got)
+	}
+	for _, bad := range []string{"no_value", "name notanumber"} {
+		_, err := metrics.ParseText(strings.NewReader(text + bad + "\n"))
+		if err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("ParseText with line %q: err = %v, want an error naming the line", bad, err)
+		}
+	}
+}
+
+// FuzzParseText: the reader never panics, and whatever it accepts it
+// accepts again — each series → value pair re-rendered as a line parses
+// back to the same pair.
+func FuzzParseText(f *testing.F) {
+	f.Add("# HELP a b\n# TYPE a counter\na 1\n\na_bucket{le=\"+Inf\"} 3\nb{k=\"x y\"} 0.5\n")
+	f.Add("no_value\n")
+	f.Add("name notanumber\n")
+	f.Add(" 1\nx NaN\ny -Inf 2\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		got, err := metrics.ParseText(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		for series, v := range got {
+			line := series + " " + strconv.FormatFloat(v, 'g', -1, 64)
+			again, err := metrics.ParseText(strings.NewReader(line + "\n"))
+			if err != nil {
+				t.Fatalf("accepted pair re-rendered as %q is refused: %v", line, err)
+			}
+			if w, ok := again[series]; !ok || (w != v && !(math.IsNaN(w) && math.IsNaN(v))) {
+				t.Fatalf("line %q parsed back as %v, want %s = %v", line, again, series, v)
+			}
+		}
+	})
 }
 
 func TestConcurrentUpdates(t *testing.T) {

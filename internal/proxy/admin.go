@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 
@@ -15,7 +14,6 @@ import (
 //	/metrics      Prometheus text exposition of reg
 //	/stats        JSON snapshot of the proxy's Stats plus occupancy
 //	/debug/pprof/ the standard Go profiling endpoints
-//	/debug/vars   the process expvar namespace
 //	/             a plain-text index of the above
 //
 // The pprof handlers are mounted explicitly rather than through
@@ -41,7 +39,6 @@ func AdminHandler(s *Server, reg *metrics.Registry) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -52,8 +49,7 @@ func AdminHandler(s *Server, reg *metrics.Registry) http.Handler {
 		_, _ = w.Write([]byte("wcproxy admin endpoints:\n" +
 			"  /metrics       Prometheus text format\n" +
 			"  /stats         JSON statistics snapshot\n" +
-			"  /debug/pprof/  Go profiling\n" +
-			"  /debug/vars    expvar\n"))
+			"  /debug/pprof/  Go profiling\n"))
 	})
 	return mux
 }

@@ -162,7 +162,6 @@ func TestAdminHandler(t *testing.T) {
 		"/metrics":      "wcproxy_requests_total 1",
 		"/stats":        `"requests": 1`,
 		"/debug/pprof/": "profiles",
-		"/debug/vars":   "cmdline",
 	} {
 		rr := get(t, admin, path)
 		if rr.Code != http.StatusOK {

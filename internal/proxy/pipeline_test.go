@@ -42,17 +42,13 @@ func (b *syncBuffer) String() string {
 // scrape parses a registry's text exposition into series → value.
 func scrape(t *testing.T, reg *metrics.Registry) map[string]int64 {
 	t.Helper()
-	out := map[string]int64{}
-	for _, line := range strings.Split(metricsText(t, reg), "\n") {
-		if line == "" || line[0] == '#' {
-			continue
-		}
-		name, val, _ := strings.Cut(line, " ")
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			t.Fatalf("exposition line %q: %v", line, err)
-		}
-		out[name] = int64(f)
+	m, err := metrics.ParseText(strings.NewReader(metricsText(t, reg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, len(m))
+	for series, v := range m {
+		out[series] = int64(v)
 	}
 	return out
 }

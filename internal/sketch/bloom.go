@@ -18,7 +18,6 @@ type Bloom struct {
 	bits   []uint64
 	mask   uint64
 	hashes int
-	added  int64
 }
 
 // NewBloom sizes a filter for the expected number of items at the target
@@ -58,7 +57,6 @@ func (b *Bloom) Add(key string) {
 		pos := (h1 + uint64(i)*h2) & b.mask
 		b.bits[pos>>6] |= 1 << (pos & 63)
 	}
-	b.added++
 }
 
 // Contains reports whether key may have been added (false positives
@@ -84,15 +82,11 @@ func (b *Bloom) AddIfNew(key string) bool {
 	return true
 }
 
-// Added returns the number of Add calls since creation or the last Reset.
-func (b *Bloom) Added() int64 { return b.added }
-
-// Reset clears every bit and the Added counter, keeping the sizing. The
+// Reset clears every bit, keeping the sizing. The
 // TinyLFU admission filter calls it at each aging window so stale
 // first-occurrence evidence does not accumulate forever.
 func (b *Bloom) Reset() {
 	clear(b.bits)
-	b.added = 0
 }
 
 // twoHashes derives the double-hashing pair from one 64-bit hash.

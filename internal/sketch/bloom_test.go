@@ -30,9 +30,6 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 			t.Fatalf("false negative for key-%d", i)
 		}
 	}
-	if b.Added() != 10_000 {
-		t.Errorf("Added = %d", b.Added())
-	}
 }
 
 func TestBloomFalsePositiveRate(t *testing.T) {
@@ -85,15 +82,13 @@ func TestSpaceSavingExactBelowCapacity(t *testing.T) {
 			s.Add(fmt.Sprintf("k%d", i))
 		}
 	}
-	top := s.Top(3)
-	if len(top) != 3 {
-		t.Fatalf("Top returned %d", len(top))
+	if s.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", s.Len())
 	}
-	if top[0].Key != "k9" || top[0].Count != 10 || top[0].Err != 0 {
-		t.Errorf("top[0] = %+v", top[0])
-	}
-	if top[1].Key != "k8" || top[2].Key != "k7" {
-		t.Errorf("ordering: %+v", top)
+	for i := 0; i < 10; i++ {
+		if got, ok := s.Count(fmt.Sprintf("k%d", i)); !ok || got != int64(i+1) {
+			t.Errorf("Count(k%d) = %d, %v; want %d exactly below capacity", i, got, ok, i+1)
+		}
 	}
 }
 
@@ -115,27 +110,19 @@ func TestSpaceSavingHeavyHittersSurvivePressure(t *testing.T) {
 	if s.Len() != 50 {
 		t.Errorf("Len = %d, want 50", s.Len())
 	}
-	top := s.Top(2)
-	if top[0].Key != "heavy-A" || top[1].Key != "heavy-B" {
-		t.Fatalf("heavy hitters lost: %+v", top)
+	a, okA := s.Count("heavy-A")
+	b, okB := s.Count("heavy-B")
+	if !okA || !okB || a <= b {
+		t.Fatalf("heavy hitters lost: heavy-A %d (tracked %v), heavy-B %d (tracked %v)", a, okA, b, okB)
 	}
-	// Space-Saving guarantees count ≥ true frequency.
-	if top[0].Count < 10_000 {
-		t.Errorf("heavy-A count %d below true 10000", top[0].Count)
+	// Space-Saving guarantees true frequency ≤ count ≤ true frequency +
+	// N/k, with N = 35 000 adds into k = 50 entries.
+	const slack = 35_000 / 50
+	if a < 10_000 || a > 10_000+slack {
+		t.Errorf("heavy-A count %d outside [10000, %d]", a, 10_000+slack)
 	}
-	if top[0].Count-top[0].Err > 10_000 {
-		t.Errorf("heavy-A lower bound %d exceeds truth", top[0].Count-top[0].Err)
-	}
-}
-
-func TestSpaceSavingTopBound(t *testing.T) {
-	s, err := NewSpaceSaving(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Add("only")
-	if got := s.Top(5); len(got) != 1 {
-		t.Errorf("Top(5) over 1 item returned %d", len(got))
+	if b < 5_000 || b > 5_000+slack {
+		t.Errorf("heavy-B count %d outside [5000, %d]", b, 5_000+slack)
 	}
 }
 

@@ -37,17 +37,15 @@ func ExampleSpaceSaving() {
 		ss.Add("/hot")
 	}
 	ss.Add("/cold")
-	for _, c := range ss.Top(2) {
-		fmt.Printf("%s count=%d err=%d\n", c.Key, c.Count, c.Err)
-	}
-	ss.Halve()
 	count, ok := ss.Count("/hot")
+	fmt.Println("/hot:", count, ok)
+	ss.Halve()
+	count, ok = ss.Count("/hot")
 	fmt.Println("after halve /hot:", count, ok)
 	_, ok = ss.Count("/cold")
 	fmt.Println("after halve /cold tracked:", ok)
 	// Output:
-	// /hot count=6 err=0
-	// /cold count=1 err=0
+	// /hot: 6 true
 	// after halve /hot: 3 true
 	// after halve /cold tracked: false
 }

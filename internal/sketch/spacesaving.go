@@ -9,7 +9,7 @@ import (
 
 // SpaceSaving tracks the k most frequent items of a stream with bounded
 // error (Metwally et al.): when a new item arrives at a full table, it
-// replaces the current minimum and inherits its count as the error bound.
+// replaces the current minimum and inherits its count.
 // The TinyLFU admission filter uses it as the frequency table behind its
 // admit-if-more-popular-than-the-victim test, aged with Halve.
 //
@@ -25,18 +25,7 @@ type SpaceSaving struct {
 type ssEntry struct {
 	key   string
 	count int64
-	err   int64
 	item  pqueue.Item[*ssEntry] // Value points back at the entry
-}
-
-// Counter is one reported heavy hitter.
-type Counter struct {
-	// Key identifies the item.
-	Key string
-	// Count is the estimated frequency (an overestimate by at most Err).
-	Count int64
-	// Err bounds the overestimation.
-	Err int64
 }
 
 // NewSpaceSaving creates a tracker for the top ≈capacity items.
@@ -70,30 +59,11 @@ func (s *SpaceSaving) Add(key string) {
 		// The newcomer takes over the victim's entry and heap handle.
 		e = victim.Value
 		delete(s.entries, e.key)
-		e.count, e.err = e.count+1, e.count
+		e.count++
 	}
 	e.key = key
 	s.entries[key] = e
 	s.queue.Push(&e.item, float64(e.count))
-}
-
-// Top returns up to n heavy hitters ordered by descending estimated
-// count.
-func (s *SpaceSaving) Top(n int) []Counter {
-	out := make([]Counter, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, Counter{Key: e.key, Count: e.count, Err: e.err})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
 }
 
 // Count returns the estimated frequency of key and whether it is
@@ -107,7 +77,7 @@ func (s *SpaceSaving) Count(key string) (int64, bool) {
 	return e.count, true
 }
 
-// Halve ages the table by halving every count and error bound, dropping
+// Halve ages the table by halving every count, dropping
 // entries whose count reaches zero. Periodic halving turns lifetime
 // frequencies into an exponentially decayed estimate, so a formerly hot
 // document stops outranking fresh arrivals within a few windows.
@@ -127,7 +97,6 @@ func (s *SpaceSaving) Halve() {
 	for _, key := range keys {
 		e := s.entries[key]
 		e.count /= 2
-		e.err /= 2
 		if e.count == 0 {
 			s.queue.Remove(&e.item)
 			delete(s.entries, key)

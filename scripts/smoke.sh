@@ -58,18 +58,29 @@ smoke_cluster() {
 	go test -race -run '^TestCluster' -v ./internal/proxy ./internal/load ./internal/hierarchy
 }
 
-# fuzz: a short budget per package/target — the trace decoders and the
-# proxy's key stage — one at a time (-fuzz refuses a pattern matching
-# several); -run pins the seed-corpus phase to the target being fuzzed.
+# report: regenerate the paper reproduction at scale 1 (~25 s) and diff
+# it against the committed docs/report-scale1.txt with the per-experiment
+# "(N.Ns)" timings stripped, so a count that moves fails CI the way the
+# benchmark's sweep_offline digests do (EXPERIMENTS.md quotes this file).
+smoke_report() {
+	go run ./cmd/wcreport -scale 1 -plots -extras > "$tmp/report.txt"
+	local timing='s/^(==== .*)  \([0-9.]+s\)$/\1/'
+	diff -u <(sed -E "$timing" docs/report-scale1.txt) <(sed -E "$timing" "$tmp/report.txt")
+}
+
+# fuzz: a short budget per package/target — the trace decoders, the
+# proxy's key stage and the /metrics reader — one at a time (-fuzz
+# refuses a pattern matching several); -run pins the seed-corpus phase to
+# the target being fuzzed.
 smoke_fuzz() {
 	local row
 	for row in trace/FuzzParseSquidLine trace/FuzzSquidBlocks trace/FuzzInternedReader \
-		trace/FuzzColumnar proxy/FuzzRequestKey; do
+		trace/FuzzColumnar proxy/FuzzRequestKey metrics/FuzzParseText; do
 		go test -run="^${row#*/}\$" -fuzz="^${row#*/}\$" -fuzztime=30s "./internal/${row%/*}"
 	done
 }
 
-rows="journal admission columnar cluster fuzz"
+rows="journal admission columnar cluster report fuzz"
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
