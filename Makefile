@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet wcvet vet-json test race bench bench-check smoke lines lines-check check
+.PHONY: build fmt vet wcvet vet-json test race bench bench-check smoke lines lines-by-pkg lines-check check
 
 # The second build compiles the !unix side of the build-tagged file pairs
 # (trace/mm, the pool's arena), which nothing else does.
@@ -72,10 +72,17 @@ smoke:
 lines:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
+# The same figure per directory, largest first: where the lines are, for
+# deciding what a simplification can pay with.
+lines-by-pkg:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d }' | sort -rn
+
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 19801
+LINES_MAX = 19599
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

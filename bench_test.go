@@ -68,11 +68,7 @@ func getFixture(b *testing.B, profileName string) *fixture {
 func capacitiesFor(w *core.Workload, pcts ...float64) []int64 {
 	out := make([]int64, 0, len(pcts))
 	for _, p := range pcts {
-		c := int64(p / 100 * float64(w.DistinctBytes()))
-		if c < 1<<20 {
-			c = 1 << 20
-		}
-		out = append(out, c)
+		out = append(out, w.CapacityAt(p, core.FloorMB))
 	}
 	return out
 }
@@ -189,7 +185,7 @@ func benchSweep(b *testing.B, profile string, policies []policy.Factory) []*core
 }
 
 func rateAt(results []*core.Result, pol string, idx int, m func(*core.Result) float64) float64 {
-	_, ys := core.Curve(results, pol, m)
+	_, ys := core.NewGrid(results, nil).CurveMB(pol, m)
 	if idx >= len(ys) {
 		return 0
 	}
@@ -382,12 +378,10 @@ func BenchmarkFullReport(b *testing.B) {
 			Seed:          1,
 			CacheSizePcts: []float64{1, 2, 4},
 		})
-		outs, err := env.RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(outs) != len(experiment.All) {
-			b.Fatal("incomplete report")
+		for _, id := range experiment.All {
+			if _, err := env.Run(id); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -4,14 +4,15 @@
 //
 // Usage:
 //
-//	wcreport [-exp all|table1..table5|figure1..figure3|rtp|
-//	          filtering|baselines|admission]
-//	         [-scale 1.0] [-seed 1] [-sizes 0.5,1,2,4]
-//	         [-plots] [-checks-only] [-json]
+//	wcreport [-exp all|<id>] [-extras] [-scale 1.0] [-seed 1] [-sizes 0.5,1,2,4]
+//	         [-plots] [-md] [-checks-only] [-json] [-svg-dir dir]
 //	wcreport -journal run.jsonl
 //
-// Exit status 1 is reported when any shape check fails, so the command
-// doubles as a reproduction gate in CI.
+// The experiment ids are the rows of internal/experiment's registry; -h
+// lists them. -json carries each table once, as {title, header, rows},
+// with the checks and notes — figures are not part of it. Exit status 1 is
+// reported when any shape check fails, so the command doubles as a
+// reproduction gate in CI.
 //
 // With -journal the command instead summarizes a run journal written by
 // wcsim -journal (or core.SweepConfig.Journal) into a per-cell throughput
@@ -26,6 +27,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -43,7 +45,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("wcreport", flag.ContinueOnError)
 	var (
-		expFlag    = fs.String("exp", "all", "experiment id (all, table1..table5, figure1..figure3, rtp)")
+		expFlag    = fs.String("exp", "all", fmt.Sprintf("experiment id: all, one of %v, or an extra %v", experiment.All, experiment.Extras))
 		scale      = fs.Float64("scale", 1.0, "workload scale factor")
 		seed       = fs.Int64("seed", 1, "generation seed")
 		sizes      = fs.String("sizes", "", "cache sizes as % of trace size, comma-separated (default 0.5,0.75,1,1.5,2,3,4)")
@@ -52,7 +54,7 @@ func run(args []string, out io.Writer) error {
 		jsonOut    = fs.Bool("json", false, "emit the outputs as a JSON array instead of text")
 		markdown   = fs.Bool("md", false, "render tables as Markdown")
 		svgDir     = fs.String("svg-dir", "", "write every figure as an SVG file into this directory")
-		extras     = fs.Bool("extras", false, "with -exp all, also run the beyond-the-paper experiments (filtering, baselines, admission)")
+		extras     = fs.Bool("extras", false, "with -exp all, also run the beyond-the-paper experiments")
 		par        = fs.Int("parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		journal    = fs.String("journal", "", "summarize a wcsim run journal (JSONL) instead of running experiments")
 	)
@@ -77,7 +79,7 @@ func run(args []string, out io.Writer) error {
 
 	ids := experiment.All
 	if *extras {
-		ids = append(append([]experiment.ID{}, ids...), experiment.Extras...)
+		ids = slices.Concat(ids, experiment.Extras)
 	}
 	if *expFlag != "all" {
 		id, err := experiment.ParseID(*expFlag)
@@ -117,14 +119,14 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out)
 			for _, t := range o.Tables {
 				if *markdown {
-					fmt.Fprintln(out, t.MD)
+					fmt.Fprintln(out, t.Markdown())
 				} else {
-					fmt.Fprintln(out, t.Text)
+					fmt.Fprintln(out, t.Text())
 				}
 			}
 			if *plots {
 				for _, p := range o.Plots {
-					fmt.Fprintln(out, p)
+					fmt.Fprintln(out, p.Render())
 				}
 			}
 		}
@@ -152,15 +154,15 @@ func run(args []string, out io.Writer) error {
 
 // writeSVGs saves an experiment's figures as <dir>/<id>-NN.svg.
 func writeSVGs(dir string, o *experiment.Output) error {
-	if len(o.SVGs) == 0 {
+	if len(o.Plots) == 0 {
 		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("create svg dir: %w", err)
 	}
-	for i, svg := range o.SVGs {
+	for i, p := range o.Plots {
 		path := filepath.Join(dir, fmt.Sprintf("%s-%02d.svg", o.ID, i+1))
-		if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(p.SVG()), 0o644); err != nil {
 			return fmt.Errorf("write %s: %w", path, err)
 		}
 	}

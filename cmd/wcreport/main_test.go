@@ -50,12 +50,52 @@ func TestRunChecksOnly(t *testing.T) {
 func TestRunJSON(t *testing.T) {
 	var sb strings.Builder
 	_ = run(fastArgs("-exp", "table1", "-json"), &sb)
-	var outs []*experiment.Output
-	if err := json.Unmarshal([]byte(sb.String()), &outs); err != nil {
+	// Each table travels once, as data; no pre-rendered text, no figures.
+	var outs []struct {
+		ID     experiment.ID
+		Title  string
+		Tables []struct {
+			Title  string
+			Header []string
+			Rows   [][]string
+		}
+		Checks []experiment.ShapeCheck
+		Notes  []string
+	}
+	dec := json.NewDecoder(strings.NewReader(sb.String()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&outs); err != nil {
 		t.Fatalf("-json output did not parse: %v\n%s", err, sb.String())
 	}
-	if len(outs) != 1 || outs[0].ID != experiment.Table1 {
-		t.Errorf("unexpected JSON payload: %+v", outs)
+	if len(outs) != 1 || outs[0].ID != experiment.Table1 || len(outs[0].Tables) != 1 {
+		t.Fatalf("unexpected JSON payload: %+v", outs)
+	}
+	table := outs[0].Tables[0]
+	if !strings.HasPrefix(table.Title, "Table 1") || len(table.Header) != 3 || len(table.Rows) != 5 ||
+		table.Rows[1][0] != "Distinct Documents" {
+		t.Errorf("table 1 did not travel as {title, header, rows}: %+v", table)
+	}
+	if len(outs[0].Checks) != 2 || len(outs[0].Notes) == 0 {
+		t.Errorf("checks/notes missing: %+v", outs[0])
+	}
+}
+
+// TestRunMarkdownAndSVG: the renderings wcreport makes on request — the
+// Markdown tables of -md and one SVG file per figure under -svg-dir.
+func TestRunMarkdownAndSVG(t *testing.T) {
+	dir := t.TempDir()
+	var sb strings.Builder
+	_ = run(fastArgs("-exp", "figure2", "-md", "-svg-dir", dir), &sb)
+	if out := sb.String(); !strings.Contains(out, "| Cache (MB) |") || !strings.Contains(out, "**Images**") {
+		t.Errorf("-md did not render Markdown tables:\n%s", out)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "figure2-*.svg"))
+	if err != nil || len(files) != 8 {
+		t.Fatalf("-svg-dir wrote %d files (%v), want 8", len(files), err)
+	}
+	svg, err := os.ReadFile(files[0])
+	if err != nil || !strings.HasPrefix(string(svg), "<svg") {
+		t.Errorf("%s is not an SVG document (%v)", files[0], err)
 	}
 }
 

@@ -130,7 +130,7 @@ func run(args []string, out io.Writer) error {
 	row := func(r *core.Result, rest ...any) []any {
 		cells := []any{r.Policy}
 		if withAdmission {
-			cells = append(cells, admLabel(r))
+			cells = append(cells, r.AdmissionName())
 		}
 		cells = append(cells, fmt.Sprintf("%.0f", float64(r.Capacity)/(1<<20)))
 		return append(cells, rest...)
@@ -152,47 +152,20 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *plot {
-		plotCurves(out, factories, results, withAdmission)
+		plotCurves(out, results, withAdmission)
 	}
 	return nil
-}
-
-// admLabel names a result's admission filter, spelling the unfiltered
-// case (empty Admission) as "none".
-func admLabel(r *core.Result) string {
-	if r.Admission == "" {
-		return "none"
-	}
-	return r.Admission
 }
 
 // plotCurves renders overall hit-rate and byte-hit-rate curves across the
 // swept cache sizes; with an admission axis each (policy, admission)
 // pair is its own series.
-func plotCurves(out io.Writer, factories []policy.Factory, results []*core.Result, withAdmission bool) {
-	type series struct {
-		name    string
-		policy  string
-		results []*core.Result
-	}
-	var groups []series
+func plotCurves(out io.Writer, results []*core.Result, withAdmission bool) {
+	var series func(*core.Result) string
 	if withAdmission {
-		index := make(map[string]int)
-		for _, r := range results {
-			name := r.Policy + "/" + admLabel(r)
-			i, ok := index[name]
-			if !ok {
-				i = len(groups)
-				index[name] = i
-				groups = append(groups, series{name: name, policy: r.Policy})
-			}
-			groups[i].results = append(groups[i].results, r)
-		}
-	} else {
-		for _, f := range factories {
-			groups = append(groups, series{name: f.Name, policy: f.Name, results: results})
-		}
+		series = func(r *core.Result) string { return r.Policy + "/" + r.AdmissionName() }
 	}
+	g := core.NewGrid(results, series)
 	for _, side := range []struct {
 		name    string
 		measure func(*core.Result) float64
@@ -208,13 +181,9 @@ func plotCurves(out io.Writer, factories []policy.Factory, results []*core.Resul
 			Width:  64,
 			Height: 16,
 		}
-		for _, g := range groups {
-			xs, ys := core.Curve(g.results, g.policy, side.measure)
-			fx := make([]float64, len(xs))
-			for i, c := range xs {
-				fx[i] = float64(c) / (1 << 20)
-			}
-			p.Add(report.Series{Name: g.name, X: fx, Y: ys})
+		for _, name := range g.Series {
+			mb, ys := g.CurveMB(name, side.measure)
+			p.Add(report.Series{Name: name, X: mb, Y: ys})
 		}
 		fmt.Fprintln(out, p.Render())
 	}
@@ -330,25 +299,19 @@ func parseCapacities(sizes, pcts string, w *core.Workload) ([]int64, error) {
 			out = append(out, n)
 		}
 		return out, nil
-	case pcts != "":
+	default:
+		// Percentages of the overall size; without a flag, the paper's
+		// 0.5%–4% range.
+		if pcts == "" {
+			pcts = "0.5,1,2,4"
+		}
 		var out []int64
 		for _, part := range strings.Split(pcts, ",") {
 			pct, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 			if err != nil {
 				return nil, fmt.Errorf("bad percentage %q: %w", part, err)
 			}
-			c := int64(pct / 100 * float64(w.DistinctBytes()))
-			if c < 1 {
-				c = 1
-			}
-			out = append(out, c)
-		}
-		return out, nil
-	default:
-		// Default: the paper's 0.5%–4% grid.
-		var out []int64
-		for _, pct := range []float64{0.5, 1, 2, 4} {
-			out = append(out, int64(pct/100*float64(w.DistinctBytes())))
+			out = append(out, w.CapacityAt(pct, core.FloorByte))
 		}
 		return out, nil
 	}

@@ -28,17 +28,47 @@ func writeTestTrace(t *testing.T) string {
 	return path
 }
 
-func TestRunBasic(t *testing.T) {
-	path := writeTestTrace(t)
-	var sb strings.Builder
-	err := run([]string{"-trace", path, "-policies", "lru,gdstar:p", "-size-pcts", "1,4"}, &sb)
+// writeTinyTrace writes three documents totalling 180 distinct bytes: half
+// a percent of that truncates to a capacity of zero.
+func writeTinyTrace(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tiny.wct")
+	w, err := trace.CreateFile(path, trace.FormatInterned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"Simulation results", "LRU", "GD*(P)", "Evictions"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	for i, size := range []int64{50, 60, 70, 50, 60} {
+		req := &trace.Request{UnixMillis: int64(i), URL: "http://t.test/" + string(rune('a'+i%3)) + ".gif",
+			Method: "GET", Status: 200, TransferSize: size, DocSize: size}
+		if err := w.Write(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestRunBasic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"size-pcts", []string{"-trace", writeTestTrace(t), "-policies", "lru,gdstar:p", "-size-pcts", "1,4"}},
+		// The default grid on a trace this small used to compute capacity 0
+		// and die in core; it takes the one-byte floor -size-pcts takes.
+		{"default grid, tiny trace", []string{"-trace", writeTinyTrace(t), "-policies", "lru,gdstar:p"}},
+	} {
+		var sb strings.Builder
+		if err := run(tc.args, &sb); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		out := sb.String()
+		for _, want := range []string{"Simulation results", "LRU", "GD*(P)", "Evictions"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: output missing %q:\n%s", tc.name, want, out)
+			}
 		}
 	}
 }

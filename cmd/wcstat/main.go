@@ -103,49 +103,8 @@ func statOne(path string, raw, csv, hist bool, out io.Writer) error {
 	}
 	render(totals)
 
-	mix := report.NewTable("Workload characteristics by document type",
-		"", "Images", "HTML", "Multi Media", "Application", "Other")
-	addPct := func(label string, f func(doctype.Class) float64) {
-		row := []any{label}
-		for _, cl := range doctype.Classes {
-			row = append(row, f(cl))
-		}
-		mix.AddRowf(row...)
-	}
-	addPct("% of Distinct Documents", c.PctDistinctDocs)
-	addPct("% of Overall Size", c.PctDistinctBytes)
-	addPct("% of Total Requests", c.PctRequests)
-	addPct("% of Requested Data", c.PctReqBytes)
-	render(mix)
-
-	loc := report.NewTable("Document sizes and temporal locality",
-		"", "Images", "HTML", "Multi Media", "Application", "Other")
-	addStat := func(label string, f func(analyze.ClassSummary) any) {
-		row := []any{label}
-		for _, cl := range doctype.Classes {
-			row = append(row, f(c.Classes[cl]))
-		}
-		loc.AddRowf(row...)
-	}
-	addStat("Mean of Document Size (KB)", func(s analyze.ClassSummary) any { return s.MeanDocKB })
-	addStat("Median of Document Size (KB)", func(s analyze.ClassSummary) any { return s.MedianDocKB })
-	addStat("CoV of Document Size", func(s analyze.ClassSummary) any { return s.CoVDoc })
-	addStat("Mean of Transfer Size (KB)", func(s analyze.ClassSummary) any { return s.MeanTransferKB })
-	addStat("Median of Transfer Size (KB)", func(s analyze.ClassSummary) any { return s.MedianTransferKB })
-	addStat("CoV of Transfer Size", func(s analyze.ClassSummary) any { return s.CoVTransfer })
-	addStat("Popularity α", func(s analyze.ClassSummary) any {
-		if !s.AlphaOK {
-			return "n/a"
-		}
-		return s.Alpha
-	})
-	addStat("Temporal Correlation β", func(s analyze.ClassSummary) any {
-		if !s.BetaOK {
-			return "n/a"
-		}
-		return s.Beta
-	})
-	render(loc)
+	render(c.ClassMixTable("Workload characteristics by document type"))
+	render(c.LocalityTable("Document sizes and temporal locality", "Popularity α", "Temporal Correlation β"))
 
 	if tee != nil {
 		for _, cl := range doctype.Classes {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,5 +88,44 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"/nonexistent"}, &sb); err == nil {
 		t.Error("missing file should fail")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files")
+
+// TestGolden pins wcstat's three tables byte for byte, as text and as CSV,
+// on a fixed synthetic trace (wcgen -profile rtp -seed 2 -requests 3000).
+// The title line embeds the temp path, which is replaced before comparing.
+// Regenerate with `go test ./cmd/wcstat -run Golden -update`.
+func TestGolden(t *testing.T) {
+	path := writeTestTrace(t, trace.FormatInterned)
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"stat.golden", []string{path}},
+		{"stat_csv.golden", []string{"-csv", path}},
+	} {
+		var sb strings.Builder
+		if err := run(tc.args, &sb); err != nil {
+			t.Fatal(err)
+		}
+		got := strings.ReplaceAll(sb.String(), path, "<trace>")
+		goldenPath := filepath.Join("testdata", tc.golden)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if got != string(want) {
+			t.Errorf("%s drifted from golden:\n got:\n%s\nwant:\n%s", tc.golden, got, want)
+		}
 	}
 }

@@ -14,8 +14,6 @@ import (
 	"path/filepath"
 
 	"webcachesim/internal/analyze"
-	"webcachesim/internal/doctype"
-	"webcachesim/internal/report"
 	"webcachesim/internal/synth"
 	"webcachesim/internal/trace"
 )
@@ -66,40 +64,9 @@ func run() error {
 	}
 
 	// 3. Print the paper-style tables.
-	mix := report.NewTable("Workload characteristics by document type (cf. Table 3)",
-		"", "Images", "HTML", "Multi Media", "Application", "Other")
-	addRow := func(label string, f func(doctype.Class) float64) {
-		row := []any{label}
-		for _, cl := range doctype.Classes {
-			row = append(row, f(cl))
-		}
-		mix.AddRowf(row...)
-	}
-	addRow("% of Distinct Documents", c.PctDistinctDocs)
-	addRow("% of Total Requests", c.PctRequests)
-	addRow("% of Requested Data", c.PctReqBytes)
-	fmt.Println(mix.Text())
-
-	loc := report.NewTable("Temporal locality (cf. Table 5)",
-		"", "Images", "HTML", "Multi Media", "Application", "Other")
-	alphaRow := []any{"Popularity α"}
-	betaRow := []any{"Temporal correlation β"}
-	for _, cl := range doctype.Classes {
-		cs := c.Classes[cl]
-		if cs.AlphaOK {
-			alphaRow = append(alphaRow, cs.Alpha)
-		} else {
-			alphaRow = append(alphaRow, "n/a")
-		}
-		if cs.BetaOK {
-			betaRow = append(betaRow, cs.Beta)
-		} else {
-			betaRow = append(betaRow, "n/a")
-		}
-	}
-	loc.AddRowf(alphaRow...)
-	loc.AddRowf(betaRow...)
-	fmt.Println(loc.Text())
+	fmt.Println(c.ClassMixTable("Workload characteristics by document type (cf. Table 3)").Text())
+	fmt.Println(c.LocalityTable("Document sizes and temporal locality (cf. Table 5)",
+		"Popularity α", "Temporal correlation β").Text())
 
 	fmt.Println("The squid-format log loses DocSize, so document sizes above are")
 	fmt.Println("reconstructed from transfer history, as with a real proxy trace.")

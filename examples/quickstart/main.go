@@ -35,7 +35,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	capacity := int64(0.02 * float64(w.DistinctBytes())) // 2% of trace size
+	capacity := w.CapacityAt(2, core.FloorByte) // 2% of trace size
 	fmt.Printf("workload: %d requests, %d documents, %.0f MB total; cache %.0f MB\n\n",
 		w.NumRequests(), w.NumDocs(), float64(w.DistinctBytes())/(1<<20), float64(capacity)/(1<<20))
 

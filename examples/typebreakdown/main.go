@@ -37,7 +37,7 @@ func run() error {
 
 	var capacities []int64
 	for _, pct := range []float64{0.5, 1, 2, 4} {
-		capacities = append(capacities, int64(pct/100*float64(w.DistinctBytes())))
+		capacities = append(capacities, w.CapacityAt(pct, core.FloorByte))
 	}
 	policies := []policy.Factory{
 		policy.MustFactory(policy.Spec{Scheme: "lru"}),
@@ -52,17 +52,17 @@ func run() error {
 
 	// Per-class tables: watch the ranking flip between images and
 	// multi media.
+	g := core.NewGrid(results, nil)
+	hitRate := func(cl doctype.Class) func(*core.Result) float64 {
+		return func(r *core.Result) float64 { return r.ByClass[cl].HitRate() }
+	}
 	for _, cl := range []doctype.Class{doctype.Image, doctype.MultiMedia} {
 		t := report.NewTable(cl.String()+" — hit rate by cache size",
-			"Cache (MB)", "LRU", "LFU-DA", "GDS(1)", "GD*(1)")
-		for _, c := range capacities {
+			append([]string{"Cache (MB)"}, g.Series...)...)
+		for _, c := range g.Capacities {
 			row := []any{fmt.Sprintf("%.0f", float64(c)/(1<<20))}
-			for _, f := range policies {
-				for _, r := range results {
-					if r.Policy == f.Name && r.Capacity == c {
-						row = append(row, r.ByClass[cl].HitRate())
-					}
-				}
+			for _, name := range g.Series {
+				row = append(row, g.Value(name, c, hitRate(cl)))
 			}
 			t.AddRowf(row...)
 		}
@@ -78,15 +78,9 @@ func run() error {
 		Width:  60,
 		Height: 14,
 	}
-	for _, f := range policies {
-		xs, ys := core.Curve(results, f.Name, func(r *core.Result) float64 {
-			return r.ByClass[doctype.Image].HitRate()
-		})
-		fx := make([]float64, len(xs))
-		for i, c := range xs {
-			fx[i] = float64(c) / (1 << 20)
-		}
-		p.Add(report.Series{Name: f.Name, X: fx, Y: ys})
+	for _, name := range g.Series {
+		mb, ys := g.CurveMB(name, hitRate(doctype.Image))
+		p.Add(report.Series{Name: name, X: mb, Y: ys})
 	}
 	fmt.Println(p.Render())
 	fmt.Println("Note the inversion: GD*(1) leads on images but trails LRU on multi media.")

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"webcachesim/internal/doctype"
+	"webcachesim/internal/report"
 	"webcachesim/internal/stats"
 	"webcachesim/internal/trace"
 )
@@ -100,6 +101,51 @@ func pct(part, whole int64) float64 {
 		return 0
 	}
 	return 100 * float64(part) / float64(whole)
+}
+
+// ClassMixTable renders the paper's Table 2/3: each class's share of the
+// distinct documents, the overall size, the requests and the requested
+// data.
+func (c *Characterization) ClassMixTable(title string) *report.Table {
+	t := report.NewClassTable(title)
+	report.ClassRow(t, "% of Distinct Documents", c.PctDistinctDocs)
+	report.ClassRow(t, "% of Overall Size", c.PctDistinctBytes)
+	report.ClassRow(t, "% of Total Requests", c.PctRequests)
+	report.ClassRow(t, "% of Requested Data", c.PctReqBytes)
+	return t
+}
+
+// LocalityTable renders the paper's Table 4/5: per class, the document-
+// and transfer-size statistics and the locality indices α and β ("n/a"
+// where a class has too few documents to fit one). The two index rows are
+// labelled by the caller: the paper's wording is long, wcstat's short.
+func (c *Characterization) LocalityTable(title, alphaLabel, betaLabel string) *report.Table {
+	t := report.NewClassTable(title)
+	for _, row := range []struct {
+		label string
+		cell  func(ClassSummary) any
+	}{
+		{"Mean of Document Size (KB)", func(s ClassSummary) any { return s.MeanDocKB }},
+		{"Median of Document Size (KB)", func(s ClassSummary) any { return s.MedianDocKB }},
+		{"CoV of Document Size", func(s ClassSummary) any { return s.CoVDoc }},
+		{"Mean of Transfer Size (KB)", func(s ClassSummary) any { return s.MeanTransferKB }},
+		{"Median of Transfer Size (KB)", func(s ClassSummary) any { return s.MedianTransferKB }},
+		{"CoV of Transfer Size", func(s ClassSummary) any { return s.CoVTransfer }},
+		{alphaLabel, func(s ClassSummary) any { return IndexCell(s.Alpha, s.AlphaOK) }},
+		{betaLabel, func(s ClassSummary) any { return IndexCell(s.Beta, s.BetaOK) }},
+	} {
+		report.ClassRow(t, row.label, func(cl doctype.Class) any { return row.cell(c.Classes[cl]) })
+	}
+	return t
+}
+
+// IndexCell is a locality index as a table cell: the value, or "n/a" when
+// the class had too few documents to fit one.
+func IndexCell(v float64, ok bool) any {
+	if !ok {
+		return "n/a"
+	}
+	return v
 }
 
 // docInfo tracks one distinct document during the scan.

@@ -112,3 +112,12 @@ type Result struct {
 	// in a ghost directory of recently evicted documents.
 	GhostHits int64 `json:"ghostHits,omitempty"`
 }
+
+// AdmissionName names the run's admission filter for tables and series
+// keys, spelling the unfiltered case (empty Admission) as "none".
+func (r *Result) AdmissionName() string {
+	if r.Admission == "" {
+		return "none"
+	}
+	return r.Admission
+}

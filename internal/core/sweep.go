@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -358,15 +360,58 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 	return ordered, nil
 }
 
-// Curve extracts the (capacity, value) series for one policy from sweep
-// results, using the supplied measure (e.g. hit rate of one class).
-func Curve(results []*Result, policyName string, measure func(*Result) float64) (capacities []int64, values []float64) {
-	for _, r := range results {
-		if r.Policy != policyName {
-			continue
-		}
-		capacities = append(capacities, r.Capacity)
-		values = append(values, measure(r))
+// Grid indexes sweep results by series and capacity: the one lookup
+// behind the per-size tables, the curves and the "A beats B" claims.
+type Grid struct {
+	// Series names the series in order of first appearance; Capacities
+	// lists the distinct capacities, ascending.
+	Series     []string
+	Capacities []int64
+	cells      map[string]map[int64]*Result
+}
+
+// NewGrid indexes results into one series per distinct key(r); a nil key
+// selects the policy name.
+func NewGrid(results []*Result, key func(*Result) string) *Grid {
+	if key == nil {
+		key = func(r *Result) string { return r.Policy }
 	}
-	return capacities, values
+	g := &Grid{cells: make(map[string]map[int64]*Result)}
+	for _, r := range results {
+		name := key(r)
+		if g.cells[name] == nil {
+			g.cells[name] = make(map[int64]*Result)
+			g.Series = append(g.Series, name)
+		}
+		g.cells[name][r.Capacity] = r
+		if !slices.Contains(g.Capacities, r.Capacity) {
+			g.Capacities = append(g.Capacities, r.Capacity)
+		}
+	}
+	slices.Sort(g.Capacities)
+	return g
+}
+
+// At returns one cell, or nil when it was not simulated.
+func (g *Grid) At(series string, capacity int64) *Result { return g.cells[series][capacity] }
+
+// Value reads one measure from one cell; a missing cell is NaN, so a
+// comparison involving it fails visibly.
+func (g *Grid) Value(series string, capacity int64, measure func(*Result) float64) float64 {
+	if r := g.At(series, capacity); r != nil {
+		return measure(r)
+	}
+	return math.NaN()
+}
+
+// CurveMB extracts one series' curve over the simulated cache sizes, in
+// MB, under the supplied measure (e.g. hit rate of one class).
+func (g *Grid) CurveMB(series string, measure func(*Result) float64) (mb, values []float64) {
+	for _, c := range g.Capacities {
+		if r := g.At(series, c); r != nil {
+			mb = append(mb, float64(c)/(1<<20))
+			values = append(values, measure(r))
+		}
+	}
+	return mb, values
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -100,7 +101,9 @@ func TestCurveExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, ys := Curve(results, "LRU", func(r *Result) float64 { return r.Overall.HitRate() })
+	g := NewGrid(results, nil)
+	hr := func(r *Result) float64 { return r.Overall.HitRate() }
+	xs, ys := g.CurveMB("LRU", hr)
 	if len(xs) != 3 || len(ys) != 3 {
 		t.Fatalf("curve has %d points, want 3", len(xs))
 	}
@@ -109,7 +112,16 @@ func TestCurveExtraction(t *testing.T) {
 			t.Error("curve capacities not ascending")
 		}
 	}
-	if xs2, _ := Curve(results, "NOPE", nil); xs2 != nil {
+	if xs[0] != 100_000.0/(1<<20) || ys[0] != g.At("LRU", 100_000).Overall.HitRate() {
+		t.Errorf("curve starts at (%v MB, %v), want the 100 kB LRU cell", xs[0], ys[0])
+	}
+	if len(g.Series) != 2 || g.Series[0] != policies[0].Name || len(g.Capacities) != 3 {
+		t.Errorf("grid has series %v × capacities %v", g.Series, g.Capacities)
+	}
+	if xs2, _ := g.CurveMB("NOPE", nil); xs2 != nil {
 		t.Error("unknown policy should yield empty curve")
+	}
+	if v := g.Value("LRU", 12345, hr); !math.IsNaN(v) {
+		t.Errorf("missing cell reads %v, want NaN", v)
 	}
 }

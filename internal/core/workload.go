@@ -140,6 +140,20 @@ func (w *Workload) TotalBytes() int64 { return w.totalBytes }
 // which cache sizes are expressed as percentages.
 func (w *Workload) DistinctBytes() int64 { return w.distinctBytes }
 
+// The floors CapacityAt clamps to. Any positive capacity is simulable, so
+// the commands guarantee one byte; the paper's experiments say nothing
+// below 1 MB, which also keeps their tiny test workloads meaningful.
+const (
+	FloorByte int64 = 1
+	FloorMB   int64 = 1 << 20
+)
+
+// CapacityAt converts a cache size given as a percentage of the overall
+// size (the paper's x-axis, §4.2) into bytes, never less than floor.
+func (w *Workload) CapacityAt(pct float64, floor int64) int64 {
+	return max(int64(pct/100*float64(w.distinctBytes)), floor)
+}
+
 // MaxDocSize returns the largest per-event document size in the stream.
 func (w *Workload) MaxDocSize() int64 { return w.maxDocSize }
 

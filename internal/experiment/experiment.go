@@ -1,19 +1,19 @@
 // Package experiment maps every table and figure of the paper's
-// evaluation to a runnable experiment: it generates (and caches) the
-// calibrated workloads, drives the policy × cache-size sweeps, renders the
-// same rows and series the paper reports, and evaluates the qualitative
-// "shape" claims — who wins, where, and by how much — that the
-// reproduction is judged by.
+// evaluation to a row of one registry: the inputs it reads (a profile's
+// characterization, its policy × cache-size grid, its occupancy series),
+// the tables and plots it renders from them, and the qualitative "shape"
+// claims — who wins, where, and by how much — the reproduction is judged
+// by. Env generates and caches the inputs; Run renders one row.
 package experiment
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"webcachesim/internal/analyze"
 	"webcachesim/internal/core"
-	"webcachesim/internal/policy"
+	"webcachesim/internal/report"
 	"webcachesim/internal/synth"
 	"webcachesim/internal/trace"
 )
@@ -34,21 +34,63 @@ const (
 	RTP     ID = "rtp"
 )
 
-// All lists every experiment in paper order.
-var All = []ID{Table1, Table2, Table3, Table4, Table5, Figure1, Figure2, Figure3, RTP}
+// experiment is one registry row.
+type experiment struct {
+	id ID
+	// extra marks an experiment beyond the paper's artifacts: listed in
+	// Extras, not in All.
+	extra bool
+	title string
+	// notes follow the scale note on the output.
+	notes []string
+	// build renders the artifacts from the inputs it names.
+	build func(*Env) (artifacts, error)
+	// claims are the shape checks, in report order; a claim is addressed
+	// by its experiment and its index here.
+	claims []claim
+}
+
+// artifacts is what an experiment renders besides its verdicts.
+type artifacts struct {
+	tables []*report.Table
+	plots  []*report.Plot
+	// notes are the computed ones (Figure 1's cache size), after the
+	// registry's.
+	notes []string
+}
+
+// registry lists every experiment: the paper's artifacts in paper order,
+// then the extras.
+var registry = []experiment{
+	table1,
+	classMix(Table2, "dfn", "Table 2. DFN Trace: Workload characteristics broken down into document types"),
+	classMix(Table3, "rtp", "Table 3. RTP Trace: Workload characteristics broken down into document types"),
+	locality(Table4, "dfn", "Table 4. DFN Trace: Breakdown of document sizes and temporal locality"),
+	locality(Table5, "rtp", "Table 5. RTP Trace: Breakdown of document sizes and temporal locality"),
+	figure1, figure2, figure3, rtpSummary,
+	filtering, baselines, admissionGrid,
+}
+
+// All lists the paper's experiments in paper order; Extras the
+// beyond-the-paper ones, reachable through Run and `wcreport -exp <id>`
+// but not part of the reproduction.
+var All, Extras = ids(false), ids(true)
+
+func ids(extra bool) []ID {
+	var out []ID
+	for _, x := range registry {
+		if x.extra == extra {
+			out = append(out, x.id)
+		}
+	}
+	return out
+}
 
 // ParseID resolves an experiment name (paper artifacts and extras).
 func ParseID(s string) (ID, error) {
 	id := ID(strings.ToLower(strings.TrimSpace(s)))
-	for _, known := range All {
-		if id == known {
-			return known, nil
-		}
-	}
-	for _, known := range Extras {
-		if id == known {
-			return known, nil
-		}
+	if slices.Contains(All, id) || slices.Contains(Extras, id) {
+		return id, nil
 	}
 	return "", fmt.Errorf("experiment: unknown id %q (want one of %v or %v)", s, All, Extras)
 }
@@ -67,9 +109,6 @@ type Options struct {
 	CacheSizePcts []float64
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// SampleEvery is the occupancy sampling period for Figure 1; 0 picks
-	// 1/200 of the trace.
-	SampleEvery int64
 }
 
 // DefaultCacheSizePcts is the Figure 2/3 x-axis: "cache sizes are chosen
@@ -77,64 +116,32 @@ type Options struct {
 // 1 GB cache on the ≈60 GB DFN trace (≈1.7%) sits inside this range.
 var DefaultCacheSizePcts = []float64{0.5, 0.75, 1, 1.5, 2, 3, 4}
 
-// ShapeCheck is one qualitative claim of the paper evaluated against the
-// measured results.
-type ShapeCheck struct {
-	// Name states the claim being checked.
-	Name string `json:"name"`
-	// Pass reports whether the measurement supports the claim.
-	Pass bool `json:"pass"`
-	// Detail quantifies the comparison.
-	Detail string `json:"detail"`
-}
-
 // Output is the result of running one experiment.
 type Output struct {
 	// ID and Title identify the paper artifact.
 	ID    ID     `json:"id"`
 	Title string `json:"title"`
-	// Tables are the regenerated rows.
-	Tables []*TableArtifact `json:"tables"`
-	// Plots are rendered ASCII figures.
-	Plots []string `json:"plots,omitempty"`
-	// SVGs are the same figures as standalone SVG documents, aligned with
-	// Plots.
-	SVGs []string `json:"svgs,omitempty"`
+	// Tables are the regenerated rows, as data.
+	Tables []*report.Table `json:"tables"`
+	// Plots are the figures; the caller renders them (ASCII, SVG) as
+	// asked, so they are not part of the JSON form.
+	Plots []*report.Plot `json:"-"`
 	// Checks are the evaluated shape claims.
 	Checks []ShapeCheck `json:"checks,omitempty"`
 	// Notes document scale, substitutions, and reconstruction caveats.
 	Notes []string `json:"notes,omitempty"`
 }
 
-// TableArtifact carries one regenerated table in three renderings.
-type TableArtifact struct {
-	// Text is the aligned plain-text rendering.
-	Text string `json:"text"`
-	// CSV is the machine-readable rendering.
-	CSV string `json:"csv"`
-	// MD is the GitHub-flavored Markdown rendering.
-	MD string `json:"md"`
-}
-
 // Passed reports whether every shape check passed.
 func (o *Output) Passed() bool {
-	for _, c := range o.Checks {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(o.Checks, func(c ShapeCheck) bool { return !c.Pass })
 }
 
-// Env generates and caches the workloads shared by the experiments, so a
-// full report run synthesizes each trace exactly once.
+// Env generates and caches the inputs shared by the experiments, so a full
+// report run synthesizes each trace and sweeps each grid exactly once.
 type Env struct {
-	opts Options
-
-	workloads map[string]*core.Workload
-	chars     map[string]*analyze.Characterization
-	requests  map[string][]*trace.Request
-	sweeps    map[string][]*core.Result
+	opts  Options
+	cache map[string]any
 }
 
 // NewEnv creates an experiment environment.
@@ -148,70 +155,119 @@ func NewEnv(opts Options) *Env {
 	if len(opts.CacheSizePcts) == 0 {
 		opts.CacheSizePcts = DefaultCacheSizePcts
 	}
-	return &Env{
-		opts:      opts,
-		workloads: make(map[string]*core.Workload, 2),
-		chars:     make(map[string]*analyze.Characterization, 2),
-		requests:  make(map[string][]*trace.Request, 2),
-		sweeps:    make(map[string][]*core.Result, 2),
+	return &Env{opts: opts, cache: make(map[string]any)}
+}
+
+// input is one thing experiments read — a profile's characterization, its
+// study grid, its occupancy series — computed on first use and cached in
+// the Env. Artifacts and claims both name their inputs this way.
+type input[T any] func(*Env) (T, error)
+
+func cached[T any](key string, compute func(*Env) (T, error)) input[T] {
+	return func(e *Env) (T, error) {
+		if v, ok := e.cache[key]; ok {
+			return v.(T), nil
+		}
+		v, err := compute(e)
+		if err == nil {
+			e.cache[key] = v
+		}
+		return v, err
 	}
 }
 
-// Requests returns (generating on first use) the synthetic request stream
-// for the named profile ("dfn" or "rtp").
-func (e *Env) Requests(profileName string) ([]*trace.Request, error) {
-	key := strings.ToLower(profileName)
-	if reqs, ok := e.requests[key]; ok {
-		return reqs, nil
+// from builds an experiment's artifacts out of one input.
+func from[T any](in input[T], render func(T) artifacts) func(*Env) (artifacts, error) {
+	return func(e *Env) (artifacts, error) {
+		v, err := in(e)
+		if err != nil {
+			return artifacts{}, err
+		}
+		return render(v), nil
 	}
-	prof, err := synth.ProfileByName(key)
+}
+
+// both reads a per-profile input for the two traces: [0] DFN, [1] RTP.
+func both[T any](of func(profile string) input[T]) input[[2]T] {
+	return func(e *Env) (out [2]T, err error) {
+		for i, profile := range []string{"dfn", "rtp"} {
+			if out[i], err = of(profile)(e); err != nil {
+				break
+			}
+		}
+		return out, err
+	}
+}
+
+// generator returns a fresh request stream for the named profile; every
+// call replays the same trace.
+func (e *Env) generator(profile string) (*synth.Generator, error) {
+	prof, err := synth.ProfileByName(profile)
 	if err != nil {
 		return nil, err
 	}
-	reqs, err := synth.Generate(prof, synth.Options{Seed: e.opts.Seed, Scale: e.opts.Scale})
+	g, err := synth.NewGenerator(prof, synth.Options{Seed: e.opts.Seed, Scale: e.opts.Scale})
 	if err != nil {
 		return nil, fmt.Errorf("experiment: generate %s: %w", prof.Name, err)
 	}
-	e.requests[key] = reqs
-	return reqs, nil
+	return g, nil
+}
+
+// traceForms is a profile's synthetic trace in the two forms experiments
+// read.
+type traceForms struct {
+	workload *core.Workload
+	chars    *analyze.Characterization
+}
+
+// traceOf generates a profile's request stream once, builds the simulator
+// workload and the characterization from it, and lets the requests go:
+// nothing downstream reads them again (the filtering extra regenerates).
+func traceOf(profile string) input[*traceForms] {
+	return cached("trace/"+profile, func(e *Env) (*traceForms, error) {
+		g, err := e.generator(profile)
+		if err != nil {
+			return nil, err
+		}
+		reqs := make([]*trace.Request, 0, g.Total())
+		for r := g.Next(); r != nil; r = g.Next() {
+			reqs = append(reqs, r)
+		}
+		w, err := core.BuildWorkload(trace.NewSliceReader(reqs), 0)
+		if err != nil {
+			return nil, err
+		}
+		c, err := analyze.Characterize(trace.NewSliceReader(reqs), strings.ToUpper(profile))
+		if err != nil {
+			return nil, err
+		}
+		return &traceForms{w, c}, nil
+	})
 }
 
 // Workload returns (building on first use) the simulator workload for the
-// named profile.
+// named profile ("dfn" or "rtp").
 func (e *Env) Workload(profileName string) (*core.Workload, error) {
-	key := strings.ToLower(profileName)
-	if w, ok := e.workloads[key]; ok {
-		return w, nil
-	}
-	reqs, err := e.Requests(key)
+	t, err := traceOf(strings.ToLower(profileName))(e)
 	if err != nil {
 		return nil, err
 	}
-	w, err := core.BuildWorkload(trace.NewSliceReader(reqs), 0)
-	if err != nil {
-		return nil, err
-	}
-	e.workloads[key] = w
-	return w, nil
+	return t.workload, nil
 }
 
 // Characterization returns (computing on first use) the workload
 // characterization for the named profile.
 func (e *Env) Characterization(profileName string) (*analyze.Characterization, error) {
-	key := strings.ToLower(profileName)
-	if c, ok := e.chars[key]; ok {
-		return c, nil
-	}
-	reqs, err := e.Requests(key)
+	t, err := traceOf(strings.ToLower(profileName))(e)
 	if err != nil {
 		return nil, err
 	}
-	c, err := analyze.Characterize(trace.NewSliceReader(reqs), strings.ToUpper(key))
-	if err != nil {
-		return nil, err
-	}
-	e.chars[key] = c
-	return c, nil
+	return t.chars, nil
+}
+
+// chars is Characterization as an input.
+func chars(profile string) input[*analyze.Characterization] {
+	return func(e *Env) (*analyze.Characterization, error) { return e.Characterization(profile) }
 }
 
 // Capacities converts the configured cache-size percentages of a
@@ -219,78 +275,39 @@ func (e *Env) Characterization(profileName string) (*analyze.Characterization, e
 // minimum 1 MB so tiny test workloads stay simulable).
 func (e *Env) Capacities(w *core.Workload) []int64 {
 	out := make([]int64, 0, len(e.opts.CacheSizePcts))
-	seen := make(map[int64]bool, len(e.opts.CacheSizePcts))
 	for _, pct := range e.opts.CacheSizePcts {
-		c := int64(pct / 100 * float64(w.DistinctBytes()))
-		if c < 1<<20 {
-			c = 1 << 20
-		}
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
+		out = append(out, w.CapacityAt(pct, core.FloorMB))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// Run executes one experiment by ID.
+// Run executes one experiment by ID: its artifacts, then its claims.
 func (e *Env) Run(id ID) (*Output, error) {
-	switch id {
-	case Table1:
-		return e.runTable1()
-	case Table2:
-		return e.runClassMixTable(Table2, "dfn", "Table 2. DFN Trace: Workload characteristics broken down into document types")
-	case Table3:
-		return e.runClassMixTable(Table3, "rtp", "Table 3. RTP Trace: Workload characteristics broken down into document types")
-	case Table4:
-		return e.runLocalityTable(Table4, "dfn", "Table 4. DFN Trace: Breakdown of document sizes and temporal locality")
-	case Table5:
-		return e.runLocalityTable(Table5, "rtp", "Table 5. RTP Trace: Breakdown of document sizes and temporal locality")
-	case Figure1:
-		return e.runFigure1()
-	case Figure2:
-		return e.runFigure2()
-	case Figure3:
-		return e.runFigure3()
-	case RTP:
-		return e.runRTPSummary()
-	case Filtering:
-		return e.runFiltering()
-	case Baselines:
-		return e.runBaselines()
-	case AdmissionGrid:
-		return e.runAdmission()
-	default:
+	i := slices.IndexFunc(registry, func(x experiment) bool { return x.id == id })
+	if i < 0 {
 		return nil, fmt.Errorf("experiment: unknown id %q", id)
 	}
-}
-
-// RunAll executes every experiment in paper order.
-func (e *Env) RunAll() ([]*Output, error) {
-	outs := make([]*Output, 0, len(All))
-	for _, id := range All {
-		out, err := e.Run(id)
+	x := registry[i]
+	art, err := x.build(e)
+	if err != nil {
+		return nil, err
+	}
+	out := &Output{
+		ID:     x.id,
+		Title:  x.title,
+		Tables: art.tables,
+		Plots:  art.plots,
+		Notes:  slices.Concat([]string{e.scaleNote()}, x.notes, art.notes),
+	}
+	for _, c := range x.claims {
+		check, err := c.check(e)
 		if err != nil {
-			return outs, fmt.Errorf("experiment %s: %w", id, err)
+			return nil, fmt.Errorf("experiment %s: claim %q: %w", x.id, c.name, err)
 		}
-		outs = append(outs, out)
+		out.Checks = append(out.Checks, check)
 	}
-	return outs, nil
-}
-
-// factoriesByName looks up study factories by display name.
-func factoriesByName(names ...string) []policy.Factory {
-	all := policy.StudyFactories()
-	out := make([]policy.Factory, 0, len(names))
-	for _, n := range names {
-		for _, f := range all {
-			if f.Name == n {
-				out = append(out, f)
-			}
-		}
-	}
-	return out
+	return out, nil
 }
 
 // scaleNote documents the run scale on every output.

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,18 +81,25 @@ func TestEnvCapacities(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsProduceOutput drives every runner mechanically at tiny
-// scale: tables render, CSVs parse as non-empty, notes mention the scale.
+// runAll runs the paper's experiments in order on one environment.
+func runAll(t *testing.T, e *Env) []*Output {
+	t.Helper()
+	var outs []*Output
+	for _, id := range All {
+		o, err := e.Run(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		outs = append(outs, o)
+	}
+	return outs
+}
+
+// TestAllExperimentsProduceOutput drives every registry row mechanically
+// at tiny scale: tables have rows, notes mention the scale.
 func TestAllExperimentsProduceOutput(t *testing.T) {
 	e := NewEnv(Options{Scale: 0.05, Seed: 1, CacheSizePcts: []float64{1, 2, 4}})
-	outs, err := e.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != len(All) {
-		t.Fatalf("got %d outputs, want %d", len(outs), len(All))
-	}
-	for _, o := range outs {
+	for _, o := range runAll(t, e) {
 		if o.Title == "" {
 			t.Errorf("%s: empty title", o.ID)
 		}
@@ -97,11 +107,8 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 			t.Errorf("%s: no tables", o.ID)
 		}
 		for i, tbl := range o.Tables {
-			if !strings.Contains(tbl.CSV, ",") {
-				t.Errorf("%s table %d: CSV looks empty: %q", o.ID, i, tbl.CSV)
-			}
-			if tbl.Text == "" {
-				t.Errorf("%s table %d: empty text", o.ID, i)
+			if tbl.NumRows() == 0 || !strings.Contains(tbl.CSV(), ",") {
+				t.Errorf("%s table %d: looks empty: %q", o.ID, i, tbl.CSV())
 			}
 		}
 		if len(o.Checks) == 0 {
@@ -130,24 +137,14 @@ func TestFigureOutputsHavePlots(t *testing.T) {
 		if len(o.Plots) != 8 {
 			t.Errorf("%s: %d plots, want 8", id, len(o.Plots))
 		}
+		// Each plot renders both ways: ASCII for the terminal, SVG for
+		// -svg-dir.
 		for i, p := range o.Plots {
-			if !strings.Contains(p, "|") {
+			if !strings.Contains(p.Render(), "|") {
 				t.Errorf("%s plot %d: no axis rendered", id, i)
 			}
-		}
-		// SVGs align one-to-one with the ASCII plots.
-		if len(o.SVGs) != len(o.Plots) {
-			t.Errorf("%s: %d SVGs for %d plots", id, len(o.SVGs), len(o.Plots))
-		}
-		for i, svg := range o.SVGs {
-			if !strings.HasPrefix(svg, "<svg") || !strings.HasSuffix(svg, "</svg>") {
+			if svg := p.SVG(); !strings.HasPrefix(svg, "<svg") || !strings.HasSuffix(svg, "</svg>") {
 				t.Errorf("%s SVG %d malformed", id, i)
-			}
-		}
-		// Every table carries all three renderings.
-		for i, tbl := range o.Tables {
-			if tbl.MD == "" || !strings.Contains(tbl.MD, "|") {
-				t.Errorf("%s table %d: markdown rendering missing", id, i)
 			}
 		}
 	}
@@ -178,24 +175,49 @@ func TestExtrasRun(t *testing.T) {
 	}
 }
 
+// TestGridMajority pins the beats evaluator: a missing cell is not
+// counted, the claim needs a strict majority of the counted sizes, and a
+// loss within the 0.005 slack still counts as holding.
 func TestGridMajority(t *testing.T) {
-	results := []*core.Result{
-		{Policy: "A", Capacity: 100, ByClass: classCountsWithOverall(80, 100)},
-		{Policy: "A", Capacity: 200, ByClass: classCountsWithOverall(90, 100)},
-		{Policy: "B", Capacity: 100, ByClass: classCountsWithOverall(50, 100)},
-		{Policy: "B", Capacity: 200, ByClass: classCountsWithOverall(95, 100)},
+	cell := func(policy string, capacity, hits int64) *core.Result {
+		r := &core.Result{Policy: policy, Capacity: capacity, ByClass: classCountsWithOverall(hits, 1000)}
+		r.Overall = r.ByClass[1]
+		return r
 	}
-	g := buildGrid(results)
-	if len(g.capacities) != 2 || g.capacities[0] != 100 {
-		t.Fatalf("capacities = %v", g.capacities)
+	g := core.NewGrid([]*core.Result{
+		cell("A", 100, 800), cell("A", 200, 900), cell("A", 300, 500),
+		cell("B", 100, 500), cell("B", 200, 950), cell("B", 300, 504),
+		cell("C", 100, 900), // C was simulated at one size only
+	}, nil)
+	if len(g.Capacities) != 3 || g.Capacities[0] != 100 {
+		t.Fatalf("capacities = %v", g.Capacities)
 	}
-	check := g.majority("A beats B", "A", "B", overallHitRate)
-	if !check.Pass {
-		t.Errorf("A wins at 100 (0.8 vs 0.5) and loses narrowly at 200; majority needs >1/2: %+v", check)
+	for _, tc := range []struct {
+		a, b   string
+		pass   bool
+		detail string
+	}{
+		// A wins at 100, loses at 200, and trails by 0.004 < slack at 300.
+		{"A", "B", true, "A ≥ B at 2/3 sizes, mean margin +0.0820"},
+		// The mirror image: B holds at 200 and at 300 (ahead there).
+		{"B", "A", true, "B ≥ A at 2/3 sizes, mean margin -0.0820"},
+		// Only the size both ran at counts; A loses it.
+		{"A", "C", false, "A ≥ C at 0/1 sizes, mean margin -0.1000"},
+		{"C", "A", true, "C ≥ A at 1/1 sizes, mean margin +0.1000"},
+		// Nothing to compare is a failure, not a vacuous pass.
+		{"A", "D", false, "A ≥ D at 0/0 sizes, mean margin +0.0000"},
+	} {
+		pass, detail := majority(g, tc.a, tc.b, overallHitRate)
+		if pass != tc.pass || detail != tc.detail {
+			t.Errorf("%s beats %s: got %v %q, want %v %q", tc.a, tc.b, pass, detail, tc.pass, tc.detail)
+		}
 	}
-	missing := g.majority("A beats C", "A", "C", overallHitRate)
-	if missing.Pass {
-		t.Errorf("comparison against missing policy must fail: %+v", missing)
+	// One win, one loss: half is not a majority.
+	tie := core.NewGrid([]*core.Result{
+		cell("A", 100, 800), cell("A", 200, 500), cell("B", 100, 500), cell("B", 200, 800),
+	}, nil)
+	if pass, detail := majority(tie, "A", "B", overallHitRate); pass {
+		t.Errorf("1/2 sizes passed as a majority: %s", detail)
 	}
 }
 
@@ -205,6 +227,40 @@ func classCountsWithOverall(hits, requests int64) core.ClassCounts {
 	var cc core.ClassCounts
 	cc[1] = core.Counts{Requests: requests, Hits: hits, ReqBytes: requests, HitBytes: hits}
 	return cc
+}
+
+// TestClaimsMatchCommittedReport holds the registry to the committed
+// reproduction: the [PASS]/[FAIL] lines of docs/report-scale1.txt, in
+// order, name exactly the claims of All then Extras. A claim dropped,
+// renamed or reordered fails here without simulating anything.
+func TestClaimsMatchCommittedReport(t *testing.T) {
+	report, err := os.ReadFile(filepath.Join("..", "..", "docs", "report-scale1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(report), "\n") {
+		if verdict, ok := strings.CutPrefix(line, "  ["); ok && len(verdict) > 6 {
+			name, _, _ := strings.Cut(verdict[len("PASS] "):], " — ")
+			want = append(want, name)
+		}
+	}
+	var got []string
+	var ids []ID
+	for _, x := range registry {
+		ids = append(ids, x.id)
+		for _, c := range x.claims {
+			got = append(got, c.name)
+		}
+	}
+	if len(want) != 55 || !slices.Equal(got, want) {
+		t.Errorf("registry claims differ from the %d verdict lines of docs/report-scale1.txt:\n got %q\nwant %q",
+			len(want), got, want)
+	}
+	// The report's order is the registry's: All, then Extras.
+	if !slices.Equal(slices.Concat(All, Extras), ids) {
+		t.Errorf("All+Extras = %v, registry order is %v", slices.Concat(All, Extras), ids)
+	}
 }
 
 // TestOutputPassed exercises the aggregate verdict.
@@ -226,12 +282,7 @@ func TestShapeChecksAtCalibrationScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep is slow")
 	}
-	e := NewEnv(Options{Scale: 0.4, Seed: 1})
-	outs, err := e.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range outs {
+	for _, o := range runAll(t, NewEnv(Options{Scale: 0.4, Seed: 1})) {
 		for _, c := range o.Checks {
 			if !c.Pass {
 				t.Errorf("%s: %s — %s", o.ID, c.Name, c.Detail)

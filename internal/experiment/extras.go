@@ -13,9 +13,7 @@ import (
 	"webcachesim/internal/trace"
 )
 
-// Extra experiments that go beyond the paper's artifacts. They are not in
-// All (which reproduces the paper exactly) but are reachable through Run
-// and `wcreport -exp <id>`.
+// Extra experiments that go beyond the paper's artifacts.
 const (
 	// Filtering reproduces the mechanism behind §2's workload properties:
 	// a child cache filters the stream an upper-level proxy records,
@@ -32,37 +30,41 @@ const (
 	AdmissionGrid ID = "admission"
 )
 
-// Extras lists the beyond-the-paper experiments.
-var Extras = []ID{Filtering, Baselines, AdmissionGrid}
+// filteredStream is a profile's characterization at the clients and above
+// an institutional cache.
+type filteredStream struct {
+	profile       string
+	before, after *analyze.Characterization
+}
 
-// runFiltering pushes each profile's stream through an institutional LRU
-// child cache and characterizes the miss stream — the trace an
-// upper-level proxy like DFN's or RTP's would record.
-func (e *Env) runFiltering() (*Output, error) {
-	t := report.NewTable("Stream filtering through an institutional cache",
-		"", "requests", "image α", "image β", "mm+app data %")
-	var checks []ShapeCheck
-	for _, profile := range []string{"dfn", "rtp"} {
-		reqs, err := e.Requests(profile)
+// missReader passes on the requests a cache hierarchy does not absorb.
+type missReader struct {
+	src trace.Reader
+	h   *hierarchy.Cluster
+}
+
+func (m missReader) Next() (*trace.Request, error) {
+	for {
+		r, err := m.src.Next()
+		if err != nil || m.h.Process(r) < 0 {
+			return r, err
+		}
+	}
+}
+
+// filtered pushes a profile's stream through an institutional LRU child
+// cache of 2 % of the trace and characterizes the miss stream — the trace
+// an upper-level proxy like DFN's or RTP's would record.
+func filtered(profile string) input[*filteredStream] {
+	return cached("filtered/"+profile, func(e *Env) (*filteredStream, error) {
+		t, err := traceOf(profile)(e)
 		if err != nil {
 			return nil, err
-		}
-		before, err := e.Characterization(profile)
-		if err != nil {
-			return nil, err
-		}
-		w, err := e.Workload(profile)
-		if err != nil {
-			return nil, err
-		}
-		childCap := int64(0.02 * float64(w.DistinctBytes()))
-		if childCap < 1<<20 {
-			childCap = 1 << 20
 		}
 		h, err := hierarchy.New(
 			[]hierarchy.LevelConfig{{
 				Name:     "institutional",
-				Capacity: childCap,
+				Capacity: t.workload.CapacityAt(2, core.FloorMB),
 				Policy:   policy.MustFactory(policy.Spec{Scheme: "lru"}),
 			}},
 			0,
@@ -70,149 +72,141 @@ func (e *Env) runFiltering() (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		var missStream []*trace.Request
-		for _, r := range reqs {
-			if h.Process(r) < 0 {
-				missStream = append(missStream, r)
-			}
-		}
-		after, err := analyze.Characterize(trace.NewSliceReader(missStream), profile+"-filtered")
+		g, err := e.generator(profile)
 		if err != nil {
 			return nil, err
 		}
-
-		addRow := func(label string, c *analyze.Characterization) {
-			img := c.Classes[doctype.Image]
-			alpha, beta := "n/a", "n/a"
-			if img.AlphaOK {
-				alpha = report.FormatFloat(img.Alpha)
-			}
-			if img.BetaOK {
-				beta = report.FormatFloat(img.Beta)
-			}
-			mmApp := c.PctReqBytes(doctype.MultiMedia) + c.PctReqBytes(doctype.Application)
-			t.AddRowf(label, c.Requests, alpha, beta, mmApp)
+		after, err := analyze.Characterize(missReader{g.Reader(), h}, profile+"-filtered")
+		if err != nil {
+			return nil, err
 		}
-		addRow(profile+" at the clients", before)
-		addRow(profile+" above the cache", after)
-
-		bImg, aImg := before.Classes[doctype.Image], after.Classes[doctype.Image]
-		checks = append(checks, ShapeCheck{
-			Name: fmt.Sprintf("%s: filtering flattens image popularity (α drops)", profile),
-			Pass: bImg.AlphaOK && aImg.AlphaOK && aImg.Alpha < bImg.Alpha,
-			Detail: fmt.Sprintf("α %.3f → %.3f over a 2%%-of-trace child cache",
-				bImg.Alpha, aImg.Alpha),
-		})
-	}
-	return &Output{
-		ID:     Filtering,
-		Title:  "Extra — why upper-level traces look like §2: stream filtering",
-		Tables: []*TableArtifact{artifact(t)},
-		Checks: checks,
-		Notes: []string{
-			e.scaleNote(),
-			"extension beyond the paper: reproduces the filtered-stream origin of the DFN/RTP workload characteristics",
-		},
-	}, nil
+		return &filteredStream{profile, t.chars, after}, nil
+	})
 }
 
-// runAdmission sweeps the paper's six configurations under every
-// admission filter at the smallest swept cache size and breaks hit rates
-// down by document type. At that size the cache cannot hold the working
-// set, so an admission filter that keeps one-hit wonders out of the
-// cache is the cheapest way to protect the documents that will be
-// re-referenced — the per-type tables show which document classes that
+// flattens claims that filtering lowers a profile's image popularity
+// index.
+func flattens(profile string) claim {
+	return pred(profile+": filtering flattens image popularity (α drops)", filtered(profile),
+		func(f *filteredStream) (bool, string) {
+			before, after := f.before.Classes[img], f.after.Classes[img]
+			return before.AlphaOK && after.AlphaOK && after.Alpha < before.Alpha,
+				fmt.Sprintf("α %.3f → %.3f over a 2%%-of-trace child cache", before.Alpha, after.Alpha)
+		})
+}
+
+var filtering = experiment{
+	id:    Filtering,
+	extra: true,
+	title: "Extra — why upper-level traces look like §2: stream filtering",
+	notes: []string{"extension beyond the paper: reproduces the filtered-stream origin of the DFN/RTP workload characteristics"},
+	build: from(both(filtered), func(streams [2]*filteredStream) artifacts {
+		t := report.NewTable("Stream filtering through an institutional cache",
+			"", "requests", "image α", "image β", "mm+app data %")
+		for _, f := range streams {
+			for _, row := range []struct {
+				where string
+				c     *analyze.Characterization
+			}{{" at the clients", f.before}, {" above the cache", f.after}} {
+				image := row.c.Classes[img]
+				t.AddRowf(f.profile+row.where, row.c.Requests, analyze.IndexCell(image.Alpha, image.AlphaOK),
+					analyze.IndexCell(image.Beta, image.BetaOK), mmApp(row.c.PctReqBytes))
+			}
+		}
+		return tables(t)
+	}),
+	claims: []claim{flattens("dfn"), flattens("rtp")},
+}
+
+// atOneSize is a set of simulations of the DFN workload at one cache size.
+type atOneSize struct {
+	capacity int64
+	results  []*core.Result
+	// grid indexes results by display name.
+	grid *core.Grid
+}
+
+func (s *atOneSize) at(name string) *core.Result { return s.grid.At(name, s.capacity) }
+func (s *atOneSize) capMB() float64              { return float64(s.capacity) / bytesPerMB }
+
+// admissions sweeps the paper's six configurations under every admission
+// filter at the smallest swept cache size. At that size the cache cannot
+// hold the working set, so an admission filter that keeps one-hit wonders
+// out of the cache is the cheapest way to protect the documents that will
+// be re-referenced — the per-type tables show which document classes that
 // protection reaches.
-func (e *Env) runAdmission() (*Output, error) {
+var admissions = cached("admissions", func(e *Env) (*atOneSize, error) {
 	w, err := e.Workload("dfn")
 	if err != nil {
 		return nil, err
 	}
-	caps := e.Capacities(w)
-	capacity := caps[0]
-
-	results, err := core.Sweep(w, core.SweepConfig{
+	s := &atOneSize{capacity: e.Capacities(w)[0]}
+	s.results, err = core.Sweep(w, core.SweepConfig{
 		Policies:    policy.StudyFactories(),
 		Admissions:  admission.Specs(),
-		Capacities:  []int64{capacity},
+		Capacities:  []int64{s.capacity},
 		Parallelism: e.opts.Parallelism,
 	})
 	if err != nil {
 		return nil, err
 	}
+	s.grid = core.NewGrid(s.results, func(r *core.Result) string { return r.Policy + "|" + r.AdmissionName() })
+	return s, nil
+})
 
-	admName := func(r *core.Result) string {
-		if r.Admission == "" {
-			return "none"
+var admissionGrid = experiment{
+	id:    AdmissionGrid,
+	extra: true,
+	title: "Extra — admission filters × replacement schemes at the smallest cache size",
+	notes: []string{"extension beyond the paper: ghost-directed admission (TinyLFU, ARC-ghost) composed with the six study configurations; see docs/ADMISSION.md"},
+	build: from(admissions, func(s *atOneSize) artifacts {
+		overall := report.NewTable(
+			fmt.Sprintf("Admission grid — DFN workload, %.0f MB cache", s.capMB()),
+			"Policy", "Admission", "HR", "BHR", "Rejects", "Ghost hits")
+		for _, r := range s.results {
+			overall.AddRowf(r.Policy, r.AdmissionName(), r.Overall.HitRate(),
+				r.Overall.ByteHitRate(), r.AdmissionRejects, r.GhostHits)
 		}
-		return r.Admission
-	}
-	byCell := make(map[string]*core.Result, len(results))
-	for _, r := range results {
-		byCell[r.Policy+"|"+admName(r)] = r
-	}
-
-	capMB := float64(capacity) / bytesPerMB
-	overall := report.NewTable(
-		fmt.Sprintf("Admission grid — DFN workload, %.0f MB cache", capMB),
-		"Policy", "Admission", "HR", "BHR", "Rejects", "Ghost hits")
-	for _, r := range results {
-		overall.AddRowf(r.Policy, admName(r), r.Overall.HitRate(),
-			r.Overall.ByteHitRate(), r.AdmissionRejects, r.GhostHits)
-	}
-	tables := []*TableArtifact{artifact(overall)}
-	for _, cl := range doctype.Classes {
-		ct := report.NewTable(
-			fmt.Sprintf("%s — HR/BHR by policy × admission, %.0f MB cache", cl, capMB),
-			"Policy", "Admission", "HR", "BHR", "Requests")
-		for _, r := range results {
-			c := r.ByClass[cl]
-			ct.AddRowf(r.Policy, admName(r), c.HitRate(), c.ByteHitRate(), c.Requests)
-		}
-		tables = append(tables, artifact(ct))
-	}
-
-	// TinyLFU must lift the hit rate of at least one (scheme, doc type)
-	// cell over unfiltered admission; report the largest lift found.
-	bestLift, bestCell := 0.0, "none found"
-	var rejects int64
-	for _, f := range policy.StudyFactories() {
-		none, tiny := byCell[f.Name+"|none"], byCell[f.Name+"|tinylfu"]
-		if none == nil || tiny == nil {
-			continue
-		}
-		rejects += tiny.AdmissionRejects
+		art := tables(overall)
 		for _, cl := range doctype.Classes {
-			lift := tiny.ByClass[cl].HitRate() - none.ByClass[cl].HitRate()
-			if lift > bestLift {
-				bestLift = lift
-				bestCell = fmt.Sprintf("%s/%s HR %.4f → %.4f",
-					f.Name, cl, none.ByClass[cl].HitRate(), tiny.ByClass[cl].HitRate())
+			ct := report.NewTable(
+				fmt.Sprintf("%s — HR/BHR by policy × admission, %.0f MB cache", cl, s.capMB()),
+				"Policy", "Admission", "HR", "BHR", "Requests")
+			for _, r := range s.results {
+				c := r.ByClass[cl]
+				ct.AddRowf(r.Policy, r.AdmissionName(), c.HitRate(), c.ByteHitRate(), c.Requests)
 			}
+			art.tables = append(art.tables, ct)
 		}
-	}
-	checks := []ShapeCheck{
-		{
-			Name:   "TinyLFU lifts some document type's hit rate over unfiltered admission",
-			Pass:   bestLift > 0,
-			Detail: bestCell,
-		},
-		{
-			Name:   "TinyLFU actually filters (rejections observed at the smallest cache size)",
-			Pass:   rejects > 0,
-			Detail: fmt.Sprintf("%d rejected inserts across the six schemes", rejects),
-		},
-	}
-	return &Output{
-		ID:     AdmissionGrid,
-		Title:  "Extra — admission filters × replacement schemes at the smallest cache size",
-		Tables: tables,
-		Checks: checks,
-		Notes: []string{
-			e.scaleNote(),
-			"extension beyond the paper: ghost-directed admission (TinyLFU, ARC-ghost) composed with the six study configurations; see docs/ADMISSION.md",
-		},
-	}, nil
+		return art
+	}),
+	claims: []claim{
+		// TinyLFU must lift the hit rate of at least one (scheme, doc type)
+		// cell over unfiltered admission; the detail is the largest lift.
+		pred("TinyLFU lifts some document type's hit rate over unfiltered admission", admissions,
+			func(s *atOneSize) (bool, string) {
+				bestLift, bestCell := 0.0, "none found"
+				for _, f := range policy.StudyFactories() {
+					none, tiny := s.at(f.Name+"|none"), s.at(f.Name+"|tinylfu")
+					for _, cl := range doctype.Classes {
+						was, is := none.ByClass[cl].HitRate(), tiny.ByClass[cl].HitRate()
+						if is-was > bestLift {
+							bestLift = is - was
+							bestCell = fmt.Sprintf("%s/%s HR %.4f → %.4f", f.Name, cl, was, is)
+						}
+					}
+				}
+				return bestLift > 0, bestCell
+			}),
+		pred("TinyLFU actually filters (rejections observed at the smallest cache size)", admissions,
+			func(s *atOneSize) (bool, string) {
+				var rejects int64
+				for _, f := range policy.StudyFactories() {
+					rejects += s.at(f.Name + "|tinylfu").AdmissionRejects
+				}
+				return rejects > 0, fmt.Sprintf("%d rejected inserts across the six schemes", rejects)
+			}),
+	},
 }
 
 // baselineLineup is the related-work roundup: spec strings in
@@ -222,20 +216,15 @@ var baselineLineup = []string{
 	"gdsf:p", "slru", "fifo", "size", "lfu", "typeaware+gdstar:1",
 }
 
-// runBaselines simulates the extended policy lineup on the DFN workload
-// at a mid-grid cache size.
-func (e *Env) runBaselines() (*Output, error) {
+// lineup simulates the extended policy lineup on the DFN workload at a
+// mid-grid cache size.
+var lineup = cached("lineup", func(e *Env) (*atOneSize, error) {
 	w, err := e.Workload("dfn")
 	if err != nil {
 		return nil, err
 	}
 	caps := e.Capacities(w)
-	capacity := caps[len(caps)/2]
-
-	t := report.NewTable(
-		fmt.Sprintf("Extended policy lineup — DFN workload, %.0f MB cache", float64(capacity)/bytesPerMB),
-		"Policy", "HR", "BHR", "mm BHR", "Evictions")
-	rates := make(map[string]*core.Result, len(baselineLineup))
+	s := &atOneSize{capacity: caps[len(caps)/2]}
 	for _, spec := range baselineLineup {
 		parsed, err := policy.ParseSpec(spec)
 		if err != nil {
@@ -245,59 +234,55 @@ func (e *Env) runBaselines() (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim, err := core.NewSimulator(w, core.Config{Capacity: capacity, Policy: f})
+		sim, err := core.NewSimulator(w, core.Config{Capacity: s.capacity, Policy: f})
 		if err != nil {
 			return nil, err
 		}
-		r := sim.Run(w)
-		rates[f.Name] = r
-		t.AddRowf(r.Policy, r.Overall.HitRate(), r.Overall.ByteHitRate(),
-			r.ByClass[doctype.MultiMedia].ByteHitRate(), r.Evictions)
+		s.results = append(s.results, sim.Run(w))
 	}
+	s.grid = core.NewGrid(s.results, nil)
+	return s, nil
+})
 
-	hr := func(name string) float64 { return rates[name].Overall.HitRate() }
-	checks := []ShapeCheck{
-		{
-			Name:   "LRU beats FIFO (recency information pays)",
-			Pass:   hr("LRU") >= hr("FIFO")-comparisonSlack,
-			Detail: fmt.Sprintf("HR %.4f vs %.4f", hr("LRU"), hr("FIFO")),
-		},
-		{
-			Name:   "SLRU beats LRU (scan resistance pays)",
-			Pass:   hr("SLRU") >= hr("LRU")-comparisonSlack,
-			Detail: fmt.Sprintf("HR %.4f vs %.4f", hr("SLRU"), hr("LRU")),
-		},
-		{
-			Name: "GDSF(P) lands between GDS(P) and GD*(P) in hit rate",
-			Pass: hr("GDSF(P)") >= hr("GDS(P)")-comparisonSlack &&
-				hr("GD*(P)") >= hr("GDSF(P)")-comparisonSlack,
-			Detail: fmt.Sprintf("HR: GDS(P) %.4f ≤ GDSF(P) %.4f ≤ GD*(P) %.4f",
-				hr("GDS(P)"), hr("GDSF(P)"), hr("GD*(P)")),
-		},
-		{
-			Name: "SIZE maximizes neither rate (size-only is not enough)",
-			Pass: hr("SIZE") <= hr("GD*(1)") &&
-				rates["SIZE"].Overall.ByteHitRate() <= rates["LRU"].Overall.ByteHitRate(),
-			Detail: fmt.Sprintf("SIZE HR %.4f, BHR %.4f", hr("SIZE"),
-				rates["SIZE"].Overall.ByteHitRate()),
-		},
-		{
-			Name: "TypeAware recovers multi-media byte hit rate over GD*(1)",
-			Pass: rates["TA[GD*(1)]"].ByClass[doctype.MultiMedia].ByteHitRate() >=
-				rates["GD*(1)"].ByClass[doctype.MultiMedia].ByteHitRate()-comparisonSlack,
-			Detail: fmt.Sprintf("mm BHR %.4f vs %.4f",
-				rates["TA[GD*(1)]"].ByClass[doctype.MultiMedia].ByteHitRate(),
-				rates["GD*(1)"].ByClass[doctype.MultiMedia].ByteHitRate()),
-		},
-	}
-	return &Output{
-		ID:     Baselines,
-		Title:  "Extra — extended policy lineup (related work + extension)",
-		Tables: []*TableArtifact{artifact(t)},
-		Checks: checks,
-		Notes: []string{
-			e.scaleNote(),
-			"extension beyond the paper: the six study configurations plus FIFO, SIZE, LFU, SLRU, GDSF, and TypeAware",
-		},
-	}, nil
+var baselines = experiment{
+	id:    Baselines,
+	extra: true,
+	title: "Extra — extended policy lineup (related work + extension)",
+	notes: []string{"extension beyond the paper: the six study configurations plus FIFO, SIZE, LFU, SLRU, GDSF, and TypeAware"},
+	build: from(lineup, func(s *atOneSize) artifacts {
+		t := report.NewTable(
+			fmt.Sprintf("Extended policy lineup — DFN workload, %.0f MB cache", s.capMB()),
+			"Policy", "HR", "BHR", "mm BHR", "Evictions")
+		for _, r := range s.results {
+			t.AddRowf(r.Policy, r.Overall.HitRate(), r.Overall.ByteHitRate(), byteHitRate(mm)(r), r.Evictions)
+		}
+		return tables(t)
+	}),
+	claims: []claim{
+		atLeast("LRU beats FIFO (recency information pays)", "LRU", "FIFO"),
+		atLeast("SLRU beats LRU (scan resistance pays)", "SLRU", "LRU"),
+		pred("GDSF(P) lands between GDS(P) and GD*(P) in hit rate", lineup, func(s *atOneSize) (bool, string) {
+			gds, gdsf, gdstar := overallHitRate(s.at("GDS(P)")), overallHitRate(s.at("GDSF(P)")), overallHitRate(s.at("GD*(P)"))
+			return gdsf >= gds-comparisonSlack && gdstar >= gdsf-comparisonSlack,
+				fmt.Sprintf("HR: GDS(P) %.4f ≤ GDSF(P) %.4f ≤ GD*(P) %.4f", gds, gdsf, gdstar)
+		}),
+		pred("SIZE maximizes neither rate (size-only is not enough)", lineup, func(s *atOneSize) (bool, string) {
+			hr, bhr := overallHitRate(s.at("SIZE")), overallByteHitRate(s.at("SIZE"))
+			return hr <= overallHitRate(s.at("GD*(1)")) && bhr <= overallByteHitRate(s.at("LRU")),
+				fmt.Sprintf("SIZE HR %.4f, BHR %.4f", hr, bhr)
+		}),
+		pred("TypeAware recovers multi-media byte hit rate over GD*(1)", lineup, func(s *atOneSize) (bool, string) {
+			ta, gd := byteHitRate(mm)(s.at("TA[GD*(1)]")), byteHitRate(mm)(s.at("GD*(1)"))
+			return ta >= gd-comparisonSlack, fmt.Sprintf("mm BHR %.4f vs %.4f", ta, gd)
+		}),
+	},
+}
+
+// atLeast claims that policy a's overall hit rate on the lineup is at
+// least b's, within slack.
+func atLeast(name, a, b string) claim {
+	return pred(name, lineup, func(s *atOneSize) (bool, string) {
+		ha, hb := overallHitRate(s.at(a)), overallHitRate(s.at(b))
+		return ha >= hb-comparisonSlack, fmt.Sprintf("HR %.4f vs %.4f", ha, hb)
+	})
 }

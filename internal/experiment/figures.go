@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"webcachesim/internal/core"
 	"webcachesim/internal/doctype"
@@ -12,168 +11,57 @@ import (
 
 const bytesPerMB = 1 << 20
 
-// grid indexes sweep results by policy name and capacity.
-type grid struct {
-	results    map[string]map[int64]*core.Result
-	capacities []int64
-}
+// namedClasses are the four classes the paper's figures cover.
+var namedClasses = doctype.Classes[:doctype.NumClasses-1]
 
-func buildGrid(results []*core.Result) *grid {
-	g := &grid{results: make(map[string]map[int64]*core.Result)}
-	seen := make(map[int64]bool)
-	for _, r := range results {
-		m, ok := g.results[r.Policy]
-		if !ok {
-			m = make(map[int64]*core.Result)
-			g.results[r.Policy] = m
+// study is a profile's policy × cache-size grid: the six study
+// configurations over the configured capacities. Figures 2 and 3 and the
+// §4.4 summary all read the same grid.
+func study(profile string) input[*core.Grid] {
+	return cached("study/"+profile, func(e *Env) (*core.Grid, error) {
+		w, err := e.Workload(profile)
+		if err != nil {
+			return nil, err
 		}
-		m[r.Capacity] = r
-		if !seen[r.Capacity] {
-			seen[r.Capacity] = true
-			g.capacities = append(g.capacities, r.Capacity)
+		results, err := core.Sweep(w, core.SweepConfig{
+			Policies:    policy.StudyFactories(),
+			Capacities:  e.Capacities(w),
+			Parallelism: e.opts.Parallelism,
+		})
+		if err != nil {
+			return nil, err
 		}
-	}
-	for i := 1; i < len(g.capacities); i++ {
-		for j := i; j > 0 && g.capacities[j] < g.capacities[j-1]; j-- {
-			g.capacities[j], g.capacities[j-1] = g.capacities[j-1], g.capacities[j]
-		}
-	}
-	return g
-}
-
-// metric reads one measure from one grid cell; it returns NaN for a
-// missing cell so comparisons involving it fail visibly.
-func (g *grid) metric(pol string, capacity int64, m func(*core.Result) float64) float64 {
-	if byCap, ok := g.results[pol]; ok {
-		if r, ok := byCap[capacity]; ok {
-			return m(r)
-		}
-	}
-	return math.NaN()
-}
-
-// Measures used throughout the figures.
-func hitRate(cl doctype.Class) func(*core.Result) float64 {
-	return func(r *core.Result) float64 { return r.ByClass[cl].HitRate() }
-}
-
-func byteHitRate(cl doctype.Class) func(*core.Result) float64 {
-	return func(r *core.Result) float64 { return r.ByClass[cl].ByteHitRate() }
-}
-
-func overallHitRate(r *core.Result) float64     { return r.Overall.HitRate() }
-func overallByteHitRate(r *core.Result) float64 { return r.Overall.ByteHitRate() }
-
-// comparisonSlack absorbs simulation noise in shape comparisons: a claim
-// "A beats B" passes at a grid point when A ≥ B − slack.
-const comparisonSlack = 0.005
-
-// majority evaluates "a beats b" across the capacity grid: the check
-// passes when the claim holds (within slack) at a strict majority of grid
-// points. Detail reports the mean margin and the per-point tally.
-func (g *grid) majority(name, polA, polB string, measure func(*core.Result) float64) ShapeCheck {
-	wins, total := 0, 0
-	var marginSum float64
-	for _, c := range g.capacities {
-		a := g.metric(polA, c, measure)
-		b := g.metric(polB, c, measure)
-		if math.IsNaN(a) || math.IsNaN(b) {
-			continue
-		}
-		total++
-		marginSum += a - b
-		if a >= b-comparisonSlack {
-			wins++
-		}
-	}
-	pass := total > 0 && wins*2 > total
-	return ShapeCheck{
-		Name: name,
-		Pass: pass,
-		Detail: fmt.Sprintf("%s ≥ %s at %d/%d sizes, mean margin %+.4f",
-			polA, polB, wins, total, safeDiv(marginSum, float64(total))),
-	}
-}
-
-func safeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-// sweep runs the given policies over a workload across the configured
-// capacities. The full study-lineup sweep is cached per profile, since
-// Figures 2 and 3 and the §4.4 summary all read the same grid.
-func (e *Env) sweep(profile string, policies []policy.Factory, sampleEvery int64) (*grid, *core.Workload, error) {
-	w, err := e.Workload(profile)
-	if err != nil {
-		return nil, nil, err
-	}
-	cacheable := sampleEvery == 0 && len(policies) == len(policy.StudyFactories())
-	if cacheable {
-		if results, ok := e.sweeps[profile]; ok {
-			return buildGrid(results), w, nil
-		}
-	}
-	results, err := core.Sweep(w, core.SweepConfig{
-		Policies:    policies,
-		Capacities:  e.Capacities(w),
-		SampleEvery: sampleEvery,
-		Parallelism: e.opts.Parallelism,
+		return core.NewGrid(results, nil), nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if cacheable {
-		e.sweeps[profile] = results
-	}
-	return buildGrid(results), w, nil
 }
 
-// figureTables renders, per class, one table of hit rates and byte hit
-// rates across the capacity grid.
-func figureTables(g *grid, policies []string) []*TableArtifact {
-	var out []*TableArtifact
-	for _, cl := range doctype.Classes {
-		if cl == doctype.Other {
-			continue // the paper's figures cover the four named classes
-		}
+// figure renders a policy line-up from a grid: per class, one table of hit
+// rates and byte hit rates across the capacities, and the two curves.
+func figure(g *core.Grid, policies []string, title string) artifacts {
+	var art artifacts
+	for _, cl := range namedClasses {
 		header := []string{"Cache (MB)"}
 		for _, p := range policies {
 			header = append(header, p+" HR", p+" BHR")
 		}
 		t := report.NewTable(cl.String(), header...)
-		for _, c := range g.capacities {
+		for _, c := range g.Capacities {
 			row := []any{fmt.Sprintf("%.0f", float64(c)/bytesPerMB)}
 			for _, p := range policies {
-				row = append(row,
-					g.metric(p, c, hitRate(cl)),
-					g.metric(p, c, byteHitRate(cl)))
+				row = append(row, g.Value(p, c, hitRate(cl)), g.Value(p, c, byteHitRate(cl)))
 			}
 			t.AddRowf(row...)
 		}
-		out = append(out, artifact(t))
-	}
-	return out
-}
+		art.tables = append(art.tables, t)
 
-// figurePlots renders, per class, the hit-rate and byte-hit-rate curves,
-// as ASCII (for the terminal report) and SVG (for publication), aligned
-// index by index.
-func figurePlots(g *grid, policies []string, title string) (ascii, svgs []string) {
-	for _, cl := range doctype.Classes {
-		if cl == doctype.Other {
-			continue
-		}
 		for _, side := range []struct {
-			name    string
-			measure func(doctype.Class) func(*core.Result) float64
+			name string
+			m    measure
 		}{
-			{"Hit Rate", hitRate},
-			{"Byte Hit Rate", byteHitRate},
+			{"Hit Rate", hitRate(cl)},
+			{"Byte Hit Rate", byteHitRate(cl)},
 		} {
-			p := report.Plot{
+			p := &report.Plot{
 				Title:  fmt.Sprintf("%s — %s — %s", title, cl, side.name),
 				XLabel: "cache size (MB, log)",
 				YLabel: side.name,
@@ -182,20 +70,13 @@ func figurePlots(g *grid, policies []string, title string) (ascii, svgs []string
 				Height: 16,
 			}
 			for _, pol := range policies {
-				xs := make([]float64, 0, len(g.capacities))
-				ys := make([]float64, 0, len(g.capacities))
-				for _, c := range g.capacities {
-					v := g.metric(pol, c, side.measure(cl))
-					xs = append(xs, float64(c)/bytesPerMB)
-					ys = append(ys, v)
-				}
-				p.Add(report.Series{Name: pol, X: xs, Y: ys})
+				mb, ys := g.CurveMB(pol, side.m)
+				p.Add(report.Series{Name: pol, X: mb, Y: ys})
 			}
-			ascii = append(ascii, p.Render())
-			svgs = append(svgs, p.SVG())
+			art.plots = append(art.plots, p)
 		}
 	}
-	return ascii, svgs
+	return art
 }
 
 // constantCostPolicies and packetCostPolicies are the line-ups of
@@ -205,80 +86,65 @@ var (
 	packetCostPolicies   = []string{"LRU", "LFU-DA", "GDS(P)", "GD*(P)"}
 )
 
-// runFigure2 regenerates Figure 2: DFN trace, constant cost model,
-// per-class hit rates and byte hit rates across cache sizes.
-func (e *Env) runFigure2() (*Output, error) {
-	g, _, err := e.sweep("dfn", policy.StudyFactories(), 0)
-	if err != nil {
-		return nil, err
-	}
-	img, html, mm, app := doctype.Image, doctype.HTML, doctype.MultiMedia, doctype.Application
+const (
+	img  = doctype.Image
+	html = doctype.HTML
+	mm   = doctype.MultiMedia
+	app  = doctype.Application
+)
 
-	checks := []ShapeCheck{
+// figure2 regenerates Figure 2: DFN trace, constant cost model, per-class
+// hit rates and byte hit rates across cache sizes.
+var figure2 = experiment{
+	id:    Figure2,
+	title: "Figure 2 — DFN, constant cost: per-type hit rate and byte hit rate",
+	build: from(study("dfn"), func(g *core.Grid) artifacts {
+		return figure(g, constantCostPolicies, "Fig 2 DFN const")
+	}),
+	claims: []claim{
 		// Frequency-based schemes beat recency-based schemes in hit rate.
-		g.majority("LFU-DA outperforms LRU in hit rate (images)", "LFU-DA", "LRU", hitRate(img)),
-		g.majority("GD*(1) outperforms GDS(1) in hit rate (images)", "GD*(1)", "GDS(1)", hitRate(img)),
-		g.majority("GD*(1) outperforms GDS(1) in hit rate (application)", "GD*(1)", "GDS(1)", hitRate(app)),
+		beats("LFU-DA outperforms LRU in hit rate (images)", "dfn", "LFU-DA", "LRU", hitRate(img)),
+		beats("GD*(1) outperforms GDS(1) in hit rate (images)", "dfn", "GD*(1)", "GDS(1)", hitRate(img)),
+		beats("GD*(1) outperforms GDS(1) in hit rate (application)", "dfn", "GD*(1)", "GDS(1)", hitRate(app)),
 		// Size-aware schemes beat size-oblivious schemes in hit rate for
 		// small-document classes.
-		g.majority("GD*(1) outperforms LRU in hit rate (images)", "GD*(1)", "LRU", hitRate(img)),
-		g.majority("GD*(1) outperforms LFU-DA in hit rate (HTML)", "GD*(1)", "LFU-DA", hitRate(html)),
+		beats("GD*(1) outperforms LRU in hit rate (images)", "dfn", "GD*(1)", "LRU", hitRate(img)),
+		beats("GD*(1) outperforms LFU-DA in hit rate (HTML)", "dfn", "GD*(1)", "LFU-DA", hitRate(html)),
 		// Multi media inverts: the size-oblivious schemes win, GD*(1)
 		// performs worst.
-		g.majority("LRU outperforms GD*(1) in hit rate (multi media)", "LRU", "GD*(1)", hitRate(mm)),
-		g.majority("LFU-DA outperforms GD*(1) in byte hit rate (multi media)", "LFU-DA", "GD*(1)", byteHitRate(mm)),
-		g.majority("GDS(1) outperforms GD*(1) in hit rate (multi media)", "GDS(1)", "GD*(1)", hitRate(mm)),
+		beats("LRU outperforms GD*(1) in hit rate (multi media)", "dfn", "LRU", "GD*(1)", hitRate(mm)),
+		beats("LFU-DA outperforms GD*(1) in byte hit rate (multi media)", "dfn", "LFU-DA", "GD*(1)", byteHitRate(mm)),
+		beats("GDS(1) outperforms GD*(1) in hit rate (multi media)", "dfn", "GDS(1)", "GD*(1)", hitRate(mm)),
 		// GD*(1)'s poor multi-media byte hit rate drags its overall BHR
 		// below LRU's (the paper's deviation from Jin & Bestavros).
-		g.majority("LRU outperforms GD*(1) in overall byte hit rate", "LRU", "GD*(1)", overallByteHitRate),
-	}
-	ascii, svgs := figurePlots(g, constantCostPolicies, "Fig 2 DFN const")
-	return &Output{
-		ID:     Figure2,
-		Title:  "Figure 2 — DFN, constant cost: per-type hit rate and byte hit rate",
-		Tables: figureTables(g, constantCostPolicies),
-		Plots:  ascii,
-		SVGs:   svgs,
-		Checks: checks,
-		Notes:  []string{e.scaleNote()},
-	}, nil
+		beats("LRU outperforms GD*(1) in overall byte hit rate", "dfn", "LRU", "GD*(1)", overallByteHitRate),
+	},
 }
 
-// runFigure3 regenerates Figure 3: DFN trace, packet cost model. The
-// sweep includes the constant-cost variants so the paper's cross-figure
+// figure3 regenerates Figure 3: DFN trace, packet cost model. The grid
+// includes the constant-cost variants so the paper's cross-figure
 // comparisons (§4.3, third experiment) can be evaluated.
-func (e *Env) runFigure3() (*Output, error) {
-	g, _, err := e.sweep("dfn", policy.StudyFactories(), 0)
-	if err != nil {
-		return nil, err
-	}
-	img, html, mm, app := doctype.Image, doctype.HTML, doctype.MultiMedia, doctype.Application
-
-	checks := []ShapeCheck{
+var figure3 = experiment{
+	id:    Figure3,
+	title: "Figure 3 — DFN, packet cost: per-type hit rate and byte hit rate",
+	build: from(study("dfn"), func(g *core.Grid) artifacts {
+		return figure(g, packetCostPolicies, "Fig 3 DFN packet")
+	}),
+	claims: []claim{
 		// GD*(P) dominates overall.
-		g.majority("GD*(P) outperforms GDS(P) in overall hit rate", "GD*(P)", "GDS(P)", overallHitRate),
-		g.majority("GD*(P) outperforms LRU in overall byte hit rate", "GD*(P)", "LRU", overallByteHitRate),
-		g.majority("GD*(P) outperforms LFU-DA in overall byte hit rate", "GD*(P)", "LFU-DA", overallByteHitRate),
+		beats("GD*(P) outperforms GDS(P) in overall hit rate", "dfn", "GD*(P)", "GDS(P)", overallHitRate),
+		beats("GD*(P) outperforms LRU in overall byte hit rate", "dfn", "GD*(P)", "LRU", overallByteHitRate),
+		beats("GD*(P) outperforms LFU-DA in overall byte hit rate", "dfn", "GD*(P)", "LFU-DA", overallByteHitRate),
 		// Per-class hit-rate advantages.
-		g.majority("GD*(P) best hit rate (images)", "GD*(P)", "LRU", hitRate(img)),
-		g.majority("GD*(P) best hit rate (HTML)", "GD*(P)", "LFU-DA", hitRate(html)),
-		g.majority("GD*(P) best hit rate (application)", "GD*(P)", "GDS(P)", hitRate(app)),
+		beats("GD*(P) best hit rate (images)", "dfn", "GD*(P)", "LRU", hitRate(img)),
+		beats("GD*(P) best hit rate (HTML)", "dfn", "GD*(P)", "LFU-DA", hitRate(html)),
+		beats("GD*(P) best hit rate (application)", "dfn", "GD*(P)", "GDS(P)", hitRate(app)),
 		// Per-class byte-hit-rate advantages.
-		g.majority("GD*(P) higher byte hit rate than GDS(P) (images)", "GD*(P)", "GDS(P)", byteHitRate(img)),
-		g.majority("GD*(P) higher byte hit rate than LRU (multi media)", "GD*(P)", "LRU", byteHitRate(mm)),
+		beats("GD*(P) higher byte hit rate than GDS(P) (images)", "dfn", "GD*(P)", "GDS(P)", byteHitRate(img)),
+		beats("GD*(P) higher byte hit rate than LRU (multi media)", "dfn", "GD*(P)", "LRU", byteHitRate(mm)),
 		// Cross-figure: packet cost stops discriminating large documents.
-		g.majority("GD*(P) beats GD*(1) in byte hit rate (multi media)", "GD*(P)", "GD*(1)", byteHitRate(mm)),
-		g.majority("GD*(P) beats GD*(1) in byte hit rate (HTML)", "GD*(P)", "GD*(1)", byteHitRate(html)),
-		g.majority("GD*(P) beats GD*(1) in hit rate (multi media)", "GD*(P)", "GD*(1)", hitRate(mm)),
-	}
-	ascii, svgs := figurePlots(g, packetCostPolicies, "Fig 3 DFN packet")
-	return &Output{
-		ID:     Figure3,
-		Title:  "Figure 3 — DFN, packet cost: per-type hit rate and byte hit rate",
-		Tables: figureTables(g, packetCostPolicies),
-		Plots:  ascii,
-		SVGs:   svgs,
-		Checks: checks,
-		Notes:  []string{e.scaleNote()},
-	}, nil
+		beats("GD*(P) beats GD*(1) in byte hit rate (multi media)", "dfn", "GD*(P)", "GD*(1)", byteHitRate(mm)),
+		beats("GD*(P) beats GD*(1) in byte hit rate (HTML)", "dfn", "GD*(P)", "GD*(1)", byteHitRate(html)),
+		beats("GD*(P) beats GD*(1) in hit rate (multi media)", "dfn", "GD*(P)", "GD*(1)", hitRate(mm)),
+	},
 }

@@ -11,218 +11,115 @@ import (
 
 const bytesPerGB = 1 << 30
 
-func artifact(t *report.Table) *TableArtifact {
-	return &TableArtifact{Text: t.Text(), CSV: t.CSV(), MD: t.Markdown()}
-}
+func tables(t ...*report.Table) artifacts { return artifacts{tables: t} }
 
-// runTable1 regenerates Table 1: overall properties of both traces.
-func (e *Env) runTable1() (*Output, error) {
-	dfn, err := e.Characterization("dfn")
-	if err != nil {
-		return nil, err
-	}
-	rtp, err := e.Characterization("rtp")
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable("Table 1. Properties of DFN and RTP trace", "", "DFN", "RTP")
-	period := func(c *analyze.Characterization) string {
-		from := time.UnixMilli(c.StartMillis).UTC().Format("2006-01-02")
-		to := time.UnixMilli(c.EndMillis).UTC().Format("2006-01-02")
-		return from + ".." + to
-	}
-	t.AddRow("Date", period(dfn), period(rtp))
-	t.AddRowf("Distinct Documents", dfn.DistinctDocs, rtp.DistinctDocs)
-	t.AddRowf("Overall Size (GB)", float64(dfn.DistinctBytes)/bytesPerGB, float64(rtp.DistinctBytes)/bytesPerGB)
-	t.AddRowf("Total Requests", dfn.Requests, rtp.Requests)
-	t.AddRowf("Requested Data (GB)", float64(dfn.ReqBytes)/bytesPerGB, float64(rtp.ReqBytes)/bytesPerGB)
-
-	dfnRatio := safeDiv(float64(dfn.DistinctDocs), float64(dfn.Requests))
-	rtpRatio := safeDiv(float64(rtp.DistinctDocs), float64(rtp.Requests))
-	checks := []ShapeCheck{
-		ratioCheck("DFN has more requests than RTP (paper: 6.7M vs 4.1M)",
-			float64(dfn.Requests), float64(rtp.Requests), 1.0),
-		{
-			Name:   "RTP has more distinct documents per request than DFN (paper: 0.54 vs 0.44)",
-			Pass:   rtpRatio > dfnRatio,
-			Detail: fmt.Sprintf("docs/request: RTP %.3f vs DFN %.3f", rtpRatio, dfnRatio),
-		},
-	}
-	return &Output{
-		ID:     Table1,
-		Title:  "Table 1 — trace properties",
-		Tables: []*TableArtifact{artifact(t)},
-		Checks: checks,
-		Notes: []string{
-			e.scaleNote(),
-			"paper totals at full scale: DFN 2,987,565 docs / 6,718,201 requests; RTP 2,227,339 docs / 4,144,900 requests",
-		},
-	}, nil
-}
-
-// classMixRow labels for Tables 2 and 3.
-var classMixRows = []string{
-	"% of Distinct Documents",
-	"% of Overall Size",
-	"% of Total Requests",
-	"% of Requested Data",
-}
-
-// runClassMixTable regenerates Table 2 (DFN) or Table 3 (RTP).
-func (e *Env) runClassMixTable(id ID, profile, title string) (*Output, error) {
-	c, err := e.Characterization(profile)
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable(title, "",
-		"Images", "HTML", "Multi Media", "Application", "Other")
-	measures := []func(doctype.Class) float64{
-		c.PctDistinctDocs, c.PctDistinctBytes, c.PctRequests, c.PctReqBytes,
-	}
-	for i, label := range classMixRows {
-		row := []any{label}
-		for _, cl := range doctype.Classes {
-			row = append(row, measures[i](cl))
+// table1 regenerates Table 1: overall properties of both traces.
+var table1 = experiment{
+	id:    Table1,
+	title: "Table 1 — trace properties",
+	notes: []string{"paper totals at full scale: DFN 2,987,565 docs / 6,718,201 requests; RTP 2,227,339 docs / 4,144,900 requests"},
+	build: from(both(chars), func(c [2]*analyze.Characterization) artifacts {
+		dfn, rtp := c[0], c[1]
+		t := report.NewTable("Table 1. Properties of DFN and RTP trace", "", "DFN", "RTP")
+		period := func(c *analyze.Characterization) string {
+			from := time.UnixMilli(c.StartMillis).UTC().Format("2006-01-02")
+			to := time.UnixMilli(c.EndMillis).UTC().Format("2006-01-02")
+			return from + ".." + to
 		}
-		t.AddRowf(row...)
-	}
-
-	htmlImgReq := c.PctRequests(doctype.Image) + c.PctRequests(doctype.HTML)
-	htmlImgDocs := c.PctDistinctDocs(doctype.Image) + c.PctDistinctDocs(doctype.HTML)
-	mmAppBytes := c.PctReqBytes(doctype.MultiMedia) + c.PctReqBytes(doctype.Application)
-	mmAppReq := c.PctRequests(doctype.MultiMedia) + c.PctRequests(doctype.Application)
-	checks := []ShapeCheck{
-		{
-			Name:   "HTML+images ≈95% of requests",
-			Pass:   htmlImgReq > 88,
-			Detail: fmt.Sprintf("measured %.1f%%", htmlImgReq),
-		},
-		{
-			Name:   "HTML+images ≈95% of distinct documents",
-			Pass:   htmlImgDocs > 88,
-			Detail: fmt.Sprintf("measured %.1f%%", htmlImgDocs),
-		},
-		{
-			Name: "multi media+application: small request share, large data share",
-			Pass: mmAppReq < 12 && mmAppBytes > 25,
-			Detail: fmt.Sprintf("requests %.1f%%, data %.1f%% (paper: ≈5%% and >40%%)",
-				mmAppReq, mmAppBytes),
-		},
-	}
-	return &Output{
-		ID:     id,
-		Title:  title,
-		Tables: []*TableArtifact{artifact(t)},
-		Checks: checks,
-		Notes:  []string{e.scaleNote()},
-	}, nil
+		t.AddRow("Date", period(dfn), period(rtp))
+		t.AddRowf("Distinct Documents", dfn.DistinctDocs, rtp.DistinctDocs)
+		t.AddRowf("Overall Size (GB)", float64(dfn.DistinctBytes)/bytesPerGB, float64(rtp.DistinctBytes)/bytesPerGB)
+		t.AddRowf("Total Requests", dfn.Requests, rtp.Requests)
+		t.AddRowf("Requested Data (GB)", float64(dfn.ReqBytes)/bytesPerGB, float64(rtp.ReqBytes)/bytesPerGB)
+		return tables(t)
+	}),
+	claims: []claim{
+		pred("DFN has more requests than RTP (paper: 6.7M vs 4.1M)", both(chars),
+			func(c [2]*analyze.Characterization) (bool, string) {
+				dfn, rtp := float64(c[0].Requests), float64(c[1].Requests)
+				return dfn > rtp, fmt.Sprintf("%.4g vs %.4g", dfn, rtp)
+			}),
+		pred("RTP has more distinct documents per request than DFN (paper: 0.54 vs 0.44)", both(chars),
+			func(c [2]*analyze.Characterization) (bool, string) {
+				dfn := safeDiv(float64(c[0].DistinctDocs), float64(c[0].Requests))
+				rtp := safeDiv(float64(c[1].DistinctDocs), float64(c[1].Requests))
+				return rtp > dfn, fmt.Sprintf("docs/request: RTP %.3f vs DFN %.3f", rtp, dfn)
+			}),
+	},
 }
 
-// localityRow labels for Tables 4 and 5.
-var localityRows = []string{
-	"Mean of Document Size (KB)",
-	"Median of Document Size (KB)",
-	"CoV of Document Size",
-	"Mean of Transfer Size (KB)",
-	"Median of Transfer Size (KB)",
-	"CoV of Transfer Size",
-	"Slope of Popularity Distribution α",
-	"Degree of Temporal Correlations β",
+// classMix regenerates Table 2 (DFN) or Table 3 (RTP).
+func classMix(id ID, profile, title string) experiment {
+	share := func(f func(doctype.Class) float64, a, b doctype.Class) float64 { return f(a) + f(b) }
+	return experiment{
+		id:    id,
+		title: title,
+		build: from(chars(profile), func(c *analyze.Characterization) artifacts {
+			return tables(c.ClassMixTable(title))
+		}),
+		claims: []claim{
+			pred("HTML+images ≈95% of requests", chars(profile), func(c *analyze.Characterization) (bool, string) {
+				v := share(c.PctRequests, doctype.Image, doctype.HTML)
+				return v > 88, fmt.Sprintf("measured %.1f%%", v)
+			}),
+			pred("HTML+images ≈95% of distinct documents", chars(profile), func(c *analyze.Characterization) (bool, string) {
+				v := share(c.PctDistinctDocs, doctype.Image, doctype.HTML)
+				return v > 88, fmt.Sprintf("measured %.1f%%", v)
+			}),
+			pred("multi media+application: small request share, large data share", chars(profile),
+				func(c *analyze.Characterization) (bool, string) {
+					reqs := share(c.PctRequests, doctype.MultiMedia, doctype.Application)
+					data := share(c.PctReqBytes, doctype.MultiMedia, doctype.Application)
+					return reqs < 12 && data > 25,
+						fmt.Sprintf("requests %.1f%%, data %.1f%% (paper: ≈5%% and >40%%)", reqs, data)
+				}),
+		},
+	}
 }
 
-// runLocalityTable regenerates Table 4 (DFN) or Table 5 (RTP).
-func (e *Env) runLocalityTable(id ID, profile, title string) (*Output, error) {
-	c, err := e.Characterization(profile)
-	if err != nil {
-		return nil, err
+// locality regenerates Table 4 (DFN) or Table 5 (RTP).
+func locality(id ID, profile, title string) experiment {
+	// Each claim reads the four named classes' summaries.
+	on := func(name string, holds func(img, html, mm, app analyze.ClassSummary) (bool, string)) claim {
+		return pred(name, chars(profile), func(c *analyze.Characterization) (bool, string) {
+			return holds(c.Classes[doctype.Image], c.Classes[doctype.HTML],
+				c.Classes[doctype.MultiMedia], c.Classes[doctype.Application])
+		})
 	}
-	t := report.NewTable(title, "",
-		"Images", "HTML", "Multi Media", "Application", "Other")
-	value := func(cl doctype.Class, row int) any {
-		cs := c.Classes[cl]
-		switch row {
-		case 0:
-			return cs.MeanDocKB
-		case 1:
-			return cs.MedianDocKB
-		case 2:
-			return cs.CoVDoc
-		case 3:
-			return cs.MeanTransferKB
-		case 4:
-			return cs.MedianTransferKB
-		case 5:
-			return cs.CoVTransfer
-		case 6:
-			if !cs.AlphaOK {
-				return "n/a"
-			}
-			return cs.Alpha
-		default:
-			if !cs.BetaOK {
-				return "n/a"
-			}
-			return cs.Beta
-		}
-	}
-	for i, label := range localityRows {
-		row := []any{label}
-		for _, cl := range doctype.Classes {
-			row = append(row, value(cl, i))
-		}
-		t.AddRowf(row...)
-	}
-
-	img := c.Classes[doctype.Image]
-	html := c.Classes[doctype.HTML]
-	mm := c.Classes[doctype.MultiMedia]
-	app := c.Classes[doctype.Application]
-	checks := []ShapeCheck{
-		{
-			Name: "multi media has the largest mean and median transfer sizes",
-			Pass: mm.MeanTransferKB > app.MeanTransferKB &&
-				mm.MeanTransferKB > html.MeanTransferKB &&
-				mm.MedianTransferKB > app.MedianTransferKB,
-			Detail: fmt.Sprintf("mean KB: mm %.0f, app %.0f, html %.1f",
-				mm.MeanTransferKB, app.MeanTransferKB, html.MeanTransferKB),
+	return experiment{
+		id:    id,
+		title: title,
+		notes: []string{"CoV of the synthetic sizes follows the lognormal fit to the paper's mean/median (see DESIGN.md)"},
+		build: from(chars(profile), func(c *analyze.Characterization) artifacts {
+			return tables(c.LocalityTable(title,
+				"Slope of Popularity Distribution α", "Degree of Temporal Correlations β"))
+		}),
+		claims: []claim{
+			on("multi media has the largest mean and median transfer sizes",
+				func(_, html, mm, app analyze.ClassSummary) (bool, string) {
+					return mm.MeanTransferKB > app.MeanTransferKB &&
+							mm.MeanTransferKB > html.MeanTransferKB &&
+							mm.MedianTransferKB > app.MedianTransferKB,
+						fmt.Sprintf("mean KB: mm %.0f, app %.0f, html %.1f",
+							mm.MeanTransferKB, app.MeanTransferKB, html.MeanTransferKB)
+				}),
+			on("application documents: large mean but very small median size",
+				func(_, _, _, app analyze.ClassSummary) (bool, string) {
+					return app.MeanDocKB > 5*app.MedianDocKB,
+						fmt.Sprintf("mean %.0f KB vs median %.1f KB", app.MeanDocKB, app.MedianDocKB)
+				}),
+			on("α largest for images, smaller for multi media/application",
+				func(img, _, mm, app analyze.ClassSummary) (bool, string) {
+					return img.AlphaOK && mm.AlphaOK && app.AlphaOK &&
+							img.Alpha > mm.Alpha-0.05 && img.Alpha > app.Alpha-0.05,
+						fmt.Sprintf("α: images %.2f, mm %.2f, app %.2f", img.Alpha, mm.Alpha, app.Alpha)
+				}),
+			on("β shows the inverse trend: multi media/application above images",
+				func(img, _, mm, app analyze.ClassSummary) (bool, string) {
+					return img.BetaOK && mm.BetaOK &&
+							mm.Beta > img.Beta && (!app.BetaOK || app.Beta > img.Beta-0.1),
+						fmt.Sprintf("β: images %.2f, mm %.2f", img.Beta, mm.Beta)
+				}),
 		},
-		{
-			Name: "application documents: large mean but very small median size",
-			Pass: app.MeanDocKB > 5*app.MedianDocKB,
-			Detail: fmt.Sprintf("mean %.0f KB vs median %.1f KB",
-				app.MeanDocKB, app.MedianDocKB),
-		},
-		{
-			Name: "α largest for images, smaller for multi media/application",
-			Pass: img.AlphaOK && mm.AlphaOK && app.AlphaOK &&
-				img.Alpha > mm.Alpha-0.05 && img.Alpha > app.Alpha-0.05,
-			Detail: fmt.Sprintf("α: images %.2f, mm %.2f, app %.2f",
-				img.Alpha, mm.Alpha, app.Alpha),
-		},
-		{
-			Name: "β shows the inverse trend: multi media/application above images",
-			Pass: img.BetaOK && mm.BetaOK &&
-				mm.Beta > img.Beta && (!app.BetaOK || app.Beta > img.Beta-0.1),
-			Detail: fmt.Sprintf("β: images %.2f, mm %.2f", img.Beta, mm.Beta),
-		},
-	}
-	return &Output{
-		ID:     id,
-		Title:  title,
-		Tables: []*TableArtifact{artifact(t)},
-		Checks: checks,
-		Notes: []string{
-			e.scaleNote(),
-			"CoV of the synthetic sizes follows the lognormal fit to the paper's mean/median (see DESIGN.md)",
-		},
-	}, nil
-}
-
-// ratioCheck asserts a > b·minRatio.
-func ratioCheck(name string, a, b, minRatio float64) ShapeCheck {
-	return ShapeCheck{
-		Name:   name,
-		Pass:   a > b*minRatio,
-		Detail: fmt.Sprintf("%.4g vs %.4g", a, b),
 	}
 }

@@ -408,6 +408,17 @@ func TestClassBytesSumToTotals(t *testing.T) {
 	if got, want := m[`wcproxy_class_hit_bytes_total{class="html"}`], int64(2*len("body-of-"+page)); got != want {
 		t.Errorf("html hit bytes = %d, want two hits of %d bytes", got, want/2)
 	}
+	// Stats (what /stats serves) reads the same counters, class by class.
+	st := f.servers[0].Stats()
+	var reqBytes, hitBytes int64
+	for _, c := range st.ByClass {
+		reqBytes += c.ReqBytes
+		hitBytes += c.HitBytes
+	}
+	if reqBytes != st.ReqBytes || hitBytes != st.HitBytes || st.HitBytes == 0 {
+		t.Errorf("Stats().ByClass bytes sum to %d requested / %d hit, Stats() totals are %d / %d",
+			reqBytes, hitBytes, st.ReqBytes, st.HitBytes)
+	}
 }
 
 // FuzzRequestKey is the differential check of the key stage: whichever

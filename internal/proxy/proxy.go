@@ -156,10 +156,14 @@ type Stats struct {
 	// neither a local hit nor a miss: Requests = Hits + PeerHits + Misses
 	// on a clustered proxy. Always zero without a cluster.
 	PeerHits int64 `json:"peerHits,omitempty"`
-	// ByClass breaks requests and hits down by document class.
+	// ByClass breaks requests, hits and their body bytes down by document
+	// class: HitBytes/ReqBytes of one entry is the paper's per-type byte
+	// hit rate.
 	ByClass [doctype.NumClasses + 1]struct {
 		Requests int64 `json:"requests"`
 		Hits     int64 `json:"hits"`
+		ReqBytes int64 `json:"reqBytes"`
+		HitBytes int64 `json:"hitBytes"`
 	} `json:"byClass"`
 }
 
@@ -368,6 +372,8 @@ func (s *Server) Stats() Stats {
 	for c := range st.ByClass {
 		st.ByClass[c].Requests = m.requestsByClass[c].Value()
 		st.ByClass[c].Hits = m.hitsByClass[c].Value()
+		st.ByClass[c].ReqBytes = m.requestBytesByClass[c].Value()
+		st.ByClass[c].HitBytes = m.hitBytesByClass[c].Value()
 	}
 	return st
 }

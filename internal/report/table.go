@@ -4,8 +4,11 @@
 package report
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
+
+	"webcachesim/internal/doctype"
 )
 
 // Table is a rectangular grid of cells with a header row.
@@ -20,6 +23,26 @@ type Table struct {
 // NewTable creates a table with the given column headers.
 func NewTable(title string, header ...string) *Table {
 	return &Table{Title: title, header: header, numCols: len(header)}
+}
+
+// NewClassTable creates a table with a label column and one column per
+// document class, in the paper's order; ClassRow fills its rows.
+func NewClassTable(title string) *Table {
+	header := []string{""}
+	for _, cl := range doctype.Classes {
+		header = append(header, cl.String())
+	}
+	return NewTable(title, header...)
+}
+
+// ClassRow appends the row every per-type table is made of: a label, then
+// one AddRowf-formatted cell per document class.
+func ClassRow[V any](t *Table, label string, cell func(doctype.Class) V) {
+	row := []any{label}
+	for _, cl := range doctype.Classes {
+		row = append(row, cell(cl))
+	}
+	t.AddRowf(row...)
 }
 
 // AddRow appends a row; missing cells render empty, extra cells widen the
@@ -47,6 +70,16 @@ func (t *Table) AddRowf(cells ...any) {
 		}
 	}
 	t.AddRow(out...)
+}
+
+// MarshalJSON carries the table as data — {title, header, rows} — so a
+// consumer of `wcreport -json` renders it however it likes.
+func (t *Table) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Title  string     `json:"title"`
+		Header []string   `json:"header"`
+		Rows   [][]string `json:"rows"`
+	}{t.Title, t.header, t.rows})
 }
 
 // NumRows returns the number of data rows.
