@@ -27,7 +27,7 @@ func summarizeJournal(path string, out io.Writer, markdown bool) error {
 	}
 
 	var start, end *core.JournalRecord
-	var runs, mrcPasses []core.JournalRecord
+	var runs []core.JournalRecord
 	progress := 0
 	for i := range recs {
 		switch recs[i].Event {
@@ -39,8 +39,6 @@ func summarizeJournal(path string, out io.Writer, markdown bool) error {
 			end = &recs[i]
 		case core.JournalRunEnd:
 			runs = append(runs, recs[i])
-		case core.JournalMRCPass:
-			mrcPasses = append(mrcPasses, recs[i])
 		case core.JournalProgress:
 			progress++
 		}
@@ -58,13 +56,6 @@ func summarizeJournal(path string, out io.Writer, markdown bool) error {
 				path, len(start.Policies), len(start.Capacities),
 				start.Requests, start.Documents, start.Parallelism)
 		}
-		fmt.Fprintln(out)
-	}
-	for _, m := range mrcPasses {
-		fmt.Fprintf(out, "mrc pass: %s served %d capacities from one stack-distance scan (%.2fs wall, %.0f kreq/s)\n",
-			m.Policy, len(m.Capacities), m.ElapsedMs/1000, m.RequestsPerSec/1000)
-	}
-	if len(mrcPasses) > 0 {
 		fmt.Fprintln(out)
 	}
 

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -311,8 +312,14 @@ func parseCapacities(sizes, pcts string, w *core.Workload) ([]int64, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bad percentage %q: %w", part, err)
 			}
+			if !(pct > 0) { // NaN included
+				return nil, fmt.Errorf("percentage %q must be positive", part)
+			}
 			out = append(out, w.CapacityAt(pct, core.FloorByte))
 		}
-		return out, nil
+		// Percentages that round or clamp to the same byte count are one
+		// cache size, not a duplicate the sweep should refuse.
+		slices.Sort(out)
+		return slices.Compact(out), nil
 	}
 }

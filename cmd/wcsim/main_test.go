@@ -112,6 +112,10 @@ func TestRunErrors(t *testing.T) {
 		{"bad size", []string{"-trace", path, "-sizes", "xyz"}},
 		{"conflicting sizes", []string{"-trace", path, "-sizes", "1MB", "-size-pcts", "1"}},
 		{"bad pct", []string{"-trace", path, "-size-pcts", "abc"}},
+		{"NaN pct", []string{"-trace", path, "-size-pcts", "NaN"}},
+		{"negative pct", []string{"-trace", path, "-size-pcts", "1,-5"}},
+		{"duplicate sizes", []string{"-trace", path, "-sizes", "8MB,8MB"}},
+		{"NaN warmup", []string{"-trace", path, "-warmup", "NaN"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -201,55 +201,14 @@ func BenchmarkSweepJournaled(b *testing.B) {
 	}
 }
 
-// benchCleanWorkload builds an MRC-exact workload (fixed per-document
-// sizes, no modifications) for the grid benchmarks: ~100k requests over
-// ~20k documents, sizes small enough that every document fits even the
-// smallest sample-scaled capacity.
-func benchCleanWorkload(b *testing.B) *Workload {
-	b.Helper()
-	rng := rand.New(rand.NewSource(3))
-	const requests, docs = 100_000, 20_000
-	exts := []string{"gif", "html", "mp3", "pdf"}
-	sizes := make([]int64, docs)
-	for i := range sizes {
-		sizes[i] = int64(200 + rng.Intn(8000))
-	}
-	reqs := make([]*trace.Request, 0, requests)
-	for i := 0; i < requests; i++ {
-		id := int(float64(docs) * rng.Float64() * rng.Float64())
-		reqs = append(reqs, &trace.Request{
-			URL:          fmt.Sprintf("http://bench/d%d.%s", id, exts[id%len(exts)]),
-			Status:       200,
-			TransferSize: sizes[id],
-			DocSize:      sizes[id],
-		})
-	}
-	w, err := BuildWorkload(trace.NewSliceReader(reqs), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return w
-}
-
-// benchGridCapacities is the 8-point capacity grid of the MRC benchmarks:
-// 1 MB to 128 MB, geometric.
-func benchGridCapacities() []int64 {
-	caps := make([]int64, 8)
-	for i := range caps {
-		caps[i] = 1 << (20 + i)
-	}
-	return caps
-}
-
-// BenchmarkSweepGridFast runs a 6-policy × 8-capacity sweep: LRU cells
-// collapse into one exact stack-distance scan (fidelity pinned by
-// TestSweepMRCFastPathMatchesPerCell) and the heap policies replay per
-// cell.
-func BenchmarkSweepGridFast(b *testing.B) {
-	w := benchCleanWorkload(b)
-	cfg := SweepConfig{
-		Policies:   policy.StudyFactories(),
-		Capacities: benchGridCapacities(),
+// BenchmarkSweepGrid runs the 6-policy sweep over an 8-point capacity
+// grid (1 MB to 128 MB, geometric) on 100k requests over 20k documents
+// (the oracle test's stream shape): 48 cells, each a full replay.
+func BenchmarkSweepGrid(b *testing.B) {
+	w := cleanWorkload(b, 100_000, 20_000, 3, 0)
+	cfg := SweepConfig{Policies: policy.StudyFactories()}
+	for i := 0; i < 8; i++ {
+		cfg.Capacities = append(cfg.Capacities, 1<<(20+i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

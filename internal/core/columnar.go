@@ -33,9 +33,6 @@ func (w *Workload) Columnar() *trace.Columnar {
 
 		TotalBytes:    w.totalBytes,
 		DistinctBytes: w.distinctBytes,
-		MaxDocSize:    w.maxDocSize,
-		SizeRecharge:  w.sizeRecharge,
-		SizeShrink:    w.sizeShrink,
 		Threshold:     w.threshold,
 	}
 	c.SetKeys(w.Keys())
@@ -79,9 +76,6 @@ func FromColumnar(c *trace.Columnar) *Workload {
 		totalBytes:    c.TotalBytes,
 		distinctBytes: c.DistinctBytes,
 		threshold:     c.Threshold,
-		maxDocSize:    c.MaxDocSize,
-		sizeRecharge:  c.SizeRecharge,
-		sizeShrink:    c.SizeShrink,
 	}
 }
 

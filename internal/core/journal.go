@@ -26,14 +26,12 @@ import (
 const (
 	// JournalSweepStart opens the journal: the grid being swept.
 	JournalSweepStart = "sweep_start"
-	// JournalMRCPass records that one policy's cells were computed by the
-	// one-pass stack-distance engine instead of per-cell replay, with the
-	// (possibly sample-scaled) capacities covered and the cost of the
-	// scan.
-	JournalMRCPass = "mrc_pass"
-	// JournalPartitionedPass is a legacy record: Sweep does not write it,
-	// ReadJournal accepts it so journals holding it stay readable. It
-	// names one cell replayed by hash-partitioned simulators.
+	// JournalMRCPass and JournalPartitionedPass are legacy records: Sweep
+	// does not write them, ReadJournal accepts them so journals holding
+	// them stay readable. The first names a policy whose cells one
+	// stack-distance scan computed (Capacities lists them), the second
+	// one cell replayed by hash-partitioned simulators.
+	JournalMRCPass         = "mrc_pass"
 	JournalPartitionedPass = "partitioned_pass"
 	// JournalRunStart marks one policy × capacity cell starting.
 	JournalRunStart = "run_start"
@@ -48,8 +46,8 @@ const (
 // JournalRecord is one journal line. Event selects which fields are
 // meaningful; unused fields are omitted from the JSON encoding. Runs from
 // different cells interleave in a parallel sweep — consumers must key
-// run-scoped records by (Policy, Capacity), which is unique within one
-// sweep.
+// run-scoped records by (Policy, Admission, Capacity), which Sweep
+// guarantees unique within one sweep.
 type JournalRecord struct {
 	// Event is one of the Journal* constants.
 	Event string `json:"event"`
@@ -58,9 +56,8 @@ type JournalRecord struct {
 	UnixMs int64 `json:"unixMs"`
 
 	// Policies, Capacities, Parallelism and Cells describe the grid
-	// (sweep_start; mrc_pass reuses Capacities for the set one scan
-	// covered). Admissions lists the admission axis, omitted when the
-	// sweep runs without filters.
+	// (sweep_start). Admissions lists the admission axis, omitted when
+	// the sweep runs without filters.
 	Policies    []string `json:"policies,omitempty"`
 	Admissions  []string `json:"admissions,omitempty"`
 	Capacities  []int64  `json:"capacities,omitempty"`
@@ -140,72 +137,49 @@ func throughput(events int64, elapsed time.Duration) (elapsedMs, rps float64) {
 	return elapsedMs, rps
 }
 
-// runJournaled replays one cell like Simulator.Run, emitting run_start,
-// periodic progress ticks, and run_end to the journal.
-func runJournaled(sim *Simulator, w *Workload, jw *journalWriter, every int64, now func() time.Time) *Result {
-	policyName := sim.cfg.Policy.Name
-	capacity := sim.cfg.Capacity
-	admName := sim.result.Admission
-	jw.emit(JournalRecord{
+// runCell replays one sweep cell. Without a journal (a nil receiver) that
+// is Simulator.Run; with one, the replay is cut into tenths of the
+// workload (at least one event each) so every run journals a handful of
+// progress ticks regardless of trace size, between run_start and run_end.
+func (j *journalWriter) runCell(sim *Simulator, w *Workload) *Result {
+	if j == nil {
+		return sim.Run(w)
+	}
+	// rec carries the cell's key; each record fills in its own fields.
+	rec := JournalRecord{
 		Event:     JournalRunStart,
-		Policy:    policyName,
-		Admission: admName,
-		Capacity:  capacity,
-	})
-	start := now()
+		Policy:    sim.cfg.Policy.Name,
+		Admission: sim.result.Admission,
+		Capacity:  sim.cfg.Capacity,
+	}
+	j.emit(rec)
+	start := j.now()
 	n := w.NumRequests()
-	total := int64(n)
-	for i := 0; i < n; i++ {
-		ev := w.replayEvent(i)
-		sim.Process(&ev)
-		done := int64(i) + 1
-		if done%every == 0 && done < total {
-			elapsedMs, rps := throughput(done, now().Sub(start))
-			jw.emit(JournalRecord{
-				Event:          JournalProgress,
-				Policy:         policyName,
-				Admission:      admName,
-				Capacity:       capacity,
-				Requests:       done,
-				ElapsedMs:      elapsedMs,
-				RequestsPerSec: rps,
-				Evictions:      sim.result.Evictions,
-			})
+	tick := max(n/10, 1)
+	for lo := 0; lo < n; lo += tick {
+		hi := min(lo+tick, n)
+		sim.run(w, lo, hi)
+		if hi < n {
+			rec.Event = JournalProgress
+			rec.Requests = int64(hi)
+			rec.ElapsedMs, rec.RequestsPerSec = throughput(rec.Requests, j.now().Sub(start))
+			rec.Evictions = sim.result.Evictions
+			j.emit(rec)
 		}
 	}
 	r := sim.Result()
-	elapsedMs, rps := throughput(total, now().Sub(start))
-	jw.emit(JournalRecord{
-		Event:            JournalRunEnd,
-		Policy:           policyName,
-		Admission:        admName,
-		Capacity:         capacity,
-		Requests:         total,
-		ElapsedMs:        elapsedMs,
-		RequestsPerSec:   rps,
-		Evictions:        r.Evictions,
-		Hits:             r.Overall.Hits,
-		HitRate:          r.Overall.HitRate(),
-		ByteHitRate:      r.Overall.ByteHitRate(),
-		Admitted:         r.Admitted,
-		AdmissionRejects: r.AdmissionRejects,
-		GhostHits:        r.GhostHits,
-	})
+	rec.Event = JournalRunEnd
+	rec.Requests = int64(n)
+	rec.ElapsedMs, rec.RequestsPerSec = throughput(rec.Requests, j.now().Sub(start))
+	rec.Evictions = r.Evictions
+	rec.Hits = r.Overall.Hits
+	rec.HitRate = r.Overall.HitRate()
+	rec.ByteHitRate = r.Overall.ByteHitRate()
+	rec.Admitted = r.Admitted
+	rec.AdmissionRejects = r.AdmissionRejects
+	rec.GhostHits = r.GhostHits
+	j.emit(rec)
 	return r
-}
-
-// journalTickEvery resolves the progress-tick interval: the configured
-// value, or a tenth of the workload (at least one event) so every run
-// journals a handful of ticks regardless of trace size.
-func journalTickEvery(cfg SweepConfig, total int64) int64 {
-	if cfg.JournalEvery > 0 {
-		return cfg.JournalEvery
-	}
-	every := total / 10
-	if every < 1 {
-		every = 1
-	}
-	return every
 }
 
 // ReadJournal parses and validates a run journal: every line must be a

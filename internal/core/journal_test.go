@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -25,9 +26,8 @@ func (c *fakeClock) now() time.Time {
 	return c.t
 }
 
-func journaledSweep(t *testing.T, cfg SweepConfig) ([]*Result, []JournalRecord, *bytes.Buffer) {
+func journaledSweep(t testing.TB, w *Workload, cfg SweepConfig) ([]*Result, []JournalRecord, *bytes.Buffer) {
 	t.Helper()
-	w := sweepWorkload(t, 3000)
 	var buf bytes.Buffer
 	clock := &fakeClock{t: time.UnixMilli(1_000_000), step: 7 * time.Millisecond}
 	cfg.Journal = &buf
@@ -44,9 +44,16 @@ func journaledSweep(t *testing.T, cfg SweepConfig) ([]*Result, []JournalRecord, 
 }
 
 func TestSweepJournalShape(t *testing.T) {
+	// A stream the LRU oracle is exact on (see conforms): the one kind of
+	// workload for which LRU's cells were once a single mrc_pass record.
+	// Every cell is journaled as a run, LRU's included.
+	w := cleanWorkload(t, 3000, 300, 3, 1)
 	policies := policy.StudyFactories()[:2]
 	caps := []int64{100_000, 400_000}
-	results, recs, _ := journaledSweep(t, SweepConfig{
+	if err := conforms(w, caps[0]); err != nil {
+		t.Fatal(err)
+	}
+	results, recs, _ := journaledSweep(t, w, SweepConfig{
 		Policies:   policies,
 		Capacities: caps,
 	})
@@ -86,7 +93,7 @@ func TestSweepJournalShape(t *testing.T) {
 			if r.Requests <= 0 || r.Requests >= 3000 {
 				t.Errorf("progress tick out of range: %+v", r)
 			}
-		default:
+		default: // a legacy mrc_pass or partitioned_pass included
 			t.Errorf("unexpected mid-journal event %s", r.Event)
 		}
 	}
@@ -126,7 +133,7 @@ func TestSweepJournalDoesNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journaled, _, _ := journaledSweep(t, cfg)
+	journaled, _, _ := journaledSweep(t, w, cfg)
 	if len(plain) != len(journaled) {
 		t.Fatalf("result count differs: %d vs %d", len(plain), len(journaled))
 	}
@@ -134,25 +141,6 @@ func TestSweepJournalDoesNotChangeResults(t *testing.T) {
 		if plain[i].Overall != journaled[i].Overall || plain[i].Evictions != journaled[i].Evictions {
 			t.Errorf("cell %d: journaled sweep changed the result", i)
 		}
-	}
-}
-
-func TestSweepJournalEveryOverride(t *testing.T) {
-	_, recs, _ := journaledSweep(t, SweepConfig{
-		Policies:     policy.StudyFactories()[:1],
-		Capacities:   []int64{400_000},
-		JournalEvery: 1000,
-	})
-	progress := 0
-	for _, r := range recs {
-		if r.Event == JournalProgress {
-			progress++
-		}
-	}
-	// 3000 events at one tick per 1000: ticks at 1000 and 2000 (3000
-	// coincides with run_end).
-	if progress != 2 {
-		t.Errorf("progress ticks = %d, want 2", progress)
 	}
 }
 
@@ -182,34 +170,82 @@ func TestSweepJournalZeroDurationClock(t *testing.T) {
 	}
 }
 
+// malformedJournals are inputs ReadJournal must refuse.
+var malformedJournals = map[string]string{
+	"empty":              "",
+	"not json":           "hello\n",
+	"unknown event":      `{"event":"bogus","unixMs":1}` + "\n",
+	"unknown field":      `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1],"wat":3}` + "\n",
+	"missing cell":       `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" + `{"event":"run_end","unixMs":2}` + "\n",
+	"wrong first record": `{"event":"run_start","unixMs":1,"policy":"lru","capacity":5}` + "\n",
+	"bare sweep_start":   `{"event":"sweep_start","unixMs":1}` + "\n",
+	"legacy pass, no fan-out": `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" +
+		`{"event":"partitioned_pass","unixMs":2,"policy":"lru","capacity":1}` + "\n",
+	"legacy scan, no capacities": `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" +
+		`{"event":"mrc_pass","unixMs":2,"policy":"lru"}` + "\n",
+}
+
+// legacyJournal holds the two records Sweep once wrote and no longer
+// does; journals that hold them must stay readable.
+const legacyJournal = `{"event":"sweep_start","unixMs":1,"policies":["lru","gds:1"],"capacities":[4096,8192]}` + "\n" +
+	`{"event":"mrc_pass","unixMs":2,"policy":"lru","capacities":[4096,8192],"requests":10,"elapsedMs":1.5,"rps":6666}` + "\n" +
+	`{"event":"partitioned_pass","unixMs":2,"policy":"gds:1","capacity":4096,"partitions":4,"requests":10,"hits":3}` + "\n" +
+	`{"event":"sweep_end","unixMs":3,"cells":1}` + "\n"
+
 func TestReadJournalRejectsMalformed(t *testing.T) {
-	for name, in := range map[string]string{
-		"empty":              "",
-		"not json":           "hello\n",
-		"unknown event":      `{"event":"bogus","unixMs":1}` + "\n",
-		"unknown field":      `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1],"wat":3}` + "\n",
-		"missing cell":       `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" + `{"event":"run_end","unixMs":2}` + "\n",
-		"wrong first record": `{"event":"run_start","unixMs":1,"policy":"lru","capacity":5}` + "\n",
-		"bare sweep_start":   `{"event":"sweep_start","unixMs":1}` + "\n",
-		"legacy pass, no fan-out": `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" +
-			`{"event":"partitioned_pass","unixMs":2,"policy":"lru","capacity":1}` + "\n",
-	} {
+	for name, in := range malformedJournals {
 		if _, err := ReadJournal(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadJournal accepted malformed input", name)
 		}
 	}
-	// Sweep no longer writes partitioned_pass, but journals that hold the
-	// record must stay readable.
-	legacy := `{"event":"sweep_start","unixMs":1,"policies":["gds:1"],"capacities":[4096]}` + "\n" +
-		`{"event":"partitioned_pass","unixMs":2,"policy":"gds:1","capacity":4096,"partitions":4,"requests":10,"hits":3}` + "\n" +
-		`{"event":"sweep_end","unixMs":3,"cells":1}` + "\n"
-	recs, err := ReadJournal(strings.NewReader(legacy))
+	recs, err := ReadJournal(strings.NewReader(legacyJournal))
 	if err != nil {
-		t.Fatalf("legacy partitioned_pass journal rejected: %v", err)
+		t.Fatalf("legacy journal rejected: %v", err)
 	}
-	if len(recs) != 3 || recs[1].Event != JournalPartitionedPass || recs[1].Partitions != 4 {
+	if len(recs) != 4 || recs[1].Event != JournalMRCPass || len(recs[1].Capacities) != 2 ||
+		recs[2].Event != JournalPartitionedPass || recs[2].Partitions != 4 {
 		t.Errorf("legacy journal decoded as %+v", recs)
 	}
+}
+
+// FuzzReadJournal: whatever the bytes, ReadJournal returns records or an
+// error, and a journal it accepted is accepted again once each record is
+// re-encoded the way Sweep writes one.
+func FuzzReadJournal(f *testing.F) {
+	// Two cells, one filtered, keep the seed short: the fuzzer minimizes
+	// every interesting input it derives from it.
+	_, _, real := journaledSweep(f, sweepWorkload(f, 200), SweepConfig{
+		Policies:   policy.StudyFactories()[:1],
+		Admissions: []policy.AdmitterFactory{policy.NoAdmission(), rejectAllFactory()},
+		Capacities: []int64{100_000},
+	})
+	f.Add(real.Bytes())
+	f.Add([]byte(legacyJournal))
+	for _, in := range malformedJournals {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Re-encoding escapes <, > and & to six bytes each, so only inputs
+		// well under the reader's 1 MiB line limit are sure to fit it again.
+		if len(data) > 64<<10 {
+			return
+		}
+		recs, err := ReadJournal(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		enc := json.NewEncoder(&again)
+		for _, rec := range recs {
+			if err := enc.Encode(rec); err != nil {
+				t.Fatalf("accepted record %+v does not encode: %v", rec, err)
+			}
+		}
+		recs2, err := ReadJournal(&again)
+		if err != nil || len(recs2) != len(recs) {
+			t.Fatalf("re-encoded journal: %d records, %v; first read gave %d\n%s", len(recs2), err, len(recs), again.String())
+		}
+	})
 }
 
 type failingWriter struct{ after int }

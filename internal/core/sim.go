@@ -39,16 +39,14 @@ var ErrBadConfig = errors.New("core: invalid config")
 
 // resolveWarmup turns a warmup fraction into a request count over a
 // workload of n requests, applying the Config.WarmupFraction conventions
-// (0 selects the paper's default, negative selects no warmup). It is
-// shared by the per-cell simulator and the one-pass MRC fast path so both
-// measure exactly the same window.
+// (0 selects the paper's default, negative selects no warmup).
 func resolveWarmup(frac float64, n int) (int64, error) {
 	switch {
 	case frac == 0:
 		frac = DefaultWarmupFraction
 	case frac < 0:
 		frac = 0
-	case frac >= 1:
+	case !(frac < 1): // NaN compares false with everything, so not ">= 1"
 		return 0, errBadConfig("warmup fraction %v must be < 1", frac)
 	}
 	return int64(frac * float64(n)), nil
@@ -173,12 +171,18 @@ func (o Outcome) Hit() bool { return o == OutcomeHit }
 
 // Run replays the whole workload and returns the result.
 func (s *Simulator) Run(w *Workload) *Result {
-	n := w.NumRequests()
-	for i := 0; i < n; i++ {
+	s.run(w, 0, w.NumRequests())
+	return s.Result()
+}
+
+// run replays events [lo, hi) of w. It is the one replay loop: Run calls
+// it once, a journaled sweep cell once per progress tick, so journaling
+// adds nothing per event.
+func (s *Simulator) run(w *Workload, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		ev := w.replayEvent(i)
 		s.Process(&ev)
 	}
-	return s.Result()
 }
 
 // allocTables builds the per-document tables over the workload's

@@ -165,8 +165,7 @@ func TestAdmissionJournalRoundTrip(t *testing.T) {
 }
 
 // TestAdmissionSweepGrid checks the full policy × admission × capacity
-// ordering and that only unfiltered LRU cells may ride the MRC fast
-// path (the one-pass engine models unconditional admission).
+// ordering and that only filtered cells carry admission counters.
 func TestAdmissionSweepGrid(t *testing.T) {
 	w := build(t, 0, oneHitWonderStream()...)
 	results, err := Sweep(w, SweepConfig{

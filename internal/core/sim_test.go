@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -205,6 +207,9 @@ func TestSimulatorConfigValidation(t *testing.T) {
 	}
 	if _, err := NewSimulator(w, Config{Capacity: 100, Policy: lruFactory(), WarmupFraction: 1.5}); err == nil {
 		t.Error("warmup >= 1 accepted")
+	}
+	if _, err := NewSimulator(w, Config{Capacity: 100, Policy: lruFactory(), WarmupFraction: math.NaN()}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("NaN warmup: got %v, want ErrBadConfig", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,7 +12,7 @@ import (
 	"webcachesim/internal/trace"
 )
 
-func sweepWorkload(t *testing.T, n int) *Workload {
+func sweepWorkload(t testing.TB, n int) *Workload {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	exts := []string{"gif", "html", "mp3", "pdf"}
@@ -24,31 +25,43 @@ func sweepWorkload(t *testing.T, n int) *Workload {
 	return build(t, 0, reqs...)
 }
 
+// TestSweepGridShapeAndOrder pins the result order, which holds by
+// construction: policy (grid order), then admission (grid order), then
+// capacity ascending, whatever order the capacities were given in.
 func TestSweepGridShapeAndOrder(t *testing.T) {
 	w := sweepWorkload(t, 3000)
 	policies := policy.StudyFactories()[:3]
 	caps := []int64{400_000, 100_000, 1_600_000} // deliberately unsorted
-	results, err := Sweep(w, SweepConfig{Policies: policies, Capacities: caps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 9 {
-		t.Fatalf("got %d results, want 9", len(results))
-	}
-	idx := 0
-	for _, f := range policies {
-		var prevCap int64
-		for c := 0; c < len(caps); c++ {
-			r := results[idx]
-			idx++
-			if r.Policy != f.Name {
-				t.Errorf("result %d policy %q, want %q", idx-1, r.Policy, f.Name)
+	for _, tc := range []struct {
+		name       string
+		admissions []policy.AdmitterFactory
+		want       []string // Result.AdmissionName per admission, in grid order
+	}{
+		{"no admission axis", nil, []string{"none"}},
+		{"two admissions", []policy.AdmitterFactory{rejectAllFactory(), policy.NoAdmission()}, []string{"reject-all", "none"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			results, err := Sweep(w, SweepConfig{Policies: policies, Admissions: tc.admissions, Capacities: caps})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if r.Capacity <= prevCap {
-				t.Errorf("capacities not ascending within %s", f.Name)
+			if want := len(policies) * len(tc.want) * len(caps); len(results) != want {
+				t.Fatalf("got %d results, want %d", len(results), want)
 			}
-			prevCap = r.Capacity
-		}
+			idx := 0
+			for _, f := range policies {
+				for _, adm := range tc.want {
+					for _, c := range []int64{100_000, 400_000, 1_600_000} {
+						r := results[idx]
+						if r.Policy != f.Name || r.AdmissionName() != adm || r.Capacity != c {
+							t.Errorf("result %d is %s/%s/%d, want %s/%s/%d",
+								idx, r.Policy, r.AdmissionName(), r.Capacity, f.Name, adm, c)
+						}
+						idx++
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -87,9 +100,38 @@ func TestSweepValidation(t *testing.T) {
 	if _, err := Sweep(w, SweepConfig{Policies: policy.StudyFactories()}); err == nil {
 		t.Error("sweep without capacities accepted")
 	}
-	bad := SweepConfig{Policies: policy.StudyFactories(), Capacities: []int64{0}}
-	if _, err := Sweep(w, bad); err == nil {
-		t.Error("sweep with zero capacity accepted")
+	for name, capacities := range map[string][]int64{
+		"zero capacity":        {0},
+		"negative capacity":    {100, -1},
+		"duplicate capacities": {200, 100, 200},
+	} {
+		_, err := Sweep(w, SweepConfig{Policies: policy.StudyFactories(), Capacities: capacities})
+		if !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: got %v, want ErrBadConfig", name, err)
+		}
+	}
+	nan := SweepConfig{Policies: policy.StudyFactories(), Capacities: []int64{100}, WarmupFraction: math.NaN()}
+	if _, err := Sweep(w, nan); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("NaN warmup: got %v, want ErrBadConfig", err)
+	}
+}
+
+func TestSweepRejectsBadPolicySets(t *testing.T) {
+	w := cleanWorkload(t, 100, 10, 1, 0)
+	lru := policy.StudyFactories()[0]
+	dup := SweepConfig{
+		Policies:   []policy.Factory{lru, lru},
+		Capacities: []int64{1000, 2000},
+	}
+	if _, err := Sweep(w, dup); err == nil {
+		t.Error("duplicate policy names accepted")
+	}
+	nilNew := SweepConfig{
+		Policies:   []policy.Factory{{Name: "broken"}},
+		Capacities: []int64{1000},
+	}
+	if _, err := Sweep(w, nilNew); err == nil {
+		t.Error("nil policy constructor accepted")
 	}
 }
 

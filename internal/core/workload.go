@@ -79,12 +79,6 @@ type Workload struct {
 	// was computed with; it travels with the workload so a WCT3 image
 	// records which rule its columns embody.
 	threshold float64
-
-	// maxDocSize, sizeRecharge and sizeShrink gate the one-pass MRC fast
-	// path; see MRCExact and docs/MRC.md.
-	maxDocSize   int64
-	sizeRecharge bool
-	sizeShrink   bool
 }
 
 // NumDocs returns the number of distinct documents.
@@ -154,39 +148,10 @@ func (w *Workload) CapacityAt(pct float64, floor int64) int64 {
 	return max(int64(pct/100*float64(w.distinctBytes)), floor)
 }
 
-// MaxDocSize returns the largest per-event document size in the stream.
-func (w *Workload) MaxDocSize() int64 { return w.maxDocSize }
-
 // ModifyThreshold returns the resolved modification threshold the
 // workload's modification decisions were made with (never 0; negative
 // selects the any-change ablation rule).
 func (w *Workload) ModifyThreshold() float64 { return w.threshold }
-
-// MRCExact reports whether the one-pass LRU stack-distance engine
-// (internal/mrc) is bit-exact against per-cell simulation for every cache
-// capacity of at least minCapacity bytes. Three stream conditions must
-// hold:
-//
-//   - No document exceeds the capacity: the simulator never inserts such
-//     documents, while the stack model has no per-capacity insertion
-//     decision.
-//   - No document's recorded size changes without a modification: the
-//     simulator's recharge path adjusts a resident copy in place and can
-//     evict documents — including the recharged one — in an order the
-//     stack model does not reproduce.
-//   - No document's recorded size ever decreases: a shrink lowers the
-//     stack depth of every document beneath it, and the stack model would
-//     resurrect previously evicted documents that now "fit" — something a
-//     demand-eviction cache cannot do.
-//
-// All other transitions (re-references, equal-size or growing
-// modifications) only ever deepen the stack, and demand eviction from the
-// recency tail restores the residents-are-a-stack-prefix invariant
-// exactly. On traces failing the test the engine is still a close
-// approximation; see docs/MRC.md.
-func (w *Workload) MRCExact(minCapacity int64) bool {
-	return !w.sizeRecharge && !w.sizeShrink && w.maxDocSize <= minCapacity
-}
 
 // BuildWorkload scans a preprocessed request stream and produces the
 // immutable workload replayed by simulations. threshold is the relative
@@ -218,9 +183,6 @@ func BuildWorkload(r trace.Reader, threshold float64) (*Workload, error) {
 	w.classOf = ing.classOf
 	w.finalSize = ing.last
 	w.threshold = ing.threshold
-	w.maxDocSize = ing.maxDocSize
-	w.sizeRecharge = ing.sizeRecharge
-	w.sizeShrink = ing.sizeShrink
 	// Tally the distinct-document volume at final sizes.
 	for _, s := range w.finalSize {
 		w.distinctBytes += s
@@ -237,11 +199,6 @@ type ingest struct {
 	classOf   []doctype.Class
 	last      []int64
 	threshold float64
-
-	// Workload statistics gathered along the way (see Workload.MRCExact).
-	maxDocSize   int64
-	sizeRecharge bool
-	sizeShrink   bool
 }
 
 func newIngest(threshold float64) *ingest {
@@ -270,19 +227,7 @@ func (g *ingest) step(req *trace.Request) (ev Event, newDoc bool) {
 		size = 1 // zero-byte responses still occupy an entry
 	}
 	modified, docSize := decideModification(g.threshold, g.last[id], size, knownFull)
-	// Stream statistics for the MRC exactness gate (Workload.MRCExact).
-	if prev := g.last[id]; !newDoc {
-		if !modified && docSize != prev {
-			g.sizeRecharge = true
-		}
-		if docSize < prev {
-			g.sizeShrink = true
-		}
-	}
 	g.last[id] = docSize
-	if docSize > g.maxDocSize {
-		g.maxDocSize = docSize
-	}
 
 	transfer := req.TransferSize
 	if transfer < 0 {

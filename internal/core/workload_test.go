@@ -20,7 +20,7 @@ func xfer(url string, transfer int64) *trace.Request {
 	return &trace.Request{URL: url, Status: 200, TransferSize: transfer}
 }
 
-func build(t *testing.T, threshold float64, reqs ...*trace.Request) *Workload {
+func build(t testing.TB, threshold float64, reqs ...*trace.Request) *Workload {
 	t.Helper()
 	w, err := BuildWorkload(trace.NewSliceReader(reqs), threshold)
 	if err != nil {

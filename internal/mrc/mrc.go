@@ -1,6 +1,8 @@
 // Package mrc computes LRU miss-ratio curves in one pass over a request
-// stream, replacing a per-cache-size grid of full replays with a single
-// Mattson-style stack-distance scan.
+// stream: a single Mattson-style stack-distance scan instead of a
+// per-cache-size grid of full replays. The simulator does not call it; it
+// is the independent implementation of byte-capacity LRU that
+// internal/core's tests hold the simulator against.
 //
 // The classical observation (Mattson et al. 1970) is that LRU is a stack
 // algorithm: at every cache size the resident set is a prefix of the
@@ -20,9 +22,9 @@
 // can even evict the document itself), and a document's recorded size
 // shrinking (which lowers the stack depth of everything beneath it and
 // would resurrect documents a demand-eviction cache has already dropped).
-// All three are detectable from the trace alone, so callers can decide
-// when the scan is bit-exact. See docs/MRC.md for the argument and
-// core.Workload.MRCExact for the gate.
+// All three are detectable from the trace alone, so a caller can decide
+// when the scan is bit-exact. See docs/MRC.md for the argument;
+// internal/core's lru_oracle_test.go checks them on its fixtures.
 //
 // The scan keeps two Fenwick trees indexed by last-access position: one
 // accumulating distinct-document counts, one accumulating resident bytes.
@@ -56,8 +58,8 @@ type Request struct {
 	TransferSize int64
 }
 
-// Source is a random-access request stream. core.Workload satisfies it
-// through a thin adapter; tests use slice-backed sources.
+// Source is a random-access request stream: a thin adapter over
+// core.Workload in that package's tests, a slice here.
 type Source interface {
 	NumRequests() int
 	NumDocs() int

@@ -31,8 +31,8 @@ import (
 //	offset 16   uint64  numDocs
 //	offset 24   int64   totalBytes      (Σ transfer sizes)
 //	offset 32   int64   distinctBytes   (Σ final document sizes)
-//	offset 40   int64   maxDocSize
-//	offset 48   uint64  flags           (bit 0 sizeRecharge, bit 1 sizeShrink)
+//	offset 40   int64   reserved        (written 0, ignored on read)
+//	offset 48   uint64  flags           (bits 0-1 legacy: written set, ignored on read; others must be 0)
 //	offset 56   float64 threshold       (modification rule baked into the columns)
 //	offset 64   10 × {uint64 offset, uint64 length}  section table
 //	offset 224  sections:
@@ -67,9 +67,12 @@ const (
 	columnarSections   = 10
 	columnarHeaderSize = 64 + columnarSections*16
 
-	columnarFlagSizeRecharge = 1 << 0
-	columnarFlagSizeShrink   = 1 << 1
-	columnarKnownFlags       = columnarFlagSizeRecharge | columnarFlagSizeShrink
+	// columnarLegacyFlags are the two bits (with the int64 at offset 40)
+	// that once told core.Sweep a one-pass LRU scan would be exact on this
+	// stream. Nothing reads them now; they are written set so that a
+	// binary which still does declines the scan instead of trusting a
+	// gate nobody computed.
+	columnarLegacyFlags = 1<<0 | 1<<1
 )
 
 // hostLittleEndian gates the zero-copy views: on a big-endian host every
@@ -99,9 +102,6 @@ type Columnar struct {
 	// Workload statistics carried through from the conversion.
 	TotalBytes    int64
 	DistinctBytes int64
-	MaxDocSize    int64
-	SizeRecharge  bool
-	SizeShrink    bool
 	// Threshold is the modification threshold the Modified column was
 	// computed with (the resolved value, never 0).
 	Threshold float64
@@ -185,15 +185,7 @@ func EncodeColumnar(w io.Writer, c *Columnar) error {
 	le.PutUint64(hdr[16:], uint64(d))
 	le.PutUint64(hdr[24:], uint64(c.TotalBytes))
 	le.PutUint64(hdr[32:], uint64(c.DistinctBytes))
-	le.PutUint64(hdr[40:], uint64(c.MaxDocSize))
-	var flags uint64
-	if c.SizeRecharge {
-		flags |= columnarFlagSizeRecharge
-	}
-	if c.SizeShrink {
-		flags |= columnarFlagSizeShrink
-	}
-	le.PutUint64(hdr[48:], flags)
+	le.PutUint64(hdr[48:], columnarLegacyFlags)
 	le.PutUint64(hdr[56:], math.Float64bits(c.Threshold))
 	for i, s := range tab {
 		le.PutUint64(hdr[64+i*16:], s[0])
@@ -337,9 +329,8 @@ func DecodeColumnar(data []byte) (*Columnar, error) {
 	if n > size || d > size {
 		return nil, fmt.Errorf("trace: corrupt columnar trace: %d requests / %d documents exceed %d file bytes", n, d, size)
 	}
-	flags := le.Uint64(data[48:])
-	if flags&^uint64(columnarKnownFlags) != 0 {
-		return nil, fmt.Errorf("trace: columnar trace carries unknown flags %#x", flags&^uint64(columnarKnownFlags))
+	if unknown := le.Uint64(data[48:]) &^ columnarLegacyFlags; unknown != 0 {
+		return nil, fmt.Errorf("trace: columnar trace carries unknown flags %#x", unknown)
 	}
 	threshold := math.Float64frombits(le.Uint64(data[56:]))
 	if math.IsNaN(threshold) || math.IsInf(threshold, 0) {
@@ -366,9 +357,6 @@ func DecodeColumnar(data []byte) (*Columnar, error) {
 	c := &Columnar{
 		TotalBytes:    int64(le.Uint64(data[24:])),
 		DistinctBytes: int64(le.Uint64(data[32:])),
-		MaxDocSize:    int64(le.Uint64(data[40:])),
-		SizeRecharge:  flags&columnarFlagSizeRecharge != 0,
-		SizeShrink:    flags&columnarFlagSizeShrink != 0,
 		Threshold:     threshold,
 	}
 	c.Millis = viewInt64(secs[0])

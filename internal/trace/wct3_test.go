@@ -27,8 +27,6 @@ func sampleColumnar() *Columnar {
 		FinalSize:     []int64{120, 2100, 9000},
 		TotalBytes:    13320,
 		DistinctBytes: 11220,
-		MaxDocSize:    9000,
-		SizeRecharge:  true,
 		Threshold:     0.05,
 	}
 	c.SetKeys([]string{"http://a/x.gif", "http://a/y.html", "http://b/z.mp3"})
@@ -57,8 +55,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 		t.Errorf("columns do not round-trip:\n got %+v\nwant %+v", got, c)
 	}
 	if got.TotalBytes != c.TotalBytes || got.DistinctBytes != c.DistinctBytes ||
-		got.MaxDocSize != c.MaxDocSize || got.SizeRecharge != c.SizeRecharge ||
-		got.SizeShrink != c.SizeShrink || got.Threshold != c.Threshold {
+		got.Threshold != c.Threshold {
 		t.Errorf("header stats do not round-trip: %+v", got)
 	}
 	if !reflect.DeepEqual(got.Keys(), c.Keys()) {
@@ -78,6 +75,35 @@ func TestColumnarRoundTripEmpty(t *testing.T) {
 	}
 	if got.NumRequests() != 0 || got.NumDocs() != 0 {
 		t.Errorf("counts = %d/%d, want 0/0", got.NumRequests(), got.NumDocs())
+	}
+}
+
+// TestColumnarLegacyHeaderFields pins both directions of compatibility
+// with images and binaries from when offsets 40 and 48 gated a one-pass
+// LRU scan: an old image decodes to the same view whatever it stored
+// there, and a new image stores the values that make an old binary
+// decline the scan.
+func TestColumnarLegacyHeaderFields(t *testing.T) {
+	le := binary.LittleEndian
+	fresh := encodeColumnar(t, sampleColumnar())
+	if got40, got48 := le.Uint64(fresh[40:]), le.Uint64(fresh[48:]); got40 != 0 || got48 != 3 {
+		t.Errorf("encoder wrote %d at offset 40 and %#x at offset 48, want 0 and 0x3", got40, got48)
+	}
+	want, err := DecodeColumnar(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for flags := uint64(0); flags < 4; flags++ {
+		old := bytes.Clone(fresh)
+		le.PutUint64(old[40:], 9000) // maxDocSize, as the old encoder wrote it
+		le.PutUint64(old[48:], flags)
+		got, err := DecodeColumnar(old)
+		if err != nil {
+			t.Fatalf("flags %#x: %v", flags, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("flags %#x: legacy header changed the decoded image", flags)
+		}
 	}
 }
 
