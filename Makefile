@@ -6,10 +6,12 @@ GO ?= go
 .PHONY: build fmt vet wcvet vet-json test race bench bench-check smoke lines lines-by-pkg lines-check check
 
 # The second build compiles the !unix side of the build-tagged file pairs
-# (trace/mm, the pool's arena), which nothing else does.
+# (trace/mm, the pool's arena), which nothing else does; the third, a
+# 32-bit int (the pool's class arithmetic, trace/mm's offsets).
 build:
 	$(GO) build ./...
 	GOOS=windows $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
 
 # Fails when any file is not gofmt-clean; `gofmt -l .` names them.
 fmt:
@@ -82,7 +84,7 @@ lines-by-pkg:
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 19303
+LINES_MAX = 19325
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

@@ -43,9 +43,14 @@ const (
 	// and the oversize probe reads one byte past it).
 	minShift = 9
 	maxShift = 24
-	// NumClasses is the number of power-of-two size classes (a finer grid
-	// was measured and not kept: docs/PROXY.md, "The buffer pool").
-	NumClasses = maxShift - minShift + 1
+	// Up to 1<<fineShift (64 KiB) the grid has four classes per octave —
+	// slots there share pages, so their padding is resident — and powers of
+	// two above it, where an unwritten tail is only address space
+	// (docs/PROXY.md, "The buffer pool").
+	fineShift   = 16
+	fineClasses = 4*(fineShift-minShift) + 1 // 512 B … 64 KiB
+	// NumClasses is the number of size classes.
+	NumClasses = fineClasses + maxShift - fineShift
 
 	// MinClassBytes and MaxClassBytes are the smallest and largest pooled
 	// buffer sizes; requests above MaxClassBytes bypass the pool.
@@ -155,11 +160,21 @@ func classFor(n int) int {
 	if n <= MinClassBytes {
 		return 0
 	}
-	return bits.Len(uint(n-1)) - minShift
+	e := bits.Len(uint(n-1)) - 1 // 1<<e < n <= 1<<(e+1)
+	if e >= fineShift {
+		return fineClasses + e - fineShift
+	}
+	// The quarter of octave e that n-1 falls in: its two bits below the top.
+	return 4*(e-minShift) + (n-1)>>(e-2)&3 + 1
 }
 
 // classSize returns class c's slot size in bytes.
-func classSize(c int) int { return 1 << (minShift + c) }
+func classSize(c int) int {
+	if c >= fineClasses {
+		return 1 << (fineShift + c - fineClasses + 1)
+	}
+	return (4 + c%4) << (minShift - 2 + c/4)
+}
 
 // Get returns a buffer with at least n usable bytes: the smallest class
 // that fits, with B sliced to the full class size. The bytes are not

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// The class grid, whatever its spacing: every request gets the smallest
-// class that holds it, classes grow strictly, and the ends are where the
-// exported bounds say.
+// The class grid: every request gets the smallest class that holds it,
+// classes grow strictly, the ends are where the exported bounds say, and
+// padding is bounded — under a quarter of the request up to 64 KiB, where
+// it is resident, and under the request itself above.
 func TestClassFor(t *testing.T) {
 	if got := classSize(0); got != MinClassBytes {
 		t.Errorf("classSize(0) = %d, want %d", got, MinClassBytes)
@@ -35,6 +36,18 @@ func TestClassFor(t *testing.T) {
 			if got := classFor(n); got != c {
 				t.Errorf("classFor(%d) = %d, want %d (classes %d and %d bytes)", n, got, c, below, size)
 			}
+		}
+		// below+1 is the class's worst fit: size/n only falls as n grows.
+		if n := below + 1; n <= 64<<10 && 4*size >= 5*n {
+			t.Errorf("classSize(classFor(%d)) = %d, want < 1.25·n", n, size)
+		} else if size >= 2*n {
+			t.Errorf("classSize(classFor(%d)) = %d, want < 2·n", n, size)
+		}
+	}
+	// Every power of two in range is a class of its own.
+	for n := MinClassBytes; n <= MaxClassBytes; n *= 2 {
+		if got := classSize(classFor(n)); got != n {
+			t.Errorf("classSize(classFor(%d)) = %d, want %[1]d", n, got)
 		}
 	}
 }

@@ -437,7 +437,14 @@ func TestExpiry(t *testing.T) {
 		{"garbage rejected", http.Header{"Cache-Control": {"max-age=soon"}}, time.Time{}},
 		{"expires header", http.Header{"Expires": {httpDate}}, now.Add(90 * time.Second)},
 		{"max-age beats expires", http.Header{"Cache-Control": {"max-age=60"}, "Expires": {httpDate}}, now.Add(60 * time.Second)},
-		{"bad expires", http.Header{"Expires": {"not a date"}}, time.Time{}},
+		// RFC 9111 §5.3: an invalid date, "0" above all, is already expired.
+		{"bad expires", http.Header{"Expires": {"not a date"}}, now},
+		{"expires 0", http.Header{"Expires": {"0"}}, now},
+		// RFC 9111 §1.2.2: delta-seconds clamp at 2³¹ rather than overflow
+		// time.Duration into an entry born stale.
+		{"max-age past Duration", http.Header{"Cache-Control": {"max-age=10000000000"}}, now.Add(maxDeltaSeconds * time.Second)},
+		{"s-maxage max int64", http.Header{"Cache-Control": {"s-maxage=9223372036854775807"}}, now.Add(maxDeltaSeconds * time.Second)},
+		{"max-age past int64", http.Header{"Cache-Control": {"max-age=99999999999999999999"}}, now.Add(maxDeltaSeconds * time.Second)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -447,6 +454,52 @@ func TestExpiry(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzExpiry holds the header readers to what a cache may not get wrong
+// on any input: expiry never panics, and a digits-only max-age/s-maxage —
+// however many digits — never dates an entry before its arrival;
+// containsToken never panics and finds tok, in any ASCII case, as one
+// comma-separated element whatever surrounds it.
+func FuzzExpiry(f *testing.F) {
+	for _, seed := range []struct{ cc, expires, digits, tok string }{
+		{"max-age=60", "", "60", "no-store"},
+		{"s-maxage=9223372036854775807", "0", "10000000000", "private"},
+		{"max-age=-5, s-maxage=x", "Thu, 01 Jan 1970 00:00:00 GMT", "99999999999999999999", "No-Store"},
+		{"public,,  private ,", "not a date", "0", "public"},
+		{"", "", "", ""},
+	} {
+		f.Add(seed.cc, seed.expires, seed.digits, seed.tok, false)
+		f.Add(seed.cc, seed.expires, seed.digits, seed.tok, true)
+	}
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, cc, expires, digits, tok string, shared bool) {
+		expiry(http.Header{"Cache-Control": {cc}, "Expires": {expires}}, now)
+		containsToken(cc, tok)
+
+		if digits != "" && strings.Trim(digits, "0123456789") == "" {
+			directive := "max-age"
+			if shared {
+				directive = "s-maxage"
+			}
+			h := http.Header{"Cache-Control": {directive + "=" + digits + ", " + cc}, "Expires": {expires}}
+			if got := expiry(h, now); got.Before(now) {
+				t.Errorf("expiry(%q) = %v, before its arrival at %v", h, got, now)
+			}
+		}
+		if tok == "" || strings.Contains(tok, ",") || strings.TrimSpace(tok) != tok {
+			return // not a single element
+		}
+		flipped := []byte(tok)
+		for i, c := range flipped {
+			if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' {
+				flipped[i] = c ^ 0x20
+			}
+		}
+		if header := cc + ", " + string(flipped) + "\t," + cc; !containsToken(header, tok) {
+			t.Errorf("containsToken(%q, %q) = false", header, tok)
+		}
+	})
 }
 
 // TestFresh pins the zero-Expires contract: entries without expiry

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -185,6 +187,75 @@ func TestFastKeyFallback(t *testing.T) {
 	s.ServeHTTP(second, req)
 	if second.Header().Get("X-Cache") != "HIT" || !bytes.Equal(second.Body.Bytes(), want) {
 		t.Fatalf("second: X-Cache=%q bodyOK=%v", second.Header().Get("X-Cache"), bytes.Equal(second.Body.Bytes(), want))
+	}
+}
+
+// TestBodySizedByContentLength pins the fetch stage's sizing contract: a
+// body whose length the origin declares is read into the one slot cl+1
+// names — one acquire, no Grow step, no abandoned intermediate slot —
+// whatever the length up to MaxObjectBytes; a chunked body, whose length
+// nobody declared, still arrives byte-identical through Grow.
+func TestBodySizedByContentLength(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		if r.URL.Path == "/chunked.bin" {
+			body := patternBody(r.URL.Path, 100<<10)
+			for len(body) > 0 {
+				n := min(len(body), 10<<10)
+				_, _ = w.Write(body[:n])
+				w.(http.Flusher).Flush()
+				body = body[n:]
+			}
+			return
+		}
+		n, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/len/"))
+		if err != nil {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(n))
+		_, _ = w.Write(patternBody(r.URL.Path, n))
+	}))
+	t.Cleanup(origin.Close)
+	u, err := url.Parse(origin.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// miss serves path once on a fresh server and pool, checks the body,
+	// and returns the pool's ledger: the key scratch (one 512 B slot, held
+	// through the request) plus whatever the body took.
+	miss := func(path string, size int) pool.Stats {
+		t.Helper()
+		p := pool.New()
+		s, err := New(Config{Capacity: 64 << 20, Origin: u, Transport: origin.Client().Transport, Buffers: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		s.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		if rr.Header().Get("X-Cache") != "MISS" || !bytes.Equal(rr.Body.Bytes(), patternBody(path, size)) {
+			t.Fatalf("%s: X-Cache %q, %d bytes; want a MISS with the origin's %d", path, rr.Header().Get("X-Cache"), rr.Body.Len(), size)
+		}
+		if s.Len() != 1 {
+			t.Fatalf("%s: %d entries cached, want 1", path, s.Len())
+		}
+		st := p.Stats()
+		if st.Outstanding() != 1 || st.Bypass != 0 {
+			t.Fatalf("%s: pool %+v; want the entry's body outstanding and nothing else", path, st)
+		}
+		return st
+	}
+	for _, cl := range []int{0, 1, 511, 512, 64<<10 - 1, 64 << 10, 100 << 10, 3 << 20, DefaultMaxObjectBytes} {
+		st := miss("/len/"+strconv.Itoa(cl), cl)
+		if st.Acquires != 2 {
+			t.Errorf("Content-Length %d: %d acquires, want 2 (key scratch and one body slot)", cl, st.Acquires)
+		}
+		if slot, want := st.ArenaBytes-pool.MinClassBytes, int64(pool.New().Get(cl+1).Len()); slot != want {
+			t.Errorf("Content-Length %d: body slots carved %d bytes, want %d: one slot of cl+1's class", cl, slot, want)
+		}
+	}
+	if st := miss("/chunked.bin", 100<<10); st.Acquires < 3 {
+		t.Errorf("chunked body: %d acquires; want the key scratch and at least one Grow step", st.Acquires)
 	}
 }
 

@@ -768,24 +768,22 @@ func (s *Server) readResponse(key string, resp *http.Response, cancel context.Ca
 	)}, nil
 }
 
-// readBody reads the origin response body into a pooled buffer, up to
+// readBody reads an upstream body into a pooled buffer, up to
 // MaxObjectBytes+1 bytes — one past the cacheable bound, so the caller
 // can tell "fits" from an oversize body of undeclared length (a declared
-// one never gets here) — without io.ReadAll's grow-by-copy garbage: the
-// buffer steps through pool classes (each step recycling its
-// predecessor) and starts at the declared Content-Length when that is
-// small. The returned buffer is always non-nil; on a read error the
-// caller releases it.
+// one never gets here). A declared Content-Length sizes the buffer once:
+// net/http delivers no byte past it, so the body takes exactly the slot
+// its length names. Only an undeclared length (chunked) starts at 32 KiB
+// and steps through pool classes, each step recycling its predecessor.
+// The returned buffer is always non-nil; on a read error the caller
+// releases it.
 func (s *Server) readBody(resp *http.Response) (*pool.Buf, int, error) {
 	limit := int(s.cfg.MaxObjectBytes) + 1
-	want := 32 << 10
-	if cl := resp.ContentLength; cl >= 0 && cl+1 < int64(want) {
+	want := min(32<<10, limit)
+	if cl := resp.ContentLength; cl >= 0 {
 		// +1 leaves room for the EOF-detecting read past the declared
 		// length without a grow step.
 		want = int(cl) + 1
-	}
-	if want > limit {
-		want = limit
 	}
 	buf := s.buffers.Get(want)
 	n := 0
@@ -808,7 +806,8 @@ func (s *Server) readBody(resp *http.Response) (*pool.Buf, int, error) {
 
 // expiry derives an entry's freshness deadline from Cache-Control max-age
 // (s-maxage preferred, as for a shared cache) or the Expires header. The
-// zero time means "never stale".
+// zero time means "never stale"; an Expires that is not a date means
+// "already expired" (RFC 9111 §5.3).
 func expiry(h http.Header, now time.Time) time.Time {
 	cc := h.Get("Cache-Control")
 	if cc != "" {
@@ -823,12 +822,17 @@ func expiry(h http.Header, now time.Time) time.Time {
 		if t, err := http.ParseTime(exp); err == nil {
 			return t
 		}
+		return now // stale from the start: fresh needs now before Expires
 	}
 	return time.Time{}
 }
 
+// maxDeltaSeconds is where RFC 9111 §1.2.2 clamps a delta-seconds value;
+// 2³¹ s fits a time.Duration, a larger count overflows it into the past.
+const maxDeltaSeconds = 1 << 31
+
 // maxAge extracts a non-negative `directive=N` seconds value from a
-// Cache-Control header.
+// Cache-Control header, clamped at maxDeltaSeconds.
 func maxAge(cc, directive string) (int64, bool) {
 	for _, part := range strings.Split(cc, ",") {
 		part = strings.TrimSpace(part)
@@ -837,10 +841,13 @@ func maxAge(cc, directive string) (int64, bool) {
 			continue
 		}
 		secs, err := strconv.ParseInt(strings.TrimSpace(rest[1:]), 10, 64)
+		if errors.Is(err, strconv.ErrRange) && secs > 0 {
+			err = nil // more digits than int64 holds: clamped below
+		}
 		if err != nil || secs < 0 {
 			return 0, false
 		}
-		return secs, true
+		return min(secs, maxDeltaSeconds), true
 	}
 	return 0, false
 }
