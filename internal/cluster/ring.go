@@ -29,6 +29,12 @@ import (
 // change.
 const DefaultReplicas = 128
 
+// MaxReplicas bounds the virtual-node count a topology may ask for. The
+// load share stops improving long before it, and a ring of N nodes holds
+// N×replicas points, so an unbounded value is an allocation (or a
+// makeslice panic) at startup rather than a better spread.
+const MaxReplicas = 1 << 12
+
 // Ring is an immutable consistent-hash ring over a set of named nodes.
 // Each node contributes Replicas virtual points; a key is owned by the
 // node whose point follows the key's hash clockwise. The layout is a pure

@@ -17,9 +17,9 @@ import (
 // the sim/live parity check. See docs/CLUSTER.md for the format.
 type Topology struct {
 	// Replicas is the virtual-node count per peer (DefaultReplicas when
-	// omitted). All consumers of one topology must see the same value or
-	// they disagree on ownership — which is why it lives in the file, not
-	// in per-process flags.
+	// omitted, at most MaxReplicas). All consumers of one topology must
+	// see the same value or they disagree on ownership — which is why it
+	// lives in the file, not in per-process flags.
 	Replicas int `json:"replicas,omitempty"`
 	// Nodes are the leaf cache peers forming the consistent-hash ring.
 	Nodes []Node `json:"nodes"`
@@ -78,8 +78,8 @@ func (t *Topology) validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("cluster: topology has no nodes")
 	}
-	if t.Replicas < 0 {
-		return fmt.Errorf("cluster: negative replicas %d", t.Replicas)
+	if t.Replicas < 0 || t.Replicas > MaxReplicas {
+		return fmt.Errorf("cluster: replicas %d outside [0, %d]", t.Replicas, MaxReplicas)
 	}
 	seen := make(map[string]bool, len(t.Nodes)+len(t.Parents))
 	check := func(kind string, nodes []Node) error {

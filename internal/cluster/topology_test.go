@@ -86,6 +86,10 @@ func TestTopologyValidation(t *testing.T) {
 		`{"nodes":[{"name":"a","url":"http://x","policy":"magic"}]}`,
 		`{"nodes":[{"name":"a","url":"http://x"}],"parents":[{"name":"a","url":"http://y"}]}`,
 		`{"replicas":-1,"nodes":[{"name":"a","url":"http://x"}]}`,
+		// A ring holds nodes×replicas points: 2^62 of them is a makeslice
+		// panic in Ring, so the file is refused before anything is built.
+		`{"replicas":4611686018427387904,"nodes":[{"name":"a","url":"http://x"}]}`,
+		`{"replicas":4097,"nodes":[{"name":"a","url":"http://x"}]}`,
 		// URLs every consumer dials must be absolute http(s).
 		`{"nodes":[{"name":"a","url":"n1"}]}`,
 		`{"nodes":[{"name":"a","url":"localhost:8080"}]}`,
@@ -115,4 +119,44 @@ func TestLoadTopology(t *testing.T) {
 	if _, err := LoadTopology(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file: want error")
 	}
+}
+
+// FuzzParseTopology holds ParseTopology to its promise that a document it
+// accepts can be served: the ring builds, every node's capacity and policy
+// resolve, and every leaf can list its peers, without an error or a panic.
+func FuzzParseTopology(f *testing.F) {
+	for _, seed := range []string{
+		sampleTopology,
+		`{"replicas":4611686018427387904,"nodes":[{"name":"a","url":"http://x"}]}`,
+		`{"replicas":4096,"nodes":[{"name":"a","url":"http://x","capacity":"1e30GB","policy":"gdstar:beta=nan"}]}`,
+		`{"nodes":[{"name":"a","url":"https://x:1","admin":"http://y","policy":"typeaware+gds:p"}],"parents":[{"name":"p","url":"http://z","capacity":"0"}]}`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		topo, err := ParseTopology([]byte(doc))
+		if err != nil {
+			return
+		}
+		if _, err := topo.Ring(); err != nil {
+			t.Fatalf("Ring of an accepted topology: %v", err)
+		}
+		for _, nodes := range [][]Node{topo.Nodes, topo.Parents} {
+			for _, n := range nodes {
+				if _, err := n.CapacityBytes(1); err != nil {
+					t.Fatalf("node %q CapacityBytes: %v", n.Name, err)
+				}
+				fac, err := n.PolicyFactory()
+				if err != nil {
+					t.Fatalf("node %q PolicyFactory: %v", n.Name, err)
+				}
+				fac.New()
+			}
+		}
+		for _, n := range topo.Nodes {
+			if _, err := topo.PeerURLs(n.Name); err != nil {
+				t.Fatalf("PeerURLs(%q): %v", n.Name, err)
+			}
+		}
+	})
 }

@@ -25,10 +25,6 @@ func TestLockOrder(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.LockOrder, "lockorder/cache")
 }
 
-func TestAtomicField(t *testing.T) {
-	linttest.Run(t, "testdata/src", lint.AtomicField, "atomicfield/a")
-}
-
 func TestGoroExit(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.GoroExit, "goroexit/load")
 }
@@ -46,7 +42,7 @@ func TestRealPackagesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := lint.NewLoader(root, true)
+	loader := lint.NewLoader(root)
 	pkgs, err := loader.Load([]string{
 		"./internal/container/pqueue",
 		"./internal/container/intlist",
@@ -68,16 +64,11 @@ func TestRealPackagesClean(t *testing.T) {
 			t.Errorf("%s: type error: %v", pkg.PkgPath, e)
 		}
 	}
-	res, err := lint.Run(pkgs, lint.All())
+	diags, err := lint.Run(pkgs, lint.All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range res.Diagnostics {
+	for _, d := range diags {
 		t.Errorf("unexpected finding: %s", d)
-	}
-	for _, s := range res.Suppressions {
-		if s.Count == 0 {
-			t.Errorf("stale suppression at %s: //lint:ignore %s suppresses nothing", s.Pos, s.Analyzer)
-		}
 	}
 }

@@ -31,8 +31,8 @@ import (
 //	// client went away; the response was already committed
 //	_ = w.Write(body)
 //
-// which keeps every ignored error auditable. //lint:ignore directives and
-// fixture want-annotations do not count as justification.
+// which keeps every ignored error auditable. Fixture want-annotations do
+// not count as justification.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "no silently discarded errors in the hot paths; blank-assigned " +
@@ -128,16 +128,14 @@ func checkBlankErrAssign(pass *Pass, comments map[int]bool, as *ast.AssignStmt) 
 }
 
 // justificationLines returns the set of lines in f carrying a comment
-// usable as a drop justification. //lint: directives and // want fixture
-// annotations are excluded — a suppression or a test expectation is not
-// an explanation.
+// usable as a drop justification. // want fixture annotations are
+// excluded — a test expectation is not an explanation.
 func justificationLines(pass *Pass, f *ast.File) map[int]bool {
 	lines := map[int]bool{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
-			trimmed := strings.TrimSpace(text)
-			if strings.HasPrefix(trimmed, "want ") || strings.HasPrefix(c.Text, "//lint:") {
+			if strings.HasPrefix(strings.TrimSpace(text), "want ") {
 				continue
 			}
 			start := pass.Fset.Position(c.Pos()).Line

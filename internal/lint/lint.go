@@ -20,8 +20,6 @@
 //   - lockorder: inside the sharded cache, at most one shard mutex is
 //     held at a time, and no mutex is held across a channel operation or
 //     an origin fetch.
-//   - atomicfield: a struct field managed through sync/atomic is never
-//     read or written plainly anywhere in its package.
 //   - goroexit: goroutines in the concurrent serving/simulation packages
 //     have a bounded exit: joined by a WaitGroup or looping on a
 //     close/ctx.Done signal.
@@ -29,18 +27,10 @@
 //     never discarded silently; a blank assignment needs an adjacent
 //     justification comment.
 //
-// Diagnostics can be suppressed with an auditable directive,
-//
-//	//lint:ignore <analyzer>[,<analyzer>...] <reason>
-//
-// placed on the flagged line or on the line directly above it. Run counts
-// every suppression and reports it alongside the surviving diagnostics; a
-// directive naming an unknown analyzer, or missing its reason, is itself a
-// diagnostic (analyzer name "lintignore").
-//
-// The cmd/wcvet command runs all of the analyzers (plus selected stock go
-// vet passes) over the repository, with per-analyzer enable flags and a
-// -json machine-readable mode for CI.
+// There is no suppression directive: a deliberate exception is written
+// in the form the analyzer accepts (errdrop's justification comment), or
+// the analyzer is narrowed. The cmd/wcvet command runs all of the
+// analyzers over the given packages.
 package lint
 
 import (
@@ -50,7 +40,6 @@ import (
 	"go/types"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -113,59 +102,17 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		EvictLoop, FloatCmp, ClockMono,
-		LockOrder, AtomicField, GoroExit, ErrDrop,
+		LockOrder, GoroExit, ErrDrop,
 	}
 }
 
-// IgnoreAnalyzer names the pseudo-analyzer under which malformed
-// //lint:ignore directives are reported. Directive diagnostics cannot
-// themselves be suppressed.
-const IgnoreAnalyzer = "lintignore"
-
-// Suppression records one diagnostic class silenced by a //lint:ignore
-// directive: which analyzer, where, why, and how many findings it
-// absorbed. Directives with Count zero suppressed nothing — they are
-// still reported so stale suppressions stay visible.
-type Suppression struct {
-	// Analyzer is the analyzer the directive silences.
-	Analyzer string
-	// Pos locates the directive comment.
-	Pos token.Position
-	// Reason is the directive's mandatory justification text.
-	Reason string
-	// Count is the number of diagnostics the directive suppressed.
-	Count int
-}
-
-// Result is the outcome of a Run: the surviving diagnostics plus an audit
-// trail of everything //lint:ignore directives silenced.
-type Result struct {
-	// Diagnostics are the findings not covered by a suppression, sorted
-	// by file, line and column.
-	Diagnostics []Diagnostic
-	// Suppressions lists every valid //lint:ignore directive seen, with
-	// its suppressed-finding count.
-	Suppressions []Suppression
-}
-
-// SuppressedByAnalyzer totals the suppressed findings per analyzer.
-func (r *Result) SuppressedByAnalyzer() map[string]int {
-	out := map[string]int{}
-	for _, s := range r.Suppressions {
-		out[s.Analyzer] += s.Count
-	}
-	return out
-}
-
-// Run applies each analyzer to each package, resolves //lint:ignore
-// directives, and returns the surviving findings sorted by file, line and
-// column. Packages are analyzed in parallel (bounded by GOMAXPROCS); each
-// analyzer sees one package at a time, so analyzers need no locking of
-// their own.
-func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
+// Run applies each analyzer to each package and returns the findings
+// sorted by file, line, column and analyzer. Packages are analyzed in
+// parallel (bounded by GOMAXPROCS); each analyzer sees one package at a
+// time, so analyzers need no locking of their own.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	type pkgOut struct {
 		diags []Diagnostic
-		sups  []Suppression
 		err   error
 	}
 	outs := make([]pkgOut, len(pkgs))
@@ -177,153 +124,39 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			var diags []Diagnostic
 			for _, a := range analyzers {
 				ds, err := runOne(pkg, a)
 				if err != nil {
 					outs[i].err = fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
 					return
 				}
-				diags = append(diags, ds...)
+				outs[i].diags = append(outs[i].diags, ds...)
 			}
-			outs[i].diags, outs[i].sups = applyDirectives(pkg, diags)
 		}(i, pkg)
 	}
 	wg.Wait()
 
-	res := &Result{}
+	var diags []Diagnostic
 	for _, o := range outs {
 		if o.err != nil {
 			return nil, o.err
 		}
-		res.Diagnostics = append(res.Diagnostics, o.diags...)
-		res.Suppressions = append(res.Suppressions, o.sups...)
+		diags = append(diags, o.diags...)
 	}
-	sort.Slice(res.Diagnostics, func(i, j int) bool {
-		return posLess(res.Diagnostics[i].Pos, res.Diagnostics[j].Pos,
-			res.Diagnostics[i].Analyzer, res.Diagnostics[j].Analyzer)
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i].Pos, diags[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Column != b.Column {
+			return a.Column < b.Column
+		}
+		return diags[i].Analyzer < diags[j].Analyzer
 	})
-	sort.Slice(res.Suppressions, func(i, j int) bool {
-		return posLess(res.Suppressions[i].Pos, res.Suppressions[j].Pos,
-			res.Suppressions[i].Analyzer, res.Suppressions[j].Analyzer)
-	})
-	return res, nil
-}
-
-func posLess(a, b token.Position, aName, bName string) bool {
-	if a.Filename != b.Filename {
-		return a.Filename < b.Filename
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	if a.Column != b.Column {
-		return a.Column < b.Column
-	}
-	return aName < bName
-}
-
-// directive is one parsed //lint:ignore comment.
-type directive struct {
-	pos       token.Position
-	analyzers []string
-	reason    string
-	counts    []int // parallel to analyzers
-}
-
-// applyDirectives parses every //lint:ignore directive in the package,
-// validates it, and filters the diagnostics it covers. A directive covers
-// findings on its own line (trailing form) and on the line directly below
-// it (standalone form), in the same file. Malformed directives become
-// IgnoreAnalyzer diagnostics and suppress nothing.
-func applyDirectives(pkg *Package, diags []Diagnostic) ([]Diagnostic, []Suppression) {
-	known := map[string]bool{}
-	for _, a := range All() {
-		known[a.Name] = true
-	}
-	var dirs []*directive
-	var bad []Diagnostic
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, "//lint:ignore")
-				if !ok {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				names, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
-				reason = strings.TrimSpace(reason)
-				d := &directive{pos: pos, reason: reason}
-				valid := true
-				for _, name := range strings.Split(names, ",") {
-					name = strings.TrimSpace(name)
-					if !known[name] {
-						bad = append(bad, Diagnostic{
-							Analyzer: IgnoreAnalyzer,
-							Pos:      pos,
-							Message: fmt.Sprintf(
-								"//lint:ignore names unknown analyzer %q; run wcvet -h for the known set", name),
-						})
-						valid = false
-						continue
-					}
-					d.analyzers = append(d.analyzers, name)
-				}
-				if reason == "" {
-					bad = append(bad, Diagnostic{
-						Analyzer: IgnoreAnalyzer,
-						Pos:      pos,
-						Message:  "//lint:ignore requires a reason after the analyzer name; unexplained suppressions are unauditable",
-					})
-					valid = false
-				}
-				if valid && len(d.analyzers) > 0 {
-					d.counts = make([]int, len(d.analyzers))
-					dirs = append(dirs, d)
-				}
-			}
-		}
-	}
-
-	var out []Diagnostic
-	for _, dg := range diags {
-		suppressed := false
-		for _, d := range dirs {
-			if d.pos.Filename != dg.Pos.Filename {
-				continue
-			}
-			if dg.Pos.Line != d.pos.Line && dg.Pos.Line != d.pos.Line+1 {
-				continue
-			}
-			for i, name := range d.analyzers {
-				if name == dg.Analyzer {
-					d.counts[i]++
-					suppressed = true
-					break
-				}
-			}
-			if suppressed {
-				break
-			}
-		}
-		if !suppressed {
-			out = append(out, dg)
-		}
-	}
-	out = append(out, bad...)
-
-	var sups []Suppression
-	for _, d := range dirs {
-		for i, name := range d.analyzers {
-			sups = append(sups, Suppression{
-				Analyzer: name,
-				Pos:      d.pos,
-				Reason:   d.reason,
-				Count:    d.counts[i],
-			})
-		}
-	}
-	return out, sups
+	return diags, nil
 }
 
 func runOne(pkg *Package, a *Analyzer) ([]Diagnostic, error) {

@@ -36,13 +36,13 @@ func Run(t *testing.T, root string, a *lint.Analyzer, pkgPaths ...string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := lint.NewLoader(moduleRoot, true)
+	loader := lint.NewLoader(moduleRoot)
 	for _, path := range pkgPaths {
 		pkg, err := loader.LoadFixture(root, path)
 		if err != nil {
 			t.Fatalf("load fixture %s: %v", path, err)
 		}
-		res, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
+		diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
 		if err != nil {
 			t.Fatalf("run %s on %s: %v", a.Name, path, err)
 		}
@@ -50,7 +50,7 @@ func Run(t *testing.T, root string, a *lint.Analyzer, pkgPaths ...string) {
 		if err != nil {
 			t.Fatalf("fixture %s: %v", path, err)
 		}
-		for _, d := range res.Diagnostics {
+		for _, d := range diags {
 			if w := match(wants, d); w == nil {
 				t.Errorf("%s: unexpected diagnostic: %s", path, d)
 			}

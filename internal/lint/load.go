@@ -45,16 +45,15 @@ type Loader struct {
 	// ModuleRoot is the directory containing go.mod. Patterns passed to
 	// Load are interpreted relative to it.
 	ModuleRoot string
-	// IncludeTests adds _test.go files (in-package and external test
-	// packages) to the load.
-	IncludeTests bool
 
 	fset *token.FileSet
 	imp  types.Importer
 }
 
-// NewLoader prepares a loader rooted at the given module directory.
-func NewLoader(moduleRoot string, includeTests bool) *Loader {
+// NewLoader prepares a loader rooted at the given module directory. The
+// load always includes _test.go files (in-package and external test
+// packages); analyzers that encode production-only rules set SkipTests.
+func NewLoader(moduleRoot string) *Loader {
 	// The source importer resolves module-internal import paths by asking
 	// the go command, which needs a working directory inside the module.
 	// Cgo is disabled so std packages with cgo fallbacks (net) type-check
@@ -63,10 +62,9 @@ func NewLoader(moduleRoot string, includeTests bool) *Loader {
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	return &Loader{
-		ModuleRoot:   moduleRoot,
-		IncludeTests: includeTests,
-		fset:         fset,
-		imp:          importer.ForCompiler(fset, "source", nil),
+		ModuleRoot: moduleRoot,
+		fset:       fset,
+		imp:        importer.ForCompiler(fset, "source", nil),
 	}
 }
 
@@ -132,9 +130,6 @@ func (l *Loader) loadDir(pkgPath, dir string) ([]*Package, error) {
 	var names []string
 	for _, e := range ents {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		if !l.IncludeTests && strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		// Honor build constraints (//go:build tags and GOOS/GOARCH file

@@ -116,8 +116,10 @@ func TestGDStarDegenerateBetaUsesEstimator(t *testing.T) {
 }
 
 func TestParseSpecRejectsNegativeBeta(t *testing.T) {
-	if _, err := ParseSpec("gdstar:packet:beta=-0.5"); err == nil {
-		t.Error("negative beta accepted")
+	for _, bad := range []string{"gdstar:packet:beta=-0.5", "gdstar:beta=nan", "gdstar:beta=inf", "gdstar:p:beta=-inf", "gdstar:beta=NaN"} {
+		if _, err := ParseSpec(bad); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
 	}
 	spec, err := ParseSpec("gdstar:packet:beta=0.8")
 	if err != nil || spec.Beta != 0.8 {

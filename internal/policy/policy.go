@@ -12,6 +12,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"webcachesim/internal/container/intlist"
@@ -156,8 +157,10 @@ func ParseSpec(s string) (Spec, error) {
 			if _, err := fmt.Sscanf(p, "beta=%g", &beta); err != nil {
 				return Spec{}, fmt.Errorf("policy: bad beta in %q: %w", s, err)
 			}
-			if beta < 0 {
-				return Spec{}, fmt.Errorf("policy: beta must be non-negative in %q (0 selects the online estimator)", s)
+			// %g scans "nan" and "inf", which NewGDStar would quietly
+			// replace with the online estimator under the same name.
+			if beta < 0 || math.IsNaN(beta) || math.IsInf(beta, 0) {
+				return Spec{}, fmt.Errorf("policy: beta must be finite and non-negative in %q (0 selects the online estimator)", s)
 			}
 			spec.Beta = beta
 		default:

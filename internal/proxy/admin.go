@@ -26,7 +26,8 @@ func AdminHandler(s *Server, reg *metrics.Registry) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		//lint:ignore errdrop stats snapshot is best-effort; an encode error just means the client hung up
+		// The stats snapshot is best-effort; an encode error just means
+		// the client hung up.
 		_ = enc.Encode(struct {
 			Stats
 			UsedBytes     int64 `json:"usedBytes"`

@@ -28,7 +28,7 @@ var suffixes = []struct {
 
 // ParseBytes parses a human byte size: a float with an optional binary
 // suffix (B, KB/KiB/K, MB/MiB/M, GB/GiB/G, case-insensitive). The result
-// must be positive.
+// must be at least one byte and below 2^63.
 func ParseBytes(s string) (int64, error) {
 	mult := int64(1)
 	upper := strings.ToUpper(strings.TrimSpace(s))
@@ -43,9 +43,12 @@ func ParseBytes(s string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("units: bad size %q: %w", s, err)
 	}
-	n := int64(v * float64(mult))
-	if n <= 0 {
-		return 0, fmt.Errorf("units: size %q must be positive", s)
+	// The range check precedes the conversion: int64 of a NaN, an
+	// infinity or anything past 2^63 is implementation-specific, so the
+	// verdict on "inf" or "1e30GB" would depend on GOARCH.
+	b := v * float64(mult)
+	if !(b >= 1 && b < 1<<63) {
+		return 0, fmt.Errorf("units: size %q must be at least 1 byte and below 2^63", s)
 	}
-	return n, nil
+	return int64(b), nil
 }

@@ -23,6 +23,14 @@ func TestParseBytes(t *testing.T) {
 		{"-5MB", 0, true},
 		{"abc", 0, true},
 		{"", 0, true},
+		{"0.5", 0, true},
+		{"inf", 0, true},
+		{"-inf", 0, true},
+		{"nan", 0, true},
+		{"1e30GB", 0, true},
+		{"8GB", 8 << 30, false},
+		{"9223372036854775807", 0, true},                    // rounds to 2^63 as a float64
+		{"9223372036854774784", 9223372036854774784, false}, // the largest float64 below 2^63
 	}
 	for _, tt := range tests {
 		got, err := ParseBytes(tt.in)

@@ -69,13 +69,14 @@ smoke_report() {
 }
 
 # fuzz: a short budget per package/target — the trace decoders, the
-# proxy's key stage and freshness headers, the /metrics reader and the
-# journal reader — one at a time (-fuzz refuses a pattern matching
+# proxy's key stage and freshness headers, the /metrics reader, the
+# journal reader and the topology file — one at a time (-fuzz refuses a pattern matching
 # several); -run pins the seed-corpus phase to the target being fuzzed.
 smoke_fuzz() {
 	local row
 	for row in trace/FuzzParseSquidLine trace/FuzzSquidBlocks trace/FuzzInternedReader \
-		trace/FuzzColumnar proxy/FuzzRequestKey proxy/FuzzExpiry metrics/FuzzParseText core/FuzzReadJournal; do
+		trace/FuzzColumnar proxy/FuzzRequestKey proxy/FuzzExpiry metrics/FuzzParseText core/FuzzReadJournal \
+		cluster/FuzzParseTopology; do
 		go test -run="^${row#*/}\$" -fuzz="^${row#*/}\$" -fuzztime=30s "./internal/${row%/*}"
 	done
 }
