@@ -21,6 +21,7 @@ package admission
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"webcachesim/internal/policy"
@@ -45,10 +46,16 @@ func ParseSpec(s string) (policy.AdmitterFactory, error) {
 		return policy.NoAdmission(), nil
 	case "tinylfu":
 		var window int64
-		for _, p := range parts[1:] {
-			if _, err := fmt.Sscanf(p, "window=%d", &window); err != nil || window <= 0 {
+		for i, p := range parts[1:] {
+			v, ok := strings.CutPrefix(p, "window=")
+			n, err := strconv.ParseInt(v, 10, 64)
+			switch {
+			case !ok || err != nil || n <= 0:
 				return policy.AdmitterFactory{}, fmt.Errorf("admission: bad option %q in %q (want window=N)", p, s)
+			case i > 0:
+				return policy.AdmitterFactory{}, fmt.Errorf("admission: repeated option %q in %q", p, s)
 			}
+			window = n
 		}
 		return policy.AdmitterFactory{
 			Name: "tinylfu",

@@ -25,6 +25,10 @@ func TestParseSpec(t *testing.T) {
 		{in: "tinylfu:bogus", wantErr: true},
 		{in: "arc-ghost:opt", wantErr: true},
 		{in: "lfu", wantErr: true},
+		// An option's whole value is read, and the option is given once.
+		{in: "tinylfu:window=1e6", wantErr: true},
+		{in: "tinylfu:window=5x", wantErr: true},
+		{in: "tinylfu:window=5:window=6", wantErr: true},
 	}
 	for _, c := range cases {
 		f, err := ParseSpec(c.in)

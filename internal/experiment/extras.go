@@ -7,7 +7,6 @@ import (
 	"webcachesim/internal/analyze"
 	"webcachesim/internal/core"
 	"webcachesim/internal/doctype"
-	"webcachesim/internal/hierarchy"
 	"webcachesim/internal/policy"
 	"webcachesim/internal/report"
 	"webcachesim/internal/trace"
@@ -37,16 +36,16 @@ type filteredStream struct {
 	before, after *analyze.Characterization
 }
 
-// missReader passes on the requests a cache hierarchy does not absorb.
+// missReader passes on the requests a cache does not hit.
 type missReader struct {
-	src trace.Reader
-	h   *hierarchy.Cluster
+	src   trace.Reader
+	cache *core.StreamSimulator
 }
 
 func (m missReader) Next() (*trace.Request, error) {
 	for {
 		r, err := m.src.Next()
-		if err != nil || m.h.Process(r) < 0 {
+		if err != nil || !m.cache.Process(r).Hit() {
 			return r, err
 		}
 	}
@@ -61,14 +60,10 @@ func filtered(profile string) input[*filteredStream] {
 		if err != nil {
 			return nil, err
 		}
-		h, err := hierarchy.New(
-			[]hierarchy.LevelConfig{{
-				Name:     "institutional",
-				Capacity: t.workload.CapacityAt(2, core.FloorMB),
-				Policy:   policy.MustFactory(policy.Spec{Scheme: "lru"}),
-			}},
-			0,
-		)
+		child, err := core.NewStreamSimulator(core.Config{
+			Capacity: t.workload.CapacityAt(2, core.FloorMB),
+			Policy:   policy.MustFactory(policy.Spec{Scheme: "lru"}),
+		}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +71,7 @@ func filtered(profile string) input[*filteredStream] {
 		if err != nil {
 			return nil, err
 		}
-		after, err := analyze.Characterize(missReader{g.Reader(), h}, profile+"-filtered")
+		after, err := analyze.Characterize(missReader{g.Reader(), child}, profile+"-filtered")
 		if err != nil {
 			return nil, err
 		}

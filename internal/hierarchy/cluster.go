@@ -1,3 +1,14 @@
+// Package hierarchy simulates a tree of caching proxies — a
+// consistent-hash fleet under a chain of parents, where a plain chain is a
+// fleet of one node: requests enter the leaves, and each level's misses
+// form the request stream of the level above — exactly how the paper's
+// traces came to be: both DFN and RTP were recorded at *upper-level*
+// proxies in core networks, so their streams had already been filtered by
+// lower-level caches. Filtering removes short-distance re-references and
+// flattens the popularity distribution, which is why §2 measures small α
+// values and why GD*'s frequency signal degrades on RTP; this package lets
+// that mechanism be reproduced rather than assumed (see the filtering
+// tests and `wcreport -extras -exp filtering`).
 package hierarchy
 
 import (
@@ -7,7 +18,6 @@ import (
 
 	"webcachesim/internal/cluster"
 	"webcachesim/internal/core"
-	"webcachesim/internal/policy"
 	"webcachesim/internal/trace"
 )
 
@@ -21,7 +31,7 @@ import (
 // concurrency pinned down (sequential replay, one shard, no admission),
 // its per-node hit counts must match this simulation exactly.
 type Cluster struct {
-	ring        *cluster.Ring  // nil for a chain: the single leaf owns everything
+	ring        *cluster.Ring
 	index       map[string]int // leaf name → nodes slice position
 	names       []string
 	nodes       []*core.StreamSimulator
@@ -42,60 +52,48 @@ func NewCluster(topo *cluster.Topology, modifyThreshold float64) (*Cluster, erro
 		return nil, fmt.Errorf("hierarchy: %w", err)
 	}
 	c := &Cluster{ring: ring, index: make(map[string]int, len(topo.Nodes))}
-	build := func(parent bool, n *cluster.Node) error {
+	build := func(n *cluster.Node) (*core.StreamSimulator, error) {
 		capBytes, err := n.CapacityBytes(0)
 		if err != nil {
-			return fmt.Errorf("hierarchy: %q: %w", n.Name, err)
+			return nil, fmt.Errorf("hierarchy: %q: %w", n.Name, err)
 		}
 		if capBytes <= 0 {
-			return fmt.Errorf("hierarchy: %q needs an explicit capacity to simulate", n.Name)
+			return nil, fmt.Errorf("hierarchy: %q needs an explicit capacity to simulate", n.Name)
 		}
 		factory, err := n.PolicyFactory()
 		if err != nil {
-			return fmt.Errorf("hierarchy: %q: %w", n.Name, err)
+			return nil, fmt.Errorf("hierarchy: %q: %w", n.Name, err)
 		}
-		return c.add(parent, n.Name, capBytes, factory, modifyThreshold)
+		sim, err := core.NewStreamSimulator(core.Config{Capacity: capBytes, Policy: factory}, modifyThreshold)
+		if err != nil {
+			return nil, fmt.Errorf("hierarchy: %q: %w", n.Name, err)
+		}
+		return sim, nil
 	}
 	for i := range topo.Nodes {
-		c.index[topo.Nodes[i].Name] = len(c.nodes)
-		if err := build(false, &topo.Nodes[i]); err != nil {
+		sim, err := build(&topo.Nodes[i])
+		if err != nil {
 			return nil, err
 		}
-	}
-	for i := range topo.Parents {
-		if err := build(true, &topo.Parents[i]); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// add appends one cache — a leaf, or the next parent level up.
-func (c *Cluster) add(parent bool, name string, capacity int64, factory policy.Factory, modifyThreshold float64) error {
-	sim, err := core.NewStreamSimulator(core.Config{
-		Capacity: capacity,
-		Policy:   factory,
-	}, modifyThreshold)
-	if err != nil {
-		return fmt.Errorf("hierarchy: %q: %w", name, err)
-	}
-	if parent {
-		c.parentNames = append(c.parentNames, name)
-		c.parents = append(c.parents, sim)
-	} else {
-		c.names = append(c.names, name)
+		c.index[topo.Nodes[i].Name] = i
+		c.names = append(c.names, topo.Nodes[i].Name)
 		c.nodes = append(c.nodes, sim)
 	}
-	return nil
+	for i := range topo.Parents {
+		sim, err := build(&topo.Parents[i])
+		if err != nil {
+			return nil, err
+		}
+		c.parentNames = append(c.parentNames, topo.Parents[i].Name)
+		c.parents = append(c.parents, sim)
+	}
+	return c, nil
 }
 
 // Owner returns the leaf node the ring routes the request URL to — the
 // same answer a live fleet member computes, since both hash the same
 // canonical route key through the same ring code.
 func (c *Cluster) Owner(rawURL string) string {
-	if c.ring == nil {
-		return c.names[0]
-	}
 	return c.ring.Owner(cluster.RouteKey(rawURL))
 }
 
@@ -103,11 +101,7 @@ func (c *Cluster) Owner(rawURL string) string {
 // up the parent chain. It reports 0 for a fleet (leaf) hit, 1+i for a
 // hit at parent level i, and -1 when everything missed.
 func (c *Cluster) Process(req *trace.Request) int {
-	leaf := c.nodes[0]
-	if c.ring != nil {
-		leaf = c.nodes[c.index[c.Owner(req.URL)]]
-	}
-	if leaf.Process(req).Hit() {
+	if c.nodes[c.index[c.Owner(req.URL)]].Process(req).Hit() {
 		return 0
 	}
 	for i, parent := range c.parents {
@@ -134,6 +128,15 @@ func (c *Cluster) Run(r trace.Reader) error {
 	}
 }
 
+// LevelResult reports one cache's outcome.
+type LevelResult struct {
+	// Name is the node's name in the topology.
+	Name string `json:"name"`
+	// Result is the node's full simulation result; its Requests count is
+	// the number of requests that reached the node.
+	Result *core.Result `json:"result"`
+}
+
 // ClusterResult reports the per-node and per-parent outcomes of a fleet
 // replay.
 type ClusterResult struct {
@@ -153,12 +156,6 @@ func (r ClusterResult) Fleet() (requests, hits int64) {
 		hits += n.Result.Overall.Hits
 	}
 	return requests, hits
-}
-
-// Levels lists every cache bottom first: the leaves, then the parents —
-// for a chain built by New, one entry per level.
-func (r ClusterResult) Levels() []LevelResult {
-	return append(append([]LevelResult(nil), r.Nodes...), r.Parents...)
 }
 
 // Results returns the per-node and per-parent results.

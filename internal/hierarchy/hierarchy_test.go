@@ -1,40 +1,52 @@
 package hierarchy
 
 import (
-	"reflect"
+	"strconv"
 	"testing"
 
 	"webcachesim/internal/analyze"
 	"webcachesim/internal/cluster"
 	"webcachesim/internal/doctype"
-	"webcachesim/internal/policy"
 	"webcachesim/internal/synth"
 	"webcachesim/internal/trace"
 )
-
-func lru() policy.Factory { return policy.MustFactory(policy.Spec{Scheme: "lru"}) }
 
 func req(url string, size int64) *trace.Request {
 	return &trace.Request{URL: url, Status: 200, TransferSize: size, DocSize: size}
 }
 
+// level is an LRU cache of capacity bytes.
+func level(name string, capacity int64) cluster.Node {
+	return cluster.Node{Name: name, Capacity: strconv.FormatInt(capacity, 10)}
+}
+
+// chain builds a plain chain of caches, bottom first: a one-node topology
+// whose leaf owns every document, under the other levels as its parents.
+func chain(t *testing.T, leaf cluster.Node, parents ...cluster.Node) *Cluster {
+	t.Helper()
+	c, err := NewCluster(&cluster.Topology{Nodes: []cluster.Node{leaf}, Parents: parents}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestNewValidation pins what a chain refuses: one with no levels, and one
+// with a zero-capacity level at the bottom or above it.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, 0); err == nil {
+	if _, err := NewCluster(&cluster.Topology{}, 0); err == nil {
 		t.Error("empty hierarchy accepted")
 	}
-	if _, err := New([]LevelConfig{{Capacity: 0, Policy: lru()}}, 0); err == nil {
-		t.Error("invalid level accepted")
+	if _, err := NewCluster(&cluster.Topology{Nodes: []cluster.Node{level("child", 0)}}, 0); err == nil {
+		t.Error("zero-capacity bottom level accepted")
+	}
+	if _, err := NewCluster(&cluster.Topology{Nodes: []cluster.Node{level("child", 100)}, Parents: []cluster.Node{level("parent", 0)}}, 0); err == nil {
+		t.Error("zero-capacity upper level accepted")
 	}
 }
 
 func TestTwoLevelForwarding(t *testing.T) {
-	h, err := New([]LevelConfig{
-		{Name: "child", Capacity: 10_000, Policy: lru()},
-		{Name: "parent", Capacity: 100_000, Policy: lru()},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := chain(t, level("child", 10_000), level("parent", 100_000))
 	// First reference misses everywhere, second hits the child.
 	if got := h.Process(req("http://e.com/a.gif", 100)); got != -1 {
 		t.Errorf("first reference hit level %d", got)
@@ -42,29 +54,23 @@ func TestTwoLevelForwarding(t *testing.T) {
 	if got := h.Process(req("http://e.com/a.gif", 100)); got != 0 {
 		t.Errorf("second reference hit level %d, want 0", got)
 	}
-	rs := h.Results().Levels()
-	if len(rs) != 2 || rs[0].Name != "child" || rs[1].Name != "parent" {
-		t.Fatalf("results: %+v", rs)
+	res := h.Results()
+	if len(res.Nodes) != 1 || len(res.Parents) != 1 || res.Nodes[0].Name != "child" || res.Parents[0].Name != "parent" {
+		t.Fatalf("results: %+v", res)
 	}
 	// The child saw 2 requests; the parent saw only the child's 1 miss.
-	if rs[0].Result.Overall.Requests != 2 {
-		t.Errorf("child requests = %d, want 2", rs[0].Result.Overall.Requests)
+	if got := res.Nodes[0].Result.Overall.Requests; got != 2 {
+		t.Errorf("child requests = %d, want 2", got)
 	}
-	if rs[1].Result.Overall.Requests != 1 {
-		t.Errorf("parent requests = %d, want 1", rs[1].Result.Overall.Requests)
+	if got := res.Parents[0].Result.Overall.Requests; got != 1 {
+		t.Errorf("parent requests = %d, want 1", got)
 	}
 }
 
 func TestParentHitAfterChildEviction(t *testing.T) {
 	// Child too small to hold both docs; parent holds everything. After
 	// the child evicts a.gif, the re-reference must hit the parent.
-	h, err := New([]LevelConfig{
-		{Name: "child", Capacity: 150, Policy: lru()},
-		{Name: "parent", Capacity: 1 << 20, Policy: lru()},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := chain(t, level("child", 150), level("parent", 1<<20))
 	h.Process(req("http://e.com/a.gif", 100)) // miss both, cached in both
 	h.Process(req("http://e.com/b.gif", 100)) // child evicts a.gif
 	if got := h.Process(req("http://e.com/a.gif", 100)); got != 1 {
@@ -73,10 +79,7 @@ func TestParentHitAfterChildEviction(t *testing.T) {
 }
 
 func TestMissStreamHoldsOnlyGlobalMisses(t *testing.T) {
-	h, err := New([]LevelConfig{{Capacity: 1 << 20, Policy: lru()}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := chain(t, level("L1", 1<<20))
 	var missed []string
 	for _, r := range []*trace.Request{
 		req("http://e.com/a.gif", 10),
@@ -97,56 +100,12 @@ func TestRunFromReader(t *testing.T) {
 		req("http://e.com/a.gif", 10),
 		req("http://e.com/a.gif", 10),
 	}
-	h, err := New([]LevelConfig{{Capacity: 1 << 20, Policy: lru()}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := chain(t, level("L1", 1<<20))
 	if err := h.Run(trace.NewSliceReader(reqs)); err != nil {
 		t.Fatal(err)
 	}
 	if hr := h.Results().Nodes[0].Result.Overall.HitRate(); hr != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", hr)
-	}
-}
-
-// TestChainEqualsOneNodeTopology pins the fold of the chain replay into
-// Cluster: the same two-level LRU chain built through New and through
-// NewCluster on a one-node-plus-one-parent topology yields identical
-// results on the same stream.
-func TestChainEqualsOneNodeTopology(t *testing.T) {
-	reqs, err := synth.Generate(synth.DFNProfile(), synth.Options{Seed: 5, Requests: 20_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := New([]LevelConfig{
-		{Name: "child", Capacity: 4 << 20, Policy: lru()},
-		{Name: "parent", Capacity: 16 << 20, Policy: lru()},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := cluster.ParseTopology([]byte(`{
-	  "nodes":   [{"name": "child", "url": "http://127.0.0.1:1", "capacity": "4MB", "policy": "lru"}],
-	  "parents": [{"name": "parent", "url": "http://127.0.0.1:2", "capacity": "16MB", "policy": "lru"}]
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := NewCluster(topo, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []*Cluster{chain, fleet} {
-		if err := c.Run(trace.NewSliceReader(reqs)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, want := chain.Results(), fleet.Results()
-	if want.Parents[0].Result.Overall.Hits == 0 {
-		t.Fatal("parent level never hit; fixture exercises one level only")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("chain and one-node topology diverge:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -169,10 +128,7 @@ func TestFilteringFlattensPopularity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h, err := New([]LevelConfig{{Name: "institutional", Capacity: 32 << 20, Policy: lru()}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := chain(t, level("institutional", 32<<20))
 	var missStream []*trace.Request
 	for _, r := range reqs {
 		if h.Process(r) < 0 {

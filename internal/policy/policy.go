@@ -13,6 +13,7 @@ package policy
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"webcachesim/internal/container/intlist"
@@ -122,7 +123,8 @@ type Spec struct {
 // "gdstar:packet:beta=0.8". Recognized cost names are "const"/"1" and
 // "packet"/"p". An option the scheme would ignore is an error: a cost
 // model on anything but gds, gdstar and gdsf, beta= on anything but
-// gdstar. The type-aware meta-policy wraps an inner spec:
+// gdstar. So is a second cost model or beta=, and a beta= whose whole
+// value is not a number. The type-aware meta-policy wraps an inner spec:
 // "typeaware+gdstar:packet".
 func ParseSpec(s string) (Spec, error) {
 	lower := strings.ToLower(strings.TrimSpace(s))
@@ -145,19 +147,20 @@ func ParseSpec(s string) (Spec, error) {
 		return Spec{}, fmt.Errorf("policy: unknown scheme %q", parts[0])
 	}
 	costAware := spec.Scheme == "gds" || spec.Scheme == "gdstar" || spec.Scheme == "gdsf"
+	given := map[bool]bool{} // keyed by isBeta: one cost model, one beta
 	for _, p := range parts[1:] {
-		isBeta := strings.HasPrefix(p, "beta=")
+		v, isBeta := strings.CutPrefix(p, "beta=")
 		switch {
 		case p == "const" || p == "constant" || p == "1":
 			spec.Cost = ConstantCost{}
 		case p == "packet" || p == "p":
 			spec.Cost = PacketCost{}
 		case isBeta:
-			var beta float64
-			if _, err := fmt.Sscanf(p, "beta=%g", &beta); err != nil {
+			beta, err := strconv.ParseFloat(v, 64)
+			if err != nil {
 				return Spec{}, fmt.Errorf("policy: bad beta in %q: %w", s, err)
 			}
-			// %g scans "nan" and "inf", which NewGDStar would quietly
+			// ParseFloat reads "nan" and "inf", which NewGDStar would quietly
 			// replace with the online estimator under the same name.
 			if beta < 0 || math.IsNaN(beta) || math.IsInf(beta, 0) {
 				return Spec{}, fmt.Errorf("policy: beta must be finite and non-negative in %q (0 selects the online estimator)", s)
@@ -170,6 +173,10 @@ func ParseSpec(s string) (Spec, error) {
 		if isBeta && spec.Scheme != "gdstar" || !isBeta && !costAware {
 			return Spec{}, fmt.Errorf("policy: scheme %q takes no option %q (in %q)", spec.Scheme, p, s)
 		}
+		if given[isBeta] {
+			return Spec{}, fmt.Errorf("policy: repeated option %q in %q", p, s)
+		}
+		given[isBeta] = true
 	}
 	return spec, nil
 }

@@ -353,6 +353,12 @@ func TestParseSpec(t *testing.T) {
 		{"size:p", "", true},
 		{"slru:p", "", true},
 		{"typeaware+lru:p", "", true},
+		// An option's whole value is read, and each option is given once.
+		{"gdstar:1:beta=1/2", "", true},
+		{"gdstar:beta=0.8x", "", true},
+		{"gdstar:p:beta=0.5:beta=0.6", "", true},
+		{"gdstar:p:1", "", true},
+		{"gds:packet:p", "", true},
 	}
 	for _, tt := range tests {
 		spec, err := ParseSpec(tt.in)

@@ -1,9 +1,8 @@
 // Package stats provides the statistical machinery used by the workload
 // characterization and the synthetic generator: descriptive statistics
-// (mean, median, coefficient of variation, quantiles), streaming moment
-// accumulators, log-log least-squares regression for estimating the
-// popularity index α and the temporal-correlation index β, and logarithmic
-// histograms.
+// (mean, median, coefficient of variation, quantiles), log-log
+// least-squares regression for estimating the popularity index α and the
+// temporal-correlation index β, and logarithmic histograms.
 package stats
 
 import (
@@ -84,73 +83,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Moments accumulates count, mean, and variance of a stream in a single
-// pass using Welford's algorithm, plus min, max, and sum. The zero value is
-// ready to use.
-type Moments struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-	sum  float64
-}
-
-// Add incorporates one observation.
-func (m *Moments) Add(x float64) {
-	m.n++
-	if m.n == 1 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	m.sum += x
-	delta := x - m.mean
-	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
-}
-
-// Count returns the number of observations added.
-func (m *Moments) Count() int64 { return m.n }
-
-// Sum returns the sum of all observations.
-func (m *Moments) Sum() float64 { return m.sum }
-
-// Mean returns the running mean, or 0 before any observation.
-func (m *Moments) Mean() float64 { return m.mean }
-
-// Min returns the smallest observation, or 0 before any observation.
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest observation, or 0 before any observation.
-func (m *Moments) Max() float64 { return m.max }
-
-// Variance returns the running population variance, or 0 with fewer than
-// two observations.
-func (m *Moments) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// CoV returns the running coefficient of variation, or 0 when the mean is
-// zero.
-func (m *Moments) CoV() float64 {
-	if m.mean == 0 {
-		return 0
-	}
-	return m.StdDev() / m.mean
 }
 
 // LinearFit holds the result of an ordinary least-squares straight-line

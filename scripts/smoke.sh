@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end smoke checks, one row each. Run from the repository root:
+# End-to-end smoke checks, one row each — quickstart, journal, admission,
+# columnar, cluster, report, fuzz. Run from the repository root:
 #
 #	scripts/smoke.sh <name>   one row
 #	scripts/smoke.sh all      every row, in table order
@@ -11,6 +12,16 @@ set -euo pipefail
 # tiny_trace writes the 20 000-request DFN trace every sweep row replays.
 tiny_trace() {
 	go run ./cmd/wcgen -profile dfn -requests 20000 -seed 7 -o "$1"
+}
+
+# quickstart: the README's first two commands, verbatim — a 100 000-request
+# DFN trace swept at 2 % — must print the paper's six configurations,
+# with GD*(1) ahead of LRU in hit rate.
+smoke_quickstart() {
+	go run ./cmd/wcgen -profile dfn -requests 100000 -seed 1 -o "$tmp/dfn.wci"
+	go run ./cmd/wcsim -trace "$tmp/dfn.wci" -size-pcts 2 | tee "$tmp/out.txt"
+	awk '$1 ~ /^(LRU|LFU-DA|GDS\([1P]\)|GD\*\([1P]\))$/ { n++; hr[$1] = $3 }
+		END { if (n != 6 || !(hr["GD*(1)"] > hr["LRU"])) { print "quickstart: want six rows and GD*(1) HR above LRU" > "/dev/stderr"; exit 1 } }' "$tmp/out.txt"
 }
 
 # journal: sweep with a run journal, then summarize it. wcreport -journal
@@ -81,7 +92,7 @@ smoke_fuzz() {
 	done
 }
 
-rows="journal admission columnar cluster report fuzz"
+rows="quickstart journal admission columnar cluster report fuzz"
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
