@@ -2,6 +2,8 @@ package proxy
 
 import (
 	"bytes"
+	"compress/gzip"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -271,6 +273,68 @@ func TestUpstreamRequestIsUnconditional(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gzipOrigin answers like a compressing web server: gzip to a request
+// that accepts it, identity bytes otherwise.
+func gzipOrigin(t *testing.T, body []byte) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/html")
+		if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+			_, _ = w.Write(body)
+			return
+		}
+		w.Header().Set("Content-Encoding", "gzip")
+		zw := gzip.NewWriter(w)
+		_, _ = zw.Write(body)
+		_ = zw.Close()
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestUpstreamBodyIsIdentity pins that what the proxy stores and serves,
+// with no Content-Encoding, is the identity body whatever a client
+// accepts. With the client's Accept-Encoding forwarded, net/http's
+// transport neither asked for gzip itself nor decoded the reply: one
+// client accepting gzip got the gzip stream stored and served as a HIT to
+// a client that asked for nothing, and in a fleet the peer hop's own
+// "Accept-Encoding: gzip" reached the origin from the owner.
+func TestUpstreamBodyIsIdentity(t *testing.T) {
+	body := bytes.Repeat([]byte("<p>identity bytes</p>\n"), 110)
+	tr := &http.Transport{DisableCompression: true} // asks for nothing it is not told to, decodes nothing
+	t.Cleanup(tr.CloseIdleConnections)
+	fetch := func(t *testing.T, url string, acceptGzip bool) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acceptGzip {
+			req.Header.Set("Accept-Encoding", "gzip")
+		}
+		resp, err := (&http.Client{Transport: tr}).Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xcache, enc := resp.Header.Get("X-Cache"), resp.Header.Get("Content-Encoding")
+		if got := drainString(t, resp); got != string(body) || enc != "" {
+			t.Errorf("%s (X-Cache %s, gzip accepted %v): %d bytes with Content-Encoding %q, want the %d identity bytes",
+				url, xcache, acceptGzip, len(got), enc, len(body))
+		}
+	}
+	t.Run("single node", func(t *testing.T) {
+		_, front := newProxy(t, gzipOrigin(t, body), Config{})
+		fetch(t, front.URL+"/page.html", true)
+		fetch(t, front.URL+"/page.html", false)
+	})
+	t.Run("fleet", func(t *testing.T) {
+		f := startFleet(t, gzipOrigin(t, body), 2, nil)
+		for i := 0; i < 40; i++ {
+			fetch(t, f.fronts[i%2].URL+fmt.Sprintf("/doc/%d.html", i/2), false)
+		}
+	})
 }
 
 // TestStaleMissWithoutCachedCopy pins the negative case: with nothing

@@ -689,13 +689,15 @@ func (s *Server) fetchOnce(key string, hdr http.Header) (*fetchResult, error) {
 	return fr, nil
 }
 
-// perClientHeaders make a response partial or conditional on what one
-// client holds. No upstream fetch may carry them: its result is stored
-// under the full-document key and handed to every coalesced waiter, so it
-// must be the whole document. A client that sent Range gets the complete
-// 200, which a server may always answer.
+// perClientHeaders make a response partial, conditional or encoded for
+// what one client holds or accepts. No upstream fetch may carry them: its
+// result is stored under the full-document key, handed to every coalesced
+// waiter and served with no Content-Encoding, so it must be the whole
+// document as identity bytes. A client that sent Range gets the complete
+// 200, which a server may always answer; net/http's transport negotiates
+// gzip itself, and decodes it, only when the request names no encoding.
 var perClientHeaders = [...]string{
-	"Range", "If-Range", "If-Match", "If-None-Match", "If-Modified-Since", "If-Unmodified-Since",
+	"Range", "If-Range", "If-Match", "If-None-Match", "If-Modified-Since", "If-Unmodified-Since", "Accept-Encoding",
 }
 
 // roundTrip builds and sends every upstream request — to the origin, to a

@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Zipf samples ranks 0..n-1 with probability proportional to
-// (rank+1)^-alpha. Rank 0 is the most popular item. Sampling is by binary
-// search over the precomputed cumulative weights, O(log n) per draw and
-// deterministic given the caller's rand source.
+// (rank+1)^-alpha. Rank 0 is the most popular item. A draw is inverted
+// over the cumulative weights from a guide table (Chen & Asau), O(1)
+// expected, to exactly sort.SearchFloat64s's rank; it is deterministic
+// given the caller's rand source.
 type Zipf struct {
 	cum   []float64
+	guide []int32
 	total float64
 }
 
@@ -30,16 +31,35 @@ func NewZipf(n int, alpha float64) (*Zipf, error) {
 		total += math.Pow(float64(r+1), -alpha)
 		cum[r] = total
 	}
-	return &Zipf{cum: cum, total: total}, nil
+	// guide[k] is the first rank whose weight reaches k/n of the total.
+	guide := make([]int32, n)
+	for k, i := 0, 0; k < n; k++ {
+		for cum[i] < float64(k)/float64(n)*total {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return &Zipf{cum: cum, guide: guide, total: total}, nil
 }
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return len(z.cum) }
 
 // Sample draws a rank using rng.
-func (z *Zipf) Sample(rng *rand.Rand) int {
-	u := rng.Float64() * z.total
-	return sort.SearchFloat64s(z.cum, u)
+func (z *Zipf) Sample(rng *rand.Rand) int { return z.rank(rng.Float64()) }
+
+// rank inverts f in [0, 1): the smallest i with cum[i] ≥ f·total. Rounding
+// may put the guide a rank past it, hence the first loop.
+func (z *Zipf) rank(f float64) int {
+	u := f * z.total
+	i := int(z.guide[min(int(f*float64(len(z.cum))), len(z.cum)-1)])
+	for i > 0 && z.cum[i-1] >= u {
+		i--
+	}
+	for z.cum[i] < u {
+		i++
+	}
+	return i
 }
 
 // SampleStackDistance draws an integer distance in [1, maxD] with density

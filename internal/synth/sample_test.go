@@ -3,6 +3,7 @@ package synth
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -50,6 +51,48 @@ func TestZipfSkew(t *testing.T) {
 	}
 	if tail == 0 {
 		t.Error("tail ranks never sampled")
+	}
+}
+
+// TestZipfGuideMatchesSearch holds the guide-table inversion to the binary
+// search it replaced, draw for draw: twin rngs must yield the same ranks,
+// and so must every u at and one float beside each cumulative weight,
+// where a guide entry off by one rank would show. Rounding can leave an
+// entry a rank past a draw's answer, too rarely for any draw here to hit,
+// so the walk is also checked from the next entry's start.
+func TestZipfGuideMatchesSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 4096, 100_000} {
+		for _, alpha := range []float64{0.6, 1, 1.4} {
+			z, err := NewZipf(n, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			guided, searched := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+			for d := 0; d < 1_000_000; d++ {
+				got := z.Sample(guided)
+				if want := sort.SearchFloat64s(z.cum, searched.Float64()*z.total); got != want {
+					t.Fatalf("n=%d α=%v draw %d: rank %d, search says %d", n, alpha, d, got, want)
+				}
+			}
+			beside := func(what string) {
+				for _, c := range z.cum {
+					f := c / z.total
+					for _, f := range []float64{math.Nextafter(f, 0), f, math.Nextafter(f, 1)} {
+						if f >= 1 {
+							continue
+						}
+						if got, want := z.rank(f), sort.SearchFloat64s(z.cum, f*z.total); got != want {
+							t.Fatalf("n=%d α=%v f=%v, %s: rank %d, search says %d", n, alpha, f, what, got, want)
+						}
+					}
+				}
+			}
+			beside("guide as built")
+			for k := range z.guide {
+				z.guide[k] = z.guide[min(k+1, n-1)]
+			}
+			beside("guide a bucket ahead")
+		}
 	}
 }
 

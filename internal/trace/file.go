@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -158,19 +159,19 @@ type FileWriter struct {
 	closers []io.Closer
 }
 
-// Close flushes buffered records and closes the file.
+// Close flushes buffered records and closes the compressor and the file,
+// even when the flush fails; it returns the first error.
 func (fw *FileWriter) Close() error {
+	var err error
 	if fw.flush != nil {
-		if err := fw.flush(); err != nil {
-			return err
-		}
+		err = fw.flush()
 	}
-	return closeAll(fw.closers, "writer")
+	return cmp.Or(err, closeAll(fw.closers, "writer"))
 }
 
 // CreateFile creates a trace file for writing. A ".gz" path suffix enables
-// gzip compression; FormatAuto picks interned for ".wci"/".wct"/".bin" and
-// squid otherwise.
+// gzip compression, on every core (gzipWriter); FormatAuto picks interned
+// for ".wci"/".wct"/".bin" and squid otherwise.
 func CreateFile(path string, format Format) (*FileWriter, error) {
 	if format == FormatAuto {
 		base := strings.TrimSuffix(path, ".gz")
@@ -195,7 +196,7 @@ func CreateFile(path string, format Format) (*FileWriter, error) {
 	fw := &FileWriter{closers: []io.Closer{f}}
 	var dst io.Writer = f
 	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
+		gz := newGzipWriter(f, runtime.GOMAXPROCS(0), gzipBlockSize)
 		fw.closers = append(fw.closers, gz)
 		dst = gz
 	}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end smoke checks, one row each — quickstart, journal, admission,
-# columnar, cluster, report, fuzz. Run from the repository root:
+# columnar, gzip, cluster, report, fuzz. Run from the repository root:
 #
 #	scripts/smoke.sh <name>   one row
 #	scripts/smoke.sh all      every row, in table order
@@ -62,6 +62,31 @@ smoke_columnar() {
 	diff -u "$tmp/ram.csv" "$tmp/mmap.csv"
 }
 
+# gzip: a .gz trace is a run of independently compressed 256 KiB members
+# (docs/TRACES.md). A 300 000-request trace written as .log, .log.gz, .wci
+# and .wci.gz must pass gzip -t and decompress to the plain file's bytes,
+# the .log.gz must be the same bytes at GOMAXPROCS=1 and 4, and wcsim must
+# print the same table from .log and .log.gz (the line naming the file
+# aside).
+smoke_gzip() {
+	local f
+	for f in x.log x.log.gz x.wci x.wci.gz; do
+		go run ./cmd/wcgen -profile dfn -requests 300000 -seed 3 -o "$tmp/$f"
+	done
+	for f in log wci; do
+		gzip -t "$tmp/x.$f.gz"
+		gzip -dc "$tmp/x.$f.gz" | cmp - "$tmp/x.$f"
+	done
+	for f in 1 4; do
+		GOMAXPROCS=$f go run ./cmd/wcgen -profile dfn -requests 300000 -seed 3 -o "$tmp/procs$f.log.gz"
+	done
+	cmp "$tmp/procs1.log.gz" "$tmp/procs4.log.gz"
+	for f in x.log x.log.gz; do
+		go run ./cmd/wcsim -trace "$tmp/$f" -size-pcts 1,4 | tail -n +2 > "$tmp/$f.txt"
+	done
+	diff -u "$tmp/x.log.txt" "$tmp/x.log.gz.txt"
+}
+
 # cluster: the 3-node in-process fleet under the race detector — one
 # origin fetch per unique document fleet-wide, counters reconciled, the
 # peer fault paths, and the sim/live parity replay (docs/CLUSTER.md).
@@ -79,20 +104,21 @@ smoke_report() {
 	diff -u <(sed -E "$timing" docs/report-scale1.txt) <(sed -E "$timing" "$tmp/report.txt")
 }
 
-# fuzz: a short budget per package/target — the trace decoders, the
-# proxy's key stage and freshness headers, the /metrics reader, the
-# journal reader and the topology file — one at a time (-fuzz refuses a pattern matching
-# several); -run pins the seed-corpus phase to the target being fuzzed.
+# fuzz: a short budget per package/target — the trace decoders and the
+# gzip writer, the proxy's key stage and freshness headers, the /metrics
+# reader, the journal reader and the topology file — one at a time (-fuzz
+# refuses a pattern matching several); -run pins the seed-corpus phase to
+# the target being fuzzed.
 smoke_fuzz() {
 	local row
 	for row in trace/FuzzParseSquidLine trace/FuzzSquidBlocks trace/FuzzInternedReader \
-		trace/FuzzColumnar proxy/FuzzRequestKey proxy/FuzzExpiry metrics/FuzzParseText core/FuzzReadJournal \
-		cluster/FuzzParseTopology; do
+		trace/FuzzColumnar trace/FuzzGzipWriter proxy/FuzzRequestKey proxy/FuzzExpiry \
+		metrics/FuzzParseText core/FuzzReadJournal cluster/FuzzParseTopology; do
 		go test -run="^${row#*/}\$" -fuzz="^${row#*/}\$" -fuzztime=30s "./internal/${row%/*}"
 	done
 }
 
-rows="quickstart journal admission columnar cluster report fuzz"
+rows="quickstart journal admission columnar gzip cluster report fuzz"
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
