@@ -57,7 +57,7 @@ func startProxy(t *testing.T) *liveProxy {
 		srv.ServeHTTP(w, r)
 	}))
 	t.Cleanup(front.Close)
-	admin := httptest.NewServer(proxy.AdminHandler(srv, reg))
+	admin := httptest.NewServer(proxy.AdminHandler(reg))
 	t.Cleanup(admin.Close)
 	p.front, p.admin = front.URL, admin.URL
 	return p

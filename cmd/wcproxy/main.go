@@ -4,10 +4,10 @@
 // wcstat/wcsim.
 //
 // With -admin it also serves an operational endpoint exposing Prometheus
-// metrics (/metrics), a JSON statistics snapshot (/stats) and Go profiling
-// (/debug/pprof/) on a separate listener — see docs/METRICS.md. On
-// SIGINT/SIGTERM the proxy drains in-flight requests, prints a final
-// statistics line and closes the access log cleanly.
+// metrics (/metrics) and Go profiling (/debug/pprof/) on a separate
+// listener — see docs/METRICS.md. The statistics lines read the same
+// metrics. On SIGINT/SIGTERM the proxy drains in-flight requests, prints
+// a final statistics line and closes the access log cleanly.
 //
 // With -topology (plus -self) the proxy joins a consistent-hash fleet:
 // documents another node owns are fetched from that sibling before the
@@ -27,6 +27,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -64,7 +65,7 @@ func run(args []string) error {
 		shards     = fs.Int("shards", 0, "cache shard count, rounded up to a power of two (0 = default; 1 = exact single-policy eviction order)")
 		logPath    = fs.String("log", "", "Squid-format access log path")
 		statsEvery = fs.Duration("stats-every", 30*time.Second, "statistics print interval (0 disables)")
-		admin      = fs.String("admin", "", "admin listen address for /metrics, /stats and /debug/pprof (disabled when empty)")
+		admin      = fs.String("admin", "", "admin listen address for /metrics and /debug/pprof (disabled when empty)")
 		fetchTO    = fs.Duration("fetch-timeout", proxy.DefaultFetchTimeout, "per-attempt origin fetch timeout")
 		retries    = fs.Int("fetch-retries", proxy.DefaultFetchRetries, "origin fetch retries after a transport failure (-1 disables)")
 		backoff    = fs.Duration("retry-backoff", proxy.DefaultRetryBackoff, "base retry backoff (doubled per retry, jittered ±50%)")
@@ -145,18 +146,18 @@ func run(args []string) error {
 		Cluster:      clusterCfg,
 	}
 	if *origin != "" {
-		u, err := url.Parse(*origin)
+		u, err := cluster.AbsoluteURL(*origin)
 		if err != nil {
 			return fmt.Errorf("bad origin: %w", err)
 		}
 		cfg.Origin = u
 	}
 	if *parent != "" {
-		u, err := url.Parse(*parent)
+		u, err := cluster.AbsoluteURL(*parent)
 		if err != nil {
 			return fmt.Errorf("bad parent: %w", err)
 		}
-		cfg.Parent = u
+		cfg.Transport = &http.Transport{Proxy: http.ProxyURL(u)}
 	}
 	var logFile *os.File
 	if *logPath != "" {
@@ -186,7 +187,7 @@ func run(args []string) error {
 	if *admin != "" {
 		adminServer = &http.Server{
 			Addr:              *admin,
-			Handler:           proxy.AdminHandler(srv, reg),
+			Handler:           proxy.AdminHandler(reg),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		go func() {
@@ -194,14 +195,16 @@ func run(args []string) error {
 				errCh <- fmt.Errorf("admin: %w", err)
 			}
 		}()
-		fmt.Printf("wcproxy: admin endpoint on %s (/metrics, /stats, /debug/pprof/)\n", *admin)
+		fmt.Printf("wcproxy: admin endpoint on %s (/metrics, /debug/pprof/)\n", *admin)
 	}
 
 	printStats := func(prefix string) {
-		st := srv.Stats()
-		fmt.Printf("%srequests=%d hits=%d hr=%.3f bhr=%.3f used=%dMB objects=%d evictions=%d\n",
-			prefix, st.Requests, st.Hits, st.HitRate(), st.ByteHitRate(),
-			srv.Used()>>20, srv.Len(), st.Evictions)
+		line, err := statsLine(reg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "wcproxy: stats:", err)
+			return
+		}
+		fmt.Println(prefix + line)
 	}
 
 	var ticker *time.Ticker
@@ -231,6 +234,24 @@ func run(args []string) error {
 			return shutdown(httpServer, adminServer, logFile)
 		}
 	}
+}
+
+// statsLine renders the statistics line from the registry's exposition,
+// read back through proxy.ReadCounts as any scrape of /metrics would be.
+func statsLine(reg *metrics.Registry) (string, error) {
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		return "", err
+	}
+	m, err := metrics.ParseText(&text)
+	if err != nil {
+		return "", err
+	}
+	all, _ := proxy.ReadCounts(m)
+	return fmt.Sprintf("requests=%d hits=%d hr=%.3f bhr=%.3f used=%dMB objects=%d evictions=%d",
+		all.Requests, all.Hits, all.HitRate(), all.ByteHitRate(),
+		int64(m["wcproxy_cache_used_bytes"])>>20, int64(m["wcproxy_cache_objects"]),
+		int64(m["wcproxy_evictions_total"])), nil
 }
 
 // listenAddr derives a listen address (":port") from a topology node URL,

@@ -6,11 +6,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"webcachesim/internal/metrics"
+	"webcachesim/internal/proxy"
 )
 
 func freePort(t *testing.T) string {
@@ -92,6 +96,10 @@ func TestRunFlagErrors(t *testing.T) {
 		// A fleet is described by its topology file and nothing else.
 		{"no -peers flag", []string{"-self", "n1", "-peers", "n2=http://127.0.0.1:1"}},
 		{"no -replicas flag", []string{"-replicas", "1"}},
+		// url.Parse reads "localhost" as the scheme; such a proxy would
+		// start and answer 502 to every request.
+		{"origin without scheme", []string{"-origin", "localhost:1"}},
+		{"parent without scheme", []string{"-parent", "localhost:1"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -156,9 +164,9 @@ func TestRunAdminEndpointAndShutdown(t *testing.T) {
 		!strings.Contains(body, "wcproxy_requests_total 1") {
 		t.Errorf("/metrics: code=%d body=%.200s", code, body)
 	}
-	if code, body := get("http://" + adminAddr + "/stats"); code != http.StatusOK ||
-		!strings.Contains(body, `"requests": 1`) {
-		t.Errorf("/stats: code=%d body=%.200s", code, body)
+	// /metrics is the one ledger; there is no second one to serve.
+	if code, _ := get("http://" + adminAddr + "/stats"); code != http.StatusNotFound {
+		t.Errorf("/stats: code=%d, want 404", code)
 	}
 	if code, _ := get("http://" + adminAddr + "/debug/pprof/"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/: code=%d", code)
@@ -194,5 +202,34 @@ func TestRunAdminEndpointAndShutdown(t *testing.T) {
 				t.Fatal("run did not return after SIGINT")
 			}
 		}
+	}
+}
+
+// TestRunStatsLine: the -stats-every and final: lines read the process's
+// own registry through proxy.ReadCounts, so they say what a scrape says.
+func TestRunStatsLine(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "image/gif")
+		fmt.Fprint(w, "hello-gif")
+	}))
+	defer origin.Close()
+	u, err := url.Parse(origin.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	srv, err := proxy.New(proxy.Config{Capacity: 1 << 20, Origin: u, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 4 { // one miss, then three hits of 9 bytes each
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/a.gif", nil))
+	}
+	line, err := statsLine(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "requests=4 hits=3 hr=0.750 bhr=0.750 used=0MB objects=1 evictions=0"; line != want {
+		t.Errorf("stats line %q, want %q", line, want)
 	}
 }

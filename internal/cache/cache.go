@@ -52,10 +52,6 @@ type Config struct {
 	// Policy builds one replacement-policy instance per shard; LRU when
 	// unset.
 	Policy policy.Factory
-	// OnEvict, when set, observes every eviction. It is called with the
-	// victim's shard lock held: it must be fast and must not call back
-	// into the cache.
-	OnEvict func(*Entry)
 	// Admission configures an admission filter (see internal/admission):
 	// one admitter per shard, each sized for the shard's share of the
 	// byte budget and keyed by that shard's interned IDs. The zero value
@@ -75,7 +71,6 @@ type Cache struct {
 	evictions  atomic.Int64
 	rejects    atomic.Int64
 	admRejects atomic.Int64
-	onEvict    func(*Entry)
 	mask       uint64
 	shards     []shard
 }
@@ -113,7 +108,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		capacity: cfg.Capacity,
-		onEvict:  cfg.OnEvict,
 		mask:     uint64(n - 1),
 		shards:   make([]shard, n),
 	}
@@ -377,12 +371,9 @@ func (sh *shard) evictVictim(c *Cache) bool {
 	if sh.adm != nil {
 		sh.adm.Evicted(victim)
 	}
-	if c.onEvict != nil {
-		c.onEvict(e)
-	}
-	// Drop the cache's reference last, after the OnEvict observer has run:
-	// readers that acquired under this shard's lock keep the body alive,
-	// and the pooled buffer returns only when the final one releases.
+	// Drop the cache's reference last: readers that acquired under this
+	// shard's lock keep the body alive, and the pooled buffer returns only
+	// when the final one releases.
 	e.Release()
 	return true
 }

@@ -136,10 +136,7 @@ func TestCrossShardEviction(t *testing.T) {
 	// Fill the budget with three objects; with 16 shards they almost
 	// surely land on distinct shards, and the fourth key's home shard is
 	// likely empty — forcing the eviction sweep across shards.
-	var evicted []string
-	c2 := mustNew(t, Config{Capacity: 300, Shards: 16, OnEvict: func(e *Entry) {
-		evicted = append(evicted, e.Doc.Key)
-	}})
+	c2 := mustNew(t, Config{Capacity: 300, Shards: 16})
 	for _, k := range []string{"a", "b", "c"} {
 		if !c2.Set(k, ent(k, 100)) {
 			t.Fatalf("set %s rejected", k)
@@ -151,8 +148,14 @@ func TestCrossShardEviction(t *testing.T) {
 	if c2.Used() > 300 {
 		t.Errorf("used %d exceeds capacity 300", c2.Used())
 	}
-	if len(evicted) != 1 {
-		t.Errorf("evicted %v, want exactly one victim", evicted)
+	var evicted []string
+	for _, k := range []string{"a", "b", "c"} {
+		if _, ok := c2.Peek(k); !ok {
+			evicted = append(evicted, k)
+		}
+	}
+	if len(evicted) != 1 || c2.Evictions() != 1 {
+		t.Errorf("evicted %v, Evictions() = %d, want exactly one victim", evicted, c2.Evictions())
 	}
 	if _, ok := c2.Peek("d"); !ok {
 		t.Error("d not resident after cross-shard eviction")

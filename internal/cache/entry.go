@@ -25,7 +25,7 @@ import (
 //     miss leader).
 //   - Insert acquires its own reference when the entry becomes resident,
 //     and the cache releases it when the entry leaves (eviction, Remove,
-//     replacement) — after the OnEvict callback has run.
+//     replacement).
 //   - Get/GetBytes return the entry already acquired on the caller's
 //     behalf; the caller must Release exactly once when done with Body.
 //   - When the count reaches zero the pooled buffer (if any) returns to

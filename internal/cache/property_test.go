@@ -20,9 +20,10 @@ import (
 //   - budget: Used() never exceeds capacity
 //
 // The model is maintained from the cache's own observable events (Set's
-// admission result, the OnEvict stream, Remove) — which is exactly what
-// makes it an oracle for the bookkeeping: any double-free, leak, or
-// missed eviction desynchronizes the two.
+// admission result, Remove, and the residents a Set displaced, each of
+// which Evictions must count once) — which is exactly what makes it an
+// oracle for the bookkeeping: any double-free, leak, or missed eviction
+// desynchronizes the two.
 func TestPropertyAccountingMatchesOracle(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		for _, scheme := range []string{"lru", "size", "gds"} {
@@ -42,12 +43,6 @@ func TestPropertyAccountingMatchesOracle(t *testing.T) {
 					Capacity: capacity,
 					Shards:   shards,
 					Policy:   factory,
-					OnEvict: func(e *Entry) {
-						if _, ok := model[e.Doc.Key]; !ok {
-							t.Errorf("evicted %q not in model", e.Doc.Key)
-						}
-						delete(model, e.Doc.Key)
-					},
 				})
 
 				keys := make([]string, 120)
@@ -59,12 +54,23 @@ func TestPropertyAccountingMatchesOracle(t *testing.T) {
 					switch r := rng.Intn(100); {
 					case r < 55: // insert / replace
 						size := int64(1 + rng.Intn(capacity/5))
-						if c.Set(k, ent(k, size)) {
+						evictions := c.Evictions()
+						stored := c.Set(k, ent(k, size))
+						// A rejected Set still removed any previous
+						// version before it failed to reserve.
+						delete(model, k)
+						var displaced int64
+						for mk := range model {
+							if _, ok := c.Peek(mk); !ok {
+								delete(model, mk)
+								displaced++
+							}
+						}
+						if got := c.Evictions() - evictions; got != displaced {
+							t.Fatalf("op %d: Set(%q) displaced %d residents, Evictions grew by %d", op, k, displaced, got)
+						}
+						if stored {
 							model[k] = size
-						} else {
-							// A rejected Set still removed any previous
-							// version before it failed to reserve.
-							delete(model, k)
 						}
 					case r < 85: // lookup
 						_, ok := c.Get(k)

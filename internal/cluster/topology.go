@@ -94,11 +94,11 @@ func (t *Topology) validate() error {
 			if n.URL == "" {
 				return fmt.Errorf("cluster: node %q has no url", n.Name)
 			}
-			if err := absoluteURL(n.URL); err != nil {
+			if _, err := AbsoluteURL(n.URL); err != nil {
 				return fmt.Errorf("cluster: node %q url: %w", n.Name, err)
 			}
 			if n.Admin != "" {
-				if err := absoluteURL(n.Admin); err != nil {
+				if _, err := AbsoluteURL(n.Admin); err != nil {
 					return fmt.Errorf("cluster: node %q admin: %w", n.Name, err)
 				}
 			}
@@ -121,19 +121,21 @@ func (t *Topology) validate() error {
 	return check("parents", t.Parents)
 }
 
-// absoluteURL requires scheme://host of an address every consumer dials:
-// "localhost:8080" parses (as scheme "localhost") and "n1" parses (as a
-// path), and either would otherwise surface per request as "unsupported
-// protocol scheme" and leave wcproxy listening on its default port.
-func absoluteURL(raw string) error {
+// AbsoluteURL parses the URL of an address something dials — a fleet
+// node, an admin endpoint, an origin or a parent proxy — and requires it
+// to be scheme://host over http(s): "localhost:8080" parses (as scheme
+// "localhost") and "n1" parses (as a path), and either would otherwise
+// surface per request as "unsupported protocol scheme" while the process
+// that took it runs on.
+func AbsoluteURL(raw string) (*url.URL, error) {
 	u, err := url.Parse(raw)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return fmt.Errorf("%q is not an absolute http(s) URL", raw)
+		return nil, fmt.Errorf("%q is not an absolute http(s) URL", raw)
 	}
-	return nil
+	return u, nil
 }
 
 // Ring builds the topology's consistent-hash ring over the leaf nodes.

@@ -28,6 +28,19 @@ func newSim(t *testing.T, w *Workload, cfg Config) *Simulator {
 	return s
 }
 
+// TestCountsRates pins the two ratios every table and every scrape read
+// through ReadCounts report, including the zero-traffic case.
+func TestCountsRates(t *testing.T) {
+	var c Counts
+	if c.HitRate() != 0 || c.ByteHitRate() != 0 {
+		t.Error("zero counts should rate 0")
+	}
+	c = Counts{Requests: 4, Hits: 1, ReqBytes: 100, HitBytes: 25}
+	if c.HitRate() != 0.25 || c.ByteHitRate() != 0.25 {
+		t.Errorf("rates = %v, %v", c.HitRate(), c.ByteHitRate())
+	}
+}
+
 func TestSimulatorBasicHitMiss(t *testing.T) {
 	w := build(t, 0,
 		req("http://e.com/a.gif", 100), // miss

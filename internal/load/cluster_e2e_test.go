@@ -46,7 +46,8 @@ type liveFleet struct {
 
 // startLiveFleet boots n clustered reverse proxies in full mesh, each
 // with its own admin endpoint, and returns them with a topology that
-// points at the live listeners.
+// points at the live listeners. With a parent, origin fetches go through
+// it as their HTTP proxy.
 func startLiveFleet(t *testing.T, n int, capacity int64, shards int, origin, parent *url.URL) *liveFleet {
 	t.Helper()
 	handlers := make([]*latebound, n)
@@ -72,19 +73,22 @@ func startLiveFleet(t *testing.T, n int, capacity int64, shards int, origin, par
 			peers[names[j]] = u
 		}
 		reg := metrics.NewRegistry()
-		srv, err := proxy.New(proxy.Config{
+		cfg := proxy.Config{
 			Capacity: capacity,
 			Origin:   origin,
-			Parent:   parent,
 			Metrics:  reg,
 			Shards:   shards,
 			Cluster:  &proxy.ClusterConfig{Self: names[i], Peers: peers},
-		})
+		}
+		if parent != nil {
+			cfg.Transport = &http.Transport{Proxy: http.ProxyURL(parent)}
+		}
+		srv, err := proxy.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		handlers[i].p.Store(srv)
-		admin := httptest.NewServer(proxy.AdminHandler(srv, reg))
+		admin := httptest.NewServer(proxy.AdminHandler(reg))
 		t.Cleanup(admin.Close)
 		fl.servers = append(fl.servers, srv)
 		fl.topo.Nodes = append(fl.topo.Nodes, cluster.Node{
@@ -283,8 +287,10 @@ func TestDiffMetrics(t *testing.T) {
 // TestClusterSimLiveParity replays one deterministic trace through the
 // same topology twice — once via hierarchy.Cluster (the simulator core)
 // and once via a live 3-node fleet with a shared parent proxy — and
-// requires the two to agree exactly: per-node request and hit counts,
-// per-document-class hit counts, and the parent level's counts. With the
+// requires the two to agree exactly: per-node request counts, hits and
+// hit bytes overall and per document class, and the parent level's
+// requests, hits and hit bytes — each live side read from its scrape
+// through proxy.ReadCounts. With the
 // replay sequential, every cache at one shard, LRU everywhere and no
 // admission, there is no legal source of divergence. The run also
 // reproduces the arXiv 1202.4880 filtering trend on both sides: the
@@ -343,6 +349,8 @@ func TestClusterSimLiveParity(t *testing.T) {
 	}
 	parentFront := httptest.NewServer(parentSrv)
 	defer parentFront.Close()
+	parentAdmin := httptest.NewServer(proxy.AdminHandler(parentReg))
+	defer parentAdmin.Close()
 	parentURL, err := url.Parse(parentFront.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -352,6 +360,7 @@ func TestClusterSimLiveParity(t *testing.T) {
 	fl.topo.Parents = []cluster.Node{{
 		Name:     "parent",
 		URL:      parentFront.URL,
+		Admin:    parentAdmin.URL,
 		Capacity: strconv.Itoa(parentCapacity),
 	}}
 
@@ -418,25 +427,26 @@ func TestClusterSimLiveParity(t *testing.T) {
 		if m["wcproxy_peer_errors_total"] != 0 {
 			t.Errorf("node %s: %v peer errors break the parity preconditions", n.Name, m["wcproxy_peer_errors_total"])
 		}
-		simReqs := n.Result.Overall.Requests
-		simHits := n.Result.Overall.Hits
-		fleetReqs += simReqs
-		fleetHits += simHits
-		liveOwned := m["wcproxy_requests_total"] - m["wcproxy_peer_fetches_total"]
-		if float64(simReqs) != liveOwned {
-			t.Errorf("node %s requests: sim %d, live %v (requests %v - peer fetches %v)",
-				n.Name, simReqs, liveOwned, m["wcproxy_requests_total"], m["wcproxy_peer_fetches_total"])
+		sim := n.Result.Overall
+		fleetReqs += sim.Requests
+		fleetHits += sim.Hits
+		live, liveByClass := proxy.ReadCounts(m)
+		liveOwned := live.Requests - int64(m["wcproxy_peer_fetches_total"])
+		if sim.Requests != liveOwned {
+			t.Errorf("node %s requests: sim %d, live %d (requests %d - peer fetches %v)",
+				n.Name, sim.Requests, liveOwned, live.Requests, m["wcproxy_peer_fetches_total"])
 		}
-		if float64(simHits) != m["wcproxy_hits_total"] {
-			t.Errorf("node %s hits: sim %d, live %v", n.Name, simHits, m["wcproxy_hits_total"])
+		if sim.Hits != live.Hits || sim.HitBytes != live.HitBytes {
+			t.Errorf("node %s hits: sim %d (%d bytes), live %d (%d bytes)", n.Name, sim.Hits, sim.HitBytes, live.Hits, live.HitBytes)
 		}
 		for _, c := range doctype.Classes {
-			key := fmt.Sprintf("wcproxy_class_hits_total{class=%q}", c.Short())
-			if want := float64(n.Result.ByClass[c].Hits); m[key] != want {
-				t.Errorf("node %s class %s hits: sim %v, live %v", n.Name, c.Short(), want, m[key])
+			want, got := n.Result.ByClass[c], liveByClass[c]
+			if want.Hits != got.Hits || want.HitBytes != got.HitBytes {
+				t.Errorf("node %s class %s hits: sim %d (%d bytes), live %d (%d bytes)",
+					n.Name, c.Short(), want.Hits, want.HitBytes, got.Hits, got.HitBytes)
 			}
 		}
-		if simHits == 0 {
+		if sim.Hits == 0 {
 			t.Errorf("node %s: degenerate parity, no hits at all", res.Nodes[i].Name)
 		}
 	}
@@ -444,15 +454,19 @@ func TestClusterSimLiveParity(t *testing.T) {
 		t.Fatalf("sim fleet processed %d requests, want %d", fleetReqs, requests)
 	}
 
-	// Parent-level parity: the live parent's own counters against the
+	// Parent-level parity: the live parent's own scrape against the
 	// simulated parent level.
 	parent := res.Parents[0].Result.Overall
-	pst := parentSrv.Stats()
+	parentScrape, err := load.ScrapeMetrics(parentAdmin.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pst, _ := proxy.ReadCounts(parentScrape)
 	if parent.Requests != pst.Requests {
 		t.Errorf("parent requests: sim %d, live %d", parent.Requests, pst.Requests)
 	}
-	if parent.Hits != pst.Hits {
-		t.Errorf("parent hits: sim %d, live %d", parent.Hits, pst.Hits)
+	if parent.Hits != pst.Hits || parent.HitBytes != pst.HitBytes {
+		t.Errorf("parent hits: sim %d (%d bytes), live %d (%d bytes)", parent.Hits, parent.HitBytes, pst.Hits, pst.HitBytes)
 	}
 	if parent.Requests != fleetReqs-fleetHits {
 		t.Errorf("parent saw %d requests, want the fleet's %d misses", parent.Requests, fleetReqs-fleetHits)

@@ -252,24 +252,40 @@ func (g *Gauge) writeText(w io.Writer) error {
 	return err
 }
 
-// gaugeFunc exposes a value computed at scrape time.
+// gaugeFunc exposes a value computed at scrape time, as a gauge or (typ
+// "counter") as a counter.
 type gaugeFunc struct {
 	desc
-	fn func() float64
+	typ string
+	fn  func() float64
 }
 
 // NewGaugeFunc registers a gauge whose value is computed by fn at every
 // exposition — the idiom for values owned by another subsystem (cache
 // occupancy, goroutine counts). fn must be safe for concurrent use.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	r.register(&gaugeFunc{desc: desc{name: name, help: help}, fn: fn})
+	r.register(&gaugeFunc{desc: desc{name: name, help: help}, typ: "gauge", fn: fn})
+}
+
+// NewCounterFunc is NewGaugeFunc for a count another subsystem already
+// keeps (a store's eviction total): exported as a counter, read by fn at
+// every exposition, so the count lives in one place. fn must be
+// monotonic and safe for concurrent use.
+func (r *Registry) NewCounterFunc(name, help string, fn func() int64) {
+	r.register(&gaugeFunc{desc: desc{name: name, help: help}, typ: "counter",
+		fn: func() float64 { return float64(fn()) }})
 }
 
 func (g *gaugeFunc) writeText(w io.Writer) error {
-	if err := g.header(w, "gauge"); err != nil {
+	if err := g.header(w, g.typ); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.fn()))
+	v := g.fn()
+	val := formatFloat(v)
+	if g.typ == "counter" {
+		val = strconv.FormatInt(int64(v), 10) // written like a Counter's
+	}
+	_, err := fmt.Fprintf(w, "%s %s\n", g.name, val)
 	return err
 }
 

@@ -62,12 +62,17 @@ func TestGaugeAndGaugeFunc(t *testing.T) {
 		t.Fatalf("Value = %d, want 70", got)
 	}
 	r.NewGaugeFunc("test_ratio", "computed", func() float64 { return 0.5 })
+	// A counter kept elsewhere is written like a Counter, digits and all,
+	// where a gauge of the same value would switch to exponent form.
+	r.NewCounterFunc("test_evictions_total", "owned by a store", func() int64 { return 12345678 })
 	out := expose(t, r)
 	for _, want := range []string{
 		"# TYPE test_used_bytes gauge",
 		"test_used_bytes 70",
 		"# TYPE test_ratio gauge",
 		"test_ratio 0.5",
+		"# TYPE test_evictions_total counter",
+		"test_evictions_total 12345678\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -213,6 +218,7 @@ func TestParseTextRoundTrip(t *testing.T) {
 	r.NewCounter("test_rt_total", "a counter").Add(42)
 	r.NewGauge("test_rt_used_bytes", "a gauge").Set(-7)
 	r.NewGaugeFunc("test_rt_ratio", "a computed gauge", func() float64 { return 0.25 })
+	r.NewCounterFunc("test_rt_func_total", "a computed counter", func() int64 { return 9 })
 	v := r.NewCounterVec("test_rt_by_class_total", "a vec", "class")
 	v.With("html").Add(3)
 	v.With("a \"b\\c\nd").Inc()
@@ -232,6 +238,7 @@ func TestParseTextRoundTrip(t *testing.T) {
 		"test_rt_total":                               42,
 		"test_rt_used_bytes":                          -7,
 		"test_rt_ratio":                               0.25,
+		"test_rt_func_total":                          9,
 		`test_rt_by_class_total{class="html"}`:        3,
 		`test_rt_by_class_total{class="a \"b\\c\nd"}`: 1,
 		`test_rt_seconds_bucket{le="0.1"}`:            1,

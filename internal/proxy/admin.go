@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 
@@ -11,30 +10,17 @@ import (
 // AdminHandler serves the proxy's operational endpoints, meant for a
 // separate, non-public listener (wcproxy -admin):
 //
-//	/metrics      Prometheus text exposition of reg
-//	/stats        JSON snapshot of the proxy's Stats plus occupancy
+//	/metrics      Prometheus text exposition of reg, the proxy's one ledger
+//	              (ReadCounts reads it back as the paper's counts)
 //	/debug/pprof/ the standard Go profiling endpoints
 //	/             a plain-text index of the above
 //
 // The pprof handlers are mounted explicitly rather than through
 // net/http/pprof's init side effect, so profiling is only reachable
 // through this handler — never on the proxy's traffic port.
-func AdminHandler(s *Server, reg *metrics.Registry) http.Handler {
+func AdminHandler(reg *metrics.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		// The stats snapshot is best-effort; an encode error just means
-		// the client hung up.
-		_ = enc.Encode(struct {
-			Stats
-			UsedBytes     int64 `json:"usedBytes"`
-			Objects       int   `json:"objects"`
-			CapacityBytes int64 `json:"capacityBytes"`
-		}{s.Stats(), s.Used(), s.Len(), s.cfg.Capacity})
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -49,7 +35,6 @@ func AdminHandler(s *Server, reg *metrics.Registry) http.Handler {
 		// Index page write failure means the admin client went away.
 		_, _ = w.Write([]byte("wcproxy admin endpoints:\n" +
 			"  /metrics       Prometheus text format\n" +
-			"  /stats         JSON statistics snapshot\n" +
 			"  /debug/pprof/  Go profiling\n"))
 	})
 	return mux

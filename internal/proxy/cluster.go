@@ -43,9 +43,9 @@ type ClusterConfig struct {
 	// PeerTimeout bounds one peer fetch (DefaultPeerTimeout when 0).
 	PeerTimeout time.Duration
 	// Transport performs peer fetches; http.DefaultTransport when nil.
-	// Deliberately separate from Config.Transport: a Parent configuration
-	// rewires origin fetches through the parent proxy, but peer fetches
-	// must go straight to the sibling.
+	// Deliberately separate from Config.Transport: that one may lead
+	// origin fetches through a parent proxy, but peer fetches must go
+	// straight to the sibling.
 	Transport http.RoundTripper
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"webcachesim/internal/cluster"
+	"webcachesim/internal/metrics"
 )
 
 // lateHandler lets an httptest server start before the proxy behind it
@@ -30,16 +31,19 @@ func (h *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.ServeHTTP(w, r)
 }
 
-// fleet is a set of in-process clustered proxies on loopback.
+// fleet is a set of in-process clustered proxies on loopback; regs[i] is
+// servers[i]'s metrics registry.
 type fleet struct {
 	names   []string
 	servers []*Server
+	regs    []*metrics.Registry
 	fronts  []*httptest.Server
 	ring    *cluster.Ring
 }
 
-// startFleet spins up n clustered reverse proxies in front of origin.
-// mutate, when non-nil, adjusts each node's Config before New.
+// startFleet spins up n clustered reverse proxies in front of origin,
+// each on a registry of its own. mutate, when non-nil, adjusts each
+// node's Config before New.
 func startFleet(t *testing.T, origin *httptest.Server, n int, mutate func(i int, cfg *Config)) *fleet {
 	t.Helper()
 	f := &fleet{}
@@ -73,6 +77,7 @@ func startFleet(t *testing.T, origin *httptest.Server, n int, mutate func(i int,
 			Capacity: 1 << 20,
 			Origin:   originURL,
 			Cluster:  &ClusterConfig{Self: f.names[i], Peers: peers},
+			Metrics:  metrics.NewRegistry(),
 		}
 		if mutate != nil {
 			mutate(i, &cfg)
@@ -82,6 +87,7 @@ func startFleet(t *testing.T, origin *httptest.Server, n int, mutate func(i int,
 			t.Fatal(err)
 		}
 		f.servers = append(f.servers, s)
+		f.regs = append(f.regs, cfg.Metrics)
 		handlers[i].p.Store(s)
 	}
 	f.ring, err = cluster.NewRing(f.names, 0)
@@ -180,14 +186,15 @@ func TestClusterPeerHitAndOwnerOnlyStorage(t *testing.T) {
 		t.Errorf("origin was sent %s on %d request(s); the owner must strip it", PeerHeader, n)
 	}
 
-	st := f.servers[other].Stats()
-	if st.PeerHits != 1 || st.Hits != 0 {
-		t.Errorf("non-owner stats: PeerHits=%d Hits=%d, want 1/0", st.PeerHits, st.Hits)
+	st, _ := readCounts(t, f.regs[other])
+	peerHits := scrape(t, f.regs[other])["wcproxy_peer_hits_total"]
+	if peerHits != 1 || st.Hits != 0 {
+		t.Errorf("non-owner counts: peer hits=%d hits=%d, want 1/0", peerHits, st.Hits)
 	}
-	if st.Requests != 2 || st.Requests != st.Hits+st.PeerHits+1 { // the cold request was the 1 miss
-		t.Errorf("non-owner accounting does not partition: %+v", st)
+	if st.Requests != 2 || st.Requests != st.Hits+peerHits+1 { // the cold request was the 1 miss
+		t.Errorf("non-owner accounting does not partition: %+v, %d peer hits", st, peerHits)
 	}
-	ownerStats := f.servers[owner].Stats()
+	ownerStats, _ := readCounts(t, f.regs[owner])
 	if ownerStats.Hits != 1 {
 		// The peer's second consultation is a local hit at the owner.
 		t.Errorf("owner Hits = %d, want 1", ownerStats.Hits)
@@ -365,8 +372,8 @@ func TestClusterLoopGuard(t *testing.T) {
 	if got := f.servers[other].metrics.peerFetches.Value(); got != 0 {
 		t.Errorf("peer_fetches = %d, want 0 — the loop guard must stop re-routing", got)
 	}
-	if got := f.servers[f.idx(t, "n0")].Stats().Requests; got != 0 {
-		t.Errorf("owner saw %d requests, want 0", got)
+	if got, _ := readCounts(t, f.regs[f.idx(t, "n0")]); got.Requests != 0 {
+		t.Errorf("owner saw %d requests, want 0", got.Requests)
 	}
 }
 

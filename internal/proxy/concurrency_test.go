@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"webcachesim/internal/metrics"
 )
 
 // fakeOrigin is an in-process http.RoundTripper origin: it counts fetches
@@ -114,7 +116,8 @@ func TestConcurrentMissCoalescing(t *testing.T) {
 			// The origin delay keeps each first fetch in flight long
 			// enough for every overlapping requester to join it.
 			origin.delay = 30 * time.Millisecond
-			p, err := New(Config{Capacity: capacity, Shards: shards, Transport: origin})
+			reg := metrics.NewRegistry()
+			p, err := New(Config{Capacity: capacity, Shards: shards, Transport: origin, Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,16 +175,17 @@ func TestConcurrentMissCoalescing(t *testing.T) {
 			if o := overshoot.Load(); o != 0 {
 				t.Errorf("byte budget overshot: used %d > capacity %d", o, capacity)
 			}
-			st := p.Stats()
+			st, _ := readCounts(t, reg)
 			if st.Requests != urls*perURL {
 				t.Errorf("requests = %d, want %d", st.Requests, urls*perURL)
 			}
 			// Every request beyond the one leader per URL was either
 			// coalesced into the leader's fetch or arrived after it
 			// completed and hit the cache.
-			if st.Coalesced+st.Hits != urls*(perURL-1) {
+			coalesced := scrape(t, reg)["wcproxy_coalesced_total"]
+			if coalesced+st.Hits != urls*(perURL-1) {
 				t.Errorf("coalesced(%d)+hits(%d) = %d, want %d",
-					st.Coalesced, st.Hits, st.Coalesced+st.Hits, urls*(perURL-1))
+					coalesced, st.Hits, coalesced+st.Hits, urls*(perURL-1))
 			}
 			if p.Used() != int64(urls*bodyLen) {
 				t.Errorf("used = %d, want %d (all bodies resident once)", p.Used(), urls*bodyLen)
@@ -198,7 +202,8 @@ func TestConcurrentEvictionPressure(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			origin := newFakeOrigin()
 			const capacity = 100 // ~4 bodies of ~24 bytes
-			p, err := New(Config{Capacity: capacity, Shards: shards, Transport: origin})
+			reg := metrics.NewRegistry()
+			p, err := New(Config{Capacity: capacity, Shards: shards, Transport: origin, Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +329,8 @@ func TestCoalescedWaitersShareOneFetch(t *testing.T) {
 	origin.block["/x.gif"] = release
 	origin.mu.Unlock()
 
-	p, err := New(Config{Capacity: 1 << 20, Transport: origin})
+	reg := metrics.NewRegistry()
+	p, err := New(Config{Capacity: 1 << 20, Transport: origin, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,17 +365,17 @@ func TestCoalescedWaitersShareOneFetch(t *testing.T) {
 	if got := origin.fetches("/x.gif"); got != 1 {
 		t.Errorf("origin fetched %d times, want 1", got)
 	}
-	st := p.Stats()
-	if st.Coalesced != coalescedHdr.Load() {
+	coalesced := scrape(t, reg)["wcproxy_coalesced_total"]
+	if coalesced != coalescedHdr.Load() {
 		t.Errorf("server counted %d coalesced, clients saw %d X-Coalesced headers",
-			st.Coalesced, coalescedHdr.Load())
+			coalesced, coalescedHdr.Load())
 	}
 	// The leader plus any requester that arrived after completion are
 	// non-coalesced; with the gate held until all joined, that is 1.
-	if st.Coalesced != n-1 {
-		t.Errorf("coalesced = %d, want %d", st.Coalesced, n-1)
+	if coalesced != n-1 {
+		t.Errorf("coalesced = %d, want %d", coalesced, n-1)
 	}
-	if st.Hits != 0 || st.Requests != n {
-		t.Errorf("stats = %+v", st)
+	if st, _ := readCounts(t, reg); st.Hits != 0 || st.Requests != n {
+		t.Errorf("counts = %+v", st)
 	}
 }

@@ -1,18 +1,21 @@
 package proxy
 
 import (
+	"webcachesim/internal/core"
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/metrics"
 )
 
 // serverMetrics is the proxy's exported instrumentation. Every metric is
 // documented in docs/METRICS.md; changing a name here is a breaking
-// change for scrapers and must update that file.
+// change for scrapers (and ReadCounts) and must update that file. What
+// the store already counts — evictions, budget and admission rejects,
+// admissions — is exported from the store's own counters by
+// registerFuncs, not counted a second time here.
 type serverMetrics struct {
 	requests     *metrics.Counter
 	hits         *metrics.Counter
 	misses       *metrics.Counter
-	evictions    *metrics.Counter
 	originErrors *metrics.Counter
 
 	// uncacheableRules counts responses the paper's cacheability rules
@@ -25,19 +28,10 @@ type serverMetrics struct {
 
 	// coalesced counts misses that shared another request's origin fetch;
 	// staleServed counts expired copies served because the origin was
-	// down; originRetries counts backoff-spaced re-attempts;
-	// cacheRejects counts cacheable responses the store could not admit
-	// under its byte budget.
+	// down; originRetries counts backoff-spaced re-attempts.
 	coalesced     *metrics.Counter
 	staleServed   *metrics.Counter
 	originRetries *metrics.Counter
-	cacheRejects  *metrics.Counter
-
-	// admissionAdmitted/admissionRejected count the admission filter's
-	// decisions on cacheable responses; both stay zero when the proxy runs
-	// without admission.
-	admissionAdmitted *metrics.Counter
-	admissionRejected *metrics.Counter
 
 	// The cluster trio, zero on an unclustered proxy. peerHits counts
 	// requests answered from a sibling's cache (disjoint from hits and
@@ -82,8 +76,6 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 			"Requests served from cache."),
 		misses: reg.NewCounter("wcproxy_misses_total",
 			"Requests that required an origin fetch."),
-		evictions: reg.NewCounter("wcproxy_evictions_total",
-			"Cached objects evicted to make room."),
 		originErrors: reg.NewCounter("wcproxy_origin_errors_total",
 			"Upstream fetches that failed."),
 		coalesced: reg.NewCounter("wcproxy_coalesced_total",
@@ -92,8 +84,6 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 			"Requests answered with an expired cached copy because the origin was unreachable."),
 		originRetries: reg.NewCounter("wcproxy_origin_retries_total",
 			"Origin fetch re-attempts after a transport failure (backoff-spaced)."),
-		cacheRejects: reg.NewCounter("wcproxy_cache_rejects_total",
-			"Cacheable responses the store refused for want of byte budget."),
 		requestBytes: reg.NewCounter("wcproxy_request_bytes_total",
 			"Body bytes delivered to clients (the byte-hit-rate denominator)."),
 		hitBytes: reg.NewCounter("wcproxy_hit_bytes_total",
@@ -106,10 +96,6 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		objectBytes: reg.NewHistogram("wcproxy_object_bytes",
 			"Size of bodies fetched from the origin.",
 			metrics.DefaultSizeBuckets()),
-		admissionAdmitted: reg.NewCounter("wcproxy_admission_admitted_total",
-			"Cacheable responses the admission filter let into the cache."),
-		admissionRejected: reg.NewCounter("wcproxy_admission_rejected_total",
-			"Cacheable responses the admission filter refused."),
 		peerHits: reg.NewCounter("wcproxy_peer_hits_total",
 			"Requests answered from a sibling node's cache (disjoint from hits and misses)."),
 		peerFetches: reg.NewCounter("wcproxy_peer_fetches_total",
@@ -139,10 +125,20 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	return m
 }
 
-// registerGauges exposes the store's live occupancy. The byte gauge is a
-// single atomic load; the object count briefly takes each shard lock in
-// turn.
-func (s *Server) registerGauges(reg *metrics.Registry) {
+// registerFuncs exposes what the store and the pool keep themselves: the
+// store's decision counters and both live occupancies. The byte gauge is
+// a single atomic load; the object count and the admission counts briefly
+// take each shard lock in turn.
+func (s *Server) registerFuncs(reg *metrics.Registry) {
+	reg.NewCounterFunc("wcproxy_evictions_total",
+		"Cached objects evicted to make room.", s.store.Evictions)
+	reg.NewCounterFunc("wcproxy_cache_rejects_total",
+		"Cacheable responses the store refused for want of byte budget.", s.store.Rejects)
+	reg.NewCounterFunc("wcproxy_admission_rejected_total",
+		"Cacheable responses the admission filter refused.", s.store.AdmissionRejects)
+	reg.NewCounterFunc("wcproxy_admission_admitted_total",
+		"Cacheable responses the admission filter let into the cache.",
+		func() int64 { return s.store.AdmissionCounts().Admitted })
 	reg.NewGaugeFunc("wcproxy_cache_used_bytes",
 		"Bytes of cached response bodies currently resident.",
 		func() float64 { return float64(s.Used()) })
@@ -179,4 +175,26 @@ func (s *Server) registerGauges(reg *metrics.Registry) {
 	reg.NewGaugeFunc("wcproxy_pool_bypass",
 		"Buffer requests larger than the biggest pool class, served straight from the heap.",
 		func() float64 { return float64(s.buffers.Stats().Bypass) })
+}
+
+// ReadCounts turns a scrape — what metrics.ParseText returns for a
+// proxy's /metrics — into the paper's shape: requests, hits and their
+// body bytes, overall and per document class, so a live node reads like
+// a simulation's core.Result. It reads the request, hit and byte series
+// registered above; a series missing from m reads as zero. On a clustered
+// node requests include peer hits, which are not hits.
+func ReadCounts(m map[string]float64) (overall core.Counts, byClass core.ClassCounts) {
+	counts := func(family, label string) core.Counts {
+		return core.Counts{
+			Requests: int64(m[family+"requests_total"+label]),
+			Hits:     int64(m[family+"hits_total"+label]),
+			ReqBytes: int64(m[family+"request_bytes_total"+label]),
+			HitBytes: int64(m[family+"hit_bytes_total"+label]),
+		}
+	}
+	overall = counts("wcproxy_", "")
+	for c := range byClass {
+		byClass[c] = counts("wcproxy_class_", `{class="`+doctype.Class(c).Short()+`"}`)
+	}
+	return overall, byClass
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"webcachesim/internal/core"
 	"webcachesim/internal/metrics"
 	"webcachesim/internal/proxy"
 )
@@ -53,6 +54,16 @@ func exposition(t *testing.T, reg *metrics.Registry) string {
 		t.Fatal(err)
 	}
 	return sb.String()
+}
+
+// readCounts scrapes reg and reads the scrape through proxy.ReadCounts.
+func readCounts(t *testing.T, reg *metrics.Registry) (core.Counts, core.ClassCounts) {
+	t.Helper()
+	m, err := metrics.ParseText(strings.NewReader(exposition(t, reg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return proxy.ReadCounts(m)
 }
 
 func TestMetricsCountHitsAndMisses(t *testing.T) {
@@ -155,12 +166,11 @@ func TestNilMetricsConfigStillWorks(t *testing.T) {
 func TestAdminHandler(t *testing.T) {
 	srv, reg, _ := newInstrumented(t, 1<<20)
 	get(t, srv, "/a.gif")
-	admin := proxy.AdminHandler(srv, reg)
+	admin := proxy.AdminHandler(reg)
 
 	for path, want := range map[string]string{
 		"/":             "/metrics",
 		"/metrics":      "wcproxy_requests_total 1",
-		"/stats":        `"requests": 1`,
 		"/debug/pprof/": "profiles",
 	} {
 		rr := get(t, admin, path)
@@ -173,7 +183,9 @@ func TestAdminHandler(t *testing.T) {
 			t.Errorf("%s: body missing %q:\n%.400s", path, want, body)
 		}
 	}
-	if rr := get(t, admin, "/nope"); rr.Code != http.StatusNotFound {
-		t.Errorf("/nope: status = %d, want 404", rr.Code)
+	for _, path := range []string{"/nope", "/stats"} {
+		if rr := get(t, admin, path); rr.Code != http.StatusNotFound {
+			t.Errorf("%s: status = %d, want 404", path, rr.Code)
+		}
 	}
 }

@@ -93,19 +93,15 @@ func TestOversizeBodyStreamedComplete(t *testing.T) {
 	if n := srv.Len(); n != 0 {
 		t.Fatalf("cache holds %d objects, want 0 (oversize bodies must not be stored)", n)
 	}
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if out := sb.String(); !strings.Contains(out, `wcproxy_uncacheable_total{reason="oversize"} 2`) {
+	if out := exposition(t, reg); !strings.Contains(out, `wcproxy_uncacheable_total{reason="oversize"} 2`) {
 		t.Errorf("exposition missing oversize count:\n%s", out)
 	}
-	st := srv.Stats()
+	st, _ := readCounts(t, reg)
 	if st.Hits != 0 || st.Requests != 2 {
-		t.Errorf("stats = %d requests / %d hits, want 2 / 0", st.Requests, st.Hits)
+		t.Errorf("counts = %d requests / %d hits, want 2 / 0", st.Requests, st.Hits)
 	}
 	if want := int64(2 * len(payload)); st.ReqBytes != want {
-		t.Errorf("stats.ReqBytes = %d, want %d (full streamed size)", st.ReqBytes, want)
+		t.Errorf("request bytes = %d, want %d (full streamed size)", st.ReqBytes, want)
 	}
 }
 

@@ -15,8 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"webcachesim/internal/admission"
+	"webcachesim/internal/core"
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/metrics"
+	"webcachesim/internal/policy"
 	"webcachesim/internal/pool"
 	"webcachesim/internal/trace"
 )
@@ -39,18 +42,40 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// scrape parses a registry's text exposition into series → value.
-func scrape(t *testing.T, reg *metrics.Registry) map[string]int64 {
+// parse reads a registry's text exposition back as series → value.
+func parse(t *testing.T, reg *metrics.Registry) map[string]float64 {
 	t.Helper()
 	m, err := metrics.ParseText(strings.NewReader(metricsText(t, reg)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// scrape is parse with the values as integers.
+func scrape(t *testing.T, reg *metrics.Registry) map[string]int64 {
+	t.Helper()
+	m := parse(t, reg)
 	out := make(map[string]int64, len(m))
 	for series, v := range m {
 		out[series] = int64(v)
 	}
 	return out
+}
+
+// readCounts reads a registry's scrape through ReadCounts.
+func readCounts(t *testing.T, reg *metrics.Registry) (core.Counts, core.ClassCounts) {
+	t.Helper()
+	return ReadCounts(parse(t, reg))
+}
+
+// plus and minus are core.Counts arithmetic, field by field.
+func plus(a, b core.Counts) core.Counts {
+	return core.Counts{Requests: a.Requests + b.Requests, Hits: a.Hits + b.Hits, ReqBytes: a.ReqBytes + b.ReqBytes, HitBytes: a.HitBytes + b.HitBytes}
+}
+
+func minus(a, b core.Counts) core.Counts {
+	return plus(a, core.Counts{Requests: -b.Requests, Hits: -b.Hits, ReqBytes: -b.ReqBytes, HitBytes: -b.HitBytes})
 }
 
 // served is one response as its client received it; complete reports
@@ -112,18 +137,33 @@ func (env *settleEnv) logLines(t *testing.T) []*trace.Request {
 // TestEveryOutcomeSettlesOnce drives every way a request can end through
 // the pipeline and checks that each settles exactly once: the response
 // headers name the outcome, the /metrics delta partitions (requests =
-// hits + peer hits + misses) with exactly the expected sub-counter,
-// Stats() reads the same counters back, the access log gained one line
-// per written response with the status and byte count its client
-// received, and every pooled buffer not backing a resident object went
-// back to the pool.
+// hits + peer hits + misses) with exactly the expected sub-counter and
+// store decision, the scrape read through ReadCounts moved by what the
+// clients received, class by class, the access log gained one line per
+// written response with the status and byte count its client received,
+// and every pooled buffer not backing a resident object went back to the
+// pool.
 func TestEveryOutcomeSettlesOnce(t *testing.T) {
 	const (
 		small    = "/a.gif"                                  // 21-byte body
+		other    = "/b.gif"                                  // 21-byte body
 		big      = "/oversize-document-with-a-long-name.gif" // 54-byte body
 		maxSmall = 32                                        // MaxObjectBytes between the two
+		oneBody  = 21                                        // a Capacity that holds one small body
 	)
-	type counts struct{ requests, hits, peerHits, misses, coalesced, stale int64 }
+	type counts struct {
+		requests, hits, peerHits, misses, coalesced, stale int64
+		// What became of the bodies the requests fetched: kept out by the
+		// rules or the size bound, or the store's decisions.
+		uncacheable, evictions, budgetRejects, admissionRejects, admitted int64
+	}
+	// contested is a one-shard TinyLFU proxy whose cache holds small, so
+	// the next small body must displace it and the filter decides.
+	contested := func(t *testing.T) *settleEnv {
+		env := newSettleEnv(t, Config{Capacity: oneBody, Shards: 1, Admission: admission.MustSpec("tinylfu")}, newFakeOrigin())
+		env.get(small)
+		return env
+	}
 	for _, row := range []struct {
 		name string
 		// setup builds the server, brings it to the state the outcome
@@ -133,6 +173,7 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 		status     int
 		xcache     string
 		xcoalesced string
+		xadmission string
 		delta      counts
 	}{
 		{
@@ -200,7 +241,7 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 				env := newSettleEnv(t, Config{MaxObjectBytes: maxSmall}, newFakeOrigin())
 				return env, func() []served { return []served{env.get(big)} }
 			},
-			status: 200, xcache: "MISS", delta: counts{requests: 1, misses: 1},
+			status: 200, xcache: "MISS", delta: counts{requests: 1, misses: 1, uncacheable: 1},
 		},
 		{
 			name: "oversize waiter",
@@ -209,7 +250,8 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 				env := newSettleEnv(t, Config{MaxObjectBytes: maxSmall}, origin)
 				return env, func() []served { return env.pair(t, origin, big) }
 			},
-			status: 200, xcache: "MISS", xcoalesced: "1", delta: counts{requests: 2, misses: 2, coalesced: 1},
+			// The waiter refetches the body the leader could not share.
+			status: 200, xcache: "MISS", xcoalesced: "1", delta: counts{requests: 2, misses: 2, coalesced: 1, uncacheable: 2},
 		},
 		{
 			name: "upstream failure",
@@ -221,31 +263,93 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 			},
 			status: 502, // no X-Cache: the one outcome that bypasses write and account
 		},
+		{
+			// Under MaxObjectBytes, over the whole cache: the cacheability
+			// rules refuse it before the store's budget is asked.
+			name: "larger than the cache",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				env := newSettleEnv(t, Config{Capacity: oneBody - 1}, newFakeOrigin())
+				return env, func() []served { return []served{env.get(small)} }
+			},
+			status: 200, xcache: "MISS", delta: counts{requests: 1, misses: 1, uncacheable: 1},
+		},
+		{
+			// Room for the body, but the bytes are held by a resident no
+			// shard will give up.
+			name: "budget reject",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				lru := policy.MustFactory(policy.Spec{Scheme: "lru"})
+				env := newSettleEnv(t, Config{Capacity: oneBody, Shards: 1, Policy: policy.Factory{Name: "pinning", New: func() policy.Policy {
+					return pinning{lru.New()}
+				}}}, newFakeOrigin())
+				env.get(small)
+				return env, func() []served { return []served{env.get(other)} }
+			},
+			status: 200, xcache: "MISS", delta: counts{requests: 1, misses: 1, budgetRejects: 1},
+		},
+		{
+			name: "admission reject",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				env := contested(t)
+				// other is as popular as the resident (seen once each): a tie
+				// keeps the resident.
+				return env, func() []served { return []served{env.get(other)} }
+			},
+			status: 200, xcache: "MISS", xadmission: "reject", delta: counts{requests: 1, misses: 1, admissionRejects: 1},
+		},
+		{
+			name: "admission admit",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				env := contested(t)
+				env.get(other) // rejected, but now seen once more than the resident
+				return env, func() []served { return []served{env.get(other)} }
+			},
+			status: 200, xcache: "MISS", delta: counts{requests: 1, misses: 1, admitted: 1, evictions: 1},
+		},
+		{
+			name: "eviction",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				env := newSettleEnv(t, Config{Capacity: oneBody, Shards: 1}, newFakeOrigin())
+				env.get(small)
+				return env, func() []served { return []served{env.get(other)} }
+			},
+			status: 200, xcache: "MISS", delta: counts{requests: 1, misses: 1, evictions: 1},
+		},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			env, measure := row.setup(t)
 			before, loggedBefore := scrape(t, env.reg), len(env.logLines(t))
+			beforeAll, beforeByClass := readCounts(t, env.reg)
 			responses := measure()
 
 			last := responses[len(responses)-1]
 			if last.status != row.status {
 				t.Errorf("status = %d, want %d", last.status, row.status)
 			}
-			for name, want := range map[string]string{"X-Cache": row.xcache, "X-Coalesced": row.xcoalesced, "X-Admission": ""} {
+			for name, want := range map[string]string{"X-Cache": row.xcache, "X-Coalesced": row.xcoalesced, "X-Admission": row.xadmission} {
 				if got := last.header.Get(name); got != want {
 					t.Errorf("%s = %q, want %q", name, got, want)
 				}
 			}
 			var wantLog []string // "status bytes" per written response
-			var wantBytes int64
+			var wantAll core.Counts
+			var wantByClass core.ClassCounts
 			for _, r := range responses {
 				if r.status == http.StatusOK && !r.complete {
 					t.Errorf("client received a wrong or truncated body (%d bytes)", r.bytes)
 				}
-				if r.header.Get("X-Cache") != "" {
-					wantLog = append(wantLog, strconv.Itoa(r.status)+" "+strconv.FormatInt(r.bytes, 10))
-					wantBytes += r.bytes
+				xcache := r.header.Get("X-Cache")
+				if xcache == "" {
+					continue
 				}
+				wantLog = append(wantLog, strconv.Itoa(r.status)+" "+strconv.FormatInt(r.bytes, 10))
+				c := core.Counts{Requests: 1, ReqBytes: r.bytes}
+				if xcache == "HIT" {
+					c.Hits, c.HitBytes = 1, r.bytes
+				}
+				wantAll = plus(wantAll, c)
+				class := doctype.Classify(r.header.Get("Content-Type"), "")
+				wantByClass[class] = plus(wantByClass[class], c)
 			}
 
 			after := scrape(t, env.reg)
@@ -257,6 +361,12 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 				misses:    d("wcproxy_misses_total"),
 				coalesced: d("wcproxy_coalesced_total"),
 				stale:     d("wcproxy_stale_served_total"),
+
+				uncacheable:      d(`wcproxy_uncacheable_total{reason="rules"}`) + d(`wcproxy_uncacheable_total{reason="oversize"}`),
+				evictions:        d("wcproxy_evictions_total"),
+				budgetRejects:    d("wcproxy_cache_rejects_total"),
+				admissionRejects: d("wcproxy_admission_rejected_total"),
+				admitted:         d("wcproxy_admission_admitted_total"),
 			}
 			if got != row.delta {
 				t.Errorf("counter delta = %+v, want %+v", got, row.delta)
@@ -264,36 +374,16 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 			if got.requests != got.hits+got.peerHits+got.misses {
 				t.Errorf("requests %d != hits %d + peer hits %d + misses %d", got.requests, got.hits, got.peerHits, got.misses)
 			}
-			if got := d("wcproxy_request_bytes_total"); got != wantBytes {
-				t.Errorf("request bytes delta = %d, clients received %d", got, wantBytes)
-			}
 
-			// Stats is a view over the same counters, field by field.
-			st := env.srv.Stats()
-			for series, field := range map[string]int64{
-				"wcproxy_requests_total":           st.Requests,
-				"wcproxy_hits_total":               st.Hits,
-				"wcproxy_request_bytes_total":      st.ReqBytes,
-				"wcproxy_hit_bytes_total":          st.HitBytes,
-				"wcproxy_evictions_total":          st.Evictions,
-				"wcproxy_coalesced_total":          st.Coalesced,
-				"wcproxy_stale_served_total":       st.StaleServed,
-				"wcproxy_admission_rejected_total": st.AdmissionRejects,
-				"wcproxy_peer_hits_total":          st.PeerHits,
-			} {
-				if field != after[series] {
-					t.Errorf("Stats disagrees with %s: %d vs %d", series, field, after[series])
-				}
+			// The paper's counts, read off the scrape, moved by exactly what
+			// the clients received.
+			afterAll, afterByClass := readCounts(t, env.reg)
+			if got := minus(afterAll, beforeAll); got != wantAll {
+				t.Errorf("ReadCounts delta = %+v, clients received %+v", got, wantAll)
 			}
-			for c, bc := range st.ByClass {
-				label := `{class="` + doctype.Class(c).Short() + `"}`
-				if bc.Requests != after["wcproxy_class_requests_total"+label] || bc.Hits != after["wcproxy_class_hits_total"+label] {
-					t.Errorf("Stats.ByClass%s = %+v disagrees with the class vectors", label, bc)
-				}
-			}
-			if rb := after["wcproxy_request_bytes_total"]; rb > 0 {
-				if want := float64(after["wcproxy_hit_bytes_total"]) / float64(rb); st.ByteHitRate() != want {
-					t.Errorf("ByteHitRate = %v, want hit_bytes/request_bytes = %v", st.ByteHitRate(), want)
+			for c := range afterByClass {
+				if got := minus(afterByClass[c], beforeByClass[c]); got != wantByClass[c] {
+					t.Errorf("ReadCounts class %s delta = %+v, clients received %+v", doctype.Class(c).Short(), got, wantByClass[c])
 				}
 			}
 
@@ -325,6 +415,13 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 		})
 	}
 }
+
+// pinning is a replacement policy that never gives up a victim, so what
+// it holds are bytes no shard can free — the state concurrent reservations
+// leave the budget in, without the race.
+type pinning struct{ policy.Policy }
+
+func (pinning) Evict() (*policy.Doc, bool) { return nil, false }
 
 // downable is an origin-bound transport a test can switch off.
 type downable struct{ down atomic.Bool }
@@ -407,17 +504,6 @@ func TestClassBytesSumToTotals(t *testing.T) {
 	}
 	if got, want := m[`wcproxy_class_hit_bytes_total{class="html"}`], int64(2*len("body-of-"+page)); got != want {
 		t.Errorf("html hit bytes = %d, want two hits of %d bytes", got, want/2)
-	}
-	// Stats (what /stats serves) reads the same counters, class by class.
-	st := f.servers[0].Stats()
-	var reqBytes, hitBytes int64
-	for _, c := range st.ByClass {
-		reqBytes += c.ReqBytes
-		hitBytes += c.HitBytes
-	}
-	if reqBytes != st.ReqBytes || hitBytes != st.HitBytes || st.HitBytes == 0 {
-		t.Errorf("Stats().ByClass bytes sum to %d requested / %d hit, Stats() totals are %d / %d",
-			reqBytes, hitBytes, st.ReqBytes, st.HitBytes)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"webcachesim/internal/admission"
 	"webcachesim/internal/cache"
+	"webcachesim/internal/metrics"
 	"webcachesim/internal/policy"
 	"webcachesim/internal/pool"
 	"webcachesim/internal/trace"
@@ -121,6 +122,8 @@ func TestHitPathZeroAlloc(t *testing.T) {
 			// allocations land between two readings — set before the
 			// warm-up, which fills this P's sync.Pool caches.
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			reg := metrics.NewRegistry()
+			tc.cfg.Metrics = reg
 			s, _ := reverseProxy(t, tc.cfg, patternOrigin{size: bodySize})
 			// A skewed reference stream, so the small cache keeps a hot
 			// set resident while the tail churns through it.
@@ -136,7 +139,7 @@ func TestHitPathZeroAlloc(t *testing.T) {
 			}
 
 			var before, after runtime.MemStats
-			hitsBefore := s.Stats().Hits
+			countsBefore, _ := readCounts(t, reg)
 			var hits, hitAllocs, misses uint64
 			for _, r := range reqs {
 				clear(w.h)
@@ -162,7 +165,8 @@ func TestHitPathZeroAlloc(t *testing.T) {
 			if perHit := hitAllocs / hits; perHit != 0 {
 				t.Errorf("%d hits allocated %d objects (%d per hit), want 0 per hit", hits, hitAllocs, perHit)
 			}
-			if got := s.Stats().Hits - hitsBefore; got != int64(hits) {
+			countsAfter, _ := readCounts(t, reg)
+			if got := countsAfter.Hits - countsBefore.Hits; got != int64(hits) {
 				t.Errorf("accounting drifted: %d X-Cache: HIT responses, hit counter moved %d", hits, got)
 			}
 		})

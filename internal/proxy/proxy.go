@@ -82,10 +82,6 @@ type Config struct {
 	// request is rewritten to the origin. When nil, the proxy acts as a
 	// forward proxy and requires absolute-form request URLs.
 	Origin *url.URL
-	// Parent, when set, routes upstream fetches through another HTTP
-	// proxy — Squid's cache_peer parent relationship. Chaining two
-	// Servers this way forms a live two-level cache hierarchy.
-	Parent *url.URL
 	// Cluster, when set, makes this proxy one node of a consistent-hash
 	// fleet: a local miss on a document another node owns consults that
 	// sibling before the origin (Squid's cache_peer sibling relationship,
@@ -93,7 +89,9 @@ type Config struct {
 	// See ClusterConfig and docs/CLUSTER.md.
 	Cluster *ClusterConfig
 	// Transport performs upstream fetches; http.DefaultTransport when
-	// nil. Ignored when Parent is set.
+	// nil. A transport whose Proxy names another HTTP proxy fetches
+	// through it — Squid's cache_peer parent relationship; chaining two
+	// Servers this way forms a live two-level cache hierarchy.
 	Transport http.RoundTripper
 	// AccessLog, when set, receives Squid-native log lines.
 	AccessLog io.Writer
@@ -127,60 +125,6 @@ type Config struct {
 	// instrumentation cost is identical either way: a few atomic adds per
 	// request.
 	Metrics *metrics.Registry
-}
-
-// Stats is the proxy's accounting, overall and per class, in the shape
-// /stats serves as JSON. Server.Stats reads it off the /metrics counters,
-// so the two ledgers cannot disagree.
-type Stats struct {
-	// Requests and Hits count all handled GET requests and cache hits.
-	Requests int64 `json:"requests"`
-	Hits     int64 `json:"hits"`
-	// ReqBytes and HitBytes count body bytes requested and served from
-	// cache.
-	ReqBytes int64 `json:"reqBytes"`
-	HitBytes int64 `json:"hitBytes"`
-	// Evictions counts replacement victims.
-	Evictions int64 `json:"evictions"`
-	// Coalesced counts misses that shared another request's origin fetch
-	// instead of issuing their own; they are included in the miss count.
-	Coalesced int64 `json:"coalesced"`
-	// StaleServed counts requests answered with an expired cached copy
-	// because the origin was unreachable; they are included in the miss
-	// count.
-	StaleServed int64 `json:"staleServed"`
-	// AdmissionRejects counts cacheable responses the admission filter
-	// refused to store; always zero without a configured filter.
-	AdmissionRejects int64 `json:"admissionRejects,omitempty"`
-	// PeerHits counts requests answered from a sibling node's cache —
-	// neither a local hit nor a miss: Requests = Hits + PeerHits + Misses
-	// on a clustered proxy. Always zero without a cluster.
-	PeerHits int64 `json:"peerHits,omitempty"`
-	// ByClass breaks requests, hits and their body bytes down by document
-	// class: HitBytes/ReqBytes of one entry is the paper's per-type byte
-	// hit rate.
-	ByClass [doctype.NumClasses + 1]struct {
-		Requests int64 `json:"requests"`
-		Hits     int64 `json:"hits"`
-		ReqBytes int64 `json:"reqBytes"`
-		HitBytes int64 `json:"hitBytes"`
-	} `json:"byClass"`
-}
-
-// HitRate returns Hits/Requests, or 0 without traffic.
-func (s Stats) HitRate() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Requests)
-}
-
-// ByteHitRate returns HitBytes/ReqBytes, or 0 without traffic.
-func (s Stats) ByteHitRate() float64 {
-	if s.ReqBytes == 0 {
-		return 0
-	}
-	return float64(s.HitBytes) / float64(s.ReqBytes)
 }
 
 // serveResult classifies how a request was answered, for headers and
@@ -225,9 +169,8 @@ type Server struct {
 
 	// cluster is the fleet-routing view, nil on an unclustered proxy;
 	// UpdateCluster swaps it atomically on membership changes. Peer
-	// fetches use their own transport and timeout: Parent rewires
-	// s.transport through the parent proxy, but sibling traffic must go
-	// direct.
+	// fetches use their own transport and timeout: s.transport may lead
+	// through a parent proxy, but sibling traffic must go direct.
 	cluster       atomic.Pointer[clusterState]
 	peerTransport http.RoundTripper
 	peerTimeout   time.Duration
@@ -328,19 +271,12 @@ func New(cfg Config) (*Server, error) {
 		Shards:    cfg.Shards,
 		Policy:    cfg.Policy,
 		Admission: cfg.Admission,
-		OnEvict:   func(*cache.Entry) { s.metrics.evictions.Inc() },
 	})
 	if err != nil {
 		return nil, fmt.Errorf("proxy: %w", err)
 	}
 	s.store = store
-	s.registerGauges(reg)
-	if cfg.Parent != nil {
-		parent := cfg.Parent
-		s.transport = &http.Transport{
-			Proxy: func(*http.Request) (*url.URL, error) { return parent, nil },
-		}
-	}
+	s.registerFuncs(reg)
 	if s.transport == nil {
 		s.transport = http.DefaultTransport
 	}
@@ -351,31 +287,6 @@ func New(cfg Config) (*Server, error) {
 		s.logw = trace.NewSquidWriter(cfg.AccessLog)
 	}
 	return s, nil
-}
-
-// Stats returns the proxy's counters: a view over the same atomics
-// /metrics exports, read one by one — like a scrape, not an atomic
-// snapshot while traffic is flowing.
-func (s *Server) Stats() Stats {
-	m := s.metrics
-	st := Stats{
-		Requests:         m.requests.Value(),
-		Hits:             m.hits.Value(),
-		ReqBytes:         m.requestBytes.Value(),
-		HitBytes:         m.hitBytes.Value(),
-		Evictions:        s.store.Evictions(),
-		Coalesced:        m.coalesced.Value(),
-		StaleServed:      m.staleServed.Value(),
-		AdmissionRejects: s.store.AdmissionRejects(),
-		PeerHits:         m.peerHits.Value(),
-	}
-	for c := range st.ByClass {
-		st.ByClass[c].Requests = m.requestsByClass[c].Value()
-		st.ByClass[c].Hits = m.hitsByClass[c].Value()
-		st.ByClass[c].ReqBytes = m.requestBytesByClass[c].Value()
-		st.ByClass[c].HitBytes = m.hitBytesByClass[c].Value()
-	}
-	return st
 }
 
 // Used returns the current cache occupancy in bytes.
@@ -871,17 +782,9 @@ func (s *Server) admitAndStore(key string, fr *fetchResult, resp *http.Response)
 		s.metrics.uncacheableRules.Inc()
 		return
 	}
-	switch s.store.Insert(key, fr.entry) {
-	case cache.SetStored:
-		// Without a filter nothing was decided, so nothing is counted.
-		if s.cfg.Admission.New != nil {
-			s.metrics.admissionAdmitted.Inc()
-		}
-	case cache.SetRejectedAdmission:
+	// The store counts its own decisions (registerFuncs exports them).
+	if s.store.Insert(key, fr.entry) == cache.SetRejectedAdmission {
 		fr.admissionRejected = true
-		s.metrics.admissionRejected.Inc()
-	case cache.SetRejectedBudget:
-		s.metrics.cacheRejects.Inc()
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"webcachesim/internal/doctype"
+	"webcachesim/internal/metrics"
 	"webcachesim/internal/policy"
 	"webcachesim/internal/trace"
 )
@@ -84,7 +85,8 @@ func TestProxyHitMiss(t *testing.T) {
 		originCalls[path]++
 		mu.Unlock()
 	})
-	p, front := newProxy(t, origin, Config{})
+	reg := metrics.NewRegistry()
+	_, front := newProxy(t, origin, Config{Metrics: reg})
 
 	resp, body := get(t, front.URL, "/a.gif")
 	if resp.Header.Get("X-Cache") != "MISS" {
@@ -106,12 +108,12 @@ func TestProxyHitMiss(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("origin fetched %d times, want 1", calls)
 	}
-	st := p.Stats()
+	st, byClass := readCounts(t, reg)
 	if st.Requests != 2 || st.Hits != 1 {
-		t.Errorf("stats = %+v", st)
+		t.Errorf("counts = %+v", st)
 	}
-	if st.ByClass[doctype.Image].Hits != 1 {
-		t.Errorf("image class hits = %d, want 1", st.ByClass[doctype.Image].Hits)
+	if byClass[doctype.Image].Hits != 1 {
+		t.Errorf("image class hits = %d, want 1", byClass[doctype.Image].Hits)
 	}
 	if st.HitRate() != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", st.HitRate())
@@ -150,7 +152,8 @@ func TestProxyEviction(t *testing.T) {
 	// Bodies are ~15 bytes; capacity of 40 holds two objects. One shard
 	// keeps the eviction order exactly LRU — the configuration under
 	// which the proxy reproduces the paper's single-policy semantics.
-	p, front := newProxy(t, origin, Config{Capacity: 40, Shards: 1})
+	reg := metrics.NewRegistry()
+	p, front := newProxy(t, origin, Config{Capacity: 40, Shards: 1, Metrics: reg})
 	get(t, front.URL, "/a.gif")
 	get(t, front.URL, "/b.gif")
 	get(t, front.URL, "/c.gif") // evicts /a.gif under LRU
@@ -161,7 +164,7 @@ func TestProxyEviction(t *testing.T) {
 	if resp.Header.Get("X-Cache") != "MISS" {
 		t.Error("evicted object served as hit")
 	}
-	if p.Stats().Evictions == 0 {
+	if scrape(t, reg)["wcproxy_evictions_total"] == 0 {
 		t.Error("no evictions recorded")
 	}
 }
@@ -272,7 +275,8 @@ func TestProxyParentChaining(t *testing.T) {
 	})
 
 	// Parent: a forward proxy with a large cache.
-	parent, err := New(Config{Capacity: 1 << 20})
+	parentReg := metrics.NewRegistry()
+	parent, err := New(Config{Capacity: 1 << 20, Metrics: parentReg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +288,12 @@ func TestProxyParentChaining(t *testing.T) {
 	}
 
 	// Child: a tiny reverse proxy in front of origin, fetching through
-	// the parent (Squid cache_peer style).
+	// the parent (Squid cache_peer style) by way of its transport.
 	originURL, err := url.Parse(origin.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	child, err := New(Config{Capacity: 20, Origin: originURL, Parent: parentURL})
+	child, err := New(Config{Capacity: 20, Origin: originURL, Transport: &http.Transport{Proxy: http.ProxyURL(parentURL)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +313,7 @@ func TestProxyParentChaining(t *testing.T) {
 	if hits != 2 {
 		t.Errorf("origin fetched %d times, want 2 (parent should absorb repeats)", hits)
 	}
-	if parent.Stats().Hits == 0 {
+	if st, _ := readCounts(t, parentReg); st.Hits == 0 {
 		t.Error("parent cache recorded no hits")
 	}
 }
@@ -322,7 +326,8 @@ func TestProxyConfigValidation(t *testing.T) {
 
 func TestProxyConcurrentClients(t *testing.T) {
 	origin := newOrigin(t, nil)
-	p, front := newProxy(t, origin, Config{Capacity: 512})
+	reg := metrics.NewRegistry()
+	p, front := newProxy(t, origin, Config{Capacity: 512, Metrics: reg})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -340,23 +345,11 @@ func TestProxyConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := p.Stats()
+	st, _ := readCounts(t, reg)
 	if st.Requests != 240 {
 		t.Errorf("requests = %d, want 240", st.Requests)
 	}
 	if p.Used() > 512 {
 		t.Errorf("capacity exceeded under concurrency: %d", p.Used())
-	}
-}
-
-func TestStatsRates(t *testing.T) {
-	var s Stats
-	if s.HitRate() != 0 || s.ByteHitRate() != 0 {
-		t.Error("zero stats should rate 0")
-	}
-	s.Requests, s.Hits = 4, 1
-	s.ReqBytes, s.HitBytes = 100, 25
-	if s.HitRate() != 0.25 || s.ByteHitRate() != 0.25 {
-		t.Errorf("rates = %v, %v", s.HitRate(), s.ByteHitRate())
 	}
 }

@@ -89,9 +89,12 @@ smoke_gzip() {
 
 # cluster: the 3-node in-process fleet under the race detector — one
 # origin fetch per unique document fleet-wide, counters reconciled, the
-# peer fault paths, and the sim/live parity replay (docs/CLUSTER.md).
+# peer fault paths, and the sim/live parity replay (docs/CLUSTER.md) —
+# plus wcproxy's own run: the admin listener, the signal-driven shutdown
+# and the statistics line read from the registry, which `make race` does
+# not cover.
 smoke_cluster() {
-	go test -race -run '^TestCluster' -v ./internal/proxy ./internal/load ./internal/hierarchy
+	go test -race -run '^(TestCluster|TestRun)' -v ./internal/proxy ./internal/load ./internal/hierarchy ./cmd/wcproxy
 }
 
 # report: regenerate the paper reproduction at scale 1 (~25 s) and diff
