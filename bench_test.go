@@ -79,11 +79,7 @@ func benchCharacterize(b *testing.B, profile string) *analyze.Characterization {
 	var c *analyze.Characterization
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		c, err = analyze.Characterize(trace.NewSliceReader(f.reqs), profile)
-		if err != nil {
-			b.Fatal(err)
-		}
+		c = analyze.Characterize(f.workload, profile)
 	}
 	return c
 }

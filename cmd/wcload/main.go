@@ -68,7 +68,6 @@ func run(args []string) error {
 		profile     = fs.String("profile", "dfn", "synthetic workload profile (dfn or rtp)")
 		requests    = fs.Int("requests", 10000, "request count (synthetic source; caps a trace too)")
 		seed        = fs.Int64("seed", 1, "synthetic generation seed")
-		clients     = fs.Int("clients", 0, "synthetic client population (0 = single client)")
 		concurrency = fs.Int("concurrency", 1, "closed-loop client goroutines per node")
 		mode        = fs.String("mode", "reverse", "addressing mode: reverse or forward")
 		timeout     = fs.Duration("timeout", 15*time.Second, "per-request timeout")
@@ -108,7 +107,6 @@ func run(args []string) error {
 		gen, err := synth.NewGenerator(prof, synth.Options{
 			Seed:     *seed,
 			Requests: *requests,
-			Clients:  *clients,
 		})
 		if err != nil {
 			return err

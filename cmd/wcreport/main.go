@@ -65,12 +65,18 @@ func run(args []string, out io.Writer) error {
 		return summarizeJournal(*journal, out, *markdown)
 	}
 
+	if !(*scale > 0) { // NaN included
+		return fmt.Errorf("-scale %v must be positive", *scale)
+	}
 	opts := experiment.Options{Scale: *scale, Seed: *seed, Parallelism: *par}
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
 			pct, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
 				return fmt.Errorf("bad -sizes entry %q: %w", s, err)
+			}
+			if !(pct > 0) {
+				return fmt.Errorf("-sizes entry %q must be positive", s)
 			}
 			opts.CacheSizePcts = append(opts.CacheSizePcts, pct)
 		}

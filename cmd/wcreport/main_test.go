@@ -104,8 +104,19 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-exp", "table9"}, &sb); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if err := run([]string{"-sizes", "a,b"}, &sb); err == nil {
-		t.Error("bad sizes accepted")
+	for _, args := range [][]string{
+		{"-sizes", "a,b"},
+		{"-sizes", "nan,-3,0"},
+		{"-sizes", "1,0"},
+		{"-sizes", "-2"},
+		{"-sizes", "NaN"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-scale", "NaN"},
+	} {
+		if err := run(append(args, "-exp", "table1"), &sb); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

@@ -4,10 +4,11 @@
 //
 // Usage:
 //
-//	wcstat [-raw] [-csv] trace.log[.gz] ...
+//	wcstat [-raw] [-csv] [-hist] trace.log[.gz] ...
 //
 // By default the trace is preprocessed with the paper's cacheability
-// filter first; -raw skips the filter.
+// filter first; -raw skips the filter. -hist adds per-class transfer-size
+// histograms.
 package main
 
 import (
@@ -15,8 +16,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"webcachesim/internal/analyze"
+	"webcachesim/internal/core"
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/report"
 	"webcachesim/internal/trace"
@@ -40,7 +43,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: wcstat [-raw] [-csv] trace...")
+		return fmt.Errorf("usage: wcstat [-raw] [-csv] [-hist] trace...")
 	}
 	for _, path := range fs.Args() {
 		if err := statOne(path, *raw, *csv, *hist, out); err != nil {
@@ -64,18 +67,15 @@ func statOne(path string, raw, csv, hist bool, out io.Writer) error {
 		filter = trace.NewFilterReader(fr)
 		src = filter
 	}
-	var tee *sizeTee
-	if hist {
-		tee = &sizeTee{src: src}
-		src = tee
-	}
-	c, err := analyze.Characterize(src, path)
+	clients := &clientCounter{src: src, seen: make(map[string]bool)}
+	w, err := core.BuildWorkload(clients, 0)
 	if err != nil {
 		return err
 	}
 	if filter != nil && filter.Stats().Parsed() == 0 {
 		return fmt.Errorf("no requests parsed (%d malformed lines)", filter.Stats().Malformed)
 	}
+	c := analyze.Characterize(w, path)
 
 	render := func(t *report.Table) {
 		if csv {
@@ -91,8 +91,8 @@ func statOne(path string, raw, csv, hist bool, out io.Writer) error {
 	totals.AddRowf("Overall Size (GB)", float64(c.DistinctBytes)/(1<<30))
 	totals.AddRowf("Total Requests", c.Requests)
 	totals.AddRowf("Requested Data (GB)", float64(c.ReqBytes)/(1<<30))
-	if c.DistinctClients > 0 {
-		totals.AddRowf("Distinct Clients", c.DistinctClients)
+	if n := len(clients.seen); n > 0 {
+		totals.AddRowf("Distinct Clients", n)
 	}
 	if filter != nil {
 		st := filter.Stats()
@@ -106,31 +106,35 @@ func statOne(path string, raw, csv, hist bool, out io.Writer) error {
 	render(c.ClassMixTable("Workload characteristics by document type"))
 	render(c.LocalityTable("Document sizes and temporal locality", "Popularity α", "Temporal Correlation β"))
 
-	if tee != nil {
+	if hist {
+		var sizes [doctype.NumClasses + 1][]float64
+		for i := range w.NumRequests() {
+			ev := w.Event(i)
+			sizes[ev.Class] = append(sizes[ev.Class], float64(ev.TransferSize)/1024)
+		}
 		for _, cl := range doctype.Classes {
 			h := report.Histogram{
 				Title: cl.String() + " — transfer-size distribution",
 				Unit:  "KB",
 			}
-			fmt.Fprintln(out, h.Render(tee.sizes[cl]))
+			fmt.Fprintln(out, h.Render(sizes[cl]))
 		}
 	}
 	return nil
 }
 
-// sizeTee records per-class transfer sizes (in KB) while the stream flows
-// through to the characterizer.
-type sizeTee struct {
-	src   trace.Reader
-	sizes [doctype.NumClasses + 1][]float64
+// clientCounter collects the distinct client identifiers of the stream
+// flowing through to the workload, which records no clients.
+type clientCounter struct {
+	src  trace.Reader
+	seen map[string]bool
 }
 
-func (t *sizeTee) Next() (*trace.Request, error) {
-	req, err := t.src.Next()
-	if err != nil {
-		return nil, err
+func (c *clientCounter) Next() (*trace.Request, error) {
+	req, err := c.src.Next()
+	if err == nil && req.Client != "" && req.Client != "-" && !c.seen[req.Client] {
+		// The request's strings alias the reader's block: keep a copy.
+		c.seen[strings.Clone(req.Client)] = true
 	}
-	cl := req.Classify()
-	t.sizes[cl] = append(t.sizes[cl], float64(req.TransferSize)/1024)
-	return req, nil
+	return req, err
 }

@@ -8,15 +8,10 @@
 package analyze
 
 import (
-	"errors"
-	"fmt"
-	"io"
-	"strings"
-
+	"webcachesim/internal/core"
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/report"
 	"webcachesim/internal/stats"
-	"webcachesim/internal/trace"
 )
 
 // ClassSummary characterizes one document class.
@@ -25,7 +20,7 @@ type ClassSummary struct {
 	Class doctype.Class `json:"class"`
 	// DistinctDocs counts distinct documents of the class.
 	DistinctDocs int64 `json:"distinctDocs"`
-	// DistinctBytes sums the final recorded size of each distinct
+	// DistinctBytes sums the largest charged size of each distinct
 	// document ("overall size").
 	DistinctBytes int64 `json:"distinctBytes"`
 	// Requests counts requests to the class.
@@ -62,9 +57,6 @@ type Characterization struct {
 	ReqBytes      int64 `json:"reqBytes"`
 	DistinctDocs  int64 `json:"distinctDocs"`
 	DistinctBytes int64 `json:"distinctBytes"`
-	// DistinctClients counts distinct client identifiers (0 when the
-	// trace records none).
-	DistinctClients int64 `json:"distinctClients"`
 	// StartMillis and EndMillis bound the trace period.
 	StartMillis int64 `json:"startMillis"`
 	EndMillis   int64 `json:"endMillis"`
@@ -148,86 +140,63 @@ func IndexCell(v float64, ok bool) any {
 	return v
 }
 
-// docInfo tracks one distinct document during the scan.
-type docInfo struct {
-	key   string // the scan's own copy of the URL
-	class doctype.Class
-	size  int64
-	count int64
-}
-
-// Characterize scans a (preprocessed) request stream and computes the full
-// workload characterization. The scan holds per-document state and
-// per-class transfer-size samples in memory; it is intended for
-// calibration-scale traces (up to a few million requests).
-func Characterize(r trace.Reader, name string) (*Characterization, error) {
-	docs := make(map[string]*docInfo, 1024)
-	var transfers [doctype.NumClasses + 1][]float64
-	var correl [doctype.NumClasses + 1]*stats.CorrelationEstimator
-	for _, cl := range doctype.Classes {
-		correl[cl] = stats.NewCorrelationEstimator()
-	}
-
+// Characterize computes a workload's characterization from the columns
+// core built when it ingested the trace: per document, its
+// request count and largest charged size; per class, requests, bytes and
+// transfer sizes. A document's class is the one the simulator attributes
+// its requests to, and its size is what the simulator charges, so the
+// tables describe exactly the stream the sweeps replay.
+func Characterize(w *core.Workload, name string) *Characterization {
 	out := &Characterization{Name: name}
-	clients := make(map[string]bool, 64)
-	var clock int64
-	for {
-		req, err := r.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, fmt.Errorf("analyze: characterize: %w", err)
-		}
-		clock++
-		cl := req.Classify()
-		key := req.URL
-		info, ok := docs[key]
-		if !ok {
-			// The request's strings alias the reader's block: keep a copy.
-			info = &docInfo{key: strings.Clone(key), class: cl}
-			docs[info.key] = info
-		}
-		size := req.DocSize
-		if size <= 0 {
-			size = req.TransferSize
-		}
-		if size > info.size {
-			info.size = size
-		}
-		info.count++
-
+	n := w.NumRequests()
+	count := make([]int64, w.NumDocs())
+	size := make([]int64, w.NumDocs())
+	var transfers [doctype.NumClasses + 1][]float64
+	for i := range n {
+		ev := w.Event(i)
+		count[ev.DocID]++
+		size[ev.DocID] = max(size[ev.DocID], ev.DocSize)
 		out.Requests++
-		out.ReqBytes += req.TransferSize
-		cs := &out.Classes[cl]
+		out.ReqBytes += ev.TransferSize
+		cs := &out.Classes[ev.Class]
 		cs.Requests++
-		cs.ReqBytes += req.TransferSize
-		transfers[cl] = append(transfers[cl], float64(req.TransferSize))
-		// Distances are measured on the global stream clock, as the paper
-		// defines temporal correlation.
-		correl[cl].ObserveAt(info.key, clock)
-
-		if c := req.Client; c != "" && c != "-" && !clients[c] {
-			clients[strings.Clone(c)] = true
+		cs.ReqBytes += ev.TransferSize
+		transfers[ev.Class] = append(transfers[ev.Class], float64(ev.TransferSize))
+		if out.StartMillis == 0 || ev.UnixMillis < out.StartMillis {
+			out.StartMillis = ev.UnixMillis
 		}
-		if out.StartMillis == 0 || req.UnixMillis < out.StartMillis {
-			out.StartMillis = req.UnixMillis
-		}
-		if req.UnixMillis > out.EndMillis {
-			out.EndMillis = req.UnixMillis
-		}
+		out.EndMillis = max(out.EndMillis, ev.UnixMillis)
 	}
-	out.DistinctClients = int64(len(clients))
 
-	// Fold per-document state into per-class summaries.
+	// β: inter-reference distances on the global request clock, of the
+	// documents inside the popularity band — "equally popular documents",
+	// so the distance distribution does not mix popularity into
+	// correlation.
+	const minRefs, maxRefs, minSamples = 3, 50, 16
+	var hists [doctype.NumClasses + 1]*stats.LogHistogram
+	for _, cl := range doctype.Classes {
+		hists[cl], _ = stats.NewLogHistogram(2) // base 2 is valid
+	}
+	lastSeen := make([]int64, w.NumDocs())
+	for i := range n {
+		ev := w.Event(i)
+		id, clock := ev.DocID, int64(i)+1
+		if c := count[id]; lastSeen[id] > 0 && c >= minRefs && c <= maxRefs {
+			hists[ev.Class].Add(float64(clock - lastSeen[id]))
+		}
+		lastSeen[id] = clock
+	}
+
+	// Fold per-document state into per-class summaries, in document order.
 	var docSizes [doctype.NumClasses + 1][]float64
 	var reqCounts [doctype.NumClasses + 1][]int64
-	for _, info := range docs {
-		cs := &out.Classes[info.class]
+	for id := range int32(w.NumDocs()) {
+		cl := w.DocClass(id)
+		cs := &out.Classes[cl]
 		cs.DistinctDocs++
-		cs.DistinctBytes += info.size
-		docSizes[info.class] = append(docSizes[info.class], float64(info.size))
-		reqCounts[info.class] = append(reqCounts[info.class], info.count)
+		cs.DistinctBytes += size[id]
+		docSizes[cl] = append(docSizes[cl], float64(size[id]))
+		reqCounts[cl] = append(reqCounts[cl], count[id])
 	}
 	for _, cl := range doctype.Classes {
 		cs := &out.Classes[cl]
@@ -249,9 +218,12 @@ func Characterize(r trace.Reader, name string) (*Characterization, error) {
 		if alpha, _, err := stats.PopularityIndex(reqCounts[cl]); err == nil {
 			cs.Alpha, cs.AlphaOK = alpha, true
 		}
-		if beta, _, err := correl[cl].Beta(); err == nil {
-			cs.Beta, cs.BetaOK = beta, true
+		if hists[cl].Total() >= minSamples {
+			centers, densities := hists[cl].Buckets()
+			if f, err := stats.FitPowerLaw(centers, densities); err == nil {
+				cs.Beta, cs.BetaOK = -f.Slope, true
+			}
 		}
 	}
-	return out, nil
+	return out
 }

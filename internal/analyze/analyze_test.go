@@ -2,13 +2,32 @@ package analyze_test
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"webcachesim/internal/analyze"
+	"webcachesim/internal/core"
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/synth"
 	"webcachesim/internal/trace"
 )
+
+// workload builds the simulator workload of a request stream.
+func workload(t testing.TB, reqs []*trace.Request) *core.Workload {
+	t.Helper()
+	w, err := core.BuildWorkload(trace.NewSliceReader(reqs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func characterize(t testing.TB, reqs []*trace.Request, name string) *analyze.Characterization {
+	t.Helper()
+	return analyze.Characterize(workload(t, reqs), name)
+}
 
 func TestCharacterizeSmallHandmadeTrace(t *testing.T) {
 	reqs := []*trace.Request{
@@ -17,10 +36,7 @@ func TestCharacterizeSmallHandmadeTrace(t *testing.T) {
 		{URL: "http://e.com/b.html", Status: 200, TransferSize: 2048, DocSize: 2048, UnixMillis: 3000},
 		{URL: "http://e.com/c.mp3", Status: 200, TransferSize: 512, DocSize: 4096, UnixMillis: 4000},
 	}
-	c, err := analyze.Characterize(trace.NewSliceReader(reqs), "hand")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := characterize(t, reqs, "hand")
 	if c.Requests != 4 || c.DistinctDocs != 3 {
 		t.Fatalf("requests/docs = %d/%d, want 4/3", c.Requests, c.DistinctDocs)
 	}
@@ -59,13 +75,134 @@ func TestCharacterizeSmallHandmadeTrace(t *testing.T) {
 	if img.AlphaOK || img.BetaOK {
 		t.Error("alpha/beta claimed OK on a 4-request trace")
 	}
+
+	// The attribution the characterization shares with the simulator: a
+	// document keeps the class of its first request, and a zero-byte
+	// document is charged one byte. Both rows are one image document
+	// requested twice.
+	for _, tc := range []struct {
+		name     string
+		reqs     []*trace.Request
+		docBytes int64
+	}{
+		{
+			name: "content type changes between requests",
+			reqs: []*trace.Request{
+				{URL: "http://e.com/x", ContentType: "image/gif", Status: 200, TransferSize: 100, DocSize: 100},
+				{URL: "http://e.com/x", ContentType: "text/html", Status: 200, TransferSize: 100, DocSize: 100},
+			},
+			docBytes: 100,
+		},
+		{
+			name: "every request carries zero bytes",
+			reqs: []*trace.Request{
+				{URL: "http://e.com/empty.gif", Status: 200},
+				{URL: "http://e.com/empty.gif", Status: 200},
+			},
+			docBytes: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := characterize(t, tc.reqs, "hand")
+			if img := c.Classes[doctype.Image]; img.Requests != 2 || img.DistinctDocs != 1 {
+				t.Errorf("image requests/docs = %d/%d, want 2/1", img.Requests, img.DistinctDocs)
+			}
+			if html := c.Classes[doctype.HTML]; html.Requests != 0 || html.DistinctDocs != 0 {
+				t.Errorf("html requests/docs = %d/%d, want none", html.Requests, html.DistinctDocs)
+			}
+			if c.DistinctBytes != tc.docBytes {
+				t.Errorf("DistinctBytes = %d, want %d", c.DistinctBytes, tc.docBytes)
+			}
+		})
+	}
 }
 
-func TestCharacterizeEmptyTrace(t *testing.T) {
-	c, err := analyze.Characterize(trace.NewSliceReader(nil), "empty")
+// TestCharacterizeDeterministic characterizes one workload twice: every
+// field, floating-point sums included, must come out identical.
+func TestCharacterizeDeterministic(t *testing.T) {
+	reqs, err := synth.Generate(synth.DFNProfile(), synth.Options{Seed: 1, Requests: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := workload(t, reqs)
+	a, b := analyze.Characterize(w, "DFN"), analyze.Characterize(w, "DFN")
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("two characterizations of one workload differ:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestBetaPowerLawStream builds a stream where inter-reference distances
+// follow n^-β for documents of equal popularity, by sampling distances from
+// the discrete power law and splicing references into a timeline; the
+// characterization must recover β.
+func TestBetaPowerLawStream(t *testing.T) {
+	const beta = 0.8
+	rng := rand.New(rand.NewSource(7))
+	// Sample distances via inverse transform on a truncated power law.
+	sample := func() int64 {
+		// P(n) ∝ n^-β on [1, 4096]: inverse CDF of the continuous analog.
+		u := rng.Float64()
+		max := 4096.0
+		oneMinus := 1 - beta
+		x := math.Pow(u*(math.Pow(max, oneMinus)-1)+1, 1/oneMinus)
+		return int64(x)
+	}
+	// 400 documents, 10 references each at power-law spaced positions.
+	type ref struct {
+		at  int64
+		doc string
+	}
+	var refs []ref
+	for d := 0; d < 400; d++ {
+		doc := "http://e.com/doc" + strconv.Itoa(d) + ".gif"
+		pos := int64(rng.Intn(1000))
+		for k := 0; k < 10; k++ {
+			refs = append(refs, ref{at: pos, doc: doc})
+			pos += sample()
+		}
+	}
+	// Sort by virtual time (stably, as the references were made) and lay
+	// them out as a request stream: filler singleton requests make stream
+	// distance match virtual time.
+	for i := 1; i < len(refs); i++ {
+		for j := i; j > 0 && refs[j].at < refs[j-1].at; j-- {
+			refs[j], refs[j-1] = refs[j-1], refs[j]
+		}
+	}
+	var reqs []*trace.Request
+	var clock int64
+	for _, r := range refs {
+		for ; clock < r.at; clock++ {
+			reqs = append(reqs, &trace.Request{URL: "http://e.com/filler-" + strconv.Itoa(len(reqs)) + ".gif", TransferSize: 1})
+		}
+		reqs = append(reqs, &trace.Request{URL: r.doc, TransferSize: 1})
+		clock++
+	}
+	c := characterize(t, reqs, "power-law")
+	img := c.Classes[doctype.Image]
+	if !img.BetaOK {
+		t.Fatal("β not measurable")
+	}
+	if got := img.Beta; got < 0.5 || got > 1.1 {
+		t.Errorf("beta = %v, want near %v", got, beta)
+	}
+	if c.Requests == 0 {
+		t.Error("no requests characterized")
+	}
+}
+
+func TestBetaInsufficient(t *testing.T) {
+	if c := characterize(t, nil, "empty"); c.Classes[doctype.Image].BetaOK {
+		t.Error("empty workload should have no β")
+	}
+	a := &trace.Request{URL: "http://e.com/a.gif", TransferSize: 1}
+	if c := characterize(t, []*trace.Request{a, a}, "two"); c.Classes[doctype.Image].BetaOK {
+		t.Error("too few distances should have no β")
+	}
+}
+
+func TestCharacterizeEmptyTrace(t *testing.T) {
+	c := characterize(t, nil, "empty")
 	if c.Requests != 0 || c.DistinctDocs != 0 {
 		t.Error("empty trace produced counts")
 	}
@@ -87,10 +224,7 @@ func TestSynthCalibrationDFN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := analyze.Characterize(trace.NewSliceReader(reqs), "DFN-synth")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := characterize(t, reqs, "DFN-synth")
 
 	// Table 2 structure: HTML+images ≈ 95% of requests and docs.
 	reqHTMLImg := c.PctRequests(doctype.HTML) + c.PctRequests(doctype.Image)
@@ -150,11 +284,7 @@ func TestSynthCalibrationRTPDiffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := analyze.Characterize(trace.NewSliceReader(reqs), p.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+		return characterize(t, reqs, p.Name)
 	}
 	dfn := gen(synth.DFNProfile())
 	rtp := gen(synth.RTPProfile())

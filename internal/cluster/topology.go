@@ -39,8 +39,8 @@ type Node struct {
 	Name string `json:"name"`
 	// URL is the node's serving address (scheme + host[:port]).
 	URL string `json:"url"`
-	// Admin is the node's admin address serving /metrics and /stats;
-	// optional, used by wcload's reconciliation.
+	// Admin is the node's admin address serving /metrics; optional, used
+	// by wcload's reconciliation.
 	Admin string `json:"admin,omitempty"`
 	// Capacity is the node's cache capacity ("64MB", "1GB", plain bytes).
 	Capacity string `json:"capacity,omitempty"`

@@ -15,7 +15,6 @@ import (
 	"webcachesim/internal/core"
 	"webcachesim/internal/report"
 	"webcachesim/internal/synth"
-	"webcachesim/internal/trace"
 )
 
 // ID names one experiment, keyed to the paper artifact it regenerates.
@@ -220,28 +219,20 @@ type traceForms struct {
 	chars    *analyze.Characterization
 }
 
-// traceOf generates a profile's request stream once, builds the simulator
-// workload and the characterization from it, and lets the requests go:
-// nothing downstream reads them again (the filtering extra regenerates).
+// traceOf streams a profile's generated requests into the simulator
+// workload, holding none of them, and characterizes the workload: nothing
+// downstream reads the requests again (the filtering extra regenerates).
 func traceOf(profile string) input[*traceForms] {
 	return cached("trace/"+profile, func(e *Env) (*traceForms, error) {
 		g, err := e.generator(profile)
 		if err != nil {
 			return nil, err
 		}
-		reqs := make([]*trace.Request, 0, g.Total())
-		for r := g.Next(); r != nil; r = g.Next() {
-			reqs = append(reqs, r)
-		}
-		w, err := core.BuildWorkload(trace.NewSliceReader(reqs), 0)
+		w, err := core.BuildWorkload(g.Reader(), 0)
 		if err != nil {
 			return nil, err
 		}
-		c, err := analyze.Characterize(trace.NewSliceReader(reqs), strings.ToUpper(profile))
-		if err != nil {
-			return nil, err
-		}
-		return &traceForms{w, c}, nil
+		return &traceForms{w, analyze.Characterize(w, strings.ToUpper(profile))}, nil
 	})
 }
 

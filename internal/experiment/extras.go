@@ -71,11 +71,11 @@ func filtered(profile string) input[*filteredStream] {
 		if err != nil {
 			return nil, err
 		}
-		after, err := analyze.Characterize(missReader{g.Reader(), child}, profile+"-filtered")
+		misses, err := core.BuildWorkload(missReader{g.Reader(), child}, 0)
 		if err != nil {
 			return nil, err
 		}
-		return &filteredStream{profile, t.chars, after}, nil
+		return &filteredStream{profile, t.chars, analyze.Characterize(misses, profile+"-filtered")}, nil
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"webcachesim/internal/analyze"
 	"webcachesim/internal/cluster"
+	"webcachesim/internal/core"
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/synth"
 	"webcachesim/internal/trace"
@@ -123,10 +124,7 @@ func TestFilteringFlattensPopularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	original, err := analyze.Characterize(trace.NewSliceReader(reqs), "origin")
-	if err != nil {
-		t.Fatal(err)
-	}
+	original := characterize(t, reqs, "origin")
 
 	h := chain(t, level("institutional", 32<<20))
 	var missStream []*trace.Request
@@ -135,10 +133,7 @@ func TestFilteringFlattensPopularity(t *testing.T) {
 			missStream = append(missStream, r)
 		}
 	}
-	filtered, err := analyze.Characterize(trace.NewSliceReader(missStream), "upper-level")
-	if err != nil {
-		t.Fatal(err)
-	}
+	filtered := characterize(t, missStream, "upper-level")
 
 	ocls := original.Classes[doctype.Image]
 	fcls := filtered.Classes[doctype.Image]
@@ -152,4 +147,13 @@ func TestFilteringFlattensPopularity(t *testing.T) {
 	if len(missStream) >= len(reqs) {
 		t.Error("child cache absorbed nothing")
 	}
+}
+
+func characterize(t *testing.T, reqs []*trace.Request, name string) *analyze.Characterization {
+	t.Helper()
+	w, err := core.BuildWorkload(trace.NewSliceReader(reqs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return analyze.Characterize(w, name)
 }

@@ -18,7 +18,7 @@ func TestFloatCmp(t *testing.T) {
 
 func TestClockMono(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.ClockMono,
-		"clockmono/core", "clockmono/web")
+		"clockmono/core", "clockmono/analyze", "clockmono/web")
 }
 
 func TestLockOrder(t *testing.T) {

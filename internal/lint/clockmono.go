@@ -25,12 +25,17 @@ var ClockMono = &Analyzer{
 }
 
 // ClockMonoPackages names the packages (by package name) whose behavior
-// must be a pure function of the trace and configuration.
+// must be a pure function of the trace and configuration: the simulator,
+// and the characterization (Tables 1–5) and generator (its pinned digests)
+// whose output the reproduction is compared by.
 var ClockMonoPackages = map[string]bool{
 	"core":    true,
 	"policy":  true,
 	"pqueue":  true,
 	"intlist": true,
+	"analyze": true,
+	"stats":   true,
+	"synth":   true,
 }
 
 // globalRandFuncs are the math/rand package-level functions that draw from

@@ -18,8 +18,10 @@ import (
 //     reference is proportional to n^-β ("Degree of Temporal Correlations"
 //     in Tables 4 and 5).
 //
-// This file implements the offline estimators for both indices; the online
-// β estimator that GD* uses at run time lives in internal/policy.
+// This file implements the offline α estimator. β is a power-law fit
+// (FitPowerLaw) of a LogHistogram of inter-reference distances: the offline
+// characterization fills one in internal/analyze, and the online estimator
+// that GD* uses at run time lives in internal/policy.
 
 // PopularityIndex estimates the Zipf popularity index α from per-document
 // request counts. Counts of zero are ignored. The estimator bins ranks
@@ -61,96 +63,6 @@ func PopularityIndex(requestCounts []int64) (alpha float64, fit LinearFit, err e
 		freqs = append(freqs, sum/n)
 	}
 	f, err := FitPowerLaw(ranks, freqs)
-	if err != nil {
-		return 0, LinearFit{}, err
-	}
-	return -f.Slope, f, nil
-}
-
-// CorrelationEstimator estimates the temporal-correlation index β from a
-// request stream. Feed it the stream via Observe (one call per request,
-// identifying the document); Beta then fits P(n) ~ n^-β over the collected
-// inter-reference distances of documents inside a popularity band.
-//
-// The popularity band restricts the fit to "equally popular documents" as
-// the paper prescribes: without it, the distance distribution would mix
-// popularity and correlation. The band is applied when Beta is called,
-// using each document's final reference count.
-type CorrelationEstimator struct {
-	lastSeen map[string]int64
-	refCount map[string]int64
-	// distances[doc] accumulates the document's inter-reference distances.
-	distances map[string][]int64
-	clock     int64
-
-	// MinRefs and MaxRefs bound the popularity band (inclusive). Documents
-	// whose total reference count falls outside the band are excluded from
-	// the fit. The zero values select the default band [3, 50].
-	MinRefs int64
-	MaxRefs int64
-}
-
-// NewCorrelationEstimator returns an estimator with the default popularity
-// band.
-func NewCorrelationEstimator() *CorrelationEstimator {
-	return &CorrelationEstimator{
-		lastSeen:  make(map[string]int64),
-		refCount:  make(map[string]int64),
-		distances: make(map[string][]int64),
-	}
-}
-
-// Observe records the next request in the stream, identified by document
-// key, advancing the estimator's internal clock by one.
-func (e *CorrelationEstimator) Observe(doc string) {
-	e.ObserveAt(doc, e.clock+1)
-}
-
-// ObserveAt records a request at an explicit stream position. It allows
-// per-class estimators to measure distances in *global* requests: feed
-// each class's requests with the shared stream index. Positions must be
-// non-decreasing.
-func (e *CorrelationEstimator) ObserveAt(doc string, clock int64) {
-	e.clock = clock
-	if last, ok := e.lastSeen[doc]; ok {
-		e.distances[doc] = append(e.distances[doc], e.clock-last)
-	}
-	e.lastSeen[doc] = e.clock
-	e.refCount[doc]++
-}
-
-// Observed returns the number of requests observed so far.
-func (e *CorrelationEstimator) Observed() int64 { return e.clock }
-
-// Beta fits the inter-reference-distance distribution of in-band documents
-// and returns the temporal-correlation index β (the negated log-log slope
-// of the distance density). It returns ErrInsufficientData when the band
-// contains too few distances for a fit.
-func (e *CorrelationEstimator) Beta() (beta float64, fit LinearFit, err error) {
-	minRefs, maxRefs := e.MinRefs, e.MaxRefs
-	if minRefs == 0 {
-		minRefs = 3
-	}
-	if maxRefs == 0 {
-		maxRefs = 50
-	}
-	hist, err := NewLogHistogram(2)
-	if err != nil {
-		return 0, LinearFit{}, err
-	}
-	for doc, ds := range e.distances {
-		if n := e.refCount[doc]; n < minRefs || n > maxRefs {
-			continue
-		}
-		for _, d := range ds {
-			hist.Add(float64(d))
-		}
-	}
-	if hist.Total() < 16 {
-		return 0, LinearFit{}, ErrInsufficientData
-	}
-	centers, densities := hist.Buckets()
-	f, err := FitPowerLaw(centers, densities)
 	if err != nil {
 		return 0, LinearFit{}, err
 	}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -204,97 +203,6 @@ func TestPopularityIndexErrors(t *testing.T) {
 	}
 	if _, _, err := PopularityIndex([]int64{5}); err == nil {
 		t.Error("single document should fail")
-	}
-}
-
-func TestCorrelationEstimatorPowerLawStream(t *testing.T) {
-	// Build a stream where inter-reference distances follow n^-β for
-	// documents of equal popularity, by sampling distances from the
-	// discrete power law and splicing references into a timeline.
-	const beta = 0.8
-	rng := rand.New(rand.NewSource(7))
-	e := NewCorrelationEstimator()
-	// Sample distances via inverse transform on a truncated power law.
-	sample := func() int64 {
-		// P(n) ∝ n^-β on [1, 4096]: inverse CDF of the continuous analog.
-		u := rng.Float64()
-		max := 4096.0
-		oneMinus := 1 - beta
-		x := math.Pow(u*(math.Pow(max, oneMinus)-1)+1, 1/oneMinus)
-		return int64(x)
-	}
-	// 400 documents, 10 references each at power-law spaced positions.
-	var refs []ref
-	for d := 0; d < 400; d++ {
-		doc := "doc" + string(rune('A'+d%26)) + string(rune('0'+d/26%10)) + string(rune('a'+d/260))
-		pos := int64(rng.Intn(1000))
-		for k := 0; k < 10; k++ {
-			refs = append(refs, ref{at: pos, doc: doc})
-			pos += sample()
-		}
-	}
-	// Sort by virtual time and feed positions as a request stream: insert
-	// filler singleton requests so stream distance matches virtual time.
-	sortRefs(refs)
-	var clock int64
-	filler := 0
-	for _, r := range refs {
-		for clock < r.at {
-			filler++
-			e.Observe("filler-" + itoa(filler))
-			clock++
-		}
-		e.Observe(r.doc)
-		clock++
-	}
-	got, fit, err := e.Beta()
-	if err != nil {
-		t.Fatalf("Beta: %v", err)
-	}
-	if got < 0.5 || got > 1.1 {
-		t.Errorf("beta = %v (fit %+v), want near %v", got, fit, beta)
-	}
-	if e.Observed() == 0 {
-		t.Error("Observed returned 0")
-	}
-}
-
-func sortRefs(refs []ref) {
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && refs[j].at < refs[j-1].at; j-- {
-			refs[j], refs[j-1] = refs[j-1], refs[j]
-		}
-	}
-}
-
-type ref struct {
-	at  int64
-	doc string
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-func TestCorrelationEstimatorInsufficient(t *testing.T) {
-	e := NewCorrelationEstimator()
-	if _, _, err := e.Beta(); err == nil {
-		t.Error("empty estimator should fail")
-	}
-	e.Observe("a")
-	e.Observe("a")
-	if _, _, err := e.Beta(); err == nil {
-		t.Error("too few distances should fail")
 	}
 }
 
