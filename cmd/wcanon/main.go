@@ -9,14 +9,15 @@
 // Usage:
 //
 //	wcanon -i access.log[.gz] -o anon.log[.gz] [-salt secret]
-//	       [-keep-host] [-format auto|squid|interned|wct3]
+//	       [-keep-host] [-passthrough]
 //
-// With -format wct3 the output is a WCT3 columnar workload (.wci3): the
-// trace is preprocessed into its final simulation form (cacheability
-// filter, interned IDs, per-document size history) and written as
-// mmap-able fixed-width columns, so wcsim replays it with zero parse or
-// build cost. Pass -passthrough to skip the anonymizing rewrite when the
-// input is already sanitized.
+// The output path names the format: .wci, .wct or .bin is interned binary
+// (WCT2), .wci3 a WCT3 columnar workload, anything else a Squid log. A
+// .wci3 holds the trace in its final simulation form (cacheability
+// filter, interned IDs, per-document size history) as mmap-able
+// fixed-width columns, so wcsim replays it with zero parse or build cost.
+// Pass -passthrough to skip the anonymizing rewrite when the input is
+// already sanitized.
 package main
 
 import (
@@ -47,7 +48,6 @@ func run(args []string, out io.Writer) error {
 		outPath  = fs.String("o", "", "output trace path")
 		salt     = fs.String("salt", "", "hash salt (vary it so mappings cannot be joined across traces)")
 		keepHost = fs.Bool("keep-host", false, "preserve the URL host, hashing only the path")
-		formatN  = fs.String("format", "auto", "output format: auto, squid, interned, wct3 (columnar workload)")
 		passthru = fs.Bool("passthrough", false, "skip the anonymizing rewrite (input is already sanitized); format conversion only")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -55,13 +55,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *inPath == "" || *outPath == "" {
 		return fmt.Errorf("-i and -o are required")
-	}
-	format, err := trace.ParseFormat(*formatN)
-	if err != nil {
-		return err
-	}
-	if format == trace.FormatAuto && strings.HasSuffix(*outPath, ".wci3") {
-		format = trace.FormatColumnar
 	}
 	r, err := trace.OpenFile(*inPath, trace.FormatAuto)
 	if err != nil {
@@ -72,10 +65,10 @@ func run(args []string, out io.Writer) error {
 	}()
 
 	anon := newAnonymizer(*salt, *keepHost)
-	if format == trace.FormatColumnar {
+	if strings.HasSuffix(*outPath, ".wci3") {
 		return writeColumnar(out, r, anon, *passthru, *inPath, *outPath)
 	}
-	w, err := trace.CreateFile(*outPath, format)
+	w, err := trace.CreateFile(*outPath, trace.FormatAuto)
 	if err != nil {
 		return err
 	}
@@ -115,10 +108,10 @@ func run(args []string, out io.Writer) error {
 }
 
 // writeColumnar preprocesses the input into a simulation-ready Workload
-// (running the cacheability filter, exactly like wcsim's default load
-// path) and writes it as a WCT3 columnar file. Malformed lines are
-// skipped and, unless passthrough is set, each request is scrubbed first
-// so the emitted string table carries only anonymized URLs.
+// (running the cacheability filter, exactly like wcsim's load path) and
+// writes it as a WCT3 columnar file. Malformed lines are skipped and,
+// unless passthrough is set, each request is scrubbed first so the
+// emitted string table carries only anonymized URLs.
 func writeColumnar(out io.Writer, r trace.Reader, anon *anonymizer, passthrough bool, inPath, outPath string) error {
 	filter := trace.NewFilterReader(&scrubReader{r: r, anon: anon, passthrough: passthrough})
 	w, err := core.BuildWorkload(filter, 0)

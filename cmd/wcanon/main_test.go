@@ -166,7 +166,4 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-i", "/nonexistent", "-o", "/tmp/x"}, &sb); err == nil {
 		t.Error("missing input accepted")
 	}
-	if err := run([]string{"-i", "/tmp/x", "-o", "/tmp/y", "-format", "weird"}, &sb); err == nil {
-		t.Error("bad format accepted")
-	}
 }

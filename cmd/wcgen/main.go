@@ -1,11 +1,12 @@
 // Command wcgen synthesizes a proxy trace calibrated to one of the
-// paper's workload profiles and writes it to a file in Squid or interned
-// binary format (gzip by path suffix).
+// paper's workload profiles and writes it to a file. The path names the
+// format: .wci, .wct or .bin is interned binary (WCT2), anything else a
+// Squid log; a further .gz compresses it.
 //
 // Usage:
 //
-//	wcgen -profile dfn|rtp -o trace.wct.gz [-scale 1.0] [-requests N]
-//	      [-seed 1] [-format auto|squid|interned]
+//	wcgen -profile dfn|rtp -o trace.wci.gz [-scale 1.0] [-requests N]
+//	      [-seed 1] [-clients N] [-diurnal A]
 package main
 
 import (
@@ -29,13 +30,12 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("wcgen", flag.ContinueOnError)
 	var (
 		profile  = fs.String("profile", "dfn", "workload profile (dfn or rtp)")
-		out      = fs.String("o", "", "output trace path (required; .gz enables gzip)")
+		out      = fs.String("o", "", "output trace path (required; .wci/.wct/.bin is interned, else Squid; .gz enables gzip)")
 		scale    = fs.Float64("scale", 1.0, "request-count scale factor")
 		requests = fs.Int("requests", 0, "explicit request count (overrides -scale)")
 		seed     = fs.Int64("seed", 1, "generation seed")
 		clients  = fs.Int("clients", 0, "client population (0 = single client)")
 		diurnal  = fs.Float64("diurnal", 0, "diurnal load amplitude in [0,1) (0 = flat rate)")
-		format   = fs.String("format", "auto", "trace format: auto, squid, interned")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -48,11 +48,7 @@ func run(args []string) error {
 		return err
 	}
 	prof.DiurnalAmplitude = *diurnal
-	f, err := trace.ParseFormat(*format)
-	if err != nil {
-		return err
-	}
-	w, err := trace.CreateFile(*out, f)
+	w, err := trace.CreateFile(*out, trace.FormatAuto)
 	if err != nil {
 		return err
 	}

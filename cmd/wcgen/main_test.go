@@ -32,7 +32,7 @@ func TestRunGeneratesReadableTrace(t *testing.T) {
 func TestRunSquidFormat(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.log")
-	if err := run([]string{"-requests", "100", "-format", "squid", "-o", path}); err != nil {
+	if err := run([]string{"-requests", "100", "-o", path}); err != nil {
 		t.Fatal(err)
 	}
 	fr, err := trace.OpenFile(path, trace.FormatSquid)
@@ -58,8 +58,8 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{"no output", []string{"-requests", "10"}},
 		{"bad profile", []string{"-profile", "x", "-o", "/tmp/x.log"}},
-		{"bad format", []string{"-format", "weird", "-o", "/tmp/x.log"}},
 		{"bad path", []string{"-o", "/nonexistent-dir/x.log"}},
+		{"columnar path", []string{"-requests", "10", "-o", filepath.Join(t.TempDir(), "x.wci3")}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

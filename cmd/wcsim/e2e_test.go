@@ -45,7 +45,7 @@ func TestEndToEndInternedRoundTrip(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.wci")
 
 	genOut := goRun(t, "wcgen", "-profile", "dfn", "-requests", "3000", "-seed", "7",
-		"-format", "interned", "-o", tracePath)
+		"-o", tracePath)
 	if !strings.Contains(genOut, "wrote 3000") {
 		t.Fatalf("wcgen output: %s", genOut)
 	}

@@ -9,9 +9,10 @@
 //	      [-sizes 64MB,256MB,1GB | -size-pcts 0.5,1,2,4] [-warmup 0.1]
 //	      [-by-class] [-csv] [-occupancy N] [-check] [-journal run.jsonl]
 //
-// The trace may be a record stream (squid, .wci interned) or a WCT3
-// columnar workload (.wci3, produced by wcanon -format wct3), which is
-// memory-mapped and replayed without any parse or build step.
+// The trace is one file. A WCT3 columnar workload (.wci3, written by
+// wcanon -o x.wci3) is memory-mapped and replayed without any parse or
+// build step; a record stream (a Squid log or interned .wci, either
+// gzipped) first passes the paper's §2 cacheability filter.
 package main
 
 import (
@@ -43,18 +44,17 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("wcsim", flag.ContinueOnError)
 	var (
-		tracePath = fs.String("trace", "", "input trace path(s), comma-separated; multiple files are merged by timestamp (required)")
+		tracePath = fs.String("trace", "", "input trace path (required)")
 		policies  = fs.String("policies", "lru,lfuda,gds:1,gdstar:1,gds:p,gdstar:p",
 			"comma-separated policy specs (scheme[:cost][:beta=x])")
 		admissions = fs.String("admissions", "none",
 			"comma-separated admission filter specs (none, tinylfu[:window=N], arc-ghost); every policy runs under every filter")
 		sizes    = fs.String("sizes", "", "cache sizes, comma-separated (e.g. 64MB,1GB)")
 		sizePcts = fs.String("size-pcts", "", "cache sizes as % of trace size (e.g. 0.5,1,2,4)")
-		warmup   = fs.Float64("warmup", core.DefaultWarmupFraction, "warm-up fraction of requests")
+		warmup   = fs.Float64("warmup", core.DefaultWarmupFraction, "warm-up fraction of requests, in [0, 1)")
 		byClass  = fs.Bool("by-class", false, "break results down by document type")
 		plot     = fs.Bool("plot", false, "render ASCII hit-rate/byte-hit-rate curves")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		raw      = fs.Bool("raw", false, "skip the cacheability preprocessing filter")
 		par      = fs.Int("parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		check    = fs.Bool("check", false, "run policies under the runtime contract checker (slower; aborts on the first violation)")
 		journal  = fs.String("journal", "", "write a JSONL run journal (progress, throughput, wall-clock per cell) to this path; summarize with wcreport -journal")
@@ -65,6 +65,15 @@ func run(args []string, out io.Writer) error {
 	if *tracePath == "" {
 		return fmt.Errorf("-trace is required")
 	}
+	if !(*warmup >= 0 && *warmup < 1) { // NaN included
+		return fmt.Errorf("-warmup %v must be in [0, 1)", *warmup)
+	}
+	// core reads a zero fraction as "the default" and a negative one as
+	// "none"; on the command line 0 means none.
+	warmupFraction := *warmup
+	if warmupFraction == 0 {
+		warmupFraction = -1
+	}
 
 	factories, err := parsePolicies(*policies)
 	if err != nil {
@@ -74,7 +83,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	w, done, err := loadWorkload(*tracePath, *raw)
+	w, done, err := loadWorkload(*tracePath)
 	if err != nil {
 		return err
 	}
@@ -88,7 +97,7 @@ func run(args []string, out io.Writer) error {
 		Policies:       factories,
 		Admissions:     admitters,
 		Capacities:     capacities,
-		WarmupFraction: *warmup,
+		WarmupFraction: warmupFraction,
 		Parallelism:    *par,
 		SelfCheck:      *check,
 	}
@@ -230,58 +239,29 @@ func parseAdmissions(s string) ([]policy.AdmitterFactory, error) {
 	return out, nil
 }
 
-// loadWorkload builds the workload from one or more trace files. A single
-// WCT3 columnar file is opened as a zero-copy (mmap-backed) view — the
-// returned cleanup func unmaps it and must be called only after the sweep
-// is done with the workload. For record-stream formats the cleanup is a
-// no-op and the files are closed before returning.
-func loadWorkload(paths string, raw bool) (*core.Workload, func(), error) {
+// loadWorkload builds the workload from one trace file. A WCT3 columnar
+// image is opened as a zero-copy (mmap-backed) view, and the returned
+// cleanup func unmaps it: call it only after the sweep is done with the
+// workload. Any other file is a record stream, read through the paper's
+// cacheability filter and closed before returning; its cleanup is a no-op.
+func loadWorkload(path string) (*core.Workload, func(), error) {
 	noop := func() {}
-	parts := strings.Split(paths, ",")
-	if len(parts) == 1 {
-		w, mapping, err := core.OpenColumnarWorkload(strings.TrimSpace(parts[0]))
-		switch {
-		case err == nil:
-			// A .wci3 stores the finished workload: the cacheability
-			// filter ran when it was built, so -raw cannot apply here.
-			if raw {
-				return nil, noop, fmt.Errorf("%s: -raw has no effect on a WCT3 columnar workload (filtering happened at conversion time)", parts[0])
-			}
-			return w, func() { _ = mapping.Close() }, nil
-		case !errors.Is(err, trace.ErrNotColumnar):
-			return nil, noop, err
-		}
-		// Not columnar: fall through to the record-stream path.
+	w, mapping, err := core.OpenColumnarWorkload(path)
+	switch {
+	case err == nil:
+		return w, func() { _ = mapping.Close() }, nil
+	case !errors.Is(err, trace.ErrNotColumnar):
+		return nil, noop, err
 	}
-	var readers []trace.Reader
-	var files []*trace.FileReader
-	defer func() {
-		for _, f := range files {
-			_ = f.Close()
-		}
-	}()
-	for _, path := range parts {
-		fr, err := trace.OpenFile(strings.TrimSpace(path), trace.FormatAuto)
-		if err != nil {
-			return nil, noop, err
-		}
-		files = append(files, fr)
-		readers = append(readers, fr)
+	fr, err := trace.OpenFile(path, trace.FormatAuto)
+	if err != nil {
+		return nil, noop, err
 	}
-	var src trace.Reader
-	if len(readers) == 1 {
-		src = readers[0]
-	} else {
-		src = trace.NewMergeReader(readers...)
-	}
-	var filter *trace.FilterReader
-	if !raw {
-		filter = trace.NewFilterReader(src)
-		src = filter
-	}
-	w, err := core.BuildWorkload(src, 0)
-	if err == nil && filter != nil && filter.Stats().Parsed() == 0 {
-		err = fmt.Errorf("%s: no requests parsed (%d malformed lines)", paths, filter.Stats().Malformed)
+	defer func() { _ = fr.Close() }()
+	filter := trace.NewFilterReader(fr)
+	w, err = core.BuildWorkload(filter, 0)
+	if err == nil && filter.Stats().Parsed() == 0 {
+		err = fmt.Errorf("%s: no requests parsed (%d malformed lines)", path, filter.Stats().Malformed)
 	}
 	return w, noop, err
 }

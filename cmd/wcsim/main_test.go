@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -116,6 +118,8 @@ func TestRunErrors(t *testing.T) {
 		{"negative pct", []string{"-trace", path, "-size-pcts", "1,-5"}},
 		{"duplicate sizes", []string{"-trace", path, "-sizes", "8MB,8MB"}},
 		{"NaN warmup", []string{"-trace", path, "-warmup", "NaN"}},
+		{"negative warmup", []string{"-trace", path, "-warmup", "-0.1"}},
+		{"whole-trace warmup", []string{"-trace", path, "-warmup", "1"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -126,16 +130,36 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunMergedTraces(t *testing.T) {
-	a := writeTestTrace(t)
-	b := writeTestTrace(t)
+// TestRunNoWarmup: -warmup 0 measures from the first request, so every
+// request of the trace lands in exactly one per-class Requests cell.
+func TestRunNoWarmup(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-trace", a + "," + b, "-policies", "lru", "-sizes", "2MB"}, &sb)
+	err := run([]string{"-trace", writeTestTrace(t), "-policies", "lru", "-sizes", "2MB",
+		"-warmup", "0", "-by-class", "-csv"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "8000 requests") {
-		t.Errorf("merged trace should have 8000 requests:\n%s", sb.String())
+	header, tables, _ := strings.Cut(sb.String(), "\n\n")
+	var want int64
+	if _, after, ok := strings.Cut(header, " — "); !ok {
+		t.Fatalf("no request count in %q", header)
+	} else if _, err := fmt.Sscanf(after, "%d requests", &want); err != nil {
+		t.Fatalf("no request count in %q: %v", header, err)
+	}
+	var sum int64
+	for _, line := range strings.Split(tables, "\n") {
+		// Class rows are Policy,Cache (MB),HR,BHR,Requests; the overall
+		// row has six cells.
+		if cells := strings.Split(line, ","); len(cells) == 5 && cells[0] == "LRU" {
+			n, err := strconv.ParseInt(cells[4], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += n
+		}
+	}
+	if sum != want {
+		t.Errorf("per-class requests sum to %d, want all %d", sum, want)
 	}
 }
 

@@ -4,14 +4,17 @@
 //
 // Usage:
 //
-//	wcstat [-raw] [-csv] [-hist] trace.log[.gz] ...
+//	wcstat [-csv] [-hist] trace.log[.gz] ...
 //
-// By default the trace is preprocessed with the paper's cacheability
-// filter first; -raw skips the filter. -hist adds per-class transfer-size
-// histograms.
+// A record stream (a Squid log or interned .wci, either gzipped) is read
+// through the paper's cacheability filter, and the totals count what it
+// dropped and the distinct clients. A WCT3 columnar workload (.wci3) was
+// filtered when it was written and records neither, so those rows are
+// omitted for it. -hist adds per-class transfer-size histograms.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +38,6 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("wcstat", flag.ContinueOnError)
 	var (
-		raw  = fs.Bool("raw", false, "skip the cacheability preprocessing filter")
 		csv  = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		hist = fs.Bool("hist", false, "render per-class transfer-size histograms")
 	)
@@ -43,37 +45,41 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: wcstat [-raw] [-csv] [-hist] trace...")
+		return fmt.Errorf("usage: wcstat [-csv] [-hist] trace...")
 	}
 	for _, path := range fs.Args() {
-		if err := statOne(path, *raw, *csv, *hist, out); err != nil {
+		if err := statOne(path, *csv, *hist, out); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return nil
 }
 
-func statOne(path string, raw, csv, hist bool, out io.Writer) error {
-	fr, err := trace.OpenFile(path, trace.FormatAuto)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_ = fr.Close()
-	}()
-	var src trace.Reader = fr
+func statOne(path string, csv, hist bool, out io.Writer) error {
+	// A nil filter marks a columnar image: no filter ran here, and no
+	// client was seen.
 	var filter *trace.FilterReader
-	if !raw {
+	clients := &clientCounter{seen: make(map[string]bool)}
+	w, mapping, err := core.OpenColumnarWorkload(path)
+	switch {
+	case err == nil:
+		defer func() { _ = mapping.Close() }()
+	case errors.Is(err, trace.ErrNotColumnar):
+		fr, err := trace.OpenFile(path, trace.FormatAuto)
+		if err != nil {
+			return err
+		}
+		defer func() { _ = fr.Close() }()
 		filter = trace.NewFilterReader(fr)
-		src = filter
-	}
-	clients := &clientCounter{src: src, seen: make(map[string]bool)}
-	w, err := core.BuildWorkload(clients, 0)
-	if err != nil {
+		clients.src = filter
+		if w, err = core.BuildWorkload(clients, 0); err != nil {
+			return err
+		}
+		if filter.Stats().Parsed() == 0 {
+			return fmt.Errorf("no requests parsed (%d malformed lines)", filter.Stats().Malformed)
+		}
+	default:
 		return err
-	}
-	if filter != nil && filter.Stats().Parsed() == 0 {
-		return fmt.Errorf("no requests parsed (%d malformed lines)", filter.Stats().Malformed)
 	}
 	c := analyze.Characterize(w, path)
 

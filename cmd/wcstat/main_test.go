@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"webcachesim/internal/core"
 	"webcachesim/internal/synth"
 	"webcachesim/internal/trace"
 )
@@ -59,14 +60,43 @@ func TestRunSquidWithFilterCounters(t *testing.T) {
 	}
 }
 
-func TestRunRawSkipsFilter(t *testing.T) {
-	path := writeTestTrace(t, trace.FormatSquid)
-	var sb strings.Builder
-	if err := run([]string{"-raw", path}, &sb); err != nil {
+// TestColumnarMatchesRecordStream: a .wci3 built from a .wci the way
+// wcanon builds one (filter, BuildWorkload, WriteColumnar) prints the
+// same class-mix and locality tables; only the totals differ, by the
+// filter and client rows the image does not record.
+func TestColumnarMatchesRecordStream(t *testing.T) {
+	wci := writeTestTrace(t, trace.FormatInterned)
+	fr, err := trace.OpenFile(wci, trace.FormatAuto)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(sb.String(), "Filtered Out") {
-		t.Error("-raw should omit filter counters")
+	w, err := core.BuildWorkload(trace.NewFilterReader(fr), 0)
+	if cerr := fr.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	wci3 := filepath.Join(t.TempDir(), "trace.wci3")
+	if err := w.WriteColumnar(wci3); err != nil {
+		t.Fatal(err)
+	}
+	outputs := make(map[string]string)
+	for _, path := range []string{wci, wci3} {
+		var sb strings.Builder
+		if err := run([]string{path}, &sb); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		outputs[path] = sb.String()
+	}
+	if !strings.Contains(outputs[wci], "Filtered Out") || strings.Contains(outputs[wci3], "Filtered Out") {
+		t.Errorf("filter rows: want them for the .wci only")
+	}
+	// The totals table comes first; the class-mix and locality tables follow.
+	_, fromWCI, _ := strings.Cut(outputs[wci], "\n\n")
+	_, fromWCI3, _ := strings.Cut(outputs[wci3], "\n\n")
+	if fromWCI == "" || fromWCI != fromWCI3 {
+		t.Errorf("tables differ:\n.wci:\n%s\n.wci3:\n%s", fromWCI, fromWCI3)
 	}
 }
 

@@ -506,6 +506,11 @@ func TestExpiry(t *testing.T) {
 		{"max-age past Duration", http.Header{"Cache-Control": {"max-age=10000000000"}}, now.Add(maxDeltaSeconds * time.Second)},
 		{"s-maxage max int64", http.Header{"Cache-Control": {"s-maxage=9223372036854775807"}}, now.Add(maxDeltaSeconds * time.Second)},
 		{"max-age past int64", http.Header{"Cache-Control": {"max-age=99999999999999999999"}}, now.Add(maxDeltaSeconds * time.Second)},
+		// RFC 9111 §5.2: delta-seconds may arrive quoted.
+		{"quoted max-age", http.Header{"Cache-Control": {`max-age="60"`}}, now.Add(60 * time.Second)},
+		{"quoted s-maxage wins", http.Header{"Cache-Control": {`max-age=60, s-maxage="30"`}}, now.Add(30 * time.Second)},
+		{"one quote rejected", http.Header{"Cache-Control": {`max-age="60`}}, time.Time{}},
+		{"two quote pairs rejected", http.Header{"Cache-Control": {`max-age=""60""`}}, time.Time{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -519,7 +524,8 @@ func TestExpiry(t *testing.T) {
 
 // FuzzExpiry holds the header readers to what a cache may not get wrong
 // on any input: expiry never panics, and a digits-only max-age/s-maxage —
-// however many digits — never dates an entry before its arrival;
+// however many digits — never dates an entry before its arrival, and
+// dates it the same quoted as bare;
 // containsToken never panics and finds tok, in any ASCII case, as one
 // comma-separated element whatever surrounds it.
 func FuzzExpiry(f *testing.F) {
@@ -544,8 +550,13 @@ func FuzzExpiry(f *testing.F) {
 				directive = "s-maxage"
 			}
 			h := http.Header{"Cache-Control": {directive + "=" + digits + ", " + cc}, "Expires": {expires}}
-			if got := expiry(h, now); got.Before(now) {
+			got := expiry(h, now)
+			if got.Before(now) {
 				t.Errorf("expiry(%q) = %v, before its arrival at %v", h, got, now)
+			}
+			quoted := http.Header{"Cache-Control": {directive + `="` + digits + `", ` + cc}, "Expires": {expires}}
+			if q := expiry(quoted, now); !q.Equal(got) {
+				t.Errorf("expiry(%q) = %v, but unquoted %v", quoted, q, got)
 			}
 		}
 		if tok == "" || strings.Contains(tok, ",") || strings.TrimSpace(tok) != tok {

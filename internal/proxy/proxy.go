@@ -745,7 +745,8 @@ func expiry(h http.Header, now time.Time) time.Time {
 const maxDeltaSeconds = 1 << 31
 
 // maxAge extracts a non-negative `directive=N` seconds value from a
-// Cache-Control header, clamped at maxDeltaSeconds.
+// Cache-Control header, clamped at maxDeltaSeconds. N may be quoted
+// (`max-age="60"`), which RFC 9111 §5.2 asks recipients to accept.
 func maxAge(cc, directive string) (int64, bool) {
 	for _, part := range strings.Split(cc, ",") {
 		part = strings.TrimSpace(part)
@@ -753,7 +754,11 @@ func maxAge(cc, directive string) (int64, bool) {
 		if !ok || !strings.HasPrefix(rest, "=") {
 			continue
 		}
-		secs, err := strconv.ParseInt(strings.TrimSpace(rest[1:]), 10, 64)
+		v := strings.TrimSpace(rest[1:])
+		if len(v) >= 2 && v[0] == '"' && v[len(v)-1] == '"' {
+			v = v[1 : len(v)-1]
+		}
+		secs, err := strconv.ParseInt(v, 10, 64)
 		if errors.Is(err, strconv.ErrRange) && secs > 0 {
 			err = nil // more digits than int64 holds: clamped below
 		}

@@ -2,7 +2,6 @@ package trace_test
 
 import (
 	"fmt"
-	"strings"
 
 	"webcachesim/internal/trace"
 )
@@ -36,25 +35,4 @@ func ExampleFilterReader() {
 	}
 	fmt.Println("kept:", len(kept), "dropped:", f.Stats().Dropped())
 	// Output: kept: 1 dropped: 3
-}
-
-// ExampleNewMergeReader interleaves two time-ordered traces.
-func ExampleNewMergeReader() {
-	a := trace.NewSliceReader([]*trace.Request{
-		{UnixMillis: 10, URL: "a1"}, {UnixMillis: 30, URL: "a2"},
-	})
-	b := trace.NewSliceReader([]*trace.Request{
-		{UnixMillis: 20, URL: "b1"},
-	})
-	merged, err := trace.ReadAll(trace.NewMergeReader(a, b))
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	var urls []string
-	for _, r := range merged {
-		urls = append(urls, r.URL)
-	}
-	fmt.Println(strings.Join(urls, " "))
-	// Output: a1 b1 a2
 }

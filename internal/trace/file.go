@@ -23,32 +23,15 @@ const (
 	// carried inline, documents classified eagerly at write time.
 	FormatInterned Format = "interned"
 	// FormatColumnar is the columnar workload image (WCT3): not a record
-	// stream but a preprocessed, mmap-able workload. It is produced by
-	// wcanon -format wct3 and consumed via OpenColumnar; the record-stream
-	// OpenFile/CreateFile paths reject it with a pointer there.
+	// stream but a preprocessed, mmap-able workload. It is written by
+	// core.Workload.WriteColumnar (wcanon -o x.wci3) and read via
+	// OpenColumnar; the record-stream OpenFile/CreateFile paths reject it
+	// with a pointer there.
 	FormatColumnar Format = "wct3"
 	// FormatAuto selects the format by sniffing the stream (reading) or by
 	// file extension (writing, defaulting to squid).
 	FormatAuto Format = "auto"
 )
-
-// ParseFormat resolves a format name from user input.
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "squid", "log":
-		return FormatSquid, nil
-	case "interned", "wct2", "wci", "wct", "bin":
-		return FormatInterned, nil
-	case "binary", "wct1":
-		return "", fmt.Errorf("trace: format %q (WCT1) was removed; use interned (WCT2)", s)
-	case "columnar", "wct3", "wci3":
-		return FormatColumnar, nil
-	case "", "auto":
-		return FormatAuto, nil
-	default:
-		return "", fmt.Errorf("trace: unknown format %q", s)
-	}
-}
 
 // FileReader is a Reader bound to an open file; Close releases it.
 type FileReader struct {
@@ -118,7 +101,7 @@ func OpenFile(path string, format Format) (*FileReader, error) {
 	case FormatColumnar:
 		// Nothing was read yet; the format error below is the story.
 		_ = fr.Close()
-		return nil, fmt.Errorf("trace: %s is a WCT3 columnar workload, not a record stream; open it with OpenColumnar (wcsim does this automatically)", path)
+		return nil, fmt.Errorf("trace: %s is a WCT3 columnar workload, not a record stream; open it with OpenColumnar (wcsim and wcstat do this automatically)", path)
 	default:
 		// Same: abandoning an unread reader, only the format error matters.
 		_ = fr.Close()
@@ -187,7 +170,7 @@ func CreateFile(path string, format Format) (*FileWriter, error) {
 	if format == FormatColumnar {
 		// Checked before the file is created so a bad invocation does not
 		// leave an empty .wci3 behind.
-		return nil, fmt.Errorf("trace: WCT3 is a preprocessed workload image, not a record stream; convert with wcanon -format wct3 (core.Workload.WriteColumnar)")
+		return nil, fmt.Errorf("trace: WCT3 is a preprocessed workload image, not a record stream; convert with wcanon -o x.wci3 (core.Workload.WriteColumnar)")
 	}
 	f, err := os.Create(path)
 	if err != nil {

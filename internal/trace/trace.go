@@ -4,9 +4,8 @@
 // both the DFN and NLANR RTP traces were recorded in), binary formats for
 // fast repeated simulation (the interned WCT2 record stream, whose string
 // tables match the simulator's dense document IDs, and the mmap-able WCT3
-// workload image), the URL interner itself, a timestamp-ordered merge with
-// a stable tie-break, and the cacheability filter (CGI/query heuristics
-// plus the HTTP status-code whitelist).
+// workload image), the URL interner itself, and the cacheability filter
+// (CGI/query heuristics plus the HTTP status-code whitelist).
 package trace
 
 import (

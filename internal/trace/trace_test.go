@@ -284,31 +284,3 @@ func TestSliceReaderReset(t *testing.T) {
 		t.Errorf("read %d then %d records, want 3 and 3", len(first), len(second))
 	}
 }
-
-func TestParseFormat(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    Format
-		wantErr bool
-	}{
-		{"squid", FormatSquid, false},
-		{"LOG", FormatSquid, false},
-		{"interned", FormatInterned, false},
-		{"wct", FormatInterned, false},
-		{"binary", "", true},
-		{"wct1", "", true},
-		{"", FormatAuto, false},
-		{"auto", FormatAuto, false},
-		{"xml", "", true},
-	}
-	for _, tt := range tests {
-		got, err := ParseFormat(tt.in)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("ParseFormat(%q) err = %v, wantErr %v", tt.in, err, tt.wantErr)
-			continue
-		}
-		if got != tt.want {
-			t.Errorf("ParseFormat(%q) = %q, want %q", tt.in, got, tt.want)
-		}
-	}
-}

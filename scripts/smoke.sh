@@ -50,13 +50,15 @@ smoke_admission() {
 	done
 }
 
-# columnar: convert a record trace to the WCT3 columnar image, replay it
-# memory-mapped, and require results byte-identical to the in-RAM
-# record-stream replay; only the header line naming the trace file
-# differs (docs/TRACES.md, docs/ARCHITECTURE.md).
+# columnar: convert a record trace to the WCT3 columnar image (the .wci3
+# extension picks the format), characterize it, replay it memory-mapped,
+# and require results byte-identical to the in-RAM record-stream replay;
+# only the header line naming the trace file differs (docs/TRACES.md,
+# docs/ARCHITECTURE.md).
 smoke_columnar() {
 	tiny_trace "$tmp/tiny.wci"
-	go run ./cmd/wcanon -passthrough -format wct3 -i "$tmp/tiny.wci" -o "$tmp/tiny.wci3"
+	go run ./cmd/wcanon -passthrough -i "$tmp/tiny.wci" -o "$tmp/tiny.wci3"
+	go run ./cmd/wcstat "$tmp/tiny.wci3"
 	go run ./cmd/wcsim -trace "$tmp/tiny.wci" -size-pcts 1,4 -csv | tail -n +2 > "$tmp/ram.csv"
 	go run ./cmd/wcsim -trace "$tmp/tiny.wci3" -size-pcts 1,4 -csv | tail -n +2 > "$tmp/mmap.csv"
 	diff -u "$tmp/ram.csv" "$tmp/mmap.csv"
