@@ -9,8 +9,8 @@
 // atomic counter holds the resident byte total, and an insert reserves its
 // bytes with a compare-and-swap loop before the entry becomes visible.
 // The reservation either fits under the budget or forces an eviction —
-// from the inserting key's home shard first, then sweeping the other
-// shards — so the resident total NEVER exceeds the configured capacity,
+// from the shard holding the most resident bytes, then sweeping every
+// shard — so the resident total NEVER exceeds the configured capacity,
 // under any interleaving. That invariant is what the property and race
 // tests in this package pin down.
 //
@@ -19,8 +19,11 @@
 // gives one up, not by a globally ordered priority. With one shard the
 // cache degrades to the exact single-policy semantics the paper's
 // simulator models (and the proxy tests that assert exact LRU order run
-// that way); with many shards the order is a per-shard approximation,
-// which is the standard trade in production caches. See docs/PROXY.md.
+// that way). With many shards the order is a per-shard approximation;
+// taking each victim from the fullest shard keeps every study scheme's
+// hit ratio at 0.95 or more of its one-shard value, where taking it from
+// the inserting key's shard cost GD*(1) a third of it
+// (TestShardedStoreRanksLikeOneCache, docs/PROXY.md).
 package cache
 
 import (
@@ -57,9 +60,11 @@ type Config struct {
 	// byte budget and keyed by that shard's interned IDs. The zero value
 	// admits everything.
 	Admission policy.AdmitterFactory
-	// InternRetain bounds each shard's URL interner: the number of
+	// InternRetain bounds the store's URL interners: the number of
 	// non-resident URL→ID mappings retained before the oldest are
 	// recycled (DefaultInternRetain when 0, unbounded when negative).
+	// It is the store's total, split evenly across the shards, so the
+	// shard count does not change how long an evicted URL keeps its ID.
 	// See idTable for the identity trade-off.
 	InternRetain int
 }
@@ -77,14 +82,15 @@ type Cache struct {
 
 // shard is one lock domain: a map of resident entries and the policy that
 // orders them for eviction. used mirrors the shard's share of the global
-// byte total so accounting can be cross-checked shard by shard.
+// byte total: it is written only under mu and read lock-free by the
+// victim choice (fullest), the scrape and the accounting checks.
 type shard struct {
 	mu      sync.Mutex
 	pol     policy.Policy
 	adm     policy.Admitter // nil when admission is disabled
 	entries map[string]*Entry
 	ids     *idTable
-	used    int64
+	used    atomic.Int64
 	index   int // position in Cache.shards, for the eviction sweep
 }
 
@@ -114,6 +120,9 @@ func New(cfg Config) (*Cache, error) {
 	retain := cfg.InternRetain
 	if retain == 0 {
 		retain = DefaultInternRetain
+	}
+	if retain > 0 {
+		retain /= n
 	}
 	for i := range c.shards {
 		c.shards[i] = shard{
@@ -256,7 +265,7 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 	home.mu.Lock()
 	if old, ok := home.entries[key]; ok {
 		home.pol.Remove(old.Doc)
-		home.used -= old.Doc.Size
+		home.used.Add(-old.Doc.Size)
 		c.used.Add(-old.Doc.Size)
 		// The key stays pinned (the new version inherits the ID); only the
 		// cache's reference on the superseded body is dropped.
@@ -267,7 +276,7 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 	// entry leaves (eviction, removal, replacement).
 	e.Acquire()
 	home.entries[key] = e
-	home.used += size
+	home.used.Add(size)
 	home.pol.Insert(e.Doc)
 	if home.adm != nil {
 		home.adm.Inserted(e.Doc)
@@ -280,7 +289,10 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 // The candidate is judged against the home shard's own prospective
 // victim — the per-shard approximation of the simulator's global
 // peek-before-evict — and only when the global budget is actually full;
-// while space remains, admission is unconditional. The decision point is
+// while space remains, admission is unconditional. The home shard's
+// victim stands in because its filter counts only that shard's keys; the
+// bytes themselves come from the fullest shard (evictOne), so the
+// document judged is not always the one evicted. The decision point is
 // advisory: a concurrent insert can consume the budget between this
 // check and the reservation, in which case an admitted entry may still
 // be evicting from other shards. That race only ever skips the filter
@@ -330,20 +342,34 @@ func (c *Cache) reserve(size int64, home *shard) bool {
 	}
 }
 
-// evictOne frees one victim, asking the home shard's policy first and then
-// sweeping the other shards in index order. Only one shard lock is held at
-// a time, so concurrent inserts stealing from each other's shards cannot
-// deadlock. It reports false when every shard is empty.
+// evictOne frees one victim, asking the policy of the shard holding the
+// most resident bytes first and then sweeping every shard in index order
+// from the home shard. Only one shard lock is held at a time, so
+// concurrent inserts stealing from each other's shards cannot deadlock.
+// It reports false when every shard is empty.
 func (c *Cache) evictOne(home *shard) bool {
-	if home.evictVictim(c) {
+	if c.fullest(home).evictVictim(c) {
 		return true
 	}
-	for i := 1; i < len(c.shards); i++ {
+	for i := range c.shards {
 		if c.shards[(home.index+i)&int(c.mask)].evictVictim(c) {
 			return true
 		}
 	}
 	return false
+}
+
+// fullest returns the shard holding the most resident bytes, read without
+// taking any shard lock; a tie keeps home, so a one-shard store evicts
+// exactly as a single policy does.
+func (c *Cache) fullest(home *shard) *shard {
+	best, most := home, home.used.Load()
+	for i := range c.shards {
+		if u := c.shards[i].used.Load(); u > most {
+			best, most = &c.shards[i], u
+		}
+	}
+	return best
 }
 
 // evictVictim asks the shard's policy for one victim and releases its
@@ -364,7 +390,7 @@ func (sh *shard) evictVictim(c *Cache) bool {
 		return true
 	}
 	delete(sh.entries, victim.Key)
-	sh.used -= victim.Size
+	sh.used.Add(-victim.Size)
 	c.used.Add(-victim.Size)
 	c.evictions.Add(1)
 	sh.ids.unpin(victim.ID)
@@ -392,7 +418,7 @@ func (c *Cache) removeFrom(sh *shard, key string) bool {
 	}
 	sh.pol.Remove(e.Doc)
 	delete(sh.entries, key)
-	sh.used -= e.Doc.Size
+	sh.used.Add(-e.Doc.Size)
 	c.used.Add(-e.Doc.Size)
 	sh.ids.unpin(e.Doc.ID)
 	e.Release()
@@ -475,15 +501,13 @@ func (c *Cache) Each(fn func(key string, e *Entry)) {
 	}
 }
 
-// ShardUsed returns each shard's resident byte count — the per-shard view
-// the accounting invariant (sum == Used, quiescent) is checked against.
+// ShardUsed returns each shard's resident byte count, read lock-free — the
+// per-shard occupancy a scrape exports and the accounting invariant (sum
+// == Used, quiescent) is checked against.
 func (c *Cache) ShardUsed() []int64 {
 	out := make([]int64, len(c.shards))
 	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		out[i] = sh.used
-		sh.mu.Unlock()
+		out[i] = c.shards[i].used.Load()
 	}
 	return out
 }

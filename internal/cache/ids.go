@@ -48,10 +48,11 @@ const (
 	idRetired
 )
 
-// DefaultInternRetain is the per-shard retired-mapping budget when
-// Config.InternRetain is zero. At ~100 bytes per retained mapping this
-// bounds the non-resident interner tail to a few hundred KiB per shard.
-const DefaultInternRetain = 4096
+// DefaultInternRetain is the store's retired-mapping budget when
+// Config.InternRetain is zero: 4,096 per shard at the default 16 shards.
+// At ~100 bytes per retained mapping this bounds the non-resident
+// interner tail to a few MiB per store.
+const DefaultInternRetain = 1 << 16
 
 func newIDTable(retain int) *idTable {
 	return &idTable{ids: make(map[string]int32, 64), retain: retain}

@@ -31,6 +31,28 @@ func TestInternerBounded(t *testing.T) {
 	}
 }
 
+// TestInternRetainIsStoreWide: the default retain window is the store's,
+// not each shard's, so a one-shard store — the paper-exact configuration —
+// keeps as many evicted URLs' IDs as the default sixteen shards together.
+func TestInternRetainIsStoreWide(t *testing.T) {
+	c, err := New(Config{Capacity: 1024, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10000
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("http://example.com/unique/%d", i)
+		c.Set(key, &Entry{Doc: &policy.Doc{Key: key, Size: 1024}})
+	}
+	if c.Evictions() != n-1 {
+		t.Fatalf("evictions = %d; want %d (every URL but the last evicted)", c.Evictions(), n-1)
+	}
+	if got := c.InternedKeys(); got != n {
+		t.Fatalf("interner holds %d mappings after %d URLs; want all %d within the %d-mapping window",
+			got, n, n, DefaultInternRetain)
+	}
+}
+
 // TestInternerUnboundedWhenNegative pins the opt-out: retain < 0 keeps
 // every mapping forever (the pre-bounded behavior some ID-keyed
 // estimators may want).

@@ -289,6 +289,39 @@ func (g *gaugeFunc) writeText(w io.Writer) error {
 	return err
 }
 
+// gaugeFuncVec is a family of integer gauges distinguished by one label,
+// all read by one call at exposition time.
+type gaugeFuncVec struct {
+	desc
+	label  string
+	values []string
+	fn     func() []int64
+}
+
+// NewGaugeFuncVec is NewGaugeFunc for a family distinguished by one label
+// whose values are fixed at registration (a store's shards): fn returns
+// one value per label value, in the order of values, and is called once
+// per exposition. fn must be safe for concurrent use.
+func (r *Registry) NewGaugeFuncVec(name, help, label string, values []string, fn func() []int64) {
+	if !validLabel(label) {
+		panic(fmt.Sprintf("metrics: invalid label name %q", label))
+	}
+	r.register(&gaugeFuncVec{desc: desc{name: name, help: help}, label: label, values: values, fn: fn})
+}
+
+func (g *gaugeFuncVec) writeText(w io.Writer) error {
+	if err := g.header(w, "gauge"); err != nil {
+		return err
+	}
+	vs := g.fn()
+	for i, val := range g.values {
+		if _, err := fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", g.name, g.label, escapeLabelValue(val), vs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CounterVec is a family of counters distinguished by the value of one
 // label (e.g. requests by document class). Children are created on first
 // use and live for the registry's lifetime, so label values must come

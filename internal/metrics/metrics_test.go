@@ -219,6 +219,8 @@ func TestParseTextRoundTrip(t *testing.T) {
 	r.NewGauge("test_rt_used_bytes", "a gauge").Set(-7)
 	r.NewGaugeFunc("test_rt_ratio", "a computed gauge", func() float64 { return 0.25 })
 	r.NewCounterFunc("test_rt_func_total", "a computed counter", func() int64 { return 9 })
+	r.NewGaugeFuncVec("test_rt_shard_bytes", "a computed family", "shard", []string{"0", "1"},
+		func() []int64 { return []int64{5, -2} })
 	v := r.NewCounterVec("test_rt_by_class_total", "a vec", "class")
 	v.With("html").Add(3)
 	v.With("a \"b\\c\nd").Inc()
@@ -239,6 +241,8 @@ func TestParseTextRoundTrip(t *testing.T) {
 		"test_rt_used_bytes":                          -7,
 		"test_rt_ratio":                               0.25,
 		"test_rt_func_total":                          9,
+		`test_rt_shard_bytes{shard="0"}`:              5,
+		`test_rt_shard_bytes{shard="1"}`:              -2,
 		`test_rt_by_class_total{class="html"}`:        3,
 		`test_rt_by_class_total{class="a \"b\\c\nd"}`: 1,
 		`test_rt_seconds_bucket{le="0.1"}`:            1,

@@ -1,6 +1,8 @@
 package proxy
 
 import (
+	"strconv"
+
 	"webcachesim/internal/core"
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/metrics"
@@ -126,9 +128,9 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 }
 
 // registerFuncs exposes what the store and the pool keep themselves: the
-// store's decision counters and both live occupancies. The byte gauge is
-// a single atomic load; the object count and the admission counts briefly
-// take each shard lock in turn.
+// store's decision counters and both live occupancies. The byte gauges
+// are atomic loads, one per shard for the per-shard family; the object
+// count and the admission counts briefly take each shard lock in turn.
 func (s *Server) registerFuncs(reg *metrics.Registry) {
 	reg.NewCounterFunc("wcproxy_evictions_total",
 		"Cached objects evicted to make room.", s.store.Evictions)
@@ -151,6 +153,13 @@ func (s *Server) registerFuncs(reg *metrics.Registry) {
 	reg.NewGaugeFunc("wcproxy_cache_shards",
 		"Cache shard count (per-shard locks and policy instances).",
 		func() float64 { return float64(s.store.Shards()) })
+	shards := make([]string, s.store.Shards())
+	for i := range shards {
+		shards[i] = strconv.Itoa(i)
+	}
+	reg.NewGaugeFuncVec("wcproxy_cache_shard_used_bytes",
+		"Bytes resident in each cache shard; eviction takes its victim from the fullest.",
+		"shard", shards, s.store.ShardUsed)
 	reg.NewGaugeFunc("wcproxy_cluster_peers",
 		"Fleet size this node currently routes across (self included); 0 on an unclustered proxy.",
 		func() float64 {

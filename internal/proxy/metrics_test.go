@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 
 	"webcachesim/internal/core"
@@ -102,6 +103,43 @@ func TestMetricsCountEvictions(t *testing.T) {
 	out := exposition(t, reg)
 	if !strings.Contains(out, "wcproxy_evictions_total 1") {
 		t.Errorf("exposition missing eviction:\n%s", out)
+	}
+}
+
+// TestMetricsShardBytesSumToUsed: after concurrent churn through the
+// default sixteen shards, the per-shard byte gauges account for every
+// resident byte — at quiescence their sum is wcproxy_cache_used_bytes.
+func TestMetricsShardBytesSumToUsed(t *testing.T) {
+	srv, reg, _ := newInstrumented(t, 200) // about ten 18-byte bodies
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				get(t, srv, fmt.Sprintf("/doc%d.gif", (g*7+i*i)%60))
+			}
+		}(g)
+	}
+	wg.Wait()
+	m, err := metrics.ParseText(strings.NewReader(exposition(t, reg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["wcproxy_evictions_total"] == 0 {
+		t.Fatal("no evictions: the replay did not churn the store")
+	}
+	var sum float64
+	for i := 0; i < int(m["wcproxy_cache_shards"]); i++ {
+		series := fmt.Sprintf(`wcproxy_cache_shard_used_bytes{shard="%d"}`, i)
+		v, ok := m[series]
+		if !ok {
+			t.Fatalf("scrape has no %s", series)
+		}
+		sum += v
+	}
+	if used := m["wcproxy_cache_used_bytes"]; sum != used || used == 0 {
+		t.Errorf("shard bytes sum to %v, wcproxy_cache_used_bytes is %v", sum, used)
 	}
 }
 
