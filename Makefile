@@ -39,9 +39,11 @@ test:
 # memory their callers own (policy.Doc, the space-saving entries), one set
 # per sweep goroutine or cache shard. pool hands memory between goroutines;
 # under -race its chunks are Go heap, so the detector sees every body byte.
+# metrics is updated from every serving goroutine; its concurrent-update and
+# vec-creation tests only mean something here.
 race:
 	$(GO) test -race ./internal/core/... ./internal/policy/... ./internal/mrc/... \
-		./internal/pool/... \
+		./internal/pool/... ./internal/metrics/... \
 		./internal/cache/... ./internal/flight/... ./internal/proxy/... ./internal/load/... \
 		./internal/trace/... ./internal/cluster/... ./internal/hierarchy/... \
 		./internal/container/... ./internal/sketch/... ./internal/admission/...
@@ -78,7 +80,7 @@ lines-by-pkg:
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 17960
+LINES_MAX = 18032
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

@@ -32,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"webcachesim/internal/doctype"
 	"webcachesim/internal/policy"
 	"webcachesim/internal/trace"
 )
@@ -78,6 +79,12 @@ type Cache struct {
 	admRejects atomic.Int64
 	mask       uint64
 	shards     []shard
+
+	// classBytes and classObjects are the resident entries per document
+	// class, moved by resident as an entry enters or leaves; quiescent,
+	// they sum to Used and Len.
+	classBytes   [doctype.NumClasses + 1]atomic.Int64
+	classObjects [doctype.NumClasses + 1]atomic.Int64
 }
 
 // shard is one lock domain: a map of resident entries and the policy that
@@ -267,6 +274,7 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 		home.pol.Remove(old.Doc)
 		home.used.Add(-old.Doc.Size)
 		c.used.Add(-old.Doc.Size)
+		c.resident(old.Doc, -1)
 		// The key stays pinned (the new version inherits the ID); only the
 		// cache's reference on the superseded body is dropped.
 		old.Release()
@@ -277,6 +285,7 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 	e.Acquire()
 	home.entries[key] = e
 	home.used.Add(size)
+	c.resident(e.Doc, 1)
 	home.pol.Insert(e.Doc)
 	if home.adm != nil {
 		home.adm.Inserted(e.Doc)
@@ -392,6 +401,7 @@ func (sh *shard) evictVictim(c *Cache) bool {
 	delete(sh.entries, victim.Key)
 	sh.used.Add(-victim.Size)
 	c.used.Add(-victim.Size)
+	c.resident(victim, -1)
 	c.evictions.Add(1)
 	sh.ids.unpin(victim.ID)
 	if sh.adm != nil {
@@ -420,9 +430,17 @@ func (c *Cache) removeFrom(sh *shard, key string) bool {
 	delete(sh.entries, key)
 	sh.used.Add(-e.Doc.Size)
 	c.used.Add(-e.Doc.Size)
+	c.resident(e.Doc, -1)
 	sh.ids.unpin(e.Doc.ID)
 	e.Release()
 	return true
+}
+
+// resident moves d's class counts by one document: sign is 1 as it
+// becomes resident and -1 as it leaves.
+func (c *Cache) resident(d *policy.Doc, sign int64) {
+	c.classBytes[d.Class].Add(sign * d.Size)
+	c.classObjects[d.Class].Add(sign)
 }
 
 // Used returns the resident byte total (including bytes reserved by
@@ -508,6 +526,22 @@ func (c *Cache) ShardUsed() []int64 {
 	out := make([]int64, len(c.shards))
 	for i := range c.shards {
 		out[i] = c.shards[i].used.Load()
+	}
+	return out
+}
+
+// ClassUsed returns the resident bytes per document class, indexed by
+// doctype.Class and read lock-free; once no insert is in flight they sum
+// to Used.
+func (c *Cache) ClassUsed() []int64 { return loadAll(c.classBytes[:]) }
+
+// ClassLen is ClassUsed for resident entries; quiescent, it sums to Len.
+func (c *Cache) ClassLen() []int64 { return loadAll(c.classObjects[:]) }
+
+func loadAll(vs []atomic.Int64) []int64 {
+	out := make([]int64, len(vs))
+	for i := range vs {
+		out[i] = vs[i].Load()
 	}
 	return out
 }

@@ -3,10 +3,12 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"webcachesim/internal/doctype"
 	"webcachesim/internal/policy"
 )
 
@@ -119,7 +121,7 @@ func TestPropertyAccountingMatchesOracle(t *testing.T) {
 // goroutines with random inserts, hits and removes while a sampler
 // continuously asserts the byte budget. After the run the per-shard bytes
 // must again reconcile exactly with the global counter and with a walk of
-// the resident entries.
+// the resident entries, and so must the per-class bytes and entries.
 func TestPropertyConcurrentBudgetNeverOvershoots(t *testing.T) {
 	const (
 		capacity   = 64 << 10
@@ -156,10 +158,13 @@ func TestPropertyConcurrentBudgetNeverOvershoots(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(g) + 42))
 					for i := 0; i < opsPerG; i++ {
-						k := fmt.Sprintf("http://x/doc%d", rng.Intn(300))
+						doc := rng.Intn(300)
+						k := fmt.Sprintf("http://x/doc%d", doc)
 						switch r := rng.Intn(100); {
 						case r < 50:
-							c.Set(k, ent(k, int64(1+rng.Intn(capacity/8))))
+							e := ent(k, int64(1+rng.Intn(capacity/8)))
+							e.Doc.Class = doctype.Class(doc % (doctype.NumClasses + 1))
+							c.Set(k, e)
 						case r < 90:
 							c.Get(k)
 						default:
@@ -180,10 +185,19 @@ func TestPropertyConcurrentBudgetNeverOvershoots(t *testing.T) {
 				shardSum += u
 			}
 			var walkSum int64
-			c.Each(func(_ string, e *Entry) { walkSum += e.Doc.Size })
+			var walkBytes, walkLen [doctype.NumClasses + 1]int64
+			c.Each(func(_ string, e *Entry) {
+				walkSum += e.Doc.Size
+				walkBytes[e.Doc.Class] += e.Doc.Size
+				walkLen[e.Doc.Class]++
+			})
 			if used := c.Used(); shardSum != used || walkSum != used || used > capacity {
 				t.Fatalf("post-run accounting diverged: shards=%d walk=%d used=%d cap=%d",
 					shardSum, walkSum, used, capacity)
+			}
+			if got, gotLen := c.ClassUsed(), c.ClassLen(); !slices.Equal(got, walkBytes[:]) || !slices.Equal(gotLen, walkLen[:]) {
+				t.Fatalf("per-class accounting diverged: bytes %v, walk %v; entries %v, walk %v",
+					got, walkBytes, gotLen, walkLen)
 			}
 		})
 	}

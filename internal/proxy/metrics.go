@@ -23,10 +23,13 @@ type serverMetrics struct {
 	// uncacheableRules counts responses the paper's cacheability rules
 	// (status, URL heuristics, size bound, Cache-Control) kept out of the
 	// cache; uncacheableOversize counts bodies that exceeded
-	// MaxObjectBytes and were streamed through to the client uncached.
-	// Both are children of wcproxy_uncacheable_total, split by reason.
-	uncacheableRules    *metrics.Counter
-	uncacheableOversize *metrics.Counter
+	// MaxObjectBytes and were streamed through to the client uncached;
+	// uncacheableAuthorization counts bodies fetched for a client that sent
+	// Authorization (RFC 9111 §3.5). All three are children of
+	// wcproxy_uncacheable_total, split by reason; a response counts once.
+	uncacheableRules         *metrics.Counter
+	uncacheableOversize      *metrics.Counter
+	uncacheableAuthorization *metrics.Counter
 
 	// coalesced counts misses that shared another request's origin fetch;
 	// staleServed counts expired copies served because the origin was
@@ -106,10 +109,11 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 			"Peer fetches that failed (down, timeout, non-authoritative answer) and fell back to the origin."),
 	}
 	uncacheableVec := reg.NewCounterVec("wcproxy_uncacheable_total",
-		"Fetched responses not stored, by reason: rules (status, URL heuristics, size or Cache-Control) or oversize (body exceeded the object limit and was streamed through uncached).",
+		"Fetched responses not stored, by reason: rules (status, URL heuristics, size or Cache-Control), oversize (body exceeded the object limit and was streamed through uncached) or authorization (fetched for one client with its credentials).",
 		"reason")
 	m.uncacheableRules = uncacheableVec.With("rules")
 	m.uncacheableOversize = uncacheableVec.With("oversize")
+	m.uncacheableAuthorization = uncacheableVec.With("authorization")
 	reqVec := reg.NewCounterVec("wcproxy_class_requests_total",
 		"GET requests per document class.", "class")
 	hitVec := reg.NewCounterVec("wcproxy_class_hits_total",
@@ -129,7 +133,8 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 
 // registerFuncs exposes what the store and the pool keep themselves: the
 // store's decision counters and both live occupancies. The byte gauges
-// are atomic loads, one per shard for the per-shard family; the object
+// are atomic loads, one per shard or class for the per-shard and
+// per-class families, as are the per-class object counts; the object
 // count and the admission counts briefly take each shard lock in turn.
 func (s *Server) registerFuncs(reg *metrics.Registry) {
 	reg.NewCounterFunc("wcproxy_evictions_total",
@@ -160,6 +165,16 @@ func (s *Server) registerFuncs(reg *metrics.Registry) {
 	reg.NewGaugeFuncVec("wcproxy_cache_shard_used_bytes",
 		"Bytes resident in each cache shard; eviction takes its victim from the fullest.",
 		"shard", shards, s.store.ShardUsed)
+	classes := make([]string, doctype.NumClasses+1)
+	for c := range classes {
+		classes[c] = doctype.Class(c).Short()
+	}
+	reg.NewGaugeFuncVec("wcproxy_class_resident_bytes",
+		"Bytes of cached response bodies resident per document class (sums to wcproxy_cache_used_bytes).",
+		"class", classes, s.store.ClassUsed)
+	reg.NewGaugeFuncVec("wcproxy_class_resident_objects",
+		"Cached objects resident per document class (sums to wcproxy_cache_objects).",
+		"class", classes, s.store.ClassLen)
 	reg.NewGaugeFunc("wcproxy_cluster_peers",
 		"Fleet size this node currently routes across (self included); 0 on an unclustered proxy.",
 		func() float64 {

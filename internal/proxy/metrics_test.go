@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"webcachesim/internal/core"
+	"webcachesim/internal/doctype"
 	"webcachesim/internal/metrics"
 	"webcachesim/internal/proxy"
 )
@@ -106,18 +107,19 @@ func TestMetricsCountEvictions(t *testing.T) {
 	}
 }
 
-// TestMetricsShardBytesSumToUsed: after concurrent churn through the
-// default sixteen shards, the per-shard byte gauges account for every
-// resident byte — at quiescence their sum is wcproxy_cache_used_bytes.
-func TestMetricsShardBytesSumToUsed(t *testing.T) {
-	srv, reg, _ := newInstrumented(t, 200) // about ten 18-byte bodies
+// churnScrape drives four goroutines of overlapping GETs through the
+// default sixteen shards of a store with room for about ten bodies, waits
+// for them, and returns the scrape.
+func churnScrape(t *testing.T, path func(doc int) string) map[string]float64 {
+	t.Helper()
+	srv, reg, _ := newInstrumented(t, 200)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				get(t, srv, fmt.Sprintf("/doc%d.gif", (g*7+i*i)%60))
+				get(t, srv, path((g*7+i*i)%60))
 			}
 		}(g)
 	}
@@ -129,6 +131,14 @@ func TestMetricsShardBytesSumToUsed(t *testing.T) {
 	if m["wcproxy_evictions_total"] == 0 {
 		t.Fatal("no evictions: the replay did not churn the store")
 	}
+	return m
+}
+
+// TestMetricsShardBytesSumToUsed: after concurrent churn through the
+// default sixteen shards, the per-shard byte gauges account for every
+// resident byte — at quiescence their sum is wcproxy_cache_used_bytes.
+func TestMetricsShardBytesSumToUsed(t *testing.T) {
+	m := churnScrape(t, func(doc int) string { return fmt.Sprintf("/doc%d.gif", doc) })
 	var sum float64
 	for i := 0; i < int(m["wcproxy_cache_shards"]); i++ {
 		series := fmt.Sprintf(`wcproxy_cache_shard_used_bytes{shard="%d"}`, i)
@@ -140,6 +150,38 @@ func TestMetricsShardBytesSumToUsed(t *testing.T) {
 	}
 	if used := m["wcproxy_cache_used_bytes"]; sum != used || used == 0 {
 		t.Errorf("shard bytes sum to %v, wcproxy_cache_used_bytes is %v", sum, used)
+	}
+}
+
+// TestMetricsClassResidentSumsToTotals: after concurrent churn of images
+// and pages, the per-class resident gauges account for every resident
+// byte and object, and both classes hold some.
+func TestMetricsClassResidentSumsToTotals(t *testing.T) {
+	m := churnScrape(t, func(doc int) string {
+		if doc%3 == 0 {
+			return fmt.Sprintf("/page%d.html", doc)
+		}
+		return fmt.Sprintf("/img%d.gif", doc)
+	})
+	for _, total := range []struct{ family, sum string }{
+		{"wcproxy_class_resident_bytes", "wcproxy_cache_used_bytes"},
+		{"wcproxy_class_resident_objects", "wcproxy_cache_objects"},
+	} {
+		var sum float64
+		for c := doctype.Class(0); c <= doctype.NumClasses; c++ {
+			series := total.family + `{class="` + c.Short() + `"}`
+			v, ok := m[series]
+			if !ok {
+				t.Fatalf("scrape has no %s", series)
+			}
+			if (c == doctype.Image || c == doctype.HTML) != (v > 0) {
+				t.Errorf("%s = %v", series, v)
+			}
+			sum += v
+		}
+		if want := m[total.sum]; sum != want {
+			t.Errorf("%s sums to %v, %s is %v", total.family, sum, total.sum, want)
+		}
 	}
 }
 

@@ -154,7 +154,8 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 	type counts struct {
 		requests, hits, peerHits, misses, coalesced, stale int64
 		// What became of the bodies the requests fetched: kept out by the
-		// rules or the size bound, or the store's decisions.
+		// rules, the size bound or the client's credentials, or the
+		// store's decisions.
 		uncacheable, evictions, budgetRejects, admissionRejects, admitted int64
 	}
 	// contested is a one-shard TinyLFU proxy whose cache holds small, so
@@ -252,6 +253,19 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 			},
 			// The waiter refetches the body the leader could not share.
 			status: 200, xcache: "MISS", xcoalesced: "1", delta: counts{requests: 2, misses: 2, coalesced: 1, uncacheable: 2},
+		},
+		{
+			name: "authorized",
+			setup: func(t *testing.T) (*settleEnv, func() []served) {
+				env := newSettleEnv(t, Config{}, newFakeOrigin())
+				return env, func() []served {
+					rr, r := httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, small, nil)
+					r.Header.Set("Authorization", "Basic YWxpY2U6cHc=")
+					env.srv.ServeHTTP(rr, r)
+					return []served{recorded(rr, small)}
+				}
+			},
+			status: 200, xcache: "MISS", delta: counts{requests: 1, misses: 1, uncacheable: 1},
 		},
 		{
 			name: "upstream failure",
@@ -354,6 +368,10 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 
 			after := scrape(t, env.reg)
 			d := func(series string) int64 { return after[series] - before[series] }
+			var uncacheable int64
+			for _, reason := range []string{"rules", "oversize", "authorization"} {
+				uncacheable += d(`wcproxy_uncacheable_total{reason="` + reason + `"}`)
+			}
 			got := counts{
 				requests:  d("wcproxy_requests_total"),
 				hits:      d("wcproxy_hits_total"),
@@ -362,7 +380,7 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 				coalesced: d("wcproxy_coalesced_total"),
 				stale:     d("wcproxy_stale_served_total"),
 
-				uncacheable:      d(`wcproxy_uncacheable_total{reason="rules"}`) + d(`wcproxy_uncacheable_total{reason="oversize"}`),
+				uncacheable:      uncacheable,
 				evictions:        d("wcproxy_evictions_total"),
 				budgetRejects:    d("wcproxy_cache_rejects_total"),
 				admissionRejects: d("wcproxy_admission_rejected_total"),

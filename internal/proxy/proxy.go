@@ -19,11 +19,13 @@
 //
 // The proxy applies the same cacheability rules the paper's preprocessing
 // assumes (GET only, the Section 2 status-code whitelist, the CGI/query
-// heuristics) plus Cache-Control: no-store. Expiration is honored only as
-// far as stale-on-error needs it: an entry past its max-age/Expires is
-// revalidated by refetching — always whole and unconditional, whatever
-// the client sent — and served anyway if the origin is down. Full
-// consistency protocols remain out of scope, as in the paper.
+// heuristics) plus Cache-Control: no-store, and never stores a response
+// fetched with a client's Authorization (RFC 9111 §3.5). Expiration is
+// honored only as far as stale-on-error needs it: an entry past its
+// max-age/Expires is revalidated by refetching — always whole and
+// unconditional, whatever the client sent — and served anyway if the
+// origin is down. Full consistency protocols remain out of scope, as in
+// the paper.
 package proxy
 
 import (
@@ -489,7 +491,15 @@ type fetchResult struct {
 // origin if the peer is down, slow, or answers with anything but an
 // authoritative proxy response; unclustered proxies, peer-issued requests
 // (the loop guard) and self-owned documents go straight to the origin.
+// A request with credentials goes there too, alone and uncoalesced.
 func (s *Server) fetch(key string, r *http.Request) (*fetchResult, serveResult, error) {
+	if r.Header.Get("Authorization") != "" {
+		// RFC 9111 §3.5: a response fetched with a client's credentials is
+		// that client's alone. It is never stored, nor shared with a
+		// coalesced waiter, nor asked of a sibling that would store it.
+		fr, err := s.fetchOrigin(key, r.Header, true)
+		return fr, resultMiss, err
+	}
 	if cs := s.cluster.Load(); cs != nil && r.Header.Get(PeerHeader) == "" {
 		target, err := s.targetURL(r)
 		if err != nil {
@@ -507,7 +517,7 @@ func (s *Server) fetch(key string, r *http.Request) (*fetchResult, serveResult, 
 		}
 	}
 	return s.fetchShared(key, func() (*fetchResult, error) {
-		return s.fetchOrigin(key, r.Header)
+		return s.fetchOrigin(key, r.Header, false)
 	})
 }
 
@@ -551,15 +561,15 @@ func (s *Server) fetchShared(key string, fn func() (*fetchResult, error)) (*fetc
 // fetchOrigin performs the origin fetch with bounded retries and jittered
 // exponential backoff. Only transport-level failures are retried; any
 // HTTP response — whatever its status — is the origin's answer and is
-// returned as-is.
-func (s *Server) fetchOrigin(key string, hdr http.Header) (*fetchResult, error) {
+// returned as-is. A private fetch is never stored (see fetchOnce).
+func (s *Server) fetchOrigin(key string, hdr http.Header, private bool) (*fetchResult, error) {
 	var lastErr error
 	for attempt := 0; attempt <= s.cfg.FetchRetries; attempt++ {
 		if attempt > 0 {
 			s.metrics.originRetries.Inc()
 			s.sleep(backoff(s.cfg.RetryBackoff, attempt))
 		}
-		fr, err := s.fetchOnce(key, hdr)
+		fr, err := s.fetchOnce(key, hdr, private)
 		if err == nil {
 			return fr, nil
 		}
@@ -577,8 +587,9 @@ func backoff(base time.Duration, attempt int) time.Duration {
 }
 
 // fetchOnce performs one origin fetch attempt and runs the admit+store
-// stage on what it brings back.
-func (s *Server) fetchOnce(key string, hdr http.Header) (*fetchResult, error) {
+// stage on what it brings back, unless the fetch is private: then a body
+// that fits is counted uncacheable for its authorization and only served.
+func (s *Server) fetchOnce(key string, hdr http.Header, private bool) (*fetchResult, error) {
 	start := s.now()
 	resp, cancel, err := s.roundTrip(s.transport, s.cfg.FetchTimeout, key, hdr, "")
 	var fr *fetchResult
@@ -598,6 +609,10 @@ func (s *Server) fetchOnce(key string, hdr http.Header) (*fetchResult, error) {
 	size := fr.entry.Doc.Size
 	s.metrics.originBytes.Add(size)
 	s.metrics.objectBytes.Observe(float64(size))
+	if private {
+		s.metrics.uncacheableAuthorization.Inc()
+		return fr, nil
+	}
 	s.admitAndStore(key, fr, resp)
 	return fr, nil
 }
@@ -898,7 +913,7 @@ func setCacheHeaders(h http.Header, out outcome) {
 // own fetch produced, which need not be what the leader's did.
 func (s *Server) serveOversize(w http.ResponseWriter, r *http.Request, k *requestKey, fr *fetchResult, res serveResult) {
 	if res != resultMiss {
-		own, err := s.fetchOnce(k.String(), r.Header)
+		own, err := s.fetchOnce(k.String(), r.Header, false)
 		if err != nil {
 			// Unlike a failed shared fetch this 502 is accounted and logged:
 			// the request already belongs to an answered miss group.
