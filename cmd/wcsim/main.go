@@ -7,7 +7,7 @@
 //	wcsim -trace t.wct.gz [-policies lru,lfuda,gds:1,gdstar:p]
 //	      [-admissions none,tinylfu,arc-ghost]
 //	      [-sizes 64MB,256MB,1GB | -size-pcts 0.5,1,2,4] [-warmup 0.1]
-//	      [-by-class] [-csv] [-occupancy N] [-check] [-journal run.jsonl]
+//	      [-by-class] [-csv] [-check] [-journal run.jsonl]
 //
 // The trace is one file. A WCT3 columnar workload (.wci3, written by
 // wcanon -o x.wci3) is memory-mapped and replayed without any parse or

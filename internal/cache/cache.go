@@ -179,7 +179,7 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 // looks up without converting the key to a string, so a cache hit
 // performs no allocation — the zero-allocation serving path's lookup.
 func (c *Cache) GetBytes(key []byte) (*Entry, bool) {
-	sh := &c.shards[trace.Hash64Bytes(key)&c.mask]
+	sh := &c.shards[trace.Hash64(key)&c.mask]
 	sh.mu.Lock()
 	e, ok := sh.entries[string(key)] // compiler-optimized: no conversion alloc
 	if ok {

@@ -108,12 +108,6 @@ func (r *Ring) Owner(key string) string {
 	return r.nodes[r.ownerIndex(trace.Hash64(key))]
 }
 
-// OwnerBytes is Owner for a key assembled in a byte buffer, without the
-// string conversion (trace.Hash64Bytes is bit-identical to trace.Hash64).
-func (r *Ring) OwnerBytes(key []byte) string {
-	return r.nodes[r.ownerIndex(trace.Hash64Bytes(key))]
-}
-
 // ownerIndex finds the first virtual point at or after h, wrapping to the
 // ring's start past the last point.
 func (r *Ring) ownerIndex(h uint64) int32 {

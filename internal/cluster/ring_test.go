@@ -138,18 +138,6 @@ func TestRingRemapFraction(t *testing.T) {
 	}
 }
 
-func TestRingOwnerBytes(t *testing.T) {
-	r, err := NewRing(names(5), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys(1000, 7) {
-		if got, want := r.OwnerBytes([]byte(k)), r.Owner(k); got != want {
-			t.Fatalf("OwnerBytes(%q)=%q, Owner=%q", k, got, want)
-		}
-	}
-}
-
 func TestRingAccessors(t *testing.T) {
 	r, err := NewRing([]string{"b", "a"}, 0)
 	if err != nil {

@@ -28,11 +28,11 @@ func (s oracleSource) NumDocs() int     { return s.w.NumDocs() }
 
 func (s oracleSource) Request(i int) mrc.Request {
 	return mrc.Request{
-		DocID:        s.w.docID[i],
-		Class:        s.w.class[i],
-		Modified:     s.w.modified[i],
-		DocSize:      s.w.docSize[i],
-		TransferSize: s.w.transfer[i],
+		DocID:        s.w.cols.DocID[i],
+		Class:        s.w.cols.Class[i],
+		Modified:     s.w.cols.Modified[i],
+		DocSize:      s.w.cols.DocSize[i],
+		TransferSize: s.w.cols.Transfer[i],
 	}
 }
 
@@ -181,7 +181,7 @@ func TestSweepLRUMatchesOracleRandomTraces(t *testing.T) {
 		spread := float64(trial % 2) // alternate uniform / heavy-tailed sizes
 		w := cleanWorkload(t, 4000, 60+40*trial, int64(100+trial), spread)
 		checkLRUAgainstOracle(t, w, []int64{
-			slices.Max(w.docSize) + 1 + int64(trial)*10_000,
+			slices.Max(w.cols.DocSize) + 1 + int64(trial)*10_000,
 			w.DistinctBytes() / 4,
 			w.DistinctBytes(),
 		}, 0)

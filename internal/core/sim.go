@@ -192,7 +192,7 @@ func (s *Simulator) allocTables() {
 	s.in = make([]bool, n)
 	s.docs.chunks = make([]*[docChunk]policy.Doc, 0, (n+docChunk-1)/docChunk)
 	for id, key := range s.w.Keys() {
-		s.docs.add(key, s.w.classOf[id])
+		s.docs.add(key, s.w.cols.DocClass[id])
 	}
 }
 

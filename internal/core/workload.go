@@ -59,40 +59,26 @@ type Event struct {
 // (structure of arrays) rather than a slice of Events, which keeps each
 // column dense and lets the replay loop touch only the bytes it needs.
 type Workload struct {
-	// Per-request columns, in trace order.
-	docID    []int32
-	class    []doctype.Class
-	modified []bool
-	docSize  []int64
-	transfer []int64
-	millis   []int64
-
-	// Per-document tables, indexed by DocID.
-	docs      *trace.Interner
-	classOf   []doctype.Class
-	finalSize []int64
-
-	totalBytes    int64
-	distinctBytes int64
-
-	// threshold is the resolved modification threshold the modified column
-	// was computed with; it travels with the workload so a WCT3 image
-	// records which rule its columns embody.
-	threshold float64
+	// cols is the workload's WCT3 image: the per-request columns in trace
+	// order, the per-document tables indexed by DocID, the byte totals and
+	// the resolved modification threshold the Modified column embodies.
+	cols trace.Columnar
+	// keys is the document table (URLs in ID order).
+	keys []string
 }
 
 // NumDocs returns the number of distinct documents.
-func (w *Workload) NumDocs() int { return w.docs.Len() }
+func (w *Workload) NumDocs() int { return len(w.keys) }
 
 // NumRequests returns the number of requests.
-func (w *Workload) NumRequests() int { return len(w.docID) }
+func (w *Workload) NumRequests() int { return w.cols.NumRequests() }
 
 // Event gathers row i of the columns into an Event value. The copy is a
 // handful of words; the returned value is the caller's own (Workload
 // columns are never exposed mutably).
 func (w *Workload) Event(i int) Event {
 	ev := w.replayEvent(i)
-	ev.UnixMillis = w.millis[i]
+	ev.UnixMillis = w.cols.Millis[i]
 	return ev
 }
 
@@ -100,39 +86,35 @@ func (w *Workload) Event(i int) Event {
 // and so need not load.
 func (w *Workload) replayEvent(i int) Event {
 	return Event{
-		DocID:        w.docID[i],
-		Class:        w.class[i],
-		Modified:     w.modified[i],
-		DocSize:      w.docSize[i],
-		TransferSize: w.transfer[i],
+		DocID:        w.cols.DocID[i],
+		Class:        w.cols.Class[i],
+		Modified:     w.cols.Modified[i],
+		DocSize:      w.cols.DocSize[i],
+		TransferSize: w.cols.Transfer[i],
 	}
 }
 
 // Key returns the URL of a document ID.
-func (w *Workload) Key(id int32) string { return w.docs.Key(id) }
+func (w *Workload) Key(id int32) string { return w.keys[id] }
 
 // Keys returns the document table in ID order. The slice is shared with
 // the workload and must not be modified.
-func (w *Workload) Keys() []string { return w.docs.Keys() }
-
-// DocID returns the dense ID assigned to a URL; ok is false when the URL
-// does not occur in the workload.
-func (w *Workload) DocID(url string) (id int32, ok bool) { return w.docs.Lookup(url) }
+func (w *Workload) Keys() []string { return w.keys }
 
 // DocClass returns the class of a document ID (the class of its first
 // request).
-func (w *Workload) DocClass(id int32) doctype.Class { return w.classOf[id] }
+func (w *Workload) DocClass(id int32) doctype.Class { return w.cols.DocClass[id] }
 
 // FinalSize returns a document's final recorded size.
-func (w *Workload) FinalSize(id int32) int64 { return w.finalSize[id] }
+func (w *Workload) FinalSize(id int32) int64 { return w.cols.FinalSize[id] }
 
 // TotalBytes returns the total requested data (sum of transfer sizes).
-func (w *Workload) TotalBytes() int64 { return w.totalBytes }
+func (w *Workload) TotalBytes() int64 { return w.cols.TotalBytes }
 
 // DistinctBytes returns the total size of distinct documents at their
 // final recorded size — the paper's "overall size" of a trace, against
 // which cache sizes are expressed as percentages.
-func (w *Workload) DistinctBytes() int64 { return w.distinctBytes }
+func (w *Workload) DistinctBytes() int64 { return w.cols.DistinctBytes }
 
 // The floors CapacityAt clamps to. Any positive capacity is simulable, so
 // the commands guarantee one byte; the paper's experiments say nothing
@@ -145,13 +127,13 @@ const (
 // CapacityAt converts a cache size given as a percentage of the overall
 // size (the paper's x-axis, §4.2) into bytes, never less than floor.
 func (w *Workload) CapacityAt(pct float64, floor int64) int64 {
-	return max(int64(pct/100*float64(w.distinctBytes)), floor)
+	return max(int64(pct/100*float64(w.cols.DistinctBytes)), floor)
 }
 
 // ModifyThreshold returns the resolved modification threshold the
 // workload's modification decisions were made with (never 0; negative
 // selects the any-change ablation rule).
-func (w *Workload) ModifyThreshold() float64 { return w.threshold }
+func (w *Workload) ModifyThreshold() float64 { return w.cols.Threshold }
 
 // BuildWorkload scans a preprocessed request stream and produces the
 // immutable workload replayed by simulations. threshold is the relative
@@ -160,7 +142,7 @@ func (w *Workload) ModifyThreshold() float64 { return w.threshold }
 // "any size change is a modification" rule of Jin & Bestavros, which the
 // paper explicitly deviates from (kept for the ablation study).
 func BuildWorkload(r trace.Reader, threshold float64) (*Workload, error) {
-	w := &Workload{}
+	var c trace.Columnar
 	ing := newIngest(threshold)
 	for {
 		req, err := r.Next()
@@ -171,23 +153,24 @@ func BuildWorkload(r trace.Reader, threshold float64) (*Workload, error) {
 			return nil, fmt.Errorf("core: build workload: %w", err)
 		}
 		ev, _ := ing.step(req)
-		w.docID = append(w.docID, ev.DocID)
-		w.class = append(w.class, ev.Class)
-		w.modified = append(w.modified, ev.Modified)
-		w.docSize = append(w.docSize, ev.DocSize)
-		w.transfer = append(w.transfer, ev.TransferSize)
-		w.millis = append(w.millis, ev.UnixMillis)
-		w.totalBytes += ev.TransferSize
+		c.DocID = append(c.DocID, ev.DocID)
+		c.Class = append(c.Class, ev.Class)
+		c.Modified = append(c.Modified, ev.Modified)
+		c.DocSize = append(c.DocSize, ev.DocSize)
+		c.Transfer = append(c.Transfer, ev.TransferSize)
+		c.Millis = append(c.Millis, ev.UnixMillis)
+		c.TotalBytes += ev.TransferSize
 	}
-	w.docs = ing.docs
-	w.classOf = ing.classOf
-	w.finalSize = ing.last
-	w.threshold = ing.threshold
+	c.DocClass = ing.classOf
+	c.FinalSize = ing.last
+	c.Threshold = ing.threshold
 	// Tally the distinct-document volume at final sizes.
-	for _, s := range w.finalSize {
-		w.distinctBytes += s
+	for _, s := range c.FinalSize {
+		c.DistinctBytes += s
 	}
-	return w, nil
+	// Only the key table outlives the pass; the interner's URL→ID map goes
+	// with it.
+	return &Workload{cols: c, keys: ing.docs.Keys()}, nil
 }
 
 // ingest is the one-pass preprocessing shared by BuildWorkload and

@@ -59,12 +59,6 @@ func TestBuildWorkloadIDsAndClasses(t *testing.T) {
 	if got := w.Key(w.Event(1).DocID); got != "http://e.com/b.html" {
 		t.Errorf("Key = %q", got)
 	}
-	if id, ok := w.DocID("http://e.com/a.gif"); !ok || id != w.Event(0).DocID {
-		t.Errorf("DocID lookup = %d, %v", id, ok)
-	}
-	if _, ok := w.DocID("http://e.com/never-seen"); ok {
-		t.Error("DocID lookup invented an ID")
-	}
 	if got := w.DocClass(w.Event(0).DocID); got != doctype.Image {
 		t.Errorf("DocClass = %v", got)
 	}
@@ -190,7 +184,7 @@ func TestBuildWorkloadAbortedTransferNeverShrinks(t *testing.T) {
 				i, s.transfer, ev.DocSize, s.wantDocSize)
 		}
 	}
-	if id, _ := w.DocID(url); w.FinalSize(id) != 1020 {
+	if id := w.Event(0).DocID; w.FinalSize(id) != 1020 {
 		t.Errorf("FinalSize = %d, want 1020", w.FinalSize(id))
 	}
 }

@@ -7,15 +7,16 @@ import (
 )
 
 // The basic flow: create a registry, register metrics at startup, update
-// them on the hot path, and expose the whole set in the Prometheus text
+// counters on the hot path, let gauges read their owner's value at
+// scrape time, and expose the whole set in the Prometheus text
 // format (normally via Registry.Handler mounted at /metrics).
 func ExampleRegistry() {
 	reg := metrics.NewRegistry()
 	requests := reg.NewCounter("proxy_requests_total", "GET requests handled.")
-	used := reg.NewGauge("proxy_cache_used_bytes", "Bytes of cached bodies.")
+	reg.NewGaugeFunc("proxy_cache_used_bytes", "Bytes of cached bodies.",
+		func() float64 { return 4096 }) // read from the cache at each scrape
 
 	requests.Add(3)
-	used.Set(4096)
 
 	_ = reg.WriteText(os.Stdout)
 	// Output:

@@ -1,6 +1,6 @@
 // Package metrics is a small, dependency-free instrumentation layer for
-// the proxy and the simulation tooling: atomic counters, gauges and
-// fixed-bucket histograms collected in a Registry that exposes them in
+// the proxy and the simulation tooling: atomic counters, scrape-time
+// gauges and fixed-bucket histograms collected in a Registry that exposes them in
 // the Prometheus text format (exposition format version 0.0.4) over HTTP.
 // ParseText reads that format back, for the tools and tests that check a
 // run against a scrape.
@@ -9,7 +9,7 @@
 // names are validated at registration time and duplicate registration
 // panics — both are programmer errors, and failing at startup beats
 // emitting an exposition a scraper silently rejects. All update paths
-// (Counter.Add, Gauge.Set, Histogram.Observe, CounterVec.With on an
+// (Counter.Add, Histogram.Observe, CounterVec.With on an
 // existing child) are lock-free atomics, so instrumenting the proxy's
 // request path costs a handful of uncontended atomic operations per
 // request. See docs/METRICS.md for the catalogue of metrics the system
@@ -218,37 +218,6 @@ func (c *Counter) writeText(w io.Writer) error {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "%s %d\n", c.name, c.Value())
-	return err
-}
-
-// Gauge is an integer metric that can go up and down (occupancy, object
-// counts). For computed or floating-point values use NewGaugeFunc.
-type Gauge struct {
-	desc
-	v atomic.Int64
-}
-
-// NewGauge creates and registers a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{desc: desc{name: name, help: help}}
-	r.register(g)
-	return g
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) writeText(w io.Writer) error {
-	if err := g.header(w, "gauge"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %d\n", g.name, g.Value())
 	return err
 }
 

@@ -55,12 +55,7 @@ func TestCounterNegativeAddPanics(t *testing.T) {
 
 func TestGaugeAndGaugeFunc(t *testing.T) {
 	r := metrics.NewRegistry()
-	g := r.NewGauge("test_used_bytes", "occupancy")
-	g.Set(100)
-	g.Add(-30)
-	if got := g.Value(); got != 70 {
-		t.Fatalf("Value = %d, want 70", got)
-	}
+	r.NewGaugeFunc("test_used_bytes", "occupancy", func() float64 { return 70 })
 	r.NewGaugeFunc("test_ratio", "computed", func() float64 { return 0.5 })
 	// A counter kept elsewhere is written like a Counter, digits and all,
 	// where a gauge of the same value would switch to exponent form.
@@ -171,7 +166,7 @@ func TestDuplicateAndInvalidNamesPanic(t *testing.T) {
 	r := metrics.NewRegistry()
 	r.NewCounter("test_dup_total", "x")
 	for name, fn := range map[string]func(){
-		"duplicate":     func() { r.NewGauge("test_dup_total", "y") },
+		"duplicate":     func() { r.NewGaugeFunc("test_dup_total", "y", func() float64 { return 0 }) },
 		"invalid name":  func() { r.NewCounter("bad name", "x") },
 		"leading digit": func() { r.NewCounter("9bad", "x") },
 		"invalid label": func() { r.NewCounterVec("test_vec_total", "x", "bad label") },
@@ -216,7 +211,7 @@ func TestHandler(t *testing.T) {
 func TestParseTextRoundTrip(t *testing.T) {
 	r := metrics.NewRegistry()
 	r.NewCounter("test_rt_total", "a counter").Add(42)
-	r.NewGauge("test_rt_used_bytes", "a gauge").Set(-7)
+	r.NewGaugeFunc("test_rt_used_bytes", "a gauge", func() float64 { return -7 })
 	r.NewGaugeFunc("test_rt_ratio", "a computed gauge", func() float64 { return 0.25 })
 	r.NewCounterFunc("test_rt_func_total", "a computed counter", func() int64 { return 9 })
 	r.NewGaugeFuncVec("test_rt_shard_bytes", "a computed family", "shard", []string{"0", "1"},

@@ -15,8 +15,6 @@ import (
 // admissions — is exported from the store's own counters by
 // registerFuncs, not counted a second time here.
 type serverMetrics struct {
-	requests     *metrics.Counter
-	hits         *metrics.Counter
 	misses       *metrics.Counter
 	originErrors *metrics.Counter
 
@@ -49,22 +47,20 @@ type serverMetrics struct {
 	peerFetches *metrics.Counter
 	peerErrors  *metrics.Counter
 
-	// requestBytes is every body byte delivered to a client, whatever the
-	// outcome; hitBytes is the part served from the local cache — the
-	// bytes the origin did not have to send — so hitBytes/requestBytes is
-	// the byte hit rate; originBytes is what was fetched upstream.
-	requestBytes *metrics.Counter
-	hitBytes     *metrics.Counter
-	originBytes  *metrics.Counter
+	// originBytes is every body byte fetched upstream.
+	originBytes *metrics.Counter
 
 	originSeconds *metrics.Histogram
 	objectBytes   *metrics.Histogram
 
-	// requestsByClass/hitsByClass break traffic down by document class,
-	// the study's central axis, and requestBytesByClass/hitBytesByClass do
-	// the same for requestBytes/hitBytes — their quotient per class is the
-	// paper's per-type byte hit rate. Children are pre-created for every
-	// class so the hot path never takes the vec's creation lock.
+	// requestsByClass/hitsByClass count requests and local cache hits by
+	// document class, the study's central axis. requestBytesByClass is
+	// every body byte delivered to a client, whatever the outcome, and
+	// hitBytesByClass the part served from the local cache — the bytes
+	// the origin did not have to send — so their quotient per class is
+	// the paper's per-type byte hit rate. The unlabelled totals are sums
+	// of these children, computed at scrape time. Children are pre-created
+	// for every class so the hot path never takes the vec's creation lock.
 	requestsByClass     [doctype.NumClasses + 1]*metrics.Counter
 	hitsByClass         [doctype.NumClasses + 1]*metrics.Counter
 	requestBytesByClass [doctype.NumClasses + 1]*metrics.Counter
@@ -75,10 +71,6 @@ type serverMetrics struct {
 // gauges are registered by the caller once the Server exists.
 func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	m := &serverMetrics{
-		requests: reg.NewCounter("wcproxy_requests_total",
-			"GET requests handled (hits + misses)."),
-		hits: reg.NewCounter("wcproxy_hits_total",
-			"Requests served from cache."),
 		misses: reg.NewCounter("wcproxy_misses_total",
 			"Requests that required an origin fetch."),
 		originErrors: reg.NewCounter("wcproxy_origin_errors_total",
@@ -89,10 +81,6 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 			"Requests answered with an expired cached copy because the origin was unreachable."),
 		originRetries: reg.NewCounter("wcproxy_origin_retries_total",
 			"Origin fetch re-attempts after a transport failure (backoff-spaced)."),
-		requestBytes: reg.NewCounter("wcproxy_request_bytes_total",
-			"Body bytes delivered to clients (the byte-hit-rate denominator)."),
-		hitBytes: reg.NewCounter("wcproxy_hit_bytes_total",
-			"Body bytes served from cache (origin traffic saved)."),
 		originBytes: reg.NewCounter("wcproxy_origin_bytes_total",
 			"Body bytes fetched from the origin."),
 		originSeconds: reg.NewHistogram("wcproxy_origin_fetch_seconds",
@@ -128,7 +116,26 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		m.requestBytesByClass[c] = reqBytesVec.With(c.Short())
 		m.hitBytesByClass[c] = hitBytesVec.With(c.Short())
 	}
+	reg.NewCounterFunc("wcproxy_requests_total",
+		"GET requests handled (hits + misses).", sumOf(&m.requestsByClass))
+	reg.NewCounterFunc("wcproxy_hits_total",
+		"Requests served from cache.", sumOf(&m.hitsByClass))
+	reg.NewCounterFunc("wcproxy_request_bytes_total",
+		"Body bytes delivered to clients (the byte-hit-rate denominator).", sumOf(&m.requestBytesByClass))
+	reg.NewCounterFunc("wcproxy_hit_bytes_total",
+		"Body bytes served from cache (origin traffic saved).", sumOf(&m.hitBytesByClass))
 	return m
+}
+
+// sumOf reads a total as the sum of its per-class children.
+func sumOf(children *[doctype.NumClasses + 1]*metrics.Counter) func() int64 {
+	return func() int64 {
+		var n int64
+		for _, c := range children {
+			n += c.Value()
+		}
+		return n
+	}
 }
 
 // registerFuncs exposes what the store and the pool keep themselves: the

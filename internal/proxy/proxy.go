@@ -818,7 +818,7 @@ func (s *Server) cacheable(urlStr string, resp *http.Response, size int64) bool 
 	if trace.UncacheableURL(urlStr) {
 		return false
 	}
-	if size > s.cfg.MaxObjectBytes || size > s.cfg.Capacity {
+	if size > s.cfg.Capacity {
 		return false
 	}
 	cc := resp.Header.Get("Cache-Control")
@@ -961,17 +961,13 @@ func (s *Server) serveOversize(w http.ResponseWriter, r *http.Request, k *reques
 	s.account(r, k, out)
 }
 
-// account is the pipeline's one exit: the counters /metrics exports (and
-// Stats reads back) plus the access-log line, once per written response.
+// account is the pipeline's one exit: the counters /metrics exports plus
+// the access-log line, once per written response.
 func (s *Server) account(r *http.Request, k *requestKey, out outcome) {
-	s.metrics.requests.Inc()
-	s.metrics.requestBytes.Add(out.bytes)
 	s.metrics.requestsByClass[out.class].Inc()
 	s.metrics.requestBytesByClass[out.class].Add(out.bytes)
 	switch out.result {
 	case resultHit:
-		s.metrics.hits.Inc()
-		s.metrics.hitBytes.Add(out.bytes)
 		s.metrics.hitsByClass[out.class].Inc()
 		s.metrics.hitBytesByClass[out.class].Add(out.bytes)
 	case resultPeerHit:

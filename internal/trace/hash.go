@@ -6,8 +6,11 @@ package trace
 // mixes its low bits well but its high bits poorly). The hash is
 // deterministic and stable across processes — a document lands on the
 // same shard and fleet node in every run — and must not be changed
-// without re-recording the placement-dependent results.
-func Hash64(s string) uint64 {
+// without re-recording the placement-dependent results. A []byte key
+// hashes like the string of the same bytes, so hot paths that assemble
+// keys in reusable buffers (the proxy's request-key scratch) hash without
+// the conversion, which would allocate on every request.
+func Hash64[K string | []byte](s K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -15,29 +18,6 @@ func Hash64(s string) uint64 {
 	h := uint64(offset64)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime64
-	}
-	// splitmix64 finalizer.
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// Hash64Bytes is Hash64 over a byte slice, bit-identical to Hash64 of the
-// same bytes. It exists so hot paths that assemble keys in reusable
-// buffers (the proxy's request-key scratch) can hash without converting
-// to a string first — the conversion would allocate on every request.
-func Hash64Bytes(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
 		h *= prime64
 	}
 	// splitmix64 finalizer.

@@ -38,8 +38,8 @@ func TestHash64Uniformity(t *testing.T) {
 
 func TestHash64BytesMatchesHash64(t *testing.T) {
 	for _, s := range []string{"", "a", "http://example.com/x.gif?q=1", "\x00\xff weird"} {
-		if Hash64Bytes([]byte(s)) != Hash64(s) {
-			t.Errorf("Hash64Bytes(%q) != Hash64(%q)", s, s)
+		if Hash64([]byte(s)) != Hash64(s) {
+			t.Errorf("Hash64([]byte(%q)) != Hash64(%q)", s, s)
 		}
 	}
 }

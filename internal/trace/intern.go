@@ -22,17 +22,6 @@ func NewInterner() *Interner {
 	return &Interner{ids: make(map[string]int32)}
 }
 
-// NewInternerFromKeys rebuilds an interner from a table in ID order (the
-// inverse of Keys). The map is built eagerly so the result is read-safe
-// from concurrent goroutines, and the keys slice is adopted, not copied.
-func NewInternerFromKeys(keys []string) *Interner {
-	in := &Interner{ids: make(map[string]int32, len(keys)), keys: keys}
-	for i, k := range keys {
-		in.ids[k] = int32(i)
-	}
-	return in
-}
-
 // Intern returns the dense ID for key, assigning the next free ID on first
 // sight. The table keeps a copy of a new key, so interning a substring —
 // a field of a decoded log block — does not keep the whole string alive.
@@ -53,13 +42,6 @@ func (in *Interner) Intern(key string) int32 {
 	in.ids[key] = id
 	in.keys = append(in.keys, key)
 	return id
-}
-
-// Lookup returns the ID for key without assigning one; ok is false when the
-// key has never been interned.
-func (in *Interner) Lookup(key string) (id int32, ok bool) {
-	id, ok = in.ids[key]
-	return id, ok
 }
 
 // Key returns the string for a previously assigned ID. It panics on an ID

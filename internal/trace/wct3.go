@@ -51,7 +51,7 @@ import (
 // Because the modification decision (the paper's 5% rule) is made at
 // conversion time, the threshold it was made with travels in the header;
 // replaying a WCT3 file with a different threshold requires reconverting
-// from the WCT2 record stream. Every field of the file is untrusted:
+// from the source log. Every field of the file is untrusted:
 // DecodeColumnar bounds-checks offsets, lengths, alignment, class bytes,
 // document IDs, and string-table monotonicity before returning a view.
 
@@ -197,15 +197,15 @@ func EncodeColumnar(w io.Writer, c *Columnar) error {
 		return fmt.Errorf("trace: encode columnar header: %w", err)
 	}
 	cw := &columnWriter{w: bw}
-	cw.int64s(c.Millis)
-	cw.int32s(c.DocID)
+	writeFixed(cw, c.Millis)
+	writeFixed(cw, c.DocID)
 	cw.bytes(classBytes(c.Class))
 	cw.bytes(boolBytes(c.Modified))
-	cw.int64s(c.DocSize)
-	cw.int64s(c.Transfer)
+	writeFixed(cw, c.DocSize)
+	writeFixed(cw, c.Transfer)
 	cw.bytes(classBytes(c.DocClass))
-	cw.int64s(c.FinalSize)
-	cw.uint64s(c.urlOffsets)
+	writeFixed(cw, c.FinalSize)
+	writeFixed(cw, c.urlOffsets)
 	cw.bytes(c.urlBlob)
 	if cw.err != nil {
 		return fmt.Errorf("trace: encode columnar: %w", cw.err)
@@ -225,66 +225,39 @@ type columnWriter struct {
 	err     error
 }
 
-func (cw *columnWriter) bytes(b []byte) {
+func (cw *columnWriter) write(b []byte) {
 	if cw.err != nil {
 		return
 	}
-	if _, err := cw.w.Write(b); err != nil {
-		cw.err = err
-		return
-	}
+	_, cw.err = cw.w.Write(b)
 	cw.written += len(b)
-	if pad := (8 - cw.written%8) % 8; pad > 0 {
-		var zero [8]byte
-		if _, err := cw.w.Write(zero[:pad]); err != nil {
-			cw.err = err
-			return
-		}
-		cw.written += pad
-	}
 }
 
-func (cw *columnWriter) int64s(s []int64) {
-	if hostLittleEndian && len(s) > 0 {
-		cw.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8))
+// bytes writes one section and pads it to the next 8-byte boundary.
+func (cw *columnWriter) bytes(b []byte) {
+	cw.write(b)
+	var zero [8]byte
+	cw.write(zero[:(8-cw.written%8)%8])
+}
+
+// fixed is the set of multi-byte column element types.
+type fixed interface{ int32 | int64 | uint64 }
+
+// writeFixed writes a multi-byte column as one section: its memory image
+// on a little-endian host, element by element otherwise.
+func writeFixed[T fixed](cw *columnWriter, s []T) {
+	size := int(unsafe.Sizeof(T(0)))
+	if hostLittleEndian {
+		cw.bytes(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*size))
 		return
 	}
-	cw.fallback64(len(s), func(i int) uint64 { return uint64(s[i]) })
-}
-
-func (cw *columnWriter) uint64s(s []uint64) {
-	if hostLittleEndian && len(s) > 0 {
-		cw.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8))
-		return
+	for _, v := range s {
+		// The low size bytes of the little-endian uint64 are v's own
+		// little-endian encoding, sign extension included.
+		binary.LittleEndian.PutUint64(cw.scratch[:], uint64(v))
+		cw.write(cw.scratch[:size])
 	}
-	cw.fallback64(len(s), func(i int) uint64 { return s[i] })
-}
-
-func (cw *columnWriter) int32s(s []int32) {
-	if hostLittleEndian && len(s) > 0 {
-		cw.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4))
-		return
-	}
-	for i := 0; cw.err == nil && i < len(s); i++ {
-		binary.LittleEndian.PutUint32(cw.scratch[:4], uint32(s[i]))
-		if _, err := cw.w.Write(cw.scratch[:4]); err != nil {
-			cw.err = err
-			return
-		}
-		cw.written += 4
-	}
-	cw.bytes(nil) // flush alignment padding
-}
-
-func (cw *columnWriter) fallback64(n int, at func(int) uint64) {
-	for i := 0; cw.err == nil && i < n; i++ {
-		binary.LittleEndian.PutUint64(cw.scratch[:], at(i))
-		if _, err := cw.w.Write(cw.scratch[:]); err != nil {
-			cw.err = err
-			return
-		}
-		cw.written += 8
-	}
+	cw.bytes(nil)
 }
 
 // classBytes views a class column as raw bytes (doctype.Class is one byte
@@ -359,14 +332,14 @@ func DecodeColumnar(data []byte) (*Columnar, error) {
 		DistinctBytes: int64(le.Uint64(data[32:])),
 		Threshold:     threshold,
 	}
-	c.Millis = viewInt64(secs[0])
-	c.DocID = viewInt32(secs[1])
+	c.Millis = view[int64](secs[0])
+	c.DocID = view[int32](secs[1])
 	c.Class = viewClass(secs[2])
-	c.DocSize = viewInt64(secs[4])
-	c.Transfer = viewInt64(secs[5])
+	c.DocSize = view[int64](secs[4])
+	c.Transfer = view[int64](secs[5])
 	c.DocClass = viewClass(secs[6])
-	c.FinalSize = viewInt64(secs[7])
-	c.urlOffsets = viewUint64(secs[8])
+	c.FinalSize = view[int64](secs[7])
+	c.urlOffsets = view[uint64](secs[8])
 	c.urlBlob = secs[9]
 
 	for _, b := range secs[3] {
@@ -429,46 +402,23 @@ func OpenColumnar(path string) (*Columnar, *mm.Mapping, error) {
 	return c, m, nil
 }
 
-// viewInt64 reinterprets little-endian section bytes as an []int64,
-// copying only when the host byte order or alignment rules it out.
-func viewInt64(b []byte) []int64 {
+// view reinterprets little-endian section bytes as a []T, copying only
+// when the host byte order or the base's alignment rules the alias out.
+func view[T fixed](b []byte) []T {
+	size := int(unsafe.Sizeof(T(0)))
 	if len(b) == 0 {
 		return nil
 	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%uintptr(size) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/size)
 	}
-	out := make([]int64, len(b)/8)
+	out := make([]T, len(b)/size)
 	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func viewUint64(b []byte) []uint64 {
-	if len(b) == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out
-}
-
-func viewInt32(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-	}
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
+		if size == 4 {
+			out[i] = T(binary.LittleEndian.Uint32(b[i*4:]))
+		} else {
+			out[i] = T(binary.LittleEndian.Uint64(b[i*8:]))
+		}
 	}
 	return out
 }

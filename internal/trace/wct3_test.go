@@ -2,14 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"webcachesim/internal/doctype"
 )
@@ -63,6 +66,55 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 	if got.NumRequests() != 5 || got.NumDocs() != 3 {
 		t.Errorf("counts = %d/%d, want 5/3", got.NumRequests(), got.NumDocs())
+	}
+}
+
+// sampleColumnarSHA256 is the digest of EncodeColumnar(sampleColumnar()):
+// the on-disk bytes are a contract with every .wci3 already written, so a
+// codec change that still round-trips but moves a byte fails here.
+const sampleColumnarSHA256 = "4a82c6e85d1ebd9da5eae543fef440deec94ac48c5d2d03bd41ce881f6d227b2"
+
+// TestColumnarGoldenBytes pins the image both encode paths write: the
+// memory image of a little-endian host and the element-by-element one.
+func TestColumnarGoldenBytes(t *testing.T) {
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	for _, le := range []bool{true, false} {
+		hostLittleEndian = le
+		if got := fmt.Sprintf("%x", sha256.Sum256(encodeColumnar(t, sampleColumnar()))); got != sampleColumnarSHA256 {
+			t.Errorf("little-endian host %v: image SHA-256 = %s, want %s", le, got, sampleColumnarSHA256)
+		}
+	}
+}
+
+// TestColumnarDecodeCopies decodes the image where a zero-copy view is
+// ruled out — from a base that is not 8-byte aligned, and as a big-endian
+// host would — and requires the same columns as the aligned view.
+func TestColumnarDecodeCopies(t *testing.T) {
+	img := encodeColumnar(t, sampleColumnar())
+	want, err := DecodeColumnar(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1+len(img))
+	copy(buf[1:], img)
+	got, err := DecodeColumnar(buf[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("misaligned decode diverges:\n got %+v\nwant %+v", got, want)
+	}
+	if uintptr(unsafe.Pointer(&got.Millis[0]))%8 != 0 {
+		t.Error("misaligned decode aliased the buffer instead of copying")
+	}
+
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	hostLittleEndian = false
+	if got, err = DecodeColumnar(img); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("byte-order-independent decode diverges:\n got %+v\nwant %+v", got, want)
 	}
 }
 
