@@ -241,7 +241,7 @@ func BenchmarkAblationBeta(b *testing.B) {
 		b.Run(tt.name, func(b *testing.B) {
 			var hr float64
 			for i := 0; i < b.N; i++ {
-				fac := policy.MustFactory(policy.Spec{Scheme: "gdstar", Beta: tt.beta})
+				fac := policy.Factory{Name: "GD*(1)", New: func() policy.Policy { return policy.NewGDStar(nil, tt.beta) }}
 				sim, err := core.NewSimulator(f.workload, core.Config{Capacity: capacity, Policy: fac})
 				if err != nil {
 					b.Fatal(err)

@@ -61,7 +61,7 @@ func run(args []string) error {
 		parent     = fs.String("parent", "", "parent proxy URL for upstream fetches (cache_peer)")
 		capacity   = fs.String("capacity", "256MB", "cache capacity; bodies live off the Go heap, so resident memory is about capacity in use + 65 MiB")
 		policySpec = fs.String("policy", "lru", "replacement policy spec (scheme[:cost])")
-		admitSpec  = fs.String("admission", "none", "admission filter spec (none, tinylfu[:window=N], arc-ghost)")
+		admitSpec  = fs.String("admission", "none", "admission filter spec (none, tinylfu, arc-ghost)")
 		shards     = fs.Int("shards", 0, "cache shard count, rounded up to a power of two (0 = default; 1 = exact single-policy eviction order)")
 		logPath    = fs.String("log", "", "Squid-format access log path")
 		statsEvery = fs.Duration("stats-every", 30*time.Second, "statistics print interval (0 disables)")

@@ -90,6 +90,7 @@ func TestRunFlagErrors(t *testing.T) {
 		args []string
 	}{
 		{"bad policy", []string{"-policy", "nope"}},
+		{"window option", []string{"-admission", "tinylfu:window=1000"}},
 		{"bad capacity", []string{"-capacity", "xyz"}},
 		{"bad log path", []string{"-log", "/nonexistent-dir/x.log"}},
 		{"topology without self", []string{"-topology", "fleet.json"}},

@@ -13,7 +13,7 @@ import (
 // throughput table: one row per policy × capacity cell, plus the sweep
 // totals. ReadJournal validates the schema, so this doubles as the CI
 // smoke check that keeps docs/METRICS.md honest.
-func summarizeJournal(path string, out io.Writer, markdown bool) error {
+func summarizeJournal(path string, out io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -83,11 +83,7 @@ func summarizeJournal(path string, out io.Writer, markdown bool) error {
 		}
 		t.AddRowf(cells...)
 	}
-	if markdown {
-		fmt.Fprintln(out, t.Markdown())
-	} else {
-		fmt.Fprint(out, t.Text())
-	}
+	fmt.Fprint(out, t.Text())
 
 	if len(runs) == 0 {
 		fmt.Fprintln(out, "journal has no completed runs (interrupted sweep?)")

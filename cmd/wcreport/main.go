@@ -5,7 +5,7 @@
 // Usage:
 //
 //	wcreport [-exp all|<id>] [-extras] [-scale 1.0] [-seed 1] [-sizes 0.5,1,2,4]
-//	         [-plots] [-md] [-checks-only] [-json] [-svg-dir dir]
+//	         [-plots] [-checks-only] [-json] [-svg-dir dir]
 //	wcreport -journal run.jsonl
 //
 // The experiment ids are the rows of internal/experiment's registry; -h
@@ -52,7 +52,6 @@ func run(args []string, out io.Writer) error {
 		plots      = fs.Bool("plots", false, "render ASCII figures")
 		checksOnly = fs.Bool("checks-only", false, "print only shape-check verdicts")
 		jsonOut    = fs.Bool("json", false, "emit the outputs as a JSON array instead of text")
-		markdown   = fs.Bool("md", false, "render tables as Markdown")
 		svgDir     = fs.String("svg-dir", "", "write every figure as an SVG file into this directory")
 		extras     = fs.Bool("extras", false, "with -exp all, also run the beyond-the-paper experiments")
 		par        = fs.Int("parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS)")
@@ -62,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *journal != "" {
-		return summarizeJournal(*journal, out, *markdown)
+		return summarizeJournal(*journal, out)
 	}
 
 	if !(*scale > 0) { // NaN included
@@ -124,11 +123,7 @@ func run(args []string, out io.Writer) error {
 			}
 			fmt.Fprintln(out)
 			for _, t := range o.Tables {
-				if *markdown {
-					fmt.Fprintln(out, t.Markdown())
-				} else {
-					fmt.Fprintln(out, t.Text())
-				}
+				fmt.Fprintln(out, t.Text())
 			}
 			if *plots {
 				for _, p := range o.Plots {

@@ -80,15 +80,11 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-// TestRunMarkdownAndSVG: the renderings wcreport makes on request — the
-// Markdown tables of -md and one SVG file per figure under -svg-dir.
-func TestRunMarkdownAndSVG(t *testing.T) {
+// TestRunSVGDir: -svg-dir writes one SVG file per figure.
+func TestRunSVGDir(t *testing.T) {
 	dir := t.TempDir()
 	var sb strings.Builder
-	_ = run(fastArgs("-exp", "figure2", "-md", "-svg-dir", dir), &sb)
-	if out := sb.String(); !strings.Contains(out, "| Cache (MB) |") || !strings.Contains(out, "**Images**") {
-		t.Errorf("-md did not render Markdown tables:\n%s", out)
-	}
+	_ = run(fastArgs("-exp", "figure2", "-svg-dir", dir), &sb)
 	files, err := filepath.Glob(filepath.Join(dir, "figure2-*.svg"))
 	if err != nil || len(files) != 8 {
 		t.Fatalf("-svg-dir wrote %d files (%v), want 8", len(files), err)
@@ -113,6 +109,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-scale", "0"},
 		{"-scale", "-1"},
 		{"-scale", "NaN"},
+		{"-md"},
 	} {
 		if err := run(append(args, "-exp", "table1"), &sb); err == nil {
 			t.Errorf("%v accepted", args)
@@ -170,17 +167,6 @@ func TestRunJournalSummary(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestRunJournalSummaryMarkdown(t *testing.T) {
-	path := writeJournal(t)
-	var sb strings.Builder
-	if err := run([]string{"-journal", path, "-md"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "|") {
-		t.Errorf("markdown output has no table:\n%s", sb.String())
 	}
 }
 

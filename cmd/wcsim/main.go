@@ -46,9 +46,9 @@ func run(args []string, out io.Writer) error {
 	var (
 		tracePath = fs.String("trace", "", "input trace path (required)")
 		policies  = fs.String("policies", "lru,lfuda,gds:1,gdstar:1,gds:p,gdstar:p",
-			"comma-separated policy specs (scheme[:cost][:beta=x])")
+			"comma-separated policy specs (scheme[:cost])")
 		admissions = fs.String("admissions", "none",
-			"comma-separated admission filter specs (none, tinylfu[:window=N], arc-ghost); every policy runs under every filter")
+			"comma-separated admission filter specs (none, tinylfu, arc-ghost); every policy runs under every filter")
 		sizes    = fs.String("sizes", "", "cache sizes, comma-separated (e.g. 64MB,1GB)")
 		sizePcts = fs.String("size-pcts", "", "cache sizes as % of trace size (e.g. 0.5,1,2,4)")
 		warmup   = fs.Float64("warmup", core.DefaultWarmupFraction, "warm-up fraction of requests, in [0, 1)")
@@ -188,7 +188,6 @@ func plotCurves(out io.Writer, results []*core.Result, withAdmission bool) {
 			XLabel: "cache size (MB, log)",
 			YLabel: side.name,
 			LogX:   true,
-			Width:  64,
 			Height: 16,
 		}
 		for _, name := range g.Series {

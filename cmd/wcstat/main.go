@@ -4,13 +4,13 @@
 //
 // Usage:
 //
-//	wcstat [-csv] [-hist] trace.log[.gz] ...
+//	wcstat [-csv] trace.log[.gz] ...
 //
 // A record stream (a Squid log or interned .wci, either gzipped) is read
 // through the paper's cacheability filter, and the totals count what it
 // dropped and the distinct clients. A WCT3 columnar workload (.wci3) was
 // filtered when it was written and records neither, so those rows are
-// omitted for it. -hist adds per-class transfer-size histograms.
+// omitted for it.
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"webcachesim/internal/analyze"
 	"webcachesim/internal/core"
-	"webcachesim/internal/doctype"
 	"webcachesim/internal/report"
 	"webcachesim/internal/trace"
 )
@@ -37,25 +36,22 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("wcstat", flag.ContinueOnError)
-	var (
-		csv  = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		hist = fs.Bool("hist", false, "render per-class transfer-size histograms")
-	)
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: wcstat [-csv] [-hist] trace...")
+		return fmt.Errorf("usage: wcstat [-csv] trace...")
 	}
 	for _, path := range fs.Args() {
-		if err := statOne(path, *csv, *hist, out); err != nil {
+		if err := statOne(path, *csv, out); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return nil
 }
 
-func statOne(path string, csv, hist bool, out io.Writer) error {
+func statOne(path string, csv bool, out io.Writer) error {
 	// A nil filter marks a columnar image: no filter ran here, and no
 	// client was seen.
 	var filter *trace.FilterReader
@@ -111,21 +107,6 @@ func statOne(path string, csv, hist bool, out io.Writer) error {
 
 	render(c.ClassMixTable("Workload characteristics by document type"))
 	render(c.LocalityTable("Document sizes and temporal locality", "Popularity α", "Temporal Correlation β"))
-
-	if hist {
-		var sizes [doctype.NumClasses + 1][]float64
-		for i := range w.NumRequests() {
-			ev := w.Event(i)
-			sizes[ev.Class] = append(sizes[ev.Class], float64(ev.TransferSize)/1024)
-		}
-		for _, cl := range doctype.Classes {
-			h := report.Histogram{
-				Title: cl.String() + " — transfer-size distribution",
-				Unit:  "KB",
-			}
-			fmt.Fprintln(out, h.Render(sizes[cl]))
-		}
-	}
 	return nil
 }
 

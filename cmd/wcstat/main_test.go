@@ -119,6 +119,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"/nonexistent"}, &sb); err == nil {
 		t.Error("missing file should fail")
 	}
+	if err := run([]string{"-hist", writeTestTrace(t, trace.FormatInterned)}, &sb); err == nil {
+		t.Error("-hist should be refused")
+	}
 }
 
 var update = flag.Bool("update", false, "rewrite the golden files")

@@ -21,61 +21,48 @@ package admission
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"webcachesim/internal/policy"
 )
 
-// ParseSpec parses an admission scheme specification of the form
-// "scheme[:opt...]":
+// ParseSpec parses an admission scheme specification, one of
 //
-//	none                 no admission; every candidate enters
-//	tinylfu[:window=N]   frequency filter, aging every N touches
-//	arc-ghost            adaptive ghost-directed probation filter
+//	none        no admission; every candidate enters
+//	tinylfu     frequency filter, aging every windowFactor × items touches
+//	arc-ghost   adaptive ghost-directed probation filter
 //
-// The returned factory builds one admitter per cache (or per shard),
-// sized for that cache's byte capacity.
+// No scheme takes an option. An unknown scheme, or any option, is refused
+// with the list of valid spellings. The returned factory builds one
+// admitter per cache (or per shard), sized for that cache's byte capacity.
 func ParseSpec(s string) (policy.AdmitterFactory, error) {
-	parts := strings.Split(strings.ToLower(strings.TrimSpace(s)), ":")
-	switch parts[0] {
+	const valid = "want none, tinylfu or arc-ghost"
+	scheme, opt, hasOpt := strings.Cut(strings.ToLower(strings.TrimSpace(s)), ":")
+	var f policy.AdmitterFactory
+	switch scheme {
 	case "", "none":
-		if len(parts) > 1 {
-			return policy.AdmitterFactory{}, fmt.Errorf("admission: scheme %q takes no options", parts[0])
-		}
-		return policy.NoAdmission(), nil
+		f = policy.NoAdmission()
 	case "tinylfu":
-		var window int64
-		for i, p := range parts[1:] {
-			v, ok := strings.CutPrefix(p, "window=")
-			n, err := strconv.ParseInt(v, 10, 64)
-			switch {
-			case !ok || err != nil || n <= 0:
-				return policy.AdmitterFactory{}, fmt.Errorf("admission: bad option %q in %q (want window=N)", p, s)
-			case i > 0:
-				return policy.AdmitterFactory{}, fmt.Errorf("admission: repeated option %q in %q", p, s)
-			}
-			window = n
-		}
-		return policy.AdmitterFactory{
+		f = policy.AdmitterFactory{
 			Name: "tinylfu",
 			New: func(capacityBytes int64) policy.Admitter {
-				return NewTinyLFU(capacityBytes, window)
+				return NewTinyLFU(capacityBytes)
 			},
-		}, nil
-	case "arc-ghost", "arcghost":
-		if len(parts) > 1 {
-			return policy.AdmitterFactory{}, fmt.Errorf("admission: scheme %q takes no options", parts[0])
 		}
-		return policy.AdmitterFactory{
+	case "arc-ghost", "arcghost":
+		f = policy.AdmitterFactory{
 			Name: "arc-ghost",
 			New: func(capacityBytes int64) policy.Admitter {
 				return NewARCGhost(capacityBytes)
 			},
-		}, nil
+		}
 	default:
-		return policy.AdmitterFactory{}, fmt.Errorf("admission: unknown scheme %q", parts[0])
+		return policy.AdmitterFactory{}, fmt.Errorf("admission: unknown scheme %q (%s)", scheme, valid)
 	}
+	if hasOpt {
+		return policy.AdmitterFactory{}, fmt.Errorf("admission: scheme %q takes no option %q (%s)", scheme, opt, valid)
+	}
+	return f, nil
 }
 
 // MustSpec is ParseSpec for statically known specs; it panics on error.

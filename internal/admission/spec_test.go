@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"strings"
 	"testing"
 
 	"webcachesim/internal/policy"
@@ -17,7 +18,7 @@ func TestParseSpec(t *testing.T) {
 		{in: "", name: "none"},
 		{in: "  None ", name: "none"},
 		{in: "tinylfu", name: "tinylfu", admits: true},
-		{in: "tinylfu:window=1000", name: "tinylfu", admits: true},
+		{in: "tinylfu:window=1000", wantErr: true},
 		{in: "arc-ghost", name: "arc-ghost", admits: true},
 		{in: "arcghost", name: "arc-ghost", admits: true},
 		{in: "none:window=3", wantErr: true},
@@ -25,9 +26,6 @@ func TestParseSpec(t *testing.T) {
 		{in: "tinylfu:bogus", wantErr: true},
 		{in: "arc-ghost:opt", wantErr: true},
 		{in: "lfu", wantErr: true},
-		// An option's whole value is read, and the option is given once.
-		{in: "tinylfu:window=1e6", wantErr: true},
-		{in: "tinylfu:window=5x", wantErr: true},
 		{in: "tinylfu:window=5:window=6", wantErr: true},
 	}
 	for _, c := range cases {
@@ -56,11 +54,14 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecWindowOption: no scheme takes an option, tinylfu's former
+// window= included, and every refusal lists the valid spellings.
 func TestParseSpecWindowOption(t *testing.T) {
-	f := MustSpec("tinylfu:window=4")
-	a := f.New(1 << 20).(*TinyLFU)
-	if a.window != 4 {
-		t.Errorf("window = %d, want 4", a.window)
+	for _, in := range []string{"tinylfu:window=1000", "tinylfu:window=4", "none:window=3", "arc-ghost:opt", "lfu", "tinylfu-window"} {
+		_, err := ParseSpec(in)
+		if err == nil || !strings.Contains(err.Error(), "want none, tinylfu or arc-ghost") {
+			t.Errorf("ParseSpec(%q) err = %v, want a refusal listing the valid spellings", in, err)
+		}
 	}
 }
 

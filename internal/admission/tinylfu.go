@@ -45,20 +45,16 @@ type TinyLFU struct {
 
 var _ policy.Admitter = (*TinyLFU)(nil)
 
-// NewTinyLFU builds a TinyLFU admitter for a cache of capacityBytes.
-// window overrides the aging window in touches; 0 selects the default
-// (windowFactor × the capacity's expected item count). The ghost
-// directory gets the full cache capacity as its budget.
-func NewTinyLFU(capacityBytes, window int64) *TinyLFU {
+// NewTinyLFU builds a TinyLFU admitter for a cache of capacityBytes. The
+// aging window is windowFactor × the capacity's expected item count
+// touches. The ghost directory gets the full cache capacity as its budget.
+func NewTinyLFU(capacityBytes int64) *TinyLFU {
 	items := capacityBytes / assumedDocBytes
 	if items < 512 {
 		items = 512
 	}
 	if items > 1<<20 {
 		items = 1 << 20
-	}
-	if window <= 0 {
-		window = windowFactor * items
 	}
 	door, err := sketch.NewBloom(items, doorkeeperFPRate)
 	if err != nil {
@@ -81,7 +77,7 @@ func NewTinyLFU(capacityBytes, window int64) *TinyLFU {
 		door:   door,
 		freq:   freq,
 		ghost:  NewGhost(capacityBytes),
-		window: window,
+		window: windowFactor * items,
 	}
 }
 

@@ -18,7 +18,7 @@ func touchN(t *TinyLFU, d *policy.Doc, n int) {
 }
 
 func TestTinyLFUNilVictimAlwaysAdmits(t *testing.T) {
-	f := NewTinyLFU(1<<20, 0)
+	f := NewTinyLFU(1 << 20)
 	if !f.Admit(doc(1, 100), nil) {
 		t.Error("nil victim means free space; must admit")
 	}
@@ -28,7 +28,7 @@ func TestTinyLFUNilVictimAlwaysAdmits(t *testing.T) {
 }
 
 func TestTinyLFUFrequencyContest(t *testing.T) {
-	f := NewTinyLFU(1<<20, 0)
+	f := NewTinyLFU(1 << 20)
 	hot, cold, victim := doc(1, 100), doc(2, 100), doc(3, 100)
 	touchN(f, hot, 3)
 	touchN(f, cold, 1)
@@ -47,7 +47,7 @@ func TestTinyLFUFrequencyContest(t *testing.T) {
 }
 
 func TestTinyLFUGhostBypassAndCounters(t *testing.T) {
-	f := NewTinyLFU(1<<20, 0)
+	f := NewTinyLFU(1 << 20)
 	evictee, victim := doc(1, 100), doc(2, 100)
 	touchN(f, victim, 5)
 	f.Evicted(evictee)
@@ -74,7 +74,7 @@ func TestTinyLFUGhostBypassAndCounters(t *testing.T) {
 // once an evicted document's ghost entry has been pushed out by newer
 // evictions, it must win the frequency contest again like any stranger.
 func TestTinyLFUResurrectionAfterGhostExpiry(t *testing.T) {
-	f := NewTinyLFU(1000, 0) // ghost budget = 1000 bytes
+	f := NewTinyLFU(1000) // ghost budget = 1000 bytes
 	a, victim := doc(1, 400), doc(9, 100)
 	touchN(f, victim, 5)
 
@@ -90,7 +90,8 @@ func TestTinyLFUResurrectionAfterGhostExpiry(t *testing.T) {
 }
 
 func TestTinyLFUAgingWindow(t *testing.T) {
-	f := NewTinyLFU(1<<20, 4)
+	f := NewTinyLFU(1 << 20)
+	f.window = 4
 	d := doc(1, 100)
 	touchN(f, d, 4) // 4th touch triggers aging: doorkeeper reset, counts halved
 	c := f.Counts()
@@ -109,7 +110,8 @@ func TestTinyLFUAgingWindow(t *testing.T) {
 // minimum, and the replacement reuses the victim's entry and heap handle
 // rather than allocating new ones. (Touch is on the proxy's hit path.)
 func TestTinyLFUTouchZeroAlloc(t *testing.T) {
-	f := NewTinyLFU(1<<20, 1<<40) // a window no test reaches: no aging
+	f := NewTinyLFU(1 << 20)
+	f.window = 1 << 40 // a window no test reaches: no aging
 	docs := make([]*policy.Doc, 2000)
 	for i := range docs {
 		docs[i] = doc(int32(i), 100)

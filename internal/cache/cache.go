@@ -61,13 +61,6 @@ type Config struct {
 	// byte budget and keyed by that shard's interned IDs. The zero value
 	// admits everything.
 	Admission policy.AdmitterFactory
-	// InternRetain bounds the store's URL interners: the number of
-	// non-resident URL→ID mappings retained before the oldest are
-	// recycled (DefaultInternRetain when 0, unbounded when negative).
-	// It is the store's total, split evenly across the shards, so the
-	// shard count does not change how long an evicted URL keeps its ID.
-	// See idTable for the identity trade-off.
-	InternRetain int
 }
 
 // Cache is the sharded store. All methods are safe for concurrent use.
@@ -124,18 +117,11 @@ func New(cfg Config) (*Cache, error) {
 		mask:     uint64(n - 1),
 		shards:   make([]shard, n),
 	}
-	retain := cfg.InternRetain
-	if retain == 0 {
-		retain = DefaultInternRetain
-	}
-	if retain > 0 {
-		retain /= n
-	}
 	for i := range c.shards {
 		c.shards[i] = shard{
 			pol:     cfg.Policy.New(),
 			entries: make(map[string]*Entry, 64),
-			ids:     newIDTable(retain),
+			ids:     newIDTable(DefaultInternRetain / n),
 			index:   i,
 		}
 		if cfg.Admission.New != nil {

@@ -20,8 +20,7 @@ package cache
 // estimator, admission ghost directories) can see a recycled ID as a
 // returning document. The window is sized so that only URLs evicted long
 // ago — beyond what those structures meaningfully remember — get
-// recycled; retain < 0 disables recycling entirely (the pre-bounded
-// behavior).
+// recycled.
 //
 // All methods must be called with the owning shard's lock held.
 type idTable struct {
@@ -34,7 +33,7 @@ type idTable struct {
 	ring    []ringSlot // FIFO of retired IDs, oldest at head
 	head    int
 	retired int // live (non-stale) retired entries in the ring
-	retain  int // recycle beyond this many retired entries; <0 = never
+	retain  int // recycle beyond this many retired entries
 }
 
 type ringSlot struct {
@@ -48,10 +47,11 @@ const (
 	idRetired
 )
 
-// DefaultInternRetain is the store's retired-mapping budget when
-// Config.InternRetain is zero: 4,096 per shard at the default 16 shards.
-// At ~100 bytes per retained mapping this bounds the non-resident
-// interner tail to a few MiB per store.
+// DefaultInternRetain is the store's retired-mapping budget, split evenly
+// across the shards (4,096 per shard at the default 16), so the shard
+// count does not change how long an evicted URL keeps its ID. At ~100
+// bytes per retained mapping this bounds the non-resident interner tail
+// to a few MiB per store.
 const DefaultInternRetain = 1 << 16
 
 func newIDTable(retain int) *idTable {
@@ -89,7 +89,7 @@ func (t *idTable) pin(key string) int32 {
 // mappings beyond the retain budget. Unpinning an already-retired or
 // free ID is a no-op.
 func (t *idTable) unpin(id int32) {
-	if t.retain < 0 || int(id) >= len(t.state) || t.state[id] != idPinned {
+	if int(id) >= len(t.state) || t.state[id] != idPinned {
 		return
 	}
 	t.state[id] = idRetired

@@ -13,10 +13,11 @@ import (
 // grow the interner past residency plus the configured retain window.
 func TestInternerBounded(t *testing.T) {
 	const retain = 32
-	c, err := New(Config{Capacity: 10 << 10, Shards: 1, InternRetain: retain})
+	c, err := New(Config{Capacity: 10 << 10, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.shards[0].ids = newIDTable(retain)
 	const n = 10000
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("http://example.com/unique/%d", i)
@@ -53,33 +54,15 @@ func TestInternRetainIsStoreWide(t *testing.T) {
 	}
 }
 
-// TestInternerUnboundedWhenNegative pins the opt-out: retain < 0 keeps
-// every mapping forever (the pre-bounded behavior some ID-keyed
-// estimators may want).
-func TestInternerUnboundedWhenNegative(t *testing.T) {
-	c, err := New(Config{Capacity: 10 << 10, Shards: 1, InternRetain: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 500
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("http://example.com/u/%d", i)
-		doc := &policy.Doc{Key: key, Size: 1024}
-		c.Set(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{}))
-	}
-	if got := c.InternedKeys(); got != n {
-		t.Fatalf("unbounded interner holds %d mappings; want %d", got, n)
-	}
-}
-
 // TestInternerStableIDWithinWindow checks the keying contract the
 // policies rely on: a URL evicted and refetched while its mapping is
 // still inside the retain window gets the same dense ID back.
 func TestInternerStableIDWithinWindow(t *testing.T) {
-	c, err := New(Config{Capacity: 2048, Shards: 1, InternRetain: 16})
+	c, err := New(Config{Capacity: 2048, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.shards[0].ids = newIDTable(16)
 	insert := func(key string) int32 {
 		doc := &policy.Doc{Key: key, Size: 1024}
 		if !c.Set(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{})) {

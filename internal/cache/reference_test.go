@@ -30,8 +30,8 @@ type reference struct {
 }
 
 // refShard is one shard of the reference. Its IDs are dense in the order
-// keys were first interned and never recycled: the store's interner with
-// InternRetain < 0, or any run that retires fewer keys than it retains.
+// keys were first interned and never recycled: the store's interner in
+// any run that retires fewer keys than it retains.
 type refShard struct {
 	pol      policy.Policy
 	adm      policy.Admitter // nil without admission
@@ -297,8 +297,9 @@ func checkCounts(t *testing.T, op int, c *Cache, ref *reference) {
 
 // TestShardedStoreMatchesReference replays TestShardedStoreRanksLikeOneCache's
 // stream through the store and the reference at 1, 4 and 16 shards, for
-// every study scheme and GD*(P)+TinyLFU, with ID recycling off on both
-// sides. Every request must hit or miss alike and every insert end alike,
+// every study scheme and GD*(P)+TinyLFU. The stream retires far fewer
+// keys than DefaultInternRetain holds, so the store recycles no ID and
+// keeps every key it saw, as the reference does. Every request must hit or miss alike and every insert end alike,
 // leaving the same counts and the same bytes in every shard; every 500
 // requests and at the end the resident sets must be equal too. (The
 // index-order sweep is not reached here: single-threaded, the fullest
@@ -308,7 +309,7 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 	for _, s := range storeSchemes(t) {
 		for _, shards := range []int{1, 4, 16} {
 			t.Run(fmt.Sprintf("%s/shards=%d", s, shards), func(t *testing.T) {
-				cfg := Config{Capacity: capacity, Shards: shards, Policy: s.pol, Admission: s.adm, InternRetain: -1}
+				cfg := Config{Capacity: capacity, Shards: shards, Policy: s.pol, Admission: s.adm}
 				c, ref := mustNew(t, cfg), newReference(cfg)
 				for i, key := range keys {
 					e, ok := c.Get(key)
@@ -334,6 +335,13 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 				}
 				if c.Evictions() == 0 {
 					t.Fatal("no evictions: the replay did not churn the store")
+				}
+				interned := 0
+				for _, sh := range ref.shards {
+					interned += len(sh.ids)
+				}
+				if got := c.InternedKeys(); got != interned {
+					t.Fatalf("store interns %d keys, reference %d: the store recycled IDs", got, interned)
 				}
 			})
 		}

@@ -66,7 +66,6 @@ func figure(g *core.Grid, policies []string, title string) artifacts {
 				XLabel: "cache size (MB, log)",
 				YLabel: side.name,
 				LogX:   true,
-				Width:  64,
 				Height: 16,
 			}
 			for _, pol := range policies {

@@ -9,7 +9,7 @@ import (
 
 // ExampleParseSpec shows the scheme-specification grammar.
 func ExampleParseSpec() {
-	for _, s := range []string{"lru", "gds:packet", "gdstar:1:beta=0.8", "typeaware+gdsf:p"} {
+	for _, s := range []string{"lru", "gds:packet", "gdstar:1", "typeaware+gdsf:p"} {
 		spec, err := policy.ParseSpec(s)
 		if err != nil {
 			fmt.Println("error:", err)

@@ -12,8 +12,7 @@ package policy
 
 import (
 	"fmt"
-	"math"
-	"strconv"
+	"slices"
 	"strings"
 
 	"webcachesim/internal/container/intlist"
@@ -110,22 +109,22 @@ type Spec struct {
 	// Cost selects the cost model for GDS and GD*: ConstantCost or
 	// PacketCost. Ignored by the cost-oblivious schemes.
 	Cost CostModel
-	// Beta fixes GD*'s temporal-correlation exponent. Zero selects the
-	// online estimator (the paper's adaptive variant).
-	Beta float64
 	// Inner configures the per-class sub-policy when Scheme is
 	// "typeaware".
 	Inner *Spec
 }
 
+// schemeSpellings are the scheme names ParseSpec accepts, in the order its
+// refusal lists them.
+var schemeSpellings = []string{"lru", "lfuda", "lfu-da", "gds", "gdstar", "gd*", "gdsf", "fifo", "size", "lfu", "slru"}
+
 // ParseSpec parses a scheme specification string of the form
-// "scheme[:cost]" — e.g. "lru", "gds:const", "gdstar:packet",
-// "gdstar:packet:beta=0.8". Recognized cost names are "const"/"1" and
-// "packet"/"p". An option the scheme would ignore is an error: a cost
-// model on anything but gds, gdstar and gdsf, beta= on anything but
-// gdstar. So is a second cost model or beta=, and a beta= whose whole
-// value is not a number. The type-aware meta-policy wraps an inner spec:
-// "typeaware+gdstar:packet".
+// "scheme[:cost]" — e.g. "lru", "gds:const", "gdstar:packet".
+// Recognized cost names are "const"/"1" and "packet"/"p". An option the
+// scheme would ignore is an error: a cost model on anything but gds,
+// gdstar and gdsf. So is a second option. The type-aware meta-policy
+// wraps an inner spec: "typeaware+gdstar:packet". An unknown scheme or
+// option is refused with the list of valid spellings.
 func ParseSpec(s string) (Spec, error) {
 	lower := strings.ToLower(strings.TrimSpace(s))
 	if inner, ok := strings.CutPrefix(lower, "typeaware+"); ok {
@@ -139,44 +138,30 @@ func ParseSpec(s string) (Spec, error) {
 		return Spec{Scheme: "typeaware", Inner: &innerSpec}, nil
 	}
 	parts := strings.Split(lower, ":")
-	spec := Spec{Cost: ConstantCost{}}
-	switch parts[0] {
-	case "lru", "lfuda", "lfu-da", "gds", "gdstar", "gd*", "gdsf", "fifo", "size", "lfu", "slru":
-		spec.Scheme = strings.NewReplacer("-", "", "*", "star").Replace(parts[0])
-	default:
-		return Spec{}, fmt.Errorf("policy: unknown scheme %q", parts[0])
+	if !slices.Contains(schemeSpellings, parts[0]) {
+		return Spec{}, fmt.Errorf("policy: unknown scheme %q (want one of %s, or typeaware+<scheme>)",
+			parts[0], strings.Join(schemeSpellings, ", "))
 	}
-	costAware := spec.Scheme == "gds" || spec.Scheme == "gdstar" || spec.Scheme == "gdsf"
-	given := map[bool]bool{} // keyed by isBeta: one cost model, one beta
-	for _, p := range parts[1:] {
-		v, isBeta := strings.CutPrefix(p, "beta=")
-		switch {
-		case p == "const" || p == "constant" || p == "1":
+	spec := Spec{Scheme: strings.NewReplacer("-", "", "*", "star").Replace(parts[0]), Cost: ConstantCost{}}
+	if len(parts) == 1 {
+		return spec, nil
+	}
+	// An option the scheme would ignore is a mistake, not a variant.
+	if spec.Scheme != "gds" && spec.Scheme != "gdstar" && spec.Scheme != "gdsf" {
+		return Spec{}, fmt.Errorf("policy: scheme %q takes no option %q (in %q)", spec.Scheme, parts[1], s)
+	}
+	for i, p := range parts[1:] {
+		switch p {
+		case "const", "constant", "1":
 			spec.Cost = ConstantCost{}
-		case p == "packet" || p == "p":
+		case "packet", "p":
 			spec.Cost = PacketCost{}
-		case isBeta:
-			beta, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("policy: bad beta in %q: %w", s, err)
-			}
-			// ParseFloat reads "nan" and "inf", which NewGDStar would quietly
-			// replace with the online estimator under the same name.
-			if beta < 0 || math.IsNaN(beta) || math.IsInf(beta, 0) {
-				return Spec{}, fmt.Errorf("policy: beta must be finite and non-negative in %q (0 selects the online estimator)", s)
-			}
-			spec.Beta = beta
 		default:
-			return Spec{}, fmt.Errorf("policy: unknown option %q in %q", p, s)
+			return Spec{}, fmt.Errorf("policy: unknown option %q in %q (want a cost model: const, constant, 1, packet or p)", p, s)
 		}
-		// An option the scheme would ignore is a mistake, not a variant.
-		if isBeta && spec.Scheme != "gdstar" || !isBeta && !costAware {
-			return Spec{}, fmt.Errorf("policy: scheme %q takes no option %q (in %q)", spec.Scheme, p, s)
+		if i > 0 {
+			return Spec{}, fmt.Errorf("policy: scheme %q takes one cost model (in %q)", spec.Scheme, s)
 		}
-		if given[isBeta] {
-			return Spec{}, fmt.Errorf("policy: repeated option %q in %q", p, s)
-		}
-		given[isBeta] = true
 	}
 	return spec, nil
 }
@@ -197,8 +182,7 @@ func NewFactory(spec Spec) (Factory, error) {
 		return Factory{Name: name, New: func() Policy { return NewGDS(cost) }}, nil
 	case "gdstar":
 		name := fmt.Sprintf("GD*(%s)", cost.Tag())
-		beta := spec.Beta
-		return Factory{Name: name, New: func() Policy { return NewGDStar(cost, beta) }}, nil
+		return Factory{Name: name, New: func() Policy { return NewGDStar(cost, 0) }}, nil
 	case "gdsf":
 		name := fmt.Sprintf("GDSF(%s)", cost.Tag())
 		return Factory{Name: name, New: func() Policy { return NewGDSF(cost) }}, nil

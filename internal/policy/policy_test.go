@@ -336,7 +336,7 @@ func TestParseSpec(t *testing.T) {
 		{"gds:packet", "GDS(P)", false},
 		{"gdstar:1", "GD*(1)", false},
 		{"gd*:p", "GD*(P)", false},
-		{"gdstar:packet:beta=0.8", "GD*(P)", false},
+		{"gdstar:packet:beta=0.8", "", true},
 		{"fifo", "FIFO", false},
 		{"size", "SIZE", false},
 		{"lfu", "LFU", false},
@@ -353,10 +353,8 @@ func TestParseSpec(t *testing.T) {
 		{"size:p", "", true},
 		{"slru:p", "", true},
 		{"typeaware+lru:p", "", true},
-		// An option's whole value is read, and each option is given once.
+		// The cost model is the one option, given once.
 		{"gdstar:1:beta=1/2", "", true},
-		{"gdstar:beta=0.8x", "", true},
-		{"gdstar:p:beta=0.5:beta=0.6", "", true},
 		{"gdstar:p:1", "", true},
 		{"gds:packet:p", "", true},
 	}
@@ -384,33 +382,20 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecBeta: beta= is no option of any scheme. On a cost-aware
+// scheme it is refused with the cost models that are; an option on a
+// cost-oblivious scheme would be ignored, so it is refused in an error
+// naming scheme and option; an unknown scheme is refused with the list of
+// schemes.
 func TestParseSpecBeta(t *testing.T) {
-	spec, err := ParseSpec("gdstar:packet:beta=0.75")
-	if err != nil {
-		t.Fatal(err)
+	for _, in := range []string{"gdstar:beta=0.75", "gdstar:packet:beta=0.75", "gds:beta=2", "gdsf:beta=2"} {
+		_, err := ParseSpec(in)
+		if err == nil || !strings.Contains(err.Error(), "const, constant, 1, packet or p") {
+			t.Errorf("ParseSpec(%q) err = %v, want an error listing the cost models", in, err)
+		}
 	}
-	if spec.Beta != 0.75 {
-		t.Errorf("Beta = %v, want 0.75", spec.Beta)
-	}
-	f, err := NewFactory(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, ok := f.New().(*GDStar)
-	if !ok {
-		t.Fatal("factory did not produce GD*")
-	}
-	if g.Beta() != 0.75 {
-		t.Errorf("policy beta = %v, want 0.75", g.Beta())
-	}
-	// Only GD* has the exponent, and only gds, gdstar and gdsf a cost
-	// model; elsewhere the option would be ignored, so it is refused in an
-	// error naming scheme and option.
 	for _, tt := range []struct{ in, scheme, option string }{
-		{"gds:beta=2", "gds", "beta=2"},
 		{"lfuda:beta=0.5", "lfuda", "beta=0.5"},
-		{"gdsf:beta=2", "gdsf", "beta=2"},
-		{"gdsf:p:beta=1", "gdsf", "beta=1"},
 		{"slru:p:beta=3", "slru", "p"},
 		{"lru:beta=1", "lru", "beta=1"},
 		{"lru:p", "lru", "p"},
@@ -419,6 +404,12 @@ func TestParseSpecBeta(t *testing.T) {
 		_, err := ParseSpec(tt.in)
 		if err == nil || !strings.Contains(err.Error(), strconv.Quote(tt.scheme)) || !strings.Contains(err.Error(), strconv.Quote(tt.option)) {
 			t.Errorf("ParseSpec(%q) err = %v, want an error naming scheme %q and option %q", tt.in, err, tt.scheme, tt.option)
+		}
+	}
+	for _, in := range []string{"mystery", "beta=0.8", "typeaware+arc"} {
+		_, err := ParseSpec(in)
+		if err == nil || !strings.Contains(err.Error(), "lru, lfuda, lfu-da, gds, gdstar, gd*, gdsf, fifo, size, lfu, slru, or typeaware+<scheme>") {
+			t.Errorf("ParseSpec(%q) err = %v, want an error listing the schemes", in, err)
 		}
 	}
 }

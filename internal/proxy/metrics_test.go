@@ -155,7 +155,9 @@ func TestMetricsShardBytesSumToUsed(t *testing.T) {
 
 // TestMetricsClassResidentSumsToTotals: after concurrent churn of images
 // and pages, the per-class resident gauges account for every resident
-// byte and object, and both classes hold some.
+// byte and object, and only those two classes hold any. Which of them is
+// resident at the end depends on how the goroutines interleave, so
+// either may be zero.
 func TestMetricsClassResidentSumsToTotals(t *testing.T) {
 	m := churnScrape(t, func(doc int) string {
 		if doc%3 == 0 {
@@ -174,12 +176,12 @@ func TestMetricsClassResidentSumsToTotals(t *testing.T) {
 			if !ok {
 				t.Fatalf("scrape has no %s", series)
 			}
-			if (c == doctype.Image || c == doctype.HTML) != (v > 0) {
+			if v < 0 || v > 0 && c != doctype.Image && c != doctype.HTML {
 				t.Errorf("%s = %v", series, v)
 			}
 			sum += v
 		}
-		if want := m[total.sum]; sum != want {
+		if want := m[total.sum]; sum != want || want == 0 {
 			t.Errorf("%s sums to %v, %s is %v", total.family, sum, total.sum, want)
 		}
 	}

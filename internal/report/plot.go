@@ -1,9 +1,10 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -17,82 +18,84 @@ type Series struct {
 }
 
 // Plot renders multi-series line charts on a character grid — enough to
-// eyeball the shape of the paper's figures in a terminal or a Markdown
-// code block.
+// eyeball the shape of the paper's figures in a terminal or a code block.
+// The y range adapts to the data with a zero floor.
 type Plot struct {
 	// Title is printed above the chart.
 	Title string
 	// XLabel and YLabel annotate the axes.
 	XLabel, YLabel string
-	// Width and Height are the grid dimensions in characters (defaults
-	// 72×20).
-	Width, Height int
+	// Height is the grid's height in characters (default 20); its width is
+	// plotWidth.
+	Height int
 	// LogX plots the x axis on a log10 scale (cache sizes span decades).
 	LogX bool
-	// YMin and YMax fix the y range when YFixed is set; otherwise the
-	// range adapts to the data with a zero floor.
-	YMin, YMax float64
-	YFixed     bool
 
-	series []Series
+	series []Series // each by ascending X
 }
+
+// plotWidth is the ASCII grid's width in characters.
+const plotWidth = 64
 
 // seriesMarks assigns each series a distinct mark character.
 var seriesMarks = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
 
-// Add appends a series; points with non-finite coordinates are dropped.
+// Add appends a series; points with non-finite coordinates are dropped,
+// and the rest are kept by ascending X, the order both renderers draw in.
 func (p *Plot) Add(s Series) {
-	clean := Series{Name: s.Name}
-	for i := range s.X {
-		if i >= len(s.Y) {
-			break
-		}
+	type point struct{ x, y float64 }
+	var pts []point
+	for i := range min(len(s.X), len(s.Y)) {
 		if isFinite(s.X[i]) && isFinite(s.Y[i]) {
-			clean.X = append(clean.X, s.X[i])
-			clean.Y = append(clean.Y, s.Y[i])
+			pts = append(pts, point{s.X[i], s.Y[i]})
 		}
+	}
+	slices.SortStableFunc(pts, func(a, b point) int { return cmp.Compare(a.x, b.x) })
+	clean := Series{Name: s.Name}
+	for _, pt := range pts {
+		clean.X = append(clean.X, pt.x)
+		clean.Y = append(clean.Y, pt.y)
 	}
 	p.series = append(p.series, clean)
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// Render draws the chart.
-func (p *Plot) Render() string {
-	width, height := p.Width, p.Height
-	if width <= 0 {
-		width = 72
-	}
-	if height <= 0 {
-		height = 20
-	}
-
-	xMin, xMax := math.Inf(1), math.Inf(-1)
-	yMin, yMax := math.Inf(1), math.Inf(-1)
-	var hasData bool
+// axes returns the ranges both renderers map onto: x in xCoord's space
+// and y, each the data's extent, y floored at zero, and a degenerate range
+// widened to one unit. ok is false when no series has a point.
+func (p *Plot) axes() (xMin, xMax, yMin, yMax float64, ok bool) {
+	xMin, xMax = math.Inf(1), math.Inf(-1)
+	yMin, yMax = math.Inf(1), math.Inf(-1)
 	for _, s := range p.series {
 		for i := range s.X {
-			hasData = true
+			ok = true
 			x := p.xCoord(s.X[i])
 			xMin, xMax = math.Min(xMin, x), math.Max(xMax, x)
 			yMin, yMax = math.Min(yMin, s.Y[i]), math.Max(yMax, s.Y[i])
 		}
 	}
-	if !hasData {
-		return p.Title + "\n(no data)\n"
+	if yMin > 0 {
+		yMin = 0
 	}
-	if p.YFixed {
-		yMin, yMax = p.YMin, p.YMax
-	} else {
-		if yMin > 0 {
-			yMin = 0
-		}
-		if yMax <= yMin {
-			yMax = yMin + 1
-		}
+	if yMax <= yMin {
+		yMax = yMin + 1
 	}
 	if xMax <= xMin {
 		xMax = xMin + 1
+	}
+	return xMin, xMax, yMin, yMax, ok
+}
+
+// Render draws the chart.
+func (p *Plot) Render() string {
+	width, height := plotWidth, p.Height
+	if height <= 0 {
+		height = 20
+	}
+	xMin, xMax, yMin, yMax, ok := p.axes()
+	if !ok {
+		return p.Title + "\n(no data)\n"
 	}
 
 	grid := make([][]byte, height)
@@ -114,13 +117,8 @@ func (p *Plot) Render() string {
 		// read as lines rather than scattered dots.
 		type pt struct{ c, r int }
 		pts := make([]pt, len(s.X))
-		order := make([]int, len(s.X))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return s.X[order[a]] < s.X[order[b]] })
-		for i, idx := range order {
-			pts[i] = pt{c: col(s.X[idx]), r: row(s.Y[idx])}
+		for i := range s.X {
+			pts[i] = pt{c: col(s.X[i]), r: row(s.Y[i])}
 		}
 		for i := range pts {
 			grid[pts[i].r][pts[i].c] = mark

@@ -31,16 +31,6 @@ func TestTableText(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	out := sampleTable().Markdown()
-	if !strings.Contains(out, "| Requests |") {
-		t.Errorf("markdown row missing:\n%s", out)
-	}
-	if !strings.Contains(out, ":---|") {
-		t.Error("alignment row missing")
-	}
-}
-
 func TestTableCSV(t *testing.T) {
 	tbl := NewTable("", "a", "b")
 	tbl.AddRow(`comma,and"quote`, "x")
@@ -89,7 +79,7 @@ func TestFormatFloat(t *testing.T) {
 }
 
 func TestPlotRender(t *testing.T) {
-	p := Plot{Title: "Hit rate", XLabel: "cache MB", YLabel: "HR", LogX: true, Width: 40, Height: 10}
+	p := Plot{Title: "Hit rate", XLabel: "cache MB", YLabel: "HR", LogX: true, Height: 10}
 	p.Add(Series{Name: "LRU", X: []float64{1, 10, 100}, Y: []float64{0.1, 0.2, 0.3}})
 	p.Add(Series{Name: "GD*", X: []float64{1, 10, 100}, Y: []float64{0.2, 0.3, 0.4}})
 	out := p.Render()
@@ -113,20 +103,11 @@ func TestPlotEmpty(t *testing.T) {
 }
 
 func TestPlotDropsNonFinite(t *testing.T) {
-	p := Plot{Width: 20, Height: 5}
+	p := Plot{Height: 5}
 	inf := math.Inf(1)
 	p.Add(Series{Name: "s", X: []float64{1, 2, inf}, Y: []float64{1, math.NaN(), 3}})
 	out := p.Render()
 	if out == "" {
 		t.Error("plot with partial data rendered nothing")
-	}
-}
-
-func TestPlotFixedYRange(t *testing.T) {
-	p := Plot{Width: 30, Height: 8, YFixed: true, YMin: 0, YMax: 1}
-	p.Add(Series{Name: "s", X: []float64{0, 1}, Y: []float64{0.2, 0.9}})
-	out := p.Render()
-	if !strings.Contains(out, "1 |") {
-		t.Errorf("fixed y max label missing:\n%s", out)
 	}
 }

@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -28,25 +27,15 @@ var svgPalette = []string{
 var svgDashes = []string{"", "6,3", "2,2", "8,3,2,3", "4,4", "1,3", "10,4", "3,6"}
 
 // SVG renders the plot as a standalone SVG document — the same figure the
-// ASCII Render draws, publication-ready. Axes honour LogX and the fixed
-// y-range; each series gets a distinct color and dash pattern plus a
-// point marker, and the legend sits below the x-axis.
+// ASCII Render draws, on the same axes, publication-ready. Each series
+// gets a distinct color and dash pattern plus a point marker, and the
+// legend sits below the x-axis.
 func (p *Plot) SVG() string {
 	width, height := svgWidth, svgHeight
 	plotW := float64(width - svgMarginL - svgMarginR)
 	plotH := float64(height - svgMarginT - svgMarginB)
 
-	xMin, xMax := math.Inf(1), math.Inf(-1)
-	yMin, yMax := math.Inf(1), math.Inf(-1)
-	hasData := false
-	for _, s := range p.series {
-		for i := range s.X {
-			hasData = true
-			x := p.xCoord(s.X[i])
-			xMin, xMax = math.Min(xMin, x), math.Max(xMax, x)
-			yMin, yMax = math.Min(yMin, s.Y[i]), math.Max(yMax, s.Y[i])
-		}
-	}
+	xMin, xMax, yMin, yMax, hasData := p.axes()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`,
 		width, height, width, height)
@@ -60,20 +49,6 @@ func (p *Plot) SVG() string {
 			width/2, height/2)
 		return sb.String()
 	}
-	if p.YFixed {
-		yMin, yMax = p.YMin, p.YMax
-	} else {
-		if yMin > 0 {
-			yMin = 0
-		}
-		if yMax <= yMin {
-			yMax = yMin + 1
-		}
-	}
-	if xMax <= xMin {
-		xMax = xMin + 1
-	}
-
 	px := func(x float64) float64 {
 		return svgMarginL + (p.xCoord(x)-xMin)/(xMax-xMin)*plotW
 	}
@@ -109,14 +84,9 @@ func (p *Plot) SVG() string {
 		}
 		color := svgPalette[si%len(svgPalette)]
 		dash := svgDashes[si%len(svgDashes)]
-		order := make([]int, len(s.X))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return s.X[order[a]] < s.X[order[b]] })
 		var points []string
-		for _, idx := range order {
-			points = append(points, fmt.Sprintf("%.1f,%.1f", px(s.X[idx]), py(s.Y[idx])))
+		for i := range s.X {
+			points = append(points, fmt.Sprintf("%.1f,%.1f", px(s.X[i]), py(s.Y[i])))
 		}
 		dashAttr := ""
 		if dash != "" {
@@ -124,9 +94,9 @@ func (p *Plot) SVG() string {
 		}
 		fmt.Fprintf(&sb, `<polyline points="%s" fill="none" stroke="%s" stroke-width="1.6"%s/>`,
 			strings.Join(points, " "), color, dashAttr)
-		for _, idx := range order {
+		for i := range s.X {
 			fmt.Fprintf(&sb, `<circle cx="%.1f" cy="%.1f" r="2.6" fill="%s"/>`,
-				px(s.X[idx]), py(s.Y[idx]), color)
+				px(s.X[i]), py(s.Y[i]), color)
 		}
 	}
 

@@ -69,15 +69,6 @@ func TestSVGEmpty(t *testing.T) {
 	}
 }
 
-func TestSVGFixedRange(t *testing.T) {
-	p := &Plot{YFixed: true, YMin: 0, YMax: 100}
-	p.Add(Series{Name: "s", X: []float64{1, 2}, Y: []float64{40, 60}})
-	out := p.SVG()
-	if !strings.Contains(out, ">100<") {
-		t.Errorf("fixed y max label missing:\n%s", out)
-	}
-}
-
 func TestSVGTickThinning(t *testing.T) {
 	p := &Plot{}
 	xs := make([]float64, 40)
@@ -89,5 +80,19 @@ func TestSVGTickThinning(t *testing.T) {
 	ticks := p.xTickValues()
 	if len(ticks) > 14 {
 		t.Errorf("tick thinning failed: %d ticks", len(ticks))
+	}
+}
+
+// TestPlotDrawsPointsInXOrder: both renderers connect a series' points by
+// ascending x, whatever order they were added in.
+func TestPlotDrawsPointsInXOrder(t *testing.T) {
+	sorted, shuffled := sampleSVGPlot(), &Plot{Title: "Hit rate & <escaping>", XLabel: "cache size (MB)", YLabel: "hit rate", LogX: true}
+	shuffled.Add(Series{Name: "LRU", X: []float64{32, 8, 64, 16}, Y: []float64{0.3, 0.1, 0.4, 0.2}})
+	shuffled.Add(Series{Name: `GD*("P")`, X: []float64{64, 32, 16, 8}, Y: []float64{0.5, 0.4, 0.3, 0.2}})
+	if sorted.SVG() != shuffled.SVG() {
+		t.Error("SVG depends on the order points were added in")
+	}
+	if sorted.Render() != shuffled.Render() {
+		t.Error("Render depends on the order points were added in")
 	}
 }

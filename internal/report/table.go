@@ -1,6 +1,6 @@
 // Package report renders experiment output: aligned text tables (the
-// paper's Tables 1–5), CSV and Markdown variants, and ASCII line plots for
-// the hit-rate and occupancy figures.
+// paper's Tables 1–5) and their CSV variant, and ASCII and SVG line plots
+// for the hit-rate and occupancy figures.
 package report
 
 import (
@@ -157,41 +157,6 @@ func (t *Table) Text() string {
 		total += width + 1
 	}
 	sb.WriteString(strings.Repeat("-", total))
-	sb.WriteByte('\n')
-	for _, r := range t.rows {
-		writeRow(r)
-	}
-	return sb.String()
-}
-
-// Markdown renders the table as a GitHub-flavored Markdown table.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&sb, "**%s**\n\n", t.Title)
-	}
-	writeRow := func(cells []string) {
-		sb.WriteByte('|')
-		for i := 0; i < t.numCols; i++ {
-			cell := ""
-			if i < len(cells) {
-				cell = cells[i]
-			}
-			sb.WriteByte(' ')
-			sb.WriteString(strings.ReplaceAll(cell, "|", "\\|"))
-			sb.WriteString(" |")
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.header)
-	sb.WriteByte('|')
-	for i := 0; i < t.numCols; i++ {
-		if i == 0 {
-			sb.WriteString(":---|")
-		} else {
-			sb.WriteString("---:|")
-		}
-	}
 	sb.WriteByte('\n')
 	for _, r := range t.rows {
 		writeRow(r)
