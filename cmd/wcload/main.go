@@ -2,12 +2,12 @@
 // replay and reports throughput, exact latency percentiles, and
 // client-side cache-outcome tallies as JSON.
 //
-// The request stream comes from a recorded trace file (-trace, any format
-// wcsim accepts) or from the synthetic workload generator (-profile,
-// -requests, -seed — the same knobs as wcgen). Each of the -concurrency
-// clients issues its next request only after the previous one completes,
-// so concurrency is the number of outstanding requests and throughput is
-// measured, not imposed.
+// The request stream comes from a recorded trace file (-trace: a Squid log
+// or WCT2 record stream, read through wcsim's cacheability filter) or
+// from the synthetic workload generator (-profile, -requests, -seed — the
+// same knobs as wcgen). Each of the -concurrency clients issues its next
+// request only after the previous one completes, so concurrency is the
+// number of outstanding requests and throughput is measured, not imposed.
 //
 // Usage:
 //
@@ -91,14 +91,19 @@ func run(args []string) error {
 		return errors.New("-reconcile checks a live run; it cannot be combined with -offline")
 	}
 
+	// A trace is read through the paper's §2 filter, as wcsim and wcstat
+	// read it: the offline twin then caches only what the live proxy
+	// would, and a malformed line is skipped and counted, not fatal.
 	var source trace.Reader
+	var filter *trace.FilterReader
 	if *tracePath != "" {
 		f, err := trace.OpenFile(*tracePath, trace.FormatAuto)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		source = f
+		filter = trace.NewFilterReader(f)
+		source = filter
 	} else {
 		prof, err := synth.ProfileByName(*profile)
 		if err != nil {
@@ -114,15 +119,26 @@ func run(args []string) error {
 		source = gen.Reader()
 	}
 
+	// A trace of which no line parses is an error, not an empty run.
+	parsedSome := func() error {
+		if filter == nil || filter.Stats().Parsed() > 0 {
+			return nil
+		}
+		return fmt.Errorf("%s: no requests parsed (%d malformed lines)", *tracePath, filter.Stats().Malformed)
+	}
+
 	var report any
 	if *offline {
 		// The sim half of the parity harness: identical topology,
 		// identical stream, the simulator core instead of sockets.
-		sim, err := hierarchy.NewCluster(topo, 0)
+		sim, err := hierarchy.NewCluster(topo)
 		if err != nil {
 			return err
 		}
 		if err := sim.Run(capSource(source, *requests)); err != nil {
+			return err
+		}
+		if err := parsedSome(); err != nil {
 			return err
 		}
 		report = sim.Results()
@@ -147,6 +163,9 @@ func run(args []string) error {
 			Sequential:  *sequential,
 		})
 		if err != nil {
+			return err
+		}
+		if err := parsedSome(); err != nil {
 			return err
 		}
 		if *reconcile {

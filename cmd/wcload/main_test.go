@@ -162,11 +162,25 @@ func TestSequentialWithTarget(t *testing.T) {
 	}
 }
 
+// offlineLog holds two requests each for an image, a dynamic URL, a 404
+// and a POST: only the image passes the §2 filter.
+const offlineLog = `1000000000.000 10 10.0.0.1 TCP_MISS/200 2048 GET http://a.example/logo.gif - DIRECT/10.0.0.9 image/gif
+1000000001.000 10 10.0.0.1 TCP_MISS/200 512 GET http://a.example/search?q=x - DIRECT/10.0.0.9 text/html
+1000000002.000 10 10.0.0.1 TCP_MISS/404 300 GET http://a.example/missing.html - DIRECT/10.0.0.9 text/html
+1000000003.000 10 10.0.0.1 TCP_MISS/200 100 POST http://a.example/form.html - DIRECT/10.0.0.9 text/html
+1000000004.000 10 10.0.0.1 TCP_HIT/200 2048 GET http://a.example/logo.gif - NONE/- image/gif
+1000000005.000 10 10.0.0.1 TCP_MISS/200 512 GET http://a.example/search?q=x - DIRECT/10.0.0.9 text/html
+1000000006.000 10 10.0.0.1 TCP_MISS/404 300 GET http://a.example/missing.html - DIRECT/10.0.0.9 text/html
+1000000007.000 10 10.0.0.1 TCP_MISS/200 100 POST http://a.example/form.html - DIRECT/10.0.0.9 text/html
+`
+
 // TestOffline: -offline replays the topology through hierarchy.NewCluster
 // however the fleet was named — a topology file with capacities runs, a
-// bare -target has no capacity to simulate and says so.
+// bare -target has no capacity to simulate and says so. A trace is
+// replayed through the §2 filter, so the twin caches only what the live
+// proxy would, and a malformed line is skipped rather than fatal.
 func TestOffline(t *testing.T) {
-	var res struct {
+	type result struct {
 		Nodes []struct {
 			Name   string
 			Result struct {
@@ -174,12 +188,32 @@ func TestOffline(t *testing.T) {
 			}
 		}
 	}
-	runJSON(t, &res, "-topology", topologyFile(t, "http://127.0.0.1:1", ""), "-requests", "500", "-offline")
+	topo := topologyFile(t, "http://127.0.0.1:1", "")
+	var res result
+	runJSON(t, &res, "-topology", topo, "-requests", "500", "-offline")
 	if len(res.Nodes) != 1 || res.Nodes[0].Name != "n1" {
 		t.Fatalf("offline result = %+v, want the one node n1", res)
 	}
 	if o := res.Nodes[0].Result.Overall; o.Requests != 500 || o.Hits == 0 {
 		t.Errorf("offline replay counted %+v, want 500 requests and some hits", o)
+	}
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"clean.log":     offlineLog,
+		"malformed.log": offlineLog + "not a squid line\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var res result
+		runJSON(t, &res, "-topology", topo, "-trace", path, "-offline")
+		if len(res.Nodes) != 1 {
+			t.Fatalf("%s: offline result = %+v, want one node", name, res)
+		}
+		if o := res.Nodes[0].Result.Overall; o.Requests != 2 || o.Hits != 1 {
+			t.Errorf("%s: offline replay counted %+v, want the image's 2 requests and 1 hit", name, o)
+		}
 	}
 	err := run([]string{"-target", "http://127.0.0.1:1", "-requests", "500", "-offline"})
 	if err == nil || !strings.Contains(err.Error(), "explicit capacity") {

@@ -54,7 +54,6 @@ func run(args []string, out io.Writer) error {
 		jsonOut    = fs.Bool("json", false, "emit the outputs as a JSON array instead of text")
 		svgDir     = fs.String("svg-dir", "", "write every figure as an SVG file into this directory")
 		extras     = fs.Bool("extras", false, "with -exp all, also run the beyond-the-paper experiments")
-		par        = fs.Int("parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		journal    = fs.String("journal", "", "summarize a wcsim run journal (JSONL) instead of running experiments")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -67,7 +66,7 @@ func run(args []string, out io.Writer) error {
 	if !(*scale > 0) { // NaN included
 		return fmt.Errorf("-scale %v must be positive", *scale)
 	}
-	opts := experiment.Options{Scale: *scale, Seed: *seed, Parallelism: *par}
+	opts := experiment.Options{Scale: *scale, Seed: *seed}
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
 			pct, err := strconv.ParseFloat(strings.TrimSpace(s), 64)

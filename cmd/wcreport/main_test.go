@@ -110,6 +110,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-scale", "-1"},
 		{"-scale", "NaN"},
 		{"-md"},
+		{"-parallelism", "2"},
 	} {
 		if err := run(append(args, "-exp", "table1"), &sb); err == nil {
 			t.Errorf("%v accepted", args)

@@ -115,6 +115,10 @@ func TestUnparseableTraceIsAnError(t *testing.T) {
 `,
 		"garbage.log": "not a trace\nat all\nreally\n",
 	}
+	fleet := filepath.Join(dir, "fleet.json")
+	if err := os.WriteFile(fleet, []byte(`{"nodes":[{"name":"n1","url":"http://127.0.0.1:1","capacity":"1MB"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for name, body := range fixtures {
 		path, err := filepath.Abs(filepath.Join(dir, name))
 		if err != nil {
@@ -130,8 +134,8 @@ func TestUnparseableTraceIsAnError(t *testing.T) {
 		}{
 			{"wcsim", []string{"-trace", path}},
 			{"wcstat", []string{path}},
-			{"wcanon", []string{"-i", path, "-o", filepath.Join(dir, "out.log")}},
-			{"wcanon", []string{"-i", path, "-o", filepath.Join(dir, "out.wci3")}},
+			{"wcstat", []string{"-o", filepath.Join(dir, "out.wci3"), path}},
+			{"wcload", []string{"-topology", fleet, "-trace", path, "-offline"}},
 		} {
 			out, err := goRunErr(tc.pkg, tc.args...)
 			if err == nil {

@@ -10,7 +10,7 @@
 //	      [-by-class] [-csv] [-check] [-journal run.jsonl]
 //
 // The trace is one file. A WCT3 columnar workload (.wci3, written by
-// wcanon -o x.wci3) is memory-mapped and replayed without any parse or
+// wcstat -o x.wci3) is memory-mapped and replayed without any parse or
 // build step; a record stream (a Squid log or interned .wci, either
 // gzipped) first passes the paper's §2 cacheability filter.
 package main
@@ -55,7 +55,6 @@ func run(args []string, out io.Writer) error {
 		byClass  = fs.Bool("by-class", false, "break results down by document type")
 		plot     = fs.Bool("plot", false, "render ASCII hit-rate/byte-hit-rate curves")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		par      = fs.Int("parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		check    = fs.Bool("check", false, "run policies under the runtime contract checker (slower; aborts on the first violation)")
 		journal  = fs.String("journal", "", "write a JSONL run journal (progress, throughput, wall-clock per cell) to this path; summarize with wcreport -journal")
 	)
@@ -98,7 +97,6 @@ func run(args []string, out io.Writer) error {
 		Admissions:     admitters,
 		Capacities:     capacities,
 		WarmupFraction: warmupFraction,
-		Parallelism:    *par,
 		SelfCheck:      *check,
 	}
 	var journalFile *os.File

@@ -113,6 +113,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad policy", []string{"-trace", path, "-policies", "nope"}},
 		{"beta option", []string{"-trace", path, "-policies", "gdstar:p:beta=0.8"}},
 		{"window option", []string{"-trace", path, "-admissions", "tinylfu:window=1000"}},
+		{"parallelism", []string{"-trace", path, "-parallelism", "2"}},
 		{"bad size", []string{"-trace", path, "-sizes", "xyz"}},
 		{"conflicting sizes", []string{"-trace", path, "-sizes", "1MB", "-size-pcts", "1"}},
 		{"bad pct", []string{"-trace", path, "-size-pcts", "abc"}},

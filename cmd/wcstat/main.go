@@ -5,12 +5,18 @@
 // Usage:
 //
 //	wcstat [-csv] trace.log[.gz] ...
+//	wcstat [-csv] -o workload.wci3 trace.log[.gz]
 //
 // A record stream (a Squid log or interned .wci, either gzipped) is read
 // through the paper's cacheability filter, and the totals count what it
 // dropped and the distinct clients. A WCT3 columnar workload (.wci3) was
 // filtered when it was written and records neither, so those rows are
 // omitted for it.
+//
+// -o also writes the workload just characterized as a WCT3 columnar
+// image (Workload.WriteColumnar): the trace in its final simulation form
+// (filtered, interned, per-document size history) as mmap-able
+// fixed-width columns, which wcsim replays with no parse or build cost.
 package main
 
 import (
@@ -37,21 +43,30 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("wcstat", flag.ContinueOnError)
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
+	image := fs.String("o", "", "also write the workload as a WCT3 columnar image to this .wci3 path (one trace only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: wcstat [-csv] trace...")
+		return fmt.Errorf("usage: wcstat [-csv] [-o workload.wci3] trace...")
+	}
+	if *image != "" {
+		if fs.NArg() != 1 {
+			return fmt.Errorf("-o writes one workload: give exactly one trace, not %d", fs.NArg())
+		}
+		if !strings.HasSuffix(*image, ".wci3") {
+			return fmt.Errorf("-o %s: the image path must end in .wci3", *image)
+		}
 	}
 	for _, path := range fs.Args() {
-		if err := statOne(path, *csv, out); err != nil {
+		if err := statOne(path, *image, *csv, out); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return nil
 }
 
-func statOne(path string, csv bool, out io.Writer) error {
+func statOne(path, image string, csv bool, out io.Writer) error {
 	// A nil filter marks a columnar image: no filter ran here, and no
 	// client was seen.
 	var filter *trace.FilterReader
@@ -76,6 +91,14 @@ func statOne(path string, csv bool, out io.Writer) error {
 		}
 	default:
 		return err
+	}
+	if image != "" {
+		if filter == nil {
+			return errors.New("-o converts a record stream, and this is already a WCT3 image")
+		}
+		if err := w.WriteColumnar(image); err != nil {
+			return err
+		}
 	}
 	c := analyze.Characterize(w, path)
 

@@ -2,12 +2,12 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"webcachesim/internal/core"
 	"webcachesim/internal/synth"
 	"webcachesim/internal/trace"
 )
@@ -60,25 +60,15 @@ func TestRunSquidWithFilterCounters(t *testing.T) {
 	}
 }
 
-// TestColumnarMatchesRecordStream: a .wci3 built from a .wci the way
-// wcanon builds one (filter, BuildWorkload, WriteColumnar) prints the
-// same class-mix and locality tables; only the totals differ, by the
-// filter and client rows the image does not record.
+// TestColumnarMatchesRecordStream: the .wci3 that -o writes prints the
+// same class-mix and locality tables as the .wci it was built from; only
+// the totals differ, by the filter and client rows the image does not
+// record.
 func TestColumnarMatchesRecordStream(t *testing.T) {
 	wci := writeTestTrace(t, trace.FormatInterned)
-	fr, err := trace.OpenFile(wci, trace.FormatAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := core.BuildWorkload(trace.NewFilterReader(fr), 0)
-	if cerr := fr.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	wci3 := filepath.Join(t.TempDir(), "trace.wci3")
-	if err := w.WriteColumnar(wci3); err != nil {
+	var converted strings.Builder
+	if err := run([]string{"-o", wci3, wci}, &converted); err != nil {
 		t.Fatal(err)
 	}
 	outputs := make(map[string]string)
@@ -88,6 +78,9 @@ func TestColumnarMatchesRecordStream(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		outputs[path] = sb.String()
+	}
+	if converted.String() != outputs[wci] {
+		t.Errorf("-o changed what is printed:\n%s\nwant:\n%s", converted.String(), outputs[wci])
 	}
 	if !strings.Contains(outputs[wci], "Filtered Out") || strings.Contains(outputs[wci3], "Filtered Out") {
 		t.Errorf("filter rows: want them for the .wci only")
@@ -112,15 +105,26 @@ func TestRunCSVMode(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{}, &sb); err == nil {
-		t.Error("no args should fail")
+	dir := t.TempDir()
+	wci := writeTestTrace(t, trace.FormatInterned)
+	wci3 := filepath.Join(dir, "y.wci3")
+	if err := run([]string{"-o", wci3, wci}, io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"/nonexistent"}, &sb); err == nil {
-		t.Error("missing file should fail")
+	for name, args := range map[string][]string{
+		"no args":              {},
+		"missing file":         {"/nonexistent"},
+		"-hist":                {"-hist", wci},
+		"-o with two traces":   {"-o", filepath.Join(dir, "z.wci3"), wci, wci},
+		"-o not .wci3":         {"-o", filepath.Join(dir, "z.log"), wci},
+		"-o from a WCT3 image": {"-o", filepath.Join(dir, "z.wci3"), wci3},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("%s: want an error", name)
+		}
 	}
-	if err := run([]string{"-hist", writeTestTrace(t, trace.FormatInterned)}, &sb); err == nil {
-		t.Error("-hist should be refused")
+	if _, err := os.Stat(filepath.Join(dir, "z.wci3")); !os.IsNotExist(err) {
+		t.Errorf("a refused -o left an image behind (stat: %v)", err)
 	}
 }
 

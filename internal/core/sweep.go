@@ -30,10 +30,8 @@ type SweepConfig struct {
 	// Capacities lists the cache sizes in bytes, in any order; they must
 	// be positive and distinct.
 	Capacities []int64
-	// WarmupFraction and SampleEvery are passed through to each run (see
-	// Config).
+	// WarmupFraction is passed through to each run (see Config).
 	WarmupFraction float64
-	SampleEvery    int64
 	// Parallelism bounds the number of concurrent simulations; 0 selects
 	// GOMAXPROCS.
 	Parallelism int
@@ -109,11 +107,10 @@ func planSweep(w *Workload, cfg SweepConfig) ([]*Simulator, []policy.AdmitterFac
 		for _, a := range admissions {
 			for _, c := range capacities {
 				sim, err := newSimulator(w, Config{
-					Capacity:    c,
-					Policy:      f,
-					SampleEvery: cfg.SampleEvery,
-					SelfCheck:   cfg.SelfCheck,
-					Admission:   a,
+					Capacity:  c,
+					Policy:    f,
+					SelfCheck: cfg.SelfCheck,
+					Admission: a,
 				}, warmup)
 				if err != nil {
 					return nil, nil, fmt.Errorf("core: sweep cell %s/%s/%d: %w", f.Name, a.Name, c, err)

@@ -106,8 +106,6 @@ type Options struct {
 	// distinct-document volume ("overall trace size"); nil selects the
 	// paper's range 0.5–4%.
 	CacheSizePcts []float64
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
 }
 
 // DefaultCacheSizePcts is the Figure 2/3 x-axis: "cache sizes are chosen

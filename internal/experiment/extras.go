@@ -137,10 +137,9 @@ var admissions = cached("admissions", func(e *Env) (*atOneSize, error) {
 	}
 	s := &atOneSize{capacity: e.Capacities(w)[0]}
 	s.results, err = core.Sweep(w, core.SweepConfig{
-		Policies:    policy.StudyFactories(),
-		Admissions:  admission.Specs(),
-		Capacities:  []int64{s.capacity},
-		Parallelism: e.opts.Parallelism,
+		Policies:   policy.StudyFactories(),
+		Admissions: admission.Specs(),
+		Capacities: []int64{s.capacity},
 	})
 	if err != nil {
 		return nil, err

@@ -24,9 +24,8 @@ func study(profile string) input[*core.Grid] {
 			return nil, err
 		}
 		results, err := core.Sweep(w, core.SweepConfig{
-			Policies:    policy.StudyFactories(),
-			Capacities:  e.Capacities(w),
-			Parallelism: e.opts.Parallelism,
+			Policies:   policy.StudyFactories(),
+			Capacities: e.Capacities(w),
 		})
 		if err != nil {
 			return nil, err

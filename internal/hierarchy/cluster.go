@@ -41,9 +41,9 @@ type Cluster struct {
 
 // NewCluster builds the offline twin of a live fleet from its topology
 // file. Every node needs an explicit capacity — the simulator has no
-// flag defaults to fall back on. modifyThreshold follows
-// core.BuildWorkload semantics.
-func NewCluster(topo *cluster.Topology, modifyThreshold float64) (*Cluster, error) {
+// flag defaults to fall back on. A document counts as modified under
+// the paper's 5% rule, as in core.BuildWorkload.
+func NewCluster(topo *cluster.Topology) (*Cluster, error) {
 	if topo == nil {
 		return nil, errors.New("hierarchy: nil topology")
 	}
@@ -64,7 +64,7 @@ func NewCluster(topo *cluster.Topology, modifyThreshold float64) (*Cluster, erro
 		if err != nil {
 			return nil, fmt.Errorf("hierarchy: %q: %w", n.Name, err)
 		}
-		sim, err := core.NewStreamSimulator(core.Config{Capacity: capBytes, Policy: factory}, modifyThreshold)
+		sim, err := core.NewStreamSimulator(core.Config{Capacity: capBytes, Policy: factory}, 0)
 		if err != nil {
 			return nil, fmt.Errorf("hierarchy: %q: %w", n.Name, err)
 		}

@@ -27,14 +27,14 @@ func testTopology(t *testing.T) *cluster.Topology {
 }
 
 func TestNewClusterValidation(t *testing.T) {
-	if _, err := NewCluster(nil, 0); err == nil {
+	if _, err := NewCluster(nil); err == nil {
 		t.Error("nil topology accepted")
 	}
 	noCap, err := cluster.ParseTopology([]byte(`{"nodes":[{"name":"a","url":"http://x"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCluster(noCap, 0); err == nil {
+	if _, err := NewCluster(noCap); err == nil {
 		t.Error("node without capacity accepted — the simulator has no default to fall back on")
 	}
 }
@@ -44,7 +44,7 @@ func TestNewClusterValidation(t *testing.T) {
 // Owner reports, and a non-trivial corpus actually spreads across the
 // ring.
 func TestClusterRoutingIsStable(t *testing.T) {
-	c, err := NewCluster(testTopology(t), 0)
+	c, err := NewCluster(testTopology(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestClusterRoutingIsStable(t *testing.T) {
 // sees traffic stripped of its short-distance re-references, so its hit
 // rate lands below the fleet's.
 func TestClusterFilteringTrend(t *testing.T) {
-	c, err := NewCluster(testTopology(t), 0)
+	c, err := NewCluster(testTopology(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func level(name string, capacity int64) cluster.Node {
 // whose leaf owns every document, under the other levels as its parents.
 func chain(t *testing.T, leaf cluster.Node, parents ...cluster.Node) *Cluster {
 	t.Helper()
-	c, err := NewCluster(&cluster.Topology{Nodes: []cluster.Node{leaf}, Parents: parents}, 0)
+	c, err := NewCluster(&cluster.Topology{Nodes: []cluster.Node{leaf}, Parents: parents})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +35,13 @@ func chain(t *testing.T, leaf cluster.Node, parents ...cluster.Node) *Cluster {
 // TestNewValidation pins what a chain refuses: one with no levels, and one
 // with a zero-capacity level at the bottom or above it.
 func TestNewValidation(t *testing.T) {
-	if _, err := NewCluster(&cluster.Topology{}, 0); err == nil {
+	if _, err := NewCluster(&cluster.Topology{}); err == nil {
 		t.Error("empty hierarchy accepted")
 	}
-	if _, err := NewCluster(&cluster.Topology{Nodes: []cluster.Node{level("child", 0)}}, 0); err == nil {
+	if _, err := NewCluster(&cluster.Topology{Nodes: []cluster.Node{level("child", 0)}}); err == nil {
 		t.Error("zero-capacity bottom level accepted")
 	}
-	if _, err := NewCluster(&cluster.Topology{Nodes: []cluster.Node{level("child", 100)}, Parents: []cluster.Node{level("parent", 0)}}, 0); err == nil {
+	if _, err := NewCluster(&cluster.Topology{Nodes: []cluster.Node{level("child", 100)}, Parents: []cluster.Node{level("parent", 0)}}); err == nil {
 		t.Error("zero-capacity upper level accepted")
 	}
 }

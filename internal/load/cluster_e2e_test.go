@@ -396,7 +396,7 @@ func TestClusterSimLiveParity(t *testing.T) {
 	}
 	checkRotation(t, rep, requests)
 
-	sim, err := hierarchy.NewCluster(fl.topo, 0)
+	sim, err := hierarchy.NewCluster(fl.topo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ const (
 	FormatInterned Format = "interned"
 	// FormatColumnar is the columnar workload image (WCT3): not a record
 	// stream but a preprocessed, mmap-able workload. It is written by
-	// core.Workload.WriteColumnar (wcanon -o x.wci3) and read via
+	// core.Workload.WriteColumnar (wcstat -o x.wci3) and read via
 	// OpenColumnar; the record-stream OpenFile/CreateFile paths reject it
 	// with a pointer there.
 	FormatColumnar Format = "wct3"
@@ -170,7 +170,7 @@ func CreateFile(path string, format Format) (*FileWriter, error) {
 	if format == FormatColumnar {
 		// Checked before the file is created so a bad invocation does not
 		// leave an empty .wci3 behind.
-		return nil, fmt.Errorf("trace: WCT3 is a preprocessed workload image, not a record stream; convert with wcanon -o x.wci3 (core.Workload.WriteColumnar)")
+		return nil, fmt.Errorf("trace: WCT3 is a preprocessed workload image, not a record stream; convert with wcstat -o x.wci3 (core.Workload.WriteColumnar)")
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -57,7 +57,7 @@ smoke_admission() {
 # docs/ARCHITECTURE.md).
 smoke_columnar() {
 	tiny_trace "$tmp/tiny.wci"
-	go run ./cmd/wcanon -passthrough -i "$tmp/tiny.wci" -o "$tmp/tiny.wci3"
+	go run ./cmd/wcstat -o "$tmp/tiny.wci3" "$tmp/tiny.wci"
 	go run ./cmd/wcstat "$tmp/tiny.wci3"
 	go run ./cmd/wcsim -trace "$tmp/tiny.wci" -size-pcts 1,4 -csv | tail -n +2 > "$tmp/ram.csv"
 	go run ./cmd/wcsim -trace "$tmp/tiny.wci3" -size-pcts 1,4 -csv | tail -n +2 > "$tmp/mmap.csv"
