@@ -40,7 +40,10 @@ test:
 # per sweep goroutine or cache shard. pool hands memory between goroutines;
 # under -race its chunks are Go heap, so the detector sees every body byte.
 # metrics is updated from every serving goroutine; its concurrent-update and
-# vec-creation tests only mean something here.
+# vec-creation tests only mean something here. trace rides along for the
+# WCT3 column views sweep goroutines share; cluster and hierarchy for the
+# fleet routing and the offline cluster replay. CI's race job runs this
+# target, so the list lives here only.
 race:
 	$(GO) test -race ./internal/core/... ./internal/policy/... ./internal/mrc/... \
 		./internal/pool/... ./internal/metrics/... \
@@ -80,7 +83,7 @@ lines-by-pkg:
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 17413
+LINES_MAX = 17288
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

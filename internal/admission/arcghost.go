@@ -56,9 +56,6 @@ func NewARCGhost(capacityBytes int64) *ARCGhost {
 	}
 }
 
-// Name implements policy.Admitter.
-func (a *ARCGhost) Name() string { return "ARC-Ghost" }
-
 // Touch implements policy.Admitter: a reference to a probationary
 // resident graduates it — it has now proven reuse, so it stops counting
 // against the probation budget.

@@ -81,9 +81,6 @@ func NewTinyLFU(capacityBytes int64) *TinyLFU {
 	}
 }
 
-// Name implements policy.Admitter.
-func (t *TinyLFU) Name() string { return "TinyLFU" }
-
 // Touch implements policy.Admitter: the first occurrence of a key in the
 // current window only marks the doorkeeper; occurrences after that feed
 // the heavy-hitter table. When the window is exhausted both structures

@@ -14,7 +14,6 @@ type rejectContested struct {
 	counts policy.AdmissionCounts
 }
 
-func (r *rejectContested) Name() string      { return "reject-contested" }
 func (r *rejectContested) Touch(*policy.Doc) { r.counts.Touches++ }
 func (r *rejectContested) Admit(candidate, victim *policy.Doc) bool {
 	if victim == nil {
@@ -65,11 +64,11 @@ func TestInsertOutcomes(t *testing.T) {
 
 func TestSetWrapsInsert(t *testing.T) {
 	c := mustNew(t, Config{Capacity: 1000, Shards: 1, Admission: rejectContestedFactory()})
-	if !c.Set("a", ent("a", 600)) {
-		t.Fatal("Set(a) should store into free space")
+	if c.Insert("a", ent("a", 600)) != SetStored {
+		t.Fatal("Insert(a) should store into free space")
 	}
-	if c.Set("b", ent("b", 600)) {
-		t.Fatal("Set(b) should report the admission rejection as false")
+	if c.Insert("b", ent("b", 600)) == SetStored {
+		t.Fatal("Insert(b) should report the admission rejection")
 	}
 }
 

@@ -22,7 +22,7 @@ func TestInternerBounded(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("http://example.com/unique/%d", i)
 		doc := &policy.Doc{Key: key, Size: 1024}
-		c.Set(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{}))
+		c.Insert(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{}))
 	}
 	// Bound: resident entries + retain window + the one-past overshoot the
 	// recycling loop allows transiently.
@@ -43,7 +43,7 @@ func TestInternRetainIsStoreWide(t *testing.T) {
 	const n = 10000
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("http://example.com/unique/%d", i)
-		c.Set(key, &Entry{Doc: &policy.Doc{Key: key, Size: 1024}})
+		c.Insert(key, &Entry{Doc: &policy.Doc{Key: key, Size: 1024}})
 	}
 	if c.Evictions() != n-1 {
 		t.Fatalf("evictions = %d; want %d (every URL but the last evicted)", c.Evictions(), n-1)
@@ -65,7 +65,7 @@ func TestInternerStableIDWithinWindow(t *testing.T) {
 	c.shards[0].ids = newIDTable(16)
 	insert := func(key string) int32 {
 		doc := &policy.Doc{Key: key, Size: 1024}
-		if !c.Set(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{})) {
+		if c.Insert(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{})) != SetStored {
 			t.Fatalf("insert %q refused", key)
 		}
 		return doc.ID

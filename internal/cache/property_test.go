@@ -21,8 +21,8 @@ import (
 //   - bytes: sum(model sizes) == Used() == sum(ShardUsed())
 //   - budget: Used() never exceeds capacity
 //
-// The model is maintained from the cache's own observable events (Set's
-// admission result, Remove, and the residents a Set displaced, each of
+// The model is maintained from the cache's own observable events (Insert's
+// admission result, Remove, and the residents an Insert displaced, each of
 // which Evictions must count once) — which is exactly what makes it an
 // oracle for the bookkeeping: any double-free, leak, or missed eviction
 // desynchronizes the two.
@@ -57,8 +57,8 @@ func TestPropertyAccountingMatchesOracle(t *testing.T) {
 					case r < 55: // insert / replace
 						size := int64(1 + rng.Intn(capacity/5))
 						evictions := c.Evictions()
-						stored := c.Set(k, ent(k, size))
-						// A rejected Set still removed any previous
+						stored := c.Insert(k, ent(k, size)) == SetStored
+						// A rejected Insert still removed any previous
 						// version before it failed to reserve.
 						delete(model, k)
 						var displaced int64
@@ -69,7 +69,7 @@ func TestPropertyAccountingMatchesOracle(t *testing.T) {
 							}
 						}
 						if got := c.Evictions() - evictions; got != displaced {
-							t.Fatalf("op %d: Set(%q) displaced %d residents, Evictions grew by %d", op, k, displaced, got)
+							t.Fatalf("op %d: Insert(%q) displaced %d residents, Evictions grew by %d", op, k, displaced, got)
 						}
 						if stored {
 							model[k] = size
@@ -164,7 +164,7 @@ func TestPropertyConcurrentBudgetNeverOvershoots(t *testing.T) {
 						case r < 50:
 							e := ent(k, int64(1+rng.Intn(capacity/8)))
 							e.Doc.Class = doctype.Class(doc % (doctype.NumClasses + 1))
-							c.Set(k, e)
+							c.Insert(k, e)
 						case r < 90:
 							c.Get(k)
 						default:
@@ -186,11 +186,11 @@ func TestPropertyConcurrentBudgetNeverOvershoots(t *testing.T) {
 			}
 			var walkSum int64
 			var walkBytes, walkLen [doctype.NumClasses + 1]int64
-			c.Each(func(_ string, e *Entry) {
+			for _, e := range residents(c) {
 				walkSum += e.Doc.Size
 				walkBytes[e.Doc.Class] += e.Doc.Size
 				walkLen[e.Doc.Class]++
-			})
+			}
 			if used := c.Used(); shardSum != used || walkSum != used || used > capacity {
 				t.Fatalf("post-run accounting diverged: shards=%d walk=%d used=%d cap=%d",
 					shardSum, walkSum, used, capacity)

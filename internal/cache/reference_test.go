@@ -262,7 +262,9 @@ func checkResidents(t *testing.T, op int, c *Cache, ref *reference) map[*Entry]b
 	t.Helper()
 	checkCounts(t, op, c, ref)
 	var keys, want []string
-	c.Each(func(k string, _ *Entry) { keys = append(keys, k) })
+	for k := range residents(c) {
+		keys = append(keys, k)
+	}
 	bodies := map[*Entry]bool{}
 	for _, sh := range ref.shards {
 		for k, re := range sh.resident {

@@ -25,8 +25,7 @@ import (
 // DefaultReplicas is the number of virtual nodes each peer contributes to
 // the ring when the topology does not say otherwise. 128 points per node
 // keeps the expected per-node load share within a few percent of 1/N
-// while the ring stays small enough to rebuild on every membership
-// change.
+// while the ring stays small and cheap to build.
 const DefaultReplicas = 128
 
 // MaxReplicas bounds the virtual-node count a topology may ask for. The
@@ -43,8 +42,8 @@ const MaxReplicas = 1 << 12
 // identically, which the routing contract (and the rebalance-determinism
 // test) pins.
 //
-// A Ring is never mutated after New: membership changes build a new Ring
-// and swap it in atomically (see proxy.Server.UpdateCluster).
+// A Ring is never mutated after New, and a fleet's membership is fixed
+// when its proxies start.
 type Ring struct {
 	points   []ringPoint
 	nodes    []string // sorted unique node names

@@ -26,11 +26,9 @@ import (
 const (
 	// JournalSweepStart opens the journal: the grid being swept.
 	JournalSweepStart = "sweep_start"
-	// JournalMRCPass and JournalPartitionedPass are legacy records: Sweep
-	// does not write them, ReadJournal accepts them so journals holding
-	// them stay readable. The first names a policy whose cells one
-	// stack-distance scan computed (Capacities lists them), the second
-	// one cell replayed by hash-partitioned simulators.
+	// JournalMRCPass and JournalPartitionedPass name records Sweep no
+	// longer writes; ReadJournal refuses them as unknown events. The names
+	// stay only while bench/offline.go spells them.
 	JournalMRCPass         = "mrc_pass"
 	JournalPartitionedPass = "partitioned_pass"
 	// JournalRunStart marks one policy × capacity cell starting.
@@ -94,8 +92,6 @@ type JournalRecord struct {
 	Admitted         int64 `json:"admitted,omitempty"`
 	AdmissionRejects int64 `json:"admissionRejects,omitempty"`
 	GhostHits        int64 `json:"ghostHits,omitempty"`
-	// Partitions is the fan-out width of a partitioned_pass record.
-	Partitions int `json:"partitions,omitempty"`
 }
 
 // journalWriter serializes records from concurrently running cells onto
@@ -223,17 +219,9 @@ func validateJournalRecord(rec JournalRecord, first bool) error {
 		if len(rec.Policies) == 0 || len(rec.Capacities) == 0 {
 			return fmt.Errorf("%s without policies/capacities", rec.Event)
 		}
-	case JournalMRCPass:
-		if rec.Policy == "" || len(rec.Capacities) == 0 {
-			return fmt.Errorf("%s without policy/capacities", rec.Event)
-		}
 	case JournalRunStart, JournalProgress, JournalRunEnd:
 		if rec.Policy == "" || rec.Capacity <= 0 {
 			return fmt.Errorf("%s without policy/capacity", rec.Event)
-		}
-	case JournalPartitionedPass:
-		if rec.Policy == "" || rec.Capacity <= 0 || rec.Partitions < 2 {
-			return fmt.Errorf("%s without policy/capacity/partitions", rec.Event)
 		}
 	case JournalSweepEnd:
 	default:

@@ -93,7 +93,7 @@ func TestSweepJournalShape(t *testing.T) {
 			if r.Requests <= 0 || r.Requests >= 3000 {
 				t.Errorf("progress tick out of range: %+v", r)
 			}
-		default: // a legacy mrc_pass or partitioned_pass included
+		default:
 			t.Errorf("unexpected mid-journal event %s", r.Event)
 		}
 	}
@@ -179,32 +179,22 @@ var malformedJournals = map[string]string{
 	"missing cell":       `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" + `{"event":"run_end","unixMs":2}` + "\n",
 	"wrong first record": `{"event":"run_start","unixMs":1,"policy":"lru","capacity":5}` + "\n",
 	"bare sweep_start":   `{"event":"sweep_start","unixMs":1}` + "\n",
-	"legacy pass, no fan-out": `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" +
+	"legacy partitioned_pass": `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" +
 		`{"event":"partitioned_pass","unixMs":2,"policy":"lru","capacity":1}` + "\n",
-	"legacy scan, no capacities": `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" +
+	"legacy mrc_pass": `{"event":"sweep_start","unixMs":1,"policies":["lru"],"capacities":[1]}` + "\n" +
 		`{"event":"mrc_pass","unixMs":2,"policy":"lru"}` + "\n",
+	// A complete journal as the removed fast paths wrote it.
+	"legacy journal": `{"event":"sweep_start","unixMs":1,"policies":["lru","gds:1"],"capacities":[4096,8192]}` + "\n" +
+		`{"event":"mrc_pass","unixMs":2,"policy":"lru","capacities":[4096,8192],"requests":10,"elapsedMs":1.5,"rps":6666}` + "\n" +
+		`{"event":"partitioned_pass","unixMs":2,"policy":"gds:1","capacity":4096,"partitions":4,"requests":10,"hits":3}` + "\n" +
+		`{"event":"sweep_end","unixMs":3,"cells":1}` + "\n",
 }
-
-// legacyJournal holds the two records Sweep once wrote and no longer
-// does; journals that hold them must stay readable.
-const legacyJournal = `{"event":"sweep_start","unixMs":1,"policies":["lru","gds:1"],"capacities":[4096,8192]}` + "\n" +
-	`{"event":"mrc_pass","unixMs":2,"policy":"lru","capacities":[4096,8192],"requests":10,"elapsedMs":1.5,"rps":6666}` + "\n" +
-	`{"event":"partitioned_pass","unixMs":2,"policy":"gds:1","capacity":4096,"partitions":4,"requests":10,"hits":3}` + "\n" +
-	`{"event":"sweep_end","unixMs":3,"cells":1}` + "\n"
 
 func TestReadJournalRejectsMalformed(t *testing.T) {
 	for name, in := range malformedJournals {
 		if _, err := ReadJournal(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadJournal accepted malformed input", name)
 		}
-	}
-	recs, err := ReadJournal(strings.NewReader(legacyJournal))
-	if err != nil {
-		t.Fatalf("legacy journal rejected: %v", err)
-	}
-	if len(recs) != 4 || recs[1].Event != JournalMRCPass || len(recs[1].Capacities) != 2 ||
-		recs[2].Event != JournalPartitionedPass || recs[2].Partitions != 4 {
-		t.Errorf("legacy journal decoded as %+v", recs)
 	}
 }
 
@@ -220,7 +210,6 @@ func FuzzReadJournal(f *testing.F) {
 		Capacities: []int64{100_000},
 	})
 	f.Add(real.Bytes())
-	f.Add([]byte(legacyJournal))
 	for _, in := range malformedJournals {
 		f.Add([]byte(in))
 	}

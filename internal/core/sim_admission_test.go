@@ -16,7 +16,6 @@ type rejectAll struct {
 	counts policy.AdmissionCounts
 }
 
-func (r *rejectAll) Name() string      { return "reject-all" }
 func (r *rejectAll) Touch(*policy.Doc) { r.counts.Touches++ }
 func (r *rejectAll) Admit(candidate, victim *policy.Doc) bool {
 	if victim == nil {

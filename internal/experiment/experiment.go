@@ -129,11 +129,6 @@ type Output struct {
 	Notes []string `json:"notes,omitempty"`
 }
 
-// Passed reports whether every shape check passed.
-func (o *Output) Passed() bool {
-	return !slices.ContainsFunc(o.Checks, func(c ShapeCheck) bool { return !c.Pass })
-}
-
 // Env generates and caches the inputs shared by the experiments, so a full
 // report run synthesizes each trace and sweeps each grid exactly once.
 type Env struct {

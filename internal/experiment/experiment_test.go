@@ -263,18 +263,6 @@ func TestClaimsMatchCommittedReport(t *testing.T) {
 	}
 }
 
-// TestOutputPassed exercises the aggregate verdict.
-func TestOutputPassed(t *testing.T) {
-	o := &Output{Checks: []ShapeCheck{{Pass: true}, {Pass: true}}}
-	if !o.Passed() {
-		t.Error("all-pass output reported failure")
-	}
-	o.Checks = append(o.Checks, ShapeCheck{Pass: false})
-	if o.Passed() {
-		t.Error("failing check not reflected")
-	}
-}
-
 // TestShapeChecksAtCalibrationScale is the reproduction gate: at the
 // default seed and a realistic scale, every qualitative claim the paper
 // makes must hold on the synthetic workloads.

@@ -162,16 +162,17 @@ func (l *Loader) loadDir(pkgPath, dir string) ([]*Package, error) {
 		if strings.HasSuffix(pkgName, "_test") {
 			path += "_test"
 		}
-		p := l.check(path, dir, files, isTest)
-		out = append(out, p)
+		out = append(out, l.check(path, dir, files, isTest, l.imp))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })
 	return out, nil
 }
 
-// check type-checks one set of files as a single package. Type errors are
-// collected, not fatal: analysis runs on what was resolved.
-func (l *Loader) check(pkgPath, dir string, files []*ast.File, isTest map[*ast.File]bool) *Package {
+// check type-checks one set of files as a single package, resolving
+// imports through imp. Type errors are collected, not fatal: analysis runs
+// on what was resolved (deliberate-violation fixtures may not fully
+// type-check either, e.g. a cross-package access to an unexported field).
+func (l *Loader) check(pkgPath, dir string, files []*ast.File, isTest map[*ast.File]bool, imp types.Importer) *Package {
 	p := &Package{
 		PkgPath: pkgPath,
 		Dir:     dir,
@@ -187,7 +188,7 @@ func (l *Loader) check(pkgPath, dir string, files []*ast.File, isTest map[*ast.F
 		},
 	}
 	conf := types.Config{
-		Importer: l.imp,
+		Importer: imp,
 		Error:    func(err error) { p.Errors = append(p.Errors, err) },
 	}
 	pkg, err := conf.Check(pkgPath, l.fset, files, p.Info)
@@ -230,7 +231,6 @@ func (fi *fixtureImporter) load(path, dir string) (*Package, error) {
 		return nil, err
 	}
 	var files []*ast.File
-	isTest := map[*ast.File]bool{}
 	for _, e := range ents {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -241,30 +241,7 @@ func (fi *fixtureImporter) load(path, dir string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	p := &Package{
-		PkgPath: path,
-		Dir:     dir,
-		Fset:    fi.loader.fset,
-		Files:   files,
-		IsTest:  isTest,
-		Info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Implicits:  map[ast.Node]types.Object{},
-		},
-	}
-	conf := types.Config{
-		Importer: fi,
-		Error:    func(err error) { p.Errors = append(p.Errors, err) },
-	}
-	// Deliberate-violation fixtures may not fully type-check (e.g. a
-	// cross-package access to an unexported field); analysis runs on the
-	// partial information, exactly as the analyzers must tolerate.
-	pkg, _ := conf.Check(path, fi.loader.fset, files, p.Info)
-	p.Types = pkg
-	return p, nil
+	return fi.loader.check(path, dir, files, map[*ast.File]bool{}, fi), nil
 }
 
 // LoadFixture loads one fixture package from a GOPATH-style testdata root:

@@ -239,8 +239,9 @@ func TestEndToEndAdmissionReconciles(t *testing.T) {
 }
 
 // TestEndToEndForwardMode exercises the forward addressing mode over
-// loopback: wcload uses the proxy as an HTTP proxy and the absolute
-// trace URL reaches the origin unchanged.
+// loopback: the proxy has no Origin, wcload uses it as an HTTP proxy, the
+// absolute trace URL reaches the origin unchanged, and the client tallies
+// reconcile with the proxy's /metrics exactly as in reverse mode.
 func TestEndToEndForwardMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback e2e in -short mode")
@@ -251,22 +252,26 @@ func TestEndToEndForwardMode(t *testing.T) {
 		io.WriteString(w, "fwd-body")
 	}))
 	defer origin.Close()
-	originURL, _ := url.Parse(origin.URL)
 
-	srv, err := proxy.New(proxy.Config{Capacity: 1 << 20})
+	reg := metrics.NewRegistry()
+	srv, err := proxy.New(proxy.Config{Capacity: 1 << 20, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	front := httptest.NewServer(srv)
 	defer front.Close()
+	admin := httptest.NewServer(proxy.AdminHandler(reg))
+	defer admin.Close()
+	topo := oneNode(front.URL, admin.URL)
 
-	reqs := staticReader{urls: []string{
-		originURL.String() + "/one.html",
-		originURL.String() + "/one.html",
-		originURL.String() + "/two.html",
-	}}
+	// Ten documents, five references each: one miss and four hits apiece.
+	const docs, requests = 10, 50
+	var reqs staticReader
+	for i := 0; i < requests; i++ {
+		reqs.urls = append(reqs.urls, fmt.Sprintf("%s/doc%d.html", origin.URL, i%docs))
+	}
 	rep, err := load.Run(load.Config{
-		Topology:    oneNode(front.URL, ""),
+		Topology:    topo,
 		Source:      &reqs,
 		Mode:        load.Forward,
 		Concurrency: 1,
@@ -274,10 +279,13 @@ func TestEndToEndForwardMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Tally.Requests != 3 || rep.Tally.Hits != 1 || rep.Tally.Errors != 0 {
-		t.Errorf("tally = %+v, want 3 requests / 1 hit / 0 errors", rep.Tally)
+	if rep.Tally.Requests != requests || rep.Tally.Hits != requests-docs || rep.Tally.Errors != 0 {
+		t.Errorf("tally = %+v, want %d requests / %d hits / 0 errors", rep.Tally, requests, requests-docs)
 	}
-	if len(seen) != 2 {
-		t.Errorf("origin saw %d fetches %v, want 2 (one per distinct URL)", len(seen), seen)
+	if len(seen) != docs {
+		t.Errorf("origin saw %d fetches, want %d (one per distinct URL)", len(seen), docs)
+	}
+	if m := reconciled(t, topo, rep); m["wcproxy_hits_total"] != float64(rep.Tally.Hits) {
+		t.Errorf("wcproxy_hits_total = %v, client counted %d hits", m["wcproxy_hits_total"], rep.Tally.Hits)
 	}
 }

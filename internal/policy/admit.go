@@ -12,8 +12,6 @@ package policy
 // follow the same identity contract as Policy — the same document is
 // always presented as the same *Doc with the same dense ID.
 type Admitter interface {
-	// Name returns the admission scheme's display name (e.g. "TinyLFU").
-	Name() string
 	// Touch records one reference to doc, resident or not. Call it once
 	// per request before Admit/Inserted so frequency estimates include
 	// the current reference.

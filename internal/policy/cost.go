@@ -11,8 +11,6 @@ type CostModel interface {
 	// Tag returns the short label the paper uses in scheme names:
 	// "1" for constant cost, "P" for packet cost.
 	Tag() string
-	// Name returns the model's descriptive name.
-	Name() string
 }
 
 // ConstantCost is the constant cost model: every retrieval costs 1. With
@@ -27,9 +25,6 @@ func (ConstantCost) Cost(int64) float64 { return 1 }
 
 // Tag implements CostModel.
 func (ConstantCost) Tag() string { return "1" }
-
-// Name implements CostModel.
-func (ConstantCost) Name() string { return "constant" }
 
 // packetPayload is the TCP payload size the paper's packet cost model
 // assumes per packet: c(p) = 2 + s(p)/536. 536 bytes is the default TCP
@@ -54,6 +49,3 @@ func (PacketCost) Cost(size int64) float64 {
 
 // Tag implements CostModel.
 func (PacketCost) Tag() string { return "P" }
-
-// Name implements CostModel.
-func (PacketCost) Name() string { return "packet" }

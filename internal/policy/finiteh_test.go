@@ -17,15 +17,13 @@ func (poisonCost) Cost(size int64) float64 {
 	}
 	return math.Inf(1)
 }
-func (poisonCost) Tag() string  { return "X" }
-func (poisonCost) Name() string { return "poison" }
+func (poisonCost) Tag() string { return "X" }
 
 // nanCost returns NaN for every document.
 type nanCost struct{}
 
 func (nanCost) Cost(int64) float64 { return math.NaN() }
 func (nanCost) Tag() string        { return "N" }
-func (nanCost) Name() string       { return "nan" }
 
 func priorityOf(t *testing.T, d *Doc) float64 {
 	t.Helper()

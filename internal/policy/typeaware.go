@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"fmt"
-
-	"webcachesim/internal/doctype"
-)
+import "webcachesim/internal/doctype"
 
 // TypeAware is the study's future-work extension: a meta-policy that
 // partitions the cache logically by document class and adapts each
@@ -178,9 +174,4 @@ func (t *TypeAware) BudgetShare(cl doctype.Class) float64 {
 		return 0
 	}
 	return t.traffic[cl] / total
-}
-
-// String implements fmt.Stringer for debugging.
-func (t *TypeAware) String() string {
-	return fmt.Sprintf("%s{docs=%d}", t.name, t.Len())
 }

@@ -19,7 +19,6 @@ type freeSpaceOnly struct {
 	counts policy.AdmissionCounts
 }
 
-func (f *freeSpaceOnly) Name() string      { return "free-space-only" }
 func (f *freeSpaceOnly) Touch(*policy.Doc) { f.counts.Touches++ }
 func (f *freeSpaceOnly) Admit(candidate, victim *policy.Doc) bool {
 	if victim == nil {

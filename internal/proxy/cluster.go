@@ -18,8 +18,8 @@ const DefaultPeerTimeout = 5 * time.Second
 
 // PeerHeader is the loop-guard request header a proxy sets when fetching
 // from a sibling. A request carrying it is served locally — never
-// re-routed — so a routing disagreement during a membership change can
-// bounce a request at most once, and the value (the requesting node's
+// re-routed — so fleet members whose topology files disagree bounce a
+// request at most once, and the value (the requesting node's
 // name) makes peer traffic attributable in access logs.
 const PeerHeader = "X-Wc-Peer"
 
@@ -49,9 +49,9 @@ type ClusterConfig struct {
 	Transport http.RoundTripper
 }
 
-// clusterState is the immutable routing view: membership changes build a
-// new state and swap the pointer (UpdateCluster), so the serving path
-// reads one consistent ring with a single atomic load and no lock.
+// clusterState is the routing view, built once in New: membership is
+// fixed when the proxy starts, so the serving path reads it with no
+// atomic load and no lock.
 type clusterState struct {
 	self  string
 	ring  *cluster.Ring
@@ -86,25 +86,6 @@ func buildClusterState(cc ClusterConfig) (*clusterState, error) {
 		peers[name] = u
 	}
 	return &clusterState{self: cc.Self, ring: ring, peers: peers}, nil
-}
-
-// UpdateCluster atomically replaces the fleet membership — the live
-// "node joins/leaves" path. In-flight requests finish against the ring
-// they started with; the singleflight group is keyed by URL, not by
-// owner, so a fetch that began under the old ring still absorbs
-// followers routed under the new one. Only membership changes here: the
-// peer transport and timeout are fixed at New, so a proxy not built with
-// a ClusterConfig cannot become clustered later.
-func (s *Server) UpdateCluster(cc ClusterConfig) error {
-	if s.cluster.Load() == nil {
-		return fmt.Errorf("proxy: UpdateCluster on a proxy built without a cluster")
-	}
-	cs, err := buildClusterState(cc)
-	if err != nil {
-		return err
-	}
-	s.cluster.Store(cs)
-	return nil
 }
 
 // fetchPeer performs one fetch from the owning sibling. The peer's

@@ -408,111 +408,6 @@ func TestClusterConfigValidation(t *testing.T) {
 	}
 }
 
-func TestUpdateClusterRequiresCluster(t *testing.T) {
-	origin := newOrigin(t, nil)
-	p, _ := newProxy(t, origin, Config{})
-	err := p.UpdateCluster(ClusterConfig{Self: "a", Peers: map[string]*url.URL{"b": {Scheme: "http", Host: "x"}}})
-	if err == nil {
-		t.Fatal("UpdateCluster on an unclustered proxy must fail: its peer counters were never registered")
-	}
-}
-
-// TestClusterJoinMidRun drives a 3-node fleet whose first two members
-// start with a 2-node ring, then — with load in flight — grows both
-// rings to include the third node. Nothing may panic or race, every
-// response must be correct, and no document may be fetched from the
-// origin more than twice (once by its old owner, once by its new one).
-func TestClusterJoinMidRun(t *testing.T) {
-	var mu sync.Mutex
-	originFetches := map[string]int{}
-	origin := newOrigin(t, func(path string) {
-		mu.Lock()
-		originFetches[path]++
-		mu.Unlock()
-	})
-	f := startFleet(t, origin, 3, nil)
-
-	// Shrink n0 and n1 to a 2-node view; n2 keeps the full ring (it only
-	// serves peer-guarded traffic until the others learn about it).
-	urls := make(map[string]*url.URL, 3)
-	for i, front := range f.fronts {
-		u, err := url.Parse(front.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		urls[f.names[i]] = u
-	}
-	for _, self := range []string{"n0", "n1"} {
-		if err := f.servers[f.idx(t, self)].UpdateCluster(ClusterConfig{
-			Self:  self,
-			Peers: map[string]*url.URL{otherOf(self): urls[otherOf(self)]},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	const docs = 40
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				path := fmt.Sprintf("/join/%d.html", i%docs)
-				front := f.fronts[(c+i)%2] // drive the two original nodes
-				resp, err := http.Get(front.URL + path)
-				if err != nil {
-					t.Errorf("request failed: %v", err)
-					return
-				}
-				body := drainString(t, resp)
-				if want := "body-of-" + path; body != want {
-					t.Errorf("body = %q, want %q", body, want)
-					return
-				}
-			}
-		}(c)
-	}
-
-	time.Sleep(50 * time.Millisecond)
-	// The join: both original members swap in the 3-node ring mid-load.
-	for _, self := range []string{"n0", "n1"} {
-		peers := make(map[string]*url.URL, 2)
-		for name, u := range urls {
-			if name != self {
-				peers[name] = u
-			}
-		}
-		if err := f.servers[f.idx(t, self)].UpdateCluster(ClusterConfig{Self: self, Peers: peers}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(100 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	for path, n := range originFetches {
-		if n > 2 {
-			t.Errorf("%s fetched from origin %d times; ownership can change at most once", path, n)
-		}
-	}
-}
-
-func otherOf(self string) string {
-	if self == "n0" {
-		return "n1"
-	}
-	return "n0"
-}
-
 func drainString(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	b, err := io.ReadAll(resp.Body)

@@ -62,7 +62,6 @@ func (c countingPolicy) Hit(d *policy.Doc) {
 // countingAdmitter admits everything and counts Touch calls.
 type countingAdmitter struct{ touches *atomic.Int64 }
 
-func (countingAdmitter) Name() string                   { return "counting" }
 func (a countingAdmitter) Touch(*policy.Doc)            { a.touches.Add(1) }
 func (countingAdmitter) Admit(_, _ *policy.Doc) bool    { return true }
 func (countingAdmitter) Inserted(*policy.Doc)           {}

@@ -183,9 +183,9 @@ func (s *Server) registerFuncs(reg *metrics.Registry) {
 		"Cached objects resident per document class (sums to wcproxy_cache_objects).",
 		"class", classes, s.store.ClassLen)
 	reg.NewGaugeFunc("wcproxy_cluster_peers",
-		"Fleet size this node currently routes across (self included); 0 on an unclustered proxy.",
+		"Fleet size this node routes across (self included), fixed at start; 0 on an unclustered proxy.",
 		func() float64 {
-			cs := s.cluster.Load()
+			cs := s.cluster
 			if cs == nil {
 				return 0
 			}

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"webcachesim/internal/admission"
-	"webcachesim/internal/cache"
 	"webcachesim/internal/metrics"
 	"webcachesim/internal/policy"
 	"webcachesim/internal/pool"
@@ -347,12 +346,16 @@ func TestPoolBalanceAfterDrain(t *testing.T) {
 		t.Fatalf("oversize leader leaked %d buffers", got)
 	}
 
-	var keys []string
-	s.store.Each(func(k string, _ *cache.Entry) { keys = append(keys, k) })
-	for _, k := range keys {
-		if !s.store.Remove(k) {
+	// The resident keys are among the requested ones: Peek each, remove
+	// the resident, and the store must then be empty.
+	for i := 0; i < 24; i++ {
+		k := fmt.Sprintf("http://origin.example/obj%d.gif", i)
+		if _, ok := s.store.Peek(k); ok && !s.store.Remove(k) {
 			t.Fatalf("remove %q: not resident", k)
 		}
+	}
+	if n := s.store.Len(); n != 0 {
+		t.Fatalf("%d entries left after removing every requested key", n)
 	}
 	if got := p.Stats().Outstanding(); got != 0 {
 		t.Fatalf("pool imbalance after drain: %d buffers outstanding (acquires=%d releases=%d)",

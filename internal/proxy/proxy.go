@@ -39,7 +39,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"webcachesim/internal/cache"
@@ -172,10 +171,10 @@ type Server struct {
 	sleep     func(time.Duration) // retry backoff; injectable for tests
 
 	// cluster is the fleet-routing view, nil on an unclustered proxy;
-	// UpdateCluster swaps it atomically on membership changes. Peer
+	// membership is fixed at start, so it is set once in New. Peer
 	// fetches use their own transport and timeout: s.transport may lead
 	// through a parent proxy, but sibling traffic must go direct.
-	cluster       atomic.Pointer[clusterState]
+	cluster       *clusterState
 	peerTransport http.RoundTripper
 	peerTimeout   time.Duration
 
@@ -241,7 +240,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.cluster.Store(cs)
+		s.cluster = cs
 		s.peerTransport = cfg.Cluster.Transport
 		if s.peerTransport == nil {
 			s.peerTransport = http.DefaultTransport
@@ -500,7 +499,7 @@ func (s *Server) fetch(key string, r *http.Request) (*fetchResult, serveResult, 
 		fr, err := s.fetchOrigin(key, r.Header, true)
 		return fr, resultMiss, err
 	}
-	if cs := s.cluster.Load(); cs != nil && r.Header.Get(PeerHeader) == "" {
+	if cs := s.cluster; cs != nil && r.Header.Get(PeerHeader) == "" {
 		target, err := s.targetURL(r)
 		if err != nil {
 			return nil, resultMiss, err
@@ -524,11 +523,13 @@ func (s *Server) fetch(key string, r *http.Request) (*fetchResult, serveResult, 
 // fetchShared funnels one fetch through the singleflight group and labels
 // the caller's share of it. Origin and peer fetches use the same key — the
 // document's URL — so concurrent misses on one URL collapse into a single
-// upstream round trip however each was routed (a membership change can
-// re-route a document mid-flight). The label therefore comes from the
-// result, not the route: a body out of a sibling's cache is a peer hit
-// for every consumer; otherwise the caller that ran the fetch is the miss
-// leader and the rest are coalesced, keeping Coalesced a subset of Misses.
+// upstream round trip however each was routed: membership is fixed at
+// start, yet a peer-guarded request and a routed one, or a failed peer
+// fetch's origin fallback, reach one document by different routes. The
+// label therefore comes from the result, not the route: a body out of a
+// sibling's cache is a peer hit for every consumer; otherwise the caller
+// that ran the fetch is the miss leader and the rest are coalesced,
+// keeping Coalesced a subset of Misses.
 func (s *Server) fetchShared(key string, fn func() (*fetchResult, error)) (*fetchResult, serveResult, error) {
 	v, err, shared := s.fetches.DoShared(key, func() (any, error) {
 		return fn()

@@ -112,13 +112,20 @@ func TestGenerateRequestShapes(t *testing.T) {
 		if !strings.HasPrefix(r.URL, "http://DFN.synth.example/") {
 			t.Fatalf("request %d: URL %q", i, r.URL)
 		}
-		if !trace.Cacheable(r) {
-			t.Fatalf("request %d: generated request not cacheable", i)
-		}
 		if got := doctype.Classify(r.ContentType, r.URL); got != r.Class {
 			t.Fatalf("request %d: recorded class %v but Classify says %v (%q, %q)",
 				i, r.Class, got, r.ContentType, r.URL)
 		}
+	}
+	// Every generated request survives the §2 filter.
+	f := trace.NewFilterReader(trace.NewSliceReader(reqs))
+	for {
+		if _, err := f.Next(); err != nil {
+			break
+		}
+	}
+	if st := f.Stats(); st.Passed != int64(len(reqs)) {
+		t.Fatalf("filter passed %d of %d generated requests: %+v", st.Passed, len(reqs), st)
 	}
 }
 

@@ -260,9 +260,6 @@ func (ir *InternedReader) Next() (*Request, error) {
 	return req, nil
 }
 
-// NumDocs returns the number of distinct documents decoded so far.
-func (ir *InternedReader) NumDocs() int { return len(ir.docs) }
-
 // readRef reads a table reference, accepting values up to and including
 // tableLen (== tableLen introduces a new entry).
 func (ir *InternedReader) readRef(tableLen int) (int, error) {

@@ -92,18 +92,6 @@ func UncacheableURL(url string) bool {
 	return false
 }
 
-// Cacheable reports whether the request survives preprocessing: a GET (or
-// unrecorded) method for a cacheable status on a non-dynamic URL.
-func Cacheable(r *Request) bool {
-	if r.Method != "" && r.Method != "GET" {
-		return false
-	}
-	if !CacheableStatus(r.Status) {
-		return false
-	}
-	return !UncacheableURL(r.URL)
-}
-
 // Reader yields a request stream. Next returns the next request, or an
 // error; io.EOF marks the clean end of the stream. A returned Request stays
 // valid, but its strings may alias a block of input that many requests

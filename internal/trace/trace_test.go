@@ -70,16 +70,17 @@ func TestUncacheableURL(t *testing.T) {
 
 func TestCacheable(t *testing.T) {
 	ok := &Request{URL: "http://e.com/a.gif", Status: 200, Method: "GET"}
-	if !Cacheable(ok) {
-		t.Error("plain GET 200 should be cacheable")
-	}
 	post := &Request{URL: "http://e.com/a.gif", Status: 200, Method: "POST"}
-	if Cacheable(post) {
-		t.Error("POST should not be cacheable")
-	}
 	noMethod := &Request{URL: "http://e.com/a.gif", Status: 200}
-	if !Cacheable(noMethod) {
-		t.Error("unrecorded method should pass")
+	f := NewFilterReader(NewSliceReader([]*Request{ok, post, noMethod}))
+	if r, err := f.Next(); err != nil || r != ok {
+		t.Errorf("plain GET 200 should be cacheable: got %v, %v", r, err)
+	}
+	if r, err := f.Next(); err != nil || r != noMethod {
+		t.Errorf("POST should be dropped and an unrecorded method pass: got %v, %v", r, err)
+	}
+	if st := f.Stats(); st.Passed != 2 || st.DroppedMethod != 1 {
+		t.Errorf("stats = %+v, want 2 passed and 1 dropped method", st)
 	}
 }
 
