@@ -7,11 +7,14 @@ GO ?= go
 
 # The second build compiles the !unix side of the build-tagged file pairs
 # (trace/mm, the pool's arena), which nothing else does; the third, a
-# 32-bit int (the pool's class arithmetic, trace/mm's offsets).
+# 32-bit int (the pool's class arithmetic, trace/mm's offsets); the
+# fourth, a unix that is not Linux: the mapped arena whose Release keeps
+# its pages (arena_keep.go without -race).
 build:
 	$(GO) build ./...
 	GOOS=windows $(GO) build ./...
 	GOARCH=386 $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 # Fails when any file is not gofmt-clean; `gofmt -l .` names them.
 fmt:
@@ -83,7 +86,7 @@ lines-by-pkg:
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 17288
+LINES_MAX = 17381
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

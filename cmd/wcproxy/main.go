@@ -220,6 +220,7 @@ func run(args []string) error {
 		select {
 		case err := <-errCh:
 			if logFile != nil {
+				_ = srv.Close()
 				_ = logFile.Close()
 			}
 			return err
@@ -231,7 +232,7 @@ func run(args []string) error {
 			// log is a trace for the rest of the pipeline, and a
 			// truncated tail corrupts it.
 			printStats("final: ")
-			return shutdown(httpServer, adminServer, logFile)
+			return shutdown(httpServer, adminServer, srv, logFile)
 		}
 	}
 }
@@ -267,9 +268,9 @@ func listenAddr(rawURL string) string {
 	return ""
 }
 
-// shutdown drains both listeners and closes the access log, returning the
-// first failure.
-func shutdown(httpServer, adminServer *http.Server, logFile *os.File) error {
+// shutdown drains both listeners, writes out the proxy's buffered access
+// log and closes it, returning the first failure.
+func shutdown(httpServer, adminServer *http.Server, srv *proxy.Server, logFile *os.File) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	err := httpServer.Shutdown(ctx)
@@ -277,6 +278,9 @@ func shutdown(httpServer, adminServer *http.Server, logFile *os.File) error {
 		if aerr := adminServer.Shutdown(ctx); err == nil {
 			err = aerr
 		}
+	}
+	if cerr := srv.Close(); err == nil {
+		err = cerr
 	}
 	if logFile != nil {
 		if cerr := logFile.Close(); err == nil {

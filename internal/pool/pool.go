@@ -17,11 +17,15 @@
 // heap allocation ("bypass" buffers) whose Release is a no-op — the
 // garbage collector owns them, and Stats counts them separately.
 //
-// Slots are never handed back to the OS while the pool lives: the arena
-// is the peak of concurrent use per class, read off Stats.ArenaBytes.
+// The arena is the peak of concurrent use per class, read off
+// Stats.ArenaBytes, and its address space stays mapped while the pool
+// lives. On Linux, Release gives the pages of a slot above 64 KiB back to
+// the OS (madvise MADV_DONTNEED, arena_linux.go), so an idle large slot
+// is address space only; the smaller classes share pages and keep theirs.
 // Where no mapping call exists (!unix), and under the race detector —
 // which does not watch memory outside the Go heap — chunks come from make
-// instead (arena_heap.go); everything above chunk acquisition is shared.
+// instead (arena_heap.go) and no pages go back; everything above chunk
+// acquisition is shared.
 //
 // Accounting is exact and monotonic: every Get counts an acquire, every
 // Release of a pooled buffer a release, every freshly carved slot a new.
@@ -32,6 +36,7 @@ package pool
 
 import (
 	"math/bits"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -63,6 +68,8 @@ const (
 	// nothing.
 	chunkBytes = 32 << 20
 )
+
+var pageBytes = os.Getpagesize()
 
 // Buf is a pooled buffer handle. B is the usable slice, sized exactly to
 // the class (or to the requested length for a bypass buffer); callers may
@@ -96,6 +103,17 @@ func (b *Buf) Release() {
 		panic("pool: Buf released twice")
 	}
 	b.idle = true
+	if returnsPages && b.class >= fineClasses {
+		// The slot is nobody's now: its owner let go, and Get cannot reach
+		// it before it is on the free list. The syscall runs unlocked, so
+		// the class's other slots do not wait for it.
+		cl.mu.Unlock()
+		ok := returnPages(b.B)
+		cl.mu.Lock()
+		if ok {
+			cl.returned += int64(len(b.B))
+		}
+	}
 	b.next, cl.free = cl.free, b
 	cl.releases++
 	cl.mu.Unlock()
@@ -114,6 +132,7 @@ type class struct {
 	acquires int64
 	releases int64
 	news     int64
+	returned int64 // bytes whose pages Release gave back to the OS
 }
 
 // Pool is a set of buffer size classes over one off-heap arena. The zero
@@ -205,6 +224,12 @@ func (p *Pool) Get(n int) *Buf {
 func (p *Pool) carve(size int) []byte {
 	p.carveMu.Lock()
 	defer p.carveMu.Unlock()
+	if size > 1<<fineShift {
+		// A large slot starts on a page boundary, so that Release returns
+		// all of it. Chunks are page-aligned and whole pages long, so rest
+		// is len(rest) mod the page size past the boundary before it.
+		p.rest = p.rest[len(p.rest)%pageBytes:]
+	}
 	if len(p.rest) < size {
 		chunk, err := mapChunk(chunkBytes)
 		if err != nil { // arena_heap.go, or the OS refused: heap memory its slots keep alive
@@ -244,9 +269,13 @@ type Stats struct {
 	// Bypass counts Get calls too large for any class, served unpooled.
 	Bypass int64
 	// ArenaBytes is the memory carved into slots so far, idle or held —
-	// what the pool keeps from the OS at most (a slot's pages become
-	// resident only as bodies are written to them).
+	// what the pool can have resident at most (a slot's pages become
+	// resident only as bodies are written to them, and on Linux an idle
+	// slot above 64 KiB has none).
 	ArenaBytes int64
+	// ReturnedBytes counts the bytes whose pages Release gave back to the
+	// OS; each reuse of such a slot faults its pages in again.
+	ReturnedBytes int64
 }
 
 // Outstanding returns the number of pooled buffers currently held by
@@ -263,6 +292,7 @@ func (p *Pool) Stats() Stats {
 		s.Releases += cl.releases
 		s.News += cl.news
 		s.ArenaBytes += cl.news * int64(classSize(c))
+		s.ReturnedBytes += cl.returned
 		cl.mu.Unlock()
 	}
 	return s

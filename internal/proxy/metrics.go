@@ -198,11 +198,14 @@ func (s *Server) registerFuncs(reg *metrics.Registry) {
 		"Pooled buffers currently held (cached bodies, in-flight reads and scratch).",
 		func() float64 { return float64(s.buffers.Stats().Outstanding()) })
 	reg.NewGaugeFunc("wcproxy_pool_buffer_allocs",
-		"Slots carved from the arena because a size class had none idle; never given back, so it plateaus at peak concurrent use.",
+		"Slots carved from the arena because a size class had none idle; never unmapped, so it plateaus at peak concurrent use.",
 		func() float64 { return float64(s.buffers.Stats().News) })
 	reg.NewGaugeFunc("wcproxy_pool_arena_bytes",
-		"Off-heap memory carved into buffer slots so far, idle or held (cache_used_bytes over this is the pool's memory efficiency).",
+		"Off-heap memory carved into buffer slots so far, idle or held; the most the pool can have resident.",
 		func() float64 { return float64(s.buffers.Stats().ArenaBytes) })
+	reg.NewCounterFunc("wcproxy_pool_returned_bytes_total",
+		"Bytes of released slots above 64 KiB whose pages went back to the OS (Linux); each reuse faults them in again.",
+		func() int64 { return s.buffers.Stats().ReturnedBytes })
 	reg.NewGaugeFunc("wcproxy_pool_bypass",
 		"Buffer requests larger than the biggest pool class, served straight from the heap.",
 		func() float64 { return float64(s.buffers.Stats().Bypass) })

@@ -127,6 +127,9 @@ func (env *settleEnv) pair(t *testing.T, origin *fakeOrigin, path string) []serv
 
 func (env *settleEnv) logLines(t *testing.T) []*trace.Request {
 	t.Helper()
+	if err := env.srv.flushLog(); err != nil {
+		t.Fatal(err)
+	}
 	reqs, err := trace.ReadAll(trace.NewSquidReader(strings.NewReader(env.log.String())))
 	if err != nil {
 		t.Fatal(err)

@@ -96,7 +96,8 @@ type Config struct {
 	// through it — Squid's cache_peer parent relationship; chaining two
 	// Servers this way forms a live two-level cache hierarchy.
 	Transport http.RoundTripper
-	// AccessLog, when set, receives Squid-native log lines.
+	// AccessLog, when set, receives Squid-native log lines: buffered,
+	// written out within a second and by Close.
 	AccessLog io.Writer
 	// MaxObjectBytes bounds a single cached object
 	// (DefaultMaxObjectBytes when 0).
@@ -187,10 +188,12 @@ type Server struct {
 	originPrefix []byte
 
 	// logw is the access-log writer, nil without Config.AccessLog; logMu
-	// serializes its Write+Flush pairs and guards nothing else, so a proxy
-	// run without an access log takes no process-wide lock per request.
-	logMu sync.Mutex
-	logw  *trace.SquidWriter
+	// serializes its writes and flushes and guards nothing else (but
+	// logPending, set while a flush is scheduled), so a proxy run without
+	// an access log takes no process-wide lock per request.
+	logMu      sync.Mutex
+	logw       *trace.SquidWriter
+	logPending bool
 
 	metrics *serverMetrics
 }
@@ -290,6 +293,28 @@ func New(cfg Config) (*Server, error) {
 		s.logw = trace.NewSquidWriter(cfg.AccessLog)
 	}
 	return s, nil
+}
+
+// logFlushEvery is how long an access-log line may wait in the buffer.
+// A write per line cost serve_churn's shape ~10 % of its throughput
+// (docs/PROXY.md, "The access log").
+const logFlushEvery = time.Second
+
+func (s *Server) flushLog() error {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.logPending = false
+	return s.logw.Flush()
+}
+
+// Close writes out the access log's buffered lines; call it once the
+// http.Server in front has shut down, before closing Config.AccessLog.
+// Without an access log it does nothing.
+func (s *Server) Close() error {
+	if s.logw == nil {
+		return nil
+	}
+	return s.flushLog()
 }
 
 // Used returns the current cache occupancy in bytes.
@@ -1001,7 +1026,13 @@ func (s *Server) account(r *http.Request, k *requestKey, out outcome) {
 			Client:       clientAddr(r),
 			Method:       http.MethodGet,
 		})
-		_ = s.logw.Flush() // best-effort, like the write
+		if !s.logPending {
+			// The first line since the last flush schedules the next.
+			s.logPending = true
+			time.AfterFunc(logFlushEvery, func() {
+				_ = s.flushLog() // best-effort, like the write; Close reports
+			})
+		}
 		s.logMu.Unlock()
 	}
 }

@@ -209,7 +209,10 @@ func TestProxyAccessLogFeedsTracePipeline(t *testing.T) {
 	get(t, front.URL, "/a.gif")
 	get(t, front.URL, "/a.gif")
 	get(t, front.URL, "/b.html")
-	_ = p
+	front.Close() // every handler has logged its line
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	reqs, err := trace.ReadAll(trace.NewSquidReader(strings.NewReader(log.String())))
 	if err != nil {
@@ -229,6 +232,19 @@ func TestProxyAccessLogFeedsTracePipeline(t *testing.T) {
 	}
 	if r, err := trace.NewFilterReader(trace.NewSliceReader(reqs[:1])).Next(); err != nil || r != reqs[0] {
 		t.Errorf("log record not cacheable by pipeline rules: %v", err)
+	}
+}
+
+// The access log is buffered, but not until Close: the flusher writes a
+// line out within logFlushEvery of its request.
+func TestAccessLogFlushesWithoutClose(t *testing.T) {
+	log := &syncBuffer{}
+	_, front := newProxy(t, newOrigin(t, nil), Config{AccessLog: log})
+	get(t, front.URL, "/a.gif")
+	for deadline := time.Now().Add(5 * logFlushEvery); !strings.Contains(log.String(), "/a.gif"); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no log line %v after the request", 5*logFlushEvery)
+		}
 	}
 }
 
