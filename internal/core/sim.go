@@ -292,9 +292,10 @@ func (s *Simulator) insert(ev *Event, measured bool) {
 	doc.Size = size
 	for s.used+size > s.cfg.Capacity {
 		if s.adm != nil {
-			// Judge the candidate against the prospective victim before
-			// anything is evicted, so a rejected insert leaves the cache
-			// untouched.
+			// Judge the candidate against each prospective victim before
+			// evicting it. A refusal ends the insert with the victims
+			// already evicted in this loop gone: only a refusal of the
+			// first victim leaves the cache untouched.
 			if victim, ok := s.pol.Peek(); ok && !s.adm.Admit(doc, victim) {
 				return
 			}

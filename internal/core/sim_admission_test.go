@@ -37,6 +37,9 @@ func rejectAllFactory() policy.AdmitterFactory {
 
 // TestAdmissionRejectedInsertLeavesCacheUntouched: when the filter says
 // no, nothing may be evicted and the resident set keeps producing hits.
+// Each insert here needs a single victim; an insert refused at its second
+// victim keeps the evictions before the refusal, which this test does not
+// cover.
 func TestAdmissionRejectedInsertLeavesCacheUntouched(t *testing.T) {
 	w := build(t, 0,
 		req("http://e.com/a.gif", 600), // fills most of the cache

@@ -254,6 +254,54 @@ func TestGeneratorNilAfterTotal(t *testing.T) {
 	}
 }
 
+// TestNextSlabOwnership: requests share slabs but never a slot. The
+// neighbours across the first slab boundary are distinct, a request kept
+// from the first slab is not rewritten by later calls, and Next after the
+// last request allocates nothing.
+func TestNextSlabOwnership(t *testing.T) {
+	const n = slabLen + 1000
+	g, err := NewGenerator(DFNProfile(), Options{Seed: 9, Requests: n, Clients: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		reqs  []*trace.Request
+		taken []trace.Request // each request as Next returned it
+	)
+	for r := g.Next(); r != nil; r = g.Next() {
+		reqs = append(reqs, r)
+		taken = append(taken, *r)
+	}
+	if len(reqs) != n {
+		t.Fatalf("%d requests, want %d", len(reqs), n)
+	}
+	// 1 000 Next calls have run since the first slab was handed out.
+	for i := 0; i < slabLen; i++ {
+		if *reqs[i] != taken[i] {
+			t.Fatalf("request %d of the first slab changed:\n got %+v\nwant %+v", i, *reqs[i], taken[i])
+		}
+	}
+	if reqs[slabLen-1] == reqs[slabLen] {
+		t.Fatalf("requests %d and %d share a slot", slabLen-1, slabLen)
+	}
+	for _, w := range []struct{ written, other int }{{slabLen - 1, slabLen}, {slabLen, slabLen - 1}} {
+		r := reqs[w.written]
+		r.URL, r.DocSize, r.UnixMillis = "written", -1, -1
+		if *reqs[w.other] != taken[w.other] {
+			t.Errorf("writing request %d changed request %d:\n got %+v\nwant %+v",
+				w.written, w.other, *reqs[w.other], taken[w.other])
+		}
+		*r = taken[w.written]
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if g.Next() != nil {
+			t.Fatal("Next after the last request returned a request")
+		}
+	}); allocs != 0 {
+		t.Errorf("Next after the last request allocates %v times, want 0", allocs)
+	}
+}
+
 func TestGenerateClients(t *testing.T) {
 	reqs, err := Generate(DFNProfile(), Options{Seed: 6, Requests: 20_000, Clients: 500})
 	if err != nil {

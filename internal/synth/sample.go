@@ -62,33 +62,42 @@ func (z *Zipf) rank(f float64) int {
 	return i
 }
 
-// SampleStackDistance draws an integer distance in [1, maxD] with density
+// stackDistance draws integer distances in [1, maxD] with density
 // proportional to d^-beta, by inverse transform on the continuous
 // truncated power law. It is the temporal-correlation engine: referencing
 // the document at LRU-stack depth d with this distribution makes
-// inter-reference distances follow P(n) ∝ n^-beta.
-func SampleStackDistance(rng *rand.Rand, beta float64, maxD int) int {
-	if maxD <= 1 {
+// inter-reference distances follow P(n) ∝ n^-beta. The constants of the
+// inverse are computed once per (beta, maxD).
+type stackDistance struct {
+	maxD int
+	unit bool    // β = 1: F(d) = ln d / ln maxD
+	a    float64 // maxD^(1−β) − 1
+	inv  float64 // 1/(1−β)
+}
+
+func newStackDistance(beta float64, maxD int) stackDistance {
+	s := stackDistance{maxD: maxD, unit: math.Abs(1-beta) < 1e-9}
+	if !s.unit {
+		oneMinus := 1 - beta
+		s.a = math.Pow(float64(maxD), oneMinus) - 1
+		s.inv = 1 / oneMinus
+	}
+	return s
+}
+
+// sample draws a distance using rng; a maxD of 1 or less draws nothing.
+func (s stackDistance) sample(rng *rand.Rand) int {
+	if s.maxD <= 1 {
 		return 1
 	}
 	u := rng.Float64()
-	m := float64(maxD)
 	var x float64
-	if math.Abs(1-beta) < 1e-9 {
-		// β = 1: F(d) = ln d / ln m.
-		x = math.Pow(m, u)
+	if s.unit {
+		x = math.Pow(float64(s.maxD), u)
 	} else {
-		oneMinus := 1 - beta
-		x = math.Pow(u*(math.Pow(m, oneMinus)-1)+1, 1/oneMinus)
+		x = math.Pow(u*s.a+1, s.inv)
 	}
-	d := int(x)
-	if d < 1 {
-		d = 1
-	}
-	if d > maxD {
-		d = maxD
-	}
-	return d
+	return min(max(int(x), 1), s.maxD)
 }
 
 // LogNormal samples document sizes (in bytes) from a lognormal fitted to a

@@ -160,8 +160,9 @@ func TestSampleStackDistanceBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, beta := range []float64{0.5, 1.0, 1.3} {
 		for _, maxD := range []int{1, 2, 100, 4096} {
+			sd := newStackDistance(beta, maxD)
 			for i := 0; i < 2000; i++ {
-				d := SampleStackDistance(rng, beta, maxD)
+				d := sd.sample(rng)
 				if d < 1 || d > maxD {
 					t.Fatalf("beta=%v maxD=%d: distance %d out of bounds", beta, maxD, d)
 				}
@@ -173,8 +174,9 @@ func TestSampleStackDistanceBounds(t *testing.T) {
 func TestSampleStackDistanceSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	count := func(beta float64) (small, large int) {
+		sd := newStackDistance(beta, 1024)
 		for i := 0; i < 100_000; i++ {
-			d := SampleStackDistance(rng, beta, 1024)
+			d := sd.sample(rng)
 			if d <= 4 {
 				small++
 			}
