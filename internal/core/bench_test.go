@@ -175,6 +175,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 		Policies:   policy.StudyFactories(),
 		Capacities: []int64{1 << 20, 4 << 20, 16 << 20},
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Sweep(w, cfg); err != nil {
@@ -193,6 +194,7 @@ func BenchmarkSweepJournaled(b *testing.B) {
 		Capacities: []int64{1 << 20, 4 << 20, 16 << 20},
 		Journal:    io.Discard,
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Sweep(w, cfg); err != nil {
@@ -210,6 +212,7 @@ func BenchmarkSweepGrid(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		cfg.Capacities = append(cfg.Capacities, 1<<(20+i))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Sweep(w, cfg); err != nil {

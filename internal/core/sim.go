@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/policy"
@@ -90,11 +91,12 @@ type Simulator struct {
 	cfg Config
 	pol policy.Policy
 	adm policy.Admitter // nil when admission is disabled
-	// w is the workload whose documents the tables below cover. They are
-	// allocated by the first Process rather than by NewSimulator, so the
-	// simulators of a sweep's waiting cells hold no per-document memory.
-	// Nil for a StreamSimulator's inner simulator, which grows its tables
-	// itself.
+	// w is the workload whose documents the tables below cover. The
+	// first Process sets them up, not NewSimulator: a sweep's waiting
+	// cells hold no per-document memory, and a sweep worker hands its
+	// finished cell's tables to its next cell, which re-initialises them
+	// in place. Nil for a StreamSimulator's inner simulator, which grows
+	// its tables itself.
 	w      *Workload
 	docs   docTable // DocID -> the document's Doc
 	in     []bool   // DocID -> currently resident
@@ -110,8 +112,9 @@ type Simulator struct {
 }
 
 // NewSimulator prepares a simulator for the given workload. The workload
-// is shared and never mutated; each simulator allocates only its own
-// per-document tables, when it processes its first event.
+// is shared and never mutated; the simulator allocates only its own
+// per-document tables, when it processes its first event (a sweep cell
+// reuses its worker's instead).
 func NewSimulator(w *Workload, cfg Config) (*Simulator, error) {
 	warmup, err := resolveWarmup(cfg.WarmupFraction, w.NumRequests())
 	if err != nil {
@@ -185,12 +188,15 @@ func (s *Simulator) run(w *Workload, lo, hi int) {
 	}
 }
 
-// allocTables builds the per-document tables over the workload's
-// documents.
+// allocTables initialises the per-document tables over the workload's
+// documents, in place when the simulator holds tables a finished sweep
+// cell handed on: every Doc is reassigned, so no heap handle or list node
+// of the previous policy survives, and in is cleared.
 func (s *Simulator) allocTables() {
 	n := s.w.NumDocs()
-	s.in = make([]bool, n)
-	s.docs.chunks = make([]*[docChunk]policy.Doc, 0, (n+docChunk-1)/docChunk)
+	s.in = slices.Grow(s.in[:0], n)[:n]
+	clear(s.in)
+	s.docs.n = 0 // add refills the chunks it has before it allocates one
 	for id, key := range s.w.Keys() {
 		s.docs.add(key, s.w.cols.DocClass[id])
 	}
@@ -199,7 +205,7 @@ func (s *Simulator) allocTables() {
 // Process replays a single event and reports its disposition (the miss
 // stream is what a parent cache in a hierarchy sees).
 func (s *Simulator) Process(ev *Event) Outcome {
-	if s.in == nil && s.w != nil {
+	if s.processed == 0 && s.w != nil {
 		s.allocTables()
 	}
 	s.processed++

@@ -176,13 +176,19 @@ func Sweep(w *Workload, cfg SweepConfig) ([]*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One set of per-document tables serves every cell this
+			// worker runs: each cell re-initialises it on its first event
+			// and hands it to the next, so the sweep holds one set per
+			// worker, not one per cell. The finished cell itself, with its
+			// policy and admitter, is dropped here.
+			var docs docTable
+			var in []bool
 			for i := range work {
-				// A simulator's per-document tables exist from its first
-				// event until it is dropped here, so the sweep holds one
-				// set per running cell, not one per cell.
 				sim := sims[i]
 				sims[i] = nil
+				sim.docs, sim.in = docs, in
 				results[i] = jw.runCell(sim, w)
+				docs, in = sim.docs, sim.in
 			}
 		}()
 	}

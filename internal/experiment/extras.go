@@ -210,7 +210,7 @@ var baselineLineup = []string{
 	"gdsf:p", "slru", "fifo", "size", "lfu", "typeaware+gdstar:1",
 }
 
-// lineup simulates the extended policy lineup on the DFN workload at a
+// lineup sweeps the extended policy lineup on the DFN workload at a
 // mid-grid cache size.
 var lineup = cached("lineup", func(e *Env) (*atOneSize, error) {
 	w, err := e.Workload("dfn")
@@ -219,6 +219,7 @@ var lineup = cached("lineup", func(e *Env) (*atOneSize, error) {
 	}
 	caps := e.Capacities(w)
 	s := &atOneSize{capacity: caps[len(caps)/2]}
+	var factories []policy.Factory
 	for _, spec := range baselineLineup {
 		parsed, err := policy.ParseSpec(spec)
 		if err != nil {
@@ -228,11 +229,11 @@ var lineup = cached("lineup", func(e *Env) (*atOneSize, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim, err := core.NewSimulator(w, core.Config{Capacity: s.capacity, Policy: f})
-		if err != nil {
-			return nil, err
-		}
-		s.results = append(s.results, sim.Run(w))
+		factories = append(factories, f)
+	}
+	s.results, err = core.Sweep(w, core.SweepConfig{Policies: factories, Capacities: []int64{s.capacity}})
+	if err != nil {
+		return nil, err
 	}
 	s.grid = core.NewGrid(s.results, nil)
 	return s, nil
