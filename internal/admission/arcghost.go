@@ -60,7 +60,6 @@ func NewARCGhost(capacityBytes int64) *ARCGhost {
 // resident graduates it — it has now proven reuse, so it stops counting
 // against the probation budget.
 func (a *ARCGhost) Touch(doc *policy.Doc) {
-	a.counts.Touches++
 	if size, ok := a.probation[doc.ID]; ok {
 		// Touch runs before Inserted, so the insert-miss reference never
 		// sees its own probation entry; a probation member being touched
@@ -74,10 +73,7 @@ func (a *ARCGhost) Touch(doc *policy.Doc) {
 // re-enter; unknown documents are admitted while the probation segment
 // is under target, and otherwise rejected — but remembered in the recent
 // ghost, so a repeat miss is admitted as a ghost hit.
-func (a *ARCGhost) Admit(candidate, victim *policy.Doc) bool {
-	if victim == nil {
-		return true
-	}
+func (a *ARCGhost) Admit(candidate, _ *policy.Doc) bool {
 	if a.recent.Contains(candidate.ID) || a.proven.Contains(candidate.ID) {
 		return true
 	}
@@ -133,7 +129,6 @@ func (a *ARCGhost) adapt(delta float64) {
 	if a.target > arcMaxTarget {
 		a.target = arcMaxTarget
 	}
-	a.counts.Resets++
 }
 
 // Counts implements policy.Admitter.

@@ -40,7 +40,10 @@ type TinyLFU struct {
 	freq   *sketch.SpaceSaving
 	ghost  *Ghost
 	window int64
-	counts policy.AdmissionCounts
+	// touches counts Touch calls; the structures age every window of
+	// them.
+	touches int64
+	counts  policy.AdmissionCounts
 }
 
 var _ policy.Admitter = (*TinyLFU)(nil)
@@ -86,14 +89,13 @@ func NewTinyLFU(capacityBytes int64) *TinyLFU {
 // the heavy-hitter table. When the window is exhausted both structures
 // age.
 func (t *TinyLFU) Touch(doc *policy.Doc) {
-	t.counts.Touches++
+	t.touches++
 	if !t.door.AddIfNew(doc.Key) {
 		t.freq.Add(doc.Key)
 	}
-	if t.counts.Touches%t.window == 0 {
+	if t.touches%t.window == 0 {
 		t.door.Reset()
 		t.freq.Halve()
-		t.counts.Resets++
 	}
 }
 
@@ -116,9 +118,6 @@ func (t *TinyLFU) estimate(doc *policy.Doc) int64 {
 // conservative — on a tie the resident document, which has already proven
 // it can attract a hit, stays.
 func (t *TinyLFU) Admit(candidate, victim *policy.Doc) bool {
-	if victim == nil {
-		return true
-	}
 	if t.ghost.Contains(candidate.ID) {
 		return true
 	}

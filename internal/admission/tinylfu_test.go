@@ -17,16 +17,6 @@ func touchN(t *TinyLFU, d *policy.Doc, n int) {
 	}
 }
 
-func TestTinyLFUNilVictimAlwaysAdmits(t *testing.T) {
-	f := NewTinyLFU(1 << 20)
-	if !f.Admit(doc(1, 100), nil) {
-		t.Error("nil victim means free space; must admit")
-	}
-	if f.Counts().Rejected != 0 {
-		t.Errorf("Rejected=%d, want 0", f.Counts().Rejected)
-	}
-}
-
 func TestTinyLFUFrequencyContest(t *testing.T) {
 	f := NewTinyLFU(1 << 20)
 	hot, cold, victim := doc(1, 100), doc(2, 100), doc(3, 100)
@@ -94,10 +84,6 @@ func TestTinyLFUAgingWindow(t *testing.T) {
 	f.window = 4
 	d := doc(1, 100)
 	touchN(f, d, 4) // 4th touch triggers aging: doorkeeper reset, counts halved
-	c := f.Counts()
-	if c.Resets != 1 {
-		t.Fatalf("Resets=%d after one full window, want 1", c.Resets)
-	}
 	// Before aging the estimate was 1 (doorkeeper) + 3 (table). After the
 	// reset-and-halve it must be 0 + 3/2 = 1.
 	if got := f.estimate(d); got != 1 {

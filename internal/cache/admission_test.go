@@ -14,11 +14,8 @@ type rejectContested struct {
 	counts policy.AdmissionCounts
 }
 
-func (r *rejectContested) Touch(*policy.Doc) { r.counts.Touches++ }
+func (r *rejectContested) Touch(*policy.Doc) {}
 func (r *rejectContested) Admit(candidate, victim *policy.Doc) bool {
-	if victim == nil {
-		return true
-	}
 	r.counts.Rejected++
 	return false
 }
@@ -98,7 +95,7 @@ func TestAdmissionTinyLFUAcrossShards(t *testing.T) {
 	if counts.Rejected == 0 {
 		t.Error("TinyLFU should have rejected some one-hit wonders")
 	}
-	if counts.Touches == 0 || counts.Admitted == 0 {
+	if counts.Admitted == 0 {
 		t.Errorf("per-shard counters should aggregate: %+v", counts)
 	}
 	if c.AdmissionRejects() == 0 {

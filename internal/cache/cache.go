@@ -271,32 +271,25 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 	return SetStored
 }
 
-// admit runs the home shard's admission filter for a candidate entry.
-// The candidate is judged against the home shard's own prospective
-// victim — the per-shard approximation of the simulator's global
-// peek-before-evict — and only when the global budget is actually full;
-// while space remains, admission is unconditional. The home shard's
-// victim stands in because its filter counts only that shard's keys; the
-// bytes themselves come from the fullest shard (evictOne), so the
-// document judged is not always the one evicted. The decision point is
-// advisory: a concurrent insert can consume the budget between this
-// check and the reservation, in which case an admitted entry may still
-// be evicting from other shards. That race only ever skips the filter
-// in the admit direction, never rejects spuriously.
+// admit runs the home shard's admission filter for a candidate entry by
+// the simulator's rule, policy.Admits: only when the global budget is
+// actually full, and once, against the home shard's own prospective
+// victim, before anything is evicted; while space remains, admission is
+// unconditional. With one shard this is exactly the simulator's
+// decision. With more, the home shard's victim stands in because its
+// filter counts only that shard's keys; the bytes themselves come from
+// the fullest shard (evictOne), so the document judged is not always the
+// one evicted, and a home shard with nothing to evict admits. The
+// decision point is advisory: a concurrent insert can consume the budget
+// between this check and the reservation, in which case an admitted
+// entry may still be evicting from other shards. That race only ever
+// skips the filter in the admit direction, never rejects spuriously.
 func (c *Cache) admit(home *shard, key string, e *Entry) bool {
 	home.mu.Lock()
 	defer home.mu.Unlock()
 	e.Doc.ID = home.ids.pin(key)
 	home.adm.Touch(e.Doc)
-	admitted := true
-	if c.used.Load()+e.Doc.Size > c.capacity {
-		if victim, ok := home.pol.Peek(); ok {
-			admitted = home.adm.Admit(e.Doc, victim)
-		}
-		// else: the home shard has nothing to evict; the bytes will come
-		// from other shards, whose victims this shard's filter cannot
-		// judge — admit unconditionally.
-	}
+	admitted := c.used.Load()+e.Doc.Size <= c.capacity || policy.Admits(home.adm, home.pol, e.Doc)
 	if !admitted {
 		// Retire the candidate's pin — unless the key is resident (a
 		// concurrent insert won the race), in which case the pin belongs

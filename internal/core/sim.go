@@ -211,9 +211,11 @@ func (s *Simulator) Process(ev *Event) Outcome {
 	s.processed++
 	measured := s.processed > s.warmup
 
-	if s.adm != nil {
-		// Every reference — hit or miss — feeds the admitter's frequency
-		// estimate, before the request's own outcome is decided.
+	if s.adm != nil && ev.DocSize <= s.cfg.Capacity {
+		// Every reference the cache could hold — hit or miss — feeds the
+		// admitter's frequency estimate, before the request's own outcome
+		// is decided. The store refuses a larger document before it
+		// touches it, so the simulator does not count one either.
 		s.adm.Touch(s.docs.at(ev.DocID))
 	}
 
@@ -296,16 +298,10 @@ func (s *Simulator) insert(ev *Event, measured bool) {
 	}
 	doc := s.docs.at(ev.DocID)
 	doc.Size = size
+	if s.used+size > s.cfg.Capacity && !policy.Admits(s.adm, s.pol, doc) {
+		return // refused before anything is evicted: the cache is untouched
+	}
 	for s.used+size > s.cfg.Capacity {
-		if s.adm != nil {
-			// Judge the candidate against each prospective victim before
-			// evicting it. A refusal ends the insert with the victims
-			// already evicted in this loop gone: only a refusal of the
-			// first victim leaves the cache untouched.
-			if victim, ok := s.pol.Peek(); ok && !s.adm.Admit(doc, victim) {
-				return
-			}
-		}
 		victim, ok := s.pol.Evict()
 		if !ok {
 			return // The policy tracks nothing; should be unreachable.

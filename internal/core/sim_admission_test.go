@@ -16,11 +16,8 @@ type rejectAll struct {
 	counts policy.AdmissionCounts
 }
 
-func (r *rejectAll) Touch(*policy.Doc) { r.counts.Touches++ }
+func (r *rejectAll) Touch(*policy.Doc) {}
 func (r *rejectAll) Admit(candidate, victim *policy.Doc) bool {
-	if victim == nil {
-		return true
-	}
 	r.counts.Rejected++
 	return false
 }
@@ -37,9 +34,8 @@ func rejectAllFactory() policy.AdmitterFactory {
 
 // TestAdmissionRejectedInsertLeavesCacheUntouched: when the filter says
 // no, nothing may be evicted and the resident set keeps producing hits.
-// Each insert here needs a single victim; an insert refused at its second
-// victim keeps the evictions before the refusal, which this test does not
-// cover.
+// TestAdmissionJudgesMultiVictimInsertOnce covers inserts that need more
+// than one victim.
 func TestAdmissionRejectedInsertLeavesCacheUntouched(t *testing.T) {
 	w := build(t, 0,
 		req("http://e.com/a.gif", 600), // fills most of the cache
@@ -64,6 +60,52 @@ func TestAdmissionRejectedInsertLeavesCacheUntouched(t *testing.T) {
 	}
 	if s.Used() != 600 {
 		t.Errorf("Used = %d, want 600 (only the first document resident)", s.Used())
+	}
+}
+
+// admitAgainst admits a candidate only when the victim it would displace
+// first is the document with the given URL, and counts its questions.
+type admitAgainst struct {
+	rejectAll
+	url   string
+	asked int
+}
+
+func (a *admitAgainst) Admit(candidate, victim *policy.Doc) bool {
+	a.asked++
+	return victim.Key == a.url || a.rejectAll.Admit(candidate, victim)
+}
+
+// TestAdmissionJudgesMultiVictimInsertOnce: an insert that needs several
+// victims is judged once, against the first, before anything is evicted —
+// the store's rule. Admitted, it displaces every victim it needs; refused,
+// it displaces none.
+func TestAdmissionJudgesMultiVictimInsertOnce(t *testing.T) {
+	for _, tc := range []struct {
+		against                   string
+		evictions, admitted, used int64
+	}{
+		{"http://e.com/a.gif", 3, 4, 900}, // a, b and c make room for d
+		{"http://e.com/b.gif", 0, 3, 900}, // refused against a: a, b and c stay
+	} {
+		w := build(t, 0,
+			req("http://e.com/a.gif", 300),
+			req("http://e.com/b.gif", 300),
+			req("http://e.com/c.gif", 300),
+			req("http://e.com/d.gif", 900), // needs all three victims
+		)
+		adm := &admitAgainst{url: tc.against}
+		s := newSim(t, w, Config{Capacity: 1000, WarmupFraction: -1, Admission: policy.AdmitterFactory{
+			Name: "admit-against", New: func(int64) policy.Admitter { return adm },
+		}})
+		r := s.Run(w)
+		if adm.asked != 1 {
+			t.Errorf("admitting against %s: Admit asked %d times, want once", tc.against, adm.asked)
+		}
+		if r.Evictions != tc.evictions || r.Admitted != tc.admitted || s.Used() != tc.used {
+			t.Errorf("admitting against %s: evictions = %d, admitted = %d, Used = %d; want %d, %d, %d",
+				tc.against, r.Evictions, r.Admitted, s.Used(), tc.evictions, tc.admitted, tc.used)
+		}
 	}
 }
 

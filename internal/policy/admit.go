@@ -2,10 +2,10 @@ package policy
 
 // Admitter decides whether a missed document may enter the cache at all.
 // It sits in front of a replacement Policy: the cache calls Touch on
-// every reference (hit or miss) so the admitter can learn frequencies,
-// asks Admit before evicting anything to make room for a candidate, and
-// reports Inserted/Evicted as documents actually move so ghost state
-// stays in sync.
+// every reference (hit or miss) to a document no larger than the cache,
+// so the admitter can learn frequencies, asks Admits before evicting
+// anything to make room for a candidate, and reports Inserted/Evicted as
+// documents actually move so ghost state stays in sync.
 //
 // The calling convention mirrors Policy: one instance per cache (or per
 // shard), not safe for concurrent use, no bytes owned. Doc pointers
@@ -17,10 +17,9 @@ type Admitter interface {
 	// the current reference.
 	Touch(doc *Doc)
 	// Admit reports whether candidate should displace victim, the
-	// document the replacement policy would evict next. A nil victim
-	// means space is available without evicting; admitters must accept.
-	// Returning false rejects the candidate: the caller must not evict
-	// victim and must not insert candidate.
+	// document the replacement policy would evict next. Returning false
+	// rejects the candidate: the caller must not evict victim and must
+	// not insert candidate. Callers ask through Admits.
 	Admit(candidate, victim *Doc) bool
 	// Inserted records that doc entered the cache (after any evictions
 	// its admission caused).
@@ -32,31 +31,36 @@ type Admitter interface {
 	Counts() AdmissionCounts
 }
 
+// Admits is the admission rule, the one place Admit is asked. A caller
+// whose insert of candidate needs room asks it once, before anything is
+// evicted: the candidate is judged against pol's next victim, and an
+// admitted candidate then displaces as many victims as it needs. A nil
+// admitter, or a policy with nothing to evict, admits.
+func Admits(a Admitter, pol Policy, candidate *Doc) bool {
+	if a == nil {
+		return true
+	}
+	victim, ok := pol.Peek()
+	return !ok || a.Admit(candidate, victim)
+}
+
 // AdmissionCounts are an Admitter's lifetime decision totals.
 type AdmissionCounts struct {
-	// Touches is the number of Touch calls.
-	Touches int64
 	// Admitted is the number of documents allowed in (Inserted calls).
 	Admitted int64
-	// Rejected is the number of Admit calls that returned false. The
-	// caller stops on the first rejection, so this equals the number of
-	// rejected inserts.
+	// Rejected is the number of Admit calls that returned false. Admits
+	// asks once per insert, so this is the number of rejected inserts.
 	Rejected int64
 	// GhostHits counts admissions granted because the candidate was in a
 	// ghost directory of recently evicted documents.
 	GhostHits int64
-	// Resets counts aging events (doorkeeper resets, count halvings,
-	// adaptation steps), for observability.
-	Resets int64
 }
 
 // Add accumulates another admitter's counters (e.g. across cache shards).
 func (c *AdmissionCounts) Add(o AdmissionCounts) {
-	c.Touches += o.Touches
 	c.Admitted += o.Admitted
 	c.Rejected += o.Rejected
 	c.GhostHits += o.GhostHits
-	c.Resets += o.Resets
 }
 
 // AdmitterFactory creates fresh admitter instances sized for a cache. A

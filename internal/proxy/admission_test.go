@@ -19,11 +19,8 @@ type freeSpaceOnly struct {
 	counts policy.AdmissionCounts
 }
 
-func (f *freeSpaceOnly) Touch(*policy.Doc) { f.counts.Touches++ }
+func (f *freeSpaceOnly) Touch(*policy.Doc) {}
 func (f *freeSpaceOnly) Admit(candidate, victim *policy.Doc) bool {
-	if victim == nil {
-		return true
-	}
 	f.counts.Rejected++
 	return false
 }
