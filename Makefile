@@ -65,12 +65,15 @@ bench:
 # so an internal/ API change cannot break it unnoticed. One pass each of
 # BenchmarkGenerate and BenchmarkSweepGrid keeps the micro-benchmarks
 # behind synth's and the sweep's cost figures (ROADMAP, "Where the cost
-# is") compiling and running, and prints the sweep's B/op.
+# is") compiling and running, and prints the sweep's B/op; one pass of
+# each scheme's Benchmark*Ops does the same for the per-operation cost of
+# every replacement scheme (internal/policy).
 bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench ./...
 	$(GO) test -run '^$$' -bench Generate -benchtime 1x ./internal/synth
 	$(GO) test -run '^$$' -bench SweepGrid -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'Ops$$' -benchtime 1x ./internal/policy
 
 # End-to-end smoke rows (quickstart, journal, admission, columnar, gzip,
 # cluster, report, fuzz); CI runs the same script one row per matrix job.
@@ -91,7 +94,7 @@ lines-by-pkg:
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 17418
+LINES_MAX = 17345
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

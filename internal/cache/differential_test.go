@@ -12,17 +12,19 @@ import (
 	"webcachesim/internal/synth"
 )
 
-// differentialWorkload is a DFN stream with every transfer complete: no
-// document grows while resident, the one path (core.Simulator's recharge)
-// a live store has no counterpart for. Modifications and documents larger
-// than the smaller capacity remain.
-func differentialWorkload(t *testing.T) *core.Workload {
+// differentialWorkload is a DFN stream of n requests with every transfer
+// complete: no document grows while resident, the one path
+// (core.Simulator's recharge) a live store has no counterpart for.
+// Modifications and documents larger than the smaller capacity remain,
+// and it returns the two capacities replayed: 0.5 % and 4 % of the
+// distinct bytes.
+func differentialWorkload(t *testing.T, n int) (*core.Workload, []int64) {
 	t.Helper()
 	prof := synth.DFNProfile()
 	for i := range prof.Classes {
 		prof.Classes[i].InterruptProb = 0
 	}
-	g, err := synth.NewGenerator(prof, synth.Options{Seed: 7, Requests: 30_000})
+	g, err := synth.NewGenerator(prof, synth.Options{Seed: 7, Requests: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,18 +32,6 @@ func differentialWorkload(t *testing.T) *core.Workload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w
-}
-
-// TestStoreMatchesSimulator replays one workload through core.Simulator
-// and through a one-shard store driven as the proxy drives it: Get, and
-// on a miss Insert; a modified document is Remove, then Insert. With one
-// shard the store is the simulator's machine, so every request must have
-// the same outcome on both sides — for every scheme core.Sweep knows,
-// under every admission filter — and the occupancy and the admitter's
-// counts must end equal.
-func TestStoreMatchesSimulator(t *testing.T) {
-	w := differentialWorkload(t)
 	capacities := []int64{w.CapacityAt(0.5, 0), w.CapacityAt(4, 0)}
 	var modified, oversized bool
 	for i := 0; i < w.NumRequests(); i++ {
@@ -52,7 +42,25 @@ func TestStoreMatchesSimulator(t *testing.T) {
 	if !modified || !oversized {
 		t.Fatalf("workload misses a path: modified %v, larger than the cache %v", modified, oversized)
 	}
+	return w, capacities
+}
 
+// TestStoreMatchesSimulator replays one workload through core.Simulator
+// and through a one-shard store driven as the proxy drives it: Get, and
+// on a miss Insert; a modified document is Remove, then Insert. With one
+// shard the store is the simulator's machine, so every request must have
+// the same outcome on both sides — for every scheme core.Sweep knows,
+// under every admission filter — and the occupancy and the admitter's
+// counts must end equal.
+//
+// GD*'s β estimator first refits after 50,000 references, so on 30,000
+// requests GD* would run as GDSF. Its rows replay 80,000 requests, enough
+// for a refit in every cell (60,000 are not, under a filter at 0.5 %),
+// and the simulator's and the store's instances must end with the same β,
+// moved off 1.
+func TestStoreMatchesSimulator(t *testing.T) {
+	short, shortCaps := differentialWorkload(t, 30_000)
+	long, longCaps := differentialWorkload(t, 80_000)
 	for _, spec := range []string{
 		"lru", "lfuda", "gds:1", "gds:p", "gdstar:1", "gdstar:p", "gdsf:1", "gdsf:p",
 		"fifo", "size", "lfu", "slru", "typeaware+gdstar:1", "typeaware+lru",
@@ -62,12 +70,33 @@ func TestStoreMatchesSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		pol := policy.MustFactory(parsed)
+		w, capacities, adapts := short, shortCaps, spec == "gdstar:1" || spec == "gdstar:p"
+		if adapts {
+			w, capacities = long, longCaps
+		}
 		t.Run(spec, func(t *testing.T) {
-			t.Parallel() // the workload is immutable and shared, as a sweep's is
+			t.Parallel() // the workloads are immutable and shared, as a sweep's is
 			for _, adm := range admission.Specs() {
 				for _, capacity := range capacities {
-					if err := replayBoth(w, pol, adm, capacity); err != nil {
+					var made []policy.Policy
+					rec := policy.Factory{Name: pol.Name, New: func() policy.Policy {
+						p := pol.New()
+						made = append(made, p)
+						return p
+					}}
+					if err := replayBoth(w, rec, adm, capacity); err != nil {
 						t.Errorf("%s/%d: %v", adm.Name, capacity, err)
+					}
+					if !adapts {
+						continue
+					}
+					if len(made) != 2 {
+						t.Fatalf("%s/%d: %d policy instances, want the simulator's and the store's", adm.Name, capacity, len(made))
+					}
+					sim, store := made[0].(*policy.GreedyDual).Beta(), made[1].(*policy.GreedyDual).Beta()
+					if sim == 1 || store == 1 || sim != store {
+						t.Errorf("%s/%d: β after %d requests: simulator %v, store %v; want both equal and moved off 1",
+							adm.Name, capacity, w.NumRequests(), sim, store)
 					}
 				}
 			}

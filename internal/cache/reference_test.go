@@ -52,7 +52,7 @@ func newReference(cfg Config) *reference {
 	r := &reference{shards: make([]refShard, cfg.Shards), capacity: cfg.Capacity}
 	for i := range r.shards {
 		sh := &r.shards[i]
-		sh.pol = policy.Checked(cfg.Policy.New())
+		sh.pol = policy.Checked(cfg.Policy.Name, cfg.Policy.New())
 		if cfg.Admission.New != nil {
 			sh.adm = cfg.Admission.New(cfg.Capacity / int64(cfg.Shards))
 		}

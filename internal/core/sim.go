@@ -146,7 +146,7 @@ func newSimulator(w *Workload, cfg Config, warmup int64) (*Simulator, error) {
 		},
 	}
 	if cfg.SelfCheck {
-		s.pol = policy.Checked(s.pol)
+		s.pol = policy.Checked(cfg.Policy.Name, s.pol)
 	}
 	if cfg.Admission.New != nil {
 		s.adm = cfg.Admission.New(cfg.Capacity)

@@ -288,7 +288,6 @@ func TestSimulatorCapacityInvariantAllPolicies(t *testing.T) {
 // adversarial implementation that must not hang or overfill the cache.
 type brokenPolicy struct{ n int }
 
-func (b *brokenPolicy) Name() string               { return "broken" }
 func (b *brokenPolicy) Insert(*policy.Doc)         { b.n++ }
 func (b *brokenPolicy) Hit(*policy.Doc)            {}
 func (b *brokenPolicy) Evict() (*policy.Doc, bool) { return nil, false }

@@ -23,13 +23,15 @@ func (e *ContractError) Error() string {
 // contract. It shadow-tracks the set of documents the inner policy should
 // be holding and cross-checks it against Len and every return value.
 type checked struct {
+	name    string
 	inner   Policy
 	tracked map[*Doc]bool
 }
 
 var _ Policy = (*checked)(nil)
 
-// Checked wraps p so that every call asserts the Policy contract:
+// Checked wraps p, the scheme whose display name is name, so that every
+// call asserts the Policy contract:
 //
 //   - Len always equals the number of documents inserted and not yet
 //     evicted or removed (no drift, no lying Len).
@@ -39,19 +41,19 @@ var _ Policy = (*checked)(nil)
 //   - Evict returns false exactly when the policy tracks nothing; a
 //     returned victim must be non-nil and actually tracked.
 //
-// Violations panic with a *ContractError. The wrapper is the executable
-// form of the comments in policy.go: policy unit tests run every scheme
-// under it, and wcsim/sweep enable it behind a -check flag. Wrapping an
-// already-checked policy returns it unchanged.
-func Checked(p Policy) Policy {
+// Violations panic with a *ContractError that carries name. The wrapper
+// is the executable form of the comments in policy.go: policy unit tests
+// run every scheme under it, and wcsim/sweep enable it behind a -check
+// flag. Wrapping an already-checked policy returns it unchanged.
+func Checked(name string, p Policy) Policy {
 	if _, ok := p.(*checked); ok {
 		return p
 	}
-	return &checked{inner: p, tracked: map[*Doc]bool{}}
+	return &checked{name: name, inner: p, tracked: map[*Doc]bool{}}
 }
 
 func (c *checked) fail(op, format string, args ...any) {
-	panic(&ContractError{Policy: c.inner.Name(), Op: op, Detail: fmt.Sprintf(format, args...)})
+	panic(&ContractError{Policy: c.name, Op: op, Detail: fmt.Sprintf(format, args...)})
 }
 
 // sync asserts that the inner policy's Len agrees with the shadow set.
@@ -60,10 +62,6 @@ func (c *checked) sync(op string) {
 		c.fail(op, "Len() = %d, but %d documents are tracked", n, len(c.tracked))
 	}
 }
-
-// Name implements Policy; the display name passes through unchanged so
-// checked results are comparable with unchecked ones.
-func (c *checked) Name() string { return c.inner.Name() }
 
 // Insert implements Policy.
 func (c *checked) Insert(doc *Doc) {

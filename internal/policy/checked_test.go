@@ -11,8 +11,6 @@ type fakePolicy struct {
 	docs []*Doc
 }
 
-func (f *fakePolicy) Name() string { return "fake" }
-
 func (f *fakePolicy) Insert(doc *Doc) { f.docs = append(f.docs, doc) }
 
 func (f *fakePolicy) Hit(*Doc) {}
@@ -72,8 +70,9 @@ type leakyRemove struct{ fakePolicy }
 
 func (p *leakyRemove) Remove(*Doc) {}
 
-// wantViolation runs fn and asserts it panics with a *ContractError whose
-// Op and Detail match.
+// wantViolation runs fn and asserts it panics with a *ContractError that
+// names the scheme as Checked was told ("fake") and whose Op and Detail
+// match.
 func wantViolation(t *testing.T, op, detailFrag string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -84,6 +83,9 @@ func wantViolation(t *testing.T, op, detailFrag string, fn func()) {
 		ce, ok := r.(*ContractError)
 		if !ok {
 			t.Fatalf("panic = %v (%T), want *ContractError", r, r)
+		}
+		if ce.Policy != "fake" {
+			t.Errorf("ContractError.Policy = %q, want fake", ce.Policy)
 		}
 		if ce.Op != op {
 			t.Errorf("ContractError.Op = %q, want %q", ce.Op, op)
@@ -99,10 +101,7 @@ func wantViolation(t *testing.T, op, detailFrag string, fn func()) {
 }
 
 func TestCheckedCleanPolicyPassesThrough(t *testing.T) {
-	p := Checked(&fakePolicy{})
-	if p.Name() != "fake" {
-		t.Errorf("Name = %q, want fake (pass-through)", p.Name())
-	}
+	p := Checked("fake", &fakePolicy{})
 	a, b := &Doc{Key: "a", Size: 1}, &Doc{Key: "b", Size: 2}
 	p.Insert(a)
 	p.Insert(b)
@@ -125,54 +124,54 @@ func TestCheckedCleanPolicyPassesThrough(t *testing.T) {
 }
 
 func TestCheckedIdempotentWrap(t *testing.T) {
-	p := Checked(&fakePolicy{})
-	if again := Checked(p); again != p {
+	p := Checked("fake", &fakePolicy{})
+	if again := Checked("fake", p); again != p {
 		t.Error("Checked(Checked(p)) allocated a second wrapper")
 	}
 }
 
 func TestCheckedCatchesDoubleInsert(t *testing.T) {
-	p := Checked(&fakePolicy{})
+	p := Checked("fake", &fakePolicy{})
 	d := &Doc{Key: "dup"}
 	p.Insert(d)
 	wantViolation(t, "Insert", "double insert", func() { p.Insert(d) })
 }
 
 func TestCheckedCatchesNilInsert(t *testing.T) {
-	p := Checked(&fakePolicy{})
+	p := Checked("fake", &fakePolicy{})
 	wantViolation(t, "Insert", "nil document", func() { p.Insert(nil) })
 }
 
 func TestCheckedCatchesLyingLen(t *testing.T) {
-	p := Checked(&lyingLen{})
+	p := Checked("fake", &lyingLen{})
 	wantViolation(t, "Insert", "tracked", func() { p.Insert(&Doc{Key: "a"}) })
 }
 
 func TestCheckedCatchesEvictUntracked(t *testing.T) {
-	p := Checked(&evictsUntracked{})
+	p := Checked("fake", &evictsUntracked{})
 	p.Insert(&Doc{Key: "real"})
 	wantViolation(t, "Evict", "untracked", func() { _, _ = p.Evict() })
 }
 
 func TestCheckedCatchesEvictNilVictim(t *testing.T) {
-	p := Checked(&evictsNil{})
+	p := Checked("fake", &evictsNil{})
 	p.Insert(&Doc{Key: "real"})
 	wantViolation(t, "Evict", "nil victim", func() { _, _ = p.Evict() })
 }
 
 func TestCheckedCatchesEvictFalseWhileTracking(t *testing.T) {
-	p := Checked(&refusesEvict{})
+	p := Checked("fake", &refusesEvict{})
 	p.Insert(&Doc{Key: "real"})
 	wantViolation(t, "Evict", "reported empty", func() { _, _ = p.Evict() })
 }
 
 func TestCheckedCatchesHitOnUntracked(t *testing.T) {
-	p := Checked(&fakePolicy{})
+	p := Checked("fake", &fakePolicy{})
 	wantViolation(t, "Hit", "untracked", func() { p.Hit(&Doc{Key: "ghost"}) })
 }
 
 func TestCheckedCatchesLeakyRemove(t *testing.T) {
-	p := Checked(&leakyRemove{})
+	p := Checked("fake", &leakyRemove{})
 	d := &Doc{Key: "sticky"}
 	p.Insert(d)
 	wantViolation(t, "Remove", "tracked", func() { p.Remove(d) })

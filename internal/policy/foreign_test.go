@@ -40,7 +40,7 @@ func specFactory(t *testing.T, s string) Factory {
 // run has an order the sub-policies alone decide.
 func foreignRun(t *testing.T, scheme, other Factory, stray bool) []string {
 	t.Helper()
-	holders := []Policy{Checked(scheme.New()), Checked(scheme.New()), Checked(other.New())}
+	holders := []Policy{Checked(scheme.Name, scheme.New()), Checked(scheme.Name, scheme.New()), Checked(other.Name, other.New())}
 	var docs []*Doc
 	for i := 0; i < 60; i++ {
 		d := &Doc{Key: fmt.Sprintf("d%d", i), ID: int32(i), Size: int64(100 + 37*i%4000), Class: doctype.Image}

@@ -18,10 +18,10 @@ type heapMeta struct {
 // evictHeap is the core every value-based scheme embeds: documents queued
 // by their value H, the minimum evicted, and the victim's H kept as the
 // cache age L that the aging schemes add to new values. A scheme on top of
-// it is a name plus the H it computes in Insert and Hit. Whether a
-// document is tracked is the queue's knowledge alone — its handle points
-// back from the heap array — so a Hit or Remove for a document this heap
-// does not hold changes nothing.
+// it is the H it computes in Insert and Hit. Whether a document is
+// tracked is the queue's knowledge alone — its handle points back from
+// the heap array — so a Hit or Remove for a document this heap does not
+// hold changes nothing.
 type evictHeap struct {
 	queue pqueue.Queue[*Doc]
 	age   float64
@@ -96,151 +96,118 @@ func finiteH(h, floor float64) float64 {
 	return h
 }
 
-// LFUDA is Least Frequently Used with Dynamic Aging: a frequency-based
-// policy under fixed cost and size assumptions. Each document carries its
-// reference count; the document with the smallest count is evicted. The
-// dynamic-aging term avoids cache pollution by formerly popular documents:
-// the policy keeps a cache age L, set to the key value of the last evicted
-// document, and adds L to a document's reference count whenever the
-// document is inserted or referenced.
-type LFUDA struct{ evictHeap }
-
-var _ Policy = (*LFUDA)(nil)
-
-// NewLFUDA returns an empty LFU-DA policy.
-func NewLFUDA() *LFUDA { return &LFUDA{} }
-
-// Name implements Policy.
-func (*LFUDA) Name() string { return "LFU-DA" }
-
-// Insert implements Policy: key = 1 + L.
-func (p *LFUDA) Insert(doc *Doc) { p.track(doc, 1+p.age) }
-
-// Hit implements Policy: key = f + L with the incremented count.
-func (p *LFUDA) Hit(doc *Doc) {
-	if refs, ok := p.touch(doc); ok {
-		p.queue.Update(&doc.hm.item, float64(refs)+p.age)
-	}
-}
-
-// GDS is Greedy Dual Size (Cao & Irani): it values each document at
-// H(p) = L + c(p)/s(p) and evicts the minimum H. The inflation offset L —
-// set to the H value of each eviction victim — implements the paper's
-// "subtract H_min from all documents" step in O(1): instead of deflating
-// every resident value, new and re-referenced values are inflated. GDS is
-// size- and cost-aware but, like LRU, ignores reference frequency.
-type GDS struct {
-	evictHeap
-	cost CostModel
-}
-
-var _ Policy = (*GDS)(nil)
-
-// NewGDS returns an empty GDS policy under the given cost model
-// (ConstantCost when nil).
-func NewGDS(cost CostModel) *GDS {
-	if cost == nil {
-		cost = ConstantCost{}
-	}
-	return &GDS{cost: cost}
-}
-
-// Name implements Policy.
-func (p *GDS) Name() string { return "GDS(" + p.cost.Tag() + ")" }
-
-func (p *GDS) value(doc *Doc) float64 {
-	size := doc.Size
-	if size < 1 {
-		size = 1
-	}
-	return finiteH(p.age+p.cost.Cost(doc.Size)/float64(size), p.age)
-}
-
-// Insert implements Policy.
-func (p *GDS) Insert(doc *Doc) { p.track(doc, p.value(doc)) }
-
-// Hit implements Policy: the document's H is restored to L + c/s.
-func (p *GDS) Hit(doc *Doc) {
-	if _, ok := p.touch(doc); ok {
-		p.queue.Update(&doc.hm.item, p.value(doc))
-	}
-}
-
-// GDStar is Greedy Dual* (Jin & Bestavros): it captures both sources of
-// temporal locality by valuing documents at
+// GreedyDual is the Greedy-Dual procedure behind every value-based scheme
+// of the study (DSN-2002 §3): each document is valued at
 //
-//	H(p) = L + (f(p) · c(p) / s(p))^(1/β)
+//	H(p) = [L +] ([f(p)] · [c(p)/s(p)])^(1/β)
 //
-// where f(p) is the reference count (long-term popularity) and β is the
-// temporal-correlation index of the workload. β can be fixed, or — the
-// novel feature of GD* — estimated online from the reference stream, which
-// makes the policy adaptive to changing workload characteristics.
-type GDStar struct {
+// and the minimum H is evicted. The constructors fix which bracketed
+// terms are in:
+//
+//   - aging adds the cache age L, the H of the last victim: new and
+//     re-referenced values are inflated instead of every resident value
+//     deflated, an O(1) "subtract H_min from all documents" that lets
+//     formerly popular documents age out;
+//   - freq multiplies by the reference count f(p), long-term popularity;
+//   - a cost model adds the retrieval cost per byte c(p)/s(p);
+//   - β, the workload's temporal-correlation index, is 1, or fixed, or —
+//     the novel feature of GD* — estimated online, which makes the policy
+//     adaptive.
+type GreedyDual struct {
 	evictHeap
-	family string // display name without the cost tag: "GD*" or "GDSF"
-	cost   CostModel
+	aging, freq bool
+	cost        CostModel // nil: no c/s term
 
-	// fixedBeta and its reciprocal are used when estimator is nil.
-	fixedBeta    float64
-	fixedInvBeta float64
-	estimator    *BetaEstimator
+	// beta and its reciprocal are used when estimator is nil.
+	beta, invBeta float64
+	estimator     *BetaEstimator
 }
 
-var _ Policy = (*GDStar)(nil)
+var _ Policy = (*GreedyDual)(nil)
 
-// NewGDStar returns an empty GD* policy under the given cost model
-// (ConstantCost when nil). A positive finite beta fixes the exponent; any
-// other value (zero, negative, NaN, Inf) enables the online estimator,
-// since 1/β would otherwise flip or destroy the eviction order.
-func NewGDStar(cost CostModel, beta float64) *GDStar {
-	if cost == nil {
-		cost = ConstantCost{}
-	}
+// newGreedyDual builds the procedure for one setting. A positive finite
+// beta fixes the exponent; any other value (zero, negative, NaN, Inf)
+// enables the online estimator, since 1/β would otherwise flip or destroy
+// the eviction order.
+func newGreedyDual(aging, freq bool, cost CostModel, beta float64) *GreedyDual {
+	p := &GreedyDual{aging: aging, freq: freq, cost: cost}
 	if !(beta > 0) || math.IsInf(beta, 1) {
-		return &GDStar{family: "GD*", cost: cost, estimator: NewBetaEstimator()}
+		p.estimator = NewBetaEstimator()
+	} else {
+		p.beta, p.invBeta = beta, 1/beta
 	}
-	return &GDStar{family: "GD*", cost: cost, fixedBeta: beta, fixedInvBeta: 1 / beta}
-}
-
-// NewGDSF returns an empty GDSF policy — GreedyDual-Size with Frequency
-// (Cherkasova), H(p) = L + f(p)·c(p)/s(p) — under the given cost model
-// (ConstantCost when nil). It is the β = 1 point of the GD* family:
-// frequency-aware and size-aware, but blind to temporal correlation, and
-// the variant deployed in Squid. It is included for the related-work
-// comparisons (Arlitt et al. [1]); the gap between GDSF and GD* isolates
-// the value of the 1/β aging exponent.
-func NewGDSF(cost CostModel) *GDStar {
-	p := NewGDStar(cost, 1)
-	p.family = "GDSF"
 	return p
 }
 
-// Name implements Policy.
-func (p *GDStar) Name() string { return p.family + "(" + p.cost.Tag() + ")" }
+// NewLFU returns an empty plain LFU policy, H = f without aging; the gap
+// between LFU and LFU-DA isolates the value of dynamic aging against cache
+// pollution.
+func NewLFU() *GreedyDual { return newGreedyDual(false, true, nil, 1) }
+
+// NewLFUDA returns an empty LFU with Dynamic Aging policy (Arlitt et
+// al.), H = L + f: frequency under fixed cost and size assumptions.
+func NewLFUDA() *GreedyDual { return newGreedyDual(true, true, nil, 1) }
+
+// NewGDS returns an empty Greedy Dual Size policy (Cao & Irani), H = L +
+// c/s, under the given cost model (ConstantCost when nil). GDS is size-
+// and cost-aware but, like LRU, ignores reference frequency.
+func NewGDS(cost CostModel) *GreedyDual {
+	if cost == nil {
+		cost = ConstantCost{}
+	}
+	return newGreedyDual(true, false, cost, 1)
+}
+
+// NewGDStar returns an empty Greedy Dual* policy (Jin & Bestavros), H =
+// L + (f·c/s)^(1/β), under the given cost model (ConstantCost when nil).
+// A positive finite beta fixes the exponent; any other value estimates it
+// online.
+func NewGDStar(cost CostModel, beta float64) *GreedyDual {
+	if cost == nil {
+		cost = ConstantCost{}
+	}
+	return newGreedyDual(true, true, cost, beta)
+}
+
+// NewGDSF returns an empty GreedyDual-Size with Frequency policy
+// (Cherkasova), H = L + f·c/s, under the given cost model (ConstantCost
+// when nil): the β = 1 point of GD*, blind to temporal correlation, and
+// the variant deployed in Squid. The gap between GDSF and GD* isolates the
+// value of the 1/β aging exponent.
+func NewGDSF(cost CostModel) *GreedyDual { return NewGDStar(cost, 1) }
 
 // Beta returns the exponent currently in effect.
-func (p *GDStar) Beta() float64 {
+func (p *GreedyDual) Beta() float64 {
 	if p.estimator != nil {
 		return p.estimator.Beta()
 	}
-	return p.fixedBeta
+	return p.beta
 }
 
-func (p *GDStar) value(doc *Doc, refs int64) float64 {
-	size := doc.Size
-	if size < 1 {
-		size = 1
+// value computes H for a document with refs references. With f or c/s
+// left out the factor is 1, and 1·x == x and Pow(x, 1) == x exactly, so
+// every setting computes the same bits as its own formula would.
+func (p *GreedyDual) value(doc *Doc, refs int64) float64 {
+	base := 1.0
+	if p.freq {
+		base = float64(refs)
 	}
-	invBeta := p.fixedInvBeta
+	if p.cost != nil {
+		base = base * p.cost.Cost(doc.Size) / float64(max(doc.Size, 1))
+	}
+	invBeta := p.invBeta
 	if p.estimator != nil {
 		invBeta = p.estimator.invBeta
 	}
-	base := float64(refs) * p.cost.Cost(doc.Size) / float64(size)
-	return finiteH(p.age+math.Pow(base, invBeta), p.age)
+	h := math.Pow(base, invBeta)
+	if !p.aging {
+		return h
+	}
+	return finiteH(p.age+h, p.age)
 }
 
 // Insert implements Policy.
-func (p *GDStar) Insert(doc *Doc) {
+func (p *GreedyDual) Insert(doc *Doc) {
 	if p.estimator != nil {
 		p.estimator.Observe(doc.ID)
 	}
@@ -248,34 +215,12 @@ func (p *GDStar) Insert(doc *Doc) {
 }
 
 // Hit implements Policy.
-func (p *GDStar) Hit(doc *Doc) {
+func (p *GreedyDual) Hit(doc *Doc) {
 	if p.estimator != nil {
 		p.estimator.Observe(doc.ID)
 	}
 	if refs, ok := p.touch(doc); ok {
 		p.queue.Update(&doc.hm.item, p.value(doc, refs))
-	}
-}
-
-// LFU is plain Least Frequently Used without aging; the gap between LFU
-// and LFU-DA isolates the value of dynamic aging against cache pollution.
-type LFU struct{ evictHeap }
-
-var _ Policy = (*LFU)(nil)
-
-// NewLFU returns an empty LFU policy.
-func NewLFU() *LFU { return &LFU{} }
-
-// Name implements Policy.
-func (*LFU) Name() string { return "LFU" }
-
-// Insert implements Policy.
-func (p *LFU) Insert(doc *Doc) { p.track(doc, 1) }
-
-// Hit implements Policy.
-func (p *LFU) Hit(doc *Doc) {
-	if refs, ok := p.touch(doc); ok {
-		p.queue.Update(&doc.hm.item, float64(refs))
 	}
 }
 
@@ -288,9 +233,6 @@ var _ Policy = (*Size)(nil)
 
 // NewSize returns an empty SIZE policy.
 func NewSize() *Size { return &Size{} }
-
-// Name implements Policy.
-func (*Size) Name() string { return "SIZE" }
 
 // Insert implements Policy: priority is the negated size, so the largest
 // document is the heap minimum.

@@ -3,11 +3,11 @@ package policy
 import "webcachesim/internal/container/intlist"
 
 // recencyList is the core the list-ordered schemes embed: documents enter
-// at the front and the back is evicted. A scheme on top of it is a name
-// plus what a Hit does to the order. Whether a document is tracked is the
-// list's knowledge alone — the node embedded in the Doc names the list
-// that holds it — so a Hit or Remove for a document this list does not
-// hold changes nothing.
+// at the front and the back is evicted. A scheme on top of it is what a
+// Hit does to the order. Whether a document is tracked is the list's
+// knowledge alone — the node embedded in the Doc names the list that
+// holds it — so a Hit or Remove for a document this list does not hold
+// changes nothing.
 type recencyList struct {
 	list intlist.List[*Doc]
 }
@@ -55,9 +55,6 @@ var _ Policy = (*LRU)(nil)
 // NewLRU returns an empty LRU policy.
 func NewLRU() *LRU { return &LRU{} }
 
-// Name implements Policy.
-func (*LRU) Name() string { return "LRU" }
-
 // Hit implements Policy: a referenced document moves to the most-recent
 // end.
 func (p *LRU) Hit(doc *Doc) { p.list.MoveToFront(&doc.elem) }
@@ -71,9 +68,6 @@ var _ Policy = (*FIFO)(nil)
 
 // NewFIFO returns an empty FIFO policy.
 func NewFIFO() *FIFO { return &FIFO{} }
-
-// Name implements Policy.
-func (*FIFO) Name() string { return "FIFO" }
 
 // Hit implements Policy: FIFO ignores references.
 func (*FIFO) Hit(*Doc) {}

@@ -26,11 +26,12 @@ import (
 // unexported fields; whether a policy tracks the document is recorded once,
 // by the heap or list that holds it.
 type Doc struct {
-	// ID is the document's dense identity: callers assign each distinct
-	// document a unique small integer (the simulator uses the workload's
-	// interned doc ID; the proxy interns URLs the same way). This is the
-	// keying contract for policy state that outlives residency, such as
-	// GD*'s inter-reference tracking.
+	// ID is the document's dense identity, the key of policy state that
+	// outlives residency, such as GD*'s inter-reference tracking. The
+	// simulator uses the workload's interned doc ID, unique for the whole
+	// run. The store interns URLs per shard and recycles a long-evicted
+	// URL's ID once cache.DefaultInternRetain retired mappings pile up, so
+	// a new URL can inherit an old document's history (docs/PROXY.md).
 	ID int32
 	// Class is the document's content class, used only for per-type
 	// accounting by the simulator.
@@ -69,8 +70,6 @@ type Doc struct {
 // Implementations are not safe for concurrent use; the simulator runs one
 // policy instance per goroutine.
 type Policy interface {
-	// Name returns the scheme's display name (e.g. "GD*(1)").
-	Name() string
 	// Insert adds a document that just entered the cache.
 	Insert(doc *Doc)
 	// Hit records a reference to a resident document. A Hit for a document
@@ -92,9 +91,10 @@ type Policy interface {
 }
 
 // Factory creates fresh policy instances, so that a sweep can run the same
-// scheme at many cache sizes concurrently.
+// scheme at many cache sizes concurrently. It names the scheme; the
+// instances it makes carry no name.
 type Factory struct {
-	// Name is the display name of the configured scheme.
+	// Name is the display name of the configured scheme (e.g. "GD*(1)").
 	Name string
 	// New returns a fresh, empty policy instance.
 	New func() Policy

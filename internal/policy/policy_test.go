@@ -20,30 +20,28 @@ func doc(key string, size int64) *Doc {
 	return &Doc{Key: key, ID: testDocID, Size: size, Class: doctype.Other}
 }
 
-// allPolicies returns one fresh instance of every scheme for contract
-// tests. Each instance is wrapped in Checked so every test in this file
+// allPolicies returns a factory for every scheme, built from the spec
+// strings ParseSpec accepts, for the contract tests. Each test runs its
+// instance through Checked under the factory's name, so every test here
 // doubles as a run under the runtime contract checker: any Len drift,
-// double insert, or bogus Evict result panics with a ContractError.
-func allPolicies() []Policy {
-	bare := []Policy{
-		NewLRU(), NewFIFO(), NewLFUDA(), NewLFU(), NewSize(),
-		NewGDS(ConstantCost{}), NewGDS(PacketCost{}),
-		NewGDStar(ConstantCost{}, 0.8), NewGDStar(PacketCost{}, 0),
-		NewGDSF(ConstantCost{}),
-		NewSLRU(16),
-		NewTypeAware(MustFactory(Spec{Scheme: "lru"})),
-	}
-	out := make([]Policy, len(bare))
-	for i, p := range bare {
-		out[i] = Checked(p)
+// double insert, or bogus Evict result panics with a ContractError naming
+// the scheme.
+func allPolicies(t *testing.T) []Factory {
+	var out []Factory
+	for _, s := range []string{
+		"lru", "fifo", "lfuda", "lfu", "size", "gds:1", "gds:p",
+		"gdstar:1", "gdstar:p", "gdsf:1", "slru", "typeaware+lru",
+	} {
+		out = append(out, specFactory(t, s))
 	}
 	return out
 }
 
 // TestPolicyContract drives every policy through the generic lifecycle.
 func TestPolicyContract(t *testing.T) {
-	for _, p := range allPolicies() {
-		t.Run(p.Name(), func(t *testing.T) {
+	for _, f := range allPolicies(t) {
+		t.Run(f.Name, func(t *testing.T) {
+			p := Checked(f.Name, f.New())
 			if p.Len() != 0 {
 				t.Fatal("fresh policy not empty")
 			}
@@ -375,9 +373,8 @@ func TestParseSpec(t *testing.T) {
 		if f.Name != tt.wantName {
 			t.Errorf("ParseSpec(%q).Name = %q, want %q", tt.in, f.Name, tt.wantName)
 		}
-		p := f.New()
-		if p == nil || p.Name() != tt.wantName {
-			t.Errorf("factory %q produced policy %v", tt.in, p)
+		if f.New() == nil {
+			t.Errorf("factory %q produced no policy", tt.in)
 		}
 	}
 }
@@ -438,8 +435,9 @@ func TestStudyFactories(t *testing.T) {
 // duplication) under interleaved hits and removes.
 func TestEvictionIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, p := range allPolicies() {
-		t.Run(p.Name(), func(t *testing.T) {
+	for _, f := range allPolicies(t) {
+		t.Run(f.Name, func(t *testing.T) {
+			p := Checked(f.Name, f.New())
 			live := map[string]*Doc{}
 			inserted := 0
 			for op := 0; op < 3000; op++ {

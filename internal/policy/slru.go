@@ -31,9 +31,6 @@ func NewSLRU(maxProtected int) *SLRU {
 	return &SLRU{maxProtected: maxProtected}
 }
 
-// Name implements Policy.
-func (*SLRU) Name() string { return "SLRU" }
-
 // Insert implements Policy: new documents enter probation.
 func (p *SLRU) Insert(doc *Doc) { p.probation.Insert(doc) }
 

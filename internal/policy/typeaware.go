@@ -21,7 +21,6 @@ type TypeAware struct {
 	subs    [doctype.NumClasses + 1]Policy
 	used    [doctype.NumClasses + 1]int64
 	traffic [doctype.NumClasses + 1]float64
-	name    string
 	ops     int
 }
 
@@ -34,15 +33,12 @@ const typeAwareDecayEvery = 4096
 // NewTypeAware builds a type-aware meta-policy whose per-class
 // sub-policies come from inner.
 func NewTypeAware(inner Factory) *TypeAware {
-	t := &TypeAware{name: "TA[" + inner.Name + "]"}
+	t := &TypeAware{}
 	for _, cl := range doctype.Classes {
 		t.subs[cl] = inner.New()
 	}
 	return t
 }
-
-// Name implements Policy.
-func (t *TypeAware) Name() string { return t.name }
 
 // sub returns the sub-policy for a document, mapping any unclassified
 // document to Other so no document is ever lost.

@@ -124,10 +124,6 @@ func TestTypeAwareSpecParsing(t *testing.T) {
 	if f.Name != "TA[GD*(P)]" {
 		t.Errorf("Name = %q", f.Name)
 	}
-	p := f.New()
-	if p.Name() != "TA[GD*(P)]" {
-		t.Errorf("policy name = %q", p.Name())
-	}
 	if _, err := ParseSpec("typeaware+typeaware+lru"); err == nil {
 		t.Error("nested typeaware accepted")
 	}
