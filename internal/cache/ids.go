@@ -1,51 +1,37 @@
 package cache
 
-// idTable is the shard's bounded URL→ID interner. The unbounded
-// trace.Interner it replaces retained every URL ever inserted — a slow
-// memory leak under unique-URL traffic, where the cache's bytes are
-// bounded by capacity but the interner grew one map entry per URL
-// forever.
+import "webcachesim/internal/container/intlist"
+
+// idTable is the shard's bounded URL→ID interner. An unbounded interner
+// would keep every URL ever inserted, one map entry per URL forever under
+// unique-URL traffic, while the cache's bytes stay bounded by capacity.
 //
-// The table keeps the keying contract policies rely on — a URL holds one
-// stable dense ID for as long as it is resident, and keeps that ID across
-// evict/refetch cycles while its mapping survives — but bounds the
-// non-resident tail: an ID whose URL left the cache is "retired", and
-// once more than retain retired mappings accumulate, the oldest are
-// recycled (mapping dropped, ID reused for a new URL) in FIFO order.
-// One-shot URLs therefore cost an interner slot only until they age out
-// of the retire window instead of permanently.
+// A URL holds one stable dense ID for as long as it is resident, and
+// keeps that ID across evict/refetch cycles while its mapping survives.
+// An ID whose URL left the cache is retired; once more than retain IDs
+// are retired, the one retired longest ago is recycled: its mapping is
+// dropped and the ID goes to the next new URL. A one-shot URL therefore
+// costs a mapping only until it ages out of the retire window.
 //
-// Recycling trades a bounded amount of identity aliasing for bounded
-// memory: ID-keyed state that outlives residency (GD*'s inter-reference
-// estimator, admission ghost directories) can see a recycled ID as a
-// returning document. The window is sized so that only URLs evicted long
-// ago — beyond what those structures meaningfully remember — get
-// recycled.
+// Recycling trades identity for bounded memory. ID-keyed state that
+// outlives residency (GD*'s inter-reference estimator, admission ghost
+// directories) takes a recycled ID's new URL for the old one returning.
+// On long streams this moves GD*'s β away from the simulator's
+// (docs/PROXY.md, the ID-recycling tables).
+//
+// Each ID gets one list node when it is first issued. The list the node
+// is in says what the ID is: retired (newest at the front), free (reused
+// newest first), or in no list while pinned.
 //
 // All methods must be called with the owning shard's lock held.
 type idTable struct {
-	ids   map[string]int32
-	keys  []string
-	state []uint8  // per-ID: idPinned, idRetired or idFree
-	seq   []uint32 // per-ID retire generation, invalidates stale ring slots
-	free  []int32  // recycled IDs ready for reuse
-
-	ring    []ringSlot // FIFO of retired IDs, oldest at head
-	head    int
-	retired int // live (non-stale) retired entries in the ring
-	retain  int // recycle beyond this many retired entries
+	ids     map[string]int32
+	keys    []string
+	nodes   []*intlist.Element[int32]
+	retired intlist.List[int32]
+	free    intlist.List[int32]
+	retain  int // recycle beyond this many retired IDs
 }
-
-type ringSlot struct {
-	id  int32
-	seq uint32
-}
-
-const (
-	idFree uint8 = iota
-	idPinned
-	idRetired
-)
 
 // DefaultInternRetain is the store's retired-mapping budget, split evenly
 // across the shards (4,096 per shard at the default 16), so the shard
@@ -63,59 +49,35 @@ func newIDTable(retain int) *idTable {
 // key is a no-op returning the same ID.
 func (t *idTable) pin(key string) int32 {
 	if id, ok := t.ids[key]; ok {
-		if t.state[id] == idRetired {
-			t.state[id] = idPinned
-			t.retired--
-		}
-		return id
-	}
-	if n := len(t.free); n > 0 {
-		id := t.free[n-1]
-		t.free = t.free[:n-1]
-		t.keys[id] = key
-		t.ids[key] = id
-		t.state[id] = idPinned
+		t.retired.Remove(t.nodes[id]) // a no-op unless the ID is retired
 		return id
 	}
 	id := int32(len(t.keys))
-	t.keys = append(t.keys, key)
-	t.state = append(t.state, idPinned)
-	t.seq = append(t.seq, 0)
+	if e := t.free.Front(); e != nil {
+		id = t.free.Remove(e)
+		t.keys[id] = key
+	} else {
+		t.keys = append(t.keys, key)
+		t.nodes = append(t.nodes, &intlist.Element[int32]{Value: id})
+	}
 	t.ids[key] = id
 	return id
 }
 
-// unpin marks an ID non-resident and recycles the oldest retired
-// mappings beyond the retain budget. Unpinning an already-retired or
-// free ID is a no-op.
+// unpin retires a pinned ID and recycles the oldest retired ID beyond
+// the retain budget. Unpinning a retired, free or never-issued ID is a
+// no-op.
 func (t *idTable) unpin(id int32) {
-	if int(id) >= len(t.state) || t.state[id] != idPinned {
+	if int(id) >= len(t.nodes) || t.nodes[id].List() != nil {
 		return
 	}
-	t.state[id] = idRetired
-	t.seq[id]++
-	t.ring = append(t.ring, ringSlot{id: id, seq: t.seq[id]})
-	t.retired++
-	for t.retired > t.retain && t.head < len(t.ring) {
-		slot := t.ring[t.head]
-		t.head++
-		// A slot is stale when its ID was re-pinned (and possibly
-		// re-retired with a newer seq) since it was queued; skip it — the
-		// live generation has its own slot further down the ring.
-		if t.state[slot.id] == idRetired && t.seq[slot.id] == slot.seq {
-			delete(t.ids, t.keys[slot.id])
-			t.keys[slot.id] = ""
-			t.state[slot.id] = idFree
-			t.free = append(t.free, slot.id)
-			t.retired--
-		}
-	}
-	// Compact the ring once the consumed prefix dominates, so the queue's
-	// memory stays proportional to the live retired population.
-	if t.head > len(t.ring)/2 && t.head > 64 {
-		n := copy(t.ring, t.ring[t.head:])
-		t.ring = t.ring[:n]
-		t.head = 0
+	t.retired.LinkFront(t.nodes[id])
+	if t.retired.Len() > t.retain {
+		old := t.retired.Back()
+		t.retired.Remove(old)
+		delete(t.ids, t.keys[old.Value])
+		t.keys[old.Value] = ""
+		t.free.LinkFront(old)
 	}
 }
 

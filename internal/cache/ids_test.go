@@ -2,6 +2,8 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -83,8 +85,8 @@ func TestInternerStableIDWithinWindow(t *testing.T) {
 }
 
 // TestIDTableRecycling exercises the pin/unpin state machine directly:
-// retired IDs past the retain budget are recycled in FIFO order, revived
-// pins invalidate their stale ring slots, and recycled IDs are reused.
+// retired IDs past the retain budget are recycled in FIFO order, a
+// revived ID leaves the retired list, and recycled IDs are reused.
 func TestIDTableRecycling(t *testing.T) {
 	tb := newIDTable(2)
 	ids := make([]int32, 5)
@@ -104,8 +106,8 @@ func TestIDTableRecycling(t *testing.T) {
 	if _, ok := tb.ids["k0"]; ok {
 		t.Fatal("k0 should have been recycled (oldest retired)")
 	}
-	// Revive k1, then retire k3 and k4: the stale k1 ring slot must be
-	// skipped, so the recycle order is k2 then k3.
+	// Revive k1, then retire k3 and k4: k1 is no longer retired, so the
+	// recycle order is k2 then k3.
 	if got := tb.pin("k1"); got != ids[1] {
 		t.Fatalf("reviving k1 returned ID %d; want %d", got, ids[1])
 	}
@@ -115,7 +117,7 @@ func TestIDTableRecycling(t *testing.T) {
 		t.Fatal("k2 should have been recycled")
 	}
 	if _, ok := tb.ids["k1"]; !ok {
-		t.Fatal("revived k1 must survive recycling (its ring slot is stale)")
+		t.Fatal("revived k1 must survive recycling (it is pinned again)")
 	}
 	// A new key reuses a recycled dense ID instead of growing the table.
 	newID := tb.pin("k5")
@@ -132,4 +134,75 @@ func TestIDTableRecycling(t *testing.T) {
 	tb.unpin(ids[3])
 	tb.unpin(newID)
 	tb.unpin(newID)
+}
+
+// idModel is idTable written the obvious way: retired IDs in a slice,
+// oldest first, searched and cut on every revive, and free IDs on a
+// stack reused from the top.
+type idModel struct {
+	ids     map[string]int32
+	keys    []string
+	retired []int32
+	free    []int32
+	retain  int
+}
+
+func (m *idModel) pin(key string) int32 {
+	if id, ok := m.ids[key]; ok {
+		m.retired = slices.DeleteFunc(m.retired, func(r int32) bool { return r == id })
+		return id
+	}
+	id := int32(len(m.keys))
+	if n := len(m.free); n > 0 {
+		id, m.free = m.free[n-1], m.free[:n-1]
+		m.keys[id] = key
+	} else {
+		m.keys = append(m.keys, key)
+	}
+	m.ids[key] = id
+	return id
+}
+
+func (m *idModel) unpin(id int32) {
+	if int(id) >= len(m.keys) || slices.Contains(m.retired, id) || slices.Contains(m.free, id) {
+		return
+	}
+	m.retired = append(m.retired, id)
+	if len(m.retired) > m.retain {
+		old := m.retired[0]
+		m.retired = m.retired[1:]
+		delete(m.ids, m.keys[old])
+		m.free = append(m.free, old)
+	}
+}
+
+// TestIDTableMatchesModel drives idTable and idModel with one random
+// sequence of pins and unpins — double unpins, unpins of free and
+// never-issued IDs and the empty key among them — and requires every
+// returned ID and every len to agree, so the table recycles the same
+// IDs in the same order as the model at every retain budget.
+func TestIDTableMatchesModel(t *testing.T) {
+	for _, retain := range []int{0, 1, 2, 7, 64} {
+		tb := newIDTable(retain)
+		m := &idModel{ids: map[string]int32{}, retain: retain}
+		rng := rand.New(rand.NewSource(int64(retain)))
+		for op := 0; op < 20_000; op++ {
+			if rng.Intn(2) == 0 {
+				key := ""
+				if k := rng.Intn(200); k > 0 {
+					key = fmt.Sprintf("k%d", k)
+				}
+				if got, want := tb.pin(key), m.pin(key); got != want {
+					t.Fatalf("retain %d, op %d: pin(%q) = %d; model %d", retain, op, key, got, want)
+				}
+			} else {
+				id := int32(rng.Intn(len(m.keys) + 3))
+				tb.unpin(id)
+				m.unpin(id)
+			}
+			if tb.len() != len(m.ids) {
+				t.Fatalf("retain %d, op %d: len = %d; model %d", retain, op, tb.len(), len(m.ids))
+			}
+		}
+	}
 }

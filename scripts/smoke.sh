@@ -9,9 +9,11 @@
 # `make smoke` runs them all.
 set -euo pipefail
 
-# tiny_trace writes the 20 000-request DFN trace every sweep row replays.
+# tiny_trace writes the 80 000-request DFN trace every sweep row replays:
+# long enough for GD*'s first refit of beta at 50 000 references, so GD*
+# is not just GDSF in these rows.
 tiny_trace() {
-	go run ./cmd/wcgen -profile dfn -requests 20000 -seed 7 -o "$1"
+	go run ./cmd/wcgen -profile dfn -requests 80000 -seed 7 -o "$1"
 }
 
 # quickstart: the README's first two commands, verbatim — a 100 000-request
@@ -27,11 +29,16 @@ smoke_quickstart() {
 # journal: sweep with a run journal, then summarize it. wcreport -journal
 # parses the file with core.ReadJournal and exits non-zero on a malformed
 # line, so the JSONL schema stays writable and readable (docs/METRICS.md).
+# GD*(P) must have adapted: its row differs from GDSF(P)'s, which is what
+# it runs as until its first refit.
 smoke_journal() {
 	tiny_trace "$tmp/tiny.wct.gz"
 	go run ./cmd/wcsim -trace "$tmp/tiny.wct.gz" -policies lru,gdstar:p \
 		-size-pcts 1,4 -journal "$tmp/run.jsonl"
 	go run ./cmd/wcreport -journal "$tmp/run.jsonl"
+	go run ./cmd/wcsim -trace "$tmp/tiny.wct.gz" -policies gdstar:p,gdsf:p -size-pcts 1 | tee "$tmp/adapt.txt"
+	awk '$1 == "GD*(P)" { a = $3 " " $4 " " $5 } $1 == "GDSF(P)" { b = $3 " " $4 " " $5 }
+		END { if (a == "" || a == b) { print "journal: GD*(P) never adapted, its row equals GDSF(P)" > "/dev/stderr"; exit 1 } }' "$tmp/adapt.txt"
 }
 
 # admission: sweep a policy x admission grid and require that the axis
