@@ -23,10 +23,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The six project analyzers — the simulator-contract checks (evictloop,
-# floatcmp, clockmono) and the concurrency-contract checks (lockorder,
-# goroexit, errdrop) — over every package, tests included. The stock
-# passes (copylocks, lostcancel, ...) are `vet`'s. See docs/ANALYZERS.md.
+# The project analyzers — goroexit and errdrop, the serving path's
+# goroutine-exit and error-handling contracts — over every package's
+# non-test files. The simulator contracts and the cache's lock order are
+# held by tests instead: each rule left wcvet once seeding its bug class
+# into production code showed tier-1 fails on it (docs/ANALYZERS.md). The
+# stock passes (copylocks, lostcancel, ...) are `vet`'s.
 wcvet:
 	$(GO) run ./cmd/wcvet ./...
 
@@ -94,7 +96,7 @@ lines-by-pkg:
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 17307
+LINES_MAX = 16113
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

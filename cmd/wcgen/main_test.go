@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"webcachesim/internal/trace"
@@ -52,19 +53,28 @@ func TestRunSquidFormat(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.log")
 	tests := []struct {
 		name string
 		args []string
+		want string // the error must name this flag; "" for any error
 	}{
-		{"no output", []string{"-requests", "10"}},
-		{"bad profile", []string{"-profile", "x", "-o", "/tmp/x.log"}},
-		{"bad path", []string{"-o", "/nonexistent-dir/x.log"}},
-		{"columnar path", []string{"-requests", "10", "-o", filepath.Join(t.TempDir(), "x.wci3")}},
+		{"no output", []string{"-requests", "10"}, ""},
+		{"bad profile", []string{"-profile", "x", "-o", "/tmp/x.log"}, ""},
+		{"bad path", []string{"-o", "/nonexistent-dir/x.log"}, ""},
+		{"columnar path", []string{"-requests", "10", "-o", filepath.Join(t.TempDir(), "x.wci3")}, ""},
+		// A nonsense count is an error, not a silent fall-back to the default.
+		{"negative requests", []string{"-requests", "-5", "-o", out}, "requests"},
+		{"negative scale", []string{"-scale", "-1", "-o", out}, "scale"},
+		{"NaN scale", []string{"-scale", "NaN", "-o", out}, "scale"},
+		{"infinite scale", []string{"-scale", "+Inf", "-o", out}, "scale"},
+		{"overflowing scale", []string{"-scale", "1e300", "-o", out}, "scale"},
+		{"negative clients", []string{"-clients", "-3", "-o", out}, "clients"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := run(tt.args); err == nil {
-				t.Error("expected error")
+			if err := run(tt.args); err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error = %v, want one naming %q", err, tt.want)
 			}
 		})
 	}

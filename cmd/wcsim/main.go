@@ -140,7 +140,7 @@ func run(args []string, out io.Writer) error {
 		if withAdmission {
 			cells = append(cells, r.AdmissionName())
 		}
-		cells = append(cells, fmt.Sprintf("%.0f", float64(r.Capacity)/(1<<20)))
+		cells = append(cells, float64(r.Capacity)/(1<<20))
 		return append(cells, rest...)
 	}
 	t := report.NewTable("Simulation results", headers...)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,14 +91,25 @@ func TestRunByClassAndPlot(t *testing.T) {
 	}
 }
 
+// TestRunCSV also pins the Cache (MB) cells: caches under a megabyte keep
+// their size instead of all printing 0.
 func TestRunCSV(t *testing.T) {
 	path := writeTestTrace(t)
 	var sb strings.Builder
-	if err := run([]string{"-trace", path, "-policies", "lru", "-sizes", "2MB", "-csv"}, &sb); err != nil {
+	if err := run([]string{"-trace", path, "-policies", "lru", "-sizes", "128KB,256KB,2MB", "-csv"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Policy,Cache (MB),HR,BHR") {
 		t.Errorf("CSV header missing:\n%s", sb.String())
+	}
+	var got []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Split(line, ","); f[0] == "LRU" {
+			got = append(got, f[1])
+		}
+	}
+	if want := []string{"0.125", "0.25", "2"}; !slices.Equal(got, want) {
+		t.Errorf("Cache (MB) cells = %q, want %q", got, want)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Command wcvet is the project's static-analysis multichecker: it runs
-// the webcachesim-specific analyzers — the simulator-contract checks
-// (evictloop, floatcmp, clockmono) and the concurrency-contract checks
-// for the sharded serving path (lockorder, goroexit, errdrop) — over the
-// given packages, _test.go files included. The stock passes are go vet's
-// job (`go vet ./...`). See internal/lint and docs/ANALYZERS.md.
+// the webcachesim-specific analyzers — goroexit and errdrop, the
+// serving path's goroutine-exit and error-handling contracts — over the
+// given packages' non-test files. The stock passes are go vet's job
+// (`go vet ./...`). See internal/lint and docs/ANALYZERS.md.
 //
 // Usage:
 //

@@ -6,10 +6,11 @@ import (
 )
 
 // TestCleanPackage runs the full pipeline (go list → parse → type-check →
-// analyzers) over the heap package, which must be clean.
+// analyzers) over the miss-coalescing package, which both analyzers
+// cover and which must be clean.
 func TestCleanPackage(t *testing.T) {
 	var out, errw strings.Builder
-	code := run([]string{"./internal/container/pqueue"}, &out, &errw)
+	code := run([]string{"./internal/flight"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("wcvet exit %d\nstdout: %s\nstderr: %s", code, out.String(), errw.String())
 	}

@@ -146,7 +146,8 @@ func TestSweepJournalDoesNotChangeResults(t *testing.T) {
 
 func TestSweepJournalZeroDurationClock(t *testing.T) {
 	// A clock that never advances must not produce unparseable output
-	// (JSON has no +Inf): throughput degrades to zero.
+	// (JSON has no +Inf): throughput degrades to zero. Every timestamp is
+	// a reading of that clock, never of the wall clock.
 	w := sweepWorkload(t, 500)
 	var buf bytes.Buffer
 	frozen := time.UnixMilli(5_000)
@@ -166,6 +167,9 @@ func TestSweepJournalZeroDurationClock(t *testing.T) {
 	for _, r := range recs {
 		if r.Event == JournalRunEnd && r.RequestsPerSec != 0 {
 			t.Errorf("frozen clock produced rps %v, want 0", r.RequestsPerSec)
+		}
+		if r.UnixMs != frozen.UnixMilli() {
+			t.Errorf("%s record at %d ms, want the injected clock's %d", r.Event, r.UnixMs, frozen.UnixMilli())
 		}
 	}
 }

@@ -313,6 +313,22 @@ func TestSimulatorSurvivesNonEvictingPolicy(t *testing.T) {
 	}
 }
 
+// TestSimulatorRechargeSurvivesNonEvictingPolicy: a resident document
+// that grows past the capacity asks the policy for room, and a policy with
+// nothing to give must end that loop too, not hand back a nil victim.
+func TestSimulatorRechargeSurvivesNonEvictingPolicy(t *testing.T) {
+	w := build(t, 0,
+		req("http://e.com/movie.mpg", 100),
+		req("http://e.com/b.bin", 800),
+		req("http://e.com/movie.mpg", 600), // completes the transfer: 1,400 bytes resident
+	)
+	f := policy.Factory{Name: "broken", New: func() policy.Policy { return &brokenPolicy{} }}
+	s := newSim(t, w, Config{Capacity: 1000, Policy: f, WarmupFraction: -1})
+	if r := s.Run(w); r.Overall.Hits != 1 || s.Used() != 1400 {
+		t.Errorf("hits = %d, used = %d; want 1 and 1400 (the policy freed nothing)", r.Overall.Hits, s.Used())
+	}
+}
+
 func TestProcessOutcomes(t *testing.T) {
 	w := build(t, 0,
 		req("http://e.com/a.gif", 100),

@@ -167,3 +167,20 @@ func TestCurveExtraction(t *testing.T) {
 		t.Errorf("missing cell reads %v, want NaN", v)
 	}
 }
+
+// TestGridSeriesInFirstAppearanceOrder: a grid's series come out in the
+// order the results first name them, on every call; tables and curves are
+// printed in that order.
+func TestGridSeriesInFirstAppearanceOrder(t *testing.T) {
+	var results []*Result
+	var want []string
+	for i := range 8 {
+		want = append(want, fmt.Sprintf("p%d", i))
+		results = append(results, &Result{Policy: want[i], Capacity: 1})
+	}
+	for range 20 {
+		if got := NewGrid(results, nil).Series; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Series = %v, want %v", got, want)
+		}
+	}
+}

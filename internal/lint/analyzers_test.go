@@ -7,24 +7,6 @@ import (
 	"webcachesim/internal/lint/linttest"
 )
 
-func TestEvictLoop(t *testing.T) {
-	linttest.Run(t, "testdata/src", lint.EvictLoop, "evictloop/a")
-}
-
-func TestFloatCmp(t *testing.T) {
-	linttest.Run(t, "testdata/src", lint.FloatCmp,
-		"floatcmp/policy", "floatcmp/report")
-}
-
-func TestClockMono(t *testing.T) {
-	linttest.Run(t, "testdata/src", lint.ClockMono,
-		"clockmono/core", "clockmono/analyze", "clockmono/web")
-}
-
-func TestLockOrder(t *testing.T) {
-	linttest.Run(t, "testdata/src", lint.LockOrder, "lockorder/cache")
-}
-
 func TestGoroExit(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.GoroExit, "goroexit/load")
 }
@@ -33,10 +15,10 @@ func TestErrDrop(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.ErrDrop, "errdrop/proxy")
 }
 
-// TestRealPackagesClean loads representative production packages the
-// analyzers are scoped to — the deterministic simulation core and the
-// whole concurrent serving stack — and requires a clean bill: the repo
-// must keep wcvet green.
+// TestRealPackagesClean loads exactly the production packages the
+// analyzers are scoped to (goroexit's and errdrop's serving and
+// simulation packages) and requires a clean bill: the repo must keep
+// wcvet green.
 func TestRealPackagesClean(t *testing.T) {
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
@@ -44,17 +26,15 @@ func TestRealPackagesClean(t *testing.T) {
 	}
 	loader := lint.NewLoader(root)
 	pkgs, err := loader.Load([]string{
-		"./internal/container/pqueue",
-		"./internal/container/intlist",
-		"./internal/policy",
-		"./internal/core",
 		"./internal/cache",
+		"./internal/cluster",
+		"./internal/core",
 		"./internal/flight",
-		"./internal/proxy",
+		"./internal/hierarchy",
 		"./internal/load",
 		"./internal/mrc",
-		"./internal/cluster",
-		"./internal/hierarchy",
+		"./internal/proxy",
+		"./internal/trace",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,20 +37,11 @@ var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "no silently discarded errors in the hot paths; blank-assigned " +
 		"errors need an adjacent justification comment",
-	SkipTests: true,
-	Run:       runErrDrop,
-}
-
-// errDropPackages names the packages (by package name) held to the
-// no-silent-drop rule.
-var errDropPackages = map[string]bool{
-	"cache": true, "flight": true, "proxy": true,
-	"load": true, "core": true, "mrc": true, "trace": true,
-	"cluster": true, "hierarchy": true,
+	Run: runErrDrop,
 }
 
 func runErrDrop(pass *Pass) error {
-	if pass.Pkg == nil || !errDropPackages[pass.Pkg.Name()] {
+	if pass.Pkg == nil || !servingPackages[pass.Pkg.Name()] {
 		return nil
 	}
 	for _, f := range pass.Files {

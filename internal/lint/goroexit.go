@@ -27,20 +27,11 @@ var GoroExit = &Analyzer{
 	Name: "goroexit",
 	Doc: "goroutines in the concurrent packages must be WaitGroup-joined " +
 		"or loop on a close/ctx.Done signal",
-	SkipTests: true,
-	Run:       runGoroExit,
-}
-
-// goroExitPackages names the packages (by package name) whose goroutines
-// must have a bounded exit.
-var goroExitPackages = map[string]bool{
-	"cache": true, "flight": true, "proxy": true,
-	"load": true, "core": true, "mrc": true, "trace": true,
-	"cluster": true, "hierarchy": true,
+	Run: runGoroExit,
 }
 
 func runGoroExit(pass *Pass) error {
-	if pass.Pkg == nil || !goroExitPackages[pass.Pkg.Name()] {
+	if pass.Pkg == nil || !servingPackages[pass.Pkg.Name()] {
 		return nil
 	}
 	decls := funcDeclBodies(pass)

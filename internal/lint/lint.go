@@ -5,27 +5,21 @@
 // built entirely on the standard library (go/ast, go/types and the source
 // importer), so the module stays dependency-free.
 //
-// The analyzers encode the Policy contract documented in internal/policy,
-// the determinism requirements of the simulator core, and the concurrency
-// invariants of the sharded serving path:
+// The analyzers encode two invariants of the serving path and the
+// simulation engine it shares:
 //
-//   - evictloop: Evict reports false when the policy is empty; an eviction
-//     loop that ignores that signal can spin forever.
-//   - floatcmp: priority/cost float math in the heap-based schemes must
-//     not compare with ==/!= or unguarded ordering, where a silent NaN
-//     corrupts eviction order without failing any test.
-//   - clockmono: simulation hot paths must be deterministic — no wall
-//     clock, no globally seeded randomness, no order-dependent map
-//     iteration.
-//   - lockorder: inside the sharded cache, at most one shard mutex is
-//     held at a time, and no mutex is held across a channel operation or
-//     an origin fetch.
 //   - goroexit: goroutines in the concurrent serving/simulation packages
 //     have a bounded exit: joined by a WaitGroup or looping on a
 //     close/ctx.Done signal.
 //   - errdrop: error results in the serving/simulation hot paths are
 //     never discarded silently; a blank assignment needs an adjacent
 //     justification comment.
+//
+// The simulator's contracts (an empty policy ends an eviction loop, NaN
+// priorities order deterministically, a replay is a pure function of the
+// trace) and the cache's one-shard-lock-at-a-time rule are held by tests,
+// not analyzers: docs/ANALYZERS.md names the test behind each retired
+// rule.
 //
 // There is no suppression directive: a deliberate exception is written
 // in the form the analyzer accepts (errdrop's justification comment), or
@@ -50,10 +44,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of what the analyzer flags.
 	Doc string
-	// SkipTests excludes _test.go files from the analysis. Checks that
-	// encode production-only requirements (determinism, NaN hygiene) set
-	// it; contract checks that apply equally to test code leave it unset.
-	SkipTests bool
 	// Run performs the analysis.
 	Run func(*Pass) error
 }
@@ -64,8 +54,7 @@ type Pass struct {
 	Analyzer *Analyzer
 	// Fset maps token positions back to file/line/column.
 	Fset *token.FileSet
-	// Files are the syntax trees under analysis (already filtered when the
-	// analyzer skips test files).
+	// Files are the syntax trees under analysis.
 	Files []*ast.File
 	// Pkg is the type-checked package.
 	Pkg *types.Package
@@ -100,10 +89,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the project analyzers in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		EvictLoop, FloatCmp, ClockMono,
-		LockOrder, GoroExit, ErrDrop,
-	}
+	return []*Analyzer{GoroExit, ErrDrop}
+}
+
+// servingPackages names the packages (by package name) both analyzers
+// hold to their rules: the serving path and the simulation engine it
+// shares.
+var servingPackages = map[string]bool{
+	"cache": true, "flight": true, "proxy": true,
+	"load": true, "core": true, "mrc": true, "trace": true,
+	"cluster": true, "hierarchy": true,
 }
 
 // Run applies each analyzer to each package and returns the findings
@@ -160,19 +155,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 func runOne(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
-	files := pkg.Files
-	if a.SkipTests {
-		files = nil
-		for _, f := range pkg.Files {
-			if !pkg.IsTest[f] {
-				files = append(files, f)
-			}
-		}
-	}
 	pass := &Pass{
 		Analyzer: a,
 		Fset:     pkg.Fset,
-		Files:    files,
+		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
 	}
@@ -180,31 +166,6 @@ func runOne(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
 		return nil, err
 	}
 	return pass.diagnostics, nil
-}
-
-// inspectStack walks the subtree rooted at root in depth-first order,
-// calling fn with each node and the stack of its ancestors
-// (stack[len(stack)-1] is the parent). Returning false prunes the subtree.
-func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
-}
-
-// isFloat reports whether t's underlying type is a floating-point basic
-// type.
-func isFloat(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
 }
 
 // calleeFunc resolves a call expression to the *types.Func it invokes

@@ -3,7 +3,7 @@
 // a GOPATH-like tree (root/<import path>/*.go) and annotate the lines an
 // analyzer must flag with trailing comments of the form
 //
-//	c.Evict() // want "result of Evict is discarded"
+//	_ = w.Flush() // want "no adjacent justification comment"
 //
 // where the quoted text is a regular expression matched against the
 // diagnostic message. A fixture line without a matching diagnostic, or a

@@ -17,8 +17,7 @@ import (
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	// PkgPath is the package's import path ("pkgpath_test" for an external
-	// test package).
+	// PkgPath is the package's import path.
 	PkgPath string
 	// Dir is the directory holding the package's files.
 	Dir string
@@ -26,8 +25,6 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the parsed syntax trees.
 	Files []*ast.File
-	// IsTest marks which of Files came from _test.go files.
-	IsTest map[*ast.File]bool
 	// Types is the type-checked package object.
 	Types *types.Package
 	// Info is the recorded type information.
@@ -51,8 +48,9 @@ type Loader struct {
 }
 
 // NewLoader prepares a loader rooted at the given module directory. The
-// load always includes _test.go files (in-package and external test
-// packages); analyzers that encode production-only rules set SkipTests.
+// load leaves _test.go files out: every analyzer encodes a rule for
+// production code, and a test bounds its own goroutines, locks and errors
+// by its lifetime.
 func NewLoader(moduleRoot string) *Loader {
 	// The source importer resolves module-internal import paths by asking
 	// the go command, which needs a working directory inside the module.
@@ -88,8 +86,7 @@ func FindModuleRoot(dir string) (string, error) {
 }
 
 // Load resolves the package patterns (e.g. "./...") with the go command
-// and parses and type-checks each matched package. External test packages
-// are returned as separate entries.
+// and parses and type-checks each matched package.
 func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	args := append([]string{"list", "-f", "{{.ImportPath}}\t{{.Dir}}", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -115,21 +112,21 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, loaded...)
+		pkgs = append(pkgs, loaded)
 	}
 	return pkgs, nil
 }
 
-// loadDir parses one directory and type-checks the package it holds,
-// returning a second Package for an external _test package when present.
-func (l *Loader) loadDir(pkgPath, dir string) ([]*Package, error) {
+// loadDir parses one directory's non-test files and type-checks the
+// package they hold.
+func (l *Loader) loadDir(pkgPath, dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %s: %w", dir, err)
 	}
 	var names []string
 	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		// Honor build constraints (//go:build tags and GOOS/GOARCH file
@@ -142,43 +139,27 @@ func (l *Loader) loadDir(pkgPath, dir string) ([]*Package, error) {
 	}
 	sort.Strings(names)
 
-	// Group files by package clause: the primary package, its in-package
-	// tests, and an optional external "_test" package.
-	byPkg := map[string][]*ast.File{}
-	isTest := map[*ast.File]bool{}
+	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
-		pkgName := f.Name.Name
-		byPkg[pkgName] = append(byPkg[pkgName], f)
-		isTest[f] = strings.HasSuffix(name, "_test.go")
+		files = append(files, f)
 	}
-
-	var out []*Package
-	for pkgName, files := range byPkg {
-		path := pkgPath
-		if strings.HasSuffix(pkgName, "_test") {
-			path += "_test"
-		}
-		out = append(out, l.check(path, dir, files, isTest, l.imp))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })
-	return out, nil
+	return l.check(pkgPath, dir, files, l.imp), nil
 }
 
 // check type-checks one set of files as a single package, resolving
 // imports through imp. Type errors are collected, not fatal: analysis runs
 // on what was resolved (deliberate-violation fixtures may not fully
 // type-check either, e.g. a cross-package access to an unexported field).
-func (l *Loader) check(pkgPath, dir string, files []*ast.File, isTest map[*ast.File]bool, imp types.Importer) *Package {
+func (l *Loader) check(pkgPath, dir string, files []*ast.File, imp types.Importer) *Package {
 	p := &Package{
 		PkgPath: pkgPath,
 		Dir:     dir,
 		Fset:    l.fset,
 		Files:   files,
-		IsTest:  isTest,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -241,7 +222,7 @@ func (fi *fixtureImporter) load(path, dir string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	return fi.loader.check(path, dir, files, map[*ast.File]bool{}, fi), nil
+	return fi.loader.check(path, dir, files, fi), nil
 }
 
 // LoadFixture loads one fixture package from a GOPATH-style testdata root:

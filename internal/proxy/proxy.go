@@ -836,7 +836,11 @@ func (s *Server) admitAndStore(key string, fr *fetchResult, resp *http.Response)
 	}
 }
 
-// cacheable applies the Section 2 preprocessing rules plus no-store.
+// cacheable applies the Section 2 preprocessing rules plus no-store, and
+// refuses a response that varies by a request header: the store keys on
+// the URL alone, so it would serve one client's variant to every other.
+// Vary: Accept-Encoding alone is safe, since perClientHeaders strips that
+// header upstream and the stored body is always identity.
 func (s *Server) cacheable(urlStr string, resp *http.Response, size int64) bool {
 	if !trace.CacheableStatus(resp.StatusCode) {
 		return false
@@ -850,6 +854,13 @@ func (s *Server) cacheable(urlStr string, resp *http.Response, size int64) bool 
 	cc := resp.Header.Get("Cache-Control")
 	if cc != "" && (containsToken(cc, "no-store") || containsToken(cc, "private")) {
 		return false
+	}
+	for _, vary := range resp.Header.Values("Vary") {
+		for _, name := range strings.Split(vary, ",") {
+			if name = strings.TrimSpace(name); name != "" && !strings.EqualFold(name, "Accept-Encoding") {
+				return false
+			}
+		}
 	}
 	return true
 }

@@ -147,6 +147,36 @@ func TestProxyUncacheableRules(t *testing.T) {
 	}
 }
 
+// TestProxyVaryIsNotStored: the store keys on the URL alone, so a
+// response that varies by a request header other than Accept-Encoding is
+// served but never stored — an en client must not get de's body as a HIT.
+func TestProxyVaryIsNotStored(t *testing.T) {
+	varies := []struct {
+		vary   string
+		stored bool
+	}{{"Accept-Language", false}, {"*", false}, {"accept-encoding, Accept-Language", false}, {"Accept-Encoding", true}}
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var i int
+		fmt.Sscanf(r.URL.Path, "/v%d", &i)
+		w.Header().Set("Vary", varies[i].vary)
+		fmt.Fprintf(w, "body-%s", r.Header.Get("Accept-Language"))
+	}))
+	t.Cleanup(origin.Close)
+	p, _ := newProxy(t, origin, Config{})
+	for i, tt := range varies {
+		for _, lang := range []string{"de", "en"} {
+			req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v%d", i), nil)
+			req.Header.Set("Accept-Language", lang)
+			rr := httptest.NewRecorder()
+			p.ServeHTTP(rr, req)
+			hit := rr.Header().Get("X-Cache") == "HIT"
+			if hit != (tt.stored && lang == "en") || (!hit && rr.Body.String() != "body-"+lang) {
+				t.Errorf("Vary %q, %s: X-Cache %s, body %q", tt.vary, lang, rr.Header().Get("X-Cache"), rr.Body.String())
+			}
+		}
+	}
+}
+
 func TestProxyEviction(t *testing.T) {
 	origin := newOrigin(t, nil)
 	// Bodies are ~15 bytes; capacity of 40 holds two objects. One shard

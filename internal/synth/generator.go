@@ -18,7 +18,7 @@ type Options struct {
 	// Scale multiplies the profile's request count; 0 selects 1.0.
 	Scale float64
 	// Requests overrides the request count directly when positive
-	// (Scale is then ignored).
+	// (Scale is then ignored); 0 selects Scale.
 	Requests int
 	// StartUnixMillis is the timestamp of the first request; 0 selects
 	// 2001-07-01 00:00 UTC, matching the DFN collection period.
@@ -118,13 +118,28 @@ func NewGenerator(p *Profile, opts Options) (*Generator, error) {
 	if seed == 0 {
 		seed = 1
 	}
+	// A negative count or a scale that is negative or not finite is a
+	// mistake, not a request for the default; errors name the option as
+	// the commands spell their flags.
+	switch {
+	case opts.Requests < 0:
+		return nil, fmt.Errorf("synth: requests %d is negative", opts.Requests)
+	case opts.Scale < 0 || math.IsNaN(opts.Scale) || math.IsInf(opts.Scale, 0):
+		return nil, fmt.Errorf("synth: scale %g must be finite and not negative", opts.Scale)
+	case opts.Clients < 0:
+		return nil, fmt.Errorf("synth: clients %d is negative", opts.Clients)
+	}
 	total := opts.Requests
-	if total <= 0 {
+	if total == 0 {
 		scale := opts.Scale
-		if scale <= 0 {
+		if scale == 0 {
 			scale = 1
 		}
-		total = int(math.Round(scale * float64(p.Requests)))
+		n := math.Round(scale * float64(p.Requests))
+		if n >= math.MaxInt {
+			return nil, fmt.Errorf("synth: scale %g overflows the request count", opts.Scale)
+		}
+		total = int(n)
 	}
 	if total <= 0 {
 		return nil, fmt.Errorf("synth: request count %d must be positive", total)
