@@ -48,17 +48,23 @@ func run(args []string) error {
 		return err
 	}
 	prof.DiurnalAmplitude = *diurnal
-	w, err := trace.CreateFile(*out, trace.FormatAuto)
-	if err != nil {
-		return err
-	}
 	start := time.Now()
-	n, err := synth.GenerateTo(w, prof, synth.Options{
+	// The generator checks the profile and the counts: a refused run
+	// must not create, or truncate, the output file.
+	g, err := synth.NewGenerator(prof, synth.Options{
 		Seed:     *seed,
 		Scale:    *scale,
 		Requests: *requests,
 		Clients:  *clients,
 	})
+	if err != nil {
+		return err
+	}
+	w, err := trace.CreateFile(*out, trace.FormatAuto)
+	if err != nil {
+		return err
+	}
+	n, err := g.WriteAll(w)
 	if err != nil {
 		_ = w.Close()
 		return err

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -77,5 +81,43 @@ func TestRunErrors(t *testing.T) {
 				t.Errorf("error = %v, want one naming %q", err, tt.want)
 			}
 		})
+	}
+}
+
+// TestRefusedRunLeavesOutputAlone: the counts and the profile are checked
+// before -o is opened, so a refused run neither creates the file nor
+// truncates an existing trace.
+func TestRefusedRunLeavesOutputAlone(t *testing.T) {
+	dir := t.TempDir()
+	fresh := filepath.Join(dir, "fresh.log")
+	if err := run([]string{"-requests", "-5", "-o", fresh}); err == nil {
+		t.Fatal("-requests -5 accepted")
+	}
+	if _, err := os.Stat(fresh); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a refused run left %s behind (stat: %v)", fresh, err)
+	}
+
+	existing := filepath.Join(dir, "existing.log")
+	if err := run([]string{"-requests", "100", "-o", existing}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(existing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-requests", "-5", "-o", existing},
+		{"-diurnal", "1.5", "-o", existing}, // refused by the profile check
+	} {
+		if err := run(args); err == nil {
+			t.Fatalf("%v accepted", args)
+		}
+		after, err := os.ReadFile(existing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("refused run %v changed %s: %d bytes, were %d", args, existing, len(after), len(before))
+		}
 	}
 }

@@ -18,11 +18,15 @@ import (
 func writeTestTrace(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.wct")
+	g, err := synth.NewGenerator(synth.DFNProfile(), synth.Options{Seed: 1, Requests: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, err := trace.CreateFile(path, trace.FormatInterned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := synth.GenerateTo(w, synth.DFNProfile(), synth.Options{Seed: 1, Requests: 4000}); err != nil {
+	if _, err := g.WriteAll(w); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -19,11 +19,15 @@ func writeTestTrace(t *testing.T, format trace.Format) string {
 		name = "trace.wct"
 	}
 	path := filepath.Join(t.TempDir(), name)
+	g, err := synth.NewGenerator(synth.RTPProfile(), synth.Options{Seed: 2, Requests: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, err := trace.CreateFile(path, format)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := synth.GenerateTo(w, synth.RTPProfile(), synth.Options{Seed: 2, Requests: 3000}); err != nil {
+	if _, err := g.WriteAll(w); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

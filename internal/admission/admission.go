@@ -14,9 +14,10 @@
 //   - ARCGhost bounds the bytes held by not-yet-re-referenced documents
 //     and adapts that bound from ghost-directory feedback, ARC-style.
 //
-// Both carry a Ghost directory — recently evicted doc IDs and sizes, no
+// Both carry a Ghost directory — recently evicted URLs and sizes, no
 // bodies — so documents that were just evicted re-enter without being
-// re-filtered. See docs/ADMISSION.md for the design discussion.
+// re-filtered. Admitters key everything they remember by URL, not ID.
+// See docs/ADMISSION.md for the design discussion.
 package admission
 
 import (

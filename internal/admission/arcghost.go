@@ -31,10 +31,10 @@ type ARCGhost struct {
 	recent *Ghost
 	proven *Ghost
 
-	// probation maps resident-but-unproven doc IDs to the size they were
-	// admitted with (sizes can recharge while resident, so the admitted
-	// size is what must be credited back).
-	probation map[int32]int64
+	// probation maps resident-but-unproven documents' URLs to the size
+	// they were admitted with (sizes can recharge while resident, so the
+	// admitted size is what must be credited back).
+	probation map[string]int64
 	probBytes int64
 	capacity  int64
 	target    float64
@@ -50,7 +50,7 @@ func NewARCGhost(capacityBytes int64) *ARCGhost {
 	return &ARCGhost{
 		recent:    NewGhost(capacityBytes / 2),
 		proven:    NewGhost(capacityBytes / 2),
-		probation: make(map[int32]int64),
+		probation: make(map[string]int64),
 		capacity:  capacityBytes,
 		target:    arcInitialTarget,
 	}
@@ -60,11 +60,11 @@ func NewARCGhost(capacityBytes int64) *ARCGhost {
 // resident graduates it — it has now proven reuse, so it stops counting
 // against the probation budget.
 func (a *ARCGhost) Touch(doc *policy.Doc) {
-	if size, ok := a.probation[doc.ID]; ok {
+	if size, ok := a.probation[doc.Key]; ok {
 		// Touch runs before Inserted, so the insert-miss reference never
 		// sees its own probation entry; a probation member being touched
 		// has necessarily been referenced again after admission.
-		delete(a.probation, doc.ID)
+		delete(a.probation, doc.Key)
 		a.probBytes -= size
 	}
 }
@@ -74,13 +74,13 @@ func (a *ARCGhost) Touch(doc *policy.Doc) {
 // is under target, and otherwise rejected — but remembered in the recent
 // ghost, so a repeat miss is admitted as a ghost hit.
 func (a *ARCGhost) Admit(candidate, _ *policy.Doc) bool {
-	if a.recent.Contains(candidate.ID) || a.proven.Contains(candidate.ID) {
+	if a.recent.Contains(candidate.Key) || a.proven.Contains(candidate.Key) {
 		return true
 	}
 	if a.probBytes+candidate.Size <= int64(a.target*float64(a.capacity)) {
 		return true
 	}
-	a.recent.Record(candidate.ID, candidate.Size)
+	a.recent.Record(candidate.Key, candidate.Size)
 	a.counts.Rejected++
 	return false
 }
@@ -92,18 +92,16 @@ func (a *ARCGhost) Admit(candidate, _ *policy.Doc) bool {
 func (a *ARCGhost) Inserted(doc *policy.Doc) {
 	a.counts.Admitted++
 	switch {
-	case a.recent.Contains(doc.ID):
+	case a.recent.Remove(doc.Key):
 		// An unproven document came back: probation was too small.
 		a.counts.GhostHits++
 		a.adapt(arcStep)
-		a.recent.Remove(doc.ID)
-	case a.proven.Contains(doc.ID):
+	case a.proven.Remove(doc.Key):
 		// A proven document had to re-enter: probation was crowding it.
 		a.counts.GhostHits++
 		a.adapt(-arcStep)
-		a.proven.Remove(doc.ID)
 	default:
-		a.probation[doc.ID] = doc.Size
+		a.probation[doc.Key] = doc.Size
 		a.probBytes += doc.Size
 	}
 }
@@ -111,13 +109,13 @@ func (a *ARCGhost) Inserted(doc *policy.Doc) {
 // Evicted implements policy.Admitter: the victim is remembered by the
 // ghost directory matching its segment.
 func (a *ARCGhost) Evicted(doc *policy.Doc) {
-	if size, ok := a.probation[doc.ID]; ok {
-		delete(a.probation, doc.ID)
+	if size, ok := a.probation[doc.Key]; ok {
+		delete(a.probation, doc.Key)
 		a.probBytes -= size
-		a.recent.Record(doc.ID, doc.Size)
+		a.recent.Record(doc.Key, doc.Size)
 		return
 	}
-	a.proven.Record(doc.ID, doc.Size)
+	a.proven.Record(doc.Key, doc.Size)
 }
 
 // adapt moves the probation target by delta, clamped to its bounds.

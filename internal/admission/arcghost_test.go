@@ -62,7 +62,7 @@ func TestARCGhostEvictionRouting(t *testing.T) {
 	a.Admit(unproven, victim)
 	a.Inserted(unproven)
 	a.Evicted(unproven) // still on probation → recent ghost
-	if !a.recent.Contains(unproven.ID) || a.proven.Contains(unproven.ID) {
+	if !a.recent.Contains(unproven.Key) || a.proven.Contains(unproven.Key) {
 		t.Error("unproven eviction must be remembered by the recent ghost only")
 	}
 	if a.ProbationBytes() != 0 {
@@ -74,7 +74,7 @@ func TestARCGhostEvictionRouting(t *testing.T) {
 	a.Inserted(graduated)
 	a.Touch(graduated)
 	a.Evicted(graduated) // graduated → proven ghost
-	if !a.proven.Contains(graduated.ID) || a.recent.Contains(graduated.ID) {
+	if !a.proven.Contains(graduated.Key) || a.recent.Contains(graduated.Key) {
 		t.Error("proven eviction must be remembered by the proven ghost only")
 	}
 }

@@ -2,24 +2,27 @@ package admission
 
 import "webcachesim/internal/container/intlist"
 
-// ghostEntry is one remembered eviction: the document's dense ID and the
-// size it had when it left the cache.
+// ghostEntry is one remembered eviction: the document's URL and the size
+// it had when it left the cache.
 type ghostEntry struct {
-	id   int32
+	key  string
 	size int64
 }
 
-// Ghost is a directory of recently evicted documents: IDs and sizes only,
-// no bodies. It is LRU-ordered under a byte budget expressed in terms of
-// the sizes of the documents it remembers, so the ghost "shadows" roughly
-// as much history as a real cache of the same capacity would hold —
-// the standard sizing for ARC's B1/B2 directories.
+// Ghost is a directory of recently evicted documents: URLs and sizes
+// only, no bodies. It is LRU-ordered under a byte budget expressed in
+// terms of the sizes of the documents it remembers, so the ghost
+// "shadows" roughly as much history as a real cache of the same capacity
+// would hold — the standard sizing for ARC's B1/B2 directories.
+//
+// A ghost is keyed by URL: the store's IDs name resident documents only
+// (policy.Doc).
 //
 // Ghost is not safe for concurrent use; the sharded cache keeps one per
-// shard, keyed by that shard's interned IDs.
+// shard.
 type Ghost struct {
 	list    intlist.List[ghostEntry]
-	entries map[int32]*intlist.Element[ghostEntry]
+	entries map[string]*intlist.Element[ghostEntry]
 	bytes   int64
 	budget  int64
 }
@@ -29,7 +32,7 @@ type Ghost struct {
 // budget yields a ghost that remembers nothing.
 func NewGhost(budgetBytes int64) *Ghost {
 	return &Ghost{
-		entries: make(map[int32]*intlist.Element[ghostEntry]),
+		entries: make(map[string]*intlist.Element[ghostEntry]),
 		budget:  budgetBytes,
 	}
 }
@@ -38,20 +41,20 @@ func NewGhost(budgetBytes int64) *Ghost {
 // refreshing its position if it is already remembered. Recording evicts
 // the oldest ghost entries to stay within budget; a document larger than
 // the whole budget is not recorded at all.
-func (g *Ghost) Record(id int32, size int64) {
+func (g *Ghost) Record(key string, size int64) {
 	if size < 0 {
 		size = 0
 	}
 	if size > g.budget {
-		g.Remove(id)
+		g.Remove(key)
 		return
 	}
-	if e, ok := g.entries[id]; ok {
+	if e, ok := g.entries[key]; ok {
 		g.bytes += size - e.Value.size
-		e.Value = ghostEntry{id: id, size: size}
+		e.Value.size = size
 		g.list.MoveToFront(e)
 	} else {
-		g.entries[id] = g.list.PushFront(ghostEntry{id: id, size: size})
+		g.entries[key] = g.list.PushFront(ghostEntry{key: key, size: size})
 		g.bytes += size
 	}
 	for g.bytes > g.budget {
@@ -64,22 +67,24 @@ func (g *Ghost) Record(id int32, size int64) {
 }
 
 // Contains reports whether the document is remembered.
-func (g *Ghost) Contains(id int32) bool {
-	_, ok := g.entries[id]
+func (g *Ghost) Contains(key string) bool {
+	_, ok := g.entries[key]
 	return ok
 }
 
-// Remove forgets the document if it is remembered (e.g. because it was
-// re-admitted and is resident again).
-func (g *Ghost) Remove(id int32) {
-	if e, ok := g.entries[id]; ok {
+// Remove forgets the document (e.g. because it was re-admitted and is
+// resident again) and reports whether it was remembered.
+func (g *Ghost) Remove(key string) bool {
+	e, ok := g.entries[key]
+	if ok {
 		g.dropElement(e)
 	}
+	return ok
 }
 
 func (g *Ghost) dropElement(e *intlist.Element[ghostEntry]) {
 	ent := g.list.Remove(e)
-	delete(g.entries, ent.id)
+	delete(g.entries, ent.key)
 	g.bytes -= ent.size
 }
 

@@ -118,7 +118,7 @@ func (t *TinyLFU) estimate(doc *policy.Doc) int64 {
 // conservative — on a tie the resident document, which has already proven
 // it can attract a hit, stays.
 func (t *TinyLFU) Admit(candidate, victim *policy.Doc) bool {
-	if t.ghost.Contains(candidate.ID) {
+	if t.ghost.Contains(candidate.Key) {
 		return true
 	}
 	if t.estimate(candidate) > t.estimate(victim) {
@@ -131,16 +131,15 @@ func (t *TinyLFU) Admit(candidate, victim *policy.Doc) bool {
 // Inserted implements policy.Admitter.
 func (t *TinyLFU) Inserted(doc *policy.Doc) {
 	t.counts.Admitted++
-	if t.ghost.Contains(doc.ID) {
+	if t.ghost.Remove(doc.Key) {
 		t.counts.GhostHits++
-		t.ghost.Remove(doc.ID)
 	}
 }
 
 // Evicted implements policy.Admitter: the victim enters the ghost
 // directory so an immediate re-reference is not frequency-filtered.
 func (t *TinyLFU) Evicted(doc *policy.Doc) {
-	t.ghost.Record(doc.ID, doc.Size)
+	t.ghost.Record(doc.Key, doc.Size)
 }
 
 // Counts implements policy.Admitter.

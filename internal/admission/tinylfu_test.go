@@ -7,8 +7,10 @@ import (
 	"webcachesim/internal/policy"
 )
 
-func doc(id int32, size int64) *policy.Doc {
-	return &policy.Doc{Key: fmt.Sprintf("/doc/%d", id), ID: id, Size: size}
+// doc builds a document known only by its URL, as the store presents a
+// candidate it has not stored: no ID.
+func doc(n int, size int64) *policy.Doc {
+	return &policy.Doc{Key: fmt.Sprintf("/doc/%d", n), Size: size}
 }
 
 func touchN(t *TinyLFU, d *policy.Doc, n int) {
@@ -71,7 +73,7 @@ func TestTinyLFUResurrectionAfterGhostExpiry(t *testing.T) {
 	f.Evicted(a)
 	f.Evicted(doc(2, 400))
 	f.Evicted(doc(3, 400)) // 1200 > 1000: a's entry expires
-	if f.ghost.Contains(a.ID) {
+	if f.ghost.Contains(a.Key) {
 		t.Fatal("ghost entry for a should have expired")
 	}
 	if f.Admit(a, victim) {
@@ -100,7 +102,7 @@ func TestTinyLFUTouchZeroAlloc(t *testing.T) {
 	f.window = 1 << 40 // a window no test reaches: no aging
 	docs := make([]*policy.Doc, 2000)
 	for i := range docs {
-		docs[i] = doc(int32(i), 100)
+		docs[i] = doc(i, 100)
 		touchN(f, docs[i], 2) // the second touch passes the doorkeeper
 	}
 	tracked := f.freq.Len()
@@ -117,5 +119,35 @@ func TestTinyLFUTouchZeroAlloc(t *testing.T) {
 	}
 	if f.freq.Len() != tracked {
 		t.Fatalf("frequency table went from %d to %d entries", tracked, f.freq.Len())
+	}
+}
+
+// TestAdmittersKeyByURL holds both filters to the keying rule: what an
+// admitter remembers about a document is found by its URL alone. A store
+// recycles a long-evicted URL's ID for the next new one, so here every
+// document carries the same ID and only the URLs tell them apart.
+func TestAdmittersKeyByURL(t *testing.T) {
+	evicted, stranger, victim := doc(1, 100), doc(2, 100), doc(3, 100)
+	for _, d := range []*policy.Doc{evicted, stranger, victim} {
+		d.ID = 7
+	}
+
+	f := NewTinyLFU(1 << 20)
+	touchN(f, victim, 5)
+	f.Evicted(evicted)
+	if f.Admit(stranger, victim) {
+		t.Error("TinyLFU: a stranger sharing an evicted document's ID must not pass as a ghost hit")
+	}
+
+	a := NewARCGhost(1000)
+	a.Inserted(evicted) // on probation
+	a.Touch(stranger)
+	if a.ProbationBytes() != 100 {
+		t.Errorf("ARC-ghost: a stranger's touch graduated a probation member sharing its ID (ProbationBytes=%d, want 100)", a.ProbationBytes())
+	}
+	a.Evicted(evicted) // to the recent ghost
+	a.Inserted(stranger)
+	if got := a.Counts().GhostHits; got != 0 {
+		t.Errorf("ARC-ghost: GhostHits=%d for a stranger sharing an evicted document's ID, want 0", got)
 	}
 }

@@ -58,8 +58,7 @@ type Config struct {
 	Policy policy.Factory
 	// Admission configures an admission filter (see internal/admission):
 	// one admitter per shard, each sized for the shard's share of the
-	// byte budget and keyed by that shard's interned IDs. The zero value
-	// admits everything.
+	// byte budget. The zero value admits everything.
 	Admission policy.AdmitterFactory
 }
 
@@ -126,8 +125,8 @@ func New(cfg Config) (*Cache, error) {
 		}
 		if cfg.Admission.New != nil {
 			// Each shard judges admission against its own share of the
-			// budget; ghost directories keyed by the shard's interner stay
-			// coherent because a key always maps to the same shard.
+			// budget; its ghost directories see every eviction of their
+			// URLs because a key always maps to the same shard.
 			c.shards[i].adm = cfg.Admission.New(cfg.Capacity / int64(n))
 		}
 	}
@@ -209,9 +208,10 @@ const (
 // budget, or refused by the admission filter. A refusal caches nothing and
 // is not an error; the object is simply served uncached.
 //
-// e.Doc.Key must equal key; Insert assigns e.Doc.ID from the shard's
-// interner, so a URL keeps one stable dense ID across evict/refetch
-// cycles — the keying contract policies such as GD* rely on.
+// e.Doc.Key must equal key. Insert assigns e.Doc.ID from the shard's
+// interner only when it stores the entry, so an ID names a resident
+// document, and a URL keeps one stable dense ID across evict/refetch
+// cycles while its retired mapping survives (idTable).
 func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 	size := e.Doc.Size
 	if size > c.capacity {
@@ -226,22 +226,12 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 	home := c.shardFor(key)
 	c.removeFrom(home, key)
 
-	if home.adm != nil && !c.admit(home, key, e) {
+	if home.adm != nil && !c.admit(home, e) {
 		c.admRejects.Add(1)
 		return SetRejectedAdmission
 	}
 
 	if !c.reserve(size, home) {
-		if home.adm != nil {
-			// admit pinned the candidate's ID; retire it again — unless a
-			// concurrent insert made the key resident, in which case the
-			// pin belongs to that entry.
-			home.mu.Lock()
-			if _, resident := home.entries[key]; !resident {
-				home.ids.unpin(e.Doc.ID)
-			}
-			home.mu.Unlock()
-		}
 		c.rejects.Add(1)
 		return SetRejectedBudget
 	}
@@ -284,21 +274,12 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 // between this check and the reservation, in which case an admitted
 // entry may still be evicting from other shards. That race only ever
 // skips the filter in the admit direction, never rejects spuriously.
-func (c *Cache) admit(home *shard, key string, e *Entry) bool {
+// The admitter keys the candidate by its URL, so admit interns nothing.
+func (c *Cache) admit(home *shard, e *Entry) bool {
 	home.mu.Lock()
 	defer home.mu.Unlock()
-	e.Doc.ID = home.ids.pin(key)
 	home.adm.Touch(e.Doc)
-	admitted := c.used.Load()+e.Doc.Size <= c.capacity || policy.Admits(home.adm, home.pol, e.Doc)
-	if !admitted {
-		// Retire the candidate's pin — unless the key is resident (a
-		// concurrent insert won the race), in which case the pin belongs
-		// to the resident entry.
-		if _, resident := home.entries[key]; !resident {
-			home.ids.unpin(e.Doc.ID)
-		}
-	}
-	return admitted
+	return c.used.Load()+e.Doc.Size <= c.capacity || policy.Admits(home.adm, home.pol, e.Doc)
 }
 
 // reserve claims size bytes of the global budget, evicting until the

@@ -13,11 +13,12 @@ import "webcachesim/internal/container/intlist"
 // dropped and the ID goes to the next new URL. A one-shot URL therefore
 // costs a mapping only until it ages out of the retire window.
 //
-// Recycling trades identity for bounded memory. ID-keyed state that
-// outlives residency (GD*'s inter-reference estimator, admission ghost
-// directories) takes a recycled ID's new URL for the old one returning.
-// On long streams this moves GD*'s β away from the simulator's
-// (docs/PROXY.md, the ID-recycling tables).
+// Recycling trades identity for bounded memory. An ID is pinned only
+// when the store makes its URL resident, and ID-keyed state that
+// outlives residency takes a recycled ID's new URL for the old one
+// returning. Admission keys by URL and so never sees it; GD*'s
+// inter-reference estimator does, and on long streams its β moves away
+// from the simulator's (docs/PROXY.md, the ID-recycling tables).
 //
 // Each ID gets one list node when it is first issued. The list the node
 // is in says what the ID is: retired (newest at the front), free (reused

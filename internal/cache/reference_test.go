@@ -30,7 +30,7 @@ type reference struct {
 }
 
 // refShard is one shard of the reference. Its IDs are dense in the order
-// keys were first interned and never recycled: the store's interner in
+// keys were first stored and never recycled: the store's interner in
 // any run that retires fewer keys than it retains.
 type refShard struct {
 	pol      policy.Policy
@@ -84,7 +84,6 @@ func (r *reference) insert(key string, size int64, e *Entry) SetOutcome {
 	home := &r.shards[h]
 	doc := &policy.Doc{Key: key, Size: size}
 	if home.adm != nil {
-		doc.ID = home.id(key)
 		home.adm.Touch(doc)
 		if r.used+size > r.capacity {
 			if victim, ok := home.pol.Peek(); ok && !home.adm.Admit(doc, victim) {
@@ -301,7 +300,9 @@ func checkCounts(t *testing.T, op int, c *Cache, ref *reference) {
 // stream through the store and the reference at 1, 4 and 16 shards, for
 // every study scheme and GD*(P)+TinyLFU. The stream retires far fewer
 // keys than DefaultInternRetain holds, so the store recycles no ID and
-// keeps every key it saw, as the reference does. Every request must hit or miss alike and every insert end alike,
+// keeps every key it stored, and only those, as the reference does: both
+// intern a key when they store it, never for a refused candidate. Every
+// request must hit or miss alike and every insert end alike,
 // leaving the same counts and the same bytes in every shard; every 500
 // requests and at the end the resident sets must be equal too. (The
 // index-order sweep is not reached here: single-threaded, the fullest
@@ -343,7 +344,7 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 					interned += len(sh.ids)
 				}
 				if got := c.InternedKeys(); got != interned {
-					t.Fatalf("store interns %d keys, reference %d: the store recycled IDs", got, interned)
+					t.Fatalf("store interns %d keys, reference %d: it recycled an ID or interned a key it did not store", got, interned)
 				}
 			})
 		}

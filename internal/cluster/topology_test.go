@@ -90,6 +90,8 @@ func TestTopologyValidation(t *testing.T) {
 		// panic in Ring, so the file is refused before anything is built.
 		`{"replicas":4611686018427387904,"nodes":[{"name":"a","url":"http://x"}]}`,
 		`{"replicas":4097,"nodes":[{"name":"a","url":"http://x"}]}`,
+		// A field of the wrong type is a decode error, whatever the rest.
+		`{"replicas":"many","nodes":[{"name":"a","url":"http://x"}]}`,
 		// URLs every consumer dials must be absolute http(s).
 		`{"nodes":[{"name":"a","url":"n1"}]}`,
 		`{"nodes":[{"name":"a","url":"localhost:8080"}]}`,

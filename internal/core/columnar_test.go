@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -119,5 +120,17 @@ func TestOpenColumnarWorkloadRejectsRecordStream(t *testing.T) {
 	}
 	if _, _, err := OpenColumnarWorkload(path); err == nil {
 		t.Fatal("expected ErrNotColumnar for a WCT2 record stream")
+	}
+}
+
+// TestWriteColumnarReportsFullDevice: every write to /dev/full fails with
+// ENOSPC, so a workload written there must report an error — here the
+// encoder's final flush is the first write to reach the device.
+func TestWriteColumnarReportsFullDevice(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	if err := mixedWorkload(t, 3, 100).WriteColumnar("/dev/full"); err == nil {
+		t.Fatal("WriteColumnar(/dev/full) = nil, want the device's error")
 	}
 }

@@ -1,12 +1,15 @@
 package load
 
 import (
+	"fmt"
+	"net"
 	"net/http"
 	"net/url"
 	"testing"
 	"time"
 
 	"webcachesim/internal/cluster"
+	"webcachesim/internal/trace"
 )
 
 func TestParseMode(t *testing.T) {
@@ -83,5 +86,36 @@ func TestRunValidatesConfig(t *testing.T) {
 	topo := &cluster.Topology{Nodes: []cluster.Node{{Name: "target", URL: "http://127.0.0.1:1"}}}
 	if _, err := Run(Config{Topology: topo}); err == nil {
 		t.Error("Run without Source should fail")
+	}
+}
+
+// TestRunTalliesRefusedConnections: a request that gets no response at
+// all is an error, not a request, and does not stop the run.
+func TestRunTalliesRefusedConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	reqs := make([]*trace.Request, n)
+	for i := range reqs {
+		reqs[i] = &trace.Request{URL: fmt.Sprintf("http://dfn.synth.example/html/d%d", i)}
+	}
+	rep, err := Run(Config{
+		Topology:    &cluster.Topology{Nodes: []cluster.Node{{Name: "closed", URL: "http://" + addr}}},
+		Source:      trace.NewSliceReader(reqs),
+		Concurrency: 2,
+		Timeout:     5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tally.Errors != n || rep.Tally.Requests != 0 {
+		t.Errorf("tally against a closed listener: %d errors, %d requests; want %d errors, 0 requests",
+			rep.Tally.Errors, rep.Tally.Requests, n)
 	}
 }

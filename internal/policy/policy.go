@@ -26,12 +26,13 @@ import (
 // unexported fields; whether a policy tracks the document is recorded once,
 // by the heap or list that holds it.
 type Doc struct {
-	// ID is the document's dense identity, the key of policy state that
-	// outlives residency, such as GD*'s inter-reference tracking. The
-	// simulator uses the workload's interned doc ID, unique for the whole
-	// run. The store interns URLs per shard and recycles a long-evicted
-	// URL's ID once cache.DefaultInternRetain retired mappings pile up, so
-	// a new URL can inherit an old document's history (docs/PROXY.md).
+	// ID is the document's dense identity, the key of a policy's own
+	// per-document tables. The simulator uses the workload's interned doc
+	// ID, unique for the whole run. The store assigns it only when it
+	// stores the document and may recycle it for another URL once the
+	// document has long left (cache.DefaultInternRetain, docs/PROXY.md),
+	// so state that outlives residency is keyed by Key; GD*'s
+	// inter-reference estimator is the one exception left.
 	ID int32
 	// Class is the document's content class, used only for per-type
 	// accounting by the simulator.
@@ -52,9 +53,10 @@ type Doc struct {
 	hm   heapMeta
 	elem intlist.Element[*Doc]
 
-	// Key is the document's URL, kept for reporting and debugging. Policies
-	// must not use it as an identity key — use ID, which is dense and hashes
-	// as a machine word.
+	// Key is the document's URL, the key of everything an admitter
+	// remembers (frequency sketches, ghost directories, probation). A
+	// policy's per-document tables use ID, which is dense and hashes as
+	// a machine word.
 	Key string
 }
 

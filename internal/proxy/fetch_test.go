@@ -3,13 +3,16 @@ package proxy
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"webcachesim/internal/cache"
@@ -585,5 +588,37 @@ func TestFresh(t *testing.T) {
 	}
 	if fresh(&cache.Entry{Expires: now.Add(-time.Second)}, now) {
 		t.Error("past Expires must be stale")
+	}
+}
+
+// truncatingOrigin declares a body of declared bytes and fails the read
+// after sent of them, as an origin connection dropped mid-transfer does.
+type truncatingOrigin struct{ declared, sent int }
+
+func (o truncatingOrigin) RoundTrip(*http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Header:        http.Header{"Content-Type": {"image/gif"}},
+		Body:          io.NopCloser(io.MultiReader(bytes.NewReader(make([]byte, o.sent)), iotest.ErrReader(errors.New("connection reset")))),
+		ContentLength: int64(o.declared),
+	}, nil
+}
+
+// TestOriginBodyFailsMidRead pins the buffered fetch's failure path: a
+// body that errors part-way is a failed fetch, not a short document. The
+// client gets a 502, nothing is cached, and the pooled buffer the body
+// was read into goes back to the pool.
+func TestOriginBodyFailsMidRead(t *testing.T) {
+	s, bufs := reverseProxy(t, Config{FetchRetries: -1}, truncatingOrigin{declared: 10_000, sent: 1_000})
+	rr := httptest.NewRecorder()
+	s.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/cut.gif", nil))
+	if rr.Code != http.StatusBadGateway {
+		t.Errorf("status = %d, want 502", rr.Code)
+	}
+	if s.Len() != 0 || s.Used() != 0 {
+		t.Errorf("cached %d objects (%d B) from a failed body read, want none", s.Len(), s.Used())
+	}
+	if n := bufs.Stats().Outstanding(); n != 0 {
+		t.Errorf("%d pooled buffers outstanding after a failed body read, want 0", n)
 	}
 }

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -397,5 +398,25 @@ func TestProxyConcurrentClients(t *testing.T) {
 	}
 	if p.Used() > 512 {
 		t.Errorf("capacity exceeded under concurrency: %d", p.Used())
+	}
+}
+
+// failingWriter refuses every write, as a full or vanished log disk does.
+type failingWriter struct{ err error }
+
+func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestCloseReportsAccessLogError: a log line that cannot be written does
+// not fail the request it records, so Close is where the loss surfaces.
+func TestCloseReportsAccessLogError(t *testing.T) {
+	diskGone := errors.New("log disk gone")
+	s, _ := reverseProxy(t, Config{AccessLog: failingWriter{diskGone}}, patternOrigin{size: 512})
+	rr := httptest.NewRecorder()
+	s.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/a.gif", nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200: a failing log must not fail the request", rr.Code)
+	}
+	if err := s.Close(); !errors.Is(err, diskGone) {
+		t.Errorf("Close = %v, want the log writer's error %v", err, diskGone)
 	}
 }

@@ -367,22 +367,15 @@ func Generate(p *Profile, opts Options) ([]*trace.Request, error) {
 	}
 }
 
-// GenerateTo streams a full trace into a writer and returns the number of
-// requests written.
-func GenerateTo(w trace.Writer, p *Profile, opts Options) (int64, error) {
-	g, err := NewGenerator(p, opts)
-	if err != nil {
-		return 0, err
-	}
+// WriteAll streams the generator's remaining requests into w and
+// returns the number written.
+func (g *Generator) WriteAll(w trace.Writer) (int64, error) {
 	var n int64
-	for {
-		r := g.Next()
-		if r == nil {
-			return n, nil
-		}
+	for r := g.Next(); r != nil; r = g.Next() {
 		if err := w.Write(r); err != nil {
 			return n, fmt.Errorf("synth: write request %d: %w", n, err)
 		}
 		n++
 	}
+	return n, nil
 }

@@ -214,8 +214,11 @@ func TestGenerateScaleAndOverride(t *testing.T) {
 func TestGenerateToWriter(t *testing.T) {
 	var sb strings.Builder
 	w := trace.NewInternedWriter(&sb)
-	p := DFNProfile()
-	n, err := GenerateTo(w, p, Options{Seed: 1, Requests: 500})
+	g, err := NewGenerator(DFNProfile(), Options{Seed: 1, Requests: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := g.WriteAll(w)
 	if err != nil {
 		t.Fatal(err)
 	}
