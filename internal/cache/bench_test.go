@@ -12,8 +12,8 @@ import (
 // BenchmarkInsertEvict is the store's miss path at a full budget: a
 // Zipf-keyed stream through 16 shards, Get and on a miss Insert, where
 // nearly every insert evicts. It prices the victim choice — the scan of
-// every shard's byte count — against the lookup, the policy and the
-// interner it rides with.
+// every shard's byte count — against the lookup and the policy it rides
+// with.
 func BenchmarkInsertEvict(b *testing.B) {
 	const docs = 1 << 15
 	z, err := synth.NewZipf(docs, 0.8)

@@ -88,7 +88,6 @@ type shard struct {
 	pol     policy.Policy
 	adm     policy.Admitter // nil when admission is disabled
 	entries map[string]*Entry
-	ids     *idTable
 	used    atomic.Int64
 	index   int // position in Cache.shards, for the eviction sweep
 }
@@ -120,7 +119,6 @@ func New(cfg Config) (*Cache, error) {
 		c.shards[i] = shard{
 			pol:     cfg.Policy.New(),
 			entries: make(map[string]*Entry, 64),
-			ids:     newIDTable(DefaultInternRetain / n),
 			index:   i,
 		}
 		if cfg.Admission.New != nil {
@@ -208,10 +206,9 @@ const (
 // budget, or refused by the admission filter. A refusal caches nothing and
 // is not an error; the object is simply served uncached.
 //
-// e.Doc.Key must equal key. Insert assigns e.Doc.ID from the shard's
-// interner only when it stores the entry, so an ID names a resident
-// document, and a URL keeps one stable dense ID across evict/refetch
-// cycles while its retired mapping survives (idTable).
+// e.Doc.Key must equal key. A store document has no dense ID: Insert
+// sets e.Doc.ID to -1, so the policy and the admitter know it by its URL
+// across evict/refetch cycles (see policy.Doc).
 func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 	size := e.Doc.Size
 	if size > c.capacity {
@@ -242,11 +239,9 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 		home.used.Add(-old.Doc.Size)
 		c.used.Add(-old.Doc.Size)
 		c.resident(old.Doc, -1)
-		// The key stays pinned (the new version inherits the ID); only the
-		// cache's reference on the superseded body is dropped.
 		old.Release()
 	}
-	e.Doc.ID = home.ids.pin(key)
+	e.Doc.ID = -1
 	// The cache's own reference: held while resident, released after the
 	// entry leaves (eviction, removal, replacement).
 	e.Acquire()
@@ -274,7 +269,6 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 // between this check and the reservation, in which case an admitted
 // entry may still be evicting from other shards. That race only ever
 // skips the filter in the admit direction, never rejects spuriously.
-// The admitter keys the candidate by its URL, so admit interns nothing.
 func (c *Cache) admit(home *shard, e *Entry) bool {
 	home.mu.Lock()
 	defer home.mu.Unlock()
@@ -354,7 +348,6 @@ func (sh *shard) evictVictim(c *Cache) bool {
 	c.used.Add(-victim.Size)
 	c.resident(victim, -1)
 	c.evictions.Add(1)
-	sh.ids.unpin(victim.ID)
 	if sh.adm != nil {
 		sh.adm.Evicted(victim)
 	}
@@ -382,7 +375,6 @@ func (c *Cache) removeFrom(sh *shard, key string) bool {
 	sh.used.Add(-e.Doc.Size)
 	c.used.Add(-e.Doc.Size)
 	c.resident(e.Doc, -1)
-	sh.ids.unpin(e.Doc.ID)
 	e.Release()
 	return true
 }
@@ -426,20 +418,6 @@ func (c *Cache) AdmissionCounts() policy.AdmissionCounts {
 
 // Shards returns the shard count.
 func (c *Cache) Shards() int { return len(c.shards) }
-
-// InternedKeys returns the number of live URL→ID mappings across all
-// shard interners (resident keys plus the retained non-resident tail) —
-// the quantity the bounded-interner tests pin.
-func (c *Cache) InternedKeys() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.ids.len()
-		sh.mu.Unlock()
-	}
-	return n
-}
 
 // Len returns the number of resident entries across all shards.
 func (c *Cache) Len() int {

@@ -102,18 +102,19 @@ func TestReplaceSameKey(t *testing.T) {
 	}
 }
 
-// TestStableDocID: a URL keeps one dense ID across evict/refetch cycles —
-// the keying contract GD*'s estimator depends on.
+// TestStableDocID: the store gives no document a dense ID, whatever the
+// caller set, so a URL keeps one identity, its Key, across evict/refetch
+// cycles — the keying contract GD*'s estimator depends on.
 func TestStableDocID(t *testing.T) {
 	c := mustNew(t, Config{Capacity: 1000, Shards: 4})
-	e1 := ent("a", 100)
-	c.Insert("a", e1)
-	id := e1.Doc.ID
-	c.Remove("a")
-	e2 := ent("a", 120)
-	c.Insert("a", e2)
-	if e2.Doc.ID != id {
-		t.Errorf("refetched doc ID = %d, want stable %d", e2.Doc.ID, id)
+	for i, size := range []int64{100, 120} {
+		e := ent("a", size)
+		e.Doc.ID = int32(i)
+		c.Insert("a", e)
+		if e.Doc.ID != -1 {
+			t.Errorf("insert %d: stored doc ID = %d, want -1", i, e.Doc.ID)
+		}
+		c.Remove("a")
 	}
 }
 

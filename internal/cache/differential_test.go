@@ -53,23 +53,16 @@ func differentialWorkload(t *testing.T, n int) (*core.Workload, []int64) {
 // under every admission filter — and the occupancy and the admitter's
 // counts must end equal.
 //
-// Each cell replays twice: at the store's default intern budget, and
-// with every shard's retain forced to recycledRetain, so the store
-// recycles IDs throughout the replay and a new URL takes over a
-// long-evicted one's ID. What admission remembers is keyed by URL, so the
-// recycled rows must agree as well.
-//
 // GD*'s β estimator first refits after 50,000 references, so on 30,000
-// requests GD* would run as GDSF. Its rows replay 80,000 requests, enough
-// for a refit in every cell (60,000 are not, under a filter at 0.5 %),
-// and the simulator's and the store's instances must end with the same β,
-// moved off 1. They replay the default retain only: GD*'s β estimator is
-// keyed by ID and outlives residency, so recycling hands it an old
-// document's history (ROADMAP item 1(a)).
+// requests GD* would run as GDSF. Its rows replay 300,000 requests
+// (85,144 documents, far more than either capacity holds), so most
+// documents return after an eviction, and the store's estimator, keyed
+// by URL, must remember them as the simulator's, keyed by dense ID, does.
+// The simulator's and the store's instances must end with the same β,
+// moved off 1.
 func TestStoreMatchesSimulator(t *testing.T) {
-	const recycledRetain = 64
 	short, shortCaps := differentialWorkload(t, 30_000)
-	long, longCaps := differentialWorkload(t, 80_000)
+	long, longCaps := differentialWorkload(t, 300_000)
 	for _, spec := range []string{
 		"lru", "lfuda", "gds:1", "gds:p", "gdstar:1", "gdstar:p", "gdsf:1", "gdsf:p",
 		"fifo", "size", "lfu", "slru", "typeaware+gdstar:1", "typeaware+lru",
@@ -80,73 +73,53 @@ func TestStoreMatchesSimulator(t *testing.T) {
 		}
 		pol := policy.MustFactory(parsed)
 		w, capacities, adapts := short, shortCaps, spec == "gdstar:1" || spec == "gdstar:p"
-		retains := []int{0, recycledRetain} // 0: the store's default
 		if adapts {
-			w, capacities, retains = long, longCaps, retains[:1]
+			w, capacities = long, longCaps
 		}
 		t.Run(spec, func(t *testing.T) {
-			t.Parallel()    // the workloads are immutable and shared, as a sweep's is
-			unrecycled := 0 // retain cells in which the store recycled no ID
+			t.Parallel() // the workloads are immutable and shared, as a sweep's is
 			for _, adm := range admission.Specs() {
 				for _, capacity := range capacities {
-					for _, retain := range retains {
-						var made []policy.Policy
-						rec := policy.Factory{Name: pol.Name, New: func() policy.Policy {
-							p := pol.New()
-							made = append(made, p)
-							return p
-						}}
-						recycled, err := replayBoth(w, rec, adm, capacity, retain)
-						if err != nil {
-							t.Errorf("%s/%d/retain=%d: %v", adm.Name, capacity, retain, err)
-						}
-						if !recycled && retain > 0 {
-							unrecycled++
-						}
-						if !adapts {
-							continue
-						}
-						if len(made) != 2 {
-							t.Fatalf("%s/%d: %d policy instances, want the simulator's and the store's", adm.Name, capacity, len(made))
-						}
-						sim, store := made[0].(*policy.GreedyDual).Beta(), made[1].(*policy.GreedyDual).Beta()
-						if sim == 1 || store == 1 || sim != store {
-							t.Errorf("%s/%d: β after %d requests: simulator %v, store %v; want both equal and moved off 1",
-								adm.Name, capacity, w.NumRequests(), sim, store)
-						}
+					var made []policy.Policy
+					rec := policy.Factory{Name: pol.Name, New: func() policy.Policy {
+						p := pol.New()
+						made = append(made, p)
+						return p
+					}}
+					if err := replayBoth(w, rec, adm, capacity); err != nil {
+						t.Errorf("%s/%d: %v", adm.Name, capacity, err)
+					}
+					if !adapts {
+						continue
+					}
+					if len(made) != 2 {
+						t.Fatalf("%s/%d: %d policy instances, want the simulator's and the store's", adm.Name, capacity, len(made))
+					}
+					sim, store := made[0].(*policy.GreedyDual).Beta(), made[1].(*policy.GreedyDual).Beta()
+					if sim == 1 || store == 1 || sim != store {
+						t.Errorf("%s/%d: β after %d requests: simulator %v, store %v; want both equal and moved off 1",
+							adm.Name, capacity, w.NumRequests(), sim, store)
 					}
 				}
-			}
-			// One cell may store too few keys to recycle any (SIZE under
-			// TinyLFU at 0.5 % stores 211), not more.
-			if unrecycled > 1 {
-				t.Errorf("the store recycled no ID in %d of its retain=%d cells", unrecycled, recycledRetain)
 			}
 		})
 	}
 }
 
 // replayBoth runs w through a simulator and a one-shard store of one
-// configuration and reports the first way they part, and whether the
-// store recycled an ID: whether it ends interning fewer keys than it
-// stored. A positive retain replaces the store's intern budget
-// (SetInternRetain).
-func replayBoth(w *core.Workload, pol policy.Factory, adm policy.AdmitterFactory, capacity int64, retain int) (recycled bool, err error) {
+// configuration and reports the first way they part.
+func replayBoth(w *core.Workload, pol policy.Factory, adm policy.AdmitterFactory, capacity int64) error {
 	n := w.NumRequests()
 	sim, err := core.NewSimulator(w, core.Config{
 		Capacity: capacity, Policy: pol, Admission: adm, WarmupFraction: -1, SampleEvery: int64(n),
 	})
 	if err != nil {
-		return false, err
+		return err
 	}
 	store, err := cache.New(cache.Config{Capacity: capacity, Shards: 1, Policy: pol, Admission: adm})
 	if err != nil {
-		return false, err
+		return err
 	}
-	if retain > 0 {
-		cache.SetInternRetain(store, retain)
-	}
-	stored := map[string]bool{} // every key the store has made resident
 	for i := 0; i < n; i++ {
 		ev := w.Event(i)
 		key := w.Key(ev.DocID)
@@ -158,31 +131,31 @@ func replayBoth(w *core.Workload, pol policy.Factory, adm policy.AdmitterFactory
 			e.Release()
 			storeHit = true
 		}
-		if !storeHit && store.Insert(key, &cache.Entry{Doc: &policy.Doc{Key: key, Size: ev.DocSize, Class: ev.Class}}) == cache.SetStored {
-			stored[key] = true
+		if !storeHit {
+			store.Insert(key, &cache.Entry{Doc: &policy.Doc{Key: key, Size: ev.DocSize, Class: ev.Class}})
 		}
 		if simHit != storeHit {
-			return false, fmt.Errorf("request %d (%s, %d B, modified %v): simulator hit %v, store hit %v",
+			return fmt.Errorf("request %d (%s, %d B, modified %v): simulator hit %v, store hit %v",
 				i, key, ev.DocSize, ev.Modified, simHit, storeHit)
 		}
 	}
 
 	r := sim.Result()
 	if sim.Used() != store.Used() {
-		return false, fmt.Errorf("used: simulator %d, store %d", sim.Used(), store.Used())
+		return fmt.Errorf("used: simulator %d, store %d", sim.Used(), store.Used())
 	}
 	end := r.Occupancy[len(r.Occupancy)-1]
 	classUsed := store.ClassUsed()
 	for _, c := range doctype.Classes {
 		if end.Bytes[c] != classUsed[c] {
-			return false, fmt.Errorf("%v resident bytes: simulator %d, store %d", c, end.Bytes[c], classUsed[c])
+			return fmt.Errorf("%v resident bytes: simulator %d, store %d", c, end.Bytes[c], classUsed[c])
 		}
 	}
 	counts := store.AdmissionCounts()
 	if r.Admitted != counts.Admitted || r.AdmissionRejects != counts.Rejected ||
 		r.AdmissionRejects != store.AdmissionRejects() || r.GhostHits != counts.GhostHits {
-		return false, fmt.Errorf("admission: simulator admitted %d, rejected %d, ghost hits %d; store %+v, %d rejected inserts",
+		return fmt.Errorf("admission: simulator admitted %d, rejected %d, ghost hits %d; store %+v, %d rejected inserts",
 			r.Admitted, r.AdmissionRejects, r.GhostHits, counts, store.AdmissionRejects())
 	}
-	return store.InternedKeys() < len(stored), nil
+	return nil
 }

@@ -11,8 +11,8 @@ import (
 
 // Entry is one cached object. Body and the header fields are immutable
 // while any reference is held — concurrent readers serve them without
-// copying. Doc carries the policy-facing identity (key, dense ID, size,
-// class).
+// copying. Doc carries the policy-facing identity (key, size, class); a
+// stored Doc has no dense ID (Insert sets it to -1).
 //
 // # Reference counting
 //

@@ -29,15 +29,12 @@ type reference struct {
 	evictions, rejects, admRejects int64
 }
 
-// refShard is one shard of the reference. Its IDs are dense in the order
-// keys were first stored and never recycled: the store's interner in
-// any run that retires fewer keys than it retains.
+// refShard is one shard of the reference.
 type refShard struct {
 	pol      policy.Policy
 	adm      policy.Admitter // nil without admission
 	used     int64
 	resident map[string]refEntry
-	ids      map[string]int32
 }
 
 // refEntry is a resident document and the cache entry inserted with it,
@@ -56,22 +53,13 @@ func newReference(cfg Config) *reference {
 		if cfg.Admission.New != nil {
 			sh.adm = cfg.Admission.New(cfg.Capacity / int64(cfg.Shards))
 		}
-		sh.resident, sh.ids = map[string]refEntry{}, map[string]int32{}
+		sh.resident = map[string]refEntry{}
 	}
 	return r
 }
 
 func (r *reference) home(key string) int {
 	return int(trace.Hash64(key) & uint64(len(r.shards)-1))
-}
-
-func (sh *refShard) id(key string) int32 {
-	id, ok := sh.ids[key]
-	if !ok {
-		id = int32(len(sh.ids))
-		sh.ids[key] = id
-	}
-	return id
 }
 
 func (r *reference) insert(key string, size int64, e *Entry) SetOutcome {
@@ -82,7 +70,7 @@ func (r *reference) insert(key string, size int64, e *Entry) SetOutcome {
 	r.remove(key)
 	h := r.home(key)
 	home := &r.shards[h]
-	doc := &policy.Doc{Key: key, Size: size}
+	doc := &policy.Doc{ID: -1, Key: key, Size: size}
 	if home.adm != nil {
 		home.adm.Touch(doc)
 		if r.used+size > r.capacity {
@@ -98,7 +86,6 @@ func (r *reference) insert(key string, size int64, e *Entry) SetOutcome {
 			return SetRejectedBudget
 		}
 	}
-	doc.ID = home.id(key)
 	home.pol.Insert(doc)
 	if home.adm != nil {
 		home.adm.Inserted(doc)
@@ -298,13 +285,10 @@ func checkCounts(t *testing.T, op int, c *Cache, ref *reference) {
 
 // TestShardedStoreMatchesReference replays TestShardedStoreRanksLikeOneCache's
 // stream through the store and the reference at 1, 4 and 16 shards, for
-// every study scheme and GD*(P)+TinyLFU. The stream retires far fewer
-// keys than DefaultInternRetain holds, so the store recycles no ID and
-// keeps every key it stored, and only those, as the reference does: both
-// intern a key when they store it, never for a refused candidate. Every
-// request must hit or miss alike and every insert end alike,
-// leaving the same counts and the same bytes in every shard; every 500
-// requests and at the end the resident sets must be equal too. (The
+// every study scheme and GD*(P)+TinyLFU. Every request must hit or miss
+// alike and every insert end alike, leaving the same counts and the same
+// bytes in every shard; every 500 requests and at the end the resident
+// sets must be equal too. (The
 // index-order sweep is not reached here: single-threaded, the fullest
 // shard always has a victim.)
 func TestShardedStoreMatchesReference(t *testing.T) {
@@ -338,13 +322,6 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 				}
 				if c.Evictions() == 0 {
 					t.Fatal("no evictions: the replay did not churn the store")
-				}
-				interned := 0
-				for _, sh := range ref.shards {
-					interned += len(sh.ids)
-				}
-				if got := c.InternedKeys(); got != interned {
-					t.Fatalf("store interns %d keys, reference %d: it recycled an ID or interned a key it did not store", got, interned)
 				}
 			})
 		}

@@ -1,10 +1,10 @@
 // Package intlist implements an intrusive doubly-linked list with O(1)
 // splice operations. It is the recency substrate for LRU and for the
-// stack-distance machinery in the synthetic workload generator: elements
-// carry their payload and can be moved to the front, removed, or walked
-// from the front without allocation per operation beyond the element
-// itself — and not even that when the caller embeds the Element in the
-// object it lists and links it with LinkFront.
+// admission filters' ghost directories: elements carry their payload and
+// can be moved to the front or removed from anywhere, the oldest found at
+// the back, without allocation per operation beyond the element itself —
+// and not even that when the caller embeds the Element in the object it
+// lists and links it with LinkFront.
 //
 // Compared to container/list, this implementation is generic (no interface
 // boxing on the hot path) and links elements the caller owns.
@@ -24,14 +24,6 @@ type Element[T any] struct {
 // List returns the list that holds e, or nil when e is in no list.
 func (e *Element[T]) List() *List[T] { return e.list }
 
-// Next returns the following element, or nil at the back of the list.
-func (e *Element[T]) Next() *Element[T] {
-	if n := e.next; e.list != nil && n != &e.list.root {
-		return n
-	}
-	return nil
-}
-
 // List is a doubly-linked list with a sentinel root. The zero value is an
 // empty list ready to use. List is not safe for concurrent use.
 type List[T any] struct {
@@ -48,14 +40,6 @@ func (l *List[T]) lazyInit() {
 
 // Len returns the number of elements.
 func (l *List[T]) Len() int { return l.len }
-
-// Front returns the first element, or nil when the list is empty.
-func (l *List[T]) Front() *Element[T] {
-	if l.len == 0 {
-		return nil
-	}
-	return l.root.next
-}
 
 // Back returns the last element, or nil when the list is empty.
 func (l *List[T]) Back() *Element[T] {
@@ -101,14 +85,6 @@ func (l *List[T]) MoveToFront(e *Element[T]) {
 	}
 	l.unlink(e)
 	l.insertAfter(e, &l.root)
-}
-
-// Do calls fn for each element value from front to back. fn must not
-// modify the list.
-func (l *List[T]) Do(fn func(T)) {
-	for e := l.Front(); e != nil; e = e.Next() {
-		fn(e.Value)
-	}
 }
 
 func (l *List[T]) insertAfter(e, at *Element[T]) *Element[T] {

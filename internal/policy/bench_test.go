@@ -72,14 +72,27 @@ func BenchmarkTypeAwareOps(b *testing.B) {
 	benchPolicy(b, func() Policy { return NewTypeAware(inner) })
 }
 
+// BenchmarkBetaEstimatorObserve prices one reference to a document known
+// by its dense ID (the simulator's) and by its URL alone (the store's).
 func BenchmarkBetaEstimatorObserve(b *testing.B) {
-	e := NewBetaEstimator()
 	const numDocs = 10_000
-	rng := rand.New(rand.NewSource(3))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Observe(int32(rng.Intn(numDocs)))
+	for _, keying := range []string{"dense", "url"} {
+		docs := make([]Doc, numDocs)
+		for id := range docs {
+			docs[id] = Doc{ID: int32(id)}
+			if keying == "url" {
+				docs[id] = Doc{ID: -1, Key: fmt.Sprintf("http://example.com/doc/%d", id)}
+			}
+		}
+		b.Run(keying, func(b *testing.B) {
+			e := NewBetaEstimator()
+			rng := rand.New(rand.NewSource(3))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Observe(&docs[rng.Intn(numDocs)])
+			}
+		})
 	}
 }
 

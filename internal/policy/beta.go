@@ -30,11 +30,15 @@ const (
 // fits are blended by an exponentially weighted moving average so that β
 // adapts without jitter.
 type BetaEstimator struct {
-	// lastSeen is the last-seen table, dense over Doc.ID and grown on
-	// demand: the clock of each document's latest reference. An entry
-	// below horizon is absent — never referenced (0; the clock starts at
-	// 1) or pruned — so a refit prunes the whole table by raising horizon.
+	// lastSeen and byKey are the last-seen table: the clock of each
+	// document's latest reference. lastSeen is dense over Doc.ID and grown
+	// on demand; byKey holds documents without an ID (ID < 0, the store's)
+	// by URL. An entry below horizon is absent — never referenced (0; the
+	// clock starts at 1) or pruned — so a refit prunes lastSeen by raising
+	// horizon, and deletes what byKey holds below it, so that byKey holds
+	// a URL exactly as long as lastSeen would hold its ID.
 	lastSeen   []int64
+	byKey      map[string]int64
 	horizon    int64
 	hist       *stats.LogHistogram
 	clock      int64
@@ -55,6 +59,7 @@ func NewBetaEstimator() *BetaEstimator {
 		panic(err)
 	}
 	return &BetaEstimator{
+		byKey:      make(map[string]int64),
 		horizon:    1,
 		hist:       hist,
 		refitEvery: defaultRefitEvery,
@@ -72,20 +77,25 @@ func (e *BetaEstimator) SetWindow(n int64) {
 	}
 }
 
-// Observe records a reference to the document identified by its dense,
-// non-negative doc ID (see Doc.ID for the keying contract). The ID indexes
-// the last-seen table directly, which matters: Observe sits on GD*'s
-// per-request hot path.
-func (e *BetaEstimator) Observe(id int32) {
+// Observe records a reference to doc, identified by its dense doc ID when
+// it has one and by its URL otherwise (see Doc.ID for the keying
+// contract). The ID indexes the last-seen table directly, which matters:
+// Observe sits on GD*'s per-request hot path.
+func (e *BetaEstimator) Observe(doc *Doc) {
 	e.clock++
-	if int(id) >= len(e.lastSeen) {
-		e.lastSeen = append(e.lastSeen, make([]int64, int(id)+1-len(e.lastSeen))...)
-		e.lastSeen = e.lastSeen[:cap(e.lastSeen)] // zeroes: absent
+	var last int64
+	if id := doc.ID; id >= 0 {
+		if int(id) >= len(e.lastSeen) {
+			e.lastSeen = append(e.lastSeen, make([]int64, int(id)+1-len(e.lastSeen))...)
+			e.lastSeen = e.lastSeen[:cap(e.lastSeen)] // zeroes: absent
+		}
+		last, e.lastSeen[id] = e.lastSeen[id], e.clock
+	} else {
+		last, e.byKey[doc.Key] = e.byKey[doc.Key], e.clock
 	}
-	if last := e.lastSeen[id]; last >= e.horizon {
+	if last >= e.horizon {
 		e.hist.Add(float64(e.clock - last))
 	}
-	e.lastSeen[id] = e.clock
 	if e.nextRefit == 0 {
 		e.nextRefit = e.refitEvery
 	}
@@ -106,9 +116,9 @@ func (e *BetaEstimator) Observed() int64 { return e.clock }
 
 // Tracked returns the number of documents currently in the last-seen
 // table (exported for instrumentation and tests of the pruning bound). It
-// scans the table.
+// scans the dense table.
 func (e *BetaEstimator) Tracked() int {
-	n := 0
+	n := len(e.byKey)
 	for _, last := range e.lastSeen {
 		if last >= e.horizon {
 			n++
@@ -136,6 +146,11 @@ func (e *BetaEstimator) refit() {
 	// every earlier one.
 	if horizon := e.clock - pruneDistance; horizon > 0 {
 		e.horizon = horizon
+		for key, last := range e.byKey {
+			if last < horizon {
+				delete(e.byKey, key)
+			}
+		}
 	}
 }
 

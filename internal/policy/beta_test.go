@@ -3,6 +3,7 @@ package policy
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"webcachesim/internal/stats"
@@ -16,7 +17,7 @@ func TestBetaEstimatorDefaults(t *testing.T) {
 	if e.Fitted() {
 		t.Error("fresh estimator claims to be fitted")
 	}
-	e.Observe(1)
+	e.Observe(&Doc{ID: 1})
 	if e.Observed() != 1 || e.Tracked() != 1 {
 		t.Errorf("Observed=%d Tracked=%d, want 1,1", e.Observed(), e.Tracked())
 	}
@@ -58,12 +59,12 @@ func feedPowerLawStream(e *BetaEstimator, beta float64, n int, seed int64) float
 		next := pending[0]
 		if clock < next.at {
 			filler++
-			e.Observe(fillerBase + filler)
+			e.Observe(&Doc{ID: fillerBase + filler})
 			clock++
 			continue
 		}
 		pending = pending[1:]
-		e.Observe(next.doc)
+		e.Observe(&Doc{ID: next.doc})
 		clock++
 		push(ev{at: clock + sample(), doc: next.doc})
 	}
@@ -102,25 +103,39 @@ func TestBetaEstimatorClamped(t *testing.T) {
 	// over and over) gives a degenerate single-bucket histogram: the fit
 	// fails or clamps, but beta must stay within bounds.
 	for i := 0; i < 10_000; i++ {
-		e.Observe(7)
+		e.Observe(&Doc{ID: 7})
 	}
 	if b := e.Beta(); b < betaFloor || b > betaCeil {
 		t.Errorf("beta %v escaped clamp [%v, %v]", b, betaFloor, betaCeil)
 	}
 }
 
+// TestBetaEstimatorPrunes streams cold documents, each referenced once,
+// and then one hot document until a refit's horizon passes every cold
+// reference: the table must then hold the hot document alone, by ID and
+// by URL alike, or it would grow without bound under one-shot traffic.
 func TestBetaEstimatorPrunes(t *testing.T) {
-	e := NewBetaEstimator()
-	e.SetWindow(pruneDistance / 2)
-	// Stream of unique documents: the table would grow without bound if
-	// pruning were broken.
-	total := int(pruneDistance*2 + 10)
-	for i := 0; i < total; i++ {
-		e.Observe(int32(i))
+	const cold = 100_000
+	for _, byURL := range []bool{false, true} {
+		e := NewBetaEstimator()
+		e.SetWindow(pruneDistance / 2)
+		total := cold + pruneDistance + pruneDistance/2
+		for i := 0; i < total; i++ {
+			e.Observe(streamDoc(int32(min(i, cold)), byURL))
+		}
+		if got := e.Tracked(); got != 1 {
+			t.Errorf("by URL %v: Tracked = %d after %d cold documents, want the hot one alone", byURL, got, cold)
+		}
 	}
-	if e.Tracked() >= total {
-		t.Errorf("Tracked = %d, want pruned below %d", e.Tracked(), total)
+}
+
+// streamDoc is document id of a test stream: known by its ID, or by a
+// URL alone as the store knows it.
+func streamDoc(id int32, byURL bool) *Doc {
+	if byURL {
+		return &Doc{ID: -1, Key: strconv.Itoa(int(id))}
 	}
+	return &Doc{ID: id}
 }
 
 func TestClamp(t *testing.T) {
@@ -185,12 +200,13 @@ func (e *mapBetaEstimator) observe(id int32) {
 	}
 }
 
-// TestBetaEstimatorMatchesMapReference runs the dense table against the
-// map over a stream that crosses pruneDistance: hot documents that are
-// never pruned, a cold pool whose re-reference distances straddle the
-// prune horizon (pruned-then-seen-again must count as a first sighting),
-// and the ID space growing as it goes. β must agree after every
-// observation and the tracked count at every refit.
+// TestBetaEstimatorMatchesMapReference runs the dense table, and the
+// URL-keyed table a store document (ID -1) takes, against the map over a
+// stream that crosses pruneDistance: hot documents that are never
+// pruned, a cold pool whose re-reference distances straddle the prune
+// horizon (pruned-then-seen-again must count as a first sighting), and
+// the ID space growing as it goes. β must agree after every observation
+// and the tracked count at every refit.
 func TestBetaEstimatorMatchesMapReference(t *testing.T) {
 	const window = 100_000
 	hist, err := stats.NewLogHistogram(2)
@@ -201,8 +217,10 @@ func TestBetaEstimatorMatchesMapReference(t *testing.T) {
 		lastSeen: make(map[int32]int64), hist: hist,
 		refitEvery: window, nextRefit: window, beta: 1,
 	}
-	e := NewBetaEstimator()
-	e.SetWindow(window)
+	dense, byURL := NewBetaEstimator(), NewBetaEstimator()
+	dense.SetWindow(window)
+	byURL.SetWindow(window)
+	var keys []string // keys[id] is the URL the byURL estimator knows id by
 
 	rng := rand.New(rand.NewSource(11))
 	const coldPool = 400_000 // mean re-reference distance ≈ pruneDistance
@@ -218,28 +236,34 @@ func TestBetaEstimatorMatchesMapReference(t *testing.T) {
 		default:
 			id = 64 + 50_000 + int32(rng.Intn(min(coldPool, i)))
 		}
+		for int(id) >= len(keys) {
+			keys = append(keys, strconv.Itoa(len(keys)))
+		}
 		ref.observe(id)
-		e.Observe(id)
-		if e.Beta() != ref.beta {
-			t.Fatalf("observation %d: beta %v, reference %v", i, e.Beta(), ref.beta)
+		dense.Observe(&Doc{ID: id})
+		byURL.Observe(&Doc{ID: -1, Key: keys[id]})
+		if dense.Beta() != ref.beta || byURL.Beta() != ref.beta {
+			t.Fatalf("observation %d: beta %v by ID, %v by URL, reference %v", i, dense.Beta(), byURL.Beta(), ref.beta)
 		}
 		if i%window == 0 {
 			refits++
-			got, want := e.Tracked(), len(ref.lastSeen)
-			if got != want {
-				t.Fatalf("refit %d: Tracked %d, reference %d", refits, got, want)
+			want := len(ref.lastSeen)
+			if got, gotURL := dense.Tracked(), byURL.Tracked(); got != want || gotURL != want {
+				t.Fatalf("refit %d: Tracked %d by ID, %d by URL, reference %d", refits, got, gotURL, want)
 			}
-			pruned = pruned || got < tracked // only pruning shrinks the table
-			tracked = got
+			pruned = pruned || want < tracked // only pruning shrinks the table
+			tracked = want
 		}
 	}
-	if !e.Fitted() || e.Fitted() != ref.fitted {
-		t.Errorf("Fitted = %v, reference %v, want both true", e.Fitted(), ref.fitted)
+	for _, e := range []*BetaEstimator{dense, byURL} {
+		if !e.Fitted() || e.Fitted() != ref.fitted {
+			t.Errorf("Fitted = %v, reference %v, want both true", e.Fitted(), ref.fitted)
+		}
+		if e.invBeta != 1/e.beta {
+			t.Errorf("cached 1/beta = %v, want %v", e.invBeta, 1/e.beta)
+		}
 	}
 	if !pruned {
 		t.Error("the stream never pruned a document; the test does not cover the horizon")
-	}
-	if e.invBeta != 1/e.beta {
-		t.Errorf("cached 1/beta = %v, want %v", e.invBeta, 1/e.beta)
 	}
 }

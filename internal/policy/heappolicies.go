@@ -209,7 +209,7 @@ func (p *GreedyDual) value(doc *Doc, refs int64) float64 {
 // Insert implements Policy.
 func (p *GreedyDual) Insert(doc *Doc) {
 	if p.estimator != nil {
-		p.estimator.Observe(doc.ID)
+		p.estimator.Observe(doc)
 	}
 	p.track(doc, p.value(doc, 1))
 }
@@ -217,7 +217,7 @@ func (p *GreedyDual) Insert(doc *Doc) {
 // Hit implements Policy.
 func (p *GreedyDual) Hit(doc *Doc) {
 	if p.estimator != nil {
-		p.estimator.Observe(doc.ID)
+		p.estimator.Observe(doc)
 	}
 	if refs, ok := p.touch(doc); ok {
 		p.queue.Update(&doc.hm.item, p.value(doc, refs))

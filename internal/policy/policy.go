@@ -26,13 +26,11 @@ import (
 // unexported fields; whether a policy tracks the document is recorded once,
 // by the heap or list that holds it.
 type Doc struct {
-	// ID is the document's dense identity, the key of a policy's own
-	// per-document tables. The simulator uses the workload's interned doc
-	// ID, unique for the whole run. The store assigns it only when it
-	// stores the document and may recycle it for another URL once the
-	// document has long left (cache.DefaultInternRetain, docs/PROXY.md),
-	// so state that outlives residency is keyed by Key; GD*'s
-	// inter-reference estimator is the one exception left.
+	// ID is the document's dense identity, or -1 when it has none. The
+	// simulator uses the workload's interned doc ID, unique for the whole
+	// run; the store sets -1, so a store document is known by Key alone.
+	// Only GD*'s inter-reference estimator reads it: a table dense over ID
+	// when ID >= 0, a map over Key otherwise.
 	ID int32
 	// Class is the document's content class, used only for per-type
 	// accounting by the simulator.
@@ -54,9 +52,8 @@ type Doc struct {
 	elem intlist.Element[*Doc]
 
 	// Key is the document's URL, the key of everything an admitter
-	// remembers (frequency sketches, ghost directories, probation). A
-	// policy's per-document tables use ID, which is dense and hashes as
-	// a machine word.
+	// remembers (frequency sketches, ghost directories, probation) and of
+	// GD*'s inter-reference history for a document without an ID.
 	Key string
 }
 
