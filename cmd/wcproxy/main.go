@@ -59,7 +59,7 @@ func run(args []string) error {
 		listen     = fs.String("listen", ":3128", "listen address")
 		origin     = fs.String("origin", "", "reverse-proxy origin URL (forward proxy when empty)")
 		parent     = fs.String("parent", "", "parent proxy URL for upstream fetches (cache_peer)")
-		capacity   = fs.String("capacity", "256MB", "cache capacity; bodies live off the Go heap, so resident memory is about capacity in use + 65 MiB, + under GD*'s online β 35-56 B and the URL for each URL a shard saw in its last 2^21 references")
+		capacity   = fs.String("capacity", "256MB", "cache capacity; bodies live off the Go heap, so resident memory is about capacity in use + 65 MiB, + under GD*'s online β 83-104 B and the URL for each URL a shard saw in its last 2^21 references")
 		policySpec = fs.String("policy", "lru", "replacement policy spec (scheme[:cost])")
 		admitSpec  = fs.String("admission", "none", "admission filter spec (none, tinylfu, arc-ghost)")
 		shards     = fs.Int("shards", 0, "cache shard count, rounded up to a power of two (0 = default; 1 = exact single-policy eviction order)")

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	wcreport [-exp all|<id>] [-extras] [-scale 1.0] [-seed 1] [-sizes 0.5,1,2,4]
+//	wcreport [-exp all|<id>] [-extras] [-scale 1.0] [-seed 1] [-size-pcts 0.5,1,2,4]
 //	         [-plots] [-checks-only] [-json] [-svg-dir dir]
 //	wcreport -journal run.jsonl
 //
@@ -28,11 +28,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"webcachesim/internal/experiment"
+	"webcachesim/internal/units"
 )
 
 func main() {
@@ -48,7 +47,7 @@ func run(args []string, out io.Writer) error {
 		expFlag    = fs.String("exp", "all", fmt.Sprintf("experiment id: all, one of %v, or an extra %v", experiment.All, experiment.Extras))
 		scale      = fs.Float64("scale", 1.0, "workload scale factor")
 		seed       = fs.Int64("seed", 1, "generation seed")
-		sizes      = fs.String("sizes", "", "cache sizes as % of trace size, comma-separated (default 0.5,0.75,1,1.5,2,3,4)")
+		sizePcts   = fs.String("size-pcts", "", "cache sizes as % of trace size, comma-separated (default 0.5,0.75,1,1.5,2,3,4)")
 		plots      = fs.Bool("plots", false, "render ASCII figures")
 		checksOnly = fs.Bool("checks-only", false, "print only shape-check verdicts")
 		jsonOut    = fs.Bool("json", false, "emit the outputs as a JSON array instead of text")
@@ -67,16 +66,10 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-scale %v must be positive", *scale)
 	}
 	opts := experiment.Options{Scale: *scale, Seed: *seed}
-	if *sizes != "" {
-		for _, s := range strings.Split(*sizes, ",") {
-			pct, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				return fmt.Errorf("bad -sizes entry %q: %w", s, err)
-			}
-			if !(pct > 0) {
-				return fmt.Errorf("-sizes entry %q must be positive", s)
-			}
-			opts.CacheSizePcts = append(opts.CacheSizePcts, pct)
+	if *sizePcts != "" {
+		var err error
+		if opts.CacheSizePcts, err = units.ParsePercents(*sizePcts); err != nil {
+			return err
 		}
 	}
 	env := experiment.NewEnv(opts)

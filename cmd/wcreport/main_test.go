@@ -17,7 +17,7 @@ import (
 
 // fastArgs keeps CLI tests quick: tiny workload, few sizes.
 func fastArgs(extra ...string) []string {
-	return append([]string{"-scale", "0.02", "-sizes", "1,4"}, extra...)
+	return append([]string{"-scale", "0.02", "-size-pcts", "1,4"}, extra...)
 }
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -101,14 +101,15 @@ func TestRunBadFlags(t *testing.T) {
 		t.Error("unknown experiment accepted")
 	}
 	for _, args := range [][]string{
-		{"-sizes", "a,b"},
-		{"-sizes", "nan,-3,0"},
-		{"-sizes", "1,0"},
-		{"-sizes", "-2"},
-		{"-sizes", "NaN"},
+		{"-size-pcts", "a,b"},
+		{"-size-pcts", "nan,-3,0"},
+		{"-size-pcts", "1,0"},
+		{"-size-pcts", "-2"},
+		{"-size-pcts", "NaN"},
 		{"-scale", "0"},
 		{"-scale", "-1"},
 		{"-scale", "NaN"},
+		{"-sizes", "1,4"},
 		{"-md"},
 		{"-parallelism", "2"},
 	} {

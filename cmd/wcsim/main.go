@@ -22,7 +22,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 
 	"webcachesim/internal/admission"
@@ -283,15 +282,12 @@ func parseCapacities(sizes, pcts string, w *core.Workload) ([]int64, error) {
 		if pcts == "" {
 			pcts = "0.5,1,2,4"
 		}
+		list, err := units.ParsePercents(pcts)
+		if err != nil {
+			return nil, err
+		}
 		var out []int64
-		for _, part := range strings.Split(pcts, ",") {
-			pct, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad percentage %q: %w", part, err)
-			}
-			if !(pct > 0) { // NaN included
-				return nil, fmt.Errorf("percentage %q must be positive", part)
-			}
+		for _, pct := range list {
 			out = append(out, w.CapacityAt(pct, core.FloorByte))
 		}
 		// Percentages that round or clamp to the same byte count are one

@@ -1,10 +1,10 @@
 // Package intlist implements an intrusive doubly-linked list with O(1)
-// splice operations. It is the recency substrate for LRU and for the
-// admission filters' ghost directories: elements carry their payload and
-// can be moved to the front or removed from anywhere, the oldest found at
-// the back, without allocation per operation beyond the element itself —
-// and not even that when the caller embeds the Element in the object it
-// lists and links it with LinkFront.
+// splice operations. It is the recency substrate for LRU, the admission
+// filters' ghost directories and GD*'s β estimator's URL table: elements
+// carry their payload and can be moved to the front or removed from
+// anywhere, the oldest found at the back, without allocation per operation
+// beyond the element itself — and not even that when the caller embeds the
+// Element in the object it lists and links it with LinkFront.
 //
 // Compared to container/list, this implementation is generic (no interface
 // boxing on the hot path) and links elements the caller owns.

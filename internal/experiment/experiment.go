@@ -67,7 +67,7 @@ var registry = []experiment{
 	locality(Table4, "dfn", "Table 4. DFN Trace: Breakdown of document sizes and temporal locality"),
 	locality(Table5, "rtp", "Table 5. RTP Trace: Breakdown of document sizes and temporal locality"),
 	figure1, figure2, figure3, rtpSummary,
-	filtering, baselines, admissionGrid,
+	filtering, baselines, admissionGrid, modification,
 }
 
 // All lists the paper's experiments in paper order; Extras the

@@ -253,7 +253,7 @@ func TestClaimsMatchCommittedReport(t *testing.T) {
 			got = append(got, c.name)
 		}
 	}
-	if len(want) != 55 || !slices.Equal(got, want) {
+	if len(want) != 57 || !slices.Equal(got, want) {
 		t.Errorf("registry claims differ from the %d verdict lines of docs/report-scale1.txt:\n got %q\nwant %q",
 			len(want), got, want)
 	}

@@ -9,6 +9,7 @@ import (
 	"webcachesim/internal/doctype"
 	"webcachesim/internal/policy"
 	"webcachesim/internal/report"
+	"webcachesim/internal/synth"
 	"webcachesim/internal/trace"
 )
 
@@ -19,9 +20,12 @@ const (
 	// flattening its popularity distribution.
 	Filtering ID = "filtering"
 	// Baselines is the related-work roundup (Arlitt et al. [1]): the
-	// paper's six configurations plus FIFO, SIZE, LFU, SLRU, GDSF, and
-	// the TypeAware extension at one mid-grid cache size.
+	// paper's six configurations plus FIFO, SIZE, LFU, SLRU, GDSF, the
+	// TypeAware extension and GD*(1) at fixed β, at a mid-grid cache size.
 	Baselines ID = "baselines"
+	// Modification replays DFN without recorded sizes under §4.1's 5 %
+	// modification rule and under Jin & Bestavros' any size change.
+	Modification ID = "modification"
 	// AdmissionGrid crosses the paper's six configurations with the
 	// admission filters (none, TinyLFU, ARC-ghost) at the smallest swept
 	// cache size — the regime where keeping one-hit wonders out matters
@@ -36,16 +40,17 @@ type filteredStream struct {
 	before, after *analyze.Characterization
 }
 
-// missReader passes on the requests a cache does not hit.
-type missReader struct {
-	src   trace.Reader
-	cache *core.StreamSimulator
+// passing passes on the requests of src that pass, which may also rewrite
+// them.
+type passing struct {
+	src  trace.Reader
+	pass func(*trace.Request) bool
 }
 
-func (m missReader) Next() (*trace.Request, error) {
+func (p passing) Next() (*trace.Request, error) {
 	for {
-		r, err := m.src.Next()
-		if err != nil || !m.cache.Process(r).Hit() {
+		r, err := p.src.Next()
+		if err != nil || p.pass(r) {
 			return r, err
 		}
 	}
@@ -71,7 +76,7 @@ func filtered(profile string) input[*filteredStream] {
 		if err != nil {
 			return nil, err
 		}
-		misses, err := core.BuildWorkload(missReader{g.Reader(), child}, 0)
+		misses, err := core.BuildWorkload(passing{g.Reader(), func(r *trace.Request) bool { return !child.Process(r).Hit() }}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -203,12 +208,25 @@ var admissionGrid = experiment{
 	},
 }
 
-// baselineLineup is the related-work roundup: spec strings in
-// presentation order.
-var baselineLineup = []string{
-	"lru", "lfuda", "gds:1", "gdstar:1", "gds:p", "gdstar:p",
-	"gdsf:p", "slru", "fifo", "size", "lfu", "typeaware+gdstar:1",
-}
+// baselineLineup is the related-work roundup in presentation order.
+// GDSF(1) is GD*(1) at a fixed β = 1; the last row is GD*(1) at a fixed
+// β = 0.5, which no spec spells.
+var baselineLineup = func() []policy.Factory {
+	var out []policy.Factory
+	for _, spec := range []string{
+		"lru", "lfuda", "gds:1", "gdstar:1", "gds:p", "gdstar:p", "gdsf:p", "slru",
+		"fifo", "size", "lfu", "typeaware+gdstar:1", "typeaware+gdstar:p", "gdsf:1",
+	} {
+		parsed, err := policy.ParseSpec(spec)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, policy.MustFactory(parsed))
+	}
+	return append(out, policy.Factory{Name: halfBeta, New: func() policy.Policy { return policy.NewGDStar(nil, 0.5) }})
+}()
+
+const halfBeta = "GD*(1) beta=0.5"
 
 // lineup sweeps the extended policy lineup on the DFN workload at a
 // mid-grid cache size.
@@ -219,19 +237,7 @@ var lineup = cached("lineup", func(e *Env) (*atOneSize, error) {
 	}
 	caps := e.Capacities(w)
 	s := &atOneSize{capacity: caps[len(caps)/2]}
-	var factories []policy.Factory
-	for _, spec := range baselineLineup {
-		parsed, err := policy.ParseSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		f, err := policy.NewFactory(parsed)
-		if err != nil {
-			return nil, err
-		}
-		factories = append(factories, f)
-	}
-	s.results, err = core.Sweep(w, core.SweepConfig{Policies: factories, Capacities: []int64{s.capacity}})
+	s.results, err = core.Sweep(w, core.SweepConfig{Policies: baselineLineup, Capacities: []int64{s.capacity}})
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +249,7 @@ var baselines = experiment{
 	id:    Baselines,
 	extra: true,
 	title: "Extra — extended policy lineup (related work + extension)",
-	notes: []string{"extension beyond the paper: the six study configurations plus FIFO, SIZE, LFU, SLRU, GDSF, and TypeAware"},
+	notes: []string{"extension beyond the paper: the six study configurations plus FIFO, SIZE, LFU, SLRU, GDSF, TypeAware, and GD*(1) at fixed β"},
 	build: from(lineup, func(s *atOneSize) artifacts {
 		t := report.NewTable(
 			fmt.Sprintf("Extended policy lineup — DFN workload, %.0f MB cache", s.capMB()),
@@ -270,6 +276,12 @@ var baselines = experiment{
 			ta, gd := byteHitRate(mm)(s.at("TA[GD*(1)]")), byteHitRate(mm)(s.at("GD*(1)"))
 			return ta >= gd-comparisonSlack, fmt.Sprintf("mm BHR %.4f vs %.4f", ta, gd)
 		}),
+		// Strict: a GD* whose estimator never fits keeps β = 1, as GDSF(1).
+		pred("GD*(1)'s online β lands strictly between fixed β = 0.5 and β = 1 (GDSF(1)) in hit rate", lineup,
+			func(s *atOneSize) (bool, string) {
+				half, online, one := overallHitRate(s.at(halfBeta)), overallHitRate(s.at("GD*(1)")), overallHitRate(s.at("GDSF(1)"))
+				return half > online && online > one, fmt.Sprintf("HR: β=0.5 %.4f > online %.4f > β=1 %.4f", half, online, one)
+			}),
 	},
 }
 
@@ -280,4 +292,54 @@ func atLeast(name, a, b string) claim {
 		ha, hb := overallHitRate(s.at(a)), overallHitRate(s.at(b))
 		return ha >= hb-comparisonSlack, fmt.Sprintf("HR %.4f vs %.4f", ha, hb)
 	})
+}
+
+// sizeless drops a request's recorded document size, as a Squid log does,
+// so the simulator infers sizes from transfers.
+func sizeless(r *trace.Request) bool {
+	r.DocSize = 0
+	return true
+}
+
+// modificationRules sweeps the study schemes over sizeless DFN at 2 % of
+// the trace, once per rule: [0] the paper's 5 % rule, [1] any size change.
+var modificationRules = cached("modification", func(e *Env) (runs [2][]*core.Result, err error) {
+	for i := 0; i < 2 && err == nil; i++ {
+		var g *synth.Generator
+		var w *core.Workload
+		if g, err = e.generator("dfn"); err == nil {
+			w, err = core.BuildWorkload(passing{g.Reader(), sizeless}, []float64{0, -1}[i])
+		}
+		if err == nil {
+			runs[i], err = core.Sweep(w, core.SweepConfig{Policies: policy.StudyFactories(),
+				Capacities: []int64{w.CapacityAt(2, core.FloorMB)}})
+		}
+	}
+	return runs, err
+})
+
+var modification = experiment{
+	id:    Modification,
+	extra: true,
+	title: "Extra — §4.1's modification rule: 5 % vs any size change",
+	notes: []string{"ablation of the paper's choice: DFN without recorded document sizes, as a Squid log carries it, at 2 % of the trace"},
+	build: from(modificationRules, func(runs [2][]*core.Result) artifacts {
+		t := report.NewTable("Modification rule — sizeless DFN workload", "Policy", "Rule", "Modifications", "HR", "BHR")
+		for i := range runs[0] {
+			for rule, r := range []*core.Result{runs[0][i], runs[1][i]} {
+				t.AddRowf(r.Policy, [2]string{"5 %", "any change"}[rule], r.Modifications, r.Overall.HitRate(), r.Overall.ByteHitRate())
+			}
+		}
+		return tables(t)
+	}),
+	claims: []claim{pred("any size change raises every scheme's modifications and lowers its byte hit rate", modificationRules,
+		func(runs [2][]*core.Result) (bool, string) {
+			pass := true
+			for i, r := range runs[1] {
+				pass = pass && r.Modifications > runs[0][i].Modifications && r.Overall.ByteHitRate() < runs[0][i].Overall.ByteHitRate()
+			}
+			paper, anyChange := runs[0][0], runs[1][0]
+			return pass, fmt.Sprintf("LRU modifications %d → %d, BHR %.4f → %.4f",
+				paper.Modifications, anyChange.Modifications, paper.Overall.ByteHitRate(), anyChange.Overall.ByteHitRate())
+		})},
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"webcachesim/internal/core"
-	"webcachesim/internal/policy"
 )
 
 // TestGoldenDeterminism pins exact counts for every scheme of the
@@ -23,39 +22,34 @@ func TestGoldenDeterminism(t *testing.T) {
 
 	type counts struct{ Requests, Hits, HitBytes, Evictions int64 }
 	goldens := map[string]counts{
-		"lru":                {9000, 1973, 11708246, 7666},
-		"lfuda":              {9000, 2347, 12896859, 7263},
-		"gds:1":              {9000, 3092, 10727313, 6249},
-		"gdstar:1":           {9000, 3394, 11786379, 5985},
-		"gds:p":              {9000, 2297, 11166831, 7263},
-		"gdstar:p":           {9000, 2790, 13100063, 6731},
-		"gdsf:p":             {9000, 2790, 13100063, 6731},
-		"slru":               {9000, 2355, 12110026, 7240},
-		"fifo":               {9000, 1790, 10805368, 7866},
-		"size":               {9000, 2937, 6808617, 6238},
-		"lfu":                {9000, 2564, 13159465, 7002},
-		"typeaware+gdstar:1": {9000, 3195, 11583548, 6207},
+		"LRU":             {9000, 1973, 11708246, 7666},
+		"LFU-DA":          {9000, 2347, 12896859, 7263},
+		"GDS(1)":          {9000, 3092, 10727313, 6249},
+		"GD*(1)":          {9000, 3394, 11786379, 5985},
+		"GDS(P)":          {9000, 2297, 11166831, 7263},
+		"GD*(P)":          {9000, 2790, 13100063, 6731},
+		"GDSF(P)":         {9000, 2790, 13100063, 6731},
+		"SLRU":            {9000, 2355, 12110026, 7240},
+		"FIFO":            {9000, 1790, 10805368, 7866},
+		"SIZE":            {9000, 2937, 6808617, 6238},
+		"LFU":             {9000, 2564, 13159465, 7002},
+		"TA[GD*(1)]":      {9000, 3195, 11583548, 6207},
+		"TA[GD*(P)]":      {9000, 2876, 12458734, 6637},
+		"GDSF(1)":         {9000, 3394, 11786379, 5985},
+		"GD*(1) beta=0.5": {9000, 3499, 10370076, 5806},
 	}
 	if len(goldens) != len(baselineLineup) {
-		t.Fatalf("%d goldens for %d lineup specs", len(goldens), len(baselineLineup))
+		t.Fatalf("%d goldens for %d lineup schemes", len(goldens), len(baselineLineup))
 	}
-	for _, spec := range baselineLineup {
-		parsed, err := policy.ParseSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := policy.NewFactory(parsed)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range baselineLineup {
 		sim, err := core.NewSimulator(w, core.Config{Capacity: capacity, Policy: f})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := sim.Run(w)
 		got := counts{r.Overall.Requests, r.Overall.Hits, r.Overall.HitBytes, r.Evictions}
-		if want := goldens[spec]; got != want {
-			t.Errorf("%q: got %+v, want %+v", spec, got, want)
+		if want := goldens[f.Name]; got != want {
+			t.Errorf("%s: got %+v, want %+v", f.Name, got, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"webcachesim/internal/container/intlist"
 	"webcachesim/internal/stats"
 )
 
@@ -33,12 +34,14 @@ type BetaEstimator struct {
 	// lastSeen and byKey are the last-seen table: the clock of each
 	// document's latest reference. lastSeen is dense over Doc.ID and grown
 	// on demand; byKey holds documents without an ID (ID < 0, the store's)
-	// by URL. An entry below horizon is absent — never referenced (0; the
-	// clock starts at 1) or pruned — so a refit prunes lastSeen by raising
-	// horizon, and deletes what byKey holds below it, so that byKey holds
-	// a URL exactly as long as lastSeen would hold its ID.
+	// by URL, each on byAge, newest reference first. An entry below horizon
+	// is absent — never referenced (0; the clock starts at 1) or pruned — so
+	// a refit prunes lastSeen by raising horizon and deletes byAge's URLs
+	// below it from the old end: byKey holds a URL exactly as long as
+	// lastSeen would hold its ID, and a refit touches only what it forgets.
 	lastSeen   []int64
-	byKey      map[string]int64
+	byKey      map[string]*intlist.Element[seenURL]
+	byAge      intlist.List[seenURL]
 	horizon    int64
 	hist       *stats.LogHistogram
 	clock      int64
@@ -59,7 +62,7 @@ func NewBetaEstimator() *BetaEstimator {
 		panic(err)
 	}
 	return &BetaEstimator{
-		byKey:      make(map[string]int64),
+		byKey:      make(map[string]*intlist.Element[seenURL]),
 		horizon:    1,
 		hist:       hist,
 		refitEvery: defaultRefitEvery,
@@ -90,8 +93,11 @@ func (e *BetaEstimator) Observe(doc *Doc) {
 			e.lastSeen = e.lastSeen[:cap(e.lastSeen)] // zeroes: absent
 		}
 		last, e.lastSeen[id] = e.lastSeen[id], e.clock
+	} else if el := e.byKey[doc.Key]; el != nil {
+		last, el.Value.last = el.Value.last, e.clock
+		e.byAge.MoveToFront(el)
 	} else {
-		last, e.byKey[doc.Key] = e.byKey[doc.Key], e.clock
+		e.byKey[doc.Key] = e.byAge.PushFront(seenURL{doc.Key, e.clock})
 	}
 	if last >= e.horizon {
 		e.hist.Add(float64(e.clock - last))
@@ -146,12 +152,16 @@ func (e *BetaEstimator) refit() {
 	// every earlier one.
 	if horizon := e.clock - pruneDistance; horizon > 0 {
 		e.horizon = horizon
-		for key, last := range e.byKey {
-			if last < horizon {
-				delete(e.byKey, key)
-			}
+		for old := e.byAge.Back(); old != nil && old.Value.last < horizon; old = e.byAge.Back() {
+			delete(e.byKey, e.byAge.Remove(old).key)
 		}
 	}
+}
+
+// seenURL is a URL's entry in the last-seen table.
+type seenURL struct {
+	key  string
+	last int64
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -20,9 +20,6 @@ type Options struct {
 	// Requests overrides the request count directly when positive
 	// (Scale is then ignored); 0 selects Scale.
 	Requests int
-	// StartUnixMillis is the timestamp of the first request; 0 selects
-	// 2001-07-01 00:00 UTC, matching the DFN collection period.
-	StartUnixMillis int64
 	// Clients is the size of the client population; requests carry client
 	// identifiers drawn from a Zipf distribution over it, and scheduled
 	// re-references keep their original client (a client re-reads its own
@@ -34,8 +31,8 @@ type Options struct {
 // tail, as proxy logs show.
 const clientZipfAlpha = 0.8
 
-// defaultStart is 2001-07-01T00:00:00Z in Unix milliseconds.
-const defaultStart = 993_945_600_000
+// startMillis is the first request's clock: 2001-07-01T00:00:00Z (DFN's collection period) in Unix ms.
+const startMillis = 993_945_600_000
 
 // populationHeadroom oversizes per-class document populations relative to
 // the expected distinct-document count so the Zipf tail does not exhaust.
@@ -144,10 +141,6 @@ func NewGenerator(p *Profile, opts Options) (*Generator, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("synth: request count %d must be positive", total)
 	}
-	start := opts.StartUnixMillis
-	if start == 0 {
-		start = defaultStart
-	}
 
 	maxDelay := total / 4
 	if maxDelay > 65536 {
@@ -161,7 +154,7 @@ func NewGenerator(p *Profile, opts Options) (*Generator, error) {
 		rng:      rand.New(rand.NewSource(seed)),
 		classCum: make([]float64, 0, len(p.Classes)),
 		maxDelay: maxDelay,
-		now:      start,
+		now:      startMillis,
 		total:    total,
 	}
 	if opts.Clients > 0 {

@@ -1,9 +1,11 @@
 // Package units parses byte quantities for command-line flags and
-// topology files ("64MB", "1.5GiB", bare byte counts).
+// topology files ("64MB", "1.5GiB", bare byte counts), and the cache-size
+// percentage lists of the commands' -size-pcts flags ("0.5,1,2,4").
 package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -51,4 +53,18 @@ func ParseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("units: size %q must be at least 1 byte and below 2^63", s)
 	}
 	return int64(b), nil
+}
+
+// ParsePercents parses a comma-separated list of positive, finite
+// percentages, such as "0.5,1,2,4", in the order given.
+func ParsePercents(s string) ([]float64, error) {
+	var out []float64
+	for _, part := range strings.Split(s, ",") {
+		pct, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil || !(pct > 0 && pct <= math.MaxFloat64) { // NaN and infinities included
+			return nil, fmt.Errorf("units: percentage %q must be a positive, finite number", part)
+		}
+		out = append(out, pct)
+	}
+	return out, nil
 }

@@ -1,6 +1,9 @@
 package units
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestParseBytes(t *testing.T) {
 	tests := []struct {
@@ -40,6 +43,18 @@ func TestParseBytes(t *testing.T) {
 		}
 		if !tt.wantErr && got != tt.want {
 			t.Errorf("ParseBytes(%q) = %d, want %d", tt.in, got, tt.want)
+		}
+	}
+}
+
+func TestParsePercents(t *testing.T) {
+	got, err := ParsePercents(" 4, 0.5,1 ,4")
+	if err != nil || !slices.Equal(got, []float64{4, 0.5, 1, 4}) {
+		t.Errorf("ParsePercents = %v, %v; want [4 0.5 1 4] in the order given", got, err)
+	}
+	for _, in := range []string{"", "a,b", "1,", "nan", "NaN,1", "-2", "1,0", "inf", "1,+Inf"} {
+		if got, err := ParsePercents(in); err == nil {
+			t.Errorf("ParsePercents(%q) = %v, want an error", in, got)
 		}
 	}
 }

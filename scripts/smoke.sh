@@ -109,11 +109,13 @@ smoke_cluster() {
 # report: regenerate the paper reproduction at scale 1 (~25 s) and diff
 # it against the committed docs/report-scale1.txt with the per-experiment
 # "(N.Ns)" timings stripped, so a count that moves fails CI the way the
-# benchmark's sweep_offline digests do (EXPERIMENTS.md quotes this file).
+# benchmark's sweep_offline digests do (EXPERIMENTS.md quotes this file),
+# and the SVG figures the same run writes against docs/figures/.
 smoke_report() {
-	go run ./cmd/wcreport -scale 1 -plots -extras > "$tmp/report.txt"
+	go run ./cmd/wcreport -scale 1 -plots -extras -svg-dir "$tmp/figures" > "$tmp/report.txt"
 	local timing='s/^(==== .*)  \([0-9.]+s\)$/\1/'
 	diff -u <(sed -E "$timing" docs/report-scale1.txt) <(sed -E "$timing" "$tmp/report.txt")
+	diff -r docs/figures "$tmp/figures"
 }
 
 # fuzz: a short budget per package/target — the trace decoders and the
