@@ -36,8 +36,8 @@ test:
 	$(GO) test ./...
 
 # The core tree includes the shared-workload race regression test
-# (sweep_race_test.go), which only proves its point under -race; mrc, the
-# LRU oracle of core's tests, rides along.
+# (sweep_race_test.go), which only proves its point under -race; mrc, kept
+# only for the benchmark's ledger row, rides along.
 # The serving stack (cache, flight, proxy, load) is concurrent by design
 # and carries its own regression tests that only bite under -race.
 # container, sketch and admission ride along: the heap and the list link
@@ -96,7 +96,7 @@ lines-by-pkg:
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 16036
+LINES_MAX = 16020
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

@@ -7,7 +7,7 @@
 //	wcsim -trace t.wct.gz [-policies lru,lfuda,gds:1,gdstar:p]
 //	      [-admissions none,tinylfu,arc-ghost]
 //	      [-sizes 64MB,256MB,1GB | -size-pcts 0.5,1,2,4] [-warmup 0.1]
-//	      [-by-class] [-csv] [-check] [-journal run.jsonl]
+//	      [-by-class] [-csv] [-journal run.jsonl]
 //
 // The trace is one file. A WCT3 columnar workload (.wci3, written by
 // wcstat -o x.wci3) is memory-mapped and replayed without any parse or
@@ -54,7 +54,6 @@ func run(args []string, out io.Writer) error {
 		byClass  = fs.Bool("by-class", false, "break results down by document type")
 		plot     = fs.Bool("plot", false, "render ASCII hit-rate/byte-hit-rate curves")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		check    = fs.Bool("check", false, "run policies under the runtime contract checker (slower; aborts on the first violation)")
 		journal  = fs.String("journal", "", "write a JSONL run journal (progress, throughput, wall-clock per cell) to this path; summarize with wcreport -journal")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -96,7 +95,6 @@ func run(args []string, out io.Writer) error {
 		Admissions:     admitters,
 		Capacities:     capacities,
 		WarmupFraction: warmupFraction,
-		SelfCheck:      *check,
 	}
 	var journalFile *os.File
 	if *journal != "" {

@@ -204,10 +204,10 @@ func BenchmarkSweepJournaled(b *testing.B) {
 }
 
 // BenchmarkSweepGrid runs the 6-policy sweep over an 8-point capacity
-// grid (1 MB to 128 MB, geometric) on 100k requests over 20k documents
-// (the oracle test's stream shape): 48 cells, each a full replay.
+// grid (1 MB to 128 MB, geometric) on benchWorkload's 100k requests:
+// 48 cells, each a full replay.
 func BenchmarkSweepGrid(b *testing.B) {
-	w := cleanWorkload(b, 100_000, 20_000, 3, 0)
+	w := benchWorkload(b, 100_000)
 	cfg := SweepConfig{Policies: policy.StudyFactories()}
 	for i := 0; i < 8; i++ {
 		cfg.Capacities = append(cfg.Capacities, 1<<(20+i))

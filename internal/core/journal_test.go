@@ -44,15 +44,10 @@ func journaledSweep(t testing.TB, w *Workload, cfg SweepConfig) ([]*Result, []Jo
 }
 
 func TestSweepJournalShape(t *testing.T) {
-	// A stream the LRU oracle is exact on (see conforms): the one kind of
-	// workload for which LRU's cells were once a single mrc_pass record.
 	// Every cell is journaled as a run, LRU's included.
-	w := cleanWorkload(t, 3000, 300, 3, 1)
+	w := sweepWorkload(t, 3000)
 	policies := policy.StudyFactories()[:2]
 	caps := []int64{100_000, 400_000}
-	if err := conforms(w, caps[0]); err != nil {
-		t.Fatal(err)
-	}
 	results, recs, _ := journaledSweep(t, w, SweepConfig{
 		Policies:   policies,
 		Capacities: caps,

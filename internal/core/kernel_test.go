@@ -56,7 +56,7 @@ func TestReplaySteadyStateZeroAlloc(t *testing.T) {
 // Docs). Old documents stay resident and keep being hit while the table
 // grows past chunk after chunk, so a table that ever moved a Doc would
 // hand the policy a stale copy: the result would leave the batch
-// simulator's, and policy.Checked (SelfCheck) would trip on the victim.
+// simulator's, and policy.Checked would trip on the victim.
 func TestStreamGrowthKeepsDocsInPlace(t *testing.T) {
 	const docs = 3*docChunk + 100
 	rng := rand.New(rand.NewSource(23))
@@ -87,7 +87,7 @@ func TestStreamGrowthKeepsDocsInPlace(t *testing.T) {
 	} {
 		f := policy.MustFactory(spec)
 		t.Run(f.Name, func(t *testing.T) {
-			cfg := Config{Capacity: capacity, Policy: f, SelfCheck: true}
+			cfg := Config{Capacity: capacity, Policy: checkedFactory(f)}
 			batchCfg := cfg
 			batchCfg.WarmupFraction = -1 // none, as the stream is given none
 			batch, err := NewSimulator(w, batchCfg)

@@ -21,11 +21,6 @@ type Config struct {
 	// SampleEvery enables the occupancy time series: a sample is recorded
 	// every SampleEvery requests. 0 disables sampling.
 	SampleEvery int64
-	// SelfCheck wraps the policy in policy.Checked, which panics with a
-	// policy.ContractError on the first contract violation (Len drift,
-	// double insert, bogus Evict result). Costs one map operation per
-	// policy call; meant for debugging and CI, not timed runs.
-	SelfCheck bool
 	// Admission configures an admission filter in front of the policy
 	// (see internal/admission). The zero value admits everything.
 	Admission policy.AdmitterFactory
@@ -144,9 +139,6 @@ func newSimulator(w *Workload, cfg Config, warmup int64) (*Simulator, error) {
 			Capacity:       cfg.Capacity,
 			WarmupRequests: warmup,
 		},
-	}
-	if cfg.SelfCheck {
-		s.pol = policy.Checked(cfg.Policy.Name, s.pol)
 	}
 	if cfg.Admission.New != nil {
 		s.adm = cfg.Admission.New(cfg.Capacity)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"webcachesim/internal/doctype"
@@ -14,6 +15,12 @@ import (
 
 func lruFactory() policy.Factory {
 	return policy.MustFactory(policy.Spec{Scheme: "lru"})
+}
+
+// checkedFactory runs f's policies under policy.Checked, which panics with
+// a policy.ContractError on the first violation of the Policy contract.
+func checkedFactory(f policy.Factory) policy.Factory {
+	return policy.Factory{Name: f.Name, New: func() policy.Policy { return policy.Checked(f.Name, f.New()) }}
 }
 
 func newSim(t *testing.T, w *Workload, cfg Config) *Simulator {
@@ -376,8 +383,8 @@ func TestLargerCacheNeverHurtsHitRateMuch(t *testing.T) {
 }
 
 // TestSimulatorSelfCheckCleanPolicies replays a random workload with every
-// study policy under SelfCheck: the contract checker must stay silent and
-// must not change any measured number.
+// study policy under policy.Checked: the contract checker must stay silent
+// and must not change any measured number.
 func TestSimulatorSelfCheckCleanPolicies(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var reqs []*trace.Request
@@ -388,32 +395,10 @@ func TestSimulatorSelfCheckCleanPolicies(t *testing.T) {
 	w := build(t, 0, reqs...)
 	for _, f := range policy.StudyFactories() {
 		plain := newSim(t, w, Config{Capacity: 800_000, Policy: f, WarmupFraction: -1})
-		checked := newSim(t, w, Config{Capacity: 800_000, Policy: f, WarmupFraction: -1, SelfCheck: true})
+		checked := newSim(t, w, Config{Capacity: 800_000, Policy: checkedFactory(f), WarmupFraction: -1})
 		rp, rc := plain.Run(w), checked.Run(w)
-		if rp.Overall != rc.Overall || rp.Evictions != rc.Evictions {
-			t.Errorf("%s: SelfCheck changed results: %+v vs %+v", f.Name, rp.Overall, rc.Overall)
+		if !reflect.DeepEqual(rp, rc) {
+			t.Errorf("%s: the checker changed results: %+v vs %+v", f.Name, rp, rc)
 		}
 	}
-}
-
-// TestSimulatorSelfCheckCatchesBrokenPolicy proves the -check plumbing is
-// live: the non-evicting adversarial policy that plain runs tolerate must
-// abort with a ContractError under SelfCheck.
-func TestSimulatorSelfCheckCatchesBrokenPolicy(t *testing.T) {
-	w := build(t, 0,
-		req("http://e.com/a.bin", 600),
-		req("http://e.com/b.bin", 600), // forces an Evict the policy refuses
-	)
-	f := policy.Factory{Name: "broken", New: func() policy.Policy { return &brokenPolicy{} }}
-	s := newSim(t, w, Config{Capacity: 1000, Policy: f, WarmupFraction: -1, SelfCheck: true})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("broken policy ran to completion under SelfCheck")
-		}
-		if _, ok := r.(*policy.ContractError); !ok {
-			t.Fatalf("panic = %v (%T), want *policy.ContractError", r, r)
-		}
-	}()
-	s.Run(w)
 }

@@ -35,8 +35,6 @@ type SweepConfig struct {
 	// Parallelism bounds the number of concurrent simulations; 0 selects
 	// GOMAXPROCS.
 	Parallelism int
-	// SelfCheck is passed through to each run (see Config).
-	SelfCheck bool
 	// Journal, when set, receives the sweep's run journal: one JSON
 	// object per line recording grid shape, per-run progress ticks (one
 	// per tenth of the workload), throughput and wall-clock cost (see
@@ -106,12 +104,7 @@ func planSweep(w *Workload, cfg SweepConfig) ([]*Simulator, []policy.AdmitterFac
 	for _, f := range cfg.Policies {
 		for _, a := range admissions {
 			for _, c := range capacities {
-				sim, err := newSimulator(w, Config{
-					Capacity:  c,
-					Policy:    f,
-					SelfCheck: cfg.SelfCheck,
-					Admission: a,
-				}, warmup)
+				sim, err := newSimulator(w, Config{Capacity: c, Policy: f, Admission: a}, warmup)
 				if err != nil {
 					return nil, nil, fmt.Errorf("core: sweep cell %s/%s/%d: %w", f.Name, a.Name, c, err)
 				}

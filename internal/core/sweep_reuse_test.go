@@ -14,19 +14,20 @@ import (
 )
 
 // reuseWorkload is a random workload that takes every path of the replay
-// kernel: modifications (a +1-byte change), interrupted transfers (an
-// inferred size a quarter of the document's), documents first seen through
-// such a transfer and then in full (a resident copy that grows, the
-// recharge path), and documents larger than one or both capacities of
-// reuseCapacities.
-func reuseWorkload(t *testing.T) *Workload {
+// kernel: modifications (a document a byte shorter), interrupted transfers
+// (an inferred size a quarter of the document's), documents first seen
+// through such a transfer and then in full (a resident copy that grows,
+// the recharge path), and documents larger than one or both capacities of
+// reuseCapacities. Sizes are multiples of 200 bytes, so that equal values
+// of a size-based scheme are common.
+func reuseWorkload(t *testing.T, seed int64) *Workload {
 	t.Helper()
 	const docs = 400
-	rng := rand.New(rand.NewSource(43))
+	rng := rand.New(rand.NewSource(seed))
 	exts := []string{"gif", "html", "mp3", "pdf", "cgi?q=1"}
 	sizes := make([]int64, docs)
 	for i := range sizes {
-		sizes[i] = int64(200 + rng.Intn(20_000))
+		sizes[i] = int64(200 * (1 + rng.Intn(100)))
 		switch i % 50 {
 		case 7:
 			sizes[i] = 150_000 // larger than the smaller capacity
@@ -40,7 +41,7 @@ func reuseWorkload(t *testing.T) *Workload {
 		url := fmt.Sprintf("http://reuse.test/d%d.%s", id, exts[id%len(exts)])
 		switch rng.Intn(20) {
 		case 0:
-			sizes[id]++
+			sizes[id]--
 			reqs = append(reqs, req(url, sizes[id]))
 		case 1, 2:
 			reqs = append(reqs, xfer(url, sizes[id]/4))
@@ -56,12 +57,12 @@ var reuseCapacities = []int64{100_000, 600_000}
 // TestSweepTableReuseCarriesNoState runs a one-worker sweep, whose single
 // worker replays every cell on one set of document tables, and requires
 // each cell's result to equal a fresh simulator's, field for field. It
-// covers every scheme Sweep accepts, every admission filter and the
-// contract checker, so a Doc or residency bit left over from the previous
+// covers every scheme Sweep accepts, under the contract checker, and every
+// admission filter, so a Doc or residency bit left over from the previous
 // cell — a list node still linked into its policy, a document still
-// marked resident — shows as a diverging cell.
+// marked resident — shows as a diverging cell or a contract violation.
 func TestSweepTableReuseCarriesNoState(t *testing.T) {
-	w := reuseWorkload(t)
+	w := reuseWorkload(t, 43)
 	var modified, grown, oversized bool
 	last := make([]int64, w.NumDocs())
 	for i := 0; i < w.NumRequests(); i++ {
@@ -85,34 +86,28 @@ func TestSweepTableReuseCarriesNoState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		policies = append(policies, policy.MustFactory(parsed))
+		policies = append(policies, checkedFactory(policy.MustFactory(parsed)))
 	}
 	admissions := admission.Specs()
-	for _, selfCheck := range []bool{false, true} {
-		results, err := Sweep(w, SweepConfig{
-			Policies:    policies,
-			Admissions:  admissions,
-			Capacities:  reuseCapacities,
-			Parallelism: 1,
-			SelfCheck:   selfCheck,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		for _, f := range policies {
-			for _, a := range admissions {
-				for _, c := range reuseCapacities {
-					fresh, err := NewSimulator(w, Config{Capacity: c, Policy: f, Admission: a, SelfCheck: selfCheck})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := fresh.Run(w); !reflect.DeepEqual(results[i], want) {
-						t.Errorf("%s/%s/%d (SelfCheck %v): reused tables diverge from a fresh run\n got %+v\nwant %+v",
-							f.Name, a.Name, c, selfCheck, results[i], want)
-					}
-					i++
+	results, err := Sweep(w, SweepConfig{
+		Policies:    policies,
+		Admissions:  admissions,
+		Capacities:  reuseCapacities,
+		Parallelism: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for _, f := range policies {
+		for _, a := range admissions {
+			for _, c := range reuseCapacities {
+				fresh := newSim(t, w, Config{Capacity: c, Policy: f, Admission: a})
+				if want := fresh.Run(w); !reflect.DeepEqual(results[i], want) {
+					t.Errorf("%s/%s/%d: reused tables diverge from a fresh run\n got %+v\nwant %+v",
+						f.Name, a.Name, c, results[i], want)
 				}
+				i++
 			}
 		}
 	}

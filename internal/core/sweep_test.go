@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"webcachesim/internal/policy"
+	"webcachesim/internal/synth"
 	"webcachesim/internal/trace"
 )
 
@@ -92,6 +93,72 @@ func TestSweepMatchesSerialRuns(t *testing.T) {
 	}
 }
 
+// dfnWorkload is a 20,000-request synthetic DFN stream with its sizes
+// inferred from the bytes sent, as in a Squid log: it has modifications,
+// transfers interrupted and later completed, and large documents.
+func dfnWorkload(t *testing.T) *Workload {
+	t.Helper()
+	reqs, err := synth.Generate(synth.DFNProfile(), synth.Options{Seed: 5, Requests: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reqs {
+		r.DocSize = 0
+	}
+	return build(t, 0, reqs...)
+}
+
+// checkLRUAgainstOracle sweeps LRU over the ascending capacities and
+// requires every Result to equal that of the §3 reference cache
+// (paper_reference_test.go), field for field.
+func checkLRUAgainstOracle(t *testing.T, w *Workload, capacities []int64, warmupFraction float64) {
+	t.Helper()
+	lru := lruFactory()
+	got, err := Sweep(w, SweepConfig{Policies: []policy.Factory{lru}, Capacities: capacities, WarmupFraction: warmupFraction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmup, err := resolveWarmup(warmupFraction, w.NumRequests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, capacity := range capacities {
+		ref := &paperCache{value: lruValue, capacity: capacity, warmup: warmup, docs: map[int32]*paperDoc{}}
+		for j := 0; j < w.NumRequests(); j++ {
+			ref.process(w.Event(j))
+		}
+		if want := ref.result(lru.Name); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("LRU @%d: simulator diverges from the reference\n got %+v\nwant %+v", capacity, got[i], want)
+		}
+	}
+}
+
+// TestSweepLRUMatchesOracle sweeps LRU over the DFN stream at capacities
+// below and above its largest document. Without warm-up the stream's first
+// requests are measured, so the refusal to insert an oversized document
+// counts from request 0.
+func TestSweepLRUMatchesOracle(t *testing.T) {
+	w := dfnWorkload(t)
+	capacities := []int64{w.CapacityAt(0.25, 0), w.CapacityAt(1, 0), w.CapacityAt(8, 0)}
+	for name, warmupFraction := range map[string]float64{"default warmup": 0, "no warmup": -1} {
+		t.Run(name, func(t *testing.T) { checkLRUAgainstOracle(t, w, capacities, warmupFraction) })
+	}
+}
+
+// TestSweepLRUMatchesOracleRandomTraces repeats the comparison over
+// reuseWorkload's random streams, which shrink and recharge documents,
+// alternating the default warm-up and none.
+func TestSweepLRUMatchesOracleRandomTraces(t *testing.T) {
+	for trial := int64(0); trial < 8; trial++ {
+		w := reuseWorkload(t, 10+trial)
+		checkLRUAgainstOracle(t, w, []int64{
+			50_000 + trial*10_000,
+			w.DistinctBytes() / 4,
+			w.DistinctBytes(),
+		}, -float64(trial%2))
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	w := sweepWorkload(t, 10)
 	if _, err := Sweep(w, SweepConfig{Capacities: []int64{100}}); err == nil {
@@ -117,7 +184,7 @@ func TestSweepValidation(t *testing.T) {
 }
 
 func TestSweepRejectsBadPolicySets(t *testing.T) {
-	w := cleanWorkload(t, 100, 10, 1, 0)
+	w := sweepWorkload(t, 100)
 	lru := policy.StudyFactories()[0]
 	dup := SweepConfig{
 		Policies:   []policy.Factory{lru, lru},

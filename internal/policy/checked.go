@@ -42,9 +42,9 @@ var _ Policy = (*checked)(nil)
 //     returned victim must be non-nil and actually tracked.
 //
 // Violations panic with a *ContractError that carries name. The wrapper
-// is the executable form of the comments in policy.go: policy unit tests
-// run every scheme under it, and wcsim/sweep enable it behind a -check
-// flag. Wrapping an already-checked policy returns it unchanged.
+// is the executable form of the comments in policy.go; a test that wants
+// it wraps a Factory's New, as the policy and simulator tests do.
+// Wrapping an already-checked policy returns it unchanged.
 func Checked(name string, p Policy) Policy {
 	if _, ok := p.(*checked); ok {
 		return p

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// checkedFactory runs f's policies under Checked: the way a test asks for
+// the contract checker.
+func checkedFactory(f Factory) Factory {
+	return Factory{Name: f.Name, New: func() Policy { return Checked(f.Name, f.New()) }}
+}
+
 // fakePolicy is a minimal correct Policy used as the base for the buggy
 // mutants below: a plain slice in insertion order, evicting the oldest.
 type fakePolicy struct {

@@ -16,6 +16,8 @@ var lineupSpecs = []string{
 	"gdsf:p", "slru", "fifo", "size", "lfu", "typeaware+gdstar:1",
 }
 
+// specFactory builds the factory of a spec string ParseSpec accepts, its
+// policies under Checked (see checkedFactory).
 func specFactory(t *testing.T, s string) Factory {
 	t.Helper()
 	spec, err := ParseSpec(s)
@@ -26,7 +28,7 @@ func specFactory(t *testing.T, s string) Factory {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return checkedFactory(f)
 }
 
 // foreignRun fills three policies — two instances of the scheme under test
@@ -40,7 +42,7 @@ func specFactory(t *testing.T, s string) Factory {
 // run has an order the sub-policies alone decide.
 func foreignRun(t *testing.T, scheme, other Factory, stray bool) []string {
 	t.Helper()
-	holders := []Policy{Checked(scheme.Name, scheme.New()), Checked(scheme.Name, scheme.New()), Checked(other.Name, other.New())}
+	holders := []Policy{scheme.New(), scheme.New(), other.New()}
 	var docs []*Doc
 	for i := 0; i < 60; i++ {
 		d := &Doc{Key: fmt.Sprintf("d%d", i), ID: int32(i), Size: int64(100 + 37*i%4000), Class: doctype.Image}

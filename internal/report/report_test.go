@@ -31,6 +31,22 @@ func TestTableText(t *testing.T) {
 	}
 }
 
+// TestTableTextPadsByRunes pins the alignment of cells holding non-ASCII
+// letters, as the α/β rows and headers of the paper's tables do: a cell is
+// as wide as its runes, not its bytes.
+func TestTableTextPadsByRunes(t *testing.T) {
+	tbl := NewTable("", "scheme", "image α", "html")
+	tbl.AddRow("GD*(P) β", "0.5", "0.25")
+	tbl.AddRow("LRU", "0.75", "1")
+	want := "scheme    image α  html\n" +
+		"------------------------\n" +
+		"GD*(P) β      0.5  0.25\n" +
+		"LRU          0.75     1\n"
+	if got := tbl.Text(); got != want {
+		t.Errorf("got\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestTableCSV(t *testing.T) {
 	tbl := NewTable("", "a", "b")
 	tbl.AddRow(`comma,and"quote`, "x")

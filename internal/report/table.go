@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"webcachesim/internal/doctype"
 )
@@ -111,9 +112,7 @@ func (t *Table) widths() []int {
 	w := make([]int, t.numCols)
 	measure := func(cells []string) {
 		for i, c := range cells {
-			if len(c) > w[i] {
-				w[i] = len(c)
-			}
+			w[i] = max(w[i], utf8.RuneCountInString(c))
 		}
 	}
 	measure(t.header)
@@ -124,7 +123,8 @@ func (t *Table) widths() []int {
 }
 
 // Text renders the table as aligned plain text: the first column is
-// left-aligned (row labels), the rest right-aligned (numbers).
+// left-aligned (row labels), the rest right-aligned (numbers). Cells are
+// padded by runes, so a label such as "image α" aligns with ASCII ones.
 func (t *Table) Text() string {
 	w := t.widths()
 	var sb strings.Builder
@@ -141,11 +141,12 @@ func (t *Table) Text() string {
 			if i > 0 {
 				sb.WriteString("  ")
 			}
+			pad := strings.Repeat(" ", w[i]-utf8.RuneCountInString(cell))
 			if i == 0 {
 				sb.WriteString(cell)
-				sb.WriteString(strings.Repeat(" ", w[i]-len(cell)))
+				sb.WriteString(pad)
 			} else {
-				sb.WriteString(strings.Repeat(" ", w[i]-len(cell)))
+				sb.WriteString(pad)
 				sb.WriteString(cell)
 			}
 		}
