@@ -1,11 +1,12 @@
 // Command wcreport runs the paper's experiments end to end — workload
 // synthesis, characterization, and the policy × cache-size sweeps — and
-// prints the regenerated tables, ASCII figures, and shape-check verdicts.
+// prints the regenerated tables and shape-check verdicts; -svg-dir writes
+// the figures.
 //
 // Usage:
 //
 //	wcreport [-exp all|<id>] [-extras] [-scale 1.0] [-seed 1] [-size-pcts 0.5,1,2,4]
-//	         [-plots] [-checks-only] [-json] [-svg-dir dir]
+//	         [-checks-only] [-json] [-svg-dir dir]
 //	wcreport -journal run.jsonl
 //
 // The experiment ids are the rows of internal/experiment's registry; -h
@@ -26,11 +27,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"slices"
 	"time"
 
 	"webcachesim/internal/experiment"
+	"webcachesim/internal/report"
 	"webcachesim/internal/units"
 )
 
@@ -48,7 +49,6 @@ func run(args []string, out io.Writer) error {
 		scale      = fs.Float64("scale", 1.0, "workload scale factor")
 		seed       = fs.Int64("seed", 1, "generation seed")
 		sizePcts   = fs.String("size-pcts", "", "cache sizes as % of trace size, comma-separated (default 0.5,0.75,1,1.5,2,3,4)")
-		plots      = fs.Bool("plots", false, "render ASCII figures")
 		checksOnly = fs.Bool("checks-only", false, "print only shape-check verdicts")
 		jsonOut    = fs.Bool("json", false, "emit the outputs as a JSON array instead of text")
 		svgDir     = fs.String("svg-dir", "", "write every figure as an SVG file into this directory")
@@ -101,7 +101,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		if *svgDir != "" {
-			if err := writeSVGs(*svgDir, o); err != nil {
+			if err := report.WriteSVGs(*svgDir, string(o.ID), o.Plots); err != nil {
 				return err
 			}
 		}
@@ -116,11 +116,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out)
 			for _, t := range o.Tables {
 				fmt.Fprintln(out, t.Text())
-			}
-			if *plots {
-				for _, p := range o.Plots {
-					fmt.Fprintln(out, p.Render())
-				}
 			}
 		}
 		for _, c := range o.Checks {
@@ -141,23 +136,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d shape check(s) failed", failed)
-	}
-	return nil
-}
-
-// writeSVGs saves an experiment's figures as <dir>/<id>-NN.svg.
-func writeSVGs(dir string, o *experiment.Output) error {
-	if len(o.Plots) == 0 {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("create svg dir: %w", err)
-	}
-	for i, p := range o.Plots {
-		path := filepath.Join(dir, fmt.Sprintf("%s-%02d.svg", o.ID, i+1))
-		if err := os.WriteFile(path, []byte(p.SVG()), 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", path, err)
-		}
 	}
 	return nil
 }

@@ -112,6 +112,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-sizes", "1,4"},
 		{"-md"},
 		{"-parallelism", "2"},
+		{"-plots"},
 	} {
 		if err := run(append(args, "-exp", "table1"), &sb); err == nil {
 			t.Errorf("%v accepted", args)

@@ -7,7 +7,7 @@
 //	wcsim -trace t.wct.gz [-policies lru,lfuda,gds:1,gdstar:p]
 //	      [-admissions none,tinylfu,arc-ghost]
 //	      [-sizes 64MB,256MB,1GB | -size-pcts 0.5,1,2,4] [-warmup 0.1]
-//	      [-by-class] [-csv] [-journal run.jsonl]
+//	      [-by-class] [-csv] [-journal run.jsonl] [-svg-dir dir]
 //
 // The trace is one file. A WCT3 columnar workload (.wci3, written by
 // wcstat -o x.wci3) is memory-mapped and replayed without any parse or
@@ -52,9 +52,9 @@ func run(args []string, out io.Writer) error {
 		sizePcts = fs.String("size-pcts", "", "cache sizes as % of trace size (e.g. 0.5,1,2,4)")
 		warmup   = fs.Float64("warmup", core.DefaultWarmupFraction, "warm-up fraction of requests, in [0, 1)")
 		byClass  = fs.Bool("by-class", false, "break results down by document type")
-		plot     = fs.Bool("plot", false, "render ASCII hit-rate/byte-hit-rate curves")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		journal  = fs.String("journal", "", "write a JSONL run journal (progress, throughput, wall-clock per cell) to this path; summarize with wcreport -journal")
+		svgDir   = fs.String("svg-dir", "", "write the overall hit-rate and byte-hit-rate curves as overall-01.svg and overall-02.svg into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -156,21 +156,22 @@ func run(args []string, out io.Writer) error {
 			emit(out, ct, *csv)
 		}
 	}
-	if *plot {
-		plotCurves(out, results, withAdmission)
+	if *svgDir != "" {
+		return report.WriteSVGs(*svgDir, "overall", curves(results, withAdmission))
 	}
 	return nil
 }
 
-// plotCurves renders overall hit-rate and byte-hit-rate curves across the
-// swept cache sizes; with an admission axis each (policy, admission)
-// pair is its own series.
-func plotCurves(out io.Writer, results []*core.Result, withAdmission bool) {
+// curves plots overall hit rate and byte hit rate across the swept cache
+// sizes; with an admission axis each (policy, admission) pair is its own
+// series.
+func curves(results []*core.Result, withAdmission bool) []*report.Plot {
 	var series func(*core.Result) string
 	if withAdmission {
 		series = func(r *core.Result) string { return r.Policy + "/" + r.AdmissionName() }
 	}
 	g := core.NewGrid(results, series)
+	var plots []*report.Plot
 	for _, side := range []struct {
 		name    string
 		measure func(*core.Result) float64
@@ -178,19 +179,19 @@ func plotCurves(out io.Writer, results []*core.Result, withAdmission bool) {
 		{"hit rate", func(r *core.Result) float64 { return r.Overall.HitRate() }},
 		{"byte hit rate", func(r *core.Result) float64 { return r.Overall.ByteHitRate() }},
 	} {
-		p := report.Plot{
+		p := &report.Plot{
 			Title:  "Overall " + side.name + " vs cache size",
 			XLabel: "cache size (MB, log)",
 			YLabel: side.name,
 			LogX:   true,
-			Height: 16,
 		}
 		for _, name := range g.Series {
 			mb, ys := g.CurveMB(name, side.measure)
 			p.Add(report.Series{Name: name, X: mb, Y: ys})
 		}
-		fmt.Fprintln(out, p.Render())
+		plots = append(plots, p)
 	}
+	return plots
 }
 
 func emit(out io.Writer, t *report.Table, csv bool) {

@@ -80,17 +80,33 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
-func TestRunByClassAndPlot(t *testing.T) {
+// TestRunByClassAndSVGDir: -svg-dir writes the overall hit-rate and
+// byte-hit-rate curves, one series per policy, beside the text tables.
+func TestRunByClassAndSVGDir(t *testing.T) {
 	path := writeTestTrace(t)
+	dir := filepath.Join(t.TempDir(), "figs")
 	var sb strings.Builder
-	err := run([]string{"-trace", path, "-policies", "lru", "-sizes", "1MB,4MB", "-by-class", "-plot"}, &sb)
+	err := run([]string{"-trace", path, "-policies", "lru,gdstar:p", "-sizes", "1MB,4MB", "-by-class", "-svg-dir", dir}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"Images", "Multi Media", "Overall hit rate vs cache size"} {
-		if !strings.Contains(out, want) {
+	for _, want := range []string{"Images", "Multi Media"} {
+		if !strings.Contains(sb.String(), want) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.svg"))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("-svg-dir wrote %v (%v), want overall-01.svg and overall-02.svg", files, err)
+	}
+	for i, title := range []string{"Overall hit rate vs cache size", "Overall byte hit rate vs cache size"} {
+		svg, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("overall-%02d.svg", i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(svg), "<svg") || !strings.Contains(string(svg), title) ||
+			strings.Count(string(svg), "<polyline") != 2 {
+			t.Errorf("overall-%02d.svg is not the %q figure with two curves", i+1, title)
 		}
 	}
 }
@@ -130,6 +146,7 @@ func TestRunErrors(t *testing.T) {
 		{"beta option", []string{"-trace", path, "-policies", "gdstar:p:beta=0.8"}},
 		{"window option", []string{"-trace", path, "-admissions", "tinylfu:window=1000"}},
 		{"parallelism", []string{"-trace", path, "-parallelism", "2"}},
+		{"ASCII plot", []string{"-trace", path, "-plot"}},
 		{"bad size", []string{"-trace", path, "-sizes", "xyz"}},
 		{"conflicting sizes", []string{"-trace", path, "-sizes", "1MB", "-size-pcts", "1"}},
 		{"bad pct", []string{"-trace", path, "-size-pcts", "abc"}},

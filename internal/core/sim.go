@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 
 	"webcachesim/internal/doctype"
@@ -163,6 +164,20 @@ const (
 
 // Hit reports whether the outcome is a cache hit.
 func (o Outcome) Hit() bool { return o == OutcomeHit }
+
+// String names the outcome: hit, miss or modified.
+func (o Outcome) String() string {
+	switch o {
+	case OutcomeHit:
+		return "hit"
+	case OutcomeMiss:
+		return "miss"
+	case OutcomeModified:
+		return "modified"
+	default:
+		return fmt.Sprintf("Outcome(%d)", uint8(o))
+	}
+}
 
 // Run replays the whole workload and returns the result.
 func (s *Simulator) Run(w *Workload) *Result {

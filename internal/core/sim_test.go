@@ -355,6 +355,23 @@ func TestProcessOutcomes(t *testing.T) {
 	}
 }
 
+func TestOutcomeString(t *testing.T) {
+	for _, tt := range []struct {
+		o    Outcome
+		want string
+	}{
+		{OutcomeHit, "hit"},
+		{OutcomeMiss, "miss"},
+		{OutcomeModified, "modified"},
+		{Outcome(0), "Outcome(0)"},
+		{Outcome(7), "Outcome(7)"},
+	} {
+		if got := fmt.Sprintf("%v", tt.o); got != tt.want {
+			t.Errorf("%%v of Outcome %d = %q, want %q", uint8(tt.o), got, tt.want)
+		}
+	}
+}
+
 func TestLargerCacheNeverHurtsHitRateMuch(t *testing.T) {
 	// Hit rate should grow (log-like, per the paper) with cache size for
 	// stack-friendly policies like LRU. Allow tiny non-monotonicity for

@@ -115,7 +115,6 @@ var figure1 = experiment{
 					Title:  fmt.Sprintf("Fig 1 — %s — %s", cl, side.name),
 					XLabel: "requests processed",
 					YLabel: side.name,
-					Height: 14,
 				}
 				for _, r := range []*core.Result{o.gd, o.lru} {
 					xs := make([]float64, 0, len(r.Occupancy))

@@ -65,7 +65,6 @@ func figure(g *core.Grid, policies []string, title string) artifacts {
 				XLabel: "cache size (MB, log)",
 				YLabel: side.name,
 				LogX:   true,
-				Height: 16,
 			}
 			for _, pol := range policies {
 				mb, ys := g.CurveMB(pol, side.m)

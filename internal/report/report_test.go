@@ -1,7 +1,6 @@
 package report
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -39,7 +38,7 @@ func TestTableTextPadsByRunes(t *testing.T) {
 	tbl.AddRow("GD*(P) β", "0.5", "0.25")
 	tbl.AddRow("LRU", "0.75", "1")
 	want := "scheme    image α  html\n" +
-		"------------------------\n" +
+		"-----------------------\n" +
 		"GD*(P) β      0.5  0.25\n" +
 		"LRU          0.75     1\n"
 	if got := tbl.Text(); got != want {
@@ -91,39 +90,5 @@ func TestFormatFloat(t *testing.T) {
 		if got := FormatFloat(tt.in); got != tt.want {
 			t.Errorf("FormatFloat(%v) = %q, want %q", tt.in, got, tt.want)
 		}
-	}
-}
-
-func TestPlotRender(t *testing.T) {
-	p := Plot{Title: "Hit rate", XLabel: "cache MB", YLabel: "HR", LogX: true, Height: 10}
-	p.Add(Series{Name: "LRU", X: []float64{1, 10, 100}, Y: []float64{0.1, 0.2, 0.3}})
-	p.Add(Series{Name: "GD*", X: []float64{1, 10, 100}, Y: []float64{0.2, 0.3, 0.4}})
-	out := p.Render()
-	for _, want := range []string{"Hit rate", "LRU", "GD*", "*", "o", "cache MB"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("plot output missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Split(out, "\n")
-	if len(lines) < 12 {
-		t.Errorf("plot too short: %d lines", len(lines))
-	}
-}
-
-func TestPlotEmpty(t *testing.T) {
-	p := Plot{Title: "empty"}
-	out := p.Render()
-	if !strings.Contains(out, "(no data)") {
-		t.Errorf("empty plot output: %q", out)
-	}
-}
-
-func TestPlotDropsNonFinite(t *testing.T) {
-	p := Plot{Height: 5}
-	inf := math.Inf(1)
-	p.Add(Series{Name: "s", X: []float64{1, 2, inf}, Y: []float64{1, math.NaN(), 3}})
-	out := p.Render()
-	if out == "" {
-		t.Error("plot with partial data rendered nothing")
 	}
 }

@@ -2,6 +2,8 @@ package report
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -26,8 +28,7 @@ var svgPalette = []string{
 // svgDashes differentiates series when color is unavailable.
 var svgDashes = []string{"", "6,3", "2,2", "8,3,2,3", "4,4", "1,3", "10,4", "3,6"}
 
-// SVG renders the plot as a standalone SVG document — the same figure the
-// ASCII Render draws, on the same axes, publication-ready. Each series
+// SVG renders the plot as a standalone SVG document. Each series
 // gets a distinct color and dash pattern plus a point marker, and the
 // legend sits below the x-axis.
 func (p *Plot) SVG() string {
@@ -156,6 +157,24 @@ func (p *Plot) xTickValues() []float64 {
 		out = thin
 	}
 	return out
+}
+
+// WriteSVGs saves the plots as <dir>/<prefix>-NN.svg, numbered from 01 in
+// order, creating dir when there is a plot to write.
+func WriteSVGs(dir, prefix string, plots []*Plot) error {
+	if len(plots) == 0 {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("create svg dir: %w", err)
+	}
+	for i, p := range plots {
+		path := filepath.Join(dir, fmt.Sprintf("%s-%02d.svg", prefix, i+1))
+		if err := os.WriteFile(path, []byte(p.SVG()), 0o644); err != nil {
+			return fmt.Errorf("write %s: %w", path, err)
+		}
+	}
+	return nil
 }
 
 func escapeXML(s string) string {

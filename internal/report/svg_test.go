@@ -2,6 +2,10 @@ package report
 
 import (
 	"encoding/xml"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -83,8 +87,8 @@ func TestSVGTickThinning(t *testing.T) {
 	}
 }
 
-// TestPlotDrawsPointsInXOrder: both renderers connect a series' points by
-// ascending x, whatever order they were added in.
+// TestPlotDrawsPointsInXOrder: SVG connects a series' points by ascending
+// x, whatever order they were added in.
 func TestPlotDrawsPointsInXOrder(t *testing.T) {
 	sorted, shuffled := sampleSVGPlot(), &Plot{Title: "Hit rate & <escaping>", XLabel: "cache size (MB)", YLabel: "hit rate", LogX: true}
 	shuffled.Add(Series{Name: "LRU", X: []float64{32, 8, 64, 16}, Y: []float64{0.3, 0.1, 0.4, 0.2}})
@@ -92,7 +96,50 @@ func TestPlotDrawsPointsInXOrder(t *testing.T) {
 	if sorted.SVG() != shuffled.SVG() {
 		t.Error("SVG depends on the order points were added in")
 	}
-	if sorted.Render() != shuffled.Render() {
-		t.Error("Render depends on the order points were added in")
+}
+
+// TestPlotEmpty: a plot whose series have no finite point is drawn as "no
+// data", like a plot with no series.
+func TestPlotEmpty(t *testing.T) {
+	p := &Plot{Title: "empty"}
+	p.Add(Series{Name: "s", X: []float64{math.NaN(), 1}, Y: []float64{1, math.Inf(-1)}})
+	out := p.SVG()
+	if !strings.Contains(out, "no data") || strings.Contains(out, "<polyline") {
+		t.Errorf("plot with no finite point drawn as data:\n%s", out)
+	}
+}
+
+func TestPlotDropsNonFinite(t *testing.T) {
+	p := &Plot{}
+	inf := math.Inf(1)
+	p.Add(Series{Name: "s", X: []float64{1, 2, inf}, Y: []float64{1, math.NaN(), 3}})
+	out := p.SVG()
+	if got := strings.Count(out, "<circle"); got != 1 {
+		t.Errorf("circle count = %d, want the 1 finite point", got)
+	}
+	if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+		t.Errorf("non-finite coordinate drawn:\n%s", out)
+	}
+}
+
+// TestWriteSVGs: one <prefix>-NN.svg per plot, numbered in order, and no
+// directory for no plots.
+func TestWriteSVGs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "figs")
+	if err := WriteSVGs(dir, "none", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("no plots created %s (%v)", dir, err)
+	}
+	plots := []*Plot{sampleSVGPlot(), {Title: "second"}}
+	if err := WriteSVGs(dir, "fig", plots); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range plots {
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("fig-%02d.svg", i+1)))
+		if err != nil || string(got) != p.SVG() {
+			t.Errorf("fig-%02d.svg does not hold plot %d (%v)", i+1, i, err)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package report renders experiment output: aligned text tables (the
-// paper's Tables 1–5) and their CSV variant, and ASCII and SVG line plots
-// for the hit-rate and occupancy figures.
+// paper's Tables 1–5) and their CSV variant, and SVG line plots for the
+// hit-rate and occupancy figures.
 package report
 
 import (
@@ -153,11 +153,11 @@ func (t *Table) Text() string {
 		sb.WriteByte('\n')
 	}
 	writeRow(t.header)
-	total := t.numCols - 1
+	rule := 2 * max(t.numCols-1, 0) // the two-space gaps between cells
 	for _, width := range w {
-		total += width + 1
+		rule += width
 	}
-	sb.WriteString(strings.Repeat("-", total))
+	sb.WriteString(strings.Repeat("-", rule))
 	sb.WriteByte('\n')
 	for _, r := range t.rows {
 		writeRow(r)

@@ -18,12 +18,18 @@ tiny_trace() {
 
 # quickstart: the README's first two commands, verbatim — a 100 000-request
 # DFN trace swept at 2 % — must print the paper's six configurations,
-# with GD*(1) ahead of LRU in hit rate.
+# with GD*(1) ahead of LRU in hit rate. A third sweep of the same trace
+# writes its curves with -svg-dir: both files must be SVG documents.
 smoke_quickstart() {
 	go run ./cmd/wcgen -profile dfn -requests 100000 -seed 1 -o "$tmp/dfn.wci"
 	go run ./cmd/wcsim -trace "$tmp/dfn.wci" -size-pcts 2 | tee "$tmp/out.txt"
 	awk '$1 ~ /^(LRU|LFU-DA|GDS\([1P]\)|GD\*\([1P]\))$/ { n++; hr[$1] = $3 }
 		END { if (n != 6 || !(hr["GD*(1)"] > hr["LRU"])) { print "quickstart: want six rows and GD*(1) HR above LRU" > "/dev/stderr"; exit 1 } }' "$tmp/out.txt"
+	go run ./cmd/wcsim -trace "$tmp/dfn.wci" -size-pcts 1,2,4 -svg-dir "$tmp/figures" > /dev/null
+	local f
+	for f in "$tmp/figures/overall-01.svg" "$tmp/figures/overall-02.svg"; do
+		[[ -f $f && $(head -c 4 "$f") == '<svg' ]] || { echo "quickstart: $f is not an SVG document" >&2; exit 1; }
+	done
 }
 
 # journal: sweep with a run journal, then summarize it. wcreport -journal
@@ -112,7 +118,7 @@ smoke_cluster() {
 # benchmark's sweep_offline digests do (EXPERIMENTS.md quotes this file),
 # and the SVG figures the same run writes against docs/figures/.
 smoke_report() {
-	go run ./cmd/wcreport -scale 1 -plots -extras -svg-dir "$tmp/figures" > "$tmp/report.txt"
+	go run ./cmd/wcreport -scale 1 -extras -svg-dir "$tmp/figures" > "$tmp/report.txt"
 	local timing='s/^(==== .*)  \([0-9.]+s\)$/\1/'
 	diff -u <(sed -E "$timing" docs/report-scale1.txt) <(sed -E "$timing" "$tmp/report.txt")
 	diff -r docs/figures "$tmp/figures"
