@@ -47,14 +47,17 @@ test:
 # metrics is updated from every serving goroutine; its concurrent-update and
 # vec-creation tests only mean something here. trace rides along for the
 # WCT3 column views sweep goroutines share; cluster and hierarchy for the
-# fleet routing and the offline cluster replay. CI's race job runs this
+# fleet routing and the offline cluster replay. cmd/wcload's tests run
+# an in-process proxy under the live, -sequential, -reconcile and
+# -offline paths, which no other package drives. CI's race job runs this
 # target, so the list lives here only.
 race:
 	$(GO) test -race ./internal/core/... ./internal/policy/... ./internal/mrc/... \
 		./internal/pool/... ./internal/metrics/... \
 		./internal/cache/... ./internal/flight/... ./internal/proxy/... ./internal/load/... \
 		./internal/trace/... ./internal/cluster/... ./internal/hierarchy/... \
-		./internal/container/... ./internal/sketch/... ./internal/admission/...
+		./internal/container/... ./internal/sketch/... ./internal/admission/... \
+		./cmd/wcload/...
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): the
 # end-to-end metrics of all four workloads, appended to a record file that
@@ -96,7 +99,7 @@ lines-by-pkg:
 # The line to hold: fails when the tree outgrows LINES_MAX, so a PR that
 # adds net code has to raise the number in its own diff (and one that
 # removes code should lower it to the new `make lines`).
-LINES_MAX = 15889
+LINES_MAX = 15826
 lines-check:
 	@n=$$($(MAKE) -s lines); test "$$n" -le $(LINES_MAX) || \
 		{ echo "make lines = $$n exceeds LINES_MAX = $(LINES_MAX)"; exit 1; }

@@ -116,8 +116,11 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		source = gen.Reader()
+		source = gen
 	}
+	// One cap, before the live/offline split: both halves of the parity
+	// harness read the same stream.
+	source = capSource(source, *requests)
 
 	// A trace of which no line parses is an error, not an empty run.
 	parsedSome := func() error {
@@ -135,7 +138,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := sim.Run(capSource(source, *requests)); err != nil {
+		if err := sim.Run(source); err != nil {
 			return err
 		}
 		if err := parsedSome(); err != nil {
@@ -158,7 +161,6 @@ func run(args []string) error {
 			Source:      source,
 			Mode:        m,
 			Concurrency: *concurrency,
-			Requests:    *requests,
 			Timeout:     *timeout,
 			Sequential:  *sequential,
 		})
@@ -213,8 +215,8 @@ func fleet(target, topoPath string) (*cluster.Topology, error) {
 	return cluster.ParseTopology(doc)
 }
 
-// capSource bounds a reader to n requests (unbounded when n <= 0) — the
-// offline replay's equivalent of the live run's -requests cap.
+// capSource bounds a reader to n requests (unbounded when n <= 0): the
+// -requests cap of a trace replay, live or offline.
 func capSource(r trace.Reader, n int) trace.Reader {
 	if n <= 0 {
 		return r

@@ -144,7 +144,7 @@ func TestSequentialWithTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []string
-	for req := gen.Next(); req != nil; req = gen.Next() {
+	for req, err := gen.Next(); err == nil; req, err = gen.Next() {
 		u, err := url.Parse(req.URL)
 		if err != nil {
 			t.Fatal(err)
@@ -245,5 +245,40 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if got := p.seen(); len(got) != 0 {
 		t.Errorf("usage errors sent %d requests before failing: %v", len(got), got)
+	}
+}
+
+// TestRequestsCapsBothHalves: -requests caps a trace once, before the
+// live/offline split, so the live proxy and the offline twin replay the
+// same first N requests.
+func TestRequestsCapsBothHalves(t *testing.T) {
+	var log strings.Builder
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&log, "%d.000 10 10.0.0.1 TCP_MISS/200 2048 GET http://a.example/d%d.gif - DIRECT/10.0.0.9 image/gif\n", 1000000000+i, i%3)
+	}
+	path := filepath.Join(t.TempDir(), "ten.log")
+	if err := os.WriteFile(path, []byte(log.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := startProxy(t)
+	topo := topologyFile(t, p.front, p.admin)
+	var rep load.Report
+	runJSON(t, &rep, "-topology", topo, "-trace", path, "-requests", "4", "-sequential", "-reconcile")
+	if got, want := p.seen(), []string{"/d0.gif", "/d1.gif", "/d2.gif", "/d0.gif"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("live replay sent %v, want %v", got, want)
+	}
+	var res struct {
+		Nodes []struct {
+			Result struct {
+				Overall struct{ Requests, Hits int64 }
+			}
+		}
+	}
+	runJSON(t, &res, "-topology", topo, "-trace", path, "-requests", "4", "-offline")
+	if len(res.Nodes) != 1 {
+		t.Fatalf("offline result = %+v, want one node", res)
+	}
+	if o := res.Nodes[0].Result.Overall; o.Requests != rep.Tally.Requests || o.Hits != rep.Tally.Hits {
+		t.Errorf("offline replay counted %+v, live tally %+v: the halves read different streams", o, rep.Tally)
 	}
 }

@@ -17,12 +17,16 @@
 // process and tool reads the same layout; explicit -listen, -admin,
 // -capacity and -policy flags still win.
 //
+// An origin fetch that fails in transport is retried twice, after about
+// 50 ms and then 100 ms (jittered ±50%); -fetch-timeout bounds each
+// attempt.
+//
 // Usage:
 //
 //	wcproxy -listen :3128 [-origin http://upstream] [-capacity 256MB]
 //	        [-policy gdstar:p] [-admission tinylfu] [-shards 16]
 //	        [-log access.log] [-stats-every 30s] [-admin :9090]
-//	        [-fetch-timeout 15s] [-fetch-retries 2] [-retry-backoff 50ms]
+//	        [-fetch-timeout 15s]
 //	wcproxy -topology fleet.json -self n1 -origin http://upstream [-peer-timeout 5s]
 package main
 
@@ -67,8 +71,6 @@ func run(args []string) error {
 		statsEvery = fs.Duration("stats-every", 30*time.Second, "statistics print interval (0 disables)")
 		admin      = fs.String("admin", "", "admin listen address for /metrics and /debug/pprof (disabled when empty)")
 		fetchTO    = fs.Duration("fetch-timeout", proxy.DefaultFetchTimeout, "per-attempt origin fetch timeout")
-		retries    = fs.Int("fetch-retries", proxy.DefaultFetchRetries, "origin fetch retries after a transport failure (-1 disables)")
-		backoff    = fs.Duration("retry-backoff", proxy.DefaultRetryBackoff, "base retry backoff (doubled per retry, jittered ±50%)")
 		topoPath   = fs.String("topology", "", "cluster topology file; joins the fleet as -self and fills listen/admin/capacity/policy from the node entry unless flagged explicitly")
 		self       = fs.String("self", "", "this node's name on the cluster ring (required with -topology)")
 		peerTO     = fs.Duration("peer-timeout", proxy.DefaultPeerTimeout, "per peer-fetch timeout (round trip plus body read)")
@@ -141,8 +143,6 @@ func run(args []string) error {
 		Metrics:      reg,
 		Shards:       *shards,
 		FetchTimeout: *fetchTO,
-		FetchRetries: *retries,
-		RetryBackoff: *backoff,
 		Cluster:      clusterCfg,
 	}
 	if *origin != "" {

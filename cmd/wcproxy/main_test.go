@@ -97,6 +97,9 @@ func TestRunFlagErrors(t *testing.T) {
 		// A fleet is described by its topology file and nothing else.
 		{"no -peers flag", []string{"-self", "n1", "-peers", "n2=http://127.0.0.1:1"}},
 		{"no -replicas flag", []string{"-replicas", "1"}},
+		// The retry policy is fixed: two jittered retries from 50 ms.
+		{"no -fetch-retries flag", []string{"-fetch-retries", "2"}},
+		{"no -retry-backoff flag", []string{"-retry-backoff", "50ms"}},
 		// url.Parse reads "localhost" as the scheme; such a proxy would
 		// start and answer 502 to every request.
 		{"origin without scheme", []string{"-origin", "localhost:1"}},

@@ -6,14 +6,12 @@
 // Usage:
 //
 //	wcreport [-exp all|<id>] [-extras] [-scale 1.0] [-seed 1] [-size-pcts 0.5,1,2,4]
-//	         [-checks-only] [-json] [-svg-dir dir]
+//	         [-checks-only] [-svg-dir dir]
 //	wcreport -journal run.jsonl
 //
 // The experiment ids are the rows of internal/experiment's registry; -h
-// lists them. -json carries each table once, as {title, header, rows},
-// with the checks and notes — figures are not part of it. Exit status 1 is
-// reported when any shape check fails, so the command doubles as a
-// reproduction gate in CI.
+// lists them. Exit status 1 is reported when any shape check fails, so the
+// command doubles as a reproduction gate in CI.
 //
 // With -journal the command instead summarizes a run journal written by
 // wcsim -journal (or core.SweepConfig.Journal) into a per-cell throughput
@@ -22,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -50,7 +47,6 @@ func run(args []string, out io.Writer) error {
 		seed       = fs.Int64("seed", 1, "generation seed")
 		sizePcts   = fs.String("size-pcts", "", "cache sizes as % of trace size, comma-separated (default 0.5,0.75,1,1.5,2,3,4)")
 		checksOnly = fs.Bool("checks-only", false, "print only shape-check verdicts")
-		jsonOut    = fs.Bool("json", false, "emit the outputs as a JSON array instead of text")
 		svgDir     = fs.String("svg-dir", "", "write every figure as an SVG file into this directory")
 		extras     = fs.Bool("extras", false, "with -exp all, also run the beyond-the-paper experiments")
 		journal    = fs.String("journal", "", "summarize a wcsim run journal (JSONL) instead of running experiments")
@@ -87,14 +83,12 @@ func run(args []string, out io.Writer) error {
 	}
 
 	failed := 0
-	outputs := make([]*experiment.Output, 0, len(ids))
 	for _, id := range ids {
 		start := time.Now()
 		o, err := env.Run(id)
 		if err != nil {
 			return err
 		}
-		outputs = append(outputs, o)
 		for _, c := range o.Checks {
 			if !c.Pass {
 				failed++
@@ -104,9 +98,6 @@ func run(args []string, out io.Writer) error {
 			if err := report.WriteSVGs(*svgDir, string(o.ID), o.Plots); err != nil {
 				return err
 			}
-		}
-		if *jsonOut {
-			continue
 		}
 		fmt.Fprintf(out, "==== %s  (%.1fs)\n", o.Title, time.Since(start).Seconds())
 		if !*checksOnly {
@@ -126,13 +117,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "  [%s] %s — %s\n", status, c.Name, c.Detail)
 		}
 		fmt.Fprintln(out)
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(outputs); err != nil {
-			return fmt.Errorf("encode report: %w", err)
-		}
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d shape check(s) failed", failed)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"webcachesim/internal/core"
-	"webcachesim/internal/experiment"
 	"webcachesim/internal/policy"
 	"webcachesim/internal/trace"
 )
@@ -47,39 +45,6 @@ func TestRunChecksOnly(t *testing.T) {
 	}
 }
 
-func TestRunJSON(t *testing.T) {
-	var sb strings.Builder
-	_ = run(fastArgs("-exp", "table1", "-json"), &sb)
-	// Each table travels once, as data; no pre-rendered text, no figures.
-	var outs []struct {
-		ID     experiment.ID
-		Title  string
-		Tables []struct {
-			Title  string
-			Header []string
-			Rows   [][]string
-		}
-		Checks []experiment.ShapeCheck
-		Notes  []string
-	}
-	dec := json.NewDecoder(strings.NewReader(sb.String()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&outs); err != nil {
-		t.Fatalf("-json output did not parse: %v\n%s", err, sb.String())
-	}
-	if len(outs) != 1 || outs[0].ID != experiment.Table1 || len(outs[0].Tables) != 1 {
-		t.Fatalf("unexpected JSON payload: %+v", outs)
-	}
-	table := outs[0].Tables[0]
-	if !strings.HasPrefix(table.Title, "Table 1") || len(table.Header) != 3 || len(table.Rows) != 5 ||
-		table.Rows[1][0] != "Distinct Documents" {
-		t.Errorf("table 1 did not travel as {title, header, rows}: %+v", table)
-	}
-	if len(outs[0].Checks) != 2 || len(outs[0].Notes) == 0 {
-		t.Errorf("checks/notes missing: %+v", outs[0])
-	}
-}
-
 // TestRunSVGDir: -svg-dir writes one SVG file per figure.
 func TestRunSVGDir(t *testing.T) {
 	dir := t.TempDir()
@@ -113,6 +78,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-md"},
 		{"-parallelism", "2"},
 		{"-plots"},
+		{"-json"},
 	} {
 		if err := run(append(args, "-exp", "table1"), &sb); err == nil {
 			t.Errorf("%v accepted", args)

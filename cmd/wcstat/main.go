@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	wcstat [-csv] trace.log[.gz] ...
-//	wcstat [-csv] -o workload.wci3 trace.log[.gz]
+//	wcstat trace.log[.gz] ...
+//	wcstat -o workload.wci3 trace.log[.gz]
 //
 // A record stream (a Squid log or interned .wci, either gzipped) is read
 // through the paper's cacheability filter, and the totals count what it
@@ -42,13 +42,12 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("wcstat", flag.ContinueOnError)
-	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	image := fs.String("o", "", "also write the workload as a WCT3 columnar image to this .wci3 path (one trace only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: wcstat [-csv] [-o workload.wci3] trace...")
+		return fmt.Errorf("usage: wcstat [-o workload.wci3] trace...")
 	}
 	if *image != "" {
 		if fs.NArg() != 1 {
@@ -59,14 +58,14 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	for _, path := range fs.Args() {
-		if err := statOne(path, *image, *csv, out); err != nil {
+		if err := statOne(path, *image, out); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return nil
 }
 
-func statOne(path, image string, csv bool, out io.Writer) error {
+func statOne(path, image string, out io.Writer) error {
 	// A nil filter marks a columnar image: no filter ran here, and no
 	// client was seen.
 	var filter *trace.FilterReader
@@ -103,12 +102,7 @@ func statOne(path, image string, csv bool, out io.Writer) error {
 	c := analyze.Characterize(w, path)
 
 	render := func(t *report.Table) {
-		if csv {
-			fmt.Fprint(out, t.CSV())
-		} else {
-			fmt.Fprint(out, t.Text())
-		}
-		fmt.Fprintln(out)
+		fmt.Fprintln(out, t.Text())
 	}
 
 	totals := report.NewTable("Trace properties — "+path, "", "value")

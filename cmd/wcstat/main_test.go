@@ -97,17 +97,6 @@ func TestColumnarMatchesRecordStream(t *testing.T) {
 	}
 }
 
-func TestRunCSVMode(t *testing.T) {
-	path := writeTestTrace(t, trace.FormatInterned)
-	var sb strings.Builder
-	if err := run([]string{"-csv", path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), ",Images,HTML,") {
-		t.Errorf("CSV output missing header:\n%s", sb.String())
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	wci := writeTestTrace(t, trace.FormatInterned)
@@ -119,6 +108,7 @@ func TestRunErrors(t *testing.T) {
 		"no args":              {},
 		"missing file":         {"/nonexistent"},
 		"-hist":                {"-hist", wci},
+		"-csv":                 {"-csv", wci},
 		"-o with two traces":   {"-o", filepath.Join(dir, "z.wci3"), wci, wci},
 		"-o not .wci3":         {"-o", filepath.Join(dir, "z.log"), wci},
 		"-o from a WCT3 image": {"-o", filepath.Join(dir, "z.wci3"), wci3},
@@ -134,39 +124,30 @@ func TestRunErrors(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// TestGolden pins wcstat's three tables byte for byte, as text and as CSV,
-// on a fixed synthetic trace (wcgen -profile rtp -seed 2 -requests 3000).
+// TestGolden pins wcstat's three tables byte for byte on a fixed synthetic trace (wcgen -profile rtp -seed 2 -requests 3000).
 // The title line embeds the temp path, which is replaced before comparing.
 // Regenerate with `go test ./cmd/wcstat -run Golden -update`.
 func TestGolden(t *testing.T) {
 	path := writeTestTrace(t, trace.FormatInterned)
-	for _, tc := range []struct {
-		golden string
-		args   []string
-	}{
-		{"stat.golden", []string{path}},
-		{"stat_csv.golden", []string{"-csv", path}},
-	} {
-		var sb strings.Builder
-		if err := run(tc.args, &sb); err != nil {
+	var sb strings.Builder
+	if err := run([]string{path}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.ReplaceAll(sb.String(), path, "<trace>")
+	goldenPath := filepath.Join("testdata", "stat.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		got := strings.ReplaceAll(sb.String(), path, "<trace>")
-		goldenPath := filepath.Join("testdata", tc.golden)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("%v (regenerate with -update)", err)
-		}
-		if got != string(want) {
-			t.Errorf("%s drifted from golden:\n got:\n%s\nwant:\n%s", tc.golden, got, want)
-		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("stat.golden drifted:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

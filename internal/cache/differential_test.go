@@ -28,7 +28,7 @@ func differentialWorkload(t *testing.T, n int) (*core.Workload, []int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := core.BuildWorkload(g.Reader(), 0)
+	w, err := core.BuildWorkload(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,11 @@ type claim struct {
 // ShapeCheck is a claim evaluated against the measured results.
 type ShapeCheck struct {
 	// Name states the claim being checked.
-	Name string `json:"name"`
+	Name string
 	// Pass reports whether the measurement supports the claim.
-	Pass bool `json:"pass"`
+	Pass bool
 	// Detail quantifies the comparison.
-	Detail string `json:"detail"`
+	Detail string
 }
 
 // check evaluates the claim on one environment (one seed's measurements).

@@ -116,17 +116,16 @@ var DefaultCacheSizePcts = []float64{0.5, 0.75, 1, 1.5, 2, 3, 4}
 // Output is the result of running one experiment.
 type Output struct {
 	// ID and Title identify the paper artifact.
-	ID    ID     `json:"id"`
-	Title string `json:"title"`
+	ID    ID
+	Title string
 	// Tables are the regenerated rows, as data.
-	Tables []*report.Table `json:"tables"`
-	// Plots are the figures; the caller renders them (ASCII, SVG) as
-	// asked, so they are not part of the JSON form.
-	Plots []*report.Plot `json:"-"`
+	Tables []*report.Table
+	// Plots are the figures; the caller writes them as SVG when asked.
+	Plots []*report.Plot
 	// Checks are the evaluated shape claims.
-	Checks []ShapeCheck `json:"checks,omitempty"`
+	Checks []ShapeCheck
 	// Notes document scale, substitutions, and reconstruction caveats.
-	Notes []string `json:"notes,omitempty"`
+	Notes []string
 }
 
 // Env generates and caches the inputs shared by the experiments, so a full
@@ -221,7 +220,7 @@ func traceOf(profile string) input[*traceForms] {
 		if err != nil {
 			return nil, err
 		}
-		w, err := core.BuildWorkload(g.Reader(), 0)
+		w, err := core.BuildWorkload(g, 0)
 		if err != nil {
 			return nil, err
 		}

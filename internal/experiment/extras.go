@@ -76,7 +76,7 @@ func filtered(profile string) input[*filteredStream] {
 		if err != nil {
 			return nil, err
 		}
-		misses, err := core.BuildWorkload(passing{g.Reader(), func(r *trace.Request) bool { return !child.Process(r).Hit() }}, 0)
+		misses, err := core.BuildWorkload(passing{g, func(r *trace.Request) bool { return !child.Process(r).Hit() }}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -308,7 +308,7 @@ var modificationRules = cached("modification", func(e *Env) (runs [2][]*core.Res
 		var g *synth.Generator
 		var w *core.Workload
 		if g, err = e.generator("dfn"); err == nil {
-			w, err = core.BuildWorkload(passing{g.Reader(), sizeless}, []float64{0, -1}[i])
+			w, err = core.BuildWorkload(passing{g, sizeless}, []float64{0, -1}[i])
 		}
 		if err == nil {
 			runs[i], err = core.Sweep(w, core.SweepConfig{Policies: policy.StudyFactories(),

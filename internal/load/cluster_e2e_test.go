@@ -201,7 +201,6 @@ func TestClusterEndToEnd(t *testing.T) {
 		Topology:    fl.topo,
 		Source:      &staticReader{urls: urls},
 		Concurrency: 4,
-		Requests:    requests,
 	})
 	if err != nil {
 		t.Fatal(err)

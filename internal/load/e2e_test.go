@@ -105,10 +105,9 @@ func TestEndToEndLoadAgainstProxy(t *testing.T) {
 
 	rep, err := load.Run(load.Config{
 		Topology:    topo,
-		Source:      gen.Reader(),
+		Source:      gen,
 		Mode:        load.Reverse,
 		Concurrency: 8,
-		Requests:    requests,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,10 +213,9 @@ func TestEndToEndAdmissionReconciles(t *testing.T) {
 	}
 	rep, err := load.Run(load.Config{
 		Topology:    topo,
-		Source:      gen.Reader(),
+		Source:      gen,
 		Mode:        load.Reverse,
 		Concurrency: 8,
-		Requests:    requests,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,5 +285,47 @@ func TestEndToEndForwardMode(t *testing.T) {
 	}
 	if m := reconciled(t, topo, rep); m["wcproxy_hits_total"] != float64(rep.Tally.Hits) {
 		t.Errorf("wcproxy_hits_total = %v, client counted %d hits", m["wcproxy_hits_total"], rep.Tally.Hits)
+	}
+}
+
+// TestDeadOriginReconciles: with the origin down, every request ends in
+// the proxy's unlabelled 502, which the proxy does not count. The client
+// tallies each as an error and as nothing else, so the run still
+// reconciles: zero requests on both sides of the wire.
+func TestDeadOriginReconciles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback e2e in -short mode")
+	}
+	origin := httptest.NewServer(http.NotFoundHandler())
+	originURL, err := url.Parse(origin.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin.Close() // every fetch now fails
+
+	reg := metrics.NewRegistry()
+	srv, err := proxy.New(proxy.Config{Capacity: 1 << 20, Origin: originURL, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(srv)
+	defer front.Close()
+	admin := httptest.NewServer(proxy.AdminHandler(reg))
+	defer admin.Close()
+	topo := oneNode(front.URL, admin.URL)
+
+	const requests = 2
+	rep, err := load.Run(load.Config{
+		Topology: topo,
+		Source:   &staticReader{urls: []string{"http://dfn.synth.example/a.gif", "http://dfn.synth.example/b.html"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tally != (load.Tally{Errors: requests}) {
+		t.Errorf("tally = %+v, want only %d errors", rep.Tally, requests)
+	}
+	if m := reconciled(t, topo, rep); m["wcproxy_origin_errors_total"] != 3*requests {
+		t.Errorf("wcproxy_origin_errors_total = %v, want %d (three attempts per request)", m["wcproxy_origin_errors_total"], 3*requests)
 	}
 }

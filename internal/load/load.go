@@ -66,17 +66,14 @@ type Config struct {
 	// targets (one proxy is the one-node topology); Admin URLs, when
 	// present, let ScrapeTopology and Reconcile check the run.
 	Topology *cluster.Topology
-	// Source supplies the requests to replay; required. Only the URL
-	// field is consulted. Request k goes to node k mod N.
+	// Source supplies the requests to replay; required, and drained. Only
+	// the URL field is consulted. Request k goes to node k mod N.
 	Source trace.Reader
 	// Mode addresses requests to the nodes (Reverse by default).
 	Mode Mode
 	// Concurrency is the number of closed-loop clients per node (1 when
 	// 0). Ignored in Sequential mode.
 	Concurrency int
-	// Requests caps the replay when positive; otherwise the source is
-	// drained.
-	Requests int
 	// Timeout bounds each request (15s when 0).
 	Timeout time.Duration
 	// Transport overrides the HTTP transport, for tests. In Forward mode
@@ -110,8 +107,11 @@ type Tally struct {
 	// performed the origin fetch, never on coalesced followers, so this
 	// tally reconciles exactly with wcproxy_admission_rejected_total.
 	AdmissionRejects int64 `json:"admissionRejects,omitempty"`
-	// Errors counts attempts that produced no HTTP response (transport
-	// failures). Any response, whatever its status, counts as a Request.
+	// Errors counts the attempts the proxy did not account: those that
+	// produced no HTTP response (transport failures) and responses without
+	// an X-Cache header (the proxy's 405, 400, and the 502 of a failed
+	// upstream fetch). An error counts in nothing else; every labelled
+	// response, whatever its status, counts as a Request.
 	Errors int64 `json:"errors"`
 	// Bytes is the total body bytes received.
 	Bytes int64 `json:"bytes"`
@@ -190,14 +190,12 @@ type worker struct {
 	drainBuf *pool.Buf
 }
 
-// newWorker builds one closed-loop client aimed at target, with room for
-// samples latencies up front.
-func newWorker(client *http.Client, mode Mode, target *url.URL, samples int) *worker {
+// newWorker builds one closed-loop client aimed at target.
+func newWorker(client *http.Client, mode Mode, target *url.URL) *worker {
 	return &worker{
-		latencies: make([]time.Duration, 0, samples),
-		client:    client,
-		mode:      mode,
-		reqURL:    *target,
+		client: client,
+		mode:   mode,
+		reqURL: *target,
 		req: &http.Request{
 			Method:     http.MethodGet,
 			Proto:      "HTTP/1.1",
@@ -235,10 +233,6 @@ func Run(cfg Config) (*Report, error) {
 		}
 		targets[i] = u
 	}
-	samples := 0
-	if cfg.Requests > 0 {
-		samples = cfg.Requests/(conc*len(targets)) + 1
-	}
 	nodes := make([][]*worker, len(targets))
 	for i, target := range targets {
 		transport := cfg.Transport
@@ -250,7 +244,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		client := &http.Client{Transport: transport, Timeout: timeout}
 		for c := 0; c < conc; c++ {
-			nodes[i] = append(nodes[i], newWorker(client, cfg.Mode, target, samples))
+			nodes[i] = append(nodes[i], newWorker(client, cfg.Mode, target))
 		}
 	}
 
@@ -279,11 +273,10 @@ func Run(cfg Config) (*Report, error) {
 		dispatch = func(node int, raw string) { queues[node] <- raw }
 	}
 
-	// The one source-draining loop, with the request cap: request k goes
-	// to node k mod N.
+	// The one source-draining loop: request k goes to node k mod N.
 	var srcErr error
 	start := time.Now()
-	for sent := 0; cfg.Requests <= 0 || sent < cfg.Requests; sent++ {
+	for sent := 0; ; sent++ {
 		req, err := cfg.Source.Next()
 		if err != nil {
 			srcErr = err
@@ -338,11 +331,16 @@ func (w *worker) do(raw string) {
 	}
 	n := w.drain(resp.Body)
 	_ = resp.Body.Close() // best-effort: the request already succeeded
+	xcache := resp.Header.Get("X-Cache")
+	if xcache == "" { // an answer the proxy did not account
+		w.tally.Errors++
+		return
+	}
 	w.latencies = append(w.latencies, time.Since(begin))
 
 	w.tally.Requests++
 	w.tally.Bytes += n
-	switch resp.Header.Get("X-Cache") {
+	switch xcache {
 	case "HIT":
 		w.tally.Hits++
 	case "PEER-HIT":

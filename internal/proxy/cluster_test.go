@@ -86,6 +86,7 @@ func startFleet(t *testing.T, origin *httptest.Server, n int, mutate func(i int,
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.sleep = func(time.Duration) {} // a retry against a dead origin need not wait
 		f.servers = append(f.servers, s)
 		f.regs = append(f.regs, cfg.Metrics)
 		handlers[i].p.Store(s)

@@ -86,9 +86,8 @@ func TestStaleOnError(t *testing.T) {
 	var policyHits, admissionTouches atomic.Int64
 	lru := policy.MustFactory(policy.Spec{Scheme: "lru"})
 	p, _ := reverseProxy(t, Config{
-		Now:          clock.Now,
-		Metrics:      reg,
-		FetchRetries: -1, // keep the dead-origin phase fast
+		Now:     clock.Now,
+		Metrics: reg,
 		Policy: policy.Factory{Name: "counting-lru", New: func() policy.Policy {
 			return countingPolicy{lru.New(), &policyHits}
 		}},
@@ -341,10 +340,11 @@ func TestUpstreamBodyIsIdentity(t *testing.T) {
 func TestStaleMissWithoutCachedCopy(t *testing.T) {
 	origin := newFakeOrigin()
 	origin.setFailing(true)
-	p, err := New(Config{Capacity: 1 << 20, Transport: origin, FetchRetries: -1})
+	p, err := New(Config{Capacity: 1 << 20, Transport: origin})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.sleep = func(time.Duration) {}
 	rr := httptest.NewRecorder()
 	p.ServeHTTP(rr, absReq("/never-seen.gif"))
 	if rr.Code != http.StatusBadGateway {
@@ -355,19 +355,12 @@ func TestStaleMissWithoutCachedCopy(t *testing.T) {
 // TestFetchRetrySucceedsAfterFailures pins the retry loop: with the first
 // two attempts failing, the third succeeds; the client sees a plain miss,
 // and the two backoff sleeps fall inside the jitter envelope
-// [0.5, 1.5) × (base << attempt-1).
+// [0.5, 1.5) × (retryBackoff << attempt-1).
 func TestFetchRetrySucceedsAfterFailures(t *testing.T) {
 	origin := newFakeOrigin()
 	origin.failFirst = 2
 	reg := metrics.NewRegistry()
-	const base = 40 * time.Millisecond
-	p, err := New(Config{
-		Capacity:     1 << 20,
-		Transport:    origin,
-		Metrics:      reg,
-		FetchRetries: 2,
-		RetryBackoff: base,
-	})
+	p, err := New(Config{Capacity: 1 << 20, Transport: origin, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +382,8 @@ func TestFetchRetrySucceedsAfterFailures(t *testing.T) {
 		t.Fatalf("recorded %d backoff sleeps, want 2: %v", len(slept), slept)
 	}
 	for i, d := range slept {
-		lo := time.Duration(float64(base<<i) * 0.5)
-		hi := time.Duration(float64(base<<i) * 1.5)
+		lo := time.Duration(float64(retryBackoff<<i) * 0.5)
+		hi := time.Duration(float64(retryBackoff<<i) * 1.5)
 		if d < lo || d >= hi {
 			t.Errorf("backoff %d = %v, want in [%v, %v)", i+1, d, lo, hi)
 		}
@@ -408,13 +401,13 @@ func TestFetchRetrySucceedsAfterFailures(t *testing.T) {
 }
 
 // TestFetchRetriesExhausted pins the give-up path: every attempt fails,
-// the configured budget (1 + retries) is spent exactly, and the client
-// gets a 502.
+// the budget (1 + fetchRetries) is spent exactly, and the client gets a
+// 502.
 func TestFetchRetriesExhausted(t *testing.T) {
 	origin := newFakeOrigin()
 	origin.setFailing(true)
 	reg := metrics.NewRegistry()
-	p, err := New(Config{Capacity: 1 << 20, Transport: origin, Metrics: reg, FetchRetries: 2})
+	p, err := New(Config{Capacity: 1 << 20, Transport: origin, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,11 +443,11 @@ func TestFetchTimeout(t *testing.T) {
 		Capacity:     1 << 20,
 		Transport:    origin,
 		FetchTimeout: 30 * time.Millisecond,
-		FetchRetries: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.sleep = func(time.Duration) {}
 	start := time.Now()
 	rr := httptest.NewRecorder()
 	p.ServeHTTP(rr, absReq("/hang.gif"))
@@ -468,14 +461,13 @@ func TestFetchTimeout(t *testing.T) {
 
 // TestBackoffBounds checks the jitter envelope arithmetic directly.
 func TestBackoffBounds(t *testing.T) {
-	const base = 50 * time.Millisecond
-	for attempt := 1; attempt <= 4; attempt++ {
+	for attempt := 1; attempt <= fetchRetries; attempt++ {
 		for i := 0; i < 100; i++ {
-			d := backoff(base, attempt)
-			lo := time.Duration(float64(base<<(attempt-1)) * 0.5)
-			hi := time.Duration(float64(base<<(attempt-1)) * 1.5)
+			d := backoff(attempt)
+			lo := time.Duration(float64(retryBackoff<<(attempt-1)) * 0.5)
+			hi := time.Duration(float64(retryBackoff<<(attempt-1)) * 1.5)
 			if d < lo || d >= hi {
-				t.Fatalf("backoff(%v, %d) = %v, want in [%v, %v)", base, attempt, d, lo, hi)
+				t.Fatalf("backoff(%d) = %v, want in [%v, %v)", attempt, d, lo, hi)
 			}
 		}
 	}
@@ -609,7 +601,7 @@ func (o truncatingOrigin) RoundTrip(*http.Request) (*http.Response, error) {
 // client gets a 502, nothing is cached, and the pooled buffer the body
 // was read into goes back to the pool.
 func TestOriginBodyFailsMidRead(t *testing.T) {
-	s, bufs := reverseProxy(t, Config{FetchRetries: -1}, truncatingOrigin{declared: 10_000, sent: 1_000})
+	s, bufs := reverseProxy(t, Config{}, truncatingOrigin{declared: 10_000, sent: 1_000})
 	rr := httptest.NewRecorder()
 	s.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/cut.gif", nil))
 	if rr.Code != http.StatusBadGateway {

@@ -192,9 +192,8 @@ func TestMetricsCountOriginErrors(t *testing.T) {
 	u, _ := url.Parse(origin.URL)
 	origin.Close() // every fetch now fails
 	reg := metrics.NewRegistry()
-	// Retries disabled: this test pins the per-attempt error accounting;
-	// the retry path has its own tests.
-	srv, err := proxy.New(proxy.Config{Capacity: 1 << 20, Origin: u, Metrics: reg, FetchRetries: -1})
+	// Every attempt is an origin error: the first fetch and its two retries.
+	srv, err := proxy.New(proxy.Config{Capacity: 1 << 20, Origin: u, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +202,10 @@ func TestMetricsCountOriginErrors(t *testing.T) {
 		t.Fatalf("status = %d, want 502", rr.Code)
 	}
 	out := exposition(t, reg)
-	if !strings.Contains(out, "wcproxy_origin_errors_total 1") {
-		t.Errorf("exposition missing origin error:\n%s", out)
+	for _, want := range []string{"wcproxy_origin_errors_total 3", "wcproxy_origin_retries_total 2"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -144,7 +144,9 @@ func (f *firstOnly) RoundTrip(r *http.Request) (*http.Response, error) {
 // origin fetch cannot share the leader's body stream, so it must refetch
 // for itself. When the refetch works both clients receive the complete
 // body; when it fails the waiter receives a 502 — and the access log must
-// record each client's own status, not the leader's for both.
+// record each client's own status, not the leader's for both. Both
+// answers are labelled X-Cache: MISS, the 502 too, since the proxy counts
+// it as a miss: a load client tallies what the proxy counts.
 func TestOversizeConcurrentClientsAllComplete(t *testing.T) {
 	const maxObj = 32 << 10
 	payload := oversizePayload(maxObj + 4096)
@@ -195,6 +197,7 @@ func TestOversizeConcurrentClientsAllComplete(t *testing.T) {
 			const clients = 2
 			type outcome struct {
 				status int
+				xcache string
 				err    error
 			}
 			outcomes := make(chan outcome, clients)
@@ -215,7 +218,7 @@ func TestOversizeConcurrentClientsAllComplete(t *testing.T) {
 						outcomes <- outcome{err: fmt.Errorf("client %d: received %d bytes, want %d", i, len(got), len(payload))}
 						return
 					}
-					outcomes <- outcome{status: resp.StatusCode}
+					outcomes <- outcome{status: resp.StatusCode, xcache: resp.Header.Get("X-Cache")}
 				}(i)
 			}
 			time.Sleep(50 * time.Millisecond) // give the second client time to coalesce
@@ -225,6 +228,9 @@ func TestOversizeConcurrentClientsAllComplete(t *testing.T) {
 				o := <-outcomes
 				if o.err != nil {
 					t.Fatal(o.err)
+				}
+				if o.xcache != "MISS" {
+					t.Errorf("a %d answer carries X-Cache %q, want MISS", o.status, o.xcache)
 				}
 				seen = append(seen, o.status)
 			}

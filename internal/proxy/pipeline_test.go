@@ -211,7 +211,7 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 			setup: func(t *testing.T) (*settleEnv, func() []served) {
 				origin, clock := newFakeOrigin(), newFakeClock()
 				origin.respHeader = http.Header{"Cache-Control": []string{"max-age=60"}}
-				env := newSettleEnv(t, Config{Now: clock.Now, FetchRetries: -1}, origin)
+				env := newSettleEnv(t, Config{Now: clock.Now}, origin)
 				env.get(small)
 				clock.Advance(61 * time.Second)
 				origin.setFailing(true)
@@ -275,7 +275,7 @@ func TestEveryOutcomeSettlesOnce(t *testing.T) {
 			setup: func(t *testing.T) (*settleEnv, func() []served) {
 				origin := newFakeOrigin()
 				origin.setFailing(true)
-				env := newSettleEnv(t, Config{FetchRetries: -1}, origin)
+				env := newSettleEnv(t, Config{}, origin)
 				return env, func() []served { return []served{env.get(small)} }
 			},
 			status: 502, // no X-Cache: the one outcome that bypasses write and account
@@ -479,7 +479,7 @@ func TestClassBytesSumToTotals(t *testing.T) {
 		cfg.Buffers = pool.New()
 		if i == 0 {
 			cfg.Metrics, cfg.Now, cfg.Transport = reg, clock.Now, transport
-			cfg.MaxObjectBytes, cfg.FetchRetries = 40, -1
+			cfg.MaxObjectBytes = 40
 		}
 	})
 	image, page := f.pathOwnedBy(t, "n0", ".gif"), f.pathOwnedBy(t, "n0", ".html")

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"webcachesim/internal/admission"
 	"webcachesim/internal/metrics"
@@ -85,6 +86,7 @@ func reverseProxy(t testing.TB, cfg Config, rt http.RoundTripper) (*Server, *poo
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.sleep = func(time.Duration) {} // a retry against a dead origin need not wait
 	return s, p
 }
 

@@ -54,11 +54,15 @@ import (
 // DefaultMaxObjectBytes bounds the size of a single cached response body.
 const DefaultMaxObjectBytes = 8 << 20
 
-// Default fetch-robustness parameters; see Config.
+// DefaultFetchTimeout bounds an origin fetch attempt; see Config.
+const DefaultFetchTimeout = 15 * time.Second
+
+// A failed origin fetch is retried fetchRetries times, the first retry
+// after about retryBackoff, each further one after twice the previous
+// delay, every delay jittered by ±50% (backoff).
 const (
-	DefaultFetchTimeout = 15 * time.Second
-	DefaultFetchRetries = 2
-	DefaultRetryBackoff = 50 * time.Millisecond
+	fetchRetries = 2
+	retryBackoff = 50 * time.Millisecond
 )
 
 // Config parameterizes a proxy server.
@@ -107,14 +111,6 @@ type Config struct {
 	// context: its result is shared by every coalesced waiter, so it must
 	// not die with the first client that disconnects.
 	FetchTimeout time.Duration
-	// FetchRetries is the number of additional attempts after a failed
-	// origin fetch (DefaultFetchRetries when 0; negative disables
-	// retries). Attempts are spaced by jittered exponential backoff.
-	FetchRetries int
-	// RetryBackoff is the base delay before the first retry; each further
-	// retry doubles it, and every delay is jittered by ±50%
-	// (DefaultRetryBackoff when 0).
-	RetryBackoff time.Duration
 	// Now supplies timestamps (time.Now when nil); injectable for tests.
 	Now func() time.Time
 	// Buffers is the buffer pool backing the serving path — origin bodies
@@ -213,15 +209,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = DefaultFetchTimeout
-	}
-	if cfg.FetchRetries == 0 {
-		cfg.FetchRetries = DefaultFetchRetries
-	}
-	if cfg.FetchRetries < 0 {
-		cfg.FetchRetries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
 	}
 	if cfg.Cluster != nil && cfg.Origin == nil {
 		return nil, fmt.Errorf("proxy: clustering requires reverse mode (Origin); fleet members must key their caches identically")
@@ -590,10 +577,10 @@ func (s *Server) fetchShared(key string, fn func() (*fetchResult, error)) (*fetc
 // returned as-is. A private fetch is never stored (see fetchOnce).
 func (s *Server) fetchOrigin(key string, hdr http.Header, private bool) (*fetchResult, error) {
 	var lastErr error
-	for attempt := 0; attempt <= s.cfg.FetchRetries; attempt++ {
+	for attempt := 0; attempt <= fetchRetries; attempt++ {
 		if attempt > 0 {
 			s.metrics.originRetries.Inc()
-			s.sleep(backoff(s.cfg.RetryBackoff, attempt))
+			s.sleep(backoff(attempt))
 		}
 		fr, err := s.fetchOnce(key, hdr, private)
 		if err == nil {
@@ -605,10 +592,10 @@ func (s *Server) fetchOrigin(key string, hdr http.Header, private bool) (*fetchR
 }
 
 // backoff returns the delay before the given retry attempt (1-based):
-// base doubled per attempt, jittered uniformly over ±50% so synchronized
-// retry waves decorrelate.
-func backoff(base time.Duration, attempt int) time.Duration {
-	d := base << (attempt - 1)
+// retryBackoff doubled per attempt, jittered uniformly over ±50% so
+// synchronized retry waves decorrelate.
+func backoff(attempt int) time.Duration {
+	d := retryBackoff << (attempt - 1)
 	return time.Duration((0.5 + rand.Float64()) * float64(d))
 }
 
@@ -952,10 +939,12 @@ func (s *Server) serveOversize(w http.ResponseWriter, r *http.Request, k *reques
 	if res != resultMiss {
 		own, err := s.fetchOnce(k.String(), r.Header, false)
 		if err != nil {
-			// Unlike a failed shared fetch this 502 is accounted and logged:
-			// the request already belongs to an answered miss group.
+			// Unlike a failed shared fetch this 502 is accounted, logged and
+			// labelled: the request already belongs to an answered miss group.
+			out := outcome{result: res, status: http.StatusBadGateway, class: doctype.Classify("", k.String())}
+			s.account(r, k, out)
+			setCacheHeaders(w.Header(), out)
 			http.Error(w, fmt.Sprintf("upstream: %v", err), http.StatusBadGateway)
-			s.account(r, k, outcome{result: res, status: http.StatusBadGateway, class: doctype.Classify("", k.String())})
 			return
 		}
 		if !own.oversize {

@@ -4,7 +4,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"unicode/utf8"
@@ -71,16 +70,6 @@ func (t *Table) AddRowf(cells ...any) {
 		}
 	}
 	t.AddRow(out...)
-}
-
-// MarshalJSON carries the table as data — {title, header, rows} — so a
-// consumer of `wcreport -json` renders it however it likes.
-func (t *Table) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}{t.Title, t.header, t.rows})
 }
 
 // NumRows returns the number of data rows.

@@ -21,7 +21,7 @@ func BenchmarkGenerate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if g.Next() == nil {
+		if _, err := g.Next(); err != nil {
 			b.StopTimer()
 			g = newGen()
 			b.StartTimer()

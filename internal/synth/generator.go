@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -80,7 +81,8 @@ type pendingRef struct {
 
 // Generator produces synthetic request streams from a profile. Create one
 // with NewGenerator and pull requests with Next, or use Generate for a
-// materialized slice.
+// materialized slice. It is a trace.Reader, so a synthetic trace feeds
+// core.BuildWorkload (or any other trace consumer) directly.
 type Generator struct {
 	prof    *Profile
 	rng     *rand.Rand
@@ -200,13 +202,14 @@ func NewGenerator(p *Profile, opts Options) (*Generator, error) {
 // Total returns the number of requests the generator will emit.
 func (g *Generator) Total() int { return g.total }
 
-// Next emits the next request, or nil when the configured count has been
-// produced. The caller owns the returned request, but it shares one
-// allocation, a slab, with up to 255 others: keeping any of them keeps
-// the whole slab, as a trace.Reader's block does.
-func (g *Generator) Next() *trace.Request {
+// Next implements trace.Reader: it emits the next request, or io.EOF
+// once the configured count has been produced. The caller owns the
+// returned request, but it shares one allocation, a slab, with up to 255
+// others: keeping any of them keeps the whole slab, as a file reader's
+// block does.
+func (g *Generator) Next() (*trace.Request, error) {
 	if g.emitted >= g.total {
-		return nil
+		return nil, io.EOF
 	}
 	g.emitted++
 	g.now += g.interArrival()
@@ -247,7 +250,7 @@ func (g *Generator) Next() *trace.Request {
 	r.Class = st.prof.Class
 	r.Client = g.clientName(client)
 	r.Method = "GET"
-	return r
+	return r, nil
 }
 
 // interArrival draws the next request gap. With a diurnal amplitude, the
@@ -352,8 +355,8 @@ func Generate(p *Profile, opts Options) ([]*trace.Request, error) {
 	}
 	out := make([]*trace.Request, 0, g.Total())
 	for {
-		r := g.Next()
-		if r == nil {
+		r, err := g.Next()
+		if err != nil {
 			return out, nil
 		}
 		out = append(out, r)
@@ -364,11 +367,14 @@ func Generate(p *Profile, opts Options) ([]*trace.Request, error) {
 // returns the number written.
 func (g *Generator) WriteAll(w trace.Writer) (int64, error) {
 	var n int64
-	for r := g.Next(); r != nil; r = g.Next() {
+	for {
+		r, err := g.Next()
+		if err != nil {
+			return n, nil
+		}
 		if err := w.Write(r); err != nil {
 			return n, fmt.Errorf("synth: write request %d: %w", n, err)
 		}
 		n++
 	}
-	return n, nil
 }

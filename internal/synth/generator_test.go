@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -248,12 +249,12 @@ func TestGeneratorNilAfterTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if g.Next() == nil {
-			t.Fatalf("Next returned nil at %d of 3", i)
+		if r, err := g.Next(); r == nil || err != nil {
+			t.Fatalf("Next at %d of 3 = %v, %v", i, r, err)
 		}
 	}
-	if g.Next() != nil {
-		t.Error("Next after total should return nil")
+	if r, err := g.Next(); r != nil || err != io.EOF {
+		t.Errorf("Next after total = %v, %v; want nil, io.EOF", r, err)
 	}
 }
 
@@ -271,7 +272,7 @@ func TestNextSlabOwnership(t *testing.T) {
 		reqs  []*trace.Request
 		taken []trace.Request // each request as Next returned it
 	)
-	for r := g.Next(); r != nil; r = g.Next() {
+	for r, err := g.Next(); err == nil; r, err = g.Next() {
 		reqs = append(reqs, r)
 		taken = append(taken, *r)
 	}
@@ -297,8 +298,8 @@ func TestNextSlabOwnership(t *testing.T) {
 		*r = taken[w.written]
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if g.Next() != nil {
-			t.Fatal("Next after the last request returned a request")
+		if _, err := g.Next(); err != io.EOF {
+			t.Fatalf("Next after the last request: err = %v, want io.EOF", err)
 		}
 	}); allocs != 0 {
 		t.Errorf("Next after the last request allocates %v times, want 0", allocs)

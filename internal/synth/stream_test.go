@@ -13,7 +13,7 @@ import (
 
 // TestStreamPinned pins the exact stream of three configurations: a
 // SHA-256 over every field of every request, read through Generate and
-// through Reader. Any change to the RNG draws, their order or the float
+// through Next. Any change to the RNG draws, their order or the float
 // operations on them moves a hash, which only a few small goldens
 // elsewhere would otherwise notice. The hashes were recorded before
 // requests came from slabs; a change that moves the stream on purpose
@@ -53,10 +53,10 @@ func TestStreamPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rd, d := g.Reader(), newStreamDigest()
+			d = newStreamDigest()
 			n := 0
 			for {
-				r, err := rd.Next()
+				r, err := g.Next()
 				if err == io.EOF {
 					break
 				}
@@ -67,7 +67,7 @@ func TestStreamPinned(t *testing.T) {
 				n++
 			}
 			if got := d.sum(); got != tc.want {
-				t.Errorf("Reader: %d requests hash to %s, want %s", n, got, tc.want)
+				t.Errorf("Next: %d requests hash to %s, want %s", n, got, tc.want)
 			}
 		})
 	}
