@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"webcachesim/internal/trace"
@@ -23,6 +24,12 @@ func (w *Workload) WriteColumnar(path string) error {
 	if err != nil {
 		return fmt.Errorf("core: write columnar: %w", err)
 	}
+	return w.writeColumnar(f, path)
+}
+
+// writeColumnar encodes the workload to f and closes it; a failed close
+// fails the write, since the file's last bytes may not have landed.
+func (w *Workload) writeColumnar(f io.WriteCloser, path string) error {
 	c := w.cols
 	c.SetKeys(w.keys)
 	if err := trace.EncodeColumnar(f, &c); err != nil {

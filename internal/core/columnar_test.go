@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -132,5 +134,23 @@ func TestWriteColumnarReportsFullDevice(t *testing.T) {
 	}
 	if err := mixedWorkload(t, 3, 100).WriteColumnar("/dev/full"); err == nil {
 		t.Fatal("WriteColumnar(/dev/full) = nil, want the device's error")
+	}
+}
+
+// failingClose takes every write and fails its Close, as a file system
+// may once the data is written.
+type failingClose struct{ io.Writer }
+
+var errClose = errors.New("close failed")
+
+func (failingClose) Close() error { return errClose }
+
+// TestWriteColumnarReportsCloseError: a close that fails after every
+// write succeeded still fails the write — a WCT3 file whose last bytes
+// may be missing is not reported written.
+func TestWriteColumnarReportsCloseError(t *testing.T) {
+	err := mixedWorkload(t, 3, 100).writeColumnar(failingClose{io.Discard}, "w.wci3")
+	if !errors.Is(err, errClose) {
+		t.Fatalf("writeColumnar = %v, want the Close error", err)
 	}
 }

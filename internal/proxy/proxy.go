@@ -19,11 +19,11 @@
 //
 // The proxy applies the same cacheability rules the paper's preprocessing
 // assumes (GET only, the Section 2 status-code whitelist, the CGI/query
-// heuristics) plus Cache-Control: no-store, and never stores a response
-// fetched with a client's Authorization (RFC 9111 §3.5). Expiration is
-// honored only as far as stale-on-error needs it: an entry past its
-// max-age/Expires is revalidated by refetching — always whole and
-// unconditional, whatever the client sent — and served anyway if the
+// heuristics) plus Cache-Control: no-store and no-cache, and never stores
+// a response fetched with a client's Authorization (RFC 9111 §3.5).
+// Expiration is honored only as far as stale-on-error needs it: an entry
+// past its max-age/Expires is revalidated by refetching — always whole
+// and unconditional, whatever the client sent — and served anyway if the
 // origin is down. Full consistency protocols remain out of scope, as in
 // the paper.
 package proxy
@@ -823,9 +823,10 @@ func (s *Server) admitAndStore(key string, fr *fetchResult, resp *http.Response)
 	}
 }
 
-// cacheable applies the Section 2 preprocessing rules plus no-store, and
-// refuses a response that varies by a request header: the store keys on
-// the URL alone, so it would serve one client's variant to every other.
+// cacheable applies the Section 2 preprocessing rules plus no-store,
+// no-cache and private, and refuses a response that varies by a request
+// header: the store keys on the URL alone, so it would serve one client's
+// variant to every other.
 // Vary: Accept-Encoding alone is safe, since perClientHeaders strips that
 // header upstream and the stored body is always identity.
 func (s *Server) cacheable(urlStr string, resp *http.Response, size int64) bool {
@@ -838,8 +839,11 @@ func (s *Server) cacheable(urlStr string, resp *http.Response, size int64) bool 
 	if size > s.cfg.Capacity {
 		return false
 	}
+	// A bare no-cache forbids a hit without revalidation (RFC 9111
+	// §5.2.2.4), and the store cannot revalidate; the qualified
+	// no-cache="…" form names only headers, so it is not this token.
 	cc := resp.Header.Get("Cache-Control")
-	if cc != "" && (containsToken(cc, "no-store") || containsToken(cc, "private")) {
+	if cc != "" && (containsToken(cc, "no-store") || containsToken(cc, "no-cache") || containsToken(cc, "private")) {
 		return false
 	}
 	for _, vary := range resp.Header.Values("Vary") {

@@ -32,6 +32,13 @@ func newOrigin(t *testing.T, hook func(path string)) *httptest.Server {
 			w.Header().Set("Content-Type", "text/html")
 		case strings.HasSuffix(r.URL.Path, ".nostore"):
 			w.Header().Set("Cache-Control", "no-store")
+		case strings.HasSuffix(r.URL.Path, ".nocache"):
+			w.Header().Set("Cache-Control", "no-cache")
+		case strings.HasSuffix(r.URL.Path, ".cookie"):
+			w.Header().Set("Set-Cookie", "session=1")
+		case strings.HasSuffix(r.URL.Path, ".cookienocache"):
+			w.Header().Set("Set-Cookie", "session=1")
+			w.Header().Set("Cache-Control", `no-cache="Set-Cookie"`)
 		case strings.HasSuffix(r.URL.Path, ".missing"):
 			http.NotFound(w, r)
 			return
@@ -133,6 +140,7 @@ func TestProxyUncacheableRules(t *testing.T) {
 		{"cgi path", "/cgi-bin/run"},
 		{"404 status", "/gone.missing"},
 		{"no-store", "/secret.nostore"},
+		{"no-cache", "/fresh.nocache"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -145,6 +153,20 @@ func TestProxyUncacheableRules(t *testing.T) {
 	}
 	if p.Len() != 0 {
 		t.Errorf("cache holds %d objects, want 0", p.Len())
+	}
+}
+
+// TestProxySetCookieIsNotShared: a response that sets a cookie is stored
+// — bare or under no-cache="Set-Cookie" — but a hit writes back only
+// Content-Type and Content-Length, so the cookie reaches no other client.
+func TestProxySetCookieIsNotShared(t *testing.T) {
+	_, front := newProxy(t, newOrigin(t, nil), Config{})
+	for _, path := range []string{"/a.cookie", "/b.cookienocache"} {
+		get(t, front.URL, path)
+		resp, _ := get(t, front.URL, path)
+		if resp.Header.Get("X-Cache") != "HIT" || resp.Header.Get("Set-Cookie") != "" {
+			t.Errorf("%s: X-Cache %q, Set-Cookie %q; want a HIT without the cookie", path, resp.Header.Get("X-Cache"), resp.Header.Get("Set-Cookie"))
+		}
 	}
 }
 

@@ -376,6 +376,24 @@ func TestStoppedReaderFails(t *testing.T) {
 	}
 }
 
+// TestStopAheadJoinsDecoders: stopAhead returns only after every decoder
+// has finished, so each block still queued already holds its result.
+func TestStopAheadJoinsDecoders(t *testing.T) {
+	sr := NewSquidReader(bytes.NewReader(mixedLog(200_000)))
+	sr.runAhead(16)
+	if _, err := sr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	sr.stopAhead()
+	for future := range sr.ahead {
+		select {
+		case <-future:
+		default:
+			t.Fatal("stopAhead returned while a decoder was still running")
+		}
+	}
+}
+
 // TestOpenFileLeavesNoGoroutine: the goroutines reading ahead exit when
 // the file is closed early — Close waits for them — and on their own at
 // the end of the stream; a closed reader does not block.
